@@ -17,7 +17,7 @@ HNSW_OUT ?= hnsw-recall.json
 BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|BenchmarkSearch|BenchmarkPredictScaling|BenchmarkPredictCosine$$
 BENCH_PKGS    ?= ./internal/walk ./internal/word2vec ./internal/vecstore ./internal/knn
 
-.PHONY: build test race vet bench bench-short serve-smoke router-smoke crash-smoke crash-smoke-short \
+.PHONY: build test race vet check-benchmark bench bench-short serve-smoke router-smoke crash-smoke crash-smoke-short \
 	crash-smoke-sharded wal-fuzz loadgen-bench loadgen-short \
 	loadgen-write loadgen-write-short loadgen-sharded loadgen-sweep loadgen-sweep-short \
 	hnsw-recall hnsw-recall-full \
@@ -31,6 +31,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# benchmark/ is a module of its own, outside ./...: vet it and run
+# its unit and smoke tests against this checkout.
+check-benchmark:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark -short ./...
 
 race:
 	$(GO) test -race ./internal/walk/... ./internal/word2vec/... \

@@ -10,6 +10,11 @@
 //	    [-named]
 //	    [-strategy uniform|edge-weighted|vertex-weighted|temporal|node2vec]
 //	    [-objective cbow|skipgram] [-sampler ns|hs] [-streaming] [-seed 1]
+//	    [-v]
+//
+// -v prints one line per stage to stderr: graph load, walk generation
+// (tokens, Mtok/s), each training epoch (seconds, Mtok/s, mean loss)
+// and the save (bytes, MB/s).
 //
 // -format bin writes a versioned binary snapshot (magic header, token
 // table, raw float32 matrix, CRC) that loads ~10x faster than the
@@ -100,6 +105,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -186,7 +192,7 @@ func trainMain() {
 		streaming = flag.Bool("streaming", false, "fused walk→train pipeline: regenerate walks on the fly instead of materializing the corpus (see docs/STREAMING.md)")
 		format    = flag.String("format", "text", "output format: text (word2vec) or bin (binary snapshot, ~10x faster to load)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		verbose   = flag.Bool("v", false, "log progress to stderr")
+		verbose   = flag.Bool("v", false, "log one line per stage (graph load, walks, each epoch, save) to stderr")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -208,12 +214,14 @@ func trainMain() {
 		defer f.Close()
 		input = f
 	}
+	start := time.Now()
 	g, err := v2v.ReadEdgeList(input, v2v.EdgeListOptions{Directed: *directed, Named: *named})
 	if err != nil {
 		fatal(err)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+		fmt.Fprintf(os.Stderr, "graph: %d vertices, %d edges, loaded in %v\n",
+			g.NumVertices(), g.NumEdges(), time.Since(start).Round(time.Microsecond))
 	}
 
 	opts := v2v.DefaultOptions(*dim)
@@ -257,40 +265,67 @@ func trainMain() {
 		fatal(fmt.Errorf("unknown sampler %q", *sampler))
 	}
 
-	start := time.Now()
 	emb, err := v2v.Embed(g, opts)
 	if err != nil {
 		fatal(err)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "walks: %d tokens in %v; training: %v (%d epochs, final loss %.4f)\n",
-			emb.Tokens, emb.WalkTime.Round(time.Millisecond),
-			emb.TrainTime.Round(time.Millisecond), emb.Stats.Epochs, emb.Stats.FinalLoss)
-		fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
+		// On the streaming path the walk stage is the counting pass
+		// only; the walks are regenerated inside every epoch.
+		fmt.Fprintf(os.Stderr, "walks: %d tokens in %v (%.1f Mtok/s)\n",
+			emb.Tokens, emb.WalkTime.Round(time.Microsecond), mega(emb.Tokens, emb.WalkTime))
+		for i, d := range emb.Stats.EpochDurations {
+			fmt.Fprintf(os.Stderr, "epoch %d/%d: %.3fs, %.2f Mtok/s, mean loss %.4f\n",
+				i+1, emb.Stats.Epochs, d.Seconds(), mega(emb.Tokens, d), emb.Stats.EpochLosses[i])
+		}
 	}
 
-	var output *os.File = os.Stdout
+	output := &countingWriter{w: os.Stdout}
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		output = f
+		output.w = f
 	}
+	saveStart := time.Now()
 	if *format == "bin" {
 		tokens := make([]string, g.NumVertices())
 		for v := range tokens {
 			tokens[v] = g.Name(v)
 		}
-		if err := v2v.SaveSnapshot(output, emb.Model, tokens); err != nil {
-			fatal(err)
-		}
-		return
+		err = v2v.SaveSnapshot(output, emb.Model, tokens)
+	} else {
+		err = emb.Model.Save(output, g.Name)
 	}
-	if err := emb.Model.Save(output, g.Name); err != nil {
+	if err != nil {
 		fatal(err)
 	}
+	if *verbose {
+		took := time.Since(saveStart)
+		fmt.Fprintf(os.Stderr, "save: %d bytes in %v (%.1f MB/s)\n",
+			output.n, took.Round(time.Microsecond), mega(output.n, took))
+		fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
+	}
+}
+
+// mega returns n per second over d, in millions.
+func mega(n int, d time.Duration) float64 {
+	return float64(n) / d.Seconds() / 1e6
+}
+
+// countingWriter counts the bytes written through it, for the -v save
+// line.
+type countingWriter struct {
+	w io.Writer
+	n int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += n
+	return n, err
 }
 
 // serveMain runs the long-lived HTTP query server with graceful

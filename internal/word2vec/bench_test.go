@@ -2,6 +2,7 @@ package word2vec
 
 import (
 	"testing"
+	"time"
 
 	"v2v/internal/graph"
 	"v2v/internal/walk"
@@ -78,6 +79,65 @@ func BenchmarkTrainHogwild(b *testing.B) {
 			cfg.Workers = workers
 			cfg.Seed = 3
 			benchTrain(b, cfg)
+		})
+	}
+}
+
+// BenchmarkTrainPipelineShape trains on the corpus of the repository
+// benchmark's `pipeline` workload (10 communities of 100, alpha 0.1,
+// 200 inter-community edges; 5 walks of 80 per vertex; dim 50, 3
+// epochs, the CLI's CBOW + negative sampling) and reports the figure
+// that benchmark calls word2vec.mtok_per_s, so the layer can be
+// measured and profiled without the harness.
+func BenchmarkTrainPipelineShape(b *testing.B) {
+	g, _ := graph.CommunityBenchmark(graph.DefaultCommunityBenchmark(0.1, 1))
+	gen, err := walk.NewGenerator(g, walk.Config{WalksPerVertex: 5, Length: 80, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus := gen.Generate()
+	cfg := DefaultConfig(50)
+	cfg.Epochs = 3
+	cfg.Seed = 1
+	var trained time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, stats, err := Train(corpus, g.NumVertices(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trained += stats.Duration
+	}
+	b.ReportMetric(float64(corpus.NumTokens())*float64(cfg.Epochs)*float64(b.N)/trained.Seconds()/1e6, "Mtok/s")
+}
+
+// kernelSink keeps the compiler from discarding the dot calls.
+var kernelSink float32
+
+// BenchmarkKernels times the three training kernels on one pair of
+// rows that stay in L1, at the dimensions the CLI (50) and the serving
+// benchmark (64, 128) use.
+func BenchmarkKernels(b *testing.B) {
+	for _, dim := range []int{50, 64, 128} {
+		h, out, e := make([]float32, dim), make([]float32, dim), make([]float32, dim)
+		for i := range h {
+			h[i], out[i] = float32(i%7)-3, float32(i%5)-2
+		}
+		b.Run("dot/dim="+itoa(dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernelSink += dot(h, out)
+			}
+		})
+		b.Run("add/dim="+itoa(dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				add(e, h)
+			}
+		})
+		b.Run("grad/dim="+itoa(dim), func(b *testing.B) {
+			// A step this small keeps out and e finite over b.N calls.
+			for i := 0; i < b.N; i++ {
+				grad(1e-9, h, out, e)
+			}
 		})
 	}
 }

@@ -1,0 +1,71 @@
+package word2vec
+
+// The three float32 level-1 kernels of the training loop, in portable
+// Go. They are the implementation on every GOARCH but amd64 (and on
+// amd64 under -tags purego), and the reference kernels_amd64.s is
+// tested against: each reproduces the assembly's arithmetic operation
+// for operation, so the two return identical bits and a model trained
+// with Workers = 1 is the same on every architecture.
+//
+// Every product is written float32(x * y): the explicit conversion is
+// a rounding point the compiler may not fuse into a multiply-add
+// (arm64, ppc64le, s390x and riscv64 otherwise would, and change the
+// last bit).
+
+// dotGeneric returns the inner product of a and b[:len(a)]. The
+// summation order is the assembly's: lane j of eight partial sums
+// takes elements j, j+8, j+16, ...; the lanes are folded (j with j+4,
+// then 0 with 2 and 1 with 3, then those two); the len%8 tail is added
+// in order.
+func dotGeneric(a, b []float32) float32 {
+	b = b[:len(a)]
+	var p0, p1, p2, p3, p4, p5, p6, p7 float32
+	for len(a) >= 8 {
+		x, y := (*[8]float32)(a), (*[8]float32)(b)
+		p0 += float32(x[0] * y[0])
+		p1 += float32(x[1] * y[1])
+		p2 += float32(x[2] * y[2])
+		p3 += float32(x[3] * y[3])
+		p4 += float32(x[4] * y[4])
+		p5 += float32(x[5] * y[5])
+		p6 += float32(x[6] * y[6])
+		p7 += float32(x[7] * y[7])
+		a, b = a[8:], b[8:]
+	}
+	sum := ((p0 + p4) + (p2 + p6)) + ((p1 + p5) + (p3 + p7))
+	for i, x := range a {
+		sum += float32(x * b[i])
+	}
+	return sum
+}
+
+// addGeneric computes dst += src[:len(dst)].
+func addGeneric(dst, src []float32) {
+	src = src[:len(dst)]
+	for len(dst) >= 8 {
+		d, s := (*[8]float32)(dst), (*[8]float32)(src)
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+		d[4] += s[4]
+		d[5] += s[5]
+		d[6] += s[6]
+		d[7] += s[7]
+		dst, src = dst[8:], src[8:]
+	}
+	for i, x := range src {
+		dst[i] += x
+	}
+}
+
+// gradGeneric is the fused output-layer step for one target row:
+// e += g*out, then out += g*h, over len(h) elements in one pass. h,
+// out and e must not overlap.
+func gradGeneric(g float32, h, out, e []float32) {
+	out, e = out[:len(h)], e[:len(h)]
+	for i, x := range h {
+		e[i] += float32(g * out[i])
+		out[i] += float32(g * x)
+	}
+}

@@ -15,12 +15,13 @@ import (
 
 // Stats reports what happened during training.
 type Stats struct {
-	Epochs        int           // epochs actually run
-	TokensTrained int64         // centre-token updates performed
-	EpochLosses   []float64     // mean per-sample loss of each epoch
-	FinalLoss     float64       // last entry of EpochLosses
-	Converged     bool          // true when convergence stopping fired
-	Duration      time.Duration // wall-clock training time
+	Epochs         int             // epochs actually run
+	TokensTrained  int64           // centre-token updates performed
+	EpochLosses    []float64       // mean per-sample loss of each epoch
+	EpochDurations []time.Duration // wall-clock time of each epoch
+	FinalLoss      float64         // last entry of EpochLosses
+	Converged      bool            // true when convergence stopping fired
+	Duration       time.Duration   // wall-clock training time
 }
 
 // Train learns embeddings for a vocabulary of vocab vertices from the
@@ -148,7 +149,9 @@ func (tr *trainer) run() (*Model, *Stats, error) {
 	stats := &Stats{}
 	prevLoss := math.Inf(1)
 	for epoch := 0; epoch < tr.cfg.Epochs; epoch++ {
+		epochStart := time.Now()
 		loss, samples := tr.runEpoch(epoch)
+		stats.EpochDurations = append(stats.EpochDurations, time.Since(epochStart))
 		meanLoss := 0.0
 		if samples > 0 {
 			meanLoss = loss / float64(samples)
@@ -213,60 +216,73 @@ func (tr *trainer) runEpoch(epoch int) (float64, int64) {
 	return loss, n
 }
 
+// worker is one Hogwild goroutine's state for one epoch shard: what
+// the per-target code reads of the trainer, copied out once so the
+// inner loops load it from one place, plus the goroutine's own random
+// stream, learning rate and scratch vectors.
+type worker struct {
+	dim        int
+	syn0, syn1 []float32
+	negatives  int           // negatives drawn from unigram per centre
+	unigram    *aliasSampler // nil under hierarchical softmax
+	tree       *huffman      // nil under negative sampling
+	rng        *xrand.RNG
+	alpha      float32
+	neu1       []float32 // CBOW hidden activation
+	neu1e      []float32 // accumulated gradient for the input rows
+}
+
 // work trains on walks [lo, hi), consumed through the corpus walk
 // iterator (a slice view for materialized corpora, a bounded-buffer
 // producer for streaming ones). It is the hot loop; shared syn0/syn1
-// are updated without synchronisation (Hogwild).
-func (tr *trainer) work(epoch, worker, workers, lo, hi int) (loss float64, samples int64) {
+// are updated without synchronisation (Hogwild). All its float32
+// arithmetic over rows goes through the dot, add and grad kernels.
+func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples int64) {
 	cfg := tr.cfg
-	dim := cfg.Dim
-	rng := xrand.NewStream(cfg.Seed, uint64(epoch)*uint64(workers+1)+uint64(worker)+1)
-
-	neu1 := make([]float32, dim)  // CBOW hidden activation
-	neu1e := make([]float32, dim) // accumulated gradient for inputs
-	sen := make([]int32, 0, 1024) // subsampled sentence buffer
-
-	alpha := tr.currentAlpha()
+	window, cbow := cfg.Window, cfg.Objective == CBOW
+	w := &worker{
+		dim:       cfg.Dim,
+		syn0:      tr.syn0,
+		syn1:      tr.syn1,
+		negatives: cfg.NegativeSamples,
+		unigram:   tr.unigram,
+		tree:      tr.tree,
+		rng:       xrand.NewStream(cfg.Seed, uint64(epoch)*uint64(shards+1)+uint64(shard)+1),
+		alpha:     tr.currentAlpha(),
+		neu1:      make([]float32, cfg.Dim),
+		neu1e:     make([]float32, cfg.Dim),
+	}
+	var kept []int32 // subsampled sentence buffer
 	var sinceAlpha int64
 
-	for walk := range tr.corpus.WalkSeq(lo, hi) {
-		sen = sen[:0]
+	for sen := range tr.corpus.WalkSeq(lo, hi) {
 		if cfg.Subsample > 0 {
-			for _, tok := range walk {
-				if tr.keepToken(int(tok), rng) {
-					sen = append(sen, tok)
+			kept = kept[:0]
+			for _, tok := range sen {
+				if tr.keepToken(int(tok), w.rng) {
+					kept = append(kept, tok)
 				}
 			}
-		} else {
-			sen = append(sen, walk...)
+			sen = kept
 		}
 
-		for pos := 0; pos < len(sen); pos++ {
-			w := int(sen[pos])
+		for pos := range sen {
 			// Reduced window, as in the reference implementation:
 			// the effective radius is uniform in [1, Window].
-			b := rng.Intn(cfg.Window)
-			lo2 := pos - cfg.Window + b
-			hi2 := pos + cfg.Window - b
-			if lo2 < 0 {
-				lo2 = 0
-			}
-			if hi2 >= len(sen) {
-				hi2 = len(sen) - 1
-			}
-
-			switch cfg.Objective {
-			case CBOW:
-				loss += tr.cbowUpdate(sen, pos, w, lo2, hi2, alpha, rng, neu1, neu1e)
-			case SkipGram:
-				loss += tr.skipGramUpdate(sen, pos, w, lo2, hi2, alpha, rng, neu1e)
+			b := w.rng.Intn(window)
+			first := max(pos-window+b, 0)
+			last := min(pos+window-b, len(sen)-1)
+			if cbow {
+				loss += w.cbow(sen, pos, first, last)
+			} else {
+				loss += w.skipGram(sen, pos, first, last)
 			}
 			samples++
 			sinceAlpha++
 			if sinceAlpha >= 10000 {
 				tr.processed.Add(sinceAlpha)
 				sinceAlpha = 0
-				alpha = tr.currentAlpha()
+				w.alpha = tr.currentAlpha()
 			}
 		}
 	}
@@ -296,133 +312,100 @@ func (tr *trainer) keepToken(tok int, rng *xrand.RNG) bool {
 	return ran >= rng.Float64()
 }
 
-// cbowUpdate performs one CBOW step for centre w with context
-// sen[lo..hi] excluding pos, returning the sample's loss.
-func (tr *trainer) cbowUpdate(sen []int32, pos, w, lo, hi int, alpha float32, rng *xrand.RNG, neu1, neu1e []float32) float64 {
-	dim := tr.cfg.Dim
-	for i := range neu1 {
-		neu1[i] = 0
-		neu1e[i] = 0
-	}
+// cbow performs one CBOW step for the centre sen[pos] with context
+// sen[first..last] excluding pos, returning the sample's loss.
+func (w *worker) cbow(sen []int32, pos, first, last int) float64 {
+	dim, syn0, neu1 := w.dim, w.syn0, w.neu1
 	cw := 0
-	for p := lo; p <= hi; p++ {
+	for p := first; p <= last; p++ {
 		if p == pos {
 			continue
 		}
 		c := int(sen[p])
-		v := tr.syn0[c*dim : c*dim+dim]
-		for i := range neu1 {
-			neu1[i] += v[i]
+		v := syn0[c*dim : c*dim+dim]
+		if cw == 0 {
+			copy(neu1, v)
+		} else {
+			add(neu1, v)
 		}
 		cw++
 	}
 	if cw == 0 {
 		return 0
 	}
+	// The mean of the context rows; once per centre, where the kernels
+	// run once per context row and per target.
 	inv := 1 / float32(cw)
 	for i := range neu1 {
 		neu1[i] *= inv
 	}
 
-	loss := tr.outputUpdate(w, neu1, neu1e, alpha, rng)
+	clear(w.neu1e)
+	loss := w.output(int(sen[pos]), neu1)
 
-	for p := lo; p <= hi; p++ {
+	for p := first; p <= last; p++ {
 		if p == pos {
 			continue
 		}
 		c := int(sen[p])
-		v := tr.syn0[c*dim : c*dim+dim]
-		for i := range v {
-			v[i] += neu1e[i]
+		add(syn0[c*dim:c*dim+dim], w.neu1e)
+	}
+	return loss
+}
+
+// skipGram performs one SkipGram step: each context vertex predicts
+// the centre sen[pos].
+func (w *worker) skipGram(sen []int32, pos, first, last int) float64 {
+	dim, centre := w.dim, int(sen[pos])
+	var loss float64
+	for p := first; p <= last; p++ {
+		if p == pos {
+			continue
+		}
+		c := int(sen[p])
+		h := w.syn0[c*dim : c*dim+dim]
+		clear(w.neu1e)
+		loss += w.output(centre, h)
+		add(h, w.neu1e)
+	}
+	return loss
+}
+
+// output applies the output-layer update (negative sampling or
+// hierarchical softmax) for centre vertex centre with hidden
+// activation h, accumulating the input gradient into neu1e, and
+// returns the loss.
+func (w *worker) output(centre int, h []float32) float64 {
+	var loss float64
+	if w.tree != nil {
+		// P(code=0) = sigma(f): the label of an inner node is 1 - code.
+		points := w.tree.points[centre]
+		for d, code := range w.tree.codes[centre] {
+			loss += float64(w.target(points[d], 1-float32(code), h))
+		}
+		return loss
+	}
+	loss = float64(w.target(centre, 1, h))
+	for d := 0; d < w.negatives; d++ {
+		if neg := w.unigram.sample(w.rng); neg != centre {
+			loss += float64(w.target(neg, 0, h))
 		}
 	}
 	return loss
 }
 
-// skipGramUpdate performs one SkipGram step: each context vertex
-// predicts the centre w.
-func (tr *trainer) skipGramUpdate(sen []int32, pos, w, lo, hi int, alpha float32, rng *xrand.RNG, neu1e []float32) float64 {
-	dim := tr.cfg.Dim
-	var loss float64
-	for p := lo; p <= hi; p++ {
-		if p == pos {
-			continue
-		}
-		c := int(sen[p])
-		h := tr.syn0[c*dim : c*dim+dim]
-		for i := range neu1e {
-			neu1e[i] = 0
-		}
-		loss += tr.outputUpdate(w, h, neu1e, alpha, rng)
-		for i := range h {
-			h[i] += neu1e[i]
-		}
+// target is the SGD step on one row of syn1 with label 1 or 0: the
+// row moves along h by (label - σ(h·row)) * alpha, neu1e collects the
+// matching move for the inputs, and the step's loss -log σ(±h·row) is
+// returned.
+func (w *worker) target(row int, label float32, h []float32) float32 {
+	out := w.syn1[row*w.dim : row*w.dim+w.dim]
+	f := dot(h, out)
+	grad((label-sigmoid(f))*w.alpha, h, out, w.neu1e)
+	if label == 1 {
+		return nll(f)
 	}
-	return loss
-}
-
-// outputUpdate applies the output-layer update (negative sampling or
-// hierarchical softmax) for centre word w with hidden activation h,
-// accumulating the input gradient into neu1e, and returns the loss.
-func (tr *trainer) outputUpdate(w int, h, neu1e []float32, alpha float32, rng *xrand.RNG) float64 {
-	dim := tr.cfg.Dim
-	var loss float64
-	switch tr.cfg.Sampler {
-	case NegativeSampling:
-		for d := 0; d <= tr.cfg.NegativeSamples; d++ {
-			var target int
-			var label float32
-			if d == 0 {
-				target, label = w, 1
-			} else {
-				target = tr.unigram.sample(rng)
-				if target == w {
-					continue
-				}
-				label = 0
-			}
-			out := tr.syn1[target*dim : target*dim+dim]
-			var f float32
-			for i := range h {
-				f += h[i] * out[i]
-			}
-			s := sigmoid(f)
-			g := (label - s) * alpha
-			for i := range h {
-				neu1e[i] += g * out[i]
-				out[i] += g * h[i]
-			}
-			if label == 1 {
-				loss += -logSigmoid(float64(f))
-			} else {
-				loss += -logSigmoid(-float64(f))
-			}
-		}
-	case HierarchicalSoftmax:
-		codes := tr.tree.codes[w]
-		points := tr.tree.points[w]
-		for d := range codes {
-			node := points[d]
-			out := tr.syn1[node*dim : node*dim+dim]
-			var f float32
-			for i := range h {
-				f += h[i] * out[i]
-			}
-			s := sigmoid(f)
-			g := (1 - float32(codes[d]) - s) * alpha
-			for i := range h {
-				neu1e[i] += g * out[i]
-				out[i] += g * h[i]
-			}
-			// P(code=0) = sigma(f): loss is -log of the branch prob.
-			if codes[d] == 0 {
-				loss += -logSigmoid(float64(f))
-			} else {
-				loss += -logSigmoid(-float64(f))
-			}
-		}
-	}
-	return loss
+	return nll(-f)
 }
 
 // aliasSampler draws vertices from the counts^power distribution in

@@ -9,7 +9,10 @@
 // pool of goroutines without locking (lock-free asynchronous SGD, the
 // parallelisation the paper relies on for speed), a linearly decaying
 // learning rate, reduced-window context sampling, optional frequent-
-// token subsampling, and a sigmoid lookup table.
+// token subsampling, and a sigmoid lookup table. The float32 work of
+// the inner loop is three level-1 kernels (dot, add, grad) with an
+// SSE2 assembly and a portable implementation that return the same
+// bits; see kernels_generic.go.
 //
 // In addition to fixed-epoch training, the trainer supports
 // convergence-based stopping (stop when the relative improvement of
@@ -186,21 +189,36 @@ func (c *Config) validate() error {
 }
 
 // Sigmoid lookup table, mirroring the word2vec reference code
-// (EXP_TABLE_SIZE = 1000, MAX_EXP = 6).
+// (EXP_TABLE_SIZE = 1000, MAX_EXP = 6), including its integer
+// division: x falls in bin int((x+6)*83), not (x+6)*83.33, so the
+// table is read at a point up to 0.4% nearer -6 than x and its last
+// three entries are never used. That is part of the update rule and
+// stays.
 const (
 	expTableSize = 1000
 	maxExp       = 6
+	binsPerUnit  = expTableSize / (2 * maxExp)
 )
 
-var expTable = buildExpTable()
+// expTable[i] is σ((2i/expTableSize - 1) * maxExp), as in the
+// reference. nllTable[i] is -log σ at the lower edge of the x that
+// tableBin sends to i.
+var expTable, nllTable = buildTables()
 
-func buildExpTable() []float32 {
-	t := make([]float32, expTableSize)
-	for i := range t {
-		x := math.Exp((float64(i)/expTableSize*2 - 1) * maxExp)
-		t[i] = float32(x / (x + 1))
+func buildTables() (sig, nll []float32) {
+	sig = make([]float32, expTableSize)
+	nll = make([]float32, expTableSize)
+	for i := range sig {
+		e := math.Exp((float64(i)/expTableSize*2 - 1) * maxExp)
+		sig[i] = float32(e / (e + 1))
+		nll[i] = float32(-logSigmoid(float64(i)/binsPerUnit - maxExp))
 	}
-	return t
+	return sig, nll
+}
+
+// tableBin returns the bin of x, which must lie in (-maxExp, maxExp).
+func tableBin(x float32) int {
+	return int((x + maxExp) * binsPerUnit)
 }
 
 // sigmoid returns 1/(1+e^-x), clamped through the lookup table.
@@ -211,11 +229,26 @@ func sigmoid(x float32) float32 {
 	if x <= -maxExp {
 		return 0
 	}
-	return expTable[int((x+maxExp)*(expTableSize/(2*maxExp)))]
+	return expTable[tableBin(x)]
 }
 
-// logSigmoid returns log(sigmoid(x)) computed exactly (used only for
-// loss reporting, not in the hot update path).
+// nll returns -log σ(x), the loss of one training target, from the
+// table: the reported epoch loss costs the hot loop one load per
+// target. Beyond the table it is the asymptote on either side: 0
+// above maxExp, -x below -maxExp.
+func nll(x float32) float32 {
+	if x >= maxExp {
+		return 0
+	}
+	if x <= -maxExp {
+		return -x
+	}
+	return nllTable[tableBin(x)]
+}
+
+// logSigmoid returns log(sigmoid(x)) computed exactly. Training does
+// not call it: it builds nllTable, and tests measure the table
+// against it.
 func logSigmoid(x float64) float64 {
 	// Stable: log σ(x) = -log(1+e^{-x}) = min(x,0) - log1p(e^{-|x|})
 	if x < 0 {

@@ -80,6 +80,9 @@ func TestTrainShapes(t *testing.T) {
 	if stats.Epochs != 1 || stats.TokensTrained == 0 {
 		t.Fatalf("stats %+v", stats)
 	}
+	if len(stats.EpochDurations) != stats.Epochs || stats.EpochDurations[0] <= 0 || stats.EpochDurations[0] > stats.Duration {
+		t.Fatalf("epoch durations %v of a %v run", stats.EpochDurations, stats.Duration)
+	}
 	for _, x := range m.Vectors {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
 			t.Fatal("non-finite weight after training")
