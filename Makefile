@@ -18,7 +18,7 @@ BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|Benc
 BENCH_PKGS    ?= ./internal/walk ./internal/word2vec ./internal/vecstore ./internal/knn
 
 .PHONY: build test race vet check-benchmark bench bench-short serve-smoke router-smoke crash-smoke crash-smoke-short \
-	crash-smoke-sharded wal-fuzz loadgen-bench loadgen-short \
+	crash-smoke-sharded wal-fuzz scan-fuzz loadgen-bench loadgen-short \
 	loadgen-write loadgen-write-short loadgen-sharded loadgen-sweep loadgen-sweep-short \
 	hnsw-recall hnsw-recall-full \
 	hnsw-recall-incr hnsw-recall-incr-full hnsw-recall-sharded loadgen-hnsw clean
@@ -92,6 +92,13 @@ crash-smoke-sharded:
 FUZZTIME ?= 15s
 wal-fuzz:
 	$(GO) test -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
+
+# Exact-scan prefilter fuzz smoke: stores and queries read out of raw
+# float32 bits (NaNs, infinities, subnormals, near-overflow
+# magnitudes); the filtered scan must return the IDs and score bits of
+# scoring every row in float64.
+scan-fuzz:
+	$(GO) test -run FuzzScanFilterParity -fuzz FuzzScanFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
 
 # Full trajectory snapshot (minutes; run before publishing perf claims).
 bench:

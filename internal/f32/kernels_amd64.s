@@ -7,8 +7,9 @@
 // not 16-byte aligned. Every routine reads and writes exactly the
 // first len(first slice) elements of each slice argument; the Go
 // declarations in kernels_amd64.go reslice the others to that length
-// first. kernels_generic.go repeats the arithmetic of each routine
-// operation for operation.
+// first (dotRowsSSE2 trusts len(q) and len(out), and reads
+// len(q)*len(out) floats of rows). kernels_generic.go repeats the
+// arithmetic of each routine operation for operation.
 
 // func dotSSE2(a, b []float32) float32
 TEXT ·dotSSE2(SB), NOSPLIT, $0-52
@@ -158,4 +159,71 @@ gradtail:
 	JNZ    gradtail
 
 graddone:
+	RET
+
+// func dotRowsSSE2(q, rows, out []float32)
+//
+// dotSSE2 once per row of rows, q as its first operand: the same
+// eight partial sums, the same fold, the same tail.
+TEXT ·dotRowsSSE2(SB), NOSPLIT, $0-72
+	MOVQ  q_base+0(FP), R8
+	MOVQ  q_len+8(FP), R9
+	MOVQ  rows_base+24(FP), DI
+	MOVQ  out_base+48(FP), BX
+	MOVQ  out_len+56(FP), R10
+	TESTQ R10, R10
+	JZ    rowsdone
+	MOVQ  R9, R11
+	SHRQ  $3, R11            // 8-float blocks per row
+	ANDQ  $7, R9             // tail floats per row
+
+rowsnext:
+	MOVQ  R8, SI
+	XORPS X0, X0             // partial sums, lanes 0-3
+	XORPS X1, X1             // partial sums, lanes 4-7
+	MOVQ  R11, DX
+	TESTQ DX, DX
+	JZ    rowsfold
+
+rowsloop:
+	MOVUPS (SI), X2
+	MOVUPS 16(SI), X3
+	MOVUPS (DI), X4
+	MOVUPS 16(DI), X5
+	MULPS  X4, X2
+	MULPS  X5, X3
+	ADDPS  X2, X0
+	ADDPS  X3, X1
+	ADDQ   $32, SI
+	ADDQ   $32, DI
+	DECQ   DX
+	JNZ    rowsloop
+
+rowsfold:
+	ADDPS   X1, X0           // s[j] = p[j] + p[j+4]
+	MOVHLPS X0, X1           // X1[0], X1[1] = s2, s3
+	ADDPS   X1, X0           // X0[0] = s0+s2, X0[1] = s1+s3
+	MOVAPS  X0, X1
+	SHUFPS  $0x55, X1, X1    // X1[0] = s1+s3
+	ADDSS   X1, X0           // (s0+s2) + (s1+s3)
+	MOVQ    R9, CX
+	TESTQ   CX, CX
+	JZ      rowsstore
+
+rowstail:
+	MOVSS (SI), X2
+	MULSS (DI), X2
+	ADDSS X2, X0
+	ADDQ  $4, SI
+	ADDQ  $4, DI
+	DECQ  CX
+	JNZ   rowstail
+
+rowsstore:
+	MOVSS X0, (BX)
+	ADDQ  $4, BX
+	DECQ  R10
+	JNZ   rowsnext
+
+rowsdone:
 	RET

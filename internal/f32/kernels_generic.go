@@ -1,12 +1,18 @@
-package word2vec
-
-// The three float32 level-1 kernels of the training loop, in portable
-// Go. They are the implementation on every GOARCH but amd64 (and on
-// amd64 under -tags purego), and the reference kernels_amd64.s is
-// tested against: each reproduces the assembly's arithmetic operation
-// for operation, so the two return identical bits and a model trained
-// with Workers = 1 is the same on every architecture.
+// Package f32 holds the repository's float32 vector kernels: Dot, Add
+// and Grad, the level-1 operations of the word2vec training loop, and
+// DotRows, Dot over a block of matrix rows, the first pass of the
+// vecstore exact scan. It imports nothing, so both can use it.
 //
+// On amd64 the kernels are SSE2 assembly (kernels_amd64.s; the
+// GOAMD64=v1 baseline, no CPUID dispatch). This file has them in
+// portable Go: the implementation on every other GOARCH (and on amd64
+// under -tags purego), and the reference the assembly is tested
+// against. Each reproduces the assembly's arithmetic operation for
+// operation, so the two return identical bits: a model trained with
+// Workers = 1 is the same on every architecture, and so is the set of
+// rows a scan rejects.
+package f32
+
 // Every product is written float32(x * y): the explicit conversion is
 // a rounding point the compiler may not fuse into a multiply-add
 // (arm64, ppc64le, s390x and riscv64 otherwise would, and change the
@@ -67,5 +73,14 @@ func gradGeneric(g float32, h, out, e []float32) {
 	for i, x := range h {
 		e[i] += float32(g * out[i])
 		out[i] += float32(g * x)
+	}
+}
+
+// dotRowsGeneric computes out[r] = dotGeneric(q, row r of rows) for
+// every r < len(out).
+func dotRowsGeneric(q, rows, out []float32) {
+	rows = rows[:len(q)*len(out)]
+	for r := range out {
+		out[r] = dotGeneric(q, rows[r*len(q):(r+1)*len(q)])
 	}
 }

@@ -1,0 +1,21 @@
+//go:build !amd64 || purego
+
+package f32
+
+// Without the assembly the exported kernels are the portable ones of
+// kernels_generic.go, which compute the same bits.
+
+// Dot returns the inner product of a and b[:len(a)].
+func Dot(a, b []float32) float32 { return dotGeneric(a, b) }
+
+// Add computes dst += src[:len(dst)].
+func Add(dst, src []float32) { addGeneric(dst, src) }
+
+// Grad computes e += g*out, then out += g*h, over len(h) elements in
+// one pass. h, out and e must not overlap.
+func Grad(g float32, h, out, e []float32) { gradGeneric(g, h, out, e) }
+
+// DotRows computes out[r] = Dot(q, rows[r*len(q):(r+1)*len(q)]) for
+// every r < len(out): one query against a block of consecutive rows
+// of a row-major matrix.
+func DotRows(q, rows, out []float32) { dotRowsGeneric(q, rows, out) }

@@ -1,11 +1,11 @@
-package word2vec
+package f32
 
 import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
-	"v2v/internal/vecstore"
 	"v2v/internal/xrand"
 )
 
@@ -32,7 +32,11 @@ const operandStart = 16
 // words either side, filled from rng with values of mixed sign and
 // magnitude (so summation order shows in the last bits).
 func operand(rng *xrand.RNG, n, off int) (v, buf []float32) {
-	buf = vecstore.AlignedSlice(operandStart + n + 8)
+	buf = make([]float32, operandStart+n+8+16)
+	for uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%64 != 0 {
+		buf = buf[1:]
+	}
+	buf = buf[:operandStart+n+8]
 	for i := range buf {
 		buf[i] = guard
 	}
@@ -66,10 +70,10 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestKernelsMatchGeneric pins the numeric contract of the kernel
-// pair: the kernels the trainer calls (SSE2 assembly on amd64, the
-// portable ones under -tags purego) and the portable ones return the
-// same bits for every length and alignment, and none writes outside
-// len(first operand).
+// pair: the exported kernels (SSE2 assembly on amd64, the portable
+// ones under -tags purego) and the portable ones return the same bits
+// for every length and alignment, DotRows returns Dot's bits row by
+// row, and none writes outside its destination.
 func TestKernelsMatchGeneric(t *testing.T) {
 	rng := xrand.New(99)
 	for _, n := range kernelLens() {
@@ -78,13 +82,13 @@ func TestKernelsMatchGeneric(t *testing.T) {
 
 			a, _ := operand(rng, n, off)
 			b, _ := operand(rng, n, (off+1)%4)
-			if got, want := dot(a, b), dotGeneric(a, b); math.Float32bits(got) != math.Float32bits(want) {
+			if got, want := Dot(a, b), dotGeneric(a, b); math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("dot %s = %x (%v), portable kernel has %x (%v)", name, math.Float32bits(got), got, math.Float32bits(want), want)
 			}
 
 			dst, dstBuf := operand(rng, n, off)
 			want := append([]float32(nil), dst...)
-			add(dst, a)
+			Add(dst, a)
 			addGeneric(want, a)
 			sameBits(t, "add "+name, dst, want)
 			checkGuards(t, "add "+name, dstBuf, n, off)
@@ -95,17 +99,60 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			e, eBuf := operand(rng, n, eOff)
 			wantOut := append([]float32(nil), out...)
 			wantE := append([]float32(nil), e...)
-			grad(g, a, out, e)
+			Grad(g, a, out, e)
 			gradGeneric(g, a, wantOut, wantE)
 			sameBits(t, "grad out "+name, out, wantOut)
 			sameBits(t, "grad e "+name, e, wantE)
 			checkGuards(t, "grad out "+name, outBuf, n, outOff)
 			checkGuards(t, "grad e "+name, eBuf, n, eOff)
+
+			for _, nrows := range []int{0, 1, 2, 3, 4, 5, 255, 256, 257} {
+				name := fmt.Sprintf("dotrows %s/rows=%d", name, nrows)
+				rows, _ := operand(rng, n*nrows, (off+1)%4)
+				got, gotBuf := operand(rng, nrows, (off+2)%4)
+				wantRows := make([]float32, nrows)
+				byRow := make([]float32, nrows)
+				DotRows(a, rows, got)
+				dotRowsGeneric(a, rows, wantRows)
+				for r := range byRow {
+					byRow[r] = Dot(a, rows[r*n:(r+1)*n])
+				}
+				sameBits(t, name, got, wantRows)
+				sameBits(t, name+" vs Dot row by row", got, byRow)
+				checkGuards(t, name, gotBuf, nrows, (off+2)%4)
+			}
 		}
 	}
 }
 
-// TestGradAdjacentRows runs grad on three neighbouring rows of one
+// TestDotNonFinite: overflow, infinities and NaN come out of the
+// assembly as they come out of the portable kernels. The exact scan
+// relies on it: a non-finite float32 dot sends the row to the float64
+// kernel instead of being judged.
+func TestDotNonFinite(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, n := range []int{1, 7, 8, 9, 16, 19} {
+		for _, bad := range []float32{inf, -inf, nan, math.MaxFloat32, -math.MaxFloat32} {
+			for at := 0; at < n; at++ {
+				a, b := make([]float32, n), make([]float32, n)
+				for i := range a {
+					a[i], b[i] = float32(i+1), math.MaxFloat32/4
+				}
+				b[at] = bad
+				got, want := Dot(a, b), dotGeneric(a, b)
+				out := []float32{0}
+				DotRows(a, b, out)
+				for _, g := range []float32{got, out[0]} {
+					if math.IsNaN(float64(want)) != math.IsNaN(float64(g)) || (want == want && g != want) {
+						t.Fatalf("n=%d bad=%v at %d: %v, portable kernel has %v", n, bad, at, g, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGradAdjacentRows runs Grad on three neighbouring rows of one
 // matrix, the layout the trainer hands it (h a syn0 row in SkipGram,
 // out a syn1 row): the rows before and after each operand must come
 // back untouched, and the result must match the unfused definition.
@@ -119,7 +166,7 @@ func TestGradAdjacentRows(t *testing.T) {
 		before := append([]float32(nil), m...)
 		row := func(s []float32, r int) []float32 { return s[r*dim : (r+1)*dim] }
 		const g = float32(0.0125)
-		grad(g, row(m, 1), row(m, 3), row(m, 5))
+		Grad(g, row(m, 1), row(m, 3), row(m, 5))
 		for _, r := range []int{0, 1, 2, 4, 6} {
 			sameBits(t, fmt.Sprintf("dim %d row %d", dim, r), row(m, r), row(before, r))
 		}
@@ -140,10 +187,11 @@ func TestGradAdjacentRows(t *testing.T) {
 func TestKernelsRejectShortOperands(t *testing.T) {
 	long, short := make([]float32, 16), make([]float32, 15)
 	for name, call := range map[string]func(){
-		"dot":      func() { dot(long, short) },
-		"add":      func() { add(long, short) },
-		"grad out": func() { grad(1, long, short, long) },
-		"grad e":   func() { grad(1, long, long, short) },
+		"dot":          func() { Dot(long, short) },
+		"add":          func() { Add(long, short) },
+		"grad out":     func() { Grad(1, long, short, long) },
+		"grad e":       func() { Grad(1, long, long, short) },
+		"dotrows rows": func() { DotRows(long[:4], short, long[:4]) },
 	} {
 		func() {
 			defer func() {
@@ -156,24 +204,46 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 	}
 }
 
-// TestNLLTable: the tabulated -log σ the trainer reports its loss from
-// stays within one bin's worth of the exact value (|d/dx log σ| <= 1,
-// so one bin width), and is exact at and beyond the clamps.
-func TestNLLTable(t *testing.T) {
-	const binWidth = 1.0 / binsPerUnit
-	for x := -(maxExp + 1.0); x <= maxExp+1; x += binWidth / 7 {
-		got := float64(nll(float32(x)))
-		want := -logSigmoid(float64(float32(x)))
-		if math.Abs(got-want) > binWidth {
-			t.Fatalf("nll(%v) = %v, exact %v: off by more than a bin (%v)", x, got, want, binWidth)
+// kernelSink keeps the compiler from discarding the Dot calls.
+var kernelSink float32
+
+// BenchmarkKernels times the kernels on operands that stay in L1, at
+// the dimensions the CLI (50) and the serving benchmark (64, 128) use.
+// DotRows runs over 256 rows, the exact scan's block, and reports the
+// time per row.
+func BenchmarkKernels(b *testing.B) {
+	for _, dim := range []int{50, 64, 128} {
+		h, out, e := make([]float32, dim), make([]float32, dim), make([]float32, dim)
+		for i := range h {
+			h[i], out[i] = float32(i%7)-3, float32(i%5)-2
 		}
-	}
-	for _, x := range []float32{maxExp, maxExp + 0.5, 100} {
-		if got := nll(x); got != 0 {
-			t.Errorf("nll(%v) = %v, want 0 at the upper clamp", x, got)
-		}
-		if got := nll(-x); got != x {
-			t.Errorf("nll(%v) = %v, want %v at the lower clamp", -x, got, x)
-		}
+		b.Run(fmt.Sprintf("dot/dim=%d", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernelSink += Dot(h, out)
+			}
+		})
+		b.Run(fmt.Sprintf("add/dim=%d", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Add(e, h)
+			}
+		})
+		b.Run(fmt.Sprintf("grad/dim=%d", dim), func(b *testing.B) {
+			// A step this small keeps out and e finite over b.N calls.
+			for i := 0; i < b.N; i++ {
+				Grad(1e-9, h, out, e)
+			}
+		})
+		b.Run(fmt.Sprintf("DotRows/dim=%d", dim), func(b *testing.B) {
+			const nrows = 256
+			rows, dots := make([]float32, nrows*dim), make([]float32, nrows)
+			for i := range rows {
+				rows[i] = float32(i%5) - 2
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DotRows(h, rows, dots)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
+		})
 	}
 }

@@ -85,7 +85,7 @@ func BenchmarkSearchSeedBaseline(b *testing.B) {
 }
 
 // BenchmarkSearchExactSerial is one exact cosine top-10 per op on a
-// single worker: cached norms, blocked kernels, bounded top-k heap.
+// single worker: cached norms, float32 prefilter, bounded top-k heap.
 func BenchmarkSearchExactSerial(b *testing.B) {
 	s, qs := queryBenchSetup(b)
 	idx := NewExact(s, Cosine, 1)
@@ -96,7 +96,9 @@ func BenchmarkSearchExactSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchExactParallel adds the partitioned parallel scan.
+// BenchmarkSearchExactParallel adds the partitioned parallel scan. Its
+// allocs/op are the result plus one closure per partition goroutine;
+// heaps and merge buffer come from a pool.
 func BenchmarkSearchExactParallel(b *testing.B) {
 	s, qs := queryBenchSetup(b)
 	idx := NewExact(s, Cosine, 0)
@@ -104,6 +106,31 @@ func BenchmarkSearchExactParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Search(qs[i%len(qs)], 10)
+	}
+}
+
+// BenchmarkSearchExactConcurrent is the serving shape: 4 x GOMAXPROCS
+// callers at once (8 on the two-CPU benchmark box), every query fanned
+// out over GOMAXPROCS partitions or scanned by its caller alone. The
+// pair is why searchParallel keeps its fan-out when the cores are
+// already busy: it costs a few percent there and halves the latency of
+// a lone query.
+func BenchmarkSearchExactConcurrent(b *testing.B) {
+	s, qs := queryBenchSetup(b)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"fanout", 0}, {"serial", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			idx := NewExact(s, Cosine, bc.workers)
+			b.SetParallelism(4)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					idx.Search(qs[i%len(qs)], 10)
+				}
+			})
+		})
 	}
 }
 

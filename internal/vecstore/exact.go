@@ -7,8 +7,10 @@ import (
 
 // Exact is the brute-force index: a partitioned parallel scan with
 // bounded top-k heaps per partition. Results are exact, and — because
-// the kernels preserve the seed's float64 accumulation order —
-// bit-for-bit identical to the historical sort-everything paths.
+// the float32 pass of the scan only rejects rows that provably cannot
+// enter a heap, and the float64 kernels that score the rest preserve
+// the seed's accumulation order — bit-for-bit identical to the
+// historical sort-everything paths (see scan.go).
 //
 // Exact implements MutableIndex trivially: an appended row is covered
 // by the very next scan and a tombstoned row is skipped by it, so
@@ -78,47 +80,63 @@ func (e *Exact) SearchRow(i, k int) []Result {
 func (e *Exact) search(q []float32, k int, exclude int, dst []Result) []Result {
 	checkDim(e.s, q)
 	n := e.s.Len()
-	k = clampK(k, n)
+	// No more than Live rows can come back, and a heap larger than
+	// that never fills, which would keep the prefilter off.
+	k = clampK(k, e.s.Live())
 	if k <= 0 {
 		return dst
 	}
-	qn := queryNorm(e.metric, q)
 	workers := e.workers
 	if workers > 1 && n >= serialScanFloor {
-		return e.searchParallel(q, qn, k, exclude, dst, workers)
+		return e.searchParallel(q, k, exclude, dst, workers)
 	}
 	var t TopK
 	t.Reset(k)
-	scanRange(e.s, e.metric, q, qn, 0, n, exclude, &t)
+	scanRange(e.s, e.metric, q, 0, n, exclude, &t)
 	return t.Append(dst)
 }
+
+// scanScratch is the per-query state of searchParallel, pooled so a
+// query allocates its result and its goroutines, not its heaps.
+type scanScratch struct {
+	heaps []TopK
+	cands []Result
+	wg    sync.WaitGroup
+}
+
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // searchParallel partitions the rows across workers, each with its
 // own bounded heap, and merges the per-partition candidates. The
 // merge is a plain best-first sort of <= workers*k candidates, so the
 // result is deterministic regardless of worker count.
-func (e *Exact) searchParallel(q []float32, qn float64, k, exclude int, dst []Result, workers int) []Result {
+func (e *Exact) searchParallel(q []float32, k, exclude int, dst []Result, workers int) []Result {
 	n := e.s.Len()
 	if workers > n {
 		workers = n
 	}
-	heaps := make([]TopK, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	sc := scanScratchPool.Get().(*scanScratch)
+	defer scanScratchPool.Put(sc)
+	if cap(sc.heaps) < workers {
+		sc.heaps = make([]TopK, workers)
+	}
+	heaps := sc.heaps[:workers]
+	for w := range heaps {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
+		sc.wg.Add(1)
+		go func() {
+			defer sc.wg.Done()
 			heaps[w].Reset(clampK(k, hi-lo))
-			scanRange(e.s, e.metric, q, qn, lo, hi, exclude, &heaps[w])
-		}(w, lo, hi)
+			scanRange(e.s, e.metric, q, lo, hi, exclude, &heaps[w])
+		}()
 	}
-	wg.Wait()
-	cands := make([]Result, 0, workers*k)
+	sc.wg.Wait()
+	cands := sc.cands[:0]
 	for w := range heaps {
 		cands = heaps[w].Append(cands)
 	}
+	sc.cands = cands
 	sortResults(cands)
 	return append(dst, cands[:clampK(k, len(cands))]...)
 }
@@ -130,7 +148,7 @@ func (e *Exact) SearchBatch(qs [][]float32, k int) [][]Result {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	n := e.s.Len()
-	k = clampK(k, n)
+	k = clampK(k, e.s.Live())
 	out := make([][]Result, len(qs))
 	if k <= 0 || len(qs) == 0 {
 		return out
@@ -147,7 +165,7 @@ func (e *Exact) SearchBatch(qs [][]float32, k int) [][]Result {
 		var t TopK
 		for i := lo; i < hi; i++ {
 			t.Reset(k)
-			scanRange(e.s, e.metric, qs[i], queryNorm(e.metric, qs[i]), 0, n, -1, &t)
+			scanRange(e.s, e.metric, qs[i], 0, n, -1, &t)
 			out[i] = t.Append(backing[i*k : i*k : (i+1)*k])
 		}
 	}

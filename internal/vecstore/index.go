@@ -39,9 +39,10 @@ type Kind uint8
 
 // Index kinds.
 const (
-	// KindExact scans every row with blocked kernels and bounded
-	// top-k selection, partitioned across workers. Results are exact
-	// and bit-for-bit identical to the seed's brute-force paths.
+	// KindExact scans every row — a float32 pass rejects the rows
+	// that provably cannot enter the top k, the float64 kernels score
+	// the rest — partitioned across workers. Results are exact and
+	// bit-for-bit identical to the seed's brute-force paths.
 	KindExact Kind = iota
 	// KindIVF prunes the scan with an inverted-file index: a k-means
 	// coarse quantizer assigns rows to NLists cells and queries probe
@@ -250,54 +251,8 @@ func normWorkers(w int) int {
 	return w
 }
 
-// scanRange scores rows [lo, hi) of s against q and pushes them into
-// t, skipping row exclude (-1 for none) and every tombstoned row. qn
-// is the query's squared norm (used by Cosine only). The blocked
-// kernels keep per-row accumulation order identical to the seed's
-// scalar loops.
-func scanRange(s *Store, metric Metric, q []float32, qn float64, lo, hi, exclude int, t *TopK) {
-	norms := s.SqNorms()
-	dim := s.dim
-	del := s.deleted // nil on the (common) tombstone-free path
-	for i := lo; i < hi; {
-		if i+4 > hi || (exclude >= i && exclude < i+4) ||
-			(del != nil && (del[i] || del[i+1] || del[i+2] || del[i+3])) {
-			// Tail, the block holding the excluded row, or a block with
-			// a tombstone: scalar.
-			if i != exclude && (del == nil || !del[i]) {
-				t.Push(i, scoreRow(s, metric, q, qn, i))
-			}
-			i++
-			continue
-		}
-		base := i * dim
-		r0 := s.data[base : base+dim : base+dim]
-		r1 := s.data[base+dim : base+2*dim : base+2*dim]
-		r2 := s.data[base+2*dim : base+3*dim : base+3*dim]
-		r3 := s.data[base+3*dim : base+4*dim : base+4*dim]
-		var s0, s1, s2, s3 float64
-		switch metric {
-		case Euclidean:
-			s0, s1, s2, s3 = sqDist4F64(q, r0, r1, r2, r3)
-			s0, s1, s2, s3 = -s0, -s1, -s2, -s3
-		default:
-			s0, s1, s2, s3 = dot4F64(q, r0, r1, r2, r3)
-			if metric == Cosine {
-				s0 = cosineFromDot(s0, qn, norms[i])
-				s1 = cosineFromDot(s1, qn, norms[i+1])
-				s2 = cosineFromDot(s2, qn, norms[i+2])
-				s3 = cosineFromDot(s3, qn, norms[i+3])
-			}
-		}
-		t.Push(i, s0)
-		t.Push(i+1, s1)
-		t.Push(i+2, s2)
-		t.Push(i+3, s3)
-		i += 4
-	}
-}
-
-// scoreRow scores a single row (the scalar kernel).
+// scoreRow scores a single row with the float64 kernels: the score
+// every index reports.
 func scoreRow(s *Store, metric Metric, q []float32, qn float64, i int) float64 {
 	switch metric {
 	case Euclidean:

@@ -1,11 +1,10 @@
 package vecstore
 
-// Blocked similarity kernels. All kernels accumulate in float64 and
-// visit each row's elements in index order, so a blocked scan
-// produces bit-identical scores to the one-row-at-a-time loops the
-// seed used (float64 addition is reordered across rows, never within
-// one). Blocking by four rows amortizes loop overhead and lets one
-// pass over the query serve four streams of consecutive store memory.
+// The float64 similarity kernels: every score an index reports comes
+// from one of them. Both accumulate in float64 and visit the elements
+// in index order, exactly like the seed's scalar loops, so scores are
+// bit-identical to the seed's on every GOARCH. The exact scan calls
+// them only for the rows its float32 pass could not reject (scan.go).
 
 // dotF64 returns the float64-accumulated inner product of two
 // float32 vectors.
@@ -18,22 +17,6 @@ func dotF64(a, b []float32) float64 {
 	return s
 }
 
-// dot4F64 computes the inner products of q against four rows in one
-// pass. Each accumulator sees its row's terms in the same order as
-// dotF64.
-func dot4F64(q, r0, r1, r2, r3 []float32) (s0, s1, s2, s3 float64) {
-	n := len(q)
-	_, _, _, _ = r0[n-1], r1[n-1], r2[n-1], r3[n-1]
-	for i, x := range q {
-		xf := float64(x)
-		s0 += xf * float64(r0[i])
-		s1 += xf * float64(r1[i])
-		s2 += xf * float64(r2[i])
-		s3 += xf * float64(r3[i])
-	}
-	return
-}
-
 // sqDistF64 returns the float64-accumulated squared Euclidean
 // distance between two float32 vectors.
 func sqDistF64(a, b []float32) float64 {
@@ -44,23 +27,4 @@ func sqDistF64(a, b []float32) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// sqDist4F64 computes squared distances of q against four rows in one
-// pass, with per-row accumulation order identical to sqDistF64.
-func sqDist4F64(q, r0, r1, r2, r3 []float32) (s0, s1, s2, s3 float64) {
-	n := len(q)
-	_, _, _, _ = r0[n-1], r1[n-1], r2[n-1], r3[n-1]
-	for i, x := range q {
-		xf := float64(x)
-		d0 := xf - float64(r0[i])
-		d1 := xf - float64(r1[i])
-		d2 := xf - float64(r2[i])
-		d3 := xf - float64(r3[i])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	return
 }

@@ -1,0 +1,139 @@
+package vecstore
+
+import (
+	"math"
+
+	"v2v/internal/f32"
+)
+
+// The exact scan is filter-and-refine. A float32 SIMD pass (f32.DotRows)
+// computes a = fl32(q·r) for a block of rows; a row is skipped when a,
+// with its worst-case rounding error added, still cannot beat the
+// heap's current k-th best score; every other row is scored by the
+// float64 kernels of kernels.go exactly as before. The float32 pass
+// can only reject, never rank, so results are bit for bit those of
+// scoring every row.
+//
+// The bound. A float32 dot of dim terms, in any summation order, puts
+// each term through at most dim roundings (one product, the additions
+// on its path; the kernels' order needs far fewer), so with
+// u = 2^-24 and Cauchy-Schwarz
+//
+//	|a - q·r| <= g ‖q‖‖r‖,   g = (dim+2)u / (1 - (dim+2)u)
+//
+// provided nothing overflowed (then a is Inf or NaN, and stays so) and
+// no product underflowed. The filter uses γ = 2g. The spare g‖q‖‖r‖
+// covers everything else between a and the score the float64 kernel
+// would return: that kernel's own rounding and the cached norms'
+// (each below dim·2^-53 relative), the sqrt and divide of the cosine,
+// the few float64 operations of the tests below (together below 2^-29
+// of the spare), and float32 underflow (at most dim·2^-149 absolute,
+// far below the spare once both squared norms are at least 2^-60).
+// With τ the heap's threshold score, qn and rn the squared norms, the
+// float64 score S of the row is provably below τ when
+//
+//	Cosine:    τ-γ > 0 and (a < 0 or a² < (τ-γ)² qn rn)
+//	           since S <= a/√(qn rn) + g + ...
+//	Dot:       τ-a > 0 and (τ-a)² > γ² qn rn
+//	           since S <= a + g√(qn rn) + ...
+//	Euclidean: 2a - (1-γ)(qn+rn) < τ
+//	           since S = -‖q-r‖² <= -(qn+rn-2a) + g(qn+rn) + ...
+//	           (2‖q‖‖r‖ <= qn+rn)
+//
+// and a row with S < τ is one TopK.Push would drop. Everything else is
+// scored in float64: a heap that is not full yet, a non-finite a, a
+// squared norm below 2^-60 (zero vectors included) and any NaN, which
+// fails every comparison above. TestScanFilterParity and
+// FuzzScanFilterParity hold the scan to that on adversarial stores.
+
+// scanBlock is the number of rows per DotRows call: the float32 dots
+// of one block live on the scanning goroutine's stack.
+const scanBlock = 256
+
+// minSqNorm is the squared norm below which a vector is never judged
+// by its float32 dot (see the underflow term above).
+const minSqNorm = 1.0 / (1 << 60)
+
+// dotErrorBound returns γ for vectors of dim elements, or +Inf (no
+// row is ever rejected) where dim is so large the bound is void.
+func dotErrorBound(dim int) float64 {
+	x := float64(dim+2) / (1 << 24)
+	if x >= 0.5 {
+		return math.Inf(1)
+	}
+	return 2 * x / (1 - x)
+}
+
+// prefilter holds what the rejection tests need besides a and rn:
+// fixed per query (metric, gamma, qn) and per heap threshold (armed,
+// tau, c).
+type prefilter struct {
+	metric Metric
+	gamma  float64
+	qn     float64 // squared norm of the query
+	armed  bool    // the heap is full and a row may be rejected
+	tau    float64 // the heap's threshold score
+	c      float64 // (τ-γ)²qn for Cosine, γ²qn for Dot, 1-γ for Euclidean
+}
+
+// rearm reads the heap's threshold; call it after every Push. Until
+// the heap is full the filter stays off.
+func (f *prefilter) rearm(t *TopK) {
+	if !t.Full() || t.k == 0 || !(f.qn >= minSqNorm) {
+		return
+	}
+	f.armed, f.tau = true, t.Threshold().Score
+	switch f.metric {
+	case Cosine:
+		m := f.tau - f.gamma
+		f.armed, f.c = m > 0, m*m*f.qn
+	case Dot:
+		f.c = f.gamma * f.gamma * f.qn
+	default:
+		f.c = 1 - f.gamma
+	}
+}
+
+// scanRange scores rows [lo, hi) of s against q and pushes them into
+// t, skipping row exclude (-1 for none), every tombstoned row, and
+// every row the prefilter proves t would drop. It returns the number
+// of rows the float64 kernel scored.
+func scanRange(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *TopK) (rescored int) {
+	dim, norms, del := s.dim, s.SqNorms(), s.deleted
+	f := prefilter{metric: metric, gamma: dotErrorBound(dim), qn: sqNorm(q)}
+	var dots [scanBlock]float32
+	for ; lo < hi; lo += scanBlock {
+		n := min(hi-lo, scanBlock)
+		f32.DotRows(q, s.data[lo*dim:(lo+n)*dim], dots[:n])
+		for j, a32 := range dots[:n] {
+			i := lo + j
+			// a32-a32 is 0 exactly when a32 is finite.
+			if rn := norms[i]; f.armed && a32-a32 == 0 && rn >= minSqNorm {
+				// x·|x| is x² with the sign of x: the tests of the file
+				// comment without a branch on the sign of a, which is as
+				// good as random.
+				a := float64(a32)
+				var drop bool
+				switch metric {
+				case Cosine:
+					drop = a*math.Abs(a) < f.c*rn
+				case Dot:
+					d := f.tau - a
+					drop = d*math.Abs(d) > f.c*rn
+				default:
+					drop = 2*a-f.c*(f.qn+rn) < f.tau
+				}
+				if drop {
+					continue
+				}
+			}
+			if i == exclude || (del != nil && del[i]) {
+				continue
+			}
+			t.Push(i, scoreRow(s, metric, q, f.qn, i))
+			rescored++
+			f.rearm(t)
+		}
+	}
+	return rescored
+}

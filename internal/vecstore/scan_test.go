@@ -1,0 +1,296 @@
+package vecstore
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"v2v/internal/xrand"
+)
+
+// checkScanParity runs one exact query through the filtered scan and
+// holds it, ID and score bits at every rank, to the seed's answer:
+// every live row scored by seedSearch's float64 loops, then (a) offered
+// to a TopK in row order, which is the scan without its prefilter and
+// is defined even when scores are NaN, and (b) sorted, when none is.
+func checkScanParity(t testing.TB, what string, s *Store, metric Metric, q []float32, k, exclude int) {
+	t.Helper()
+	got := NewExact(s, metric, 1).search(q, k, exclude, nil)
+
+	all := seedSearch(s, metric, q, s.Len(), exclude)
+	scores := make([]float64, s.Len())
+	anyNaN := false
+	for _, r := range all {
+		scores[r.ID] = r.Score
+		anyNaN = anyNaN || r.Score != r.Score
+	}
+	var heap TopK
+	heap.Reset(clampK(max(k, 0), s.Len()))
+	for i := 0; i < s.Len(); i++ {
+		if i != exclude && !s.Deleted(i) {
+			heap.Push(i, scores[i])
+		}
+	}
+	refs := map[string][]Result{"unfiltered heap": heap.Append(nil)}
+	if !anyNaN {
+		var sorted []Result
+		for _, r := range all {
+			if !s.Deleted(r.ID) && len(sorted) < k {
+				sorted = append(sorted, r)
+			}
+		}
+		refs["full sort"] = sorted
+	}
+	for name, want := range refs {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, %s has %d", what, len(got), name, len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("%s rank %d: %+v, %s has %+v", what, i, got[i], name, want[i])
+			}
+		}
+	}
+}
+
+// adversarialStore is a store and the queries that go with it.
+type adversarialStore struct {
+	s  *Store
+	qs [][]float32
+}
+
+// adversarialStores builds, for one dimension, the stores the
+// prefilter's bound is least comfortable on, by name. The tests also
+// query every store with its own rows.
+func adversarialStores(n, dim int, seed uint64) map[string]adversarialStore {
+	rng := xrand.New(seed)
+	vec := func(scale float64) []float32 {
+		v := make([]float32, dim)
+		for i := range v {
+			v[i] = float32(rng.NormFloat64() * scale)
+		}
+		return v
+	}
+	scaled := func(v []float32, by float32) []float32 {
+		out := make([]float32, len(v))
+		for i, x := range v {
+			out[i] = x * by
+		}
+		return out
+	}
+	out := map[string]adversarialStore{}
+
+	// Neighbours one float32 ulp apart in one component.
+	base := vec(1)
+	s := New(n, dim)
+	for i := 0; i < n; i++ {
+		copy(s.Row(i), base)
+		j := i % dim
+		for step := 0; step < 1+i/dim; step++ {
+			s.Row(i)[j] = math.Nextafter32(s.Row(i)[j], float32(math.Inf(1)))
+		}
+	}
+	out["last bit"] = adversarialStore{s, [][]float32{base, vec(1)}}
+
+	// Three distinct rows, repeated: ties go to the smaller ID.
+	s = New(n, dim)
+	distinct := [][]float32{vec(1), vec(1), vec(1)}
+	for i := 0; i < n; i++ {
+		copy(s.Row(i), distinct[rng.Intn(3)])
+	}
+	out["duplicates"] = adversarialStore{s, [][]float32{distinct[0], vec(1)}}
+
+	// Magnitudes whose float32 products overflow or underflow while
+	// the float64 ones do not.
+	s = New(n, dim)
+	scales := []float32{1e18, 1e19, 1e-18, 1e-23, 1, 1e38}
+	for i := 0; i < n; i++ {
+		copy(s.Row(i), scaled(vec(1), scales[rng.Intn(len(scales))]))
+	}
+	q := vec(1)
+	out["scaled"] = adversarialStore{s, [][]float32{q, scaled(q, 1e18), scaled(q, 1e-18), scaled(q, 1e-30), scaled(q, 1e20)}}
+
+	// Zero rows among ordinary ones, an anchor the rest cluster around,
+	// and queries that make every score negative, or zero.
+	anchor := vec(5)
+	s = New(n, dim)
+	for i := 0; i < n; i++ {
+		if i%4 != 1 {
+			noise := vec(0.5)
+			for j := range noise {
+				s.Row(i)[j] = anchor[j] + noise[j]
+			}
+		}
+	}
+	out["zeros and negatives"] = adversarialStore{s, [][]float32{anchor, scaled(anchor, -1), make([]float32, dim)}}
+
+	// NaN and infinite components, in rows and in queries.
+	s = New(n, dim)
+	bad := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := 0; i < n; i++ {
+		copy(s.Row(i), vec(1))
+		if i%5 == 2 {
+			s.Row(i)[rng.Intn(dim)] = bad[rng.Intn(3)]
+		}
+	}
+	qNaN, qInf := vec(1), vec(1)
+	qNaN[rng.Intn(dim)], qInf[rng.Intn(dim)] = bad[0], bad[1]
+	out["non-finite"] = adversarialStore{s, [][]float32{vec(1), qNaN, qInf}}
+	return out
+}
+
+// TestScanFilterParity: on every adversarial store, for every metric,
+// dimension, k, with and without an excluded row and tombstones, the
+// filtered scan answers exactly as the seed does.
+func TestScanFilterParity(t *testing.T) {
+	dims := []int{100, 128}
+	for d := 1; d <= 67; d++ {
+		dims = append(dims, d)
+	}
+	for _, dim := range dims {
+		n := 41
+		switch dim {
+		case 1, 7, 8, 9, 64, 100: // and across the scan's block boundary
+			n = 2*scanBlock + 3
+		}
+		for kind, e := range adversarialStores(n, dim, uint64(dim)) {
+			for _, tombstones := range []bool{false, true} {
+				s := e.s
+				if tombstones {
+					s = s.Gather(s.LiveIDs())
+					for i := 0; i < n; i += 3 {
+						if err := s.Delete(i); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				type query struct {
+					q       []float32
+					exclude int
+				}
+				var queries []query
+				for _, q := range e.qs {
+					queries = append(queries, query{q, -1})
+				}
+				for _, i := range []int{0, 1, n / 2, n - 1} {
+					queries = append(queries, query{s.Row(i), -1}, query{s.Row(i), i})
+				}
+				for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+					for qi, qu := range queries {
+						for _, k := range []int{1, 10, n, n + 5} {
+							what := fmt.Sprintf("dim %d %s tombstones=%v %v query %d exclude %d k=%d", dim, kind, tombstones, metric, qi, qu.exclude, k)
+							checkScanParity(t, what, s, metric, qu.q, k, qu.exclude)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzScanFilterParity reads a store and a query out of raw float32
+// bits, so the engine reaches NaNs, infinities, subnormals and
+// near-overflow magnitudes on its own, and checks the same parity.
+func FuzzScanFilterParity(f *testing.F) {
+	for _, dim := range []int{1, 8, 19} {
+		for _, e := range adversarialStores(12, dim, 5) {
+			var data []byte
+			for _, x := range append(append([]float32(nil), e.qs[len(e.qs)-1]...), e.s.Data()...) {
+				data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
+			}
+			f.Add(data, uint8(dim-1), uint8(0), uint8(3), uint8(0), uint16(0))
+			f.Add(data, uint8(dim-1), uint8(1), uint8(1), uint8(4), uint16(0b1001))
+			f.Add(data, uint8(dim-1), uint8(2), uint8(200), uint8(0), uint16(0b10))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, dimByte, metricByte, kByte, excludeByte uint8, dead uint16) {
+		dim := 1 + int(dimByte)%67
+		floats := make([]float32, len(data)/4)
+		for i := range floats {
+			floats[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		n := len(floats)/dim - 1
+		if n < 1 {
+			return
+		}
+		q := floats[:dim]
+		s := New(n, dim)
+		copy(s.Data(), floats[dim:])
+		for i := 0; i < n && i < 16; i++ {
+			if dead>>i&1 == 1 {
+				if err := s.Delete(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		metric := Metric(metricByte % 3)
+		exclude := int(excludeByte)%(n+1) - 1
+		checkScanParity(t, fmt.Sprintf("dim %d n %d %v", dim, n, metric), s, metric, q, int(kByte), exclude)
+	})
+}
+
+// scanFixture is the shape of the repository benchmark's serve_exact
+// store: 20 000 points of dim 64 around 200 anchors.
+var scanFixture = sync.OnceValue(func() *Store { return clusteredStore(20_000, 64, 200, 101) })
+
+// TestScanFilterRejectsMostRows holds the prefilter to its purpose: on
+// the benchmark's fixture fewer than 2% of rows may reach the float64
+// kernel, for every metric, so a bound that degrades to "rescore
+// everything" fails here and not only in a benchmark. The answers are
+// checked on the way, through the partitioned scan too.
+func TestScanFilterRejectsMostRows(t *testing.T) {
+	s := scanFixture()
+	n, queries := s.Len(), 32
+	if testing.Short() {
+		queries = 8
+	}
+	rng := xrand.New(103)
+	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+		parallel := NewExact(s, metric, 3)
+		rescored := 0
+		for i := 0; i < queries; i++ {
+			row := rng.Intn(n)
+			var heap TopK
+			heap.Reset(10)
+			rescored += scanRange(s, metric, s.Row(row), 0, n, row, &heap)
+			want := seedSearch(s, metric, s.Row(row), 10, row)
+			for name, got := range map[string][]Result{"scanRange": heap.Append(nil), "SearchRow": parallel.SearchRow(row, 10)} {
+				for r := range want {
+					if got[r] != want[r] {
+						t.Fatalf("%v row %d rank %d: %s has %+v, seed %+v", metric, row, r, name, got[r], want[r])
+					}
+				}
+			}
+		}
+		share := float64(rescored) / float64(queries*n)
+		t.Logf("%v: %.1f of %d rows per query reach the float64 kernel (%.2f%%)", metric, float64(rescored)/float64(queries), n, 100*share)
+		if share >= 0.02 {
+			t.Errorf("%v: %.2f%% of rows reach the float64 kernel, want < 2%%", metric, 100*share)
+		}
+	}
+}
+
+// BenchmarkScanRange is one cosine top-10 scan of the whole fixture
+// per op and per goroutine, GOMAXPROCS of them at once: ns/row is wall
+// time over rows scanned, rescored/query the rows that reached the
+// float64 kernel. Run with -cpu 1,2 to see what a second core adds.
+func BenchmarkScanRange(b *testing.B) {
+	s := scanFixture()
+	s.SqNorms()
+	n := s.Len()
+	var rescored, next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var heap TopK
+		for pb.Next() {
+			row := int(next.Add(1)) * 7919 % n
+			heap.Reset(10)
+			rescored.Add(int64(scanRange(s, Cosine, s.Row(row), 0, n, row, &heap)))
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+	b.ReportMetric(float64(rescored.Load())/float64(b.N), "rescored/query")
+}

@@ -7,11 +7,14 @@
 // [][]float64 rows.
 //
 // Numeric contract: vectors are stored as float32 (the trainer's
-// native precision) but every kernel accumulates in float64 in row
-// order, exactly like the seed implementations did after their
-// float64 row copies. Exact search is therefore bit-for-bit
-// compatible with the historical brute-force results; only the
-// storage and the selection algorithm changed. See docs/VECTORS.md.
+// native precision) but every score comes from a kernel that
+// accumulates in float64 in row order, exactly like the seed
+// implementations did after their float64 row copies. The exact scan
+// runs a float32 SIMD pass first, which only ever rejects rows that
+// provably cannot enter the top k (scan.go has the bound). Exact
+// search is therefore bit-for-bit compatible with the historical
+// brute-force results; only the storage and the selection algorithm
+// changed. See docs/VECTORS.md.
 //
 // Mutability contract: stores grow through Append/AppendRow and
 // shrink through tombstoning Delete; both are mutation APIs that must
@@ -32,7 +35,7 @@ import (
 // cacheLine is the alignment (in bytes) of store allocations. Rows
 // themselves are not padded — contiguity matters more than per-row
 // alignment at the dimensionalities the paper uses (50-128) — but the
-// matrix base is aligned so blocked kernels start on a boundary.
+// matrix base is aligned so the scan kernels start on a boundary.
 const cacheLine = 64
 
 // AlignedSlice allocates a float32 slice of length n whose backing
@@ -112,8 +115,8 @@ func New(n, dim int) *Store {
 // every slice produced by AlignedSlice, i.e. all model storage — it
 // is shared without copying, so external writes remain visible
 // through the store. A misaligned slice (e.g. a sub-slice at an odd
-// offset) is copied into a fresh aligned allocation instead: the
-// blocked kernels assume the alignment AlignedSlice documents, and
+// offset) is copied into a fresh aligned allocation instead: callers
+// assume the alignment AlignedSlice documents, and
 // silently wrapping a misaligned base used to drop that guarantee.
 func Wrap(data []float32, n, dim int) *Store {
 	if dim <= 0 || len(data) != n*dim {

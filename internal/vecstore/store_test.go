@@ -67,7 +67,7 @@ func TestWrapSharesAlignedStorage(t *testing.T) {
 }
 
 // rowAligned reports whether a store row starts on the cache-line
-// boundary the blocked kernels assume.
+// boundary AlignedSlice documents.
 func rowAligned(v []float32) bool {
 	return uintptr(unsafe.Pointer(unsafe.SliceData(v)))%cacheLine == 0
 }
@@ -184,31 +184,27 @@ func TestDotAndCosineMatchSeedFormula(t *testing.T) {
 	}
 }
 
+// TestBlockedKernelsBitIdentical: the float64 kernels under the
+// blocked scan return the bits of the seed's inline loops (one float64
+// accumulator, elements in index order).
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	rng := xrand.New(3)
 	for _, dim := range []int{1, 3, 8, 31, 128} {
-		q := make([]float32, dim)
-		rows := make([][]float32, 4)
+		q, r := make([]float32, dim), make([]float32, dim)
 		for i := range q {
-			q[i] = float32(rng.NormFloat64())
+			q[i], r[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
 		}
-		for r := range rows {
-			rows[r] = make([]float32, dim)
-			for i := range rows[r] {
-				rows[r][i] = float32(rng.NormFloat64())
-			}
+		var dot, dist float64
+		for i := range q {
+			dot += float64(q[i]) * float64(r[i])
+			d := float64(q[i]) - float64(r[i])
+			dist += d * d
 		}
-		d0, d1, d2, d3 := dot4F64(q, rows[0], rows[1], rows[2], rows[3])
-		for r, want := range []float64{d0, d1, d2, d3} {
-			if got := dotF64(q, rows[r]); got != want {
-				t.Fatalf("dim %d row %d: blocked dot %v vs scalar %v", dim, r, want, got)
-			}
+		if got := dotF64(q, r); got != dot {
+			t.Fatalf("dim %d: dotF64 %v vs seed loop %v", dim, got, dot)
 		}
-		e0, e1, e2, e3 := sqDist4F64(q, rows[0], rows[1], rows[2], rows[3])
-		for r, want := range []float64{e0, e1, e2, e3} {
-			if got := sqDistF64(q, rows[r]); got != want {
-				t.Fatalf("dim %d row %d: blocked sqdist %v vs scalar %v", dim, r, want, got)
-			}
+		if got := sqDistF64(q, r); got != dist {
+			t.Fatalf("dim %d: sqDistF64 %v vs seed loop %v", dim, got, dist)
 		}
 	}
 }

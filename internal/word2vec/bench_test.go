@@ -111,37 +111,6 @@ func BenchmarkTrainPipelineShape(b *testing.B) {
 	b.ReportMetric(float64(corpus.NumTokens())*float64(cfg.Epochs)*float64(b.N)/trained.Seconds()/1e6, "Mtok/s")
 }
 
-// kernelSink keeps the compiler from discarding the dot calls.
-var kernelSink float32
-
-// BenchmarkKernels times the three training kernels on one pair of
-// rows that stay in L1, at the dimensions the CLI (50) and the serving
-// benchmark (64, 128) use.
-func BenchmarkKernels(b *testing.B) {
-	for _, dim := range []int{50, 64, 128} {
-		h, out, e := make([]float32, dim), make([]float32, dim), make([]float32, dim)
-		for i := range h {
-			h[i], out[i] = float32(i%7)-3, float32(i%5)-2
-		}
-		b.Run("dot/dim="+itoa(dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernelSink += dot(h, out)
-			}
-		})
-		b.Run("add/dim="+itoa(dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				add(e, h)
-			}
-		})
-		b.Run("grad/dim="+itoa(dim), func(b *testing.B) {
-			// A step this small keeps out and e finite over b.N calls.
-			for i := 0; i < b.N; i++ {
-				grad(1e-9, h, out, e)
-			}
-		})
-	}
-}
-
 // BenchmarkHuffmanBuild measures tree construction over a Zipfian
 // vocabulary.
 func BenchmarkHuffmanBuild(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"v2v/internal/f32"
 	"v2v/internal/vecstore"
 	"v2v/internal/xrand"
 )
@@ -236,7 +237,7 @@ type worker struct {
 // iterator (a slice view for materialized corpora, a bounded-buffer
 // producer for streaming ones). It is the hot loop; shared syn0/syn1
 // are updated without synchronisation (Hogwild). All its float32
-// arithmetic over rows goes through the dot, add and grad kernels.
+// arithmetic over rows goes through the f32 kernels.
 func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples int64) {
 	cfg := tr.cfg
 	window, cbow := cfg.Window, cfg.Objective == CBOW
@@ -326,7 +327,7 @@ func (w *worker) cbow(sen []int32, pos, first, last int) float64 {
 		if cw == 0 {
 			copy(neu1, v)
 		} else {
-			add(neu1, v)
+			f32.Add(neu1, v)
 		}
 		cw++
 	}
@@ -348,7 +349,7 @@ func (w *worker) cbow(sen []int32, pos, first, last int) float64 {
 			continue
 		}
 		c := int(sen[p])
-		add(syn0[c*dim:c*dim+dim], w.neu1e)
+		f32.Add(syn0[c*dim:c*dim+dim], w.neu1e)
 	}
 	return loss
 }
@@ -366,7 +367,7 @@ func (w *worker) skipGram(sen []int32, pos, first, last int) float64 {
 		h := w.syn0[c*dim : c*dim+dim]
 		clear(w.neu1e)
 		loss += w.output(centre, h)
-		add(h, w.neu1e)
+		f32.Add(h, w.neu1e)
 	}
 	return loss
 }
@@ -400,8 +401,8 @@ func (w *worker) output(centre int, h []float32) float64 {
 // returned.
 func (w *worker) target(row int, label float32, h []float32) float32 {
 	out := w.syn1[row*w.dim : row*w.dim+w.dim]
-	f := dot(h, out)
-	grad((label-sigmoid(f))*w.alpha, h, out, w.neu1e)
+	f := f32.Dot(h, out)
+	f32.Grad((label-sigmoid(f))*w.alpha, h, out, w.neu1e)
 	if label == 1 {
 		return nll(f)
 	}

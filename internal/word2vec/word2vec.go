@@ -10,9 +10,9 @@
 // parallelisation the paper relies on for speed), a linearly decaying
 // learning rate, reduced-window context sampling, optional frequent-
 // token subsampling, and a sigmoid lookup table. The float32 work of
-// the inner loop is three level-1 kernels (dot, add, grad) with an
-// SSE2 assembly and a portable implementation that return the same
-// bits; see kernels_generic.go.
+// the inner loop is three level-1 kernels (Dot, Add, Grad) of package
+// f32, with an SSE2 assembly and a portable implementation that return
+// the same bits.
 //
 // In addition to fixed-epoch training, the trainer supports
 // convergence-based stopping (stop when the relative improvement of

@@ -484,3 +484,25 @@ func TestRowsMatchesVectors(t *testing.T) {
 		}
 	}
 }
+
+// TestNLLTable: the tabulated -log σ the trainer reports its loss from
+// stays within one bin's worth of the exact value (|d/dx log σ| <= 1,
+// so one bin width), and is exact at and beyond the clamps.
+func TestNLLTable(t *testing.T) {
+	const binWidth = 1.0 / binsPerUnit
+	for x := -(maxExp + 1.0); x <= maxExp+1; x += binWidth / 7 {
+		got := float64(nll(float32(x)))
+		want := -logSigmoid(float64(float32(x)))
+		if math.Abs(got-want) > binWidth {
+			t.Fatalf("nll(%v) = %v, exact %v: off by more than a bin (%v)", x, got, want, binWidth)
+		}
+	}
+	for _, x := range []float32{maxExp, maxExp + 0.5, 100} {
+		if got := nll(x); got != 0 {
+			t.Errorf("nll(%v) = %v, want 0 at the upper clamp", x, got)
+		}
+		if got := nll(-x); got != x {
+			t.Errorf("nll(%v) = %v, want %v at the lower clamp", -x, got, x)
+		}
+	}
+}

@@ -459,9 +459,10 @@ type IndexKind = vecstore.Kind
 
 // Index kinds.
 const (
-	// ExactIndex scans every vector with blocked kernels and bounded
-	// top-k heaps; results are exact (and bit-for-bit identical to
-	// the pre-index brute-force paths).
+	// ExactIndex scans every vector — a float32 pass rejects what
+	// provably cannot rank, float64 kernels score the rest — into
+	// bounded top-k heaps; results are exact (and bit-for-bit
+	// identical to the pre-index brute-force paths).
 	ExactIndex = vecstore.KindExact
 	// IVFIndex prunes the scan with a k-means coarse quantizer,
 	// probing only the NProbe closest cells; approximate.
