@@ -18,7 +18,7 @@ BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|Benc
 BENCH_PKGS    ?= ./internal/walk ./internal/word2vec ./internal/vecstore ./internal/knn
 
 .PHONY: build test race vet check-benchmark bench bench-short serve-smoke router-smoke crash-smoke crash-smoke-short \
-	crash-smoke-sharded wal-fuzz scan-fuzz loadgen-bench loadgen-short \
+	crash-smoke-sharded wal-fuzz scan-fuzz hnsw-fuzz shard-wire-fuzz loadgen-bench loadgen-short \
 	loadgen-write loadgen-write-short loadgen-sharded loadgen-sweep loadgen-sweep-short \
 	hnsw-recall hnsw-recall-full \
 	hnsw-recall-incr hnsw-recall-incr-full hnsw-recall-sharded loadgen-hnsw clean
@@ -99,6 +99,20 @@ wal-fuzz:
 # scoring every row in float64.
 scan-fuzz:
 	$(GO) test -run FuzzScanFilterParity -fuzz FuzzScanFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
+
+# HNSW prefilter fuzz smoke: the same raw-bits stores; an index built
+# and queried behind the float32 filter must have the adjacency, IDs
+# and score bits of one that scores every candidate in float64.
+hnsw-fuzz:
+	$(GO) test -run FuzzHNSWFilterParity -fuzz FuzzHNSWFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
+
+# Shard wire fuzz smoke: arbitrary bodies at the six /shard/v1/*
+# request decoders of a live shard; none may panic, answer 5xx, or be
+# accepted with a vector that is not exactly the shard's dimension.
+# The shard keeps the writes it accepts, so an input does not replay
+# the same way twice: minimizing one is capped, or it eats the budget.
+shard-wire-fuzz:
+	$(GO) test -run FuzzShardWire -fuzz FuzzShardWire -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/server
 
 # Full trajectory snapshot (minutes; run before publishing perf claims).
 bench:

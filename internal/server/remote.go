@@ -18,10 +18,17 @@ package server
 //
 // Parity with the in-process coordinator is by construction: the
 // shards run the same per-shard kernels over bit-identical slices
-// (snapshot.SliceShard), floats cross the wire in JSON's
-// shortest-round-trip encoding (exact for float32 rows and float64
-// targets/scores), and the router merges with the exported
+// (snapshot.SliceShard), vectors cross the wire as their bits (shard.go,
+// "Fan-out wire types"), and the router merges with the exported
 // vecstore.MergeTopK / CosineFromDot the coordinator itself uses.
+//
+// A neighbours query costs one call per shard, in two steps: the shard
+// that owns the query row is asked first, by row ID — it searches with
+// its stored row and returns that row beside its results — and the row
+// then goes to every other shard. The alternative that would make it
+// one step, keeping every row in the router (newRouter reads them and
+// drops them), was rejected: it puts 4·dim bytes per vector into the
+// one process that is meant to hold none.
 
 import (
 	"bytes"
@@ -39,6 +46,7 @@ import (
 	"time"
 
 	"v2v/internal/snapshot"
+	"v2v/internal/telemetry"
 	"v2v/internal/vecstore"
 	"v2v/internal/word2vec"
 )
@@ -207,18 +215,24 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 
 // ---- RPC plumbing ---------------------------------------------------
 
-// call POSTs in to path on sh and decodes the 200 response into out.
+// call is post with in marshalled as the body; a fan-out marshals once
+// and posts the same bytes to every shard instead.
+func (rb *remoteBackend) call(ctx context.Context, sh *remoteShard, path string, in, out any, idempotent bool) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	return rb.post(ctx, sh, path, body, out, idempotent)
+}
+
+// post POSTs body to path on sh and decodes the 200 response into out.
 // The context is the deadline authority; a call with no inherited
 // deadline gets the backend's RemoteTimeout. idempotent calls retry
 // once — but only on transport errors, where the shard never answered;
 // once a shard has answered (any status), its verdict is forwarded,
 // never replayed. Context expiry maps to errDeadlineExpired (503),
 // exhausted transport attempts to errShardUnavailable.
-func (rb *remoteBackend) call(ctx context.Context, sh *remoteShard, path string, in, out any, idempotent bool) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
+func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string, body []byte, out any, idempotent bool) error {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, rb.timeout)
@@ -274,14 +288,16 @@ func (rb *remoteBackend) call(ctx context.Context, sh *remoteShard, path string,
 
 // scatterShards fans fn out to every healthy shard and collects
 // results indexed by shard ID (zero value for shards that did not
-// answer). rec, when non-nil, receives one "shard_wait/<sid>" span per
+// answer). skip names a shard the caller already holds an answer from
+// (-1 for none): it is not called and counts as answered. rec, when
+// non-nil, receives one "shard_wait/<sid>" span per
 // shard that completed successfully — spans for abandoned shards are
 // never recorded, so an expired request's trace shows exactly the
 // shards that made the answer. Error policy: context expiry and shard
 // 4xx verdicts (a bug surface, not an availability event) always
 // propagate; other failures propagate in strict mode and demote the
 // shard to "skipped" under AllowPartial.
-func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.SpanRecorder, fn func(ctx context.Context, sh *remoteShard) (T, error)) ([]T, searchMeta, error) {
+func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.SpanRecorder, skip int, fn func(ctx context.Context, sh *remoteShard) (T, error)) ([]T, searchMeta, error) {
 	type done struct {
 		sid int
 		val T
@@ -294,6 +310,10 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 	ch := make(chan done, len(rb.shards))
 	launched, answered := 0, 0
 	for _, sh := range rb.shards {
+		if sh.sid == skip {
+			answered++
+			continue
+		}
 		if !sh.healthy.Load() {
 			if !rb.allowPartial {
 				return nil, searchMeta{}, errShardUnavailable(sh.sid, sh.addr, nil)
@@ -343,11 +363,21 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 	return out, meta, nil
 }
 
+// errOwnerDown is the 503 for a query whose own row lives on a shard
+// that is out of membership: a query's rows have no partial
+// substitute, so their owner must answer regardless of AllowPartial.
+func errOwnerDown(sh *remoteShard) *httpError {
+	return errShardUnavailable(sh.sid, sh.addr, errors.New("query row owner must answer"))
+}
+
 // fetchRows resolves global IDs to row vectors and squared norms from
-// their owning shards. A query's own rows have no partial substitute:
-// the owner must answer regardless of AllowPartial, or the read is a
-// 503.
+// their owning shards (see errOwnerDown). The round trip is recorded
+// on the request's trace as "shard_wait/rows", so the stages of a
+// request that fetches add up to its index_search like those of one
+// that only scatters.
 func (rb *remoteBackend) fetchRows(ctx context.Context, ids []int) ([][]float32, []float64, error) {
+	start := time.Now()
+	defer func() { telemetry.FromContext(ctx).Add("shard_wait/rows", time.Since(start)) }()
 	n := len(rb.shards)
 	byOwner := make(map[int][]int, n) // shard ID -> positions in ids
 	for pos, id := range ids {
@@ -355,7 +385,7 @@ func (rb *remoteBackend) fetchRows(ctx context.Context, ids []int) ([][]float32,
 	}
 	for sid := range byOwner {
 		if sh := rb.shards[sid]; !sh.healthy.Load() {
-			return nil, nil, errShardUnavailable(sid, sh.addr, errors.New("query row owner must answer"))
+			return nil, nil, errOwnerDown(sh)
 		}
 	}
 	rows := make([][]float32, len(ids))
@@ -375,12 +405,11 @@ func (rb *remoteBackend) fetchRows(ctx context.Context, ids []int) ([][]float32,
 			}
 			if err == nil {
 				for i, pos := range positions {
-					if len(resp.Rows[i]) != rb.dim {
-						err = errShardUnavailable(sh.sid, sh.addr,
-							fmt.Errorf("row %d has dimension %d, want %d", ids[pos], len(resp.Rows[i]), rb.dim))
+					var uerr error
+					if rows[pos], uerr = unpackVec[float32](fmt.Sprintf("row %d", ids[pos]), resp.Rows[i], rb.dim); uerr != nil {
+						err = errShardUnavailable(sh.sid, sh.addr, uerr)
 						break
 					}
-					rows[pos] = resp.Rows[i]
 					norms[pos] = resp.SqNorms[i]
 				}
 			}
@@ -436,16 +465,32 @@ func (rb *remoteBackend) Deleted(id int) bool {
 }
 
 func (rb *remoteBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.SpanRecorder) ([]vecstore.Result, searchMeta, error) {
-	rows, _, err := rb.fetchRows(ctx, []int{id})
+	// k+1 like the in-process coordinator: the query row ranks first in
+	// its own results and is stripped at the merge.
+	owner := rb.shards[vecstore.ShardOf(id, len(rb.shards))]
+	if !owner.healthy.Load() {
+		return nil, searchMeta{}, errOwnerDown(owner)
+	}
+	start := time.Now()
+	var own shardSearchResponse
+	if err := rb.call(ctx, owner, "/shard/v1/search", shardSearchRequest{Row: &id, K: k + 1}, &own, true); err != nil {
+		return nil, searchMeta{}, err
+	}
+	if len(own.Vector) != 4*rb.dim {
+		return nil, searchMeta{}, errShardUnavailable(owner.sid, owner.addr,
+			fmt.Errorf("row %d came back as %d bytes, dimension %d takes %d", id, len(own.Vector), rb.dim, 4*rb.dim))
+	}
+	if rec != nil {
+		rec("shard_wait/"+strconv.Itoa(owner.sid), time.Since(start))
+	}
+	// The row goes on as the bits it arrived in.
+	body, err := json.Marshal(shardSearchRequest{Vector: own.Vector, K: k + 1})
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
-	q := rows[0]
-	per, meta, err := scatterShards(ctx, rb, rec, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
+	per, meta, err := scatterShards(ctx, rb, rec, owner.sid, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
 		var resp shardSearchResponse
-		// k+1 like the in-process coordinator: the query row ranks
-		// first in its own results and is stripped at the merge.
-		if err := rb.call(ctx, sh, "/shard/v1/search", shardSearchRequest{Vector: q, K: k + 1}, &resp, true); err != nil {
+		if err := rb.post(ctx, sh, "/shard/v1/search", body, &resp, true); err != nil {
 			return nil, err
 		}
 		return resp.Results, nil
@@ -453,7 +498,8 @@ func (rb *remoteBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
-	start := time.Now()
+	per[owner.sid] = own.Results
+	start = time.Now()
 	res := stripSelf(vecstore.MergeTopK(rb.filterKnown(per), k+1), id, k)
 	if rec != nil {
 		rec("merge", time.Since(start))
@@ -466,9 +512,17 @@ func (rb *remoteBackend) SearchRowBatch(ctx context.Context, ids []int, k int) (
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
-	per, meta, err := scatterShards(ctx, rb, nil, func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error) {
+	req := shardSearchBatchRequest{Vectors: make([][]byte, len(rows)), K: k + 1}
+	for i, row := range rows {
+		req.Vectors[i] = packVec(row)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, searchMeta{}, err
+	}
+	per, meta, err := scatterShards(ctx, rb, nil, -1, func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error) {
 		var resp shardSearchBatchResponse
-		if err := rb.call(ctx, sh, "/shard/v1/search/batch", shardSearchBatchRequest{Vectors: rows, K: k + 1}, &resp, true); err != nil {
+		if err := rb.post(ctx, sh, "/shard/v1/search/batch", body, &resp, true); err != nil {
 			return nil, err
 		}
 		if len(resp.Results) != len(ids) {
@@ -511,9 +565,13 @@ func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecsto
 	for i := range target {
 		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
 	}
-	per, meta, err := scatterShards(ctx, rb, rec, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
+	body, err := json.Marshal(shardScanRequest{Target: packVec(target), Exclude: []int{a, b, c}, K: k})
+	if err != nil {
+		return nil, searchMeta{}, err
+	}
+	per, meta, err := scatterShards(ctx, rb, rec, -1, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
 		var resp shardScanResponse
-		if err := rb.call(ctx, sh, "/shard/v1/scan", shardScanRequest{Target: target, Exclude: []int{a, b, c}, K: k}, &resp, true); err != nil {
+		if err := rb.post(ctx, sh, "/shard/v1/scan", body, &resp, true); err != nil {
 			return nil, err
 		}
 		return resp.Results, nil
@@ -563,7 +621,7 @@ func (rb *remoteBackend) Insert(ctx context.Context, token string, v []float32) 
 		return 0, errShardUnavailable(sid, sh.addr, errors.New("row owner must accept the write"))
 	}
 	var resp shardInsertResponse
-	if err := rb.call(ctx, sh, "/shard/v1/insert", shardInsertRequest{ID: id, Token: token, Vector: v}, &resp, false); err != nil {
+	if err := rb.call(ctx, sh, "/shard/v1/insert", shardInsertRequest{ID: id, Token: token, Vector: packVec(v)}, &resp, false); err != nil {
 		return 0, err
 	}
 	rb.rows.Add(1)

@@ -365,9 +365,8 @@ func TestRouterDeadlineFanOut(t *testing.T) {
 	const vocab, dim, shards = 40, 6, 2
 	path, addrs, _ := startShardFleet(t, vocab, dim, shards)
 
-	// Shard 1 is fronted by a gate that parks fan-out searches until
-	// released; probes and row fetches pass through so the shard stays
-	// healthy and the query reaches the scatter stage.
+	// Shard 1 is fronted by a gate that parks searches until released;
+	// probes pass through, so the shard stays healthy.
 	release := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(release) })
@@ -406,8 +405,8 @@ func TestRouterDeadlineFanOut(t *testing.T) {
 		c.Admission.Read = ClassLimit{Concurrency: 1, Queue: -1, DeadlineMs: 150}
 	})
 
-	// The query vertex must live on the fast shard, or the row fetch
-	// (not the scatter) would be what expires.
+	// The query vertex must live on the fast shard: its owner answers
+	// first, and the scatter to the gated shard is what expires.
 	fastVertex := ""
 	for id := 0; id < vocab; id++ {
 		if vecstore.ShardOf(id, shards) == 0 {

@@ -7,7 +7,8 @@ package server
 // standard public read API over that slice, and exposes the
 // /shard/v1/* fan-out API its router consumes:
 //
-//	POST /shard/v1/search        — top-k for one query vector (global IDs)
+//	POST /shard/v1/search        — top-k for one query vector, or for one of
+//	                               this shard's rows by global ID (global IDs)
 //	POST /shard/v1/search/batch  — top-k for many query vectors
 //	POST /shard/v1/scan          — exact float64 kernel scan (analogy)
 //	POST /shard/v1/rows          — row data + squared norms by global ID
@@ -24,6 +25,7 @@ package server
 // rows and silently detach them from the global map.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/http"
@@ -162,21 +164,61 @@ func (s *Server) registerShardAPI() {
 
 // ---- Fan-out wire types (shared with remoteBackend in remote.go; the
 // router and the shard marshal the same structs, so the JSON shape
-// cannot drift between them. Floats ride JSON's shortest-round-trip
-// encoding, which is exact for float32 rows and float64 scores). -----
+// cannot drift between them). Every vector crosses as the IEEE-754
+// bits of its values, little-endian, 4 bytes per float32 and 8 per
+// float64, in a []byte that encoding/json carries as base64: exact by
+// construction, and neither side prints or parses a decimal. Scalars
+// (scores, squared norms, IDs) stay JSON numbers, whose
+// shortest-round-trip form is exact for float64. There is one encoding
+// and no negotiation: a peer that sends anything else gets a 400. ----
+
+// packVec returns the wire form of v.
+func packVec[T float32 | float64](v []T) []byte {
+	b, err := binary.Append(make([]byte, 0, binary.Size(v)), binary.LittleEndian, v)
+	if err != nil {
+		panic(err) // cannot happen: float slices are fixed-size data
+	}
+	return b
+}
+
+// unpackVec decodes the wire form of a dim-element vector; what names
+// it in the 400 that any other length gets, and that a NaN or an
+// infinity gets: bits can carry what a JSON number cannot, and no
+// endpoint has ever accepted one.
+func unpackVec[T float32 | float64](what string, b []byte, dim int) ([]T, error) {
+	v := make([]T, dim)
+	if len(b) != binary.Size(v) {
+		return nil, errBadRequest("%s is %d bytes, dimension %d takes %d", what, len(b), dim, binary.Size(v))
+	}
+	if _, err := binary.Decode(b, binary.LittleEndian, v); err != nil {
+		return nil, errBadRequest("%s: %v", what, err)
+	}
+	for i, x := range v {
+		if x-x != 0 {
+			return nil, errBadRequest("%s: component %d is not finite", what, i)
+		}
+	}
+	return v, nil
+}
 
 type shardSearchRequest struct {
-	Vector []float32 `json:"vector"`
-	K      int       `json:"k"`
+	// Exactly one of Vector (float32 bits) and Row (the global ID of a
+	// row this shard owns, searched with as stored).
+	Vector []byte `json:"vector,omitempty"`
+	Row    *int   `json:"row,omitempty"`
+	K      int    `json:"k"`
 }
 
 type shardSearchResponse struct {
 	Results []vecstore.Result `json:"results"` // global IDs
+	// Vector is the stored row of a by-row search (float32 bits), for
+	// the router to send on to the other shards.
+	Vector []byte `json:"vector,omitempty"`
 }
 
 type shardSearchBatchRequest struct {
-	Vectors [][]float32 `json:"vectors"`
-	K       int         `json:"k"`
+	Vectors [][]byte `json:"vectors"` // float32 bits, one entry per query
+	K       int      `json:"k"`
 }
 
 type shardSearchBatchResponse struct {
@@ -185,12 +227,12 @@ type shardSearchBatchResponse struct {
 
 type shardScanRequest struct {
 	// Target is the exact float64 kernel target (e.g. b - a + c for
-	// analogy); the shard recomputes the target norm locally from these
-	// exact values, so every shard scores with the same float64 kernel
-	// the in-process scan uses.
-	Target  []float64 `json:"target"`
-	Exclude []int     `json:"exclude,omitempty"` // global IDs to skip
-	K       int       `json:"k"`
+	// analogy) as float64 bits; the shard recomputes the target norm
+	// locally from these exact values, so every shard scores with the
+	// same float64 kernel the in-process scan uses.
+	Target  []byte `json:"target"`
+	Exclude []int  `json:"exclude,omitempty"` // global IDs to skip
+	K       int    `json:"k"`
 }
 
 type shardScanResponse struct {
@@ -202,14 +244,14 @@ type shardRowsRequest struct {
 }
 
 type shardRowsResponse struct {
-	Rows    [][]float32 `json:"rows"`
-	SqNorms []float64   `json:"sqnorms"`
+	Rows    [][]byte  `json:"rows"` // float32 bits, one entry per ID
+	SqNorms []float64 `json:"sqnorms"`
 }
 
 type shardInsertRequest struct {
-	ID     int       `json:"id"` // router-assigned global ID
-	Token  string    `json:"token"`
-	Vector []float32 `json:"vector"`
+	ID     int    `json:"id"` // router-assigned global ID
+	Token  string `json:"token"`
+	Vector []byte `json:"vector"` // float32 bits
 }
 
 type shardInsertResponse struct {
@@ -235,8 +277,24 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error
 	}
 	st, unlock := s.readState()
 	defer unlock()
-	if len(req.Vector) != st.dim() {
-		return errBadRequest("query has dimension %d, shard dimension is %d", len(req.Vector), st.dim())
+	var q []float32
+	var echo []byte
+	if req.Row != nil {
+		if req.Vector != nil {
+			return errBadRequest("'row' and 'vector' are exclusive")
+		}
+		local, ok := s.shard.localOf(*req.Row)
+		if !ok {
+			return errNotFound("row %d is not on shard %d/%d", *req.Row, s.shard.id, s.shard.of)
+		}
+		// A tombstoned row still answers, as it does on /shard/v1/rows.
+		q = st.store.Row(local)
+		echo = packVec(q)
+	} else {
+		var err error
+		if q, err = unpackVec[float32]("query", req.Vector, st.dim()); err != nil {
+			return err
+		}
 	}
 	// The router asks for the handler-level k+1 (self-stripping happens
 	// at the merge), so accept one past the public cap.
@@ -246,8 +304,8 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	res := st.index.Search(req.Vector, req.K)
-	return writeJSONUnlocked(w, unlock, shardSearchResponse{Results: s.shard.toGlobal(res)})
+	res := st.index.Search(q, req.K)
+	return writeJSONUnlocked(w, unlock, shardSearchResponse{Results: s.shard.toGlobal(res), Vector: echo})
 }
 
 func (s *Server) handleShardSearchBatch(w http.ResponseWriter, r *http.Request) error {
@@ -266,15 +324,17 @@ func (s *Server) handleShardSearchBatch(w http.ResponseWriter, r *http.Request) 
 	}
 	st, unlock := s.readState()
 	defer unlock()
-	for i, q := range req.Vectors {
-		if len(q) != st.dim() {
-			return errBadRequest("query %d has dimension %d, shard dimension is %d", i, len(q), st.dim())
+	qs := make([][]float32, len(req.Vectors))
+	for i, b := range req.Vectors {
+		var err error
+		if qs[i], err = unpackVec[float32](fmt.Sprintf("query %d", i), b, st.dim()); err != nil {
+			return err
 		}
 	}
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	batch := st.index.SearchBatch(req.Vectors, req.K)
+	batch := st.index.SearchBatch(qs, req.K)
 	out := make([][]vecstore.Result, len(batch))
 	for i, res := range batch {
 		out[i] = s.shard.toGlobal(res)
@@ -295,8 +355,9 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
 	}
 	st, unlock := s.readState()
 	defer unlock()
-	if len(req.Target) != st.dim() {
-		return errBadRequest("target has dimension %d, shard dimension is %d", len(req.Target), st.dim())
+	target, err := unpackVec[float64]("target", req.Target, st.dim())
+	if err != nil {
+		return err
 	}
 	if req.K <= 0 || req.K > s.maxK() {
 		return errBadRequest("invalid k %d", req.K)
@@ -305,7 +366,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	var tNorm float64
-	for _, x := range req.Target {
+	for _, x := range target {
 		tNorm += x * x
 	}
 	tNorm = math.Sqrt(tNorm)
@@ -324,7 +385,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
 		vu := store.Row(local)
 		var dot, un float64
 		for i := range vu {
-			dot += float64(vu[i]) * req.Target[i]
+			dot += float64(vu[i]) * target[i]
 			un += float64(vu[i]) * float64(vu[i])
 		}
 		sim := 0.0
@@ -350,7 +411,7 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) error {
 	st, unlock := s.readState()
 	defer unlock()
 	resp := shardRowsResponse{
-		Rows:    make([][]float32, len(req.IDs)),
+		Rows:    make([][]byte, len(req.IDs)),
 		SqNorms: make([]float64, len(req.IDs)),
 	}
 	norms := st.store.SqNorms()
@@ -363,7 +424,7 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) error {
 		// the in-process coordinator serves them the same way (handlers
 		// never resolve a deleted token, so this only ever feeds pair
 		// scores and fan-out queries for live rows).
-		resp.Rows[i] = st.store.Row(local)
+		resp.Rows[i] = packVec(st.store.Row(local))
 		resp.SqNorms[i] = norms[local]
 	}
 	return writeJSONUnlocked(w, unlock, resp)
@@ -379,8 +440,9 @@ func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	if len(req.Vector) != st.dim() {
-		return errBadRequest("vector has dimension %d, shard dimension is %d", len(req.Vector), st.dim())
+	v, err := unpackVec[float32]("vector", req.Vector, st.dim())
+	if err != nil {
+		return err
 	}
 	sh := s.shard
 	if got := vecstore.ShardOf(req.ID, sh.of); got != sh.id {
@@ -401,7 +463,7 @@ func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error
 		return &httpError{code: http.StatusNotImplemented,
 			msg: fmt.Sprintf("index %T does not support online writes", st.index)}
 	}
-	local, err := midx.Insert(req.Vector)
+	local, err := midx.Insert(v)
 	if err != nil {
 		return err
 	}
@@ -432,6 +494,9 @@ func (s *Server) handleShardDelete(w http.ResponseWriter, r *http.Request) error
 	if !ok {
 		return &httpError{code: http.StatusNotImplemented,
 			msg: fmt.Sprintf("index %T does not support online writes", st.index)}
+	}
+	if st.store.Deleted(local) {
+		return errNotFound("row %d is already deleted", req.ID)
 	}
 	if err := midx.Delete(local); err != nil {
 		return err

@@ -192,14 +192,17 @@ func hnswBenchSetup(b *testing.B) (*HNSW, [][]float32) {
 // the bench queries' answers against the exact index, so the
 // trajectory snapshot records quality next to latency. Compare ns/op
 // against BenchmarkSearchExactSerial (same shape, same kernels; a
-// dense scan's cost does not depend on the distribution).
+// dense scan's cost does not depend on the distribution). evals/op and
+// rejected/op are the candidates a query considers and those the
+// float32 pass drops, over the same queries.
 func BenchmarkSearchHNSW(b *testing.B) {
 	h, qs := hnswBenchSetup(b)
 	exact := NewExact(h.Store(), Cosine, 1)
 	hits, total := 0, 0
+	sc := h.newScratch()
 	for _, q := range qs {
 		in := map[int]bool{}
-		for _, r := range h.Search(q, 10) {
+		for _, r := range h.search(q, 10, -1, nil, sc) {
 			in[r.ID] = true
 		}
 		for _, r := range exact.Search(q, 10) {
@@ -215,6 +218,34 @@ func BenchmarkSearchHNSW(b *testing.B) {
 		h.Search(qs[i%len(qs)], 10)
 	}
 	b.ReportMetric(float64(hits)/float64(total), "recall@10")
+	b.ReportMetric(float64(sc.evals)/float64(len(qs)), "evals/op")
+	b.ReportMetric(float64(sc.rejected)/float64(len(qs)), "rejected/op")
+}
+
+// BenchmarkHNSWBuild is one default-parameter cosine build of a
+// clustered 10 000 x 64 store per op (the repository benchmark's HNSW
+// shape), at every size of -short too: a build is seconds, not minutes.
+// evals/op and rejected/op are read from the build's scratch, which
+// NewHNSW leaves in the index's pool.
+func BenchmarkHNSWBuild(b *testing.B) {
+	s := clusteredStore(10_000, 64, 100, 101)
+	s.SqNorms()
+	evals, rejected, counted := 0, 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := NewHNSW(s, Cosine, HNSWConfig{Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sc, ok := h.scratch.Get().(*hnswScratch); ok {
+			evals, rejected, counted = evals+sc.evals, rejected+sc.rejected, counted+1
+		}
+	}
+	b.ReportMetric(float64(b.N*s.Len())/b.Elapsed().Seconds(), "rows/s")
+	if counted > 0 {
+		b.ReportMetric(float64(evals)/float64(counted), "evals/op")
+		b.ReportMetric(float64(rejected)/float64(counted), "rejected/op")
+	}
 }
 
 // BenchmarkSearchHNSWBatch is the batched path: 64 queries per op

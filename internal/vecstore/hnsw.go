@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"v2v/internal/f32"
 	"v2v/internal/xrand"
 )
 
@@ -57,6 +58,15 @@ type hnswNode struct {
 // Build is sequential and deterministic for a fixed seed; queries are
 // safe for arbitrary concurrency once NewHNSW returns.
 //
+// Candidates are scored filter-and-refine, like the exact scan: where
+// a candidate must beat a known distance to matter (the beam's worst
+// retained result, the descent's current best), a float32 dot comes
+// first and the prefilter of scan.go drops the candidate when it
+// proves the float64 score cannot; everything else is scored by the
+// float64 kernels as before. The filter rejects only what those
+// comparisons would reject, so graphs and results are bit for bit
+// those of scoring every candidate (TestHNSWFilterParity).
+//
 // HNSW implements MutableIndex: Insert reuses the build-time level
 // sampling (continuing the build's deterministic RNG stream) and
 // diversity-pruned linking for one new row, and Delete tombstones a
@@ -76,6 +86,10 @@ type HNSW struct {
 	entry    int32
 	maxLevel int
 	nodes    []hnswNode
+	// gamma is the prefilter's error bound for the store's dimension
+	// (dotErrorBound); +Inf rejects nothing, which is how the parity
+	// test builds its reference.
+	gamma float64
 
 	// mu guards graph and store mutation against concurrent queries;
 	// rng/mL continue the build's level-sampling stream for
@@ -122,6 +136,7 @@ func NewHNSW(s *Store, metric Metric, cfg HNSWConfig) (*HNSW, error) {
 		seed:    cfg.Seed,
 		entry:   -1,
 		nodes:   make([]hnswNode, s.Len()),
+		gamma:   dotErrorBound(s.Dim()),
 	}
 	s.SqNorms() // precompute so build and concurrent queries never race the cache
 
@@ -204,6 +219,18 @@ func (h *HNSW) dist(q []float32, qn float64, i int32) float64 {
 	return -scoreRow(h.s, h.metric, q, qn, int(i))
 }
 
+// farther reports whether the float32 pass proves dist(q, e) exceeds
+// the distance f was last armed with, counting the candidate either
+// way. A true answer is final; false means "score it".
+func (h *HNSW) farther(f *prefilter, q []float32, e int32, sc *hnswScratch) bool {
+	sc.evals++
+	if !f.armed || !f.drops(f32.Dot(q, h.s.Row(int(e))), h.s.SqNorms()[e]) {
+		return false
+	}
+	sc.rejected++
+	return true
+}
+
 // distRows is dist with stored row a as the query.
 func (h *HNSW) distRows(a, b int32) float64 {
 	return -scoreRow(h.s, h.metric, h.s.Row(int(a)), h.s.SqNorms()[a], int(b))
@@ -217,13 +244,13 @@ func (h *HNSW) insert(i int32, level int, sc *hnswScratch) {
 		return
 	}
 	q := h.s.Row(int(i))
-	qn := h.s.SqNorms()[i]
+	f := prefilter{metric: h.metric, gamma: h.gamma, qn: h.s.SqNorms()[i]}
 
 	// Greedy descent through the layers above the new node's level.
 	ep := h.entry
-	epDist := h.dist(q, qn, ep)
+	epDist := h.dist(q, f.qn, ep)
 	for l := h.maxLevel; l > level; l-- {
-		ep, epDist = h.greedyStep(q, qn, ep, epDist, l)
+		ep, epDist = h.greedyStep(q, &f, ep, epDist, l, sc)
 	}
 
 	// Beam search each level from min(level, maxLevel) down to 0,
@@ -235,7 +262,7 @@ func (h *HNSW) insert(i int32, level int, sc *hnswScratch) {
 		top = h.maxLevel
 	}
 	for l := top; l >= 0; l-- {
-		h.searchLayer(q, qn, eps, l, h.efc, sc)
+		h.searchLayer(q, &f, eps, l, h.efc, sc)
 		cands := sc.extractAsc()
 		// Copy the selection before wiring back-links: shrink reuses
 		// the selection scratch.
@@ -264,14 +291,20 @@ func (h *HNSW) insert(i int32, level int, sc *hnswScratch) {
 }
 
 // greedyStep walks from ep to the locally closest node at level l
-// (ef = 1 descent).
-func (h *HNSW) greedyStep(q []float32, qn float64, ep int32, epDist float64, l int) (int32, float64) {
+// (ef = 1 descent). f carries the query's squared norm; its threshold
+// follows epDist.
+func (h *HNSW) greedyStep(q []float32, f *prefilter, ep int32, epDist float64, l int, sc *hnswScratch) (int32, float64) {
+	f.arm(-epDist)
 	for {
 		improved := false
 		for _, e := range h.nodes[ep].friends[l] {
-			if d := h.dist(q, qn, e); d < epDist {
+			if h.farther(f, q, e, sc) {
+				continue
+			}
+			if d := h.dist(q, f.qn, e); d < epDist {
 				ep, epDist = e, d
 				improved = true
+				f.arm(-epDist)
 			}
 		}
 		if !improved {
@@ -307,6 +340,9 @@ type hnswScratch struct {
 	eps     []int32
 	asc     []hcand
 	sel     []int32
+	// evals counts the candidates the beam and the descent considered
+	// through this scratch, rejected those the float32 pass dropped.
+	evals, rejected int
 }
 
 func (h *HNSW) newScratch() *hnswScratch {
@@ -368,18 +404,24 @@ func (sc *hnswScratch) extractAsc() []hcand {
 // searchLayer runs the bounded best-first beam search of the paper's
 // Algorithm 2: expand the closest unexpanded candidate until the beam
 // cannot improve the ef retained results. Results are left in sc.res.
-func (h *HNSW) searchLayer(q []float32, qn float64, eps []int32, level, ef int, sc *hnswScratch) {
+// f carries the query's squared norm; once ef results are retained its
+// threshold follows the worst of them.
+func (h *HNSW) searchLayer(q []float32, f *prefilter, eps []int32, level, ef int, sc *hnswScratch) {
 	sc.begin()
 	for _, ep := range eps {
 		if sc.seen(ep) {
 			continue
 		}
-		d := h.dist(q, qn, ep)
+		d := h.dist(q, f.qn, ep)
 		sc.cand.push(hcand{ep, d})
 		sc.res.push(hcand{ep, d})
 	}
 	for len(sc.res.h) > ef {
 		sc.res.pop()
+	}
+	f.armed = false // the descent's or the previous layer's threshold is not this beam's
+	if len(sc.res.h) == ef {
+		f.arm(-sc.res.h[0].dist)
 	}
 	for len(sc.cand.h) > 0 {
 		c := sc.cand.pop()
@@ -391,15 +433,18 @@ func (h *HNSW) searchLayer(q []float32, qn float64, eps []int32, level, ef int, 
 			continue
 		}
 		for _, e := range friends[level] {
-			if sc.seen(e) {
+			if sc.seen(e) || h.farther(f, q, e, sc) {
 				continue
 			}
-			d := h.dist(q, qn, e)
+			d := h.dist(q, f.qn, e)
 			if len(sc.res.h) < ef || d < sc.res.h[0].dist {
 				sc.cand.push(hcand{e, d})
 				sc.res.push(hcand{e, d})
 				if len(sc.res.h) > ef {
 					sc.res.pop()
+				}
+				if len(sc.res.h) == ef {
+					f.arm(-sc.res.h[0].dist)
 				}
 			}
 		}
@@ -512,11 +557,13 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 	if k <= 0 || h.entry < 0 {
 		return dst
 	}
-	qn := queryNorm(h.metric, q)
+	// Every metric's filter needs the squared norm; scoreRow reads it
+	// for Cosine only.
+	f := prefilter{metric: h.metric, gamma: h.gamma, qn: sqNorm(q)}
 	ep := h.entry
-	epDist := h.dist(q, qn, ep)
+	epDist := h.dist(q, f.qn, ep)
 	for l := h.maxLevel; l > 0; l-- {
-		ep, epDist = h.greedyStep(q, qn, ep, epDist, l)
+		ep, epDist = h.greedyStep(q, &f, ep, epDist, l, sc)
 	}
 	ef := h.ef
 	if ef < k+1 { // +1 leaves room to drop an excluded self-hit
@@ -537,7 +584,7 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 		ef = n
 	}
 	sc.eps = append(sc.eps[:0], ep)
-	h.searchLayer(q, qn, sc.eps, 0, ef, sc)
+	h.searchLayer(q, &f, sc.eps, 0, ef, sc)
 	cands := sc.extractAsc()
 	del := h.s.deleted
 	start := len(dst)
@@ -681,6 +728,7 @@ func HNSWFromGraph(s *Store, g *HNSWGraph, efSearch, workers int) (*HNSW, error)
 		entry:    entry,
 		maxLevel: maxLevel,
 		nodes:    nodes,
+		gamma:    dotErrorBound(s.Dim()),
 		// Incremental inserts over a rebound graph sample levels from a
 		// fresh stream (the build-time stream position is not
 		// persisted); mL depends only on M, so the distribution is

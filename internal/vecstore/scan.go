@@ -65,33 +65,57 @@ func dotErrorBound(dim int) float64 {
 }
 
 // prefilter holds what the rejection tests need besides a and rn:
-// fixed per query (metric, gamma, qn) and per heap threshold (armed,
-// tau, c).
+// fixed per query (metric, gamma, qn) and per threshold (armed, off,
+// c). The exact scan and the HNSW beam (hnsw.go) share this one copy
+// of the bound. The Cosine and Dot tests are stored as one,
+//
+//	x·|x| + c·rn < 0,   x = a - off
+//
+// (Cosine: off = 0, c = -(τ-γ)²qn; Dot: off = τ, c = γ²qn, which is
+// the test above with both sides negated) so that drops fits the
+// compiler's inlining budget: it runs once per row of the scan.
+// x·|x| is x² with the sign of x: no branch on a sign that is as good
+// as random.
 type prefilter struct {
 	metric Metric
 	gamma  float64
 	qn     float64 // squared norm of the query
-	armed  bool    // the heap is full and a row may be rejected
-	tau    float64 // the heap's threshold score
-	c      float64 // (τ-γ)²qn for Cosine, γ²qn for Dot, 1-γ for Euclidean
+	armed  bool    // a threshold is set and a row may be rejected
+	off    float64 // 0 for Cosine, τ for Dot and Euclidean
+	c      float64 // -(τ-γ)²qn for Cosine, γ²qn for Dot, 1-γ for Euclidean
 }
 
-// rearm reads the heap's threshold; call it after every Push. Until
-// the heap is full the filter stays off.
-func (f *prefilter) rearm(t *TopK) {
-	if !t.Full() || t.k == 0 || !(f.qn >= minSqNorm) {
+// arm sets the threshold: from here on drops reports the rows whose
+// float64 score is provably below tau.
+func (f *prefilter) arm(tau float64) {
+	if !(f.qn >= minSqNorm) {
 		return
 	}
-	f.armed, f.tau = true, t.Threshold().Score
+	f.armed, f.off = true, tau
 	switch f.metric {
 	case Cosine:
-		m := f.tau - f.gamma
-		f.armed, f.c = m > 0, m*m*f.qn
+		m := tau - f.gamma
+		f.armed, f.off, f.c = m > 0, 0, -m*m*f.qn
 	case Dot:
 		f.c = f.gamma * f.gamma * f.qn
 	default:
 		f.c = 1 - f.gamma
 	}
+}
+
+// drops reports whether a row with float32 dot a32 and squared norm rn
+// provably scores below the threshold.
+func (f *prefilter) drops(a32 float32, rn float64) bool {
+	// a32-a32 is 0 exactly when a32 is finite.
+	if !f.armed || a32-a32 != 0 || !(rn >= minSqNorm) {
+		return false
+	}
+	a := float64(a32)
+	if f.metric == Euclidean {
+		return 2*a-f.c*(f.qn+rn) < f.off
+	}
+	x := a - f.off
+	return x*math.Abs(x)+f.c*rn < 0
 }
 
 // scanRange scores rows [lo, hi) of s against q and pushes them into
@@ -107,32 +131,14 @@ func scanRange(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *Top
 		f32.DotRows(q, s.data[lo*dim:(lo+n)*dim], dots[:n])
 		for j, a32 := range dots[:n] {
 			i := lo + j
-			// a32-a32 is 0 exactly when a32 is finite.
-			if rn := norms[i]; f.armed && a32-a32 == 0 && rn >= minSqNorm {
-				// x·|x| is x² with the sign of x: the tests of the file
-				// comment without a branch on the sign of a, which is as
-				// good as random.
-				a := float64(a32)
-				var drop bool
-				switch metric {
-				case Cosine:
-					drop = a*math.Abs(a) < f.c*rn
-				case Dot:
-					d := f.tau - a
-					drop = d*math.Abs(d) > f.c*rn
-				default:
-					drop = 2*a-f.c*(f.qn+rn) < f.tau
-				}
-				if drop {
-					continue
-				}
-			}
-			if i == exclude || (del != nil && del[i]) {
+			if f.drops(a32, norms[i]) || i == exclude || (del != nil && del[i]) {
 				continue
 			}
 			t.Push(i, scoreRow(s, metric, q, f.qn, i))
 			rescored++
-			f.rearm(t)
+			if t.Full() && t.k != 0 {
+				f.arm(t.Threshold().Score)
+			}
 		}
 	}
 	return rescored
