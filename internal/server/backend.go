@@ -1,22 +1,23 @@
 package server
 
-// The shard boundary of the serving tier. A sharded generation no
-// longer touches vecstore.Sharded directly from its handlers: every
-// shard access — fan-out searches with span recording and context
-// cancellation, hash-routed inserts and deletes, pair scores, row
-// fetches, occupancy stats, health — goes through the shardBackend
-// interface. Two implementations exist:
+// The shard boundary of the serving tier, and the only way the /v1/*
+// handlers, /stats, /metrics and the WAL replay reach vectors: every
+// access — fan-out searches with span recording and context
+// cancellation, hash-routed inserts and deletes, pair scores,
+// occupancy stats, health — goes through the shardBackend interface.
+// There are two implementations and no third, un-abstracted path:
 //
-//   - localBackend wraps an in-process vecstore.Sharded coordinator:
-//     the pre-refactor behavior, delegated verbatim (the sharded
-//     parity suites prove bit-identical results).
+//   - localBackend wraps an in-process vecstore.Sharded coordinator.
+//     An unsharded server is this with one shard, which the
+//     coordinator searches on the caller's goroutine (the parity
+//     suites prove bit-identical results against the bare index).
 //   - remoteBackend (remote.go) talks HTTP to one shard process per
 //     partition: pooled clients, per-call deadlines, bounded retries
 //     on idempotent reads, health-checked membership.
 //
-// The split is what turns `v2v serve` into a router: handlers cannot
-// tell whether a shard is a goroutine or a process, so the router mode
-// is the same serving code over a different backend.
+// Handlers cannot tell whether a shard is the caller's goroutine,
+// another goroutine or a process, so every topology is the same
+// serving code over a different backend.
 
 import (
 	"context"
@@ -42,16 +43,15 @@ type searchMeta struct {
 	shardsAnswered int
 }
 
-// backendHealth is one shard's membership status as the backend sees
-// it — trivially healthy for in-process shards, probe-driven for
-// remote ones. Surfaced per shard in /stats and /metrics.
+// backendHealth is one remote shard's membership status as its
+// backend's probes see it. Surfaced per shard in /stats and /metrics.
 type backendHealth struct {
 	Shard int `json:"shard"`
-	// Addr is the shard's base URL ("" for in-process shards).
+	// Addr is the shard's base URL.
 	Addr    string `json:"addr,omitempty"`
 	Healthy bool   `json:"healthy"`
 	// ProbeFailures counts consecutive failed health probes (0 when
-	// healthy or in-process).
+	// healthy).
 	ProbeFailures uint64 `json:"probe_failures,omitempty"`
 }
 
@@ -76,7 +76,8 @@ type shardBackend interface {
 	Rows() int
 	// Live returns the number of live rows across all shards.
 	Live() int
-	// Dead returns Rows() - Live().
+	// Dead returns the number of tombstoned rows awaiting compaction
+	// (rows a compaction reclaimed count toward Rows alone).
 	Dead() int
 	// Deleted reports whether global row id is dead; out-of-range IDs
 	// report true.
@@ -114,7 +115,8 @@ type shardBackend interface {
 	// ShardStats snapshots per-shard occupancy in shard order (remote
 	// backends serve the last probed values rather than fanning out).
 	ShardStats() []vecstore.ShardStat
-	// Health reports per-shard membership status in shard order.
+	// Health reports per-shard membership status in shard order; nil
+	// when the shards are in-process and cannot fail independently.
 	Health() []backendHealth
 	// Close releases backend resources (probe goroutines, idle
 	// connections). The backend must not be used after Close.
@@ -135,22 +137,19 @@ func errShardUnavailable(sid int, addr string, cause error) *httpError {
 // ---- localBackend ---------------------------------------------------
 
 // localBackend adapts an in-process vecstore.Sharded coordinator to
-// the shardBackend interface. Every method is a verbatim delegation to
-// the pre-refactor call the handlers used to make, so a local sharded
-// generation is bit-identical to the code this interface was extracted
-// from.
+// the shardBackend interface; every method delegates.
 type localBackend struct {
 	sh *vecstore.Sharded
 }
 
 func newLocalBackend(sh *vecstore.Sharded) *localBackend { return &localBackend{sh: sh} }
 
-func (lb *localBackend) NumShards() int       { return lb.sh.NumShards() }
-func (lb *localBackend) Dim() int             { return lb.sh.Dim() }
-func (lb *localBackend) Rows() int            { return lb.sh.Rows() }
-func (lb *localBackend) Live() int            { return lb.sh.Live() }
-func (lb *localBackend) Dead() int            { return lb.sh.Dead() }
-func (lb *localBackend) Deleted(id int) bool  { return lb.sh.Deleted(id) }
+func (lb *localBackend) NumShards() int      { return lb.sh.NumShards() }
+func (lb *localBackend) Dim() int            { return lb.sh.Dim() }
+func (lb *localBackend) Rows() int           { return lb.sh.Rows() }
+func (lb *localBackend) Live() int           { return lb.sh.Live() }
+func (lb *localBackend) Dead() int           { return lb.sh.Dead() }
+func (lb *localBackend) Deleted(id int) bool { return lb.sh.Deleted(id) }
 
 func (lb *localBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.SpanRecorder) ([]vecstore.Result, searchMeta, error) {
 	res, err := lb.sh.SearchRowSpansCtx(ctx, id, k, rec)
@@ -208,15 +207,17 @@ func (lb *localBackend) Delete(ctx context.Context, id int) error { return lb.sh
 
 func (lb *localBackend) ShardStats() []vecstore.ShardStat { return lb.sh.ShardStats() }
 
-func (lb *localBackend) Health() []backendHealth {
-	out := make([]backendHealth, lb.sh.NumShards())
-	for sid := range out {
-		out[sid] = backendHealth{Shard: sid, Healthy: true}
-	}
-	return out
-}
+func (lb *localBackend) Health() []backendHealth { return nil }
 
 func (lb *localBackend) Close() {}
+
+// scorerName names the PairScore a /v1/predict response reports.
+func scorerName(hadamard bool) string {
+	if hadamard {
+		return "embedding-dot"
+	}
+	return "embedding-cosine"
+}
 
 // stripSelf drops the query row from a k+1-deep result list and
 // truncates to k — shared by both backends so the self-exclusion

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -17,25 +18,25 @@ import (
 	"v2v/internal/vecstore"
 )
 
-// blockingIndex wraps a real index but parks every SearchRow call on
-// a channel the test controls — the "slow index" stub. It serves
-// through the unsharded handler path via the newFromModel prebuilt
-// seam.
-type blockingIndex struct {
-	vecstore.Index
+// blockingBackend wraps the real shard backend but parks every
+// SearchRow call on a channel the test controls — the "slow index"
+// stub — and then answers as if the search had run past its budget
+// unnoticed: a complete result, whatever became of the deadline.
+type blockingBackend struct {
+	shardBackend
 	entered chan struct{} // one token per SearchRow entry
 	release chan struct{} // closed to let parked searches finish
 }
 
-func (b *blockingIndex) SearchRow(i, k int) []vecstore.Result {
+func (b *blockingBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.SpanRecorder) ([]vecstore.Result, searchMeta, error) {
 	b.entered <- struct{}{}
 	<-b.release
-	return b.Index.SearchRow(i, k)
+	return b.shardBackend.SearchRow(context.WithoutCancel(ctx), id, k, rec)
 }
 
 // newDeadlineServer builds a server whose read class has the given
 // deadline, over a blocking index when block is non-nil.
-func newDeadlineServer(t *testing.T, deadlineMs float64, block *blockingIndex, logBuf *bytes.Buffer) (*Server, *httptest.Server) {
+func newDeadlineServer(t *testing.T, deadlineMs float64, block *blockingBackend, logBuf *bytes.Buffer) (*Server, *httptest.Server) {
 	t.Helper()
 	m, tokens := testModel(50, 8, 42)
 	cfg := Config{
@@ -46,18 +47,14 @@ func newDeadlineServer(t *testing.T, deadlineMs float64, block *blockingIndex, l
 		cfg.SlowLogMs = 1e9 // enabled, but only deadline expiries will log
 		cfg.Log = log.New(logBuf, "", 0)
 	}
-	var prebuilt vecstore.Index
-	if block != nil {
-		idx, err := vecstore.Open(m.Store(), vecstore.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		block.Index = idx
-		prebuilt = block
-	}
-	s, err := newFromModel(cfg, m, tokens, prebuilt, "test")
+	s, err := newFromModel(cfg, m, tokens, nil, "test")
 	if err != nil {
 		t.Fatalf("newFromModel: %v", err)
+	}
+	if block != nil {
+		st := s.state.Load()
+		block.shardBackend = st.backend
+		st.backend = block
 	}
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
@@ -115,7 +112,7 @@ func TestDeadlineExpiryAnswers503(t *testing.T) {
 // dependence is "30ms has passed a 5ms deadline", which holds on any
 // machine.
 func TestDeadlineExpiryMidSearch(t *testing.T) {
-	block := &blockingIndex{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	block := &blockingBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	s, hs := newDeadlineServer(t, 5, block, nil)
 
 	done := make(chan int, 1)

@@ -222,11 +222,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	ew.GaugeFamily("v2v_write_epoch", "Accepted writes in the current generation.",
 		telemetry.Sample{Value: float64(st.epoch.Load())})
 	ew.GaugeFamily("v2v_model_vectors", "Live vectors in the served model.",
-		telemetry.Sample{Value: float64(st.live())})
+		telemetry.Sample{Value: float64(st.backend.Live())})
 	ew.GaugeFamily("v2v_model_dim", "Dimensionality of the served model.",
-		telemetry.Sample{Value: float64(st.dim())})
+		telemetry.Sample{Value: float64(st.backend.Dim())})
 	ew.GaugeFamily("v2v_tombstones", "Tombstoned rows awaiting compaction.",
-		telemetry.Sample{Value: float64(st.dead())})
+		telemetry.Sample{Value: float64(st.backend.Dead())})
 	ew.CounterFamily("v2v_reloads_total", "Completed model reloads.",
 		telemetry.Sample{Value: float64(s.reloads.Load())})
 	ew.CounterFamily("v2v_upserts_total", "Accepted upserts.",
@@ -234,41 +234,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	ew.CounterFamily("v2v_deletes_total", "Accepted deletes.",
 		telemetry.Sample{Value: float64(s.deletes.Load())})
 
-	compactions := s.compactions.Load()
-	if st.backend != nil {
-		var rows, live, dead, epochs, shardCkr []telemetry.Sample
-		for sid, ss := range st.backend.ShardStats() {
-			label := `shard="` + strconv.Itoa(sid) + `"`
-			rows = append(rows, telemetry.Sample{Labels: label, Value: float64(ss.Rows)})
-			live = append(live, telemetry.Sample{Labels: label, Value: float64(ss.Live)})
-			dead = append(dead, telemetry.Sample{Labels: label, Value: float64(ss.Deleted)})
-			epochs = append(epochs, telemetry.Sample{Labels: label, Value: float64(ss.Epoch)})
-			shardCkr = append(shardCkr, telemetry.Sample{Labels: label, Value: float64(ss.Compactions)})
-			compactions += ss.Compactions
-		}
-		ew.GaugeFamily("v2v_shard_rows", "Rows held per shard (live + tombstoned).", rows...)
-		ew.GaugeFamily("v2v_shard_live", "Live rows per shard.", live...)
-		ew.GaugeFamily("v2v_shard_tombstones", "Tombstoned rows per shard.", dead...)
-		ew.GaugeFamily("v2v_shard_epoch", "Compaction epoch per shard.", epochs...)
-		ew.CounterFamily("v2v_shard_compactions_total", "Completed compactions per shard.", shardCkr...)
-		// Router mode: per-backend membership, so dashboards can alert
-		// on a shard dropping out before clients see 503s/partials.
-		if _, remote := st.backend.(*remoteBackend); remote {
-			var up, probeFails []telemetry.Sample
-			for _, bh := range st.backend.Health() {
-				label := `shard="` + strconv.Itoa(bh.Shard) + `",addr=` + strconv.Quote(bh.Addr)
-				v := 0.0
-				if bh.Healthy {
-					v = 1
-				}
-				up = append(up, telemetry.Sample{Labels: label, Value: v})
-				probeFails = append(probeFails, telemetry.Sample{Labels: label, Value: float64(bh.ProbeFailures)})
-			}
-			ew.GaugeFamily("v2v_backend_up", "1 when the shard backend passed its last health probe.", up...)
-			ew.GaugeFamily("v2v_backend_probe_failures", "Consecutive failed health probes per shard backend.", probeFails...)
-		}
+	var compactions uint64
+	var rows, live, dead, epochs, shardCkr []telemetry.Sample
+	for sid, ss := range st.backend.ShardStats() {
+		label := `shard="` + strconv.Itoa(sid) + `"`
+		rows = append(rows, telemetry.Sample{Labels: label, Value: float64(ss.Rows)})
+		live = append(live, telemetry.Sample{Labels: label, Value: float64(ss.Live)})
+		dead = append(dead, telemetry.Sample{Labels: label, Value: float64(ss.Deleted)})
+		epochs = append(epochs, telemetry.Sample{Labels: label, Value: float64(ss.Epoch)})
+		shardCkr = append(shardCkr, telemetry.Sample{Labels: label, Value: float64(ss.Compactions)})
+		compactions += ss.Compactions
 	}
-	ew.CounterFamily("v2v_compactions_total", "Completed compactions (server-level plus per-shard).",
+	ew.GaugeFamily("v2v_shard_rows", "Rows held per shard (live + tombstoned).", rows...)
+	ew.GaugeFamily("v2v_shard_live", "Live rows per shard.", live...)
+	ew.GaugeFamily("v2v_shard_tombstones", "Tombstoned rows per shard.", dead...)
+	ew.GaugeFamily("v2v_shard_epoch", "Compaction epoch per shard.", epochs...)
+	ew.CounterFamily("v2v_shard_compactions_total", "Completed compactions per shard.", shardCkr...)
+	// Router mode: per-backend membership, so dashboards can alert on a
+	// shard dropping out before clients see 503s/partials. In-process
+	// shards report none.
+	if health := st.backend.Health(); len(health) > 0 {
+		var up, probeFails []telemetry.Sample
+		for _, bh := range health {
+			label := `shard="` + strconv.Itoa(bh.Shard) + `",addr=` + strconv.Quote(bh.Addr)
+			v := 0.0
+			if bh.Healthy {
+				v = 1
+			}
+			up = append(up, telemetry.Sample{Labels: label, Value: v})
+			probeFails = append(probeFails, telemetry.Sample{Labels: label, Value: float64(bh.ProbeFailures)})
+		}
+		ew.GaugeFamily("v2v_backend_up", "1 when the shard backend passed its last health probe.", up...)
+		ew.GaugeFamily("v2v_backend_probe_failures", "Consecutive failed health probes per shard backend.", probeFails...)
+	}
+	ew.CounterFamily("v2v_compactions_total", "Completed compactions (the sum over shards).",
 		telemetry.Sample{Value: float64(compactions)})
 
 	ew.GaugeFamily("v2v_cache_entries", "Entries in the response cache.",

@@ -6,23 +6,25 @@
 //
 // Design notes:
 //
-//   - All model-dependent state (vector store, token table, index)
-//     lives in one generation behind an atomic pointer. A request
+//   - All model-dependent state (token table, shard backend) lives in
+//     one generation behind an atomic pointer. A request
 //     loads the pointer once and answers entirely from that
 //     generation, so a hot reload (Reload/SwapModel) swaps the whole
 //     world atomically: in-flight requests finish against the old
 //     model, new requests see the new one, and nothing is ever
 //     dropped or torn.
-//   - Within a generation, /v1/upsert and /v1/delete mutate the store
-//     and index in place through vecstore.MutableIndex: writes take
-//     the generation's writer lock, reads its reader lock, and every
-//     write bumps a write epoch that is part of each cache key — so
-//     upserts and deletes are visible to the very next query, with no
-//     reload and no stale cache hit. Past a tombstone-fraction
-//     threshold a delete triggers compaction: the live rows are
-//     gathered into a fresh store, re-indexed off to the side, and
-//     published as a new generation (reads never block on it; writes
-//     do).
+//   - Every generation reaches its vectors through one shard
+//     boundary (backend.go): an in-process vecstore.Sharded
+//     coordinator — one shard wide for an unsharded server — or, in
+//     router mode, remote shard processes. No handler knows which.
+//   - Within a generation, /v1/upsert and /v1/delete mutate the shards
+//     in place: writes take the generation's writer lock, reads its
+//     reader lock, and every write bumps a write epoch that is part of
+//     each cache key — so upserts and deletes are visible to the very
+//     next query, with no reload and no stale cache hit. Past a
+//     tombstone-fraction threshold a shard rebuilds itself over its
+//     live rows in the background (vecstore.Sharded); row IDs and the
+//     live set do not change, so neither does the generation.
 //   - Repeated top-k queries are served from a bounded sharded LRU of
 //     serialized responses, keyed by (generation, write epoch) so
 //     neither a reload nor a write can ever serve stale hits.
@@ -50,7 +52,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"v2v/internal/linkpred"
 	"v2v/internal/snapshot"
 	"v2v/internal/telemetry"
 	"v2v/internal/vecstore"
@@ -92,9 +93,9 @@ type Config struct {
 	ReadOnly bool
 
 	// CompactFraction is the tombstone fraction above which a delete
-	// triggers compaction (gather live rows, rebuild the index,
-	// publish as a new generation). 0 means the 0.25 default; negative
-	// disables compaction entirely.
+	// triggers compaction of the shard it landed on (gather its live
+	// rows, rebuild its index, swap it in; see vecstore.Sharded). 0
+	// means the 0.25 default; negative disables compaction entirely.
 	CompactFraction float64
 
 	// WAL enables write-ahead logging of the online write path: every
@@ -177,113 +178,33 @@ const (
 	defaultCompactFraction = 0.25
 )
 
-// modelState is one generation of servable state. The shape
-// (store/index/token identities) is fixed for the generation's
-// lifetime, but writes mutate the store and index in place under mu;
-// epoch counts those writes for cache scoping.
+// modelState is one generation of servable state. The token
+// identities are fixed for the generation's lifetime, but writes grow
+// the table and mutate the shards under mu; epoch counts those writes
+// for cache scoping.
 type modelState struct {
-	// store backs an unsharded generation; it is nil when backend is
-	// set (a sharded generation has no single store — rows live in
-	// shard-private stores behind an in-process coordinator or in
-	// remote shard processes). Handlers go through the
-	// dim/live/row/cosine accessors, which dispatch.
-	store *vecstore.Store
-	// backend is the generation's shard boundary: every shard access
-	// goes through it (see backend.go). Nil for an unsharded
-	// generation; a localBackend over sharded for in-process sharding;
-	// a remoteBackend in router mode.
+	// backend is the generation's shard boundary: every access to
+	// vectors goes through it (see backend.go). A localBackend over
+	// sharded in-process, a remoteBackend in router mode.
 	backend shardBackend
-	// sharded is the concrete in-process coordinator when backend is a
-	// localBackend — the WAL checkpoint path needs GatherLive and the
-	// compactor needs to know the coordinator self-compacts. Nil in
-	// router mode (no durability tier there; see newRouter).
+	// sharded is the concrete in-process coordinator under backend, for
+	// the two callers that sit behind the boundary: the WAL checkpoint
+	// (GatherLive) and a shard process's /shard/v1/* handlers. Nil in
+	// router mode, which has neither (see newRouter).
 	sharded  *vecstore.Sharded
 	tokens   []string
 	byToken  map[string]int
-	index    vecstore.Index
 	gen      uint64
 	source   string
 	loadedAt time.Time
 
 	// mu serialises writes against reads within the generation:
 	// queries hold the reader side while they resolve tokens and
-	// search; upserts/deletes/compaction hold the writer side.
+	// search; upserts/deletes hold the writer side.
 	mu sync.RWMutex
 	// epoch counts accepted writes; it scopes cache keys so a write
 	// invalidates every previously cached answer of this generation.
 	epoch atomic.Uint64
-}
-
-// Store accessors: every handler read of row data or occupancy goes
-// through these so a sharded generation (nil store) dispatches through
-// its shard backend and an unsharded one to its single store.
-
-func (st *modelState) dim() int {
-	if st.backend != nil {
-		return st.backend.Dim()
-	}
-	return st.store.Dim()
-}
-
-func (st *modelState) live() int {
-	if st.backend != nil {
-		return st.backend.Live()
-	}
-	return st.store.Live()
-}
-
-func (st *modelState) dead() int {
-	if st.backend != nil {
-		return st.backend.Dead()
-	}
-	return st.store.Dead()
-}
-
-func (st *modelState) rowDeleted(id int) bool {
-	if st.backend != nil {
-		return st.backend.Deleted(id)
-	}
-	return st.store.Deleted(id)
-}
-
-// row returns row data for the in-process paths (single store or
-// local coordinator). Router-mode handlers never call it — row data
-// lives in the shard processes and is fetched by the remote backend
-// inside its own operations.
-func (st *modelState) row(id int) []float32 {
-	if st.sharded != nil {
-		return st.sharded.Row(id)
-	}
-	return st.store.Row(id)
-}
-
-// cosineCtx is the cosine similarity of rows a and b, dispatched
-// across the shard boundary (the context bounds remote row fetches;
-// in-process paths never fail).
-func (st *modelState) cosineCtx(ctx context.Context, a, b int) (float64, error) {
-	if st.backend != nil {
-		return st.backend.Cosine(ctx, a, b)
-	}
-	return st.store.Cosine(a, b), nil
-}
-
-// pairScoreCtx is the link-prediction embedding score
-// (linkpred.EmbeddingScorer semantics: dot when hadamard, else
-// cosine) dispatched across the shard boundary.
-func (st *modelState) pairScoreCtx(ctx context.Context, u, v int, hadamard bool) (float64, error) {
-	if st.backend != nil {
-		return st.backend.PairScore(ctx, u, v, hadamard)
-	}
-	return (&linkpred.EmbeddingScorer{Store: st.store, Hadamard: hadamard}).Score(u, v), nil
-}
-
-// shardCount reports how many index shards serve this generation
-// (1 = unsharded).
-func (st *modelState) shardCount() int {
-	if st.backend != nil {
-		return st.backend.NumShards()
-	}
-	return 1
 }
 
 // endpointNames fixes the stats key set (and the order /stats reports
@@ -315,25 +236,23 @@ type endpointCounters struct {
 // returns and safe for arbitrarily concurrent requests, including
 // concurrent hot reloads.
 type Server struct {
-	cfg         Config
-	logger      *log.Logger
-	cache       *lruCache
-	state       atomic.Pointer[modelState]
-	swapMu      sync.Mutex // serialises generation bump + publish
-	gen         atomic.Uint64
-	reloads     atomic.Uint64
-	upserts     atomic.Uint64
-	deletes     atomic.Uint64
-	compactions atomic.Uint64
-	compacting  atomic.Bool  // single-flight guard: one rebuild/checkpoint at a time
-	compactWait atomic.Int64 // unixnano cooldown after an abandoned/failed rebuild
-	started     time.Time
-	mux         *http.ServeMux
-	counters    map[string]*endpointCounters
-	stages      map[string]*telemetry.Histogram
-	classes     map[string]*classState // admission + inflight per endpoint class
-	tracePool   sync.Pool              // *telemetry.Trace, reset between requests
-	build       telemetry.Build
+	cfg        Config
+	logger     *log.Logger
+	cache      *lruCache
+	state      atomic.Pointer[modelState]
+	swapMu     sync.Mutex // serialises generation bump + publish
+	gen        atomic.Uint64
+	reloads    atomic.Uint64
+	upserts    atomic.Uint64
+	deletes    atomic.Uint64
+	compacting atomic.Bool // single-flight guard: one checkpoint at a time
+	started    time.Time
+	mux        *http.ServeMux
+	counters   map[string]*endpointCounters
+	stages     map[string]*telemetry.Histogram
+	classes    map[string]*classState // admission + inflight per endpoint class
+	tracePool  sync.Pool              // *telemetry.Trace, reset between requests
+	build      telemetry.Build
 
 	// shard is non-nil when this process serves one partition of a
 	// sharded deployment (Config.ShardCount > 0); it carries the
@@ -372,7 +291,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ShardCount > 0 {
 		return newShardProcess(cfg)
 	}
-	load := func() (*word2vec.Model, []string, vecstore.Index, error) {
+	load := func() (*word2vec.Model, []string, *vecstore.Sharded, error) {
 		return loadServable(cfg, cfg.ModelPath)
 	}
 	if cfg.WAL.Dir != "" {
@@ -386,13 +305,12 @@ func New(cfg Config) (*Server, error) {
 }
 
 // loadServable loads a model file in any persistence format plus, when
-// the file bundles an HNSW graph the configuration can serve (HNSW
-// kind, same metric, no explicitly conflicting build parameters), the
-// prebuilt index bound to the model's store. The index configuration
-// is validated up front so the bind fast path cannot accept a config
-// the build path would reject; non-HNSW configurations skip decoding
-// the graph section entirely.
-func loadServable(cfg Config, path string) (*word2vec.Model, []string, vecstore.Index, error) {
+// the file bundles HNSW graphs the configuration can serve, the
+// prebuilt coordinator bound to the model's store. The index
+// configuration is validated up front so the bind fast path cannot
+// accept a config the build path would reject; non-HNSW configurations
+// skip decoding the graph section entirely.
+func loadServable(cfg Config, path string) (*word2vec.Model, []string, *vecstore.Sharded, error) {
 	if err := cfg.Index.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -404,35 +322,32 @@ func loadServable(cfg Config, path string) (*word2vec.Model, []string, vecstore.
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	m, tokens := b.Model, b.Tokens
-	if ns := cfg.Index.Shards; ns > 1 {
-		// A sharded configuration binds only a sharded bundle with the
-		// same shard count and compatible build parameters; anything
-		// else (a single-graph bundle, a different partition) rebuilds.
-		if len(b.Shards) != ns || cfg.Index.EfConstruction != 0 {
-			return m, tokens, nil, nil
-		}
-		for _, g := range b.Shards {
-			if g.Metric != cfg.Index.Metric || (cfg.Index.M != 0 && cfg.Index.M != g.M) {
-				return m, tokens, nil, nil
-			}
-		}
-		idx, err := vecstore.OpenShardedFromGraphs(m.Store(), b.Shards, cfg.Index)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("binding bundled sharded index: %w", err)
-		}
-		return m, tokens, idx, nil
+	graphs := b.Shards
+	if b.Graph != nil {
+		graphs = []*vecstore.HNSWGraph{b.Graph}
 	}
-	g := b.Graph
-	if g == nil || g.Metric != cfg.Index.Metric ||
-		(cfg.Index.M != 0 && cfg.Index.M != g.M) || cfg.Index.EfConstruction != 0 {
-		return m, tokens, nil, nil
-	}
-	idx, err := vecstore.HNSWFromGraph(m.Store(), g, cfg.Index.EfSearch, cfg.Index.Workers)
+	sh, err := bindGraphs(b.Model.Store(), graphs, cfg.Index)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("binding bundled index graph: %w", err)
+		return nil, nil, nil, fmt.Errorf("binding bundled index: %w", err)
 	}
-	return m, tokens, idx, nil
+	return b.Model, b.Tokens, sh, nil
+}
+
+// bindGraphs binds persisted HNSW graphs — a sharded bundle's, or a
+// plain bundle's one — over store when cfg can serve them: an HNSW
+// configuration with one shard per graph, the graphs' metric, and no
+// explicitly conflicting build parameter. Anything else (no graphs, a
+// different partition) returns nil and the caller builds.
+func bindGraphs(store *vecstore.Store, graphs []*vecstore.HNSWGraph, cfg vecstore.Config) (*vecstore.Sharded, error) {
+	if cfg.Kind != vecstore.KindHNSW || len(graphs) != max(cfg.Shards, 1) || cfg.EfConstruction != 0 {
+		return nil, nil
+	}
+	for _, g := range graphs {
+		if g.Metric != cfg.Metric || (cfg.M != 0 && cfg.M != g.M) {
+			return nil, nil
+		}
+	}
+	return vecstore.OpenShardedFromGraphs(store, graphs, cfg)
 }
 
 // NewFromModel builds a server around an in-memory model. tokens may
@@ -441,7 +356,7 @@ func loadServable(cfg Config, path string) (*word2vec.Model, []string, vecstore.
 // supersedes m, and the surviving log is replayed.
 func NewFromModel(cfg Config, m *word2vec.Model, tokens []string) (*Server, error) {
 	if cfg.WAL.Dir != "" {
-		return newDurable(cfg, func() (*word2vec.Model, []string, vecstore.Index, error) {
+		return newDurable(cfg, func() (*word2vec.Model, []string, *vecstore.Sharded, error) {
 			return m, tokens, nil, nil
 		})
 	}
@@ -481,9 +396,9 @@ func newShell(cfg Config) *Server {
 }
 
 // newFromModel implements NewFromModel, optionally seeding the first
-// generation with a prebuilt index; source names where the model came
-// from (/stats, the default /v1/reload path).
-func newFromModel(cfg Config, m *word2vec.Model, tokens []string, prebuilt vecstore.Index, source string) (*Server, error) {
+// generation with a prebuilt coordinator; source names where the model
+// came from (/stats, the default /v1/reload path).
+func newFromModel(cfg Config, m *word2vec.Model, tokens []string, prebuilt *vecstore.Sharded, source string) (*Server, error) {
 	s := newShell(cfg)
 	if _, err := s.swapModel(m, tokens, source, prebuilt); err != nil {
 		return nil, err
@@ -523,9 +438,9 @@ func (s *Server) SwapModel(m *word2vec.Model, tokens []string, source string) (u
 }
 
 // swapModel implements SwapModel; prebuilt, when non-nil, is served
-// as the new generation's index instead of building one from
+// as the new generation's coordinator instead of building one from
 // Config.Index (the bundled-graph fast path).
-func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, prebuilt vecstore.Index) (uint64, error) {
+func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, prebuilt *vecstore.Sharded) (uint64, error) {
 	if m == nil || m.Vocab == 0 {
 		return 0, fmt.Errorf("server: refusing to serve an empty model")
 	}
@@ -549,27 +464,21 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 		return 0, fmt.Errorf("server: model store holds %d rows (%d tombstoned) but the model reports %d vectors — it was mutated by online writes; reload from a snapshot instead of republishing it",
 			store.Len(), store.Dead(), m.Vocab)
 	}
-	idx := prebuilt
-	if idx == nil {
+	// Every generation is a coordinator; Shards < 2 is one shard, which
+	// serves the model's store itself rather than a copy.
+	sharded := prebuilt
+	if prebuilt == nil {
 		var err error
-		idx, err = vecstore.Open(store, s.cfg.Index)
+		sharded, err = vecstore.OpenSharded(store, s.cfg.Index)
 		if err != nil {
 			return 0, fmt.Errorf("server: building index: %w", err)
 		}
 	}
-	// A sharded coordinator owns its rows (the base store was copied
-	// into shard-private stores) and compacts its own shards; the
-	// generation's store is nil so every read dispatches through the
-	// coordinator, and the server-level compactor stands down.
-	sharded, _ := idx.(*vecstore.Sharded)
-	if sharded != nil {
-		frac := s.cfg.CompactFraction
-		if frac == 0 {
-			frac = defaultCompactFraction
-		}
-		sharded.SetCompactFraction(frac) // negative disables, like planCompaction
-		store = nil
+	frac := s.cfg.CompactFraction
+	if frac == 0 {
+		frac = defaultCompactFraction
 	}
+	sharded.SetCompactFraction(frac) // negative disables
 	byToken := make(map[string]int, len(tokens))
 	for i, tok := range tokens {
 		byToken[tok] = i
@@ -583,8 +492,8 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 	// above happen outside the lock; only the publish serialises.
 	//
 	// Publishing also takes the *outgoing* generation's writer lock
-	// (lock order: swapMu, then st.mu — finishCompaction uses the
-	// same order): a write that already passed lockCurrent's recheck
+	// (lock order: swapMu, then st.mu): a write that already passed
+	// lockCurrent's recheck
 	// finishes and is acknowledged before the swap, instead of racing
 	// it and landing, already acknowledged, on a generation that is
 	// no longer served.
@@ -608,17 +517,11 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 			Vectors: append([]float32(nil), m.Vectors...)}
 		ckptLSN = s.wal.LastLSN()
 	}
-	var backend shardBackend
-	if sharded != nil {
-		backend = newLocalBackend(sharded)
-	}
 	s.state.Store(&modelState{
-		store:    store,
-		backend:  backend,
+		backend:  newLocalBackend(sharded),
 		sharded:  sharded,
 		tokens:   tokens,
 		byToken:  byToken,
-		index:    idx,
 		gen:      gen,
 		source:   source,
 		loadedAt: time.Now(),
@@ -641,12 +544,8 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 	if prebuilt != nil {
 		how = " (prebuilt graph)"
 	}
-	kind := s.cfg.Index.Kind.String()
-	if sharded != nil {
-		kind = fmt.Sprintf("%d-shard %s", sharded.NumShards(), kind)
-	}
-	s.logger.Printf("server: generation %d live: %d vectors, dim %d, %s index%s (source %q)",
-		gen, m.Vocab, m.Dim, kind, how, source)
+	s.logger.Printf("server: generation %d live: %d vectors, dim %d, %d-shard %s index%s (source %q)",
+		gen, m.Vocab, m.Dim, sharded.NumShards(), s.cfg.Index.Kind, how, source)
 	return gen, nil
 }
 
@@ -680,7 +579,7 @@ func writeJSONUnlocked(w http.ResponseWriter, unlock func(), v any) error {
 }
 
 // lockCurrent takes the writer lock on the *current* generation,
-// retrying if a reload or compaction published a newer one between
+// retrying if a reload published a newer one between
 // the load and the lock — otherwise a write could land on a
 // generation that is no longer served and silently vanish.
 func (s *Server) lockCurrent() *modelState {
@@ -1033,9 +932,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		"status":     "ok",
 		"generation": st.gen,
 		"epoch":      st.epoch.Load(),
-		"vectors":    st.live(),
-		"dim":        st.dim(),
-		"shards":     st.shardCount(),
+		"vectors":    st.backend.Live(),
+		"dim":        st.backend.Dim(),
+		"shards":     st.backend.NumShards(),
 		"build":      s.build,
 	}
 	// A shard process identifies its slice here: the router's health
@@ -1049,24 +948,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 
 // StatsResponse answers /stats.
 type StatsResponse struct {
-	UptimeSeconds float64                        `json:"uptime_seconds"`
-	Build         telemetry.Build                `json:"build"`
-	Generation    uint64                         `json:"generation"`
-	Reloads       uint64                         `json:"reloads"`
-	Model         ModelStats                     `json:"model"`
-	Writes        WriteStats                     `json:"writes"`
-	Shards        []vecstore.ShardStat           `json:"shards,omitempty"`
+	UptimeSeconds float64              `json:"uptime_seconds"`
+	Build         telemetry.Build      `json:"build"`
+	Generation    uint64               `json:"generation"`
+	Reloads       uint64               `json:"reloads"`
+	Model         ModelStats           `json:"model"`
+	Writes        WriteStats           `json:"writes"`
+	Shards        []vecstore.ShardStat `json:"shards,omitempty"`
+	// Shards is the per-shard occupancy block, in shard order: one
+	// entry for an unsharded server.
+	//
 	// Backends reports per-shard membership health — present only in
 	// router mode, where shards are remote processes that can fail
 	// independently (in-process shards are trivially healthy).
 	Backends []backendHealth `json:"backends,omitempty"`
 	// Shard identifies this process's slice of a sharded deployment —
 	// present only in shard mode.
-	Shard *ShardInfo `json:"shard,omitempty"`
-	WAL   WALStats   `json:"wal"`
-	Cache         CacheStats                     `json:"cache"`
-	Admission     map[string]AdmissionClassStats `json:"admission"`
-	Endpoints     map[string]EndpointStatsJSON   `json:"endpoints"`
+	Shard     *ShardInfo                     `json:"shard,omitempty"`
+	WAL       WALStats                       `json:"wal"`
+	Cache     CacheStats                     `json:"cache"`
+	Admission map[string]AdmissionClassStats `json:"admission"`
+	Endpoints map[string]EndpointStatsJSON   `json:"endpoints"`
 }
 
 // WriteStats reports the online-write state of the serving stack.
@@ -1133,21 +1035,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			MaxMs:     snap.MaxMs(),
 		}
 	}
-	// In sharded mode the backend compacts (or its shard processes
-	// compact) on its own side of the boundary; report those rebuilds
-	// in the same counter the server-level compactor feeds, plus the
-	// per-shard occupancy block.
-	compactions := s.compactions.Load()
-	var shardStats []vecstore.ShardStat
-	var backends []backendHealth
-	if st.backend != nil {
-		shardStats = st.backend.ShardStats()
-		for _, ss := range shardStats {
-			compactions += ss.Compactions
-		}
-		if _, remote := st.backend.(*remoteBackend); remote {
-			backends = st.backend.Health()
-		}
+	// Shards compact on their own side of the boundary; the server-wide
+	// counter is their sum.
+	shardStats := st.backend.ShardStats()
+	var compactions uint64
+	for _, ss := range shardStats {
+		compactions += ss.Compactions
 	}
 	return writeJSONUnlocked(w, unlock, StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -1155,8 +1048,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		Generation:    st.gen,
 		Reloads:       s.reloads.Load(),
 		Model: ModelStats{
-			Vectors:  st.live(),
-			Dim:      st.dim(),
+			Vectors:  st.backend.Live(),
+			Dim:      st.backend.Dim(),
 			Index:    s.cfg.Index.Kind.String(),
 			Source:   st.source,
 			LoadedAt: st.loadedAt.UTC().Format(time.RFC3339),
@@ -1167,10 +1060,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			Deletes:     s.deletes.Load(),
 			Compactions: compactions,
 			Epoch:       st.epoch.Load(),
-			Tombstones:  st.dead(),
+			Tombstones:  st.backend.Dead(),
 		},
 		Shards:    shardStats,
-		Backends:  backends,
+		Backends:  st.backend.Health(),
 		Shard:     s.shardInfo(),
 		WAL:       s.walStats(),
 		Admission: s.admissionStats(),
@@ -1220,20 +1113,15 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) error {
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	var res []vecstore.Result
-	var meta searchMeta
-	if st.backend != nil {
-		// The shard boundary: fan out through the backend (goroutines
-		// in-process, HTTP in router mode). A ctx-aware fan-out
-		// abandons slow shards on expiry — they finish on their own and
-		// their results are discarded, so the 503 goes out immediately.
-		// The deferred (idempotent) unlock releases this generation's
-		// reader lock as usual — shard searches never touch it.
-		if res, meta, err = st.backend.SearchRow(r.Context(), id, k, traceRecorder(tr)); err != nil {
-			return err
-		}
-	} else {
-		res = st.index.SearchRow(id, k)
+	// The shard boundary: fan out through the backend (goroutines
+	// in-process, HTTP in router mode). A ctx-aware fan-out abandons
+	// slow shards on expiry — they finish on their own and their
+	// results are discarded, so the 503 goes out immediately. The
+	// deferred (idempotent) unlock releases this generation's reader
+	// lock as usual — shard searches never touch it.
+	res, meta, err := st.backend.SearchRow(r.Context(), id, k, traceRecorder(tr))
+	if err != nil {
+		return err
 	}
 	t = spanSince(tr, "index_search", t)
 	// Post-search boundary: a search that ran past the budget must not
@@ -1322,29 +1210,12 @@ func (s *Server) handleNeighborsBatch(w http.ResponseWriter, r *http.Request) er
 		if err := ctxExpired(r.Context()); err != nil {
 			return err
 		}
-		var batch [][]vecstore.Result
-		var meta searchMeta
-		if st.backend != nil {
-			// One shard-boundary crossing for the whole batch: every
-			// shard answers all the misses at once, per-query merges
-			// happen behind the interface.
-			var err error
-			if batch, meta, err = st.backend.SearchRowBatch(r.Context(), missIDs, k); err != nil {
-				return err
-			}
-		} else {
-			// The query vertex ranks first in its own results (score 1
-			// under cosine); ask for k+1 and strip it so batch items
-			// match the single endpoint's SearchRow exactly.
-			qs := make([][]float32, len(missIDs))
-			for j, id := range missIDs {
-				qs[j] = st.row(id)
-			}
-			raw := st.index.SearchBatch(qs, k+1)
-			batch = make([][]vecstore.Result, len(raw))
-			for j, res := range raw {
-				batch[j] = stripSelf(res, missIDs[j], k)
-			}
+		// One shard-boundary crossing for the whole batch: every shard
+		// answers all the misses at once, per-query merges happen
+		// behind the interface.
+		batch, meta, err := st.backend.SearchRowBatch(r.Context(), missIDs, k)
+		if err != nil {
+			return err
 		}
 		t = spanSince(tr, "index_search", t)
 		if err := ctxExpired(r.Context()); err != nil {
@@ -1406,7 +1277,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return err
 	}
-	sim, err := st.cosineCtx(r.Context(), a, b)
+	sim, err := st.backend.Cosine(r.Context(), a, b)
 	if err != nil {
 		return err
 	}
@@ -1448,7 +1319,7 @@ func (s *Server) handleSimilarityBatch(w http.ResponseWriter, r *http.Request) e
 		if err != nil {
 			return err
 		}
-		sim, err := st.cosineCtx(r.Context(), a, b)
+		sim, err := st.backend.Cosine(r.Context(), a, b)
 		if err != nil {
 			return err
 		}
@@ -1508,17 +1379,12 @@ func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	// Analogy targets are synthetic vectors (b - a + c); they are
-	// scored by the exact analogy path over the live store regardless
-	// of the configured neighbors index — scatter-gathered across the
-	// shards when sharded, with identical results.
-	var res []word2vec.Neighbor
-	var meta searchMeta
-	if st.backend != nil {
-		if res, meta, err = st.backend.Analogy(r.Context(), a, b, c, k, traceRecorder(tr)); err != nil {
-			return err
-		}
-	} else {
-		res = word2vec.AnalogyStore(st.store, a, b, c, k)
+	// scored by the exact analogy scan over the live rows regardless
+	// of the configured neighbors index, scatter-gathered across the
+	// shards.
+	res, meta, err := st.backend.Analogy(r.Context(), a, b, c, k, traceRecorder(tr))
+	if err != nil {
+		return err
 	}
 	t = spanSince(tr, "index_search", t)
 	if err := ctxExpired(r.Context()); err != nil {
@@ -1570,13 +1436,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	score, err := st.pairScoreCtx(r.Context(), u, v, hadamard)
+	score, err := st.backend.PairScore(r.Context(), u, v, hadamard)
 	if err != nil {
 		return err
 	}
-	name := (&linkpred.EmbeddingScorer{Hadamard: hadamard}).Name()
 	return writeJSONUnlocked(w, unlock, PredictResponse{
-		U: uTok, V: vTok, Score: score, Scorer: name,
+		U: uTok, V: vTok, Score: score, Scorer: scorerName(hadamard),
 	})
 }
 
@@ -1605,7 +1470,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) erro
 	}
 	st, unlock := s.readState()
 	defer unlock()
-	name := (&linkpred.EmbeddingScorer{Hadamard: req.Hadamard}).Name()
+	name := scorerName(req.Hadamard)
 	out := PredictBatchResponse{
 		Scorer:  name,
 		Results: make([]PredictResponse, len(req.Pairs)),
@@ -1619,7 +1484,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) erro
 		if err != nil {
 			return err
 		}
-		score, err := st.pairScoreCtx(r.Context(), u, v, req.Hadamard)
+		score, err := st.backend.PairScore(r.Context(), u, v, req.Hadamard)
 		if err != nil {
 			return err
 		}
@@ -1639,7 +1504,7 @@ func (s *Server) handleVocab(w http.ResponseWriter, r *http.Request) error {
 	st, unlock := s.readState()
 	defer unlock()
 	q := r.URL.Query()
-	live := st.live()
+	live := st.backend.Live()
 	offset, limit := 0, live
 	if raw := q.Get("offset"); raw != "" {
 		v, err := strconv.Atoi(raw)
@@ -1661,18 +1526,19 @@ func (s *Server) handleVocab(w http.ResponseWriter, r *http.Request) error {
 	if rem := live - offset; limit > rem {
 		limit = rem
 	}
-	// Tombstoned rows keep their token slot in the table but are no
-	// longer vocabulary: offset and limit page over the live tokens
+	// Dead rows — tombstoned, or since reclaimed by a compaction — keep
+	// their token slot in the table but are no longer vocabulary:
+	// offset and limit page over the live tokens
 	// only, stopping as soon as the page is full (no O(vocab) work
 	// for a small page).
 	var tokens []string
-	if st.dead() == 0 {
+	if st.backend.Rows() == live {
 		tokens = st.tokens[offset : offset+limit]
 	} else {
 		tokens = make([]string, 0, limit)
 		skipped := 0
 		for i, tok := range st.tokens {
-			if st.rowDeleted(i) {
+			if st.backend.Deleted(i) {
 				continue
 			}
 			if skipped < offset {
@@ -1726,8 +1592,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) error {
 	defer unlock()
 	return writeJSONUnlocked(w, unlock, ReloadResponse{
 		Generation: gen,
-		Vectors:    st.live(),
-		Dim:        st.dim(),
+		Vectors:    st.backend.Live(),
+		Dim:        st.backend.Dim(),
 		Source:     st.source,
 		LoadMillis: float64(time.Since(start).Microseconds()) / 1000,
 	})
@@ -1776,12 +1642,6 @@ type DeleteResponse struct {
 	Deleted    bool   `json:"deleted"`
 	Generation uint64 `json:"generation"`
 	Epoch      uint64 `json:"epoch"`
-	// Compacted is true when this write pushed the tombstone fraction
-	// over the threshold and triggered a compaction: the live rows
-	// were snapshotted and a background rebuild will publish them as
-	// a fresh generation (unless later writes supersede it — /stats
-	// counts completed compactions).
-	Compacted bool `json:"compacted,omitempty"`
 }
 
 // DeleteBatchRequest is the /v1/delete/batch body.
@@ -1797,39 +1657,6 @@ type DeleteBatchResponse struct {
 // errReadOnly is the write-endpoint answer on a read-only server.
 var errReadOnly = &httpError{code: http.StatusForbidden, msg: "server is read-only (started without write support)"}
 
-// writable reports whether this generation can accept online writes:
-// any generation with a shard backend can (local coordinators are
-// mutable by construction; routers hash-route writes to a shard),
-// otherwise the served index must implement vecstore.MutableIndex.
-func (st *modelState) writable() error {
-	if st.backend != nil {
-		return nil
-	}
-	if _, ok := st.index.(vecstore.MutableIndex); !ok {
-		return &httpError{code: http.StatusNotImplemented, msg: fmt.Sprintf("index %T does not support online writes", st.index)}
-	}
-	return nil
-}
-
-// insertRow appends a row across the shard boundary (or into the
-// mutable index) and returns its global ID. Callers hold st's writer
-// lock; writable() must have succeeded.
-func (st *modelState) insertRow(ctx context.Context, token string, v []float32) (int, error) {
-	if st.backend != nil {
-		return st.backend.Insert(ctx, token, v)
-	}
-	return st.index.(vecstore.MutableIndex).Insert(v)
-}
-
-// deleteRow tombstones a global row across the shard boundary (or in
-// the mutable index). Callers hold st's writer lock.
-func (st *modelState) deleteRow(ctx context.Context, id int) error {
-	if st.backend != nil {
-		return st.backend.Delete(ctx, id)
-	}
-	return st.index.(vecstore.MutableIndex).Delete(id)
-}
-
 // validateUpsert checks one upsert item against the current store
 // shape before any mutation is applied.
 func validateUpsert(st *modelState, item *UpsertRequest) error {
@@ -1841,9 +1668,9 @@ func validateUpsert(st *modelState, item *UpsertRequest) error {
 			return errBadRequest("vertex name contains control characters")
 		}
 	}
-	if len(item.Vector) != st.dim() {
+	if dim := st.backend.Dim(); len(item.Vector) != dim {
 		return errBadRequest("vector for %q has dimension %d, model dimension is %d",
-			item.Vertex, len(item.Vector), st.dim())
+			item.Vertex, len(item.Vector), dim)
 	}
 	for _, x := range item.Vector {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
@@ -1857,18 +1684,18 @@ func validateUpsert(st *modelState, item *UpsertRequest) error {
 // an existing vertex's row is tombstoned and the new vector is
 // appended and indexed (in-place overwrites would silently corrupt
 // HNSW/IVF structure; tombstone-and-reinsert keeps every index
-// coherent). The token table grows in step with the store so row IDs
+// coherent). The token table grows in step with the rows so row IDs
 // and token slots stay aligned. The context bounds remote shard RPCs
-// in router mode; in-process paths ignore it.
+// in router mode; in-process shards ignore it.
 func (s *Server) applyUpsert(ctx context.Context, st *modelState, item *UpsertRequest) (UpsertResponse, error) {
 	updated := false
 	if old, ok := st.byToken[item.Vertex]; ok {
-		if err := st.deleteRow(ctx, old); err != nil {
+		if err := st.backend.Delete(ctx, old); err != nil {
 			return UpsertResponse{}, fmt.Errorf("replacing %q: %w", item.Vertex, err)
 		}
 		updated = true
 	}
-	id, err := st.insertRow(ctx, item.Vertex, item.Vector)
+	id, err := st.backend.Insert(ctx, item.Vertex, item.Vector)
 	if err != nil {
 		return UpsertResponse{}, err
 	}
@@ -1898,18 +1725,15 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) error {
 	st := s.lockCurrent()
 	t = spanSince(tr, "gen_acquire", t)
 	var lsn uint64
-	resp, pw, err := func() (UpsertResponse, postWrite, error) {
+	resp, err := func() (UpsertResponse, error) {
 		defer st.mu.Unlock()
 		// An expired deadline aborts before the append: nothing is
 		// logged or applied, so the 503 is a clean rejection.
 		if err := ctxExpired(r.Context()); err != nil {
-			return UpsertResponse{}, postWrite{}, err
+			return UpsertResponse{}, err
 		}
 		if err := validateUpsert(st, &req); err != nil {
-			return UpsertResponse{}, postWrite{}, err
-		}
-		if err := st.writable(); err != nil {
-			return UpsertResponse{}, postWrite{}, err
+			return UpsertResponse{}, err
 		}
 		// Log before apply: if the append fails the store is untouched
 		// and the client gets a 500, never an un-replayable ack. Only
@@ -1918,18 +1742,12 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) error {
 		t0 := time.Now()
 		var err error
 		if lsn, err = s.walAppendNoSync(wal.Record{Op: wal.OpUpsert, Token: req.Vertex, Vector: req.Vector}); err != nil {
-			return UpsertResponse{}, postWrite{}, err
+			return UpsertResponse{}, err
 		}
 		t0 = spanSince(tr, "wal_append", t0)
 		resp, err := s.applyUpsert(r.Context(), st, &req)
-		if err != nil {
-			return UpsertResponse{}, postWrite{}, err
-		}
 		spanSince(tr, "apply", t0)
-		// Replace-upserts tombstone the old row, so an update-heavy
-		// workload crosses the compaction threshold without a single
-		// delete — check here too.
-		return resp, s.planPostWrite(st), nil
+		return resp, err
 	}()
 	if err != nil {
 		return err
@@ -1939,7 +1757,7 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
-	s.runPostWrite(st, pw)
+	s.maybeCheckpoint(st)
 	writeJSON(w, http.StatusOK, resp)
 	spanSince(tr, "write", t)
 	return nil
@@ -1964,20 +1782,17 @@ func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error
 	st := s.lockCurrent()
 	t = spanSince(tr, "gen_acquire", t)
 	var lsn uint64
-	out, pw, err := func() (UpsertBatchResponse, postWrite, error) {
+	out, err := func() (UpsertBatchResponse, error) {
 		defer st.mu.Unlock()
 		var out UpsertBatchResponse
 		if err := ctxExpired(r.Context()); err != nil {
-			return out, postWrite{}, err
+			return out, err
 		}
 		// Validate everything first so the batch applies all-or-nothing.
 		for i := range req.Items {
 			if err := validateUpsert(st, &req.Items[i]); err != nil {
-				return out, postWrite{}, err
+				return out, err
 			}
-		}
-		if err := st.writable(); err != nil {
-			return out, postWrite{}, err
 		}
 		// The whole batch is one log frame: replay applies it
 		// all-or-nothing, matching the in-memory semantics.
@@ -1988,17 +1803,17 @@ func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error
 		t0 := time.Now()
 		var err error
 		if lsn, err = s.walAppendNoSync(recs...); err != nil {
-			return out, postWrite{}, err
+			return out, err
 		}
 		t0 = spanSince(tr, "wal_append", t0)
 		out.Results = make([]UpsertResponse, len(req.Items))
 		for i := range req.Items {
 			if out.Results[i], err = s.applyUpsert(r.Context(), st, &req.Items[i]); err != nil {
-				return out, postWrite{}, err
+				return out, err
 			}
 		}
 		spanSince(tr, "apply", t0)
-		return out, s.planPostWrite(st), nil
+		return out, nil
 	}()
 	if err != nil {
 		return err
@@ -2008,7 +1823,7 @@ func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
-	s.runPostWrite(st, pw)
+	s.maybeCheckpoint(st)
 	writeJSON(w, http.StatusOK, out)
 	spanSince(tr, "write", t)
 	return nil
@@ -2020,7 +1835,7 @@ func (s *Server) applyDelete(ctx context.Context, st *modelState, tok string) (D
 	if !ok {
 		return DeleteResponse{}, errNotFound("unknown vertex %q", tok)
 	}
-	if err := st.deleteRow(ctx, id); err != nil {
+	if err := st.backend.Delete(ctx, id); err != nil {
 		return DeleteResponse{}, err
 	}
 	delete(st.byToken, tok)
@@ -2049,30 +1864,24 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	st := s.lockCurrent()
 	t = spanSince(tr, "gen_acquire", t)
 	var lsn uint64
-	resp, pw, err := func() (DeleteResponse, postWrite, error) {
+	resp, err := func() (DeleteResponse, error) {
 		defer st.mu.Unlock()
 		if err := ctxExpired(r.Context()); err != nil {
-			return DeleteResponse{}, postWrite{}, err
-		}
-		if err := st.writable(); err != nil {
-			return DeleteResponse{}, postWrite{}, err
+			return DeleteResponse{}, err
 		}
 		// Resolve before logging: a 404 must not burn a log record.
 		if _, ok := st.byToken[req.Vertex]; !ok {
-			return DeleteResponse{}, postWrite{}, errNotFound("unknown vertex %q", req.Vertex)
+			return DeleteResponse{}, errNotFound("unknown vertex %q", req.Vertex)
 		}
 		t0 := time.Now()
 		var err error
 		if lsn, err = s.walAppendNoSync(wal.Record{Op: wal.OpDelete, Token: req.Vertex}); err != nil {
-			return DeleteResponse{}, postWrite{}, err
+			return DeleteResponse{}, err
 		}
 		t0 = spanSince(tr, "wal_append", t0)
 		resp, err := s.applyDelete(r.Context(), st, req.Vertex)
-		if err != nil {
-			return DeleteResponse{}, postWrite{}, err
-		}
 		spanSince(tr, "apply", t0)
-		return resp, s.planPostWrite(st), nil
+		return resp, err
 	}()
 	if err != nil {
 		return err
@@ -2082,8 +1891,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
-	resp.Compacted = pw.compact != nil
-	s.runPostWrite(st, pw)
+	s.maybeCheckpoint(st)
 	writeJSON(w, http.StatusOK, resp)
 	spanSince(tr, "write", t)
 	return nil
@@ -2108,14 +1916,11 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 	st := s.lockCurrent()
 	t = spanSince(tr, "gen_acquire", t)
 	var lsn uint64
-	out, pw, err := func() (DeleteBatchResponse, postWrite, error) {
+	out, err := func() (DeleteBatchResponse, error) {
 		defer st.mu.Unlock()
 		var out DeleteBatchResponse
 		if err := ctxExpired(r.Context()); err != nil {
-			return out, postWrite{}, err
-		}
-		if err := st.writable(); err != nil {
-			return out, postWrite{}, err
+			return out, err
 		}
 		// All-or-nothing: every vertex must exist — and appear only
 		// once (a duplicate would pass this pre-check, delete on its
@@ -2124,10 +1929,10 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 		seen := make(map[string]bool, len(req.Vertices))
 		for _, tok := range req.Vertices {
 			if _, ok := st.byToken[tok]; !ok {
-				return out, postWrite{}, errNotFound("unknown vertex %q", tok)
+				return out, errNotFound("unknown vertex %q", tok)
 			}
 			if seen[tok] {
-				return out, postWrite{}, errBadRequest("vertex %q appears twice in the batch", tok)
+				return out, errBadRequest("vertex %q appears twice in the batch", tok)
 			}
 			seen[tok] = true
 		}
@@ -2140,17 +1945,17 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 		t0 := time.Now()
 		var err error
 		if lsn, err = s.walAppendNoSync(recs...); err != nil {
-			return out, postWrite{}, err
+			return out, err
 		}
 		t0 = spanSince(tr, "wal_append", t0)
 		out.Results = make([]DeleteResponse, len(req.Vertices))
 		for i, tok := range req.Vertices {
 			if out.Results[i], err = s.applyDelete(r.Context(), st, tok); err != nil {
-				return out, postWrite{}, err
+				return out, err
 			}
 		}
 		spanSince(tr, "apply", t0)
-		return out, s.planPostWrite(st), nil
+		return out, nil
 	}()
 	if err != nil {
 		return err
@@ -2160,170 +1965,10 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
-	if pw.compact != nil && len(out.Results) > 0 {
-		out.Results[len(out.Results)-1].Compacted = true
-	}
-	s.runPostWrite(st, pw)
+	s.maybeCheckpoint(st)
 	writeJSON(w, http.StatusOK, out)
 	spanSince(tr, "write", t)
 	return nil
-}
-
-// compactSnapshot is what a compaction captures under the writer
-// lock: the live row IDs, their tokens, and the write epoch, plus the
-// source store to gather from. The row data itself is copied later
-// under a reader lock (rows are immutable once written; only appends
-// relocate them, and appends take the writer lock), so the exclusive
-// section stays O(live) pointer work instead of an O(live x dim)
-// memcpy that would stall every reader at million-row scale.
-type compactSnapshot struct {
-	src     *vecstore.Store
-	liveIDs []int
-	tokens  []string
-	epoch   uint64
-	// lsn is the log position of the captured state (0 without a WAL):
-	// the gathered store doubles as a checkpoint through this LSN.
-	lsn uint64
-}
-
-// planCompaction decides, under st's writer lock, whether the
-// tombstone fraction has crossed the configured threshold, and if so
-// snapshots the live rows for the out-of-lock rebuild. The copy is a
-// row-gather (memcpy-bound, milliseconds at 100k rows) — the slow
-// index rebuild happens in finishCompaction on a background
-// goroutine, so neither the triggering request nor any reader is
-// parked behind it. A single-flight guard keeps concurrent writes
-// from each paying their own gather + rebuild while one is already
-// in flight.
-func (s *Server) planCompaction(st *modelState) *compactSnapshot {
-	if st.store == nil {
-		// The shard backend compacts on its own side of the boundary:
-		// an in-process coordinator shard by shard in the background
-		// (see vecstore.Sharded.SetCompactFraction), remote shard
-		// processes each for themselves. A whole-world gather + rebuild
-		// here would reintroduce the global stall sharding exists to
-		// avoid — and in router mode there is no store to gather.
-		return nil
-	}
-	frac := s.cfg.CompactFraction
-	if frac < 0 {
-		return nil
-	}
-	if frac == 0 {
-		frac = defaultCompactFraction
-	}
-	if st.store.Live() == 0 || st.store.DeadFraction() < frac {
-		return nil
-	}
-	if time.Now().UnixNano() < s.compactWait.Load() {
-		// Cooling down after an abandoned or failed rebuild: without
-		// this, a sustained write stream would re-pay the gather and a
-		// doomed rebuild on every threshold-crossing write.
-		return nil
-	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return nil // a rebuild is already in flight
-	}
-	liveIDs := st.store.LiveIDs()
-	snap := &compactSnapshot{
-		src:     st.store,
-		liveIDs: liveIDs,
-		tokens:  make([]string, len(liveIDs)),
-		epoch:   st.epoch.Load(),
-	}
-	if s.wal != nil {
-		// The writer lock is held: LastLSN is exactly the captured state.
-		snap.lsn = s.wal.LastLSN()
-	}
-	for i, id := range liveIDs {
-		snap.tokens[i] = st.tokens[id]
-	}
-	return snap
-}
-
-// finishCompaction rebuilds the index over a planned snapshot with no
-// locks held (handlers run it on a background goroutine), then
-// publishes it as a new generation — unless the world moved meanwhile
-// (a write bumped st's epoch, or a reload or another compaction
-// replaced the generation), in which case the stale snapshot is
-// dropped: publishing it would silently discard those writes. The
-// tombstoned generation stays correct either way, and the
-// still-crossed threshold re-triggers on a later write — under a
-// sustained write stream compaction keeps being deferred and
-// completes in the next quiet moment, one attempt at a time (the
-// single-flight guard). Returns whether a compacted generation was
-// published.
-func (s *Server) finishCompaction(st *modelState, snap *compactSnapshot) bool {
-	defer s.compacting.Store(false)
-	buildStart := time.Now()
-	// The row copy runs under the reader lock: existing rows are
-	// immutable (the only thing that relocates them — an append —
-	// takes the writer lock), so readers keep flowing during the
-	// memcpy, and a row tombstoned after the plan still copies fine
-	// (the epoch check below discards the snapshot in that case).
-	st.mu.RLock()
-	newStore := snap.src.Gather(snap.liveIDs)
-	st.mu.RUnlock()
-	byToken := make(map[string]int, len(snap.tokens))
-	for i, tok := range snap.tokens {
-		byToken[tok] = i
-	}
-	idx, err := vecstore.Open(newStore, s.cfg.Index)
-	buildDur := time.Since(buildStart)
-	// Cooldown before any retry, scaled to the rebuild cost: a wasted
-	// 73s HNSW rebuild must not repeat every write-interval.
-	cooldown := 4 * buildDur
-	if cooldown < time.Second {
-		cooldown = time.Second
-	}
-	if err != nil {
-		// Keep serving the tombstoned generation; it is correct, just
-		// not compact.
-		s.compactWait.Store(time.Now().Add(cooldown).UnixNano())
-		s.logger.Printf("server: compaction failed to rebuild index: %v", err)
-		return false
-	}
-	if s.wal != nil {
-		// The gathered store is a checkpoint of the state at snap.lsn
-		// for free — and it stays valid even if the publish below is
-		// abandoned: replay from snap.lsn reproduces everything newer.
-		s.writeCheckpoint(&word2vec.Model{Dim: newStore.Dim(), Vocab: newStore.Len(), Vectors: newStore.Data()},
-			snap.tokens, snap.lsn, false, "compaction")
-	}
-	// Staleness must be checked inside the swapMu critical section
-	// (lock order: swapMu, then st.mu, matching swapModel): checking
-	// outside it would let a reload publish between the check and the
-	// store, and the compacted pre-reload snapshot would clobber the
-	// freshly reloaded model.
-	s.swapMu.Lock()
-	st.mu.Lock()
-	if s.state.Load() != st || st.epoch.Load() != snap.epoch {
-		st.mu.Unlock()
-		s.swapMu.Unlock()
-		s.compactWait.Store(time.Now().Add(cooldown).UnixNano())
-		s.logger.Printf("server: compaction abandoned: writes or a reload landed during the rebuild (retrying after %v)", cooldown)
-		return false
-	}
-	gen := s.gen.Add(1)
-	// Capture the counts before releasing the locks: once published,
-	// newStore is the live store concurrent writers append to.
-	rows, dropped := newStore.Len(), st.store.Dead()
-	s.state.Store(&modelState{
-		store:    newStore,
-		tokens:   snap.tokens,
-		byToken:  byToken,
-		index:    idx,
-		gen:      gen,
-		source:   st.source,
-		loadedAt: st.loadedAt,
-	})
-	st.mu.Unlock()
-	s.swapMu.Unlock()
-	s.cache.purge()
-	s.compactions.Add(1)
-	s.logger.Printf("server: generation %d live after compaction: %d rows (%d tombstones dropped)",
-		gen, rows, dropped)
-	return true
 }
 
 // cacheKey builds a (generation, write-epoch)-scoped cache key: a hot

@@ -317,8 +317,8 @@ func TestHNSWPrebuiltGraphServing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, ok := s.state.Load().index.(*vecstore.HNSW); !ok {
-		t.Fatalf("served index is %T, want *vecstore.HNSW", s.state.Load().index)
+	if kind := s.state.Load().sharded.Kind(); kind != vecstore.KindHNSW {
+		t.Fatalf("served index is %s, want hnsw", kind)
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -343,8 +343,8 @@ func TestHNSWPrebuiltGraphServing(t *testing.T) {
 	if code := postJSON(t, hs.URL+"/v1/reload", ReloadRequest{Path: path}, &rl); code != 200 {
 		t.Fatalf("reload status %d", code)
 	}
-	if _, ok := s.state.Load().index.(*vecstore.HNSW); !ok {
-		t.Fatalf("post-reload index is %T, want *vecstore.HNSW", s.state.Load().index)
+	if kind := s.state.Load().sharded.Kind(); kind != vecstore.KindHNSW {
+		t.Fatalf("post-reload index is %s, want hnsw", kind)
 	}
 
 	// A non-HNSW configuration over the same bundle ignores the graph
@@ -353,8 +353,8 @@ func TestHNSWPrebuiltGraphServing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New (exact over bundle): %v", err)
 	}
-	if _, ok := s2.state.Load().index.(*vecstore.Exact); !ok {
-		t.Fatalf("exact config served %T", s2.state.Load().index)
+	if kind := s2.state.Load().sharded.Kind(); kind != vecstore.KindExact {
+		t.Fatalf("exact config served %s", kind)
 	}
 }
 
@@ -789,8 +789,8 @@ func TestDeleteBatchRejectsDuplicates(t *testing.T) {
 }
 
 // waitFor polls cond until it holds or the deadline passes —
-// compaction publishes from a background goroutine, so tests
-// observing its effects must wait for the publish.
+// compaction swaps a shard in from a background goroutine, so tests
+// observing its effects must wait for the swap.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -806,7 +806,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // replace-upserts tombstone old rows, so upserts alone must cross the
 // threshold and compact — no delete required.
 func TestUpsertTriggersCompaction(t *testing.T) {
-	s, hs := newTestServer(t, Config{CompactFraction: 0.2}, 20, 4)
+	_, hs := newTestServer(t, Config{CompactFraction: 0.2}, 20, 4)
 	// Each re-upsert of an existing token adds one tombstone.
 	for i := 0; i < 8; i++ {
 		tok := fmt.Sprintf("v%d", i)
@@ -814,12 +814,15 @@ func TestUpsertTriggersCompaction(t *testing.T) {
 			t.Fatalf("upsert %s status %d", tok, code)
 		}
 	}
-	waitFor(t, "upsert-triggered compaction", func() bool { return s.Generation() >= 2 })
+	// The rebuild may swap in before the last upserts land, and what
+	// they tombstone afterwards stays until the threshold is crossed
+	// again: done is "compacted and back under the threshold".
 	var stats StatsResponse
-	getJSON(t, hs.URL+"/stats", &stats)
-	if stats.Writes.Compactions == 0 {
-		t.Fatalf("8 replace-upserts over 20 rows never compacted: %+v", stats.Writes)
-	}
+	waitFor(t, "upsert-triggered compaction", func() bool {
+		getJSON(t, hs.URL+"/stats", &stats)
+		w := stats.Writes
+		return w.Compactions > 0 && float64(w.Tombstones) < 0.2*float64(w.Tombstones+stats.Model.Vectors)
+	})
 	if stats.Model.Vectors != 20 {
 		t.Fatalf("live count after replace-only workload: %d, want 20", stats.Model.Vectors)
 	}
@@ -831,123 +834,53 @@ func TestUpsertTriggersCompaction(t *testing.T) {
 	}
 }
 
-// TestCompactionPublishesNewGeneration drives deletes over the
-// threshold and checks the compacted world: new generation, zero
-// tombstones, every surviving vertex still resolvable, writes still
-// accepted.
-func TestCompactionPublishesNewGeneration(t *testing.T) {
+// TestCompactionKeepsGeneration drives deletes over the threshold and
+// checks the compacted world: zero tombstones, every surviving vertex
+// still resolvable, writes still accepted — and the same generation,
+// because a shard's rebuild changes neither the live set nor a row ID.
+func TestCompactionKeepsGeneration(t *testing.T) {
 	s, hs := newTestServer(t, Config{CompactFraction: 0.2}, 50, 6)
 	// Deletes 1..9 stay under the 20% threshold; the 10th crosses it.
 	for i := 0; i < 10; i++ {
-		var del DeleteResponse
 		tok := fmt.Sprintf("v%d", i)
-		if code := postJSON(t, hs.URL+"/v1/delete", DeleteRequest{Vertex: tok}, &del); code != 200 {
+		if code := postJSON(t, hs.URL+"/v1/delete", DeleteRequest{Vertex: tok}, nil); code != 200 {
 			t.Fatalf("delete %s status %d", tok, code)
 		}
-		if want := i == 9; del.Compacted != want {
-			t.Fatalf("delete %d compacted = %v, want %v", i, del.Compacted, want)
-		}
 	}
-	waitFor(t, "background compaction publish", func() bool { return s.Generation() == 2 })
 	var stats StatsResponse
-	getJSON(t, hs.URL+"/stats", &stats)
+	waitFor(t, "background compaction", func() bool {
+		getJSON(t, hs.URL+"/stats", &stats)
+		return stats.Writes.Compactions > 0
+	})
 	if stats.Writes.Compactions != 1 || stats.Writes.Tombstones != 0 || stats.Model.Vectors != 40 {
 		t.Fatalf("post-compaction stats: %+v / %+v", stats.Writes, stats.Model)
 	}
-	// Survivors still resolve; the compacted world accepts writes.
+	if len(stats.Shards) != 1 || stats.Shards[0].Compactions != 1 || stats.Shards[0].Rows != 40 {
+		t.Fatalf("post-compaction shard block: %+v, want one 40-row shard compacted once", stats.Shards)
+	}
+	if gen := s.Generation(); gen != 1 {
+		t.Fatalf("compaction moved the generation to %d", gen)
+	}
+	// Survivors still resolve, deleted vertices do not; the compacted
+	// world accepts writes.
 	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=v30&k=3", nil); code != 200 {
 		t.Fatalf("survivor query status %d", code)
+	}
+	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=v0&k=1", nil); code != 404 {
+		t.Fatalf("deleted vertex resolvable after compaction: status %d", code)
+	}
+	// Reclaimed rows keep their token slots; they are still not
+	// vocabulary.
+	var vocab VocabResponse
+	getJSON(t, hs.URL+"/v1/vocab", &vocab)
+	if vocab.Count != 40 || len(vocab.Tokens) != 40 || vocab.Tokens[0] != "v10" {
+		t.Fatalf("post-compaction vocab: count %d, %d tokens from %q", vocab.Count, len(vocab.Tokens), vocab.Tokens[0])
 	}
 	if code := postJSON(t, hs.URL+"/v1/upsert", UpsertRequest{Vertex: "post", Vector: vec(6, 1)}, nil); code != 200 {
 		t.Fatalf("post-compaction upsert failed")
 	}
 	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=post&k=1", nil); code != 200 {
 		t.Fatalf("post-compaction upsert not visible")
-	}
-}
-
-// TestCompactionAbandonedWhenStale drives the abandon-if-stale path
-// directly: a snapshot planned before a write landed must NOT publish
-// (publishing would silently drop the write), the failed attempt must
-// arm the cooldown so the next threshold-crossing write doesn't
-// immediately re-pay a doomed rebuild, and once the cooldown clears a
-// fresh attempt must succeed and keep the late write.
-func TestCompactionAbandonedWhenStale(t *testing.T) {
-	// Background compaction is disabled so the test fully controls the
-	// plan/finish sequence; the threshold is set just before planning.
-	s, hs := newTestServer(t, Config{CompactFraction: -1}, 30, 4)
-	for i := 0; i < 8; i++ {
-		if code := postJSON(t, hs.URL+"/v1/delete", DeleteRequest{Vertex: fmt.Sprintf("v%d", i)}, nil); code != 200 {
-			t.Fatalf("delete v%d status %d", i, code)
-		}
-	}
-	s.cfg.CompactFraction = 0.2
-
-	st := s.state.Load()
-	st.mu.Lock()
-	snap := s.planCompaction(st)
-	st.mu.Unlock()
-	if snap == nil {
-		t.Fatalf("planCompaction returned nil at %.0f%% dead", st.store.DeadFraction()*100)
-	}
-	if !s.compacting.Load() {
-		t.Fatal("planCompaction did not take the single-flight guard")
-	}
-
-	// A write lands while the rebuild is notionally in flight. The
-	// handler's own planCompaction must yield to the in-flight guard,
-	// and the epoch bump must doom snap.
-	if code := postJSON(t, hs.URL+"/v1/upsert", UpsertRequest{Vertex: "late", Vector: vec(4, 9)}, nil); code != 200 {
-		t.Fatal("upsert during in-flight compaction failed")
-	}
-
-	if s.finishCompaction(st, snap) {
-		t.Fatal("stale snapshot was published over a write that landed mid-rebuild")
-	}
-	if s.compacting.Load() {
-		t.Fatal("abandoned compaction left the single-flight guard held")
-	}
-	if got := s.state.Load(); got != st {
-		t.Fatal("abandoned compaction replaced the generation anyway")
-	}
-	if n := s.compactions.Load(); n != 0 {
-		t.Fatalf("compactions counter %d after an abandoned attempt, want 0", n)
-	}
-	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=late&k=1", nil); code != 200 {
-		t.Fatal("mid-rebuild write lost after abandon")
-	}
-
-	// Cooldown honored: the threshold is still crossed, but planning
-	// again inside the cooldown window must decline.
-	st.mu.Lock()
-	again := s.planCompaction(st)
-	st.mu.Unlock()
-	if again != nil {
-		t.Fatal("planCompaction ignored the post-abandon cooldown")
-	}
-
-	// After the cooldown a fresh snapshot (which includes the late
-	// write) publishes cleanly.
-	s.compactWait.Store(0)
-	st.mu.Lock()
-	snap2 := s.planCompaction(st)
-	st.mu.Unlock()
-	if snap2 == nil {
-		t.Fatal("planCompaction declined after the cooldown cleared")
-	}
-	if !s.finishCompaction(st, snap2) {
-		t.Fatal("fresh snapshot failed to publish")
-	}
-	var stats StatsResponse
-	getJSON(t, hs.URL+"/stats", &stats)
-	if stats.Writes.Tombstones != 0 || stats.Model.Vectors != 23 {
-		t.Fatalf("post-compaction state: %+v / %+v, want 23 live rows and 0 tombstones", stats.Writes, stats.Model)
-	}
-	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=late&k=1", nil); code != 200 {
-		t.Fatal("late write lost in the successful compaction")
-	}
-	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=v0&k=1", nil); code != 404 {
-		t.Fatalf("deleted vertex resolvable after compaction: status %d", code)
 	}
 }
 

@@ -15,24 +15,28 @@ package server
 //	POST /shard/v1/insert        — append a router-assigned global row
 //	POST /shard/v1/delete        — tombstone a global row
 //
-// Everything the fan-out API answers is in global row IDs: the shard
-// translates through its globals table (ascending — slice order at
-// startup, monotonic router-assigned IDs after), so the router's merge
-// sees exactly what the in-process coordinator's merge sees. Shard
-// mode forces the public write endpoints read-only (writes enter
-// through the router), serves /v1/reload as 501, rejects WAL, and
-// disables server-level compaction: a compaction would renumber local
-// rows and silently detach them from the global map.
+// A shard process is the same Server as any other: its slice is
+// published as a one-shard coordinator, and these handlers — which sit
+// behind the shard boundary, like the WAL checkpoint — call that
+// coordinator directly. Everything the fan-out API answers is in
+// global row IDs: the shard translates through its globals table
+// (ascending — slice order at startup, monotonic router-assigned IDs
+// after), so the router's merge sees exactly what the in-process
+// coordinator's merge sees. Shard mode forces the public write
+// endpoints read-only (writes enter through the router), serves
+// /v1/reload as 501, rejects WAL, and disables compaction: a
+// compaction would retire local row IDs and silently detach them from
+// the global map.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 
 	"v2v/internal/snapshot"
 	"v2v/internal/vecstore"
+	"v2v/internal/word2vec"
 )
 
 // shardState is the partition identity of a shard process: which slice
@@ -93,9 +97,9 @@ func (s *Server) shardInfo() *ShardInfo {
 	return &ShardInfo{
 		ID:      s.shard.id,
 		Of:      s.shard.of,
-		Rows:    st.store.Len(),
-		Live:    st.store.Live(),
-		Deleted: st.store.Dead(),
+		Rows:    st.backend.Rows(),
+		Live:    st.backend.Live(),
+		Deleted: st.backend.Dead(),
 		Epoch:   st.epoch.Load(),
 	}
 }
@@ -126,22 +130,21 @@ func newShardProcess(cfg Config) (*Server, error) {
 	// Public writes enter through the router's hash routing; accepting
 	// them here would put rows on the wrong shard.
 	scfg.ReadOnly = true
-	// A compaction would renumber local rows and silently detach them
+	// A compaction would retire local row IDs and silently detach them
 	// from the global map; tombstones are reclaimed by re-slicing a
 	// fresh bundle instead.
 	scfg.CompactFraction = -1
-	// The slice is served through one local index; per-shard build
+	// The slice is served as a one-shard coordinator; per-shard build
 	// randomness matches the in-process coordinator's derivation.
 	scfg.Index.Shards = 0
 	scfg.Index.Seed = vecstore.ShardSeed(cfg.Index.Seed, cfg.ShardID)
-	var prebuilt vecstore.Index
-	if g := slice.Graph; g != nil && scfg.Index.Kind == vecstore.KindHNSW &&
-		g.Metric == scfg.Index.Metric && (scfg.Index.M == 0 || scfg.Index.M == g.M) &&
-		scfg.Index.EfConstruction == 0 {
-		prebuilt, err = vecstore.HNSWFromGraph(slice.Model.Store(), g, scfg.Index.EfSearch, scfg.Index.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("server: binding shard %d bundled graph: %w", cfg.ShardID, err)
-		}
+	var graphs []*vecstore.HNSWGraph
+	if slice.Graph != nil {
+		graphs = []*vecstore.HNSWGraph{slice.Graph}
+	}
+	prebuilt, err := bindGraphs(slice.Model.Store(), graphs, scfg.Index)
+	if err != nil {
+		return nil, fmt.Errorf("server: binding shard %d bundled graph: %w", cfg.ShardID, err)
 	}
 	s, err := newFromModel(scfg, slice.Model, slice.Tokens, prebuilt, cfg.ModelPath)
 	if err != nil {
@@ -288,11 +291,11 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error
 			return errNotFound("row %d is not on shard %d/%d", *req.Row, s.shard.id, s.shard.of)
 		}
 		// A tombstoned row still answers, as it does on /shard/v1/rows.
-		q = st.store.Row(local)
+		q = st.sharded.Row(local)
 		echo = packVec(q)
 	} else {
 		var err error
-		if q, err = unpackVec[float32]("query", req.Vector, st.dim()); err != nil {
+		if q, err = unpackVec[float32]("query", req.Vector, st.backend.Dim()); err != nil {
 			return err
 		}
 	}
@@ -304,7 +307,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	res := st.index.Search(q, req.K)
+	res := st.sharded.Search(q, req.K)
 	return writeJSONUnlocked(w, unlock, shardSearchResponse{Results: s.shard.toGlobal(res), Vector: echo})
 }
 
@@ -327,14 +330,14 @@ func (s *Server) handleShardSearchBatch(w http.ResponseWriter, r *http.Request) 
 	qs := make([][]float32, len(req.Vectors))
 	for i, b := range req.Vectors {
 		var err error
-		if qs[i], err = unpackVec[float32](fmt.Sprintf("query %d", i), b, st.dim()); err != nil {
+		if qs[i], err = unpackVec[float32](fmt.Sprintf("query %d", i), b, st.backend.Dim()); err != nil {
 			return err
 		}
 	}
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	batch := st.index.SearchBatch(qs, req.K)
+	batch := st.sharded.SearchBatch(qs, req.K)
 	out := make([][]vecstore.Result, len(batch))
 	for i, res := range batch {
 		out[i] = s.shard.toGlobal(res)
@@ -343,11 +346,11 @@ func (s *Server) handleShardSearchBatch(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleShardScan is the remote half of the coordinator's ScanExact:
-// every live, non-excluded local row is scored with the exact float64
-// kernel (dot with the target over the row norm), pushed into a TopK
-// under its GLOBAL id, in ascending global order — the same
-// tie-breaking ScanExact's per-shard scan produces, so the router's
-// merge is bit-identical to the in-process merge.
+// every live, non-excluded local row is scored with the analogy kernel
+// against the router's exact float64 target, in ascending local — so
+// ascending global — order: the same tie-breaking ScanExact's
+// per-shard scan produces in-process, so the router's merge is
+// bit-identical to the in-process merge.
 func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
 	var req shardScanRequest
 	if err := decodePost(r, &req); err != nil {
@@ -355,7 +358,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
 	}
 	st, unlock := s.readState()
 	defer unlock()
-	target, err := unpackVec[float64]("target", req.Target, st.dim())
+	target, err := unpackVec[float64]("target", req.Target, st.backend.Dim())
 	if err != nil {
 		return err
 	}
@@ -365,36 +368,14 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	var tNorm float64
-	for _, x := range target {
-		tNorm += x * x
-	}
-	tNorm = math.Sqrt(tNorm)
-	ex := make(map[int]bool, len(req.Exclude))
-	for _, id := range req.Exclude {
-		ex[id] = true
-	}
-	store := st.store
-	var top vecstore.TopK
-	top.Reset(req.K)
-	for local := 0; local < store.Len(); local++ {
-		gid := s.shard.globals[local]
-		if ex[gid] || store.Deleted(local) {
-			continue
+	var exclude []int
+	for _, gid := range req.Exclude {
+		if local, ok := s.shard.localOf(gid); ok {
+			exclude = append(exclude, local)
 		}
-		vu := store.Row(local)
-		var dot, un float64
-		for i := range vu {
-			dot += float64(vu[i]) * target[i]
-			un += float64(vu[i]) * float64(vu[i])
-		}
-		sim := 0.0
-		if un > 0 && tNorm > 0 {
-			sim = dot / (math.Sqrt(un) * tNorm)
-		}
-		top.Push(gid, sim)
 	}
-	return writeJSONUnlocked(w, unlock, shardScanResponse{Results: top.Append(nil)})
+	res := st.sharded.ScanExact(word2vec.AnalogyKernel(target), exclude, req.K)
+	return writeJSONUnlocked(w, unlock, shardScanResponse{Results: s.shard.toGlobal(res)})
 }
 
 func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) error {
@@ -414,7 +395,6 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) error {
 		Rows:    make([][]byte, len(req.IDs)),
 		SqNorms: make([]float64, len(req.IDs)),
 	}
-	norms := st.store.SqNorms()
 	for i, gid := range req.IDs {
 		local, ok := s.shard.localOf(gid)
 		if !ok {
@@ -424,8 +404,8 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) error {
 		// the in-process coordinator serves them the same way (handlers
 		// never resolve a deleted token, so this only ever feeds pair
 		// scores and fan-out queries for live rows).
-		resp.Rows[i] = packVec(st.store.Row(local))
-		resp.SqNorms[i] = norms[local]
+		row, sq := st.sharded.RowNorm(local)
+		resp.Rows[i], resp.SqNorms[i] = packVec(row), sq
 	}
 	return writeJSONUnlocked(w, unlock, resp)
 }
@@ -440,7 +420,7 @@ func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	v, err := unpackVec[float32]("vector", req.Vector, st.dim())
+	v, err := unpackVec[float32]("vector", req.Vector, st.backend.Dim())
 	if err != nil {
 		return err
 	}
@@ -458,12 +438,7 @@ func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error
 		return &httpError{code: http.StatusConflict,
 			msg: fmt.Sprintf("row %d is not past this shard's newest global row %d", req.ID, sh.globals[n-1])}
 	}
-	midx, ok := st.index.(vecstore.MutableIndex)
-	if !ok {
-		return &httpError{code: http.StatusNotImplemented,
-			msg: fmt.Sprintf("index %T does not support online writes", st.index)}
-	}
-	local, err := midx.Insert(v)
+	local, err := st.sharded.Insert(v)
 	if err != nil {
 		return err
 	}
@@ -490,15 +465,10 @@ func (s *Server) handleShardDelete(w http.ResponseWriter, r *http.Request) error
 	if !ok {
 		return errNotFound("row %d is not on shard %d/%d", req.ID, s.shard.id, s.shard.of)
 	}
-	midx, ok := st.index.(vecstore.MutableIndex)
-	if !ok {
-		return &httpError{code: http.StatusNotImplemented,
-			msg: fmt.Sprintf("index %T does not support online writes", st.index)}
-	}
-	if st.store.Deleted(local) {
+	if st.sharded.Deleted(local) {
 		return errNotFound("row %d is already deleted", req.ID)
 	}
-	if err := midx.Delete(local); err != nil {
+	if err := st.sharded.Delete(local); err != nil {
 		return err
 	}
 	// Keep the shard's own read API consistent: the tombstoned row's

@@ -1,25 +1,37 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"v2v/internal/linkpred"
 	"v2v/internal/snapshot"
 	"v2v/internal/vecstore"
+	"v2v/internal/word2vec"
 )
 
 // TestShardedServingParity serves the same model unsharded and with a
 // 4-shard exact coordinator and requires bit-identical answers from
 // every read endpoint: sharding is a physical layout, never a
-// semantic change.
+// semantic change. The unsharded server is itself a one-shard
+// coordinator, so the HNSW case pins that shape against the bare
+// index: served from a plain single-graph bundle (bound, not rebuilt),
+// every body must be the bytes the bare index and store produce.
 func TestShardedServingParity(t *testing.T) {
 	_, flat := newTestServer(t, Config{}, 90, 10)
 	s, shard := newTestServer(t, Config{Index: vecstore.Config{Shards: 4}}, 90, 10)
-	if st := s.state.Load(); st.sharded == nil || st.store != nil {
-		t.Fatalf("sharded config published store=%v sharded=%v", st.store, st.sharded)
+	if n := s.state.Load().sharded.NumShards(); n != 4 {
+		t.Fatalf("sharded config published a %d-shard generation", n)
 	}
 
 	var h map[string]any
@@ -47,6 +59,70 @@ func TestShardedServingParity(t *testing.T) {
 			t.Fatalf("%s diverges:\nunsharded: %v\nsharded:   %v", p, a, b)
 		}
 	}
+
+	t.Run("hnsw-bundle", func(t *testing.T) {
+		m, tokens := testModel(300, 16, 7)
+		store := m.Store()
+		h, err := vecstore.NewHNSW(store, vecstore.Cosine, vecstore.HNSWConfig{Seed: 3, M: 8, EfConstruction: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "bundle.snap")
+		if err := snapshot.SaveBundleFile(path, m, tokens, h.Graph()); err != nil {
+			t.Fatal(err)
+		}
+		var logBuf bytes.Buffer
+		s, err := New(Config{ModelPath: path, Index: vecstore.Config{Kind: vecstore.KindHNSW}, Log: log.New(&logBuf, "", 0)})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if n := s.state.Load().sharded.NumShards(); n != 1 || !strings.Contains(logBuf.String(), "(prebuilt graph)") {
+			t.Fatalf("single-graph bundle not bound as one shard: %d shards, log %q", n, logBuf.String())
+		}
+		hs := httptest.NewServer(s.Handler())
+		defer hs.Close()
+
+		neighbors := func(vertex string, k int, res []vecstore.Result) NeighborsResponse {
+			out := NeighborsResponse{Vertex: vertex, K: k, Neighbors: make([]NeighborJSON, len(res))}
+			for i, r := range res {
+				out.Neighbors[i] = NeighborJSON{Vertex: tokens[r.ID], Score: r.Score}
+			}
+			return out
+		}
+		var analogy []vecstore.Result
+		for _, n := range word2vec.AnalogyStore(store, 1, 2, 3, 4) {
+			analogy = append(analogy, vecstore.Result{ID: n.Word, Score: n.Similarity})
+		}
+		cos := &linkpred.EmbeddingScorer{Store: store}
+		dot := &linkpred.EmbeddingScorer{Store: store, Hadamard: true}
+		// k = 200 is past EfSearch, where HNSW sizes its beam from k.
+		want := []any{
+			neighbors("v7", 5, h.SearchRow(7, 5)),
+			neighbors("v7", 200, h.SearchRow(7, 200)),
+			SimilarityResponse{A: "v3", B: "v11", Similarity: store.Cosine(3, 11)},
+			neighbors("", 4, analogy),
+			PredictResponse{U: "v5", V: "v6", Score: cos.Score(5, 6), Scorer: cos.Name()},
+			PredictResponse{U: "v5", V: "v6", Score: dot.Score(5, 6), Scorer: dot.Name()},
+		}
+		for i, p := range append([]string{paths[0], "/v1/neighbors?vertex=v7&k=200"}, paths[1:]...) {
+			resp, err := http.Get(hs.URL + p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 {
+				t.Fatalf("%s: status %d, %v", p, resp.StatusCode, err)
+			}
+			wantBody, err := json.Marshal(want[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantBody) {
+				t.Fatalf("%s diverges from the bare index:\nserved: %s\nbare:   %s", p, got, wantBody)
+			}
+		}
+	})
 }
 
 // TestShardedWrites exercises the write endpoints against a sharded
@@ -240,7 +316,7 @@ func TestShardedBundleBind(t *testing.T) {
 	}
 	st := s.state.Load()
 	if st.sharded == nil || st.sharded.NumShards() != 4 {
-		t.Fatalf("bundle did not produce a 4-shard generation: %+v", st.index)
+		t.Fatalf("bundle did not produce a 4-shard generation: %+v", st.sharded)
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()

@@ -11,15 +11,14 @@
 //	write path:   validate -> WAL append (fsync) -> apply -> ack
 //	startup:      load checkpoint.snap (or model) -> wal.Open (repair
 //	              torn tail) -> replay frames > checkpoint LSN
-//	checkpoint:   capture live rows + LastLSN under the writer lock ->
-//	              gather + write checkpoint.snap off-lock -> truncate
-//	              replayed segments
+//	checkpoint:   gather the live rows + LastLSN under the reader lock ->
+//	              write checkpoint.snap off-lock -> truncate replayed
+//	              segments
 //
-// Checkpoints ride the compaction machinery: a volume-triggered
-// checkpoint takes the same single-flight guard, and a completed
-// compaction writes one for free (its gathered store *is* the folded
-// state). A hot reload checkpoints synchronously, so a crash after a
-// reload restarts into the reloaded world, not the pre-reload one.
+// Two things write a checkpoint: log volume (in the background, one at
+// a time) and a hot reload (synchronously, so a crash after a reload
+// restarts into the reloaded world, not the pre-reload one). Shard
+// compaction does not: it changes neither the live set nor the log.
 // See docs/SERVING.md ("Durability").
 package server
 
@@ -61,8 +60,8 @@ type WALConfig struct {
 
 	// CheckpointBytes triggers a background checkpoint once this many
 	// log bytes accumulate since the last one (0 = 16 MiB default,
-	// negative disables volume-triggered checkpoints — compactions and
-	// reloads still write them).
+	// negative disables volume-triggered checkpoints — reloads still
+	// write them).
 	CheckpointBytes int64
 }
 
@@ -78,7 +77,7 @@ func CheckpointPath(dir string) string { return filepath.Join(dir, checkpointFil
 // newDurable builds a WAL-backed server: the base model comes from
 // the checkpoint when one exists (base, otherwise), then the log is
 // opened (repairing any torn tail) and replayed on top.
-func newDurable(cfg Config, base func() (*word2vec.Model, []string, vecstore.Index, error)) (*Server, error) {
+func newDurable(cfg Config, base func() (*word2vec.Model, []string, *vecstore.Sharded, error)) (*Server, error) {
 	var (
 		s       *Server
 		baseLSN uint64
@@ -153,9 +152,6 @@ func (s *Server) openWAL(baseLSN uint64) error {
 func (s *Server) applyWALFrame(lsn uint64, recs []wal.Record) error {
 	st := s.lockCurrent()
 	defer st.mu.Unlock()
-	if err := st.writable(); err != nil {
-		return fmt.Errorf("frame %d: %w", lsn, err)
-	}
 	for i := range recs {
 		switch recs[i].Op {
 		case wal.OpUpsert:
@@ -254,115 +250,52 @@ func (s *Server) walWaitDurableCtx(ctx context.Context, lsn uint64) error {
 	}
 }
 
-// postWrite is what a write handler decides, still under the writer
-// lock, to run after it releases it: at most one of a compaction or a
-// volume-triggered checkpoint (they share the single-flight guard).
-type postWrite struct {
-	compact *compactSnapshot
-	ckpt    *checkpointPlan
-}
-
-// planPostWrite plans the post-write background work. Compaction wins
-// when both are due — it publishes a tombstone-free generation and
-// writes a checkpoint anyway.
-func (s *Server) planPostWrite(st *modelState) postWrite {
-	pw := postWrite{compact: s.planCompaction(st)}
-	if pw.compact == nil {
-		pw.ckpt = s.planCheckpoint(st)
-	}
-	return pw
-}
-
-// runPostWrite launches the planned background work.
-func (s *Server) runPostWrite(st *modelState, pw postWrite) {
-	if pw.compact != nil {
-		go s.finishCompaction(st, pw.compact)
-	}
-	if pw.ckpt != nil {
-		go s.finishCheckpoint(st, pw.ckpt)
-	}
-}
-
-// checkpointPlan captures, under the writer lock, everything a
-// checkpoint needs: the live rows' identity, their tokens, and the
-// log position the state corresponds to. Row data is gathered later
-// under a reader lock, like compaction (rows are immutable once
-// written).
-type checkpointPlan struct {
-	src     *vecstore.Store
-	liveIDs []int
-	tokens  []string
-	lsn     uint64
-	// sharded marks a sharded generation's plan: there is no single
-	// store to gather from, so finishCheckpoint takes a GatherLive cut
-	// of the coordinator (and resolves tokens and the LSN there, under
-	// the reader lock — consistent, because writes need the writer
-	// side).
-	sharded *vecstore.Sharded
-}
-
-// planCheckpoint decides, under st's writer lock, whether enough log
-// volume accumulated since the last checkpoint to fold the log into a
-// fresh snapshot. It shares the compaction single-flight guard, so at
-// most one gather+write runs at a time.
-func (s *Server) planCheckpoint(st *modelState) *checkpointPlan {
+// maybeCheckpoint starts a background checkpoint of st when enough log
+// volume has accumulated since the last one to fold the log into a
+// fresh snapshot, and none is in flight. Write handlers call it after
+// their write is durable.
+func (s *Server) maybeCheckpoint(st *modelState) {
 	if s.wal == nil || s.cfg.WAL.CheckpointBytes < 0 {
-		return nil
+		return
 	}
 	threshold := s.cfg.WAL.CheckpointBytes
 	if threshold == 0 {
 		threshold = defaultCheckpointBytes
 	}
 	if s.wal.AppendedBytes()-s.lastCkptBytes.Load() < threshold {
-		return nil
-	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return nil // a compaction or checkpoint is already in flight
-	}
-	if st.sharded != nil {
-		return &checkpointPlan{sharded: st.sharded}
-	}
-	liveIDs := st.store.LiveIDs()
-	plan := &checkpointPlan{
-		src:     st.store,
-		liveIDs: liveIDs,
-		tokens:  make([]string, len(liveIDs)),
-		// Holding the writer lock pins the log: LastLSN is exactly the
-		// state this plan captures.
-		lsn: s.wal.LastLSN(),
-	}
-	for i, id := range liveIDs {
-		plan.tokens[i] = st.tokens[id]
-	}
-	return plan
-}
-
-// finishCheckpoint gathers the planned rows (readers keep flowing)
-// and writes the checkpoint. Runs on a background goroutine.
-func (s *Server) finishCheckpoint(st *modelState, plan *checkpointPlan) {
-	defer s.compacting.Store(false)
-	if plan.sharded != nil {
-		// GatherLive is one consistent cut across every shard, and the
-		// reader lock excludes writers — so LastLSN read here is exactly
-		// the state gathered (coordinator self-compactions may run
-		// concurrently, but they never change the live set).
-		st.mu.RLock()
-		folded, ids := plan.sharded.GatherLive()
-		tokens := make([]string, len(ids))
-		for i, id := range ids {
-			tokens[i] = st.tokens[id]
-		}
-		lsn := s.wal.LastLSN()
-		st.mu.RUnlock()
-		s.writeCheckpoint(&word2vec.Model{Dim: folded.Dim(), Vocab: folded.Len(), Vectors: folded.Data()},
-			tokens, lsn, false, "volume")
 		return
 	}
+	if !s.compacting.CompareAndSwap(false, true) {
+		return // a checkpoint is already in flight
+	}
+	go s.finishCheckpoint(st)
+}
+
+// finishCheckpoint gathers st's live rows (readers keep flowing) and
+// writes the checkpoint. GatherLive is one consistent cut across every
+// shard, and the reader lock excludes writers — so LastLSN read here is
+// exactly the state gathered (shard compactions may run concurrently,
+// but they never change the live set). A generation a reload has
+// replaced is not checkpointed: the reload wrote the new world's
+// checkpoint itself, and LastLSN now runs ahead of anything st holds
+// (publishing takes st's writer lock, so the check holds until the
+// unlock). Router mode never gets here: it rejects the WAL.
+func (s *Server) finishCheckpoint(st *modelState) {
+	defer s.compacting.Store(false)
 	st.mu.RLock()
-	folded := plan.src.Gather(plan.liveIDs)
+	if s.state.Load() != st {
+		st.mu.RUnlock()
+		return
+	}
+	folded, ids := st.sharded.GatherLive()
+	tokens := make([]string, len(ids))
+	for i, id := range ids {
+		tokens[i] = st.tokens[id]
+	}
+	lsn := s.wal.LastLSN()
 	st.mu.RUnlock()
 	s.writeCheckpoint(&word2vec.Model{Dim: folded.Dim(), Vocab: folded.Len(), Vectors: folded.Data()},
-		plan.tokens, plan.lsn, false, "volume")
+		tokens, lsn, false, "volume")
 }
 
 // writeCheckpoint persists m+tokens as the checkpoint for lsn and
@@ -440,7 +373,7 @@ func (s *Server) walStats() WALStats {
 // that never call Serve (tests, in-process harnesses) should close
 // explicitly. Idempotent.
 func (s *Server) Close() error {
-	if st := s.state.Load(); st != nil && st.backend != nil {
+	if st := s.state.Load(); st != nil {
 		st.backend.Close()
 	}
 	if s.wal == nil {

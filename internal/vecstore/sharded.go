@@ -11,6 +11,9 @@ import (
 
 // Sharded is a scatter-gather coordinator over N hash-partitioned
 // shards, each owning a private Store, MutableIndex and write lock.
+// It is the one shape the serving tier holds vectors in: an unsharded
+// server is N = 1, whose shard serves the base store itself and whose
+// queries skip the fan-out (see fanOut).
 // Rows are routed to shards by a stable hash of their global ID, so
 // the partition depends only on (row count, shard count) — never on
 // insertion timing — and a rebuilt or replayed store lands every row
@@ -127,27 +130,50 @@ func shardSeed(seed uint64, shard int) uint64 {
 }
 
 // OpenSharded builds a sharded index over s per cfg (cfg.Shards
-// shards; values below 2 build a single-shard coordinator, which is
-// valid but pointless). The N per-shard builds run concurrently.
-// Tombstones in s carry over. IVF requires every shard to receive at
-// least one row, so it needs s.Len() comfortably above cfg.Shards.
+// shards; values below 2 build a one-shard coordinator — what an
+// unsharded server serves). The N per-shard builds run concurrently.
+// Tombstones in s carry over. A one-shard coordinator adopts s as its
+// shard's store, so s must from then on be written only through the
+// coordinator; wider partitions copy their rows out of s. IVF requires
+// every shard to receive at least one row, so it needs s.Len()
+// comfortably above cfg.Shards.
 func OpenSharded(s *Store, cfg Config) (*Sharded, error) {
+	return openSharded(s, cfg, func(_ int, st *Store, per Config) (MutableIndex, error) {
+		return OpenMutable(st, per)
+	})
+}
+
+// OpenShardedFromGraphs rebinds persisted per-shard HNSW graphs over
+// s instead of rebuilding: the hash partition of s's rows is
+// recomputed (it is deterministic in (row count, shard count)) and
+// graph g[i] is validated against shard i's store. cfg must be an
+// HNSW configuration whose shard count (Shards, or 1 below 2) is
+// len(graphs) — a plain single-graph bundle binds as one shard.
+func OpenShardedFromGraphs(s *Store, graphs []*HNSWGraph, cfg Config) (*Sharded, error) {
+	if cfg.Kind != KindHNSW {
+		return nil, fmt.Errorf("vecstore: OpenShardedFromGraphs needs an HNSW config, got %s", cfg.Kind)
+	}
+	if ns := max(cfg.Shards, 1); len(graphs) != ns {
+		return nil, fmt.Errorf("vecstore: %d persisted shard graphs for %d configured shards", len(graphs), ns)
+	}
+	return openSharded(s, cfg, func(sid int, st *Store, per Config) (MutableIndex, error) {
+		return HNSWFromGraph(st, graphs[sid], per.EfSearch, per.Workers)
+	})
+}
+
+// openSharded partitions s by shardOf and hands each shard's store to
+// index, concurrently; per is the shard's configuration (Shards
+// cleared, the worker budget divided, the seed decorrelated).
+func openSharded(s *Store, cfg Config, index func(sid int, st *Store, per Config) (MutableIndex, error)) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ns := cfg.Shards
-	if ns < 1 {
-		ns = 1
-	}
+	ns := max(cfg.Shards, 1)
 	per := cfg
 	per.Shards = 0
 	// Divide the worker budget across the concurrent per-shard
 	// builds/batches; each shard gets at least one.
-	if w := normWorkers(cfg.Workers) / ns; w >= 1 {
-		per.Workers = w
-	} else {
-		per.Workers = 1
-	}
+	per.Workers = max(normWorkers(cfg.Workers)/ns, 1)
 
 	n := s.Len()
 	sh := &Sharded{
@@ -178,43 +204,56 @@ func OpenSharded(s *Store, cfg Config) (*Sharded, error) {
 		wg.Add(1)
 		go func(sid int) {
 			defer wg.Done()
-			vs, err := buildShard(s, ids[sid], per, shardSeed(cfg.Seed, sid))
-			sh.shards[sid], errs[sid] = vs, err
+			st, globals, err := shardStore(s, ids[sid], ns)
+			if err != nil {
+				errs[sid] = err
+				return
+			}
+			shardCfg := per
+			shardCfg.Seed = shardSeed(cfg.Seed, sid)
+			idx, err := index(sid, st, shardCfg)
+			if err != nil {
+				errs[sid] = err
+				return
+			}
+			sh.shards[sid] = &vshard{store: st, idx: idx, globals: globals, nextLocal: st.Len()}
 		}(sid)
 	}
 	wg.Wait()
 	for sid, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("vecstore: building shard %d/%d: %w", sid, ns, err)
+			return nil, fmt.Errorf("vecstore: opening shard %d/%d: %w", sid, ns, err)
 		}
 	}
 	return sh, nil
 }
 
-// buildShard gathers the shard's rows (in ascending global order),
-// carries tombstones over, and builds its index.
-func buildShard(s *Store, ids []int, cfg Config, seed uint64) (*vshard, error) {
-	var st *Store
-	if len(ids) == 0 {
-		st = New(0, s.Dim())
-	} else {
-		st = s.Gather(ids)
-	}
+// shardStore returns the store one shard of an ns-way partition of s
+// serves, and its local -> global table: ids are the shard's rows in
+// ascending global order. The identity partition (ns == 1) is s
+// itself, tombstones included — no second copy of the vectors; any
+// other gathers its rows into a private store and carries their
+// tombstones over.
+func shardStore(s *Store, ids []int, ns int) (*Store, []int32, error) {
 	globals := make([]int32, len(ids))
 	for local, g := range ids {
 		globals[local] = int32(g)
+	}
+	if ns == 1 {
+		return s, globals, nil
+	}
+	if len(ids) == 0 {
+		return New(0, s.Dim()), globals, nil
+	}
+	st := s.Gather(ids)
+	for local, g := range ids {
 		if s.Deleted(g) {
 			if err := st.Delete(local); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
-	cfg.Seed = seed
-	idx, err := OpenMutable(st, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &vshard{store: st, idx: idx, globals: globals, nextLocal: st.Len()}, nil
+	return st, globals, nil
 }
 
 // SetCompactFraction enables per-shard self-compaction: after a
@@ -234,7 +273,7 @@ func (sh *Sharded) Kind() Kind { return sh.kind }
 func (sh *Sharded) Metric() Metric { return sh.metric }
 
 // Store implements Index. A sharded index has no single backing
-// store — every row lives in a shard-private store — so Store returns
+// store — every row lives in a shard's store — so Store returns
 // nil; use Row, Cosine, Deleted and GatherLive instead.
 func (sh *Sharded) Store() *Store { return nil }
 
@@ -260,13 +299,17 @@ func (sh *Sharded) Live() int {
 	return live
 }
 
-// Dead returns the number of dead rows (tombstoned or compacted
-// away): Rows() - Live().
+// Dead returns the number of tombstoned rows awaiting compaction.
+// Rows a compaction already reclaimed count toward neither Live nor
+// Dead, only Rows.
 func (sh *Sharded) Dead() int {
-	sh.mu.RLock()
-	rows := len(sh.locs)
-	sh.mu.RUnlock()
-	return rows - sh.Live()
+	dead := 0
+	for _, vs := range sh.shards {
+		vs.mu.RLock()
+		dead += vs.store.Dead()
+		vs.mu.RUnlock()
+	}
+	return dead
 }
 
 // Deleted reports whether global row id is dead (tombstoned, or
@@ -329,8 +372,8 @@ func (sh *Sharded) lockRow(id int) (*vshard, int) {
 // the same float64 formula (and zero-vector convention) as
 // Store.Cosine.
 func (sh *Sharded) Cosine(a, b int) float64 {
-	va, na := sh.rowNorm(a)
-	vb, nb := sh.rowNorm(b)
+	va, na := sh.RowNorm(a)
+	vb, nb := sh.RowNorm(b)
 	if na == 0 || nb == 0 {
 		return 0
 	}
@@ -340,12 +383,14 @@ func (sh *Sharded) Cosine(a, b int) float64 {
 // Dot returns the float64-accumulated inner product of global rows a
 // and b, mirroring Store.Dot.
 func (sh *Sharded) Dot(a, b int) float64 {
-	va, _ := sh.rowNorm(a)
-	vb, _ := sh.rowNorm(b)
+	va, _ := sh.RowNorm(a)
+	vb, _ := sh.RowNorm(b)
 	return dotF64(va, vb)
 }
 
-func (sh *Sharded) rowNorm(id int) ([]float32, float64) {
+// RowNorm returns Row(id) and its cached squared L2 norm — what a
+// cosine against the row needs — in one lookup.
+func (sh *Sharded) RowNorm(id int) ([]float32, float64) {
 	vs, local := sh.lockRow(id)
 	defer vs.mu.RUnlock()
 	return vs.store.Row(local), vs.store.SqNorms()[local]
@@ -460,97 +505,116 @@ func (sh *Sharded) Delete(id int) error {
 	if err == nil {
 		vs.writes++
 	}
-	frac := vs.store.DeadFraction()
-	rows := vs.store.Len()
+	compact := err == nil && sh.overThreshold(vs)
 	vs.mu.Unlock()
-	if err == nil && sh.compactFraction > 0 && frac >= sh.compactFraction && rows >= 8 {
+	if compact {
 		sh.compactShard(int(loc.shard))
 	}
 	return err
 }
 
-// compactShard rebuilds one shard over its live rows in the
-// background: gather under the read lock, build with no locks held,
-// swap under coordinator + shard write locks. A write racing the
-// rebuild makes it stale — the loop re-gathers rather than lose the
-// write — and after the single-flight flag clears, the threshold is
-// checked once more to close the window where a concurrent delete's
-// trigger lost the CAS to this (now finished) run. Other shards serve
-// reads and writes throughout.
+// overThreshold reports whether the shard's tombstone fraction calls
+// for a rebuild. Callers hold vs.mu.
+func (sh *Sharded) overThreshold(vs *vshard) bool {
+	return sh.compactFraction > 0 && vs.store.DeadFraction() >= sh.compactFraction && vs.store.Len() >= 8
+}
+
+// compactBackoff scales the pause after a stale rebuild to what the
+// rebuild cost: under a sustained write stream every attempt is
+// doomed, and repeating a seconds-long HNSW build back to back would
+// burn a core on them. There is no floor — a cheap rebuild is cheap to
+// repeat.
+const compactBackoff = 4
+
+// compactShard starts, unless one is already running, the background
+// rebuild of one shard. Other shards serve reads and writes
+// throughout.
 func (sh *Sharded) compactShard(sid int) {
 	vs := sh.shards[sid]
 	if !vs.compacting.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {
-		failed := false
-		for {
-			vs.mu.RLock()
-			if !(vs.store.DeadFraction() >= sh.compactFraction && vs.store.Len() >= 8) {
-				vs.mu.RUnlock()
-				break
-			}
-			writes0 := vs.writes
-			liveLocals := vs.store.LiveIDs()
-			newStore := vs.store.Gather(liveLocals)
-			newGlobals := make([]int32, len(liveLocals))
-			for i, l := range liveLocals {
-				newGlobals[i] = vs.globals[l]
-			}
-			deadGlobals := make([]int32, 0, vs.store.Dead())
-			for l, g := range vs.globals {
-				if vs.store.Deleted(l) {
-					deadGlobals = append(deadGlobals, g)
-				}
-			}
-			vs.mu.RUnlock()
-
-			idx, err := OpenMutable(newStore, sh.perShard)
-			if err != nil {
-				// e.g. IVF over a now-empty shard; wait for the next
-				// threshold-crossing delete instead of spinning.
-				failed = true
-				break
-			}
-
-			sh.mu.Lock()
-			vs.mu.Lock()
-			if vs.writes != writes0 {
-				// A racing insert/delete made the rebuild stale; throw
-				// it away and re-gather.
-				vs.mu.Unlock()
-				sh.mu.Unlock()
-				continue
-			}
-			vs.store = newStore
-			vs.idx = idx
-			vs.globals = newGlobals
-			vs.nextLocal = newStore.Len()
-			vs.epoch++
-			vs.compactions++
-			for newLocal, g := range newGlobals {
-				sh.locs[g].local = int32(newLocal)
-			}
-			for _, g := range deadGlobals {
-				sh.locs[g].local = -1
-			}
-			vs.mu.Unlock()
-			sh.mu.Unlock()
-			break
-		}
+		err := sh.compactLoop(sid, OpenMutable, time.Sleep)
 		vs.compacting.Store(false)
-		if failed {
+		if err != nil {
+			// e.g. IVF over a now-empty shard; wait for the next
+			// threshold-crossing delete instead of spinning.
 			return
 		}
 		// A delete may have crossed the threshold while this run was
 		// finishing and lost its CAS; retrigger on its behalf.
 		vs.mu.RLock()
-		again := vs.store.DeadFraction() >= sh.compactFraction && vs.store.Len() >= 8
+		again := sh.overThreshold(vs)
 		vs.mu.RUnlock()
 		if again {
 			sh.compactShard(sid)
 		}
 	}()
+}
+
+// compactLoop is the one compactor: while the shard is over the
+// threshold, gather its live rows under the read lock, build an index
+// over them with no locks held, and swap store, index and location
+// table in under the coordinator and shard write locks. A write racing
+// the build makes it stale: it is thrown away rather than lose the
+// write, and the loop pauses for compactBackoff times what the attempt
+// cost before it gathers again — so compaction completes once writes
+// quiesce, without needing another write to trigger it. open and pause
+// are OpenMutable and time.Sleep outside tests.
+func (sh *Sharded) compactLoop(sid int, open func(*Store, Config) (MutableIndex, error), pause func(time.Duration)) error {
+	vs := sh.shards[sid]
+	for {
+		start := time.Now()
+		vs.mu.RLock()
+		if !sh.overThreshold(vs) {
+			vs.mu.RUnlock()
+			return nil
+		}
+		writes0 := vs.writes
+		liveLocals := vs.store.LiveIDs()
+		newStore := vs.store.Gather(liveLocals)
+		newGlobals := make([]int32, len(liveLocals))
+		for i, l := range liveLocals {
+			newGlobals[i] = vs.globals[l]
+		}
+		deadGlobals := make([]int32, 0, vs.store.Dead())
+		for l, g := range vs.globals {
+			if vs.store.Deleted(l) {
+				deadGlobals = append(deadGlobals, g)
+			}
+		}
+		vs.mu.RUnlock()
+
+		idx, err := open(newStore, sh.perShard)
+		if err != nil {
+			return err
+		}
+
+		sh.mu.Lock()
+		vs.mu.Lock()
+		if vs.writes != writes0 {
+			vs.mu.Unlock()
+			sh.mu.Unlock()
+			pause(compactBackoff * time.Since(start))
+			continue
+		}
+		vs.store = newStore
+		vs.idx = idx
+		vs.globals = newGlobals
+		vs.nextLocal = newStore.Len()
+		vs.epoch++
+		vs.compactions++
+		for newLocal, g := range newGlobals {
+			sh.locs[g].local = int32(newLocal)
+		}
+		for _, g := range deadGlobals {
+			sh.locs[g].local = -1
+		}
+		vs.mu.Unlock()
+		sh.mu.Unlock()
+		return nil
+	}
 }
 
 // SpanRecorder receives named stage durations from a scatter-gather
@@ -562,73 +626,43 @@ func (sh *Sharded) compactShard(sid int) {
 // read the clock.
 type SpanRecorder func(name string, d time.Duration)
 
-// fanOut runs one search closure per shard in parallel and, when rec
-// is non-nil, replays each shard's elapsed time to it after the join.
-// search runs under no locks — each closure takes its own shard read
-// lock — and fanOut guarantees all closures have returned when it
-// does.
-func (sh *Sharded) fanOut(rec SpanRecorder, search func(sid int, vs *vshard)) {
-	var durs []time.Duration
-	if rec != nil {
-		durs = make([]time.Duration, len(sh.shards))
+// fanOut runs one search closure per shard and, when rec is non-nil,
+// replays each shard's elapsed time to it afterwards. search runs
+// under no locks — each closure takes its own shard read lock. A lone
+// shard is searched on the caller's goroutine: there is nothing to
+// overlap, and the hop costs more than it buys. Several run in
+// parallel, and when ctx expires before every shard has answered
+// fanOut returns ctx.Err() immediately instead of joining: abandoned
+// searches finish on their own goroutines (each still under only its
+// shard's read lock) and drain into a buffered channel, so nothing
+// blocks and no lock leaks — but the caller must discard any output
+// the closures write, and no span is replayed to rec on an abort (the
+// recorder is typically backed by a pooled per-request trace that is
+// reused the moment the caller returns). An already-expired ctx
+// searches nothing.
+func (sh *Sharded) fanOut(ctx context.Context, rec SpanRecorder, search func(sid int, vs *vshard)) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	var wg sync.WaitGroup
-	for sid, vs := range sh.shards {
-		wg.Add(1)
-		go func(sid int, vs *vshard) {
-			defer wg.Done()
-			if durs != nil {
-				start := time.Now()
-				defer func() { durs[sid] = time.Since(start) }()
-			}
-			search(sid, vs)
-		}(sid, vs)
-	}
-	wg.Wait()
-	for sid, d := range durs {
-		rec("shard_wait/"+strconv.Itoa(sid), d)
-	}
-}
-
-// fanOutCtx is fanOut with cancellation: when ctx expires before
-// every shard has answered, it returns ctx.Err() immediately instead
-// of joining. Abandoned shard searches finish on their own goroutines
-// (each still under only its shard's read lock) and drain into a
-// buffered channel, so nothing blocks and no lock leaks — but the
-// caller must discard any output the closures write, and no span is
-// replayed to rec on an abort (the recorder is typically backed by a
-// pooled per-request trace that is reused the moment the caller
-// returns).
-func (sh *Sharded) fanOutCtx(ctx context.Context, rec SpanRecorder, search func(sid int, vs *vshard)) error {
-	if ctx == nil || ctx.Done() == nil {
-		sh.fanOut(rec, search)
+	if len(sh.shards) == 1 {
+		if d := sh.timeShard(0, rec != nil, search); rec != nil {
+			rec("shard_wait/0", d)
+		}
 		return nil
 	}
 	type shardDone struct {
 		sid int
 		d   time.Duration
 	}
-	measure := rec != nil
 	ch := make(chan shardDone, len(sh.shards))
-	for sid, vs := range sh.shards {
-		go func(sid int, vs *vshard) {
-			var start time.Time
-			if measure {
-				start = time.Now()
-			}
-			search(sid, vs)
-			var d time.Duration
-			if measure {
-				d = time.Since(start)
-			}
-			ch <- shardDone{sid: sid, d: d}
-		}(sid, vs)
+	for sid := range sh.shards {
+		go func() { ch <- shardDone{sid, sh.timeShard(sid, rec != nil, search)} }()
 	}
 	var durs []time.Duration
-	if measure {
+	if rec != nil {
 		durs = make([]time.Duration, len(sh.shards))
 	}
-	for n := 0; n < len(sh.shards); n++ {
+	for range sh.shards {
 		select {
 		case sd := <-ch:
 			if durs != nil {
@@ -642,6 +676,18 @@ func (sh *Sharded) fanOutCtx(ctx context.Context, rec SpanRecorder, search func(
 		rec("shard_wait/"+strconv.Itoa(sid), d)
 	}
 	return nil
+}
+
+// timeShard runs search on shard sid and returns how long it took, or
+// 0 without reading the clock when not timing.
+func (sh *Sharded) timeShard(sid int, timing bool, search func(sid int, vs *vshard)) time.Duration {
+	if !timing {
+		search(sid, sh.shards[sid])
+		return 0
+	}
+	start := time.Now()
+	search(sid, sh.shards[sid])
+	return time.Since(start)
 }
 
 // timeSpan records the duration of fn under name when rec is non-nil.
@@ -668,7 +714,7 @@ func (sh *Sharded) Search(q []float32, k int) []Result {
 // Results are identical to Search for the same inputs.
 func (sh *Sharded) SearchSpans(q []float32, k int, rec SpanRecorder) []Result {
 	perShard := make([][]Result, len(sh.shards))
-	sh.fanOut(rec, func(sid int, vs *vshard) {
+	sh.fanOut(context.Background(), rec, func(sid int, vs *vshard) {
 		vs.mu.RLock()
 		defer vs.mu.RUnlock()
 		perShard[sid] = toGlobal(vs.idx.Search(q, k), vs.globals)
@@ -682,8 +728,9 @@ func (sh *Sharded) SearchSpans(q []float32, k int, rec SpanRecorder) []Result {
 // vector asking for k+1 results, and the merge drops i itself before
 // truncating to k. For the exact kind this is identical to
 // exclude-at-scan: the top-k excluding i is exactly the top-(k+1)
-// including it, minus i. Panics when the row was compacted away
-// (check Deleted first).
+// including it, minus i. A one-shard coordinator asks its index's own
+// SearchRow, so it answers exactly as the bare index would for every
+// kind. Panics when the row was compacted away (check Deleted first).
 func (sh *Sharded) SearchRow(i, k int) []Result {
 	return sh.SearchRowSpans(i, k, nil)
 }
@@ -693,32 +740,7 @@ func (sh *Sharded) SearchRow(i, k int) []Result {
 // covering the top-k merge and self-row strip. Results are identical
 // to SearchRow for the same inputs.
 func (sh *Sharded) SearchRowSpans(i, k int, rec SpanRecorder) []Result {
-	vs0, local := sh.lockRow(i)
-	q := vs0.store.Row(local) // contents immutable; valid after unlock
-	vs0.mu.RUnlock()
-	if k <= 0 {
-		return nil
-	}
-
-	perShard := make([][]Result, len(sh.shards))
-	sh.fanOut(rec, func(sid int, vs *vshard) {
-		vs.mu.RLock()
-		defer vs.mu.RUnlock()
-		perShard[sid] = toGlobal(vs.idx.Search(q, k+1), vs.globals)
-	})
-	var out []Result
-	timeSpan(rec, "merge", func() {
-		merged := mergeTopK(perShard, k+1)
-		out = merged[:0]
-		for _, r := range merged {
-			if r.ID != i {
-				out = append(out, r)
-			}
-		}
-		if len(out) > k {
-			out = out[:k]
-		}
-	})
+	out, _ := sh.SearchRowSpansCtx(context.Background(), i, k, rec)
 	return out
 }
 
@@ -726,8 +748,7 @@ func (sh *Sharded) SearchRowSpans(i, k int, rec SpanRecorder) []Result {
 // expires mid-fan-out the scatter-gather is abandoned — the slow
 // shards finish in the background under their own read locks, their
 // results are discarded, and the call returns (nil, ctx.Err())
-// without waiting for them. With a nil or never-cancelled ctx it is
-// exactly SearchRowSpans.
+// without waiting for them.
 func (sh *Sharded) SearchRowSpansCtx(ctx context.Context, i, k int, rec SpanRecorder) ([]Result, error) {
 	vs0, local := sh.lockRow(i)
 	q := vs0.store.Row(local) // contents immutable; valid after unlock
@@ -737,12 +758,22 @@ func (sh *Sharded) SearchRowSpansCtx(ctx context.Context, i, k int, rec SpanReco
 	}
 
 	perShard := make([][]Result, len(sh.shards))
-	err := sh.fanOutCtx(ctx, rec, func(sid int, vs *vshard) {
+	search := func(sid int, vs *vshard) {
 		vs.mu.RLock()
 		defer vs.mu.RUnlock()
 		perShard[sid] = toGlobal(vs.idx.Search(q, k+1), vs.globals)
-	})
-	if err != nil {
+	}
+	if len(sh.shards) == 1 {
+		// The lone shard owns the row, so its index excludes it at the
+		// scan, as a bare index does: HNSW sizes its beam from k, and
+		// k+1-then-strip is a different search past EfSearch.
+		search = func(int, *vshard) {
+			vs, local := sh.lockRow(i)
+			defer vs.mu.RUnlock()
+			perShard[0] = toGlobal(vs.idx.SearchRow(local, k), vs.globals)
+		}
+	}
+	if err := sh.fanOut(ctx, rec, search); err != nil {
 		// perShard may still be written by abandoned goroutines; it is
 		// dropped unread.
 		return nil, err
@@ -772,21 +803,15 @@ func (sh *Sharded) SearchBatch(qs [][]float32, k int) [][]Result {
 		return out
 	}
 	perShard := make([][][]Result, len(sh.shards))
-	var wg sync.WaitGroup
-	for sid, vs := range sh.shards {
-		wg.Add(1)
-		go func(sid int, vs *vshard) {
-			defer wg.Done()
-			vs.mu.RLock()
-			defer vs.mu.RUnlock()
-			rss := vs.idx.SearchBatch(qs, k)
-			for qi := range rss {
-				rss[qi] = toGlobal(rss[qi], vs.globals)
-			}
-			perShard[sid] = rss
-		}(sid, vs)
-	}
-	wg.Wait()
+	sh.fanOut(context.Background(), nil, func(sid int, vs *vshard) {
+		vs.mu.RLock()
+		defer vs.mu.RUnlock()
+		rss := vs.idx.SearchBatch(qs, k)
+		for qi := range rss {
+			rss[qi] = toGlobal(rss[qi], vs.globals)
+		}
+		perShard[sid] = rss
+	})
 	scratch := make([][]Result, len(sh.shards))
 	for qi := range qs {
 		for sid := range perShard {
@@ -812,25 +837,19 @@ func (sh *Sharded) ScanExact(score func(v []float32) float64, exclude []int, k i
 		ex[int32(id)] = true
 	}
 	perShard := make([][]Result, len(sh.shards))
-	var wg sync.WaitGroup
-	for sid, vs := range sh.shards {
-		wg.Add(1)
-		go func(sid int, vs *vshard) {
-			defer wg.Done()
-			vs.mu.RLock()
-			defer vs.mu.RUnlock()
-			var top TopK
-			top.Reset(k)
-			for local, g := range vs.globals {
-				if ex[g] || vs.store.Deleted(local) {
-					continue
-				}
-				top.Push(int(g), score(vs.store.Row(local)))
+	sh.fanOut(context.Background(), nil, func(sid int, vs *vshard) {
+		vs.mu.RLock()
+		defer vs.mu.RUnlock()
+		var top TopK
+		top.Reset(k)
+		for local, g := range vs.globals {
+			if ex[g] || vs.store.Deleted(local) {
+				continue
 			}
-			perShard[sid] = top.Append(nil)
-		}(sid, vs)
-	}
-	wg.Wait()
+			top.Push(int(g), score(vs.store.Row(local)))
+		}
+		perShard[sid] = top.Append(nil)
+	})
 	return mergeTopK(perShard, k)
 }
 
@@ -879,87 +898,6 @@ func (sh *Sharded) Graphs() ([]*HNSWGraph, error) {
 		vs.mu.RUnlock()
 	}
 	return out, nil
-}
-
-// OpenShardedFromGraphs rebinds persisted per-shard HNSW graphs over
-// s instead of rebuilding: the hash partition of s's rows is
-// recomputed (it is deterministic in (row count, shard count)) and
-// graph g[i] is validated against shard i's gathered store. cfg must
-// be an HNSW configuration with Shards == len(graphs).
-func OpenShardedFromGraphs(s *Store, graphs []*HNSWGraph, cfg Config) (*Sharded, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Kind != KindHNSW {
-		return nil, fmt.Errorf("vecstore: OpenShardedFromGraphs needs an HNSW config, got %s", cfg.Kind)
-	}
-	ns := cfg.Shards
-	if ns < 1 {
-		ns = 1
-	}
-	if len(graphs) != ns {
-		return nil, fmt.Errorf("vecstore: %d persisted shard graphs for %d configured shards", len(graphs), ns)
-	}
-	per := cfg
-	per.Shards = 0
-	if w := normWorkers(cfg.Workers) / ns; w >= 1 {
-		per.Workers = w
-	} else {
-		per.Workers = 1
-	}
-
-	n := s.Len()
-	sh := &Sharded{
-		metric:   cfg.Metric,
-		kind:     cfg.Kind,
-		dim:      s.Dim(),
-		perShard: per,
-		locs:     make([]shardLoc, n),
-		shards:   make([]*vshard, ns),
-	}
-	ids := make([][]int, ns)
-	for i := 0; i < n; i++ {
-		sid := shardOf(i, ns)
-		sh.locs[i] = shardLoc{shard: int32(sid), local: int32(len(ids[sid]))}
-		ids[sid] = append(ids[sid], i)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, ns)
-	for sid := 0; sid < ns; sid++ {
-		wg.Add(1)
-		go func(sid int) {
-			defer wg.Done()
-			var st *Store
-			if len(ids[sid]) == 0 {
-				st = New(0, s.Dim())
-			} else {
-				st = s.Gather(ids[sid])
-			}
-			globals := make([]int32, len(ids[sid]))
-			for local, g := range ids[sid] {
-				globals[local] = int32(g)
-				if s.Deleted(g) {
-					if err := st.Delete(local); err != nil {
-						errs[sid] = err
-						return
-					}
-				}
-			}
-			h, err := HNSWFromGraph(st, graphs[sid], cfg.EfSearch, per.Workers)
-			if err != nil {
-				errs[sid] = err
-				return
-			}
-			sh.shards[sid] = &vshard{store: st, idx: h, globals: globals, nextLocal: st.Len()}
-		}(sid)
-	}
-	wg.Wait()
-	for sid, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("vecstore: binding shard %d/%d graph: %w", sid, ns, err)
-		}
-	}
-	return sh, nil
 }
 
 // toGlobal rewrites shard-local result IDs to global IDs in place.

@@ -2,6 +2,7 @@ package vecstore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +87,107 @@ func TestShardedExactParity(t *testing.T) {
 				t.Fatalf("sharded live/dead = %d/%d, store %d/%d", sh.Live(), sh.Dead(), s.Live(), s.Dead())
 			}
 			check("tombstoned")
+		})
+	}
+}
+
+// TestOneShardParity pins the premise the serving tier stands on — an
+// unsharded server is a one-shard coordinator: for every kind it
+// returns the bare Open index's IDs and score bits from SearchRow,
+// Search, SearchBatch, Cosine and an exact scan, across an interleaved
+// insert/delete sequence and at every k (past EfSearch, where HNSW
+// sizes its beam from k, and past the row count). It also serves the
+// base store itself, not a copy of it.
+func TestOneShardParity(t *testing.T) {
+	// Big and sparsely linked enough that an HNSW beam of k+1 and one
+	// of k+2 find different rows: the one-shard SearchRow must be the
+	// index's own, not the fan-out's k+1-then-strip.
+	const n, dim = 3000, 16
+	for _, cfg := range []Config{
+		{Kind: KindExact, Workers: 2},
+		{Kind: KindIVF, NLists: 8, NProbe: 3, Seed: 5},
+		{Kind: KindHNSW, M: 4, EfConstruction: 20, Seed: 5},
+	} {
+		t.Run(cfg.Kind.String(), func(t *testing.T) {
+			base := randStore(n, dim, 17)
+			sh, err := OpenSharded(base, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh.NumShards() != 1 || &sh.shards[0].store.Data()[0] != &base.Data()[0] {
+				t.Fatalf("%d shards; the identity partition must adopt the base store, not copy it", sh.NumShards())
+			}
+			bare, err := OpenMutable(randStore(n, dim, 17), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := bare.Store()
+
+			rng := xrand.New(29)
+			q := make([]float32, dim)
+			for j := range q {
+				q[j] = float32(rng.NormFloat64())
+			}
+			score := func(v []float32) float64 { return dotF64(q, v) }
+			check := func(stage string) {
+				t.Helper()
+				live := s.LiveIDs()
+				ids := []int{live[0], live[1], live[len(live)/4], live[len(live)/2], live[len(live)-2], live[len(live)-1]}
+				qs := [][]float32{q, s.Row(ids[0]), s.Row(ids[1])}
+				for _, k := range []int{1, 10, 200, s.Len()} {
+					for _, id := range ids {
+						sameResults(t, fmt.Sprintf("%s SearchRow(%d, %d)", stage, id, k), sh.SearchRow(id, k), bare.SearchRow(id, k))
+					}
+					sameResults(t, fmt.Sprintf("%s Search k=%d", stage, k), sh.Search(q, k), bare.Search(q, k))
+					got, want := sh.SearchBatch(qs, k), bare.SearchBatch(qs, k)
+					for qi := range qs {
+						sameResults(t, fmt.Sprintf("%s SearchBatch q%d k=%d", stage, qi, k), got[qi], want[qi])
+					}
+					var top TopK
+					top.Reset(k)
+					for _, i := range live {
+						if i != ids[1] {
+							top.Push(i, score(s.Row(i)))
+						}
+					}
+					sameResults(t, fmt.Sprintf("%s ScanExact k=%d", stage, k), sh.ScanExact(score, ids[1:2], k), top.Append(nil))
+				}
+				if got, want := sh.Cosine(ids[0], ids[5]), s.Cosine(ids[0], ids[5]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s Cosine = %v, bare store %v", stage, got, want)
+				}
+				if sh.Live() != s.Live() || sh.Dead() != s.Dead() {
+					t.Fatalf("%s live/dead = %d/%d, bare store %d/%d", stage, sh.Live(), sh.Dead(), s.Live(), s.Dead())
+				}
+			}
+			check("clean")
+
+			v := make([]float32, dim)
+			for step := 0; step < 150; step++ {
+				if step%3 == 2 {
+					live := s.LiveIDs()
+					id := live[rng.Intn(len(live))]
+					if err := bare.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+					if err := sh.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for j := range v {
+						v[j] = float32(rng.NormFloat64())
+					}
+					want, err := bare.Insert(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := sh.Insert(v); err != nil || got != want {
+						t.Fatalf("step %d: Insert = %d, %v; bare index assigned %d", step, got, err, want)
+					}
+				}
+				if step%50 == 49 {
+					check(fmt.Sprintf("step %d", step))
+				}
+			}
 		})
 	}
 }
@@ -198,9 +300,15 @@ func TestShardedInsertDelete(t *testing.T) {
 // background rebuild of just that shard; global IDs survive, the
 // reclaimed IDs report deleted, and queries stay exact.
 func TestShardedCompaction(t *testing.T) {
+	for _, shards := range []int{3, 1} { // 1: what an unsharded server runs
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testShardedCompaction(t, shards) })
+	}
+}
+
+func testShardedCompaction(t *testing.T, shards int) {
 	const n, dim = 300, 8
 	src := randStore(n, dim, 23)
-	sh, err := OpenSharded(randStore(n, dim, 23), Config{Shards: 3})
+	sh, err := OpenSharded(randStore(n, dim, 23), Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +374,89 @@ func TestShardedCompaction(t *testing.T) {
 	}
 	if id != n {
 		t.Fatalf("post-compaction insert got ID %d, want %d", id, n)
+	}
+}
+
+// TestShardedCompactionStaleRebuild drives the compactor's
+// abandon-if-stale path deterministically, on one goroutine: a write
+// that lands while the rebuild is building must make the rebuild
+// stale — swapping it in would silently drop the write — the loop must
+// then pause in proportion to what the doomed attempt cost before it
+// gathers again, and the retry, with writes quiet, must complete on
+// its own and keep the late write.
+func TestShardedCompactionStaleRebuild(t *testing.T) {
+	const n, dim = 30, 4
+	sh, err := OpenSharded(randStore(n, dim, 41), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compaction stays off while the tombstones accumulate, so the test
+	// owns the one run of the loop below.
+	for id := 0; id < 8; id++ {
+		if err := sh.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.SetCompactFraction(0.2)
+
+	late := []float32{9, 0, 0, 0}
+	lateID := -1
+	var buildCost time.Duration
+	var pauses []time.Duration
+	open := func(st *Store, cfg Config) (MutableIndex, error) {
+		start := time.Now()
+		if lateID < 0 {
+			// The first rebuild is in flight — no lock is held while it
+			// builds — and a write lands.
+			if st.Len() != n-8 {
+				t.Errorf("rebuild gathered %d rows, want the %d live ones", st.Len(), n-8)
+			}
+			id, err := sh.Insert(late)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lateID = id
+		}
+		idx, err := OpenMutable(st, cfg)
+		if len(pauses) == 0 {
+			buildCost = time.Since(start)
+		}
+		return idx, err
+	}
+	pause := func(d time.Duration) {
+		// Called between the stale attempt and the retry: nothing was
+		// swapped in, and the late write is where it was.
+		if st := sh.ShardStats()[0]; st.Compactions != 0 || st.Deleted != 8 || st.Live != n-8+1 {
+			t.Errorf("stale rebuild was swapped in over a write that landed mid-build: %+v", st)
+		}
+		if sh.Deleted(lateID) || sh.Row(lateID)[0] != 9 {
+			t.Errorf("mid-rebuild write lost when the rebuild was abandoned")
+		}
+		pauses = append(pauses, d)
+	}
+	if err := sh.compactLoop(0, open, pause); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(pauses) != 1 {
+		t.Fatalf("compactor paused %d times, want once (one stale attempt, then a clean one)", len(pauses))
+	}
+	if pauses[0] < compactBackoff*buildCost {
+		t.Fatalf("back-off %v after an attempt whose build alone took %v, want at least %d times that", pauses[0], buildCost, compactBackoff)
+	}
+	if st := sh.ShardStats()[0]; st.Compactions != 1 || st.Deleted != 0 || st.Rows != n-8+1 || st.Live != n-8+1 {
+		t.Fatalf("post-compaction shard: %+v, want %d live rows, no tombstones, one compaction", st, n-8+1)
+	}
+	if sh.Dead() != 0 || sh.Live() != n-8+1 || sh.Rows() != n+1 {
+		t.Fatalf("rows/live/dead = %d/%d/%d, want %d/%d/0", sh.Rows(), sh.Live(), sh.Dead(), n+1, n-8+1)
+	}
+	if res := sh.Search(late, 1); len(res) != 1 || res[0].ID != lateID {
+		t.Fatalf("late write lost in the successful compaction: nearest to it is %+v, want row %d", res, lateID)
+	}
+	for id := 0; id < 8; id++ {
+		if !sh.Deleted(id) {
+			t.Fatalf("row %d resolvable after it was compacted away", id)
+		}
 	}
 }
 

@@ -208,12 +208,22 @@ func AnalogySharded(sh *vecstore.Sharded, a, b, c, k int) []Neighbor {
 	for i := range target {
 		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
 	}
+	return toNeighbors(sh.ScanExact(AnalogyKernel(target), []int{a, b, c}, k))
+}
+
+// AnalogyKernel returns the per-row score of an analogy scan against
+// target: AnalogyStore's arithmetic (float64 dot over the row norm,
+// accumulated in row order; 0 when either vector is zero) as a
+// vecstore.Sharded.ScanExact kernel. A shard process scoring a target
+// its router sent calls it too, so every topology ranks with the same
+// bits.
+func AnalogyKernel(target []float64) func(vu []float32) float64 {
 	var tNorm float64
 	for _, x := range target {
 		tNorm += x * x
 	}
 	tNorm = math.Sqrt(tNorm)
-	res := sh.ScanExact(func(vu []float32) float64 {
+	return func(vu []float32) float64 {
 		var dot, un float64
 		for i := range vu {
 			dot += float64(vu[i]) * target[i]
@@ -223,8 +233,7 @@ func AnalogySharded(sh *vecstore.Sharded, a, b, c, k int) []Neighbor {
 			return dot / (math.Sqrt(un) * tNorm)
 		}
 		return 0
-	}, []int{a, b, c}, k)
-	return toNeighbors(res)
+	}
 }
 
 // Centroid returns the mean vector of the given vertices.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"v2v/internal/graph"
+	"v2v/internal/vecstore"
 	"v2v/internal/walk"
 	"v2v/internal/xrand"
 )
@@ -434,6 +435,72 @@ func TestAnalogy(t *testing.T) {
 	}
 	if m.Analogy(0, 1, 2, 0) != nil {
 		t.Fatal("k=0 should return nil")
+	}
+}
+
+// TestAnalogyShardedMatchesStore: the serving analogy (AnalogySharded,
+// the kernel pushed through the coordinator's exact scan) returns
+// AnalogyStore's vertices and similarity bits over the same rows — for
+// one shard, which is what an unsharded server holds, and for several
+// — across an interleaved insert/delete sequence and at every k.
+func TestAnalogyShardedMatchesStore(t *testing.T) {
+	const n, dim = 300, 12
+	for _, shards := range []int{1, 3} {
+		rng := xrand.New(11)
+		vec := func() []float32 {
+			v := make([]float32, dim)
+			for i := range v {
+				v[i] = float32(rng.NormFloat64())
+			}
+			return v
+		}
+		ref, base := vecstore.New(0, dim), vecstore.New(0, dim)
+		for i := 0; i < n; i++ {
+			v := vec()
+			ref.AppendRow(v)
+			base.AppendRow(v)
+		}
+		sh, err := vecstore.OpenSharded(base, vecstore.Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			t.Helper()
+			live := ref.LiveIDs()
+			a, b, c := live[0], live[len(live)/2], live[len(live)-1]
+			for _, k := range []int{1, 10, 200, ref.Len()} {
+				got, want := AnalogySharded(sh, a, b, c, k), AnalogyStore(ref, a, b, c, k)
+				if len(got) != len(want) {
+					t.Fatalf("shards=%d %s k=%d: %d results, want %d", shards, stage, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Word != want[i].Word || math.Float64bits(got[i].Similarity) != math.Float64bits(want[i].Similarity) {
+						t.Fatalf("shards=%d %s k=%d rank %d: %+v, want %+v", shards, stage, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		check("clean")
+		for step := 0; step < 90; step++ {
+			if step%3 == 2 {
+				live := ref.LiveIDs()
+				id := live[rng.Intn(len(live))]
+				if err := ref.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := sh.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				v := vec()
+				if id, err := sh.Insert(v); err != nil || id != ref.AppendRow(v) {
+					t.Fatalf("shards=%d step %d: Insert = %d, %v", shards, step, id, err)
+				}
+			}
+			if step%30 == 29 {
+				check("mutated")
+			}
+		}
 	}
 }
 

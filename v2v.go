@@ -542,8 +542,9 @@ type ServeClassLimit = server.ClassLimit
 // (plus batched variants), /healthz and /stats, with atomic hot model
 // reload via /v1/reload and online writes via /v1/upsert and
 // /v1/delete (plus batched variants) — upserts and deletes are
-// visible to the very next query, no reload required, and deletes
-// compact into a fresh generation past a tombstone threshold (see
+// visible to the very next query, no reload required, and past a
+// tombstone threshold the shard they landed on is rebuilt over its
+// live rows in the background, in the same generation (see
 // ServeConfig.CompactFraction; ServeConfig.ReadOnly disables writes).
 // Build one with NewQueryServer or NewQueryServerFromModel.
 type QueryServer = server.Server
