@@ -18,7 +18,7 @@ BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|Benc
 BENCH_PKGS    ?= ./internal/walk ./internal/word2vec ./internal/vecstore ./internal/knn
 
 .PHONY: build test race vet check-benchmark bench bench-short serve-smoke router-smoke crash-smoke crash-smoke-short \
-	crash-smoke-sharded wal-fuzz scan-fuzz hnsw-fuzz shard-wire-fuzz loadgen-bench loadgen-short \
+	crash-smoke-sharded wal-fuzz scan-fuzz hnsw-fuzz snapshot-fuzz shard-wire-fuzz loadgen-bench loadgen-short \
 	loadgen-write loadgen-write-short loadgen-sharded loadgen-sweep loadgen-sweep-short \
 	hnsw-recall hnsw-recall-full \
 	hnsw-recall-incr hnsw-recall-incr-full hnsw-recall-sharded loadgen-hnsw clean
@@ -96,15 +96,25 @@ wal-fuzz:
 # Exact-scan prefilter fuzz smoke: stores and queries read out of raw
 # float32 bits (NaNs, infinities, subnormals, near-overflow
 # magnitudes); the filtered scan must return the IDs and score bits of
-# scoring every row in float64.
+# scoring every row in float64. Then the bound's two tests on their
+# own, thresholds out of raw bits too: "provably below" and "provably
+# above" may never contradict the float64 score, nor each other.
 scan-fuzz:
 	$(GO) test -run FuzzScanFilterParity -fuzz FuzzScanFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
+	$(GO) test -run FuzzPrefilterSides -fuzz FuzzPrefilterSides -fuzztime $(FUZZTIME) ./internal/vecstore
 
 # HNSW prefilter fuzz smoke: the same raw-bits stores; an index built
 # and queried behind the float32 filter must have the adjacency, IDs
 # and score bits of one that scores every candidate in float64.
 hnsw-fuzz:
 	$(GO) test -run FuzzHNSWFilterParity -fuzz FuzzHNSWFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
+
+# Bundle graph-section fuzz smoke: arbitrary bytes at the decoder a
+# server start-up reads its index from; no panic, no allocation sized
+# by a count the stream has not backed, and an accepted graph has every
+# link in range and saves back to the bytes it came from.
+snapshot-fuzz:
+	$(GO) test -run FuzzLoadIndex -fuzz FuzzLoadIndex -fuzztime $(FUZZTIME) ./internal/snapshot
 
 # Shard wire fuzz smoke: arbitrary bodies at the six /shard/v1/*
 # request decoders of a live shard; none may panic, answer 5xx, or be

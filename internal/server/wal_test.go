@@ -106,8 +106,12 @@ func TestWALCheckpointFoldsAndTruncates(t *testing.T) {
 			t.Fatalf("upsert %d: status %d", i, code)
 		}
 	}
+	// Wait for the last checkpoint, not the first: every write above
+	// crossed the threshold, and one still in flight would replace the
+	// file between the two reads of its LSN below. Handlers start a
+	// checkpoint before they answer, so none starts after this.
 	deadline := time.Now().Add(5 * time.Second)
-	for s1.checkpoints.Load() == 0 {
+	for s1.checkpoints.Load() == 0 || s1.compacting.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint written within 5s")
 		}

@@ -145,19 +145,32 @@ func LoadIndex(r io.Reader) (*vecstore.HNSWGraph, int, error) {
 
 // loadIndex implements LoadIndex over an existing buffered reader so
 // bundle loading can continue mid-stream after the model section.
+//
+// A level's links are one read and one checksum update, and an error's
+// text is formatted when it is returned: at one read and one formatted
+// position per link, loading a bundle's graph ran at a fifth of the
+// speed of loading its vectors. Nothing is allocated for bytes the
+// stream has not delivered: rows are appended as they are read, a
+// level's links are copied out of the fixed read buffer, and the counts
+// a corrupt header can claim (64 levels, maxLinks links) bound the
+// rest.
 func loadIndex(br *bufio.Reader) (*vecstore.HNSWGraph, int, error) {
 	crc := crc32.NewIEEE()
-	readFull := func(buf []byte, what string) error {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("snapshot: truncated index graph %s: %w", what, err)
+	// readFull fills buf and checksums it; n is what a failed read
+	// delivered.
+	readFull := func(buf []byte) (n int, err error) {
+		if n, err = io.ReadFull(br, buf); err == nil {
+			crc.Write(buf)
 		}
-		crc.Write(buf)
-		return nil
+		return n, err
+	}
+	truncated := func(err error, format string, args ...any) error {
+		return fmt.Errorf("snapshot: truncated index graph %s: %w", fmt.Sprintf(format, args...), err)
 	}
 
 	head := make([]byte, len(IndexMagic)+4+1+20)
-	if err := readFull(head, "header"); err != nil {
-		return nil, 0, err
+	if _, err := readFull(head); err != nil {
+		return nil, 0, truncated(err, "header")
 	}
 	if !IsIndexGraph(head) {
 		what := "bad magic"
@@ -186,7 +199,7 @@ func loadIndex(br *bufio.Reader) (*vecstore.HNSWGraph, int, error) {
 		Entry:    -1,
 		// Grown with append so a truncated stream fails before the
 		// claimed row count balloons the allocation.
-		Friends: make([][][]int32, 0, min(int(rows), 1<<16)),
+		Friends: make([][][]int32, 0, min(int(rows), 1<<10)),
 	}
 	if entry != noEntry {
 		if entry >= rows {
@@ -196,32 +209,40 @@ func loadIndex(br *bufio.Reader) (*vecstore.HNSWGraph, int, error) {
 	}
 	var u8 [1]byte
 	var u32 [4]byte
+	buf := make([]byte, 4*maxLinks)
 	for i := 0; i < int(rows); i++ {
-		if err := readFull(u8[:], fmt.Sprintf("level byte at row %d", i)); err != nil {
-			return nil, 0, err
+		if _, err := readFull(u8[:]); err != nil {
+			return nil, 0, truncated(err, "level byte at row %d", i)
 		}
 		if u8[0] > maxLevel {
 			return nil, 0, fmt.Errorf("snapshot: index graph row %d claims level %d (max %d)", i, u8[0], maxLevel)
 		}
 		levels := make([][]int32, int(u8[0])+1)
 		for l := range levels {
-			if err := readFull(u32[:], fmt.Sprintf("link count at row %d level %d", i, l)); err != nil {
-				return nil, 0, err
+			if _, err := readFull(u32[:]); err != nil {
+				return nil, 0, truncated(err, "link count at row %d level %d", i, l)
 			}
 			count := binary.LittleEndian.Uint32(u32[:])
 			if count > maxLinks {
 				return nil, 0, fmt.Errorf("snapshot: index graph row %d level %d claims %d links (max %d)", i, l, count, maxLinks)
 			}
-			links := make([]int32, count)
+			n, err := readFull(buf[:4*count])
+			links := make([]int32, n/4)
 			for j := range links {
-				if err := readFull(u32[:], fmt.Sprintf("link at row %d level %d", i, l)); err != nil {
-					return nil, 0, err
-				}
-				id := binary.LittleEndian.Uint32(u32[:])
+				id := binary.LittleEndian.Uint32(buf[4*j:])
 				if id >= rows {
 					return nil, 0, fmt.Errorf("snapshot: index graph row %d level %d links to out-of-range row %d", i, l, id)
 				}
 				links[j] = int32(id)
+			}
+			if err != nil {
+				// The stream ended inside this level: between two links
+				// that is a clean EOF for the next one, as reading link by
+				// link reported it.
+				if err == io.ErrUnexpectedEOF && n%4 == 0 {
+					err = io.EOF
+				}
+				return nil, 0, truncated(err, "link at row %d level %d", i, l)
 			}
 			levels[l] = links
 		}

@@ -225,12 +225,17 @@ func BenchmarkSearchHNSW(b *testing.B) {
 // BenchmarkHNSWBuild is one default-parameter cosine build of a
 // clustered 10 000 x 64 store per op (the repository benchmark's HNSW
 // shape), at every size of -short too: a build is seconds, not minutes.
-// evals/op and rejected/op are read from the build's scratch, which
-// NewHNSW leaves in the index's pool.
+// The counters are read from the build's scratch, which NewHNSW leaves
+// in the index's pool: evals/op and rejected/op are the beam's and the
+// descent's candidates and those the float32 pass dropped, sel/op the
+// comparisons of neighbour selection and selrefined/op those the
+// float64 kernel had to decide (about 0.5%; a two-sided test that
+// stops firing shows here as a number, not only as time).
 func BenchmarkHNSWBuild(b *testing.B) {
 	s := clusteredStore(10_000, 64, 100, 101)
 	s.SqNorms()
-	evals, rejected, counted := 0, 0, 0
+	var sum hnswScratch
+	counted := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, err := NewHNSW(s, Cosine, HNSWConfig{Seed: 7})
@@ -238,13 +243,17 @@ func BenchmarkHNSWBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		if sc, ok := h.scratch.Get().(*hnswScratch); ok {
-			evals, rejected, counted = evals+sc.evals, rejected+sc.rejected, counted+1
+			sum.evals, sum.rejected = sum.evals+sc.evals, sum.rejected+sc.rejected
+			sum.selCmps, sum.selRefined = sum.selCmps+sc.selCmps, sum.selRefined+sc.selRefined
+			counted++
 		}
 	}
 	b.ReportMetric(float64(b.N*s.Len())/b.Elapsed().Seconds(), "rows/s")
 	if counted > 0 {
-		b.ReportMetric(float64(evals)/float64(counted), "evals/op")
-		b.ReportMetric(float64(rejected)/float64(counted), "rejected/op")
+		b.ReportMetric(float64(sum.evals)/float64(counted), "evals/op")
+		b.ReportMetric(float64(sum.rejected)/float64(counted), "rejected/op")
+		b.ReportMetric(float64(sum.selCmps)/float64(counted), "sel/op")
+		b.ReportMetric(float64(sum.selRefined)/float64(counted), "selrefined/op")
 	}
 }
 
@@ -287,4 +296,30 @@ func BenchmarkSearchIVFBatch(b *testing.B) {
 		ivf.SearchBatch(qs, 10)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
+}
+
+// BenchmarkHNSWInsert is one steady-state Insert per op into the
+// default-parameter cosine graph over the clustered 10 000 x 64 store
+// (BenchmarkHNSWBuild's), new rows drawn from the same clusters: the
+// upsert's apply stage and a WAL replay record. allocs/op and B/op are
+// the new node's lists, the store's amortised growth and nothing per
+// search or per shrink.
+func BenchmarkHNSWInsert(b *testing.B) {
+	const built = 10_000
+	all := clusteredStore(2*built, 64, 100, 101) // a prefix is BenchmarkHNSWBuild's store
+	ids := make([]int, built)
+	for i := range ids {
+		ids[i] = i
+	}
+	h, err := NewHNSW(all.Gather(ids), Cosine, HNSWConfig{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.Insert(all.Row(built + i%built)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -62,10 +62,17 @@ type hnswNode struct {
 // a candidate must beat a known distance to matter (the beam's worst
 // retained result, the descent's current best), a float32 dot comes
 // first and the prefilter of scan.go drops the candidate when it
-// proves the float64 score cannot; everything else is scored by the
-// float64 kernels as before. The filter rejects only what those
-// comparisons would reject, so graphs and results are bit for bit
-// those of scoring every candidate (TestHNSWFilterParity).
+// proves the float64 score cannot; the beam scores what is left of a
+// friend list four rows at a time (dotF64x4), each score the single
+// kernel's bits. Neighbour selection, which is most of an insert,
+// needs no score at all, only "is this candidate closer to a kept
+// neighbour than to the new node": the float32 dot answers through
+// the prefilter's two tests (provably not closer, provably closer)
+// and the float64 kernel decides the comparisons neither can. The
+// float32 pass only ever answers a comparison the float64 score would
+// answer the same way, so graphs and results are bit for bit those of
+// scoring every candidate (TestHNSWFilterParity, whose reference sets
+// gamma to +Inf; TestHNSWGoldenGraphs).
 //
 // HNSW implements MutableIndex: Insert reuses the build-time level
 // sampling (continuing the build's deterministic RNG stream) and
@@ -231,9 +238,33 @@ func (h *HNSW) farther(f *prefilter, q []float32, e int32, sc *hnswScratch) bool
 	return true
 }
 
-// distRows is dist with stored row a as the query.
-func (h *HNSW) distRows(a, b int32) float64 {
-	return -scoreRow(h.s, h.metric, h.s.Row(int(a)), h.s.SqNorms()[a], int(b))
+// dists returns dist(q, id) for every id, in order, in scratch
+// storage: four rows per kernel call, the last call's spare slots
+// scoring the last row again. Each distance is dist's, bit for bit
+// (NaN payloads aside, see kernels.go).
+func (h *HNSW) dists(q []float32, qn float64, ids []int32, sc *hnswScratch) []float64 {
+	out := sc.dist[:0]
+	norms := h.s.SqNorms()
+	last := len(ids) - 1
+	for i := 0; i <= last; i += 4 {
+		i0, i1, i2, i3 := ids[i], ids[min(i+1, last)], ids[min(i+2, last)], ids[min(i+3, last)]
+		r0, r1, r2, r3 := h.s.Row(int(i0)), h.s.Row(int(i1)), h.s.Row(int(i2)), h.s.Row(int(i3))
+		var d [4]float64
+		switch h.metric {
+		case Euclidean:
+			d[0], d[1], d[2], d[3] = sqDistF64x4(q, r0, r1, r2, r3)
+		case Cosine:
+			d[0], d[1], d[2], d[3] = dotF64x4(q, r0, r1, r2, r3)
+			d[0], d[1] = -cosineFromDot(d[0], qn, norms[i0]), -cosineFromDot(d[1], qn, norms[i1])
+			d[2], d[3] = -cosineFromDot(d[2], qn, norms[i2]), -cosineFromDot(d[3], qn, norms[i3])
+		default:
+			d[0], d[1], d[2], d[3] = dotF64x4(q, r0, r1, r2, r3)
+			d[0], d[1], d[2], d[3] = -d[0], -d[1], -d[2], -d[3]
+		}
+		out = append(out, d[:min(4, last+1-i)]...)
+	}
+	sc.dist = out
+	return out
 }
 
 // insert links row i into the graph at levels [0, level].
@@ -264,15 +295,21 @@ func (h *HNSW) insert(i int32, level int, sc *hnswScratch) {
 	for l := top; l >= 0; l-- {
 		h.searchLayer(q, &f, eps, l, h.efc, sc)
 		cands := sc.extractAsc()
-		// Copy the selection before wiring back-links: shrink reuses
-		// the selection scratch.
-		h.nodes[i].friends[l] = append([]int32(nil), h.selectNeighbors(cands, h.m, sc)...)
 		limit := h.mmax0
 		if l > 0 {
 			limit = h.m
 		}
+		// A list is allocated once, with room for the link that takes it
+		// over its cap before shrink cuts it back in place. Copy the
+		// selection before wiring back-links: shrink reuses the
+		// selection scratch.
+		h.nodes[i].friends[l] = append(make([]int32, 0, limit+1), h.selectNeighbors(cands, h.m, sc)...)
 		for _, nb := range h.nodes[i].friends[l] {
-			fr := append(h.nodes[nb].friends[l], i)
+			fr := h.nodes[nb].friends[l]
+			if len(fr) == cap(fr) { // sized to its links by a bundle's loader: regrow once
+				fr = append(make([]int32, 0, limit+1), fr...)
+			}
+			fr = append(fr, i)
 			if len(fr) > limit {
 				fr = h.shrink(nb, fr, limit, sc)
 			}
@@ -331,18 +368,25 @@ func closer(a, b hcand) bool {
 
 // hnswScratch is the reusable per-search state: an epoch-tagged
 // visited set (cleared in O(1) by bumping the epoch), the candidate
-// min-heap, the bounded result max-heap, and small reusable slices.
+// min-heap, the bounded result max-heap, and small reusable slices, so
+// that a search allocates its result and an insert its new lists,
+// nothing else.
 type hnswScratch struct {
 	visited []uint32
 	epoch   uint32
 	cand    candHeap
 	res     resultHeap
 	eps     []int32
-	asc     []hcand
-	sel     []int32
+	sel     []int32   // selectNeighbors' selection
+	spilled []int32   // selectNeighbors' discarded candidates
+	near    []hcand   // shrink's sorted list
+	surv    []int32   // searchLayer: the friends the float32 pass left
+	dist    []float64 // dists' result
 	// evals counts the candidates the beam and the descent considered
-	// through this scratch, rejected those the float32 pass dropped.
-	evals, rejected int
+	// through this scratch, rejected those the float32 pass dropped;
+	// selCmps the "closer to a kept neighbour?" comparisons of neighbour
+	// selection, selRefined those the float64 kernel had to decide.
+	evals, rejected, selCmps, selRefined int
 }
 
 func (h *HNSW) newScratch() *hnswScratch {
@@ -387,18 +431,14 @@ func (sc *hnswScratch) seen(id int32) bool {
 	return false
 }
 
-// extractAsc drains the result heap into an ascending-distance slice
-// (closest first), reusing scratch storage.
+// extractAsc returns the retained results closest first: the result
+// heap's array, sorted in place (closer is a total order wherever no
+// distance is NaN, so this is the sequence popping the heap empty would
+// give, reversed). The heap is spent; the slice is good until the next
+// search begins.
 func (sc *hnswScratch) extractAsc() []hcand {
-	n := len(sc.res.h)
-	if cap(sc.asc) < n {
-		sc.asc = make([]hcand, n)
-	}
-	sc.asc = sc.asc[:n]
-	for i := n - 1; i >= 0; i-- {
-		sc.asc[i] = sc.res.pop()
-	}
-	return sc.asc
+	sortCands(sc.res.h)
+	return sc.res.h
 }
 
 // searchLayer runs the bounded best-first beam search of the paper's
@@ -432,41 +472,73 @@ func (h *HNSW) searchLayer(q []float32, f *prefilter, eps []int32, level, ef int
 		if level >= len(friends) {
 			continue
 		}
+		// The float32 pass runs over the whole list before anything is
+		// scored, so that the float64 chains of what it leaves overlap.
+		// The threshold it sees is the one this list started with, at
+		// worst looser than the one a friend-by-friend pass would have
+		// reached: it leaves a superset, and the extra rows fail the
+		// d < worst test below as they failed the filter.
+		surv := sc.surv[:0]
 		for _, e := range friends[level] {
-			if sc.seen(e) || h.farther(f, q, e, sc) {
+			if !sc.seen(e) && !h.farther(f, q, e, sc) {
+				surv = append(surv, e)
+			}
+		}
+		sc.surv = surv
+		for j, d := range h.dists(q, f.qn, surv, sc) {
+			e := surv[j]
+			if len(sc.res.h) < ef {
+				sc.res.push(hcand{e, d})
+			} else if d < sc.res.h[0].dist {
+				sc.res.replaceTop(hcand{e, d})
+			} else {
 				continue
 			}
-			d := h.dist(q, f.qn, e)
-			if len(sc.res.h) < ef || d < sc.res.h[0].dist {
-				sc.cand.push(hcand{e, d})
-				sc.res.push(hcand{e, d})
-				if len(sc.res.h) > ef {
-					sc.res.pop()
-				}
-				if len(sc.res.h) == ef {
-					f.arm(-sc.res.h[0].dist)
-				}
+			sc.cand.push(hcand{e, d})
+			if len(sc.res.h) == ef {
+				f.arm(-sc.res.h[0].dist)
 			}
 		}
 	}
 }
 
+// nearer reports whether stored row kept is closer to candidate c (its
+// row, with f armed at -c.dist over it) than c is to the node being
+// linked: dist(c, kept) < c.dist. That is a comparison and not a
+// score, so the prefilter's two tests decide it from a float32 dot,
+// and the float64 kernel is asked only when neither can (never, in
+// either direction, when gamma is +Inf).
+func (h *HNSW) nearer(f *prefilter, row []float32, c hcand, kept int32, sc *hnswScratch) bool {
+	sc.selCmps++
+	a, rn := f32.Dot(row, h.s.Row(int(kept))), h.s.SqNorms()[kept]
+	switch {
+	case f.drops(a, rn):
+		return false
+	case f.beats(a, rn):
+		return true
+	}
+	sc.selRefined++
+	return h.dist(row, f.qn, kept) < c.dist
+}
+
 // selectNeighbors is the paper's Algorithm 4 heuristic: walking the
-// candidates nearest-first, keep one only if it is closer to the new
-// node than to every neighbor already kept — links then span distinct
-// directions instead of piling into one cluster. Discarded candidates
-// back-fill any remaining capacity (keepPrunedConnections), so low-
-// degree regions stay reachable.
+// candidates of a node nearest-first, keep one only if it is closer to
+// the node than to every neighbor already kept — links then span
+// distinct directions instead of piling into one cluster. Discarded
+// candidates back-fill any remaining capacity (keepPrunedConnections),
+// so low-degree regions stay reachable.
 func (h *HNSW) selectNeighbors(cands []hcand, m int, sc *hnswScratch) []int32 {
-	sel := sc.sel[:0]
-	var spilled []hcand
+	sel, spilled := sc.sel[:0], sc.spilled[:0]
 	for _, c := range cands {
 		if len(sel) >= m {
 			break
 		}
+		row := h.s.Row(int(c.id))
+		f := prefilter{metric: h.metric, gamma: h.gamma, qn: h.s.SqNorms()[c.id]}
+		f.arm(-c.dist)
 		good := true
 		for _, kept := range sel {
-			if h.distRows(c.id, kept) < c.dist {
+			if h.nearer(&f, row, c, kept, sc) {
 				good = false
 				break
 			}
@@ -474,43 +546,45 @@ func (h *HNSW) selectNeighbors(cands []hcand, m int, sc *hnswScratch) []int32 {
 		if good {
 			sel = append(sel, c.id)
 		} else if len(spilled) < m {
-			spilled = append(spilled, c)
+			spilled = append(spilled, c.id)
 		}
 	}
-	for _, c := range spilled {
+	for _, id := range spilled {
 		if len(sel) >= m {
 			break
 		}
-		sel = append(sel, c.id)
+		sel = append(sel, id)
 	}
-	sc.sel = sel
+	sc.sel, sc.spilled = sel, spilled
 	return sel
 }
 
 // shrink re-selects a node's neighbor list after it exceeded its
-// degree cap, using the same diversity heuristic as insertion.
+// degree cap, using the same diversity heuristic as insertion, and
+// writes the selection back over the list.
 func (h *HNSW) shrink(node int32, friends []int32, limit int, sc *hnswScratch) []int32 {
-	cands := make([]hcand, len(friends))
-	for i, f := range friends {
-		cands[i] = hcand{f, h.distRows(node, f)}
+	near := sc.near[:0]
+	for i, d := range h.dists(h.s.Row(int(node)), h.s.SqNorms()[node], friends, sc) {
+		near = append(near, hcand{friends[i], d})
 	}
-	sortCands(cands)
-	sel := h.selectNeighbors(cands, limit, sc)
-	out := friends[:0]
-	return append(out, sel...)
+	sortCands(near)
+	sc.near = near
+	return append(friends[:0], h.selectNeighbors(near, limit, sc)...)
 }
 
-// sortCands orders ascending by distance (insertion sort; lists are
-// bounded by the degree caps).
+// sortCands orders closest first: a Shell sort (Ciura's gaps), which
+// on the few dozen to few hundred candidates of a list or a beam
+// beats a generic sort that calls its comparison through a pointer.
 func sortCands(cs []hcand) {
-	for i := 1; i < len(cs); i++ {
-		x := cs[i]
-		j := i - 1
-		for j >= 0 && closer(x, cs[j]) {
-			cs[j+1] = cs[j]
-			j--
+	for _, gap := range [...]int{132, 57, 23, 10, 4, 1} {
+		for i := gap; i < len(cs); i++ {
+			x := cs[i]
+			j := i
+			for ; j >= gap && closer(x, cs[j-gap]); j -= gap {
+				cs[j] = cs[j-gap]
+			}
+			cs[j] = x
 		}
-		cs[j+1] = x
 	}
 }
 
@@ -592,7 +666,14 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 		if int(c.id) == exclude || (del != nil && del[c.id]) || len(dst)-start == k {
 			continue
 		}
-		dst = append(dst, Result{ID: int(c.id), Score: -c.dist})
+		score := -c.dist
+		if score != score {
+			// Which payload survives a sum of NaNs follows the operand
+			// order the compiler picked for that accumulator, and dists
+			// has four: report the one NaN.
+			score = math.NaN()
+		}
+		dst = append(dst, Result{ID: int(c.id), Score: score})
 	}
 	sortResults(dst[start:])
 	return dst
@@ -803,18 +884,31 @@ func (q *resultHeap) pop() hcand {
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
 	q.h = q.h[:last]
-	i := 0
+	q.siftDown()
+	return top
+}
+
+// replaceTop evicts the farthest result for c in one sift: the heap a
+// push and a pop would leave, for a c closer than the top.
+func (q *resultHeap) replaceTop(c hcand) {
+	q.h[0] = c
+	q.siftDown()
+}
+
+// siftDown restores the heap after h[0] was overwritten.
+func (q *resultHeap) siftDown() {
+	i, n := 0, len(q.h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		worst := i
-		if l < last && closer(q.h[worst], q.h[l]) {
+		if l < n && closer(q.h[worst], q.h[l]) {
 			worst = l
 		}
-		if r < last && closer(q.h[worst], q.h[r]) {
+		if r < n && closer(q.h[worst], q.h[r]) {
 			worst = r
 		}
 		if worst == i {
-			return top
+			return
 		}
 		q.h[i], q.h[worst] = q.h[worst], q.h[i]
 		i = worst

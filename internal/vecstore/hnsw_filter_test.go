@@ -1,7 +1,6 @@
 package vecstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -19,6 +18,12 @@ import (
 // filterCfg keeps the beams narrower than the test stores, so that
 // they fill and the filter arms during builds and queries alike.
 var filterCfg = HNSWConfig{M: 6, EfConstruction: 24, EfSearch: 16, Seed: 17}
+
+// tightCfg caps lists at 4 links (2 above level 0), so that nearly
+// every insert pushes a neighbour's list over its cap and the graph is
+// mostly shrink's work: re-scored four rows at a time, re-selected in
+// float32.
+var tightCfg = HNSWConfig{M: 2, EfConstruction: 12, EfSearch: 16, Seed: 17}
 
 // unfilteredHNSW builds the reference: the rows of s inserted one by
 // one, in order, into an index over an empty store whose bound was
@@ -85,18 +90,25 @@ func checkSameResults(t testing.TB, what string, got, want []Result) {
 }
 
 // TestHNSWFilterParity: on scan_test.go's adversarial stores, for
-// every metric, batch-built or grown by Insert, with and without
-// tombstones, the filtered index has the unfiltered one's adjacency at
-// every node and level and its IDs and score bits at every rank.
+// every metric, at both configurations, batch-built or grown by
+// Insert, with and without tombstones, the filtered index has the
+// unfiltered one's adjacency at every node and level and its IDs and
+// score bits at every rank.
 func TestHNSWFilterParity(t *testing.T) {
+	for name, cfg := range map[string]HNSWConfig{"M=6": filterCfg, "M=2": tightCfg} {
+		t.Run(name, func(t *testing.T) { testHNSWFilterParity(t, cfg) })
+	}
+}
+
+func testHNSWFilterParity(t *testing.T, cfg HNSWConfig) {
 	const n = 150
 	for _, dim := range []int{1, 7, 50, 64, 67, 128} {
 		for kind, e := range adversarialStores(n, dim, uint64(dim)) {
 			for _, metric := range []Metric{Cosine, Dot, Euclidean} {
-				want := unfilteredHNSW(t, e.s, metric, filterCfg)
+				want := unfilteredHNSW(t, e.s, metric, cfg)
 				for _, built := range []int{n, 2 * n / 3} {
 					what := fmt.Sprintf("dim %d %s %v built=%d", dim, kind, metric, built)
-					got := filteredHNSW(t, e.s, metric, filterCfg, built)
+					got := filteredHNSW(t, e.s, metric, cfg, built)
 					checkSameGraph(t, what, got, want)
 					for _, tombstones := range []bool{false, true} {
 						if tombstones {
@@ -119,7 +131,7 @@ func TestHNSWFilterParity(t *testing.T) {
 					}
 					// Tombstones are per index; the next round deletes
 					// want's rows again, which Delete refuses, so rebuild.
-					want = unfilteredHNSW(t, e.s, metric, filterCfg)
+					want = unfilteredHNSW(t, e.s, metric, cfg)
 				}
 			}
 		}
@@ -132,10 +144,7 @@ func TestHNSWFilterParity(t *testing.T) {
 func FuzzHNSWFilterParity(f *testing.F) {
 	for _, dim := range []int{1, 8, 19} {
 		for _, e := range adversarialStores(24, dim, 5) {
-			var data []byte
-			for _, x := range append(append([]float32(nil), e.qs[len(e.qs)-1]...), e.s.Data()...) {
-				data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
-			}
+			data := rawBytes(e)
 			f.Add(data, uint8(dim-1), uint8(0), uint8(3), uint16(0))
 			f.Add(data, uint8(dim-1), uint8(1), uint8(1), uint16(0b1001))
 			f.Add(data, uint8(dim-1), uint8(2), uint8(200), uint16(0b10))
@@ -143,18 +152,11 @@ func FuzzHNSWFilterParity(f *testing.F) {
 	}
 	cfg := HNSWConfig{M: 3, EfConstruction: 6, EfSearch: 4, Seed: 17}
 	f.Fuzz(func(t *testing.T, data []byte, dimByte, metricByte, kByte uint8, dead uint16) {
-		dim := 1 + int(dimByte)%67
-		floats := make([]float32, len(data)/4)
-		for i := range floats {
-			floats[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-		}
-		n := min(len(floats)/dim-1, 64)
-		if n < 1 {
+		q, s := rawStore(data, dimByte, 64)
+		if s == nil {
 			return
 		}
-		q := floats[:dim]
-		s := New(n, dim)
-		copy(s.Data(), floats[dim:])
+		n, dim := s.Len(), s.Dim()
 		metric := Metric(metricByte % 3)
 		what := fmt.Sprintf("dim %d n %d %v", dim, n, metric)
 		got, want := filteredHNSW(t, s, metric, cfg, n-n/4), unfilteredHNSW(t, s, metric, cfg)

@@ -1,0 +1,53 @@
+package vecstore
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+)
+
+// graphHash is FNV-1a over the whole topology: entry point, then per
+// row its level count and per level the link count and every link, in
+// order.
+func graphHash(g *HNSWGraph) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		h.Write(b[:])
+	}
+	put(int(g.Entry))
+	for _, levels := range g.Friends {
+		put(len(levels))
+		for _, links := range levels {
+			put(len(links))
+			for _, e := range links {
+				put(int(e))
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestHNSWGoldenGraphs pins the graph a seeded default-parameter build
+// produces, per metric, to the hash recorded at the commit before
+// insertion moved its neighbour selection to float32 (PR 22): an insert
+// path optimisation may not move one link. The parity tests compare the
+// filtered index with the unfiltered one; this one compares both with
+// the past.
+func TestHNSWGoldenGraphs(t *testing.T) {
+	s := clusteredStore(2000, 32, 20, 101)
+	for metric, want := range map[Metric]uint64{
+		Cosine:    0x1f7c998d9b16783b,
+		Dot:       0x45b1e186b67cebf9,
+		Euclidean: 0xb41a3009bdb74c62,
+	} {
+		h, err := NewHNSW(s, metric, HNSWConfig{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := graphHash(h.Graph()); got != want {
+			t.Errorf("%v: graph hash %#016x, want %#016x", metric, got, want)
+		}
+	}
+}

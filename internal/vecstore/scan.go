@@ -45,6 +45,28 @@ import (
 // squared norm below 2^-60 (zero vectors included) and any NaN, which
 // fails every comparison above. TestScanFilterParity and
 // FuzzScanFilterParity hold the scan to that on adversarial stores.
+//
+// The mirror test. The same |a - q·r| <= g‖q‖‖r‖ bounds S from below,
+// so with the same γ = 2g on the other side of τ the float64 score is
+// provably above τ when
+//
+//	Cosine:    a/√(qn rn) > τ+γ, that is, with p = τ+γ:
+//	           p < 0 and (a >= 0 or a² < p² qn rn), or
+//	           p >= 0 and a > 0 and a² > p² qn rn
+//	           since S >= a/√(qn rn) - g - ...
+//	Dot:       a-τ > 0 and (a-τ)² > γ² qn rn
+//	           since S >= a - g√(qn rn) - ...
+//	Euclidean: 2a - (1+γ)(qn+rn) > τ
+//	           since S >= -(qn+rn-2a) - g(qn+rn) - ...
+//
+// under the same guards plus a finite τ. Nothing ranks by it and no
+// score comes from it: HNSW's neighbour selection (hnsw.go), which
+// needs only the boolean "is c closer to a kept neighbour than to the
+// new node", asks drops and beats in turn and falls through to the
+// float64 kernel when neither can say (under 1% of comparisons on a
+// clustered store). TestPrefilterSides and FuzzPrefilterSides hold
+// both tests to S from scoreRow: drops ⇒ S < τ, beats ⇒ S > τ, never
+// both.
 
 // scanBlock is the number of rows per DotRows call: the float32 dots
 // of one block live on the scanning goroutine's stack.
@@ -64,42 +86,48 @@ func dotErrorBound(dim int) float64 {
 	return 2 * x / (1 - x)
 }
 
-// prefilter holds what the rejection tests need besides a and rn:
-// fixed per query (metric, gamma, qn) and per threshold (armed, off,
-// c). The exact scan and the HNSW beam (hnsw.go) share this one copy
-// of the bound. The Cosine and Dot tests are stored as one,
+// prefilter holds what the two tests need besides a and rn: fixed per
+// query (metric, gamma, qn) and per threshold (armed, sure, off, c,
+// cb). The exact scan, the HNSW beam and HNSW's neighbour selection
+// (hnsw.go) share this one copy of the bound. The Cosine and Dot tests
+// are stored as one,
 //
-//	x·|x| + c·rn < 0,   x = a - off
+//	drops: x·|x| + c·rn < 0     beats: x·|x| - cb·rn > 0,   x = a - off
 //
-// (Cosine: off = 0, c = -(τ-γ)²qn; Dot: off = τ, c = γ²qn, which is
-// the test above with both sides negated) so that drops fits the
-// compiler's inlining budget: it runs once per row of the scan.
-// x·|x| is x² with the sign of x: no branch on a sign that is as good
-// as random.
+// (Cosine: off = 0, c = -(τ-γ)²qn, cb = (τ+γ)·|τ+γ|·qn; Dot: off = τ,
+// c = cb = γ²qn, which for drops is the test above with both sides
+// negated) so that drops fits the compiler's inlining budget: it runs
+// once per row of the scan. x·|x| is x² with the sign of x, and
+// increasing in x, which folds the sign cases of both Cosine tests
+// into one comparison: no branch on a sign that is as good as random.
 type prefilter struct {
 	metric Metric
 	gamma  float64
 	qn     float64 // squared norm of the query
-	armed  bool    // a threshold is set and a row may be rejected
+	armed  bool    // a threshold is set and drops may reject a row
+	sure   bool    // a finite threshold is set and beats may accept one
 	off    float64 // 0 for Cosine, τ for Dot and Euclidean
 	c      float64 // -(τ-γ)²qn for Cosine, γ²qn for Dot, 1-γ for Euclidean
+	cb     float64 // (τ+γ)|τ+γ|qn for Cosine, γ²qn for Dot, 1+γ for Euclidean
 }
 
 // arm sets the threshold: from here on drops reports the rows whose
-// float64 score is provably below tau.
+// float64 score is provably below tau, beats those provably above.
 func (f *prefilter) arm(tau float64) {
 	if !(f.qn >= minSqNorm) {
 		return
 	}
-	f.armed, f.off = true, tau
+	// tau-tau is 0 exactly when tau is finite.
+	f.armed, f.sure, f.off = true, tau-tau == 0, tau
 	switch f.metric {
 	case Cosine:
-		m := tau - f.gamma
-		f.armed, f.off, f.c = m > 0, 0, -m*m*f.qn
+		m, p := tau-f.gamma, tau+f.gamma
+		f.armed, f.off, f.c, f.cb = m > 0, 0, -m*m*f.qn, p*math.Abs(p)*f.qn
 	case Dot:
 		f.c = f.gamma * f.gamma * f.qn
+		f.cb = f.c
 	default:
-		f.c = 1 - f.gamma
+		f.c, f.cb = 1-f.gamma, 1+f.gamma
 	}
 }
 
@@ -116,6 +144,20 @@ func (f *prefilter) drops(a32 float32, rn float64) bool {
 	}
 	x := a - f.off
 	return x*math.Abs(x)+f.c*rn < 0
+}
+
+// beats reports whether a row with float32 dot a32 and squared norm rn
+// provably scores above the threshold.
+func (f *prefilter) beats(a32 float32, rn float64) bool {
+	if !f.sure || a32-a32 != 0 || !(rn >= minSqNorm) {
+		return false
+	}
+	a := float64(a32)
+	if f.metric == Euclidean {
+		return 2*a-f.cb*(f.qn+rn) > f.off
+	}
+	x := a - f.off
+	return x*math.Abs(x)-f.cb*rn > 0
 }
 
 // scanRange scores rows [lo, hi) of s against q and pushes them into

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"v2v/internal/f32"
 	"v2v/internal/xrand"
 )
 
@@ -191,34 +192,53 @@ func TestScanFilterParity(t *testing.T) {
 	}
 }
 
+// rawBytes is the fuzz seed for one adversarial store: its last query,
+// then its rows, as little-endian float32 bits.
+func rawBytes(e adversarialStore) []byte {
+	var data []byte
+	for _, x := range append(append([]float32(nil), e.qs[len(e.qs)-1]...), e.s.Data()...) {
+		data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
+	}
+	return data
+}
+
+// rawStore reads a query and a store of at most maxRows rows, dimension
+// 1-67, out of raw float32 bits, so the fuzz engine reaches NaNs,
+// infinities, subnormals and near-overflow magnitudes on its own. The
+// store is nil when data holds no row.
+func rawStore(data []byte, dimByte uint8, maxRows int) (q []float32, s *Store) {
+	dim := 1 + int(dimByte)%67
+	floats := make([]float32, len(data)/4)
+	for i := range floats {
+		floats[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	n := min(len(floats)/dim-1, maxRows)
+	if n < 1 {
+		return nil, nil
+	}
+	s = New(n, dim)
+	copy(s.Data(), floats[dim:])
+	return floats[:dim], s
+}
+
 // FuzzScanFilterParity reads a store and a query out of raw float32
 // bits, so the engine reaches NaNs, infinities, subnormals and
 // near-overflow magnitudes on its own, and checks the same parity.
 func FuzzScanFilterParity(f *testing.F) {
 	for _, dim := range []int{1, 8, 19} {
 		for _, e := range adversarialStores(12, dim, 5) {
-			var data []byte
-			for _, x := range append(append([]float32(nil), e.qs[len(e.qs)-1]...), e.s.Data()...) {
-				data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
-			}
+			data := rawBytes(e)
 			f.Add(data, uint8(dim-1), uint8(0), uint8(3), uint8(0), uint16(0))
 			f.Add(data, uint8(dim-1), uint8(1), uint8(1), uint8(4), uint16(0b1001))
 			f.Add(data, uint8(dim-1), uint8(2), uint8(200), uint8(0), uint16(0b10))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, dimByte, metricByte, kByte, excludeByte uint8, dead uint16) {
-		dim := 1 + int(dimByte)%67
-		floats := make([]float32, len(data)/4)
-		for i := range floats {
-			floats[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-		}
-		n := len(floats)/dim - 1
-		if n < 1 {
+		q, s := rawStore(data, dimByte, math.MaxInt)
+		if s == nil {
 			return
 		}
-		q := floats[:dim]
-		s := New(n, dim)
-		copy(s.Data(), floats[dim:])
+		n, dim := s.Len(), s.Dim()
 		for i := 0; i < n && i < 16; i++ {
 			if dead>>i&1 == 1 {
 				if err := s.Delete(i); err != nil {
@@ -229,6 +249,99 @@ func FuzzScanFilterParity(f *testing.F) {
 		metric := Metric(metricByte % 3)
 		exclude := int(excludeByte)%(n+1) - 1
 		checkScanParity(t, fmt.Sprintf("dim %d n %d %v", dim, n, metric), s, metric, q, int(kByte), exclude)
+	})
+}
+
+// checkPrefilterSides holds the prefilter's two tests to the score the
+// float64 kernel returns: for the query q, every row of s and every
+// threshold in taus (plus, per row, thresholds within a few error
+// bounds of its own score, where the tests must start to abstain),
+// drops implies S < τ, beats implies S > τ, and never both.
+func checkPrefilterSides(t testing.TB, what string, s *Store, metric Metric, q []float32, taus []float64) {
+	t.Helper()
+	f := prefilter{metric: metric, gamma: dotErrorBound(s.Dim()), qn: sqNorm(q)}
+	for i := 0; i < s.Len(); i++ {
+		rn := s.SqNorms()[i]
+		a32 := f32.Dot(q, s.Row(i))
+		S := scoreRow(s, metric, q, f.qn, i)
+		// The bound in the score's units: 1 for a cosine, ‖q‖‖r‖ for a
+		// dot, qn+rn for a squared distance.
+		unit := 1.0
+		switch metric {
+		case Dot:
+			unit = math.Sqrt(f.qn * rn)
+		case Euclidean:
+			unit = f.qn + rn
+		}
+		near := []float64{S, math.Nextafter(S, math.Inf(1)), math.Nextafter(S, math.Inf(-1))}
+		for _, k := range []float64{0.25, 0.5, 1, 2, 8} {
+			near = append(near, S+k*f.gamma*unit, S-k*f.gamma*unit)
+		}
+		for _, tau := range append(near, taus...) {
+			f.arm(tau)
+			drops, beats := f.drops(a32, rn), f.beats(a32, rn)
+			if drops && beats {
+				t.Fatalf("%s row %d τ=%v: drops and beats (a=%v S=%v qn=%v rn=%v)", what, i, tau, a32, S, f.qn, rn)
+			}
+			if drops && !(S < tau) {
+				t.Fatalf("%s row %d τ=%v: drops, but S=%v is not below (a=%v qn=%v rn=%v)", what, i, tau, S, a32, f.qn, rn)
+			}
+			if beats && !(S > tau) {
+				t.Fatalf("%s row %d τ=%v: beats, but S=%v is not above (a=%v qn=%v rn=%v)", what, i, tau, S, a32, f.qn, rn)
+			}
+		}
+	}
+}
+
+// awkwardTaus are thresholds no score need be near.
+var awkwardTaus = []float64{0, math.Copysign(0, -1), 1, -1, 1e-300, -1e-300, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// TestPrefilterSides: on every adversarial store, for every metric and
+// dimension, with every other row's score as the threshold — which is
+// how HNSW's neighbour selection arms it — neither test claims what
+// the float64 score denies.
+func TestPrefilterSides(t *testing.T) {
+	const n = 41
+	for _, dim := range []int{1, 2, 3, 7, 8, 9, 31, 50, 64, 67, 128} {
+		for kind, e := range adversarialStores(n, dim, uint64(dim)) {
+			for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+				queries := append([][]float32{e.s.Row(0), e.s.Row(1), e.s.Row(n / 2), e.s.Row(n - 1)}, e.qs...)
+				for qi, q := range queries {
+					taus := append([]float64(nil), awkwardTaus...)
+					for i := 0; i < n; i++ {
+						taus = append(taus, scoreRow(e.s, metric, q, sqNorm(q), i))
+					}
+					checkPrefilterSides(t, fmt.Sprintf("dim %d %s %v query %d", dim, kind, metric, qi), e.s, metric, q, taus)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPrefilterSides reads the store, the query and one threshold out
+// of raw bits, like FuzzScanFilterParity.
+func FuzzPrefilterSides(f *testing.F) {
+	for _, dim := range []int{1, 8, 19} {
+		for _, e := range adversarialStores(12, dim, 5) {
+			data := rawBytes(e)
+			for metric := uint8(0); metric < 3; metric++ {
+				f.Add(data, uint8(dim-1), metric, math.Float64bits(0.5))
+				f.Add(data, uint8(dim-1), metric, math.Float64bits(math.NaN()))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, dimByte, metricByte uint8, tauBits uint64) {
+		q, s := rawStore(data, dimByte, math.MaxInt)
+		if s == nil {
+			return
+		}
+		n, dim := s.Len(), s.Dim()
+		metric := Metric(metricByte % 3)
+		taus := []float64{math.Float64frombits(tauBits)}
+		for i := 0; i < n && i < 8; i++ {
+			taus = append(taus, scoreRow(s, metric, q, sqNorm(q), i))
+		}
+		checkPrefilterSides(t, fmt.Sprintf("dim %d n %d %v", dim, n, metric), s, metric, q, taus)
 	})
 }
 
