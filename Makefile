@@ -14,7 +14,7 @@ HNSW_OUT ?= hnsw-recall.json
 
 # One representative benchmark per pipeline stage plus the full query
 # matrix; keep this pattern in sync with docs/VECTORS.md.
-BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|BenchmarkSearch|BenchmarkPredictScaling|BenchmarkPredictCosine$$
+BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|BenchmarkTrainPipelineShape$$|BenchmarkTrainHogwild$$|BenchmarkSearch|BenchmarkPredictScaling|BenchmarkPredictCosine$$
 BENCH_PKGS    ?= ./internal/walk ./internal/word2vec ./internal/vecstore ./internal/knn
 
 .PHONY: build test race vet check-benchmark bench bench-short serve-smoke router-smoke crash-smoke crash-smoke-short \

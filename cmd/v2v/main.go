@@ -13,8 +13,8 @@
 //	    [-v]
 //
 // -v prints one line per stage to stderr: graph load, walk generation
-// (tokens, Mtok/s), each training epoch (seconds, Mtok/s, mean loss)
-// and the save (bytes, MB/s).
+// (tokens, Mtok/s), each training epoch (seconds, Mtok/s, mean loss;
+// the first also names the worker count) and the save (bytes, MB/s).
 //
 // -format bin writes a versioned binary snapshot (magic header, token
 // table, raw float32 matrix, CRC) that loads ~10x faster than the
@@ -275,19 +275,23 @@ func trainMain() {
 		fmt.Fprintf(os.Stderr, "walks: %d tokens in %v (%.1f Mtok/s)\n",
 			emb.Tokens, emb.WalkTime.Round(time.Microsecond), mega(emb.Tokens, emb.WalkTime))
 		for i, d := range emb.Stats.EpochDurations {
-			fmt.Fprintf(os.Stderr, "epoch %d/%d: %.3fs, %.2f Mtok/s, mean loss %.4f\n",
-				i+1, emb.Stats.Epochs, d.Seconds(), mega(emb.Tokens, d), emb.Stats.EpochLosses[i])
+			workers := ""
+			if i == 0 {
+				workers = fmt.Sprintf(", workers %d", emb.Stats.Workers)
+			}
+			fmt.Fprintf(os.Stderr, "epoch %d/%d: %.3fs, %.2f Mtok/s, mean loss %.4f%s\n",
+				i+1, emb.Stats.Epochs, d.Seconds(), mega(emb.Tokens, d), emb.Stats.EpochLosses[i], workers)
 		}
 	}
 
 	output := &countingWriter{w: os.Stdout}
+	var outFile *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
+		outFile, err = os.Create(*out)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		output.w = f
+		output.w = outFile
 	}
 	saveStart := time.Now()
 	if *format == "bin" {
@@ -301,6 +305,13 @@ func trainMain() {
 	}
 	if err != nil {
 		fatal(err)
+	}
+	// Close is where a deferred write error (a full disk, a network
+	// file system) surfaces: a truncated model must not exit 0.
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	if *verbose {
 		took := time.Since(saveStart)

@@ -1,7 +1,9 @@
 // Package f32 holds the repository's float32 vector kernels: Dot, Add
-// and Grad, the level-1 operations of the word2vec training loop, and
-// DotRows, Dot over a block of matrix rows, the first pass of the
-// vecstore exact scan. It imports nothing, so both can use it.
+// and Grad, the three level-1 operations of the word2vec training loop,
+// and DotRows, Dot over a block of matrix rows, the first pass of the
+// vecstore exact scan; plus HintWrite, the trainer's prefetch-for-write
+// over a row it is about to update. It imports nothing, so both can use
+// it.
 //
 // On amd64 the kernels are SSE2 assembly (kernels_amd64.s; the
 // GOAMD64=v1 baseline, no CPUID dispatch). This file has them in
@@ -11,6 +13,13 @@
 // operation, so the two return identical bits: a model trained with
 // Workers = 1 is the same on every architecture, and so is the set of
 // rows a scan rejects.
+//
+// HintWrite (hint_amd64.s) is the exception to "no CPUID dispatch", and
+// may be: it picks PREFETCHW or PREFETCHT0 from a CPUID bit read at
+// init, and a prefetch has no architectural effect, so the choice
+// cannot make two machines compute different bits the way a choice
+// between two arithmetic kernels would. It has no portable twin to
+// match; elsewhere it is an empty function.
 package f32
 
 // Every product is written float32(x * y): the explicit conversion is

@@ -19,3 +19,7 @@ func Grad(g float32, h, out, e []float32) { gradGeneric(g, h, out, e) }
 // every r < len(out): one query against a block of consecutive rows
 // of a row-major matrix.
 func DotRows(q, rows, out []float32) { dotRowsGeneric(q, rows, out) }
+
+// HintWrite is a cache hint on amd64 (see kernels_amd64.go) and
+// nothing here: it has no result to reproduce.
+func HintWrite(row []float32) {}

@@ -182,6 +182,46 @@ func TestGradAdjacentRows(t *testing.T) {
 	}
 }
 
+// hintLeavesMemoryAlone runs HintWrite over rows of every kernel
+// length plus a dim-600 one, at each alignment, and fails if a bit of
+// the row or a guard word either side of it changed. The last rows end
+// on the last element of their allocation (64 KiB is a span of its own
+// to the Go allocator), the position of the last row of a matrix.
+func hintLeavesMemoryAlone(t *testing.T) {
+	t.Helper()
+	rng := xrand.New(5)
+	for _, n := range append(kernelLens(), 600) {
+		for off := 0; off < 4; off++ {
+			name := fmt.Sprintf("hint n=%d/off=%d", n, off)
+			row, buf := operand(rng, n, off)
+			want := append([]float32(nil), row...)
+			HintWrite(row)
+			sameBits(t, name, row, want)
+			checkGuards(t, name, buf, n, off)
+		}
+	}
+	span := make([]float32, 64<<10/4)
+	for i := range span {
+		span[i] = guard
+	}
+	for _, n := range []int{1, 15, 16, 17, 50, 600} {
+		HintWrite(span[len(span)-n:])
+	}
+	HintWrite(span)
+	HintWrite(span[len(span):])
+	HintWrite(nil)
+	for i, x := range span {
+		if math.Float32bits(x) != math.Float32bits(guard) {
+			t.Fatalf("hint at the end of an allocation: element %d changed", i)
+		}
+	}
+}
+
+// TestHintWriteLeavesMemoryAlone: HintWrite has no effect a program
+// can see, whichever instruction this machine's CPUID picked for it;
+// under -tags purego, and off amd64, this is its no-op twin.
+func TestHintWriteLeavesMemoryAlone(t *testing.T) { hintLeavesMemoryAlone(t) }
+
 // TestKernelsRejectShortOperands: a second operand shorter than the
 // first panics instead of being overrun.
 func TestKernelsRejectShortOperands(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"v2v/internal/f32"
 	"v2v/internal/vecstore"
@@ -17,6 +18,7 @@ import (
 // Stats reports what happened during training.
 type Stats struct {
 	Epochs         int             // epochs actually run
+	Workers        int             // Hogwild goroutines per epoch (1 under the race detector)
 	TokensTrained  int64           // centre-token updates performed
 	EpochLosses    []float64       // mean per-sample loss of each epoch
 	EpochDurations []time.Duration // wall-clock time of each epoch
@@ -147,11 +149,11 @@ func newTrainer(corpus StreamingCorpus, vocab int, cfg Config) (*trainer, error)
 
 func (tr *trainer) run() (*Model, *Stats, error) {
 	start := time.Now()
-	stats := &Stats{}
+	stats := &Stats{Workers: tr.workers()}
 	prevLoss := math.Inf(1)
 	for epoch := 0; epoch < tr.cfg.Epochs; epoch++ {
 		epochStart := time.Now()
-		loss, samples := tr.runEpoch(epoch)
+		loss, samples := tr.runEpoch(epoch, stats.Workers)
 		stats.EpochDurations = append(stats.EpochDurations, time.Since(epochStart))
 		meanLoss := 0.0
 		if samples > 0 {
@@ -179,9 +181,9 @@ func (tr *trainer) run() (*Model, *Stats, error) {
 	return m, stats, nil
 }
 
-// runEpoch processes every walk once, sharded over the worker pool,
-// and returns the summed loss and sample count.
-func (tr *trainer) runEpoch(epoch int) (float64, int64) {
+// workers returns how many goroutines share an epoch: cfg.Workers,
+// GOMAXPROCS by default, at most one per walk.
+func (tr *trainer) workers() int {
 	workers := tr.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -189,11 +191,13 @@ func (tr *trainer) runEpoch(epoch int) (float64, int64) {
 	if raceEnabled {
 		workers = 1 // Hogwild updates are intentional races; see race_off.go
 	}
-	numWalks := tr.corpus.NumWalks()
-	if workers > numWalks {
-		workers = numWalks
-	}
+	return min(workers, tr.corpus.NumWalks())
+}
 
+// runEpoch processes every walk once, sharded over workers goroutines,
+// and returns the summed loss and sample count.
+func (tr *trainer) runEpoch(epoch, workers int) (float64, int64) {
+	numWalks := tr.corpus.NumWalks()
 	losses := make([]float64, workers)
 	samples := make([]int64, workers)
 	var wg sync.WaitGroup
@@ -227,10 +231,27 @@ type worker struct {
 	negatives  int           // negatives drawn from unigram per centre
 	unigram    *aliasSampler // nil under hierarchical softmax
 	tree       *huffman      // nil under negative sampling
-	rng        *xrand.RNG
+	shared     bool          // other workers are updating syn1 this epoch
+	rng        xrand.RNG
 	alpha      float32
 	neu1       []float32 // CBOW hidden activation
 	neu1e      []float32 // accumulated gradient for the input rows
+	negs       []int     // the negatives of the target in hand
+}
+
+// private returns n zeroed elements that share no cache line with any
+// other allocation: there is a line of padding either side of them,
+// wherever the allocator puts the block. A worker and its scratch come
+// from here. The allocator packs small objects of one size together,
+// and two workers' random states or negative lists in one line (32 and
+// 40 bytes, written a dozen times per target) cost Hogwild what the
+// shared model costs it.
+func private[T any](n int) []T {
+	const cacheLine = 64
+	var elem T
+	size := int(unsafe.Sizeof(elem))
+	pad := (cacheLine + size - 1) / size
+	return make([]T, pad+n+pad)[pad : pad+n : pad+n]
 }
 
 // work trains on walks [lo, hi), consumed through the corpus walk
@@ -241,18 +262,21 @@ type worker struct {
 func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples int64) {
 	cfg := tr.cfg
 	window, cbow := cfg.Window, cfg.Objective == CBOW
-	w := &worker{
+	w := &private[worker](1)[0]
+	*w = worker{
 		dim:       cfg.Dim,
 		syn0:      tr.syn0,
 		syn1:      tr.syn1,
 		negatives: cfg.NegativeSamples,
 		unigram:   tr.unigram,
 		tree:      tr.tree,
-		rng:       xrand.NewStream(cfg.Seed, uint64(epoch)*uint64(shards+1)+uint64(shard)+1),
+		shared:    shards > 1,
 		alpha:     tr.currentAlpha(),
-		neu1:      make([]float32, cfg.Dim),
-		neu1e:     make([]float32, cfg.Dim),
+		neu1:      private[float32](cfg.Dim),
+		neu1e:     private[float32](cfg.Dim),
+		negs:      private[int](cfg.NegativeSamples)[:0],
 	}
+	w.rng.SeedStream(cfg.Seed, uint64(epoch)*uint64(shards+1)+uint64(shard)+1)
 	var kept []int32 // subsampled sentence buffer
 	var sinceAlpha int64
 
@@ -260,7 +284,7 @@ func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples
 		if cfg.Subsample > 0 {
 			kept = kept[:0]
 			for _, tok := range sen {
-				if tr.keepToken(int(tok), w.rng) {
+				if tr.keepToken(int(tok), &w.rng) {
 					kept = append(kept, tok)
 				}
 			}
@@ -376,23 +400,50 @@ func (w *worker) skipGram(sen []int32, pos, first, last int) float64 {
 // hierarchical softmax) for centre vertex centre with hidden
 // activation h, accumulating the input gradient into neu1e, and
 // returns the loss.
+//
+// Every row of syn1 it is going to update is known before the first
+// update: the Huffman path of centre, or centre and the negatives,
+// which are drawn here ahead of the steps (the same draws in the same
+// order as drawing each beside its step, so a one-worker model keeps
+// its bits). Each row is hinted as soon as it is known. Under Hogwild
+// another core wrote a row last about as often as not, and the hint
+// lets that line's transfer, and the ownership the update needs, overlap
+// the draws and the steps on earlier rows instead of stalling the Dot
+// and then the Grad's first store.
 func (w *worker) output(centre int, h []float32) float64 {
 	var loss float64
 	if w.tree != nil {
-		// P(code=0) = sigma(f): the label of an inner node is 1 - code.
 		points := w.tree.points[centre]
+		for _, p := range points {
+			w.hint(p)
+		}
+		// P(code=0) = sigma(f): the label of an inner node is 1 - code.
 		for d, code := range w.tree.codes[centre] {
 			loss += float64(w.target(points[d], 1-float32(code), h))
 		}
 		return loss
 	}
-	loss = float64(w.target(centre, 1, h))
+	w.hint(centre)
+	negs := w.negs[:0]
 	for d := 0; d < w.negatives; d++ {
-		if neg := w.unigram.sample(w.rng); neg != centre {
-			loss += float64(w.target(neg, 0, h))
+		if neg := w.unigram.sample(&w.rng); neg != centre {
+			w.hint(neg)
+			negs = append(negs, neg)
 		}
 	}
+	loss = float64(w.target(centre, 1, h))
+	for _, neg := range negs {
+		loss += float64(w.target(neg, 0, h))
+	}
 	return loss
+}
+
+// hint announces the coming update of a row of syn1. An epoch's only
+// worker owns every row already, and says nothing.
+func (w *worker) hint(row int) {
+	if w.shared {
+		f32.HintWrite(w.syn1[row*w.dim : row*w.dim+w.dim])
+	}
 }
 
 // target is the SGD step on one row of syn1 with label 1 or 0: the

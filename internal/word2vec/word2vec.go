@@ -12,7 +12,19 @@
 // token subsampling, and a sigmoid lookup table. The float32 work of
 // the inner loop is three level-1 kernels (Dot, Add, Grad) of package
 // f32, with an SSE2 assembly and a portable implementation that return
-// the same bits.
+// the same bits, plus one cache hint (f32.HintWrite) that computes
+// nothing.
+//
+// What limits Hogwild on a small model is ownership of cache lines, not
+// arithmetic: every target updates six rows of the output matrix that
+// another worker wrote last about half the time. So the output layer
+// first works out all the rows it is about to update (drawing its
+// negatives ahead of its steps, in the same order it always drew them)
+// and hints each one for writing, and the transfers overlap the draws
+// and the earlier steps; and each worker's own state (random stream,
+// scratch vectors) sits on cache lines nothing else shares. Neither
+// changes a result: a one-worker model has the bits it had without
+// them (TestTrainGoldenDigests).
 //
 // In addition to fixed-epoch training, the trainer supports
 // convergence-based stopping (stop when the relative improvement of

@@ -91,10 +91,11 @@ func TestTrainShapes(t *testing.T) {
 	}
 }
 
-// The central semantic test: after training on a community graph,
-// intra-community cosine similarity must exceed inter-community
-// similarity by a clear margin, for every objective/sampler pairing.
-func TestEmbeddingSeparatesCommunities(t *testing.T) {
+// separatesCommunities trains each objective/sampler pairing with the
+// given worker count (0: the default, GOMAXPROCS) and requires
+// same-community vertices to end up more similar than
+// different-community ones by a clear margin.
+func separatesCommunities(t *testing.T, workers int) {
 	corpus, g, truth := benchCorpus(t, 0.7, 3, 15)
 	cases := []struct {
 		name string
@@ -113,6 +114,7 @@ func TestEmbeddingSeparatesCommunities(t *testing.T) {
 			cfg.Sampler = tc.smp
 			cfg.Epochs = 5
 			cfg.Seed = 42
+			cfg.Workers = workers
 			m, _, err := Train(corpus, g.NumVertices(), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -123,6 +125,24 @@ func TestEmbeddingSeparatesCommunities(t *testing.T) {
 				t.Fatalf("communities not separated: intra %.3f vs inter %.3f", intra, inter)
 			}
 		})
+	}
+}
+
+// The central semantic test: after training on a community graph,
+// intra-community cosine similarity must exceed inter-community
+// similarity by a clear margin, for every objective/sampler pairing.
+func TestEmbeddingSeparatesCommunities(t *testing.T) { separatesCommunities(t, 0) }
+
+// TestHogwildSeparatesCommunities holds the lock-free path, workers
+// updating one model at once, to the same margin; without it only the
+// repository benchmark's F1 gate sees more than one worker on a
+// one-CPU box.
+func TestHogwildSeparatesCommunities(t *testing.T) {
+	if raceEnabled {
+		t.Skip("training runs one worker under the race detector")
+	}
+	for _, workers := range []int{2, 4} {
+		t.Run("workers="+itoa(workers), func(t *testing.T) { separatesCommunities(t, workers) })
 	}
 }
 
