@@ -93,7 +93,7 @@
 // gracefully on SIGTERM/SIGINT. Deletes tombstone rows; past the
 // -compact-frac tombstone fraction the server compacts into a fresh
 // generation. See docs/SERVING.md for the API reference and
-// cmd/loadgen for the load-generating client.
+// benchmark/ for the load-generating client.
 //
 // The input format is one edge per line: "u v [weight [time]]"; lines
 // starting with '#' are comments. With -named, u and v are arbitrary

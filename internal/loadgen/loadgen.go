@@ -2,9 +2,9 @@
 // server: a FalkorDB-benchmark-style load generator that fires a
 // configurable mix of endpoint queries at a target aggregate QPS from
 // N concurrent workers and reports throughput plus latency
-// percentiles. cmd/loadgen is the CLI; the server's end-to-end tests
-// reuse this package to assert sustained throughput and zero failed
-// requests under hot reload.
+// percentiles. The end-to-end suites at the module root drive it
+// against real servers: the overload run, and the crash-recovery runs
+// that audit its write journal after a kill -9.
 package loadgen
 
 import (
@@ -95,14 +95,6 @@ type Config struct {
 	// BaseURL of the target server, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 
-	// BaseURLs lists several target servers (e.g. the replicas behind
-	// a load balancer, or a router plus its standby): workers are
-	// assigned round-robin, worker w driving BaseURLs[w % len]. When
-	// non-empty it overrides BaseURL. The vocabulary and served
-	// dimensionality are fetched from the first entry — the targets
-	// must serve the same model for the run to make sense.
-	BaseURLs []string
-
 	// Workers is the number of concurrent client goroutines
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -129,10 +121,6 @@ type Config struct {
 	// Seed drives query sampling; runs with equal seeds issue the
 	// same query sequence per worker.
 	Seed uint64
-
-	// VocabLimit caps how many tokens are fetched from /v1/vocab to
-	// sample queries from (0 = 100000).
-	VocabLimit int
 
 	// WarmupPasses issues that many unmeasured passes over the whole
 	// sampled vocabulary (one neighbors query per token at K) before
@@ -262,20 +250,10 @@ func (a *opAgg) merge(o opAgg) {
 
 // Run executes the configured load and aggregates the measurements.
 func Run(cfg Config) (*Result, error) {
-	bases := append([]string(nil), cfg.BaseURLs...)
-	if len(bases) == 0 {
-		if cfg.BaseURL == "" {
-			return nil, fmt.Errorf("loadgen: BaseURL is required")
-		}
-		bases = []string{cfg.BaseURL}
+	base := strings.TrimRight(strings.TrimSpace(cfg.BaseURL), "/")
+	if base == "" {
+		return nil, fmt.Errorf("loadgen: BaseURL is required")
 	}
-	for i := range bases {
-		bases[i] = strings.TrimRight(strings.TrimSpace(bases[i]), "/")
-		if bases[i] == "" {
-			return nil, fmt.Errorf("loadgen: BaseURLs[%d] is empty", i)
-		}
-	}
-	base := bases[0]
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -338,7 +316,7 @@ func Run(cfg Config) (*Result, error) {
 	defer transport.CloseIdleConnections()
 	client := &http.Client{Transport: transport, Timeout: timeout}
 
-	tokens, err := fetchVocab(client, base, cfg.VocabLimit)
+	tokens, err := fetchVocab(client, base)
 	if err != nil {
 		return nil, err
 	}
@@ -352,13 +330,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Every target is warmed: a cold cache on one replica would skew
-	// the measured run exactly the way warmup exists to prevent.
 	for pass := 0; pass < cfg.WarmupPasses; pass++ {
-		for _, b := range bases {
-			if err := warmup(client, b, tokens, k, workers); err != nil {
-				return nil, err
-			}
+		if err := warmup(client, base, tokens, k, workers); err != nil {
+			return nil, err
 		}
 	}
 
@@ -383,7 +357,7 @@ func Run(cfg Config) (*Result, error) {
 			rng := xrand.NewStream(cfg.Seed, uint64(w))
 			aggs := make([]opAgg, len(allOps))
 			g := generator{
-				client: client, base: bases[w%len(bases)], tokens: tokens,
+				client: client, base: base, tokens: tokens,
 				k: k, batch: batch, rng: rng,
 				dim: dim, worker: w, record: cfg.RecordWrites,
 			}
@@ -669,12 +643,9 @@ func warmup(client *http.Client, base string, tokens []string, k, workers int) e
 	return nil
 }
 
-// fetchVocab samples the server's token set.
-func fetchVocab(client *http.Client, base string, limit int) ([]string, error) {
-	if limit <= 0 {
-		limit = 100000
-	}
-	resp, err := client.Get(fmt.Sprintf("%s/v1/vocab?limit=%d", base, limit))
+// fetchVocab samples the server's token set (up to 100000 tokens).
+func fetchVocab(client *http.Client, base string) ([]string, error) {
+	resp, err := client.Get(base + "/v1/vocab?limit=100000")
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: fetching vocabulary: %w", err)
 	}
@@ -760,94 +731,4 @@ func percentile(sorted []float64, q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// ---- Benchmark-trajectory output -----------------------------------
-
-// BenchEntry mirrors cmd/benchjson's Benchmark shape so loadgen runs
-// land in the same BENCH_<date>.json trajectory as the offline
-// benchmarks.
-type BenchEntry struct {
-	Name       string             `json:"name"`
-	Package    string             `json:"package,omitempty"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// ServerMeta records the serving configuration a run was generated
-// against — index kind, shard count, corpus shape — so a trajectory
-// row is reproducible from its own file.
-type ServerMeta struct {
-	Index   string `json:"index,omitempty"`
-	Shards  int    `json:"shards,omitempty"`
-	Vectors int    `json:"vectors,omitempty"`
-	Dim     int    `json:"dim,omitempty"`
-}
-
-// BenchSnapshot mirrors cmd/benchjson's Snapshot shape, extended with
-// the build metadata block shared with /healthz and /stats so a
-// trajectory row records the toolchain and core count it ran on.
-type BenchSnapshot struct {
-	Date       string          `json:"date"`
-	GoVersion  string          `json:"go_version"`
-	GOOS       string          `json:"goos"`
-	GOARCH     string          `json:"goarch"`
-	Build      telemetry.Build `json:"build"`
-	Server     *ServerMeta     `json:"server,omitempty"`
-	Benchmarks []BenchEntry    `json:"benchmarks"`
-}
-
-// Snapshot converts a run into the trajectory document format.
-func (r *Result) Snapshot(date string) BenchSnapshot {
-	snap := BenchSnapshot{
-		Date:      date,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Build:     telemetry.BuildInfo(),
-	}
-	entry := func(name string, o OpResult) BenchEntry {
-		return BenchEntry{
-			Name:       name,
-			Package:    "v2v/internal/loadgen",
-			Iterations: int64(o.Requests),
-			Metrics: map[string]float64{
-				"qps":     o.QPS,
-				"p50-ms":  o.P50Ms,
-				"p95-ms":  o.P95Ms,
-				"p99-ms":  o.P99Ms,
-				"p999-ms": o.P999Ms,
-				"max-ms":  o.MaxMs,
-				"errors":  float64(o.Errors),
-				"shed":    float64(o.Shed),
-				"expired": float64(o.Expired),
-			},
-		}
-	}
-	snap.Benchmarks = append(snap.Benchmarks, entry("LoadgenOverall", r.Overall))
-	for _, o := range r.PerOp {
-		snap.Benchmarks = append(snap.Benchmarks, entry("Loadgen/"+string(o.Op), o))
-	}
-	return snap
-}
-
-// ParseMix parses "neighbors=0.8,similarity=0.1,predict=0.1" into an
-// operation mix.
-func ParseMix(s string) (map[Op]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	mix := make(map[Op]float64)
-	for _, part := range strings.Split(s, ",") {
-		name, weight, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("loadgen: mix entry %q is not op=weight", part)
-		}
-		var w float64
-		if _, err := fmt.Sscanf(weight, "%g", &w); err != nil || w < 0 {
-			return nil, fmt.Errorf("loadgen: bad weight in %q", part)
-		}
-		mix[Op(name)] += w
-	}
-	return mix, nil
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"v2v/internal/telemetry"
 	"v2v/internal/vecstore"
@@ -175,7 +174,9 @@ func (b *syncBuffer) String() string {
 // TestSlowQueryLog pins the slow-log contract: with a threshold of ~0
 // every request logs one structured line, and on the query hot path
 // the top-level spans explain the request total to within 10% (the
-// acceptance bound for the tracing's coverage).
+// acceptance bound for the tracing's coverage). The write endpoints'
+// lines must open with the body decode like every other: a batch
+// upsert is the largest body the server parses.
 func TestSlowQueryLog(t *testing.T) {
 	var buf syncBuffer
 	_, hs := newTestServer(t, Config{
@@ -189,25 +190,39 @@ func TestSlowQueryLog(t *testing.T) {
 			t.Fatalf("neighbors status %d", code)
 		}
 	}
+	items := []UpsertRequest{{Vertex: "fresh", Vector: make([]float32, 64)}}
+	items[0].Vector[0] = 1
+	if code := postJSON(t, hs.URL+"/v1/upsert/batch", UpsertBatchRequest{Items: items}, nil); code != 200 {
+		t.Fatalf("upsert batch status %d", code)
+	}
+	if code := postJSON(t, hs.URL+"/v1/delete", DeleteRequest{Vertex: "fresh"}, nil); code != 200 {
+		t.Fatalf("delete status %d", code)
+	}
 
-	// The line is emitted after the response is written; wait for it.
-	var lines []string
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		lines = nil
-		for _, ln := range strings.Split(buf.String(), "\n") {
-			if strings.Contains(ln, "slow query endpoint=neighbors") {
-				lines = append(lines, ln)
+	// A line is emitted after the response is written; wait for it.
+	slowLines := func(endpoint string, want int) []string {
+		t.Helper()
+		var lines []string
+		waitFor(t, fmt.Sprintf("%d slow-query lines for %s", want, endpoint), func() bool {
+			lines = lines[:0]
+			for _, ln := range strings.Split(buf.String(), "\n") {
+				if strings.Contains(ln, "slow query endpoint="+endpoint+" ") {
+					lines = append(lines, ln)
+				}
+			}
+			return len(lines) >= want
+		})
+		return lines
+	}
+	for _, endpoint := range []string{"upsert_batch", "delete"} {
+		ln := slowLines(endpoint, 1)[0]
+		for _, stage := range []string{"parse=", "gen_acquire=", "apply=", "write="} {
+			if !strings.Contains(ln, stage) {
+				t.Fatalf("span %q missing from %q", stage, ln)
 			}
 		}
-		if len(lines) >= 5 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if len(lines) < 5 {
-		t.Fatalf("got %d slow-query lines, want 5; log:\n%s", len(lines), buf.String())
-	}
+	lines := slowLines("neighbors", 5)
 
 	bestRatio := 0.0
 	for _, ln := range lines {

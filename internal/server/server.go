@@ -31,7 +31,7 @@
 //   - Batch endpoints go through Index.SearchBatch, which fans one
 //     request's queries out across the index's workers.
 //
-// See docs/SERVING.md for the API reference and cmd/loadgen for the
+// See docs/SERVING.md for the API reference and benchmark/ for the
 // load-generating client.
 package server
 
@@ -1767,6 +1767,8 @@ func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error
 	if s.cfg.ReadOnly {
 		return errReadOnly
 	}
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
 	var req UpsertBatchRequest
 	if err := decodePost(r, &req); err != nil {
 		return err
@@ -1777,8 +1779,7 @@ func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error
 	if max := s.maxBatch(); len(req.Items) > max {
 		return errBadRequest("batch of %d exceeds limit %d", len(req.Items), max)
 	}
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
+	t = spanSince(tr, "parse", t)
 	st := s.lockCurrent()
 	t = spanSince(tr, "gen_acquire", t)
 	var lsn uint64
@@ -1852,6 +1853,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	if s.cfg.ReadOnly {
 		return errReadOnly
 	}
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
 	var req DeleteRequest
 	if err := decodePost(r, &req); err != nil {
 		return err
@@ -1859,8 +1862,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	if req.Vertex == "" {
 		return errBadRequest("missing 'vertex'")
 	}
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
+	t = spanSince(tr, "parse", t)
 	st := s.lockCurrent()
 	t = spanSince(tr, "gen_acquire", t)
 	var lsn uint64
@@ -1901,6 +1903,8 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 	if s.cfg.ReadOnly {
 		return errReadOnly
 	}
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
 	var req DeleteBatchRequest
 	if err := decodePost(r, &req); err != nil {
 		return err
@@ -1911,8 +1915,7 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 	if max := s.maxBatch(); len(req.Vertices) > max {
 		return errBadRequest("batch of %d exceeds limit %d", len(req.Vertices), max)
 	}
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
+	t = spanSince(tr, "parse", t)
 	st := s.lockCurrent()
 	t = spanSince(tr, "gen_acquire", t)
 	var lsn uint64

@@ -155,8 +155,8 @@ func BenchmarkSearchExactBatch(b *testing.B) {
 // it: the 100k x 128 build takes minutes and must not repeat per
 // benchmark. The distribution matters for a proximity graph — trained
 // embeddings are clustered, and that is the workload the serving
-// stack sees; `cmd/hnswrecall -dist gaussian` tracks the structureless
-// worst case (see docs/INDEXES.md for both numbers).
+// stack sees; TestHNSWRecallAtLeast95's gaussian case tracks the
+// structureless worst case.
 var hnswBench struct {
 	once sync.Once
 	s    *Store
@@ -190,7 +190,7 @@ func hnswBenchSetup(b *testing.B) (*HNSW, [][]float32) {
 // BenchmarkSearchHNSW is the sublinear approximate path at M/efSearch
 // defaults: one cosine top-10 per op. The recall@10 metric compares
 // the bench queries' answers against the exact index, so the
-// trajectory snapshot records quality next to latency. Compare ns/op
+// output line records quality next to latency. Compare ns/op
 // against BenchmarkSearchExactSerial (same shape, same kernels; a
 // dense scan's cost does not depend on the distribution). evals/op and
 // rejected/op are the candidates a query considers and those the

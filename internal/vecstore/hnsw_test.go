@@ -36,11 +36,12 @@ func TestHNSWRecallAtLeast95(t *testing.T) {
 	}
 	// Both data shapes the repo serves: clustered (embedding-like) and
 	// unstructured gaussian (the adversarial case for graph indexes).
+	clustered := clusteredStore(n, 32, 50, 71)
 	for _, tc := range []struct {
 		name string
 		s    *Store
 	}{
-		{"clustered", clusteredStore(n, 32, 50, 71)},
+		{"clustered", clustered},
 		{"gaussian", randStore(n, 32, 73)},
 	} {
 		h, err := NewHNSW(tc.s, Cosine, HNSWConfig{Seed: 7}) // all defaults
@@ -53,6 +54,17 @@ func TestHNSWRecallAtLeast95(t *testing.T) {
 		if recall < 0.95 {
 			t.Errorf("%s: recall@10 = %.4f, want >= 0.95 at defaults", tc.name, recall)
 		}
+	}
+	// The clustered store again, hash-partitioned over four per-shard
+	// graphs and searched through the scatter-gather coordinator.
+	sh, err := OpenSharded(clustered, Config{Kind: KindHNSW, Metric: Cosine, Shards: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recall := recallVsExact(t, clustered, sh, 10, 100, 79)
+	t.Logf("clustered, 4 shards: HNSW recall@10 = %.4f", recall)
+	if recall < 0.95 {
+		t.Errorf("clustered, 4 shards: recall@10 = %.4f, want >= 0.95 at defaults", recall)
 	}
 }
 

@@ -223,10 +223,10 @@ func recallAt10(t *testing.T, truthIdx, idx Index, s *Store, nq int, seed uint64
 	return float64(hits) / float64(total)
 }
 
-// TestIncrementalHNSWRecallParity is the scaled-down version of the
-// `cmd/hnswrecall -incremental` acceptance run: a graph built half by
-// batch insertion and half by incremental Insert must reach recall@10
-// within 0.02 of the all-batch build over the same clustered store.
+// TestIncrementalHNSWRecallParity is the incremental-insert quality
+// gate: a graph built half by batch insertion and half by incremental
+// Insert must reach recall@10 within 0.02 of the all-batch build over
+// the same clustered store.
 func TestIncrementalHNSWRecallParity(t *testing.T) {
 	n, dim := 4000, 32
 	if testing.Short() {

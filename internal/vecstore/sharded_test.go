@@ -462,7 +462,7 @@ func TestShardedCompactionStaleRebuild(t *testing.T) {
 
 // TestShardedHNSWAndIVF: the coordinator hosts approximate per-shard
 // indexes too — results are well-formed, exclude deletes, and inserts
-// are visible (recall quality is pinned by cmd/hnswrecall, not here).
+// are visible (recall quality is pinned by TestHNSWRecallAtLeast95).
 func TestShardedHNSWAndIVF(t *testing.T) {
 	const n, dim = 400, 16
 	for _, cfg := range []Config{

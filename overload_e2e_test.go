@@ -110,67 +110,3 @@ func TestOverloadSheddingE2E(t *testing.T) {
 		t.Errorf("read class not drained after the run: %+v", read)
 	}
 }
-
-// TestLoadgenSweepE2E runs a short real-server QPS sweep and asserts
-// the committed-SWEEP-file contract: offered rates strictly ascend,
-// every step is error-free against an unconstrained server, and the
-// JSON snapshot round-trips with one row per rung plus the SweepKnee
-// row. This is the in-process twin of `make loadgen-sweep-short`.
-func TestLoadgenSweepE2E(t *testing.T) {
-	srv, err := NewQueryServerFromModel(ServeConfig{CacheSize: 256}, overloadModel(200, 8), nil)
-	if err != nil {
-		t.Fatalf("NewQueryServerFromModel: %v", err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	ladder := []float64{150, 300, 600}
-	res, err := loadgen.RunSweep(loadgen.Config{
-		BaseURL:  hs.URL,
-		Workers:  2,
-		Requests: 45,
-		Seed:     7,
-	}, ladder, 0)
-	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-
-	raw, err := json.Marshal(res.Snapshot("2026-08-07", 0))
-	if err != nil {
-		t.Fatalf("marshaling sweep snapshot: %v", err)
-	}
-	var snap struct {
-		Date       string `json:"date"`
-		Benchmarks []struct {
-			Name    string             `json:"name"`
-			Metrics map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("re-parsing sweep JSON: %v", err)
-	}
-	if snap.Date == "" || len(snap.Benchmarks) != len(ladder)+1 {
-		t.Fatalf("sweep JSON: date %q, %d rows, want %d", snap.Date, len(snap.Benchmarks), len(ladder)+1)
-	}
-	prev := 0.0
-	for _, b := range snap.Benchmarks[:len(ladder)] {
-		offered := b.Metrics["offered-qps"]
-		if offered <= prev {
-			t.Fatalf("offered QPS not strictly ascending: %g after %g (%s)", offered, prev, b.Name)
-		}
-		prev = offered
-		if b.Metrics["errors"] != 0 {
-			t.Fatalf("step %s saw %g errors against an unconstrained server", b.Name, b.Metrics["errors"])
-		}
-		if b.Metrics["qps"] <= 0 || b.Metrics["p99-ms"] <= 0 {
-			t.Fatalf("step %s missing measurements: %v", b.Name, b.Metrics)
-		}
-	}
-	knee := snap.Benchmarks[len(ladder)]
-	if knee.Name != "SweepKnee" {
-		t.Fatalf("last row = %q, want SweepKnee", knee.Name)
-	}
-	if _, ok := knee.Metrics["knee-index"]; !ok {
-		t.Fatalf("SweepKnee row missing knee-index: %v", knee.Metrics)
-	}
-}
