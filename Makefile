@@ -97,14 +97,18 @@ scan-fuzz:
 hnsw-fuzz:
 	$(GO) test -run FuzzHNSWFilterParity -fuzz FuzzHNSWFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
 
-# Bundle graph-section fuzz smoke: arbitrary bytes at the decoder a
-# server start-up reads its index from; no panic, no allocation sized
-# by a count the stream has not backed, and an accepted graph has every
-# link in range and saves back to the bytes it came from.
+# Snapshot decoder fuzz smoke: arbitrary bytes at the decoders a server
+# start-up reads its model and index from — the graph section, the
+# model section as a stream of unknown length, the sharded section; no
+# panic, no allocation sized by a count the stream has not backed, and
+# what is accepted (an in-range graph, a model) saves back to the bytes
+# it came from.
 snapshot-fuzz:
-	$(GO) test -run FuzzLoadIndex -fuzz FuzzLoadIndex -fuzztime $(FUZZTIME) ./internal/snapshot
+	$(GO) test -run '^FuzzLoadIndex$$' -fuzz '^FuzzLoadIndex$$' -fuzztime $(FUZZTIME) ./internal/snapshot
+	$(GO) test -run '^FuzzLoadSnapshot$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/snapshot
+	$(GO) test -run '^FuzzLoadShardedIndex$$' -fuzz '^FuzzLoadShardedIndex$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 
-# Shard wire fuzz smoke: arbitrary bodies at the six /shard/v1/*
+# Shard wire fuzz smoke: arbitrary bodies at the five /shard/v1/*
 # request decoders of a live shard; none may panic, answer 5xx, or be
 # accepted with a vector that is not exactly the shard's dimension.
 # The shard keeps the writes it accepts, so an input does not replay

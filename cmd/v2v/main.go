@@ -86,10 +86,12 @@
 // docs/SERVING.md ("Durability").
 //
 // The server exposes /v1/neighbors, /v1/similarity, /v1/analogy,
-// /v1/predict (plus /batch variants), /v1/vocab, /v1/reload (atomic
-// hot model swap), /v1/upsert and /v1/delete (plus /batch variants —
-// online writes, visible to queries immediately with no reload;
-// disable with -readonly), /healthz and /stats, and shuts down
+// /v1/predict, /v1/vocab, /v1/reload (atomic hot model swap),
+// /v1/upsert and /v1/delete (online writes, visible to queries
+// immediately with no reload; disable with -readonly), /batch variants
+// of all but analogy, vocab and reload — a single request is its batch
+// at n = 1, so an item answers what the single request would — and
+// /healthz and /stats, and shuts down
 // gracefully on SIGTERM/SIGINT. Deletes tombstone rows; past the
 // -compact-frac tombstone fraction the server compacts into a fresh
 // generation. See docs/SERVING.md for the API reference and

@@ -39,7 +39,7 @@ type searchMeta struct {
 	// or failed mid-query and the answer covers only the rest.
 	partial bool
 	// shardsAnswered counts the shards whose results are merged into
-	// the answer (== NumShards() when partial is false).
+	// the answer (== the partition width when partial is false).
 	shardsAnswered int
 }
 
@@ -67,8 +67,6 @@ type backendHealth struct {
 // itself (every write flows through it), so no read of them crosses
 // the network.
 type shardBackend interface {
-	// NumShards returns the partition width.
-	NumShards() int
 	// Dim returns the row dimensionality.
 	Dim() int
 	// Rows returns the number of global IDs ever assigned (live +
@@ -83,37 +81,34 @@ type shardBackend interface {
 	// report true.
 	Deleted(id int) bool
 
-	// SearchRow answers "k nearest rows to row id, excluding id":
-	// scatter the row's vector to every shard, merge flat top-k with
-	// the coordinator's tie-breaks, strip the query row. rec (may be
-	// nil) receives one "shard_wait/<sid>" span per completed shard
-	// and a "merge" span.
-	SearchRow(ctx context.Context, id, k int, rec vecstore.SpanRecorder) ([]vecstore.Result, searchMeta, error)
-	// SearchRowBatch answers SearchRow for every id, fanning the whole
-	// batch to each shard at once; results are per-id, already
-	// self-stripped and truncated to k.
-	SearchRowBatch(ctx context.Context, ids []int, k int) ([][]vecstore.Result, searchMeta, error)
+	// SearchRows answers "k nearest rows to row id, excluding id" for
+	// every id — a single query is a batch of one: every shard searches
+	// the whole batch at once, the per-query merges keep the
+	// coordinator's tie-breaks and strip the query row (see
+	// vecstore.Sharded.SearchRows). rec (may be nil) receives one
+	// "shard_wait/<sid>" span per completed shard call and a "merge"
+	// span.
+	SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error)
 	// Analogy ranks rows by cosine similarity to
 	// vector(b) - vector(a) + vector(c), excluding the three query
 	// rows and tombstones — the exact float64 kernel of
 	// word2vec.AnalogyStore, scatter-gathered.
 	Analogy(ctx context.Context, a, b, c, k int, rec vecstore.SpanRecorder) ([]word2vec.Neighbor, searchMeta, error)
-	// Cosine returns the cosine similarity of rows a and b (0 when
-	// either is the zero vector).
-	Cosine(ctx context.Context, a, b int) (float64, error)
-	// PairScore is the link-prediction embedding score: dot when
-	// hadamard, else cosine.
-	PairScore(ctx context.Context, u, v int, hadamard bool) (float64, error)
+	// PairScores scores every (u, v) pair with the link-prediction
+	// embedding score: dot when hadamard, else cosine (0 when either
+	// row is the zero vector) — /v1/similarity is the cosine.
+	PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error)
 
 	// Insert appends a new row: the next global ID is assigned and the
-	// row routes to ShardOf(id, NumShards()). token names the row for
+	// row routes to its ShardOf shard. token names the row for
 	// shard-local vocabularies (in-process backends ignore it).
 	Insert(ctx context.Context, token string, v []float32) (int, error)
 	// Delete tombstones global row id on its owning shard.
 	Delete(ctx context.Context, id int) error
 
-	// ShardStats snapshots per-shard occupancy in shard order (remote
-	// backends serve the last probed values rather than fanning out).
+	// ShardStats snapshots per-shard occupancy in shard order, one entry
+	// per shard of the partition (remote backends serve the last probed
+	// values rather than fanning out).
 	ShardStats() []vecstore.ShardStat
 	// Health reports per-shard membership status in shard order; nil
 	// when the shards are in-process and cannot fail independently.
@@ -144,15 +139,14 @@ type localBackend struct {
 
 func newLocalBackend(sh *vecstore.Sharded) *localBackend { return &localBackend{sh: sh} }
 
-func (lb *localBackend) NumShards() int      { return lb.sh.NumShards() }
 func (lb *localBackend) Dim() int            { return lb.sh.Dim() }
 func (lb *localBackend) Rows() int           { return lb.sh.Rows() }
 func (lb *localBackend) Live() int           { return lb.sh.Live() }
 func (lb *localBackend) Dead() int           { return lb.sh.Dead() }
 func (lb *localBackend) Deleted(id int) bool { return lb.sh.Deleted(id) }
 
-func (lb *localBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.SpanRecorder) ([]vecstore.Result, searchMeta, error) {
-	res, err := lb.sh.SearchRowSpansCtx(ctx, id, k, rec)
+func (lb *localBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
+	res, err := lb.sh.SearchRows(ctx, ids, k, rec)
 	if err != nil {
 		// The ctx-aware fan-out abandons slow shards on expiry: they
 		// finish in the background under their own locks and their
@@ -162,25 +156,6 @@ func (lb *localBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.S
 	return res, searchMeta{}, nil
 }
 
-func (lb *localBackend) SearchRowBatch(ctx context.Context, ids []int, k int) ([][]vecstore.Result, searchMeta, error) {
-	if err := ctxExpired(ctx); err != nil {
-		return nil, searchMeta{}, err
-	}
-	// The query vertex ranks first in its own results (score 1 under
-	// cosine); ask for k+1 and strip it so batch items match the
-	// single endpoint's SearchRow exactly.
-	qs := make([][]float32, len(ids))
-	for i, id := range ids {
-		qs[i] = lb.sh.Row(id)
-	}
-	batch := lb.sh.SearchBatch(qs, k+1)
-	out := make([][]vecstore.Result, len(ids))
-	for j, res := range batch {
-		out[j] = stripSelf(res, ids[j], k)
-	}
-	return out, searchMeta{}, nil
-}
-
 func (lb *localBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecstore.SpanRecorder) ([]word2vec.Neighbor, searchMeta, error) {
 	if err := ctxExpired(ctx); err != nil {
 		return nil, searchMeta{}, err
@@ -188,15 +163,16 @@ func (lb *localBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecstor
 	return word2vec.AnalogySharded(lb.sh, a, b, c, k), searchMeta{}, nil
 }
 
-func (lb *localBackend) Cosine(ctx context.Context, a, b int) (float64, error) {
-	return lb.sh.Cosine(a, b), nil
-}
-
-func (lb *localBackend) PairScore(ctx context.Context, u, v int, hadamard bool) (float64, error) {
-	if hadamard {
-		return lb.sh.Dot(u, v), nil
+func (lb *localBackend) PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error) {
+	out := make([]float64, len(pairs))
+	for i, p := range pairs {
+		if hadamard {
+			out[i] = lb.sh.Dot(p[0], p[1])
+		} else {
+			out[i] = lb.sh.Cosine(p[0], p[1])
+		}
 	}
-	return lb.sh.Cosine(u, v), nil
+	return out, nil
 }
 
 func (lb *localBackend) Insert(ctx context.Context, token string, v []float32) (int, error) {
@@ -211,23 +187,10 @@ func (lb *localBackend) Health() []backendHealth { return nil }
 
 func (lb *localBackend) Close() {}
 
-// scorerName names the PairScore a /v1/predict response reports.
+// scorerName names the pair score a /v1/predict response reports.
 func scorerName(hadamard bool) string {
 	if hadamard {
 		return "embedding-dot"
 	}
 	return "embedding-cosine"
-}
-
-// stripSelf drops the query row from a k+1-deep result list and
-// truncates to k — shared by both backends so the self-exclusion
-// semantics cannot drift between them.
-func stripSelf(res []vecstore.Result, self, k int) []vecstore.Result {
-	out := make([]vecstore.Result, 0, k)
-	for _, h := range res {
-		if h.ID != self && len(out) < k {
-			out = append(out, h)
-		}
-	}
-	return out
 }

@@ -19,19 +19,19 @@ import (
 )
 
 // blockingBackend wraps the real shard backend but parks every
-// SearchRow call on a channel the test controls — the "slow index"
+// SearchRows call on a channel the test controls — the "slow index"
 // stub — and then answers as if the search had run past its budget
 // unnoticed: a complete result, whatever became of the deadline.
 type blockingBackend struct {
 	shardBackend
-	entered chan struct{} // one token per SearchRow entry
+	entered chan struct{} // one token per SearchRows entry
 	release chan struct{} // closed to let parked searches finish
 }
 
-func (b *blockingBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.SpanRecorder) ([]vecstore.Result, searchMeta, error) {
+func (b *blockingBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
 	b.entered <- struct{}{}
 	<-b.release
-	return b.shardBackend.SearchRow(context.WithoutCancel(ctx), id, k, rec)
+	return b.shardBackend.SearchRows(context.WithoutCancel(ctx), ids, k, rec)
 }
 
 // newDeadlineServer builds a server whose read class has the given
@@ -103,41 +103,48 @@ func TestDeadlineExpiryAnswers503(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiryMidSearch parks the request inside the index
-// search (the slow-index stub) until the deadline is certainly
-// expired, then releases it: the handler must notice the expiry at
-// the post-search boundary and answer 503 instead of serving a result
-// computed past its budget. The sequencing is handshake-based — the
-// test waits for the stub's entry signal, and the only wall-clock
-// dependence is "30ms has passed a 5ms deadline", which holds on any
-// machine.
+// TestDeadlineExpiryMidSearch parks the request — a single query and
+// a batch, which take the same path — inside the index search (the
+// slow-index stub) until the deadline is certainly expired, then
+// releases it: the handler must notice the expiry at the post-search
+// boundary and answer 503 instead of serving a result computed past
+// its budget. The sequencing is handshake-based — the test waits for
+// the stub's entry signal, and the only wall-clock dependence is "30ms
+// has passed a 5ms deadline", which holds on any machine.
 func TestDeadlineExpiryMidSearch(t *testing.T) {
-	block := &blockingBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	s, hs := newDeadlineServer(t, 5, block, nil)
+	for i, send := range []func(url string) (*http.Response, error){
+		func(url string) (*http.Response, error) { return http.Get(url + "/v1/neighbors?vertex=v1&k=3") },
+		func(url string) (*http.Response, error) {
+			return http.Post(url+"/v1/neighbors/batch", "application/json", strings.NewReader(`{"vertices":["v1","v2"],"k":3}`))
+		},
+	} {
+		block := &blockingBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
+		s, hs := newDeadlineServer(t, 5, block, nil)
 
-	done := make(chan int, 1)
-	go func() {
-		resp, err := http.Get(hs.URL + "/v1/neighbors?vertex=v1&k=3")
-		if err != nil {
-			done <- -1
-			return
+		done := make(chan int, 1)
+		go func() {
+			resp, err := send(hs.URL)
+			if err != nil {
+				done <- -1
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		<-block.entered                   // the handler is inside SearchRows
+		time.Sleep(30 * time.Millisecond) // 5ms deadline is now certainly expired
+		close(block.release)
+		if code := <-done; code != http.StatusServiceUnavailable {
+			t.Fatalf("request %d: status = %d, want 503 (deadline expired during index search)", i, code)
 		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	<-block.entered                   // the handler is inside SearchRow
-	time.Sleep(30 * time.Millisecond) // 5ms deadline is now certainly expired
-	close(block.release)
-	if code := <-done; code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 (deadline expired during index search)", code)
-	}
-	if got := s.classes[classRead].expired.Load(); got != 1 {
-		t.Fatalf("expired counter = %d, want 1", got)
-	}
-	// Server is healthy afterwards: the same query with no parked stub
-	// answers 200.
-	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=v1&k=3", nil); code != http.StatusOK {
-		t.Fatalf("query after expiry: %d, want 200", code)
+		if got := s.classes[classRead].expired.Load(); got != 1 {
+			t.Fatalf("request %d: expired counter = %d, want 1", i, got)
+		}
+		// Server is healthy afterwards: a query with no parked stub
+		// answers 200.
+		if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=v1&k=3", nil); code != http.StatusOK {
+			t.Fatalf("request %d: query after expiry: %d, want 200", i, code)
+		}
 	}
 }
 
@@ -160,18 +167,23 @@ func TestDeadlineShardedFanoutExpiry(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
 
-	for i := 0; i < 3; i++ {
-		resp, err := http.Get(hs.URL + "/v1/neighbors?vertex=v1&k=3")
+	get := func() (*http.Response, error) { return http.Get(hs.URL + "/v1/neighbors?vertex=v1&k=3") }
+	// A batch takes the same fan-out to the same 503.
+	batch := func() (*http.Response, error) {
+		return http.Post(hs.URL+"/v1/neighbors/batch", "application/json", strings.NewReader(`{"vertices":["v1","v7","v8"],"k":3}`))
+	}
+	for i, send := range []func() (*http.Response, error){get, get, get, batch} {
+		resp, err := send()
 		if err != nil {
-			t.Fatalf("GET %d: %v", i, err)
+			t.Fatalf("request %d: %v", i, err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("request %d: status = %d, want 503", i, resp.StatusCode)
 		}
 	}
-	if got := s.classes[classRead].expired.Load(); got != 3 {
-		t.Fatalf("expired counter = %d, want 3", got)
+	if got := s.classes[classRead].expired.Load(); got != 4 {
+		t.Fatalf("expired counter = %d, want 4", got)
 	}
 	// Writes (no write-class deadline configured) still mutate the
 	// sharded generation — nothing leaked.

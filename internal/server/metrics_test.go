@@ -176,7 +176,9 @@ func (b *syncBuffer) String() string {
 // the top-level spans explain the request total to within 10% (the
 // acceptance bound for the tracing's coverage). The write endpoints'
 // lines must open with the body decode like every other: a batch
-// upsert is the largest body the server parses.
+// upsert is the largest body the server parses. A batch records what
+// its single query does — it is the same path — and the pair
+// endpoints record their stages too.
 func TestSlowQueryLog(t *testing.T) {
 	var buf syncBuffer
 	_, hs := newTestServer(t, Config{
@@ -198,6 +200,15 @@ func TestSlowQueryLog(t *testing.T) {
 	if code := postJSON(t, hs.URL+"/v1/delete", DeleteRequest{Vertex: "fresh"}, nil); code != 200 {
 		t.Fatalf("delete status %d", code)
 	}
+	if code := getJSON(t, hs.URL+"/v1/similarity?a=v1&b=v2", nil); code != 200 {
+		t.Fatalf("similarity status %d", code)
+	}
+	if code := postJSON(t, hs.URL+"/v1/predict/batch", PredictBatchRequest{Pairs: [][2]string{{"v1", "v2"}, {"v3", "v4"}}}, nil); code != 200 {
+		t.Fatalf("predict batch status %d", code)
+	}
+	if code := postJSON(t, hs.URL+"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: []string{"v5", "v6"}, K: 100}, nil); code != 200 {
+		t.Fatalf("neighbors batch status %d", code)
+	}
 
 	// A line is emitted after the response is written; wait for it.
 	slowLines := func(endpoint string, want int) []string {
@@ -214,9 +225,15 @@ func TestSlowQueryLog(t *testing.T) {
 		})
 		return lines
 	}
-	for _, endpoint := range []string{"upsert_batch", "delete"} {
+	for endpoint, stages := range map[string][]string{
+		"upsert_batch":    {"parse=", "gen_acquire=", "apply=", "write="},
+		"delete":          {"parse=", "gen_acquire=", "apply=", "write="},
+		"similarity":      {"parse=", "gen_acquire=", "index_search=", "encode=", "write="},
+		"predict_batch":   {"parse=", "gen_acquire=", "index_search=", "encode=", "write="},
+		"neighbors_batch": {"parse=", "gen_acquire=", "cache_lookup=", "index_search=", "shard_wait/0=", "merge/topk=", "encode=", "write="},
+	} {
 		ln := slowLines(endpoint, 1)[0]
-		for _, stage := range []string{"parse=", "gen_acquire=", "apply=", "write="} {
+		for _, stage := range stages {
 			if !strings.Contains(ln, stage) {
 				t.Fatalf("span %q missing from %q", stage, ln)
 			}

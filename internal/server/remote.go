@@ -22,10 +22,11 @@ package server
 // "Fan-out wire types"), and the router merges with the exported
 // vecstore.MergeTopK / CosineFromDot the coordinator itself uses.
 //
-// A neighbours query costs one call per shard, in two steps: the shard
-// that owns the query row is asked first, by row ID — it searches with
-// its stored row and returns that row beside its results — and the row
-// then goes to every other shard. The alternative that would make it
+// A neighbours query — one vertex or a batch — takes two steps: every
+// shard that owns query rows is asked first, by row ID — it searches
+// with its stored rows and returns them beside its results — and each
+// shard then gets the rows it does not own. One vertex costs one call
+// per shard; a batch at most two. The alternative that would make it
 // one step, keeping every row in the router (newRouter reads them and
 // drops them), was rejected: it puts 4·dim bytes per vector into the
 // one process that is meant to hold none.
@@ -286,18 +287,20 @@ func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string,
 	return errShardUnavailable(sh.sid, sh.addr, lastErr)
 }
 
-// scatterShards fans fn out to every healthy shard and collects
-// results indexed by shard ID (zero value for shards that did not
-// answer). skip names a shard the caller already holds an answer from
-// (-1 for none): it is not called and counts as answered. rec, when
-// non-nil, receives one "shard_wait/<sid>" span per
-// shard that completed successfully — spans for abandoned shards are
-// never recorded, so an expired request's trace shows exactly the
-// shards that made the answer. Error policy: context expiry and shard
-// 4xx verdicts (a bug surface, not an availability event) always
-// propagate; other failures propagate in strict mode and demote the
-// shard to "skipped" under AllowPartial.
-func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.SpanRecorder, skip int, fn func(ctx context.Context, sh *remoteShard) (T, error)) ([]T, searchMeta, error) {
+// scatterShards fans fn out to the healthy shards a request needs —
+// every shard when need is nil, else those with positions in
+// need[sid], which fn receives; the others count as answered — and
+// collects results indexed by shard ID (zero value for shards that
+// did not answer). rec, when non-nil, receives one "shard_wait/<sid>"
+// span per shard that completed successfully — spans for abandoned
+// shards are never recorded, so an expired request's trace shows
+// exactly the shards that made the answer. Error policy: context
+// expiry and shard 4xx verdicts (a bug surface, not an availability
+// event) always propagate; other failures propagate in strict mode and
+// demote the shard to "skipped" under AllowPartial — unless owners:
+// the shards then hold the request's own rows, which have no partial
+// substitute (errOwnerDown).
+func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.SpanRecorder, need [][]int, owners bool, fn func(ctx context.Context, sh *remoteShard, pos []int) (T, error)) ([]T, searchMeta, error) {
 	type done struct {
 		sid int
 		val T
@@ -310,12 +313,18 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 	ch := make(chan done, len(rb.shards))
 	launched, answered := 0, 0
 	for _, sh := range rb.shards {
-		if sh.sid == skip {
-			answered++
-			continue
+		var pos []int
+		if need != nil {
+			if pos = need[sh.sid]; pos == nil {
+				answered++
+				continue
+			}
 		}
 		if !sh.healthy.Load() {
-			if !rb.allowPartial {
+			switch {
+			case owners:
+				return nil, searchMeta{}, errOwnerDown(sh)
+			case !rb.allowPartial:
 				return nil, searchMeta{}, errShardUnavailable(sh.sid, sh.addr, nil)
 			}
 			continue
@@ -323,7 +332,7 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 		launched++
 		go func(sh *remoteShard) {
 			start := time.Now()
-			v, err := fn(ctx, sh)
+			v, err := fn(ctx, sh, pos)
 			ch <- done{sid: sh.sid, val: v, dur: time.Since(start), err: err}
 		}(sh)
 	}
@@ -338,7 +347,7 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 				if errors.As(d.err, &he) && he.code >= 400 && he.code < 500 {
 					return nil, searchMeta{}, d.err
 				}
-				if !rb.allowPartial {
+				if owners || !rb.allowPartial {
 					return nil, searchMeta{}, d.err
 				}
 				continue
@@ -370,60 +379,49 @@ func errOwnerDown(sh *remoteShard) *httpError {
 	return errShardUnavailable(sh.sid, sh.addr, errors.New("query row owner must answer"))
 }
 
+// owned groups the positions in ids by the shard that owns each row.
+func (rb *remoteBackend) owned(ids []int) [][]int {
+	out := make([][]int, len(rb.shards))
+	for p, id := range ids {
+		sid := vecstore.ShardOf(id, len(rb.shards))
+		out[sid] = append(out[sid], p)
+	}
+	return out
+}
+
 // fetchRows resolves global IDs to row vectors and squared norms from
-// their owning shards (see errOwnerDown). The round trip is recorded
+// their owning shards, one call per owner. The round trip is recorded
 // on the request's trace as "shard_wait/rows", so the stages of a
 // request that fetches add up to its index_search like those of one
 // that only scatters.
 func (rb *remoteBackend) fetchRows(ctx context.Context, ids []int) ([][]float32, []float64, error) {
 	start := time.Now()
 	defer func() { telemetry.FromContext(ctx).Add("shard_wait/rows", time.Since(start)) }()
-	n := len(rb.shards)
-	byOwner := make(map[int][]int, n) // shard ID -> positions in ids
-	for pos, id := range ids {
-		byOwner[vecstore.ShardOf(id, n)] = append(byOwner[vecstore.ShardOf(id, n)], pos)
-	}
-	for sid := range byOwner {
-		if sh := rb.shards[sid]; !sh.healthy.Load() {
-			return nil, nil, errOwnerDown(sh)
+	owned := rb.owned(ids)
+	got, _, err := scatterShards(ctx, rb, nil, owned, true, func(ctx context.Context, sh *remoteShard, pos []int) (shardRowsResponse, error) {
+		req := shardRowsRequest{IDs: make([]int, len(pos))}
+		for i, p := range pos {
+			req.IDs[i] = ids[p]
 		}
+		var resp shardRowsResponse
+		err := rb.call(ctx, sh, "/shard/v1/rows", req, &resp, true)
+		if err == nil && (len(resp.Rows) != len(pos) || len(resp.SqNorms) != len(pos)) {
+			err = errShardUnavailable(sh.sid, sh.addr,
+				fmt.Errorf("rows response covers %d of %d requested rows", len(resp.Rows), len(pos)))
+		}
+		return resp, err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	rows := make([][]float32, len(ids))
 	norms := make([]float64, len(ids))
-	ch := make(chan error, len(byOwner))
-	for sid, positions := range byOwner {
-		go func(sh *remoteShard, positions []int) {
-			req := shardRowsRequest{IDs: make([]int, len(positions))}
-			for i, pos := range positions {
-				req.IDs[i] = ids[pos]
+	for sid, pos := range owned {
+		for i, p := range pos {
+			if rows[p], err = unpackVec[float32](fmt.Sprintf("row %d", ids[p]), got[sid].Rows[i], rb.dim); err != nil {
+				return nil, nil, errShardUnavailable(sid, rb.shards[sid].addr, err)
 			}
-			var resp shardRowsResponse
-			err := rb.call(ctx, sh, "/shard/v1/rows", req, &resp, true)
-			if err == nil && (len(resp.Rows) != len(positions) || len(resp.SqNorms) != len(positions)) {
-				err = errShardUnavailable(sh.sid, sh.addr,
-					fmt.Errorf("rows response covers %d of %d requested rows", len(resp.Rows), len(positions)))
-			}
-			if err == nil {
-				for i, pos := range positions {
-					var uerr error
-					if rows[pos], uerr = unpackVec[float32](fmt.Sprintf("row %d", ids[pos]), resp.Rows[i], rb.dim); uerr != nil {
-						err = errShardUnavailable(sh.sid, sh.addr, uerr)
-						break
-					}
-					norms[pos] = resp.SqNorms[i]
-				}
-			}
-			ch <- err
-		}(rb.shards[sid], positions)
-	}
-	for i := 0; i < len(byOwner); i++ {
-		select {
-		case err := <-ch:
-			if err != nil {
-				return nil, nil, err
-			}
-		case <-ctx.Done():
-			return nil, nil, errDeadlineExpired
+			norms[p] = got[sid].SqNorms[i]
 		}
 	}
 	return rows, norms, nil
@@ -449,11 +447,10 @@ func (rb *remoteBackend) filterKnown(per [][]vecstore.Result) [][]vecstore.Resul
 
 // ---- shardBackend ---------------------------------------------------
 
-func (rb *remoteBackend) NumShards() int { return len(rb.shards) }
-func (rb *remoteBackend) Dim() int       { return rb.dim }
-func (rb *remoteBackend) Rows() int      { return int(rb.rows.Load()) }
-func (rb *remoteBackend) Live() int      { return rb.Rows() - rb.Dead() }
-func (rb *remoteBackend) Dead() int      { return int(rb.dead.Load()) }
+func (rb *remoteBackend) Dim() int  { return rb.dim }
+func (rb *remoteBackend) Rows() int { return int(rb.rows.Load()) }
+func (rb *remoteBackend) Live() int { return rb.Rows() - rb.Dead() }
+func (rb *remoteBackend) Dead() int { return int(rb.dead.Load()) }
 
 func (rb *remoteBackend) Deleted(id int) bool {
 	if id < 0 || id >= rb.Rows() {
@@ -464,87 +461,73 @@ func (rb *remoteBackend) Deleted(id int) bool {
 	return rb.deleted[id]
 }
 
-func (rb *remoteBackend) SearchRow(ctx context.Context, id, k int, rec vecstore.SpanRecorder) ([]vecstore.Result, searchMeta, error) {
-	// k+1 like the in-process coordinator: the query row ranks first in
+func (rb *remoteBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
+	// k+1 like the in-process coordinator: a query row ranks first in
 	// its own results and is stripped at the merge.
-	owner := rb.shards[vecstore.ShardOf(id, len(rb.shards))]
-	if !owner.healthy.Load() {
-		return nil, searchMeta{}, errOwnerDown(owner)
+	search := func(ctx context.Context, sh *remoteShard, pos []int, req shardSearchRequest) (shardSearchResponse, error) {
+		req.K = k + 1
+		var resp shardSearchResponse
+		err := rb.call(ctx, sh, "/shard/v1/search", req, &resp, true)
+		if err == nil && len(resp.Results) != len(pos) {
+			err = errShardUnavailable(sh.sid, sh.addr,
+				fmt.Errorf("search response covers %d of %d queries", len(resp.Results), len(pos)))
+		}
+		return resp, err
+	}
+	// First every owner searches with its stored rows and returns them.
+	owned := rb.owned(ids)
+	own, _, err := scatterShards(ctx, rb, rec, owned, true, func(ctx context.Context, sh *remoteShard, pos []int) (shardSearchResponse, error) {
+		req := shardSearchRequest{Rows: make([]int, len(pos))}
+		for i, p := range pos {
+			req.Rows[i] = ids[p]
+		}
+		return search(ctx, sh, pos, req)
+	})
+	if err != nil {
+		return nil, searchMeta{}, err
+	}
+	rows := make([][]byte, len(ids))
+	lists := make([][][]vecstore.Result, len(ids)) // per query, one list per shard that answered
+	others := make([][]int, len(rb.shards))        // shard ID -> positions of the rows it does not own
+	for sid, pos := range owned {
+		for i, p := range pos {
+			if i >= len(own[sid].Rows) || len(own[sid].Rows[i]) != 4*rb.dim {
+				return nil, searchMeta{}, errShardUnavailable(sid, rb.shards[sid].addr,
+					fmt.Errorf("row %d did not come back as the %d bytes dimension %d takes", ids[p], 4*rb.dim, rb.dim))
+			}
+			rows[p] = own[sid].Rows[i]
+			lists[p] = append(lists[p], own[sid].Results[i])
+			for other := range others {
+				if other != sid {
+					others[other] = append(others[other], p)
+				}
+			}
+		}
+	}
+	// Then every shard searches with the rows it does not own, as the
+	// bits they arrived in.
+	rest, meta, err := scatterShards(ctx, rb, rec, others, false, func(ctx context.Context, sh *remoteShard, pos []int) (shardSearchResponse, error) {
+		req := shardSearchRequest{Vectors: make([][]byte, len(pos))}
+		for i, p := range pos {
+			req.Vectors[i] = rows[p]
+		}
+		return search(ctx, sh, pos, req)
+	})
+	if err != nil {
+		return nil, searchMeta{}, err
 	}
 	start := time.Now()
-	var own shardSearchResponse
-	if err := rb.call(ctx, owner, "/shard/v1/search", shardSearchRequest{Row: &id, K: k + 1}, &own, true); err != nil {
-		return nil, searchMeta{}, err
-	}
-	if len(own.Vector) != 4*rb.dim {
-		return nil, searchMeta{}, errShardUnavailable(owner.sid, owner.addr,
-			fmt.Errorf("row %d came back as %d bytes, dimension %d takes %d", id, len(own.Vector), rb.dim, 4*rb.dim))
-	}
-	if rec != nil {
-		rec("shard_wait/"+strconv.Itoa(owner.sid), time.Since(start))
-	}
-	// The row goes on as the bits it arrived in.
-	body, err := json.Marshal(shardSearchRequest{Vector: own.Vector, K: k + 1})
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	per, meta, err := scatterShards(ctx, rb, rec, owner.sid, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
-		var resp shardSearchResponse
-		if err := rb.post(ctx, sh, "/shard/v1/search", body, &resp, true); err != nil {
-			return nil, err
+	for sid, resp := range rest {
+		for i := range resp.Results { // none from a skipped shard
+			lists[others[sid][i]] = append(lists[others[sid][i]], resp.Results[i])
 		}
-		return resp.Results, nil
-	})
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	per[owner.sid] = own.Results
-	start = time.Now()
-	res := stripSelf(vecstore.MergeTopK(rb.filterKnown(per), k+1), id, k)
-	if rec != nil {
-		rec("merge", time.Since(start))
-	}
-	return res, meta, nil
-}
-
-func (rb *remoteBackend) SearchRowBatch(ctx context.Context, ids []int, k int) ([][]vecstore.Result, searchMeta, error) {
-	rows, _, err := rb.fetchRows(ctx, ids)
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	req := shardSearchBatchRequest{Vectors: make([][]byte, len(rows)), K: k + 1}
-	for i, row := range rows {
-		req.Vectors[i] = packVec(row)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	per, meta, err := scatterShards(ctx, rb, nil, -1, func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error) {
-		var resp shardSearchBatchResponse
-		if err := rb.post(ctx, sh, "/shard/v1/search/batch", body, &resp, true); err != nil {
-			return nil, err
-		}
-		if len(resp.Results) != len(ids) {
-			return nil, errShardUnavailable(sh.sid, sh.addr,
-				fmt.Errorf("batch response covers %d of %d queries", len(resp.Results), len(ids)))
-		}
-		return resp.Results, nil
-	})
-	if err != nil {
-		return nil, searchMeta{}, err
 	}
 	out := make([][]vecstore.Result, len(ids))
-	scratch := make([][]vecstore.Result, 0, len(per))
-	for j, id := range ids {
-		scratch = scratch[:0]
-		for _, lists := range per {
-			if lists == nil { // shard skipped
-				continue
-			}
-			scratch = append(scratch, lists[j])
-		}
-		out[j] = stripSelf(vecstore.MergeTopK(rb.filterKnown(scratch), k+1), id, k)
+	for p, id := range ids {
+		out[p] = vecstore.MergeRowTopK(rb.filterKnown(lists[p]), id, k)
+	}
+	if rec != nil {
+		rec("merge", time.Since(start))
 	}
 	return out, meta, nil
 }
@@ -569,7 +552,7 @@ func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecsto
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
-	per, meta, err := scatterShards(ctx, rb, rec, -1, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
+	per, meta, err := scatterShards(ctx, rb, rec, nil, false, func(ctx context.Context, sh *remoteShard, _ []int) ([]vecstore.Result, error) {
 		var resp shardScanResponse
 		if err := rb.post(ctx, sh, "/shard/v1/scan", body, &resp, true); err != nil {
 			return nil, err
@@ -591,23 +574,28 @@ func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecsto
 	return ns, meta, nil
 }
 
-func (rb *remoteBackend) Cosine(ctx context.Context, a, b int) (float64, error) {
-	rows, sq, err := rb.fetchRows(ctx, []int{a, b})
+func (rb *remoteBackend) PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error) {
+	// One fetch for the whole batch: a call per owning shard, however
+	// many pairs.
+	ids := make([]int, 0, 2*len(pairs))
+	for _, p := range pairs {
+		ids = append(ids, p[0], p[1])
+	}
+	rows, sq, err := rb.fetchRows(ctx, ids)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return vecstore.CosineFromDot(vecstore.DotF64(rows[0], rows[1]), sq[0], sq[1]), nil
-}
-
-func (rb *remoteBackend) PairScore(ctx context.Context, u, v int, hadamard bool) (float64, error) {
-	rows, sq, err := rb.fetchRows(ctx, []int{u, v})
-	if err != nil {
-		return 0, err
+	out := make([]float64, len(pairs))
+	for i := range pairs {
+		u, v := 2*i, 2*i+1
+		dot := vecstore.DotF64(rows[u], rows[v])
+		if hadamard {
+			out[i] = dot
+		} else {
+			out[i] = vecstore.CosineFromDot(dot, sq[u], sq[v])
+		}
 	}
-	if hadamard {
-		return vecstore.DotF64(rows[0], rows[1]), nil
-	}
-	return vecstore.CosineFromDot(vecstore.DotF64(rows[0], rows[1]), sq[0], sq[1]), nil
+	return out, nil
 }
 
 func (rb *remoteBackend) Insert(ctx context.Context, token string, v []float32) (int, error) {

@@ -28,8 +28,10 @@
 //   - Repeated top-k queries are served from a bounded sharded LRU of
 //     serialized responses, keyed by (generation, write epoch) so
 //     neither a reload nor a write can ever serve stale hits.
-//   - Batch endpoints go through Index.SearchBatch, which fans one
-//     request's queries out across the index's workers.
+//   - A single request is a batch of one: each of the five
+//     single/batch endpoint pairs parses its own request and shapes
+//     its own body around one shared core (serveNeighbors, servePairs,
+//     serveWrite), which crosses the shard boundary once per request.
 //
 // See docs/SERVING.md for the API reference and benchmark/ for the
 // load-generating client.
@@ -216,8 +218,8 @@ var endpointNames = []string{
 	// The /shard/v1/* fan-out API a shard process serves to its router
 	// (registered only in shard mode; the counters always exist so the
 	// stats key set stays fixed).
-	"shard_search", "shard_search_batch", "shard_scan", "shard_rows",
-	"shard_insert", "shard_delete",
+	"shard_search", "shard_scan", "shard_rows", "shard_insert",
+	"shard_delete",
 }
 
 type endpointCounters struct {
@@ -421,6 +423,17 @@ func (s *Server) maxBatch() int {
 		return s.cfg.MaxBatch
 	}
 	return defaultMaxBatch
+}
+
+// checkBatch bounds a batch of n items named what.
+func (s *Server) checkBatch(n int, what string) error {
+	if n == 0 {
+		return errBadRequest("empty '%s'", what)
+	}
+	if max := s.maxBatch(); n > max {
+		return errBadRequest("batch of %d exceeds limit %d", n, max)
+	}
+	return nil
 }
 
 // SwapModel atomically replaces the served model: it builds the new
@@ -692,10 +705,10 @@ func (s *Server) initMux() {
 	s.mux.HandleFunc("/v1/predict/batch", s.instrument("predict_batch", s.handlePredictBatch))
 	s.mux.HandleFunc("/v1/vocab", s.instrument("vocab", s.handleVocab))
 	s.mux.HandleFunc("/v1/reload", s.instrument("reload", s.handleReload))
-	s.mux.HandleFunc("/v1/upsert", s.instrument("upsert", s.handleUpsert))
-	s.mux.HandleFunc("/v1/upsert/batch", s.instrument("upsert_batch", s.handleUpsertBatch))
-	s.mux.HandleFunc("/v1/delete", s.instrument("delete", s.handleDelete))
-	s.mux.HandleFunc("/v1/delete/batch", s.instrument("delete_batch", s.handleDeleteBatch))
+	s.mux.HandleFunc("/v1/upsert", s.instrument("upsert", s.writable(s.handleUpsert)))
+	s.mux.HandleFunc("/v1/upsert/batch", s.instrument("upsert_batch", s.writable(s.handleUpsertBatch)))
+	s.mux.HandleFunc("/v1/delete", s.instrument("delete", s.writable(s.handleDelete)))
+	s.mux.HandleFunc("/v1/delete/batch", s.instrument("delete_batch", s.writable(s.handleDeleteBatch)))
 }
 
 // httpError carries a status code through the handler return path.
@@ -934,7 +947,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		"epoch":      st.epoch.Load(),
 		"vectors":    st.backend.Live(),
 		"dim":        st.backend.Dim(),
-		"shards":     st.backend.NumShards(),
+		"shards":     len(st.backend.ShardStats()),
 		"build":      s.build,
 	}
 	// A shard process identifies its slice here: the router's health
@@ -1094,57 +1107,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	t = spanSince(tr, "parse", t)
-	st, unlock := s.readState()
-	defer unlock()
-	t = spanSince(tr, "gen_acquire", t)
-	id, err := st.resolve(tok)
-	if err != nil {
-		return err
-	}
-	key := cacheKey(st.gen, st.epoch.Load(), 'n', k, tok)
-	buf, hit := s.cache.get(key)
-	t = spanSince(tr, "cache_lookup", t)
-	if hit {
-		unlock()
-		writeJSONBytes(w, http.StatusOK, buf)
-		spanSince(tr, "write", t)
-		return nil
-	}
-	if err := ctxExpired(r.Context()); err != nil {
-		return err
-	}
-	// The shard boundary: fan out through the backend (goroutines
-	// in-process, HTTP in router mode). A ctx-aware fan-out abandons
-	// slow shards on expiry — they finish on their own and their
-	// results are discarded, so the 503 goes out immediately. The
-	// deferred (idempotent) unlock releases this generation's reader
-	// lock as usual — shard searches never touch it.
-	res, meta, err := st.backend.SearchRow(r.Context(), id, k, traceRecorder(tr))
-	if err != nil {
-		return err
-	}
-	t = spanSince(tr, "index_search", t)
-	// Post-search boundary: a search that ran past the budget must not
-	// be dressed up as success — the client has likely already given
-	// up on this response.
-	if err := ctxExpired(r.Context()); err != nil {
-		return err
-	}
-	buf, err = json.Marshal(NeighborsResponse{Vertex: tok, K: k, Neighbors: toNeighborJSON(st, res),
-		Partial: meta.partial, ShardsAnswered: meta.shardsAnswered})
-	if err != nil {
-		return err
-	}
-	// A partial answer reflects a degraded fleet, not the data: it
-	// must not be served from cache after the shards recover.
-	if !meta.partial {
-		s.cache.put(key, buf)
-	}
-	t = spanSince(tr, "encode", t)
-	unlock()
-	writeJSONBytes(w, http.StatusOK, buf)
-	spanSince(tr, "write", t)
-	return nil
+	return s.serveNeighbors(w, r, t, []string{tok}, k, func(parts [][]byte) []byte { return parts[0] })
 }
 
 // NeighborsBatchRequest is the /v1/neighbors/batch body.
@@ -1165,11 +1128,8 @@ func (s *Server) handleNeighborsBatch(w http.ResponseWriter, r *http.Request) er
 	if err := decodePost(r, &req); err != nil {
 		return err
 	}
-	if len(req.Vertices) == 0 {
-		return errBadRequest("empty 'vertices'")
-	}
-	if max := s.maxBatch(); len(req.Vertices) > max {
-		return errBadRequest("batch of %d exceeds limit %d", len(req.Vertices), max)
+	if err := s.checkBatch(len(req.Vertices), "vertices"); err != nil {
+		return err
 	}
 	k := req.K
 	if k == 0 {
@@ -1179,20 +1139,27 @@ func (s *Server) handleNeighborsBatch(w http.ResponseWriter, r *http.Request) er
 		return errBadRequest("invalid k %d", k)
 	}
 	t = spanSince(tr, "parse", t)
+	return s.serveNeighbors(w, r, t, req.Vertices, k, func(parts [][]byte) []byte {
+		return append(append([]byte(`{"results":[`), bytes.Join(parts, []byte{','})...), `]}`...)
+	})
+}
+
+// serveNeighbors answers the top k of every vertex — /v1/neighbors is
+// a batch of one — from the generation acquired after parsing (t) and
+// writes the body render builds from the per-vertex answers. Each
+// answer is the single query's body under the single query's cache
+// key: hits are spliced in as already-serialized JSON, and the misses
+// cross the shard boundary once, in one SearchRows call.
+func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, t time.Time, vertices []string, k int, render func(parts [][]byte) []byte) error {
+	tr := telemetry.FromContext(r.Context())
 	st, unlock := s.readState()
 	defer unlock()
 	t = spanSince(tr, "gen_acquire", t)
-	// A batch answer is defined as the per-vertex single-query
-	// answers, so each item shares the single endpoint's cache entry:
-	// hits are spliced in as already-serialized JSON, and only the
-	// misses are searched — through one SearchBatch call that fans
-	// them across the index's workers.
 	epoch := st.epoch.Load()
-	parts := make([][]byte, len(req.Vertices))
-	keys := make([]string, len(req.Vertices))
-	var missIdx []int
-	var missIDs []int
-	for i, tok := range req.Vertices {
+	parts := make([][]byte, len(vertices))
+	keys := make([]string, len(vertices))
+	var missIdx, missIDs []int
+	for i, tok := range vertices {
 		id, err := st.resolve(tok)
 		if err != nil {
 			return err
@@ -1210,54 +1177,48 @@ func (s *Server) handleNeighborsBatch(w http.ResponseWriter, r *http.Request) er
 		if err := ctxExpired(r.Context()); err != nil {
 			return err
 		}
-		// One shard-boundary crossing for the whole batch: every shard
-		// answers all the misses at once, per-query merges happen
-		// behind the interface.
-		batch, meta, err := st.backend.SearchRowBatch(r.Context(), missIDs, k)
+		// The shard boundary: fan out through the backend (goroutines
+		// in-process, HTTP in router mode). A ctx-aware fan-out abandons
+		// slow shards on expiry — they finish on their own and their
+		// results are discarded, so the 503 goes out immediately. The
+		// deferred (idempotent) unlock releases this generation's reader
+		// lock as usual — shard searches never touch it.
+		res, meta, err := st.backend.SearchRows(r.Context(), missIDs, k, traceRecorder(tr))
 		if err != nil {
 			return err
 		}
 		t = spanSince(tr, "index_search", t)
+		// Post-search boundary: a search that ran past the budget must
+		// not be dressed up as success — the client has likely already
+		// given up on this response.
 		if err := ctxExpired(r.Context()); err != nil {
 			return err
 		}
-		for j, filtered := range batch {
-			i := missIdx[j]
-			buf, err := json.Marshal(NeighborsResponse{
-				Vertex:    req.Vertices[i],
-				K:         k,
-				Neighbors: toNeighborJSON(st, filtered),
-				Partial:   meta.partial, ShardsAnswered: meta.shardsAnswered,
-			})
+		for j, i := range missIdx {
+			buf, err := json.Marshal(NeighborsResponse{Vertex: vertices[i], K: k, Neighbors: toNeighborJSON(st, res[j]),
+				Partial: meta.partial, ShardsAnswered: meta.shardsAnswered})
 			if err != nil {
 				return err
 			}
-			// Cache-spliced items above were complete answers; freshly
-			// computed partial ones must not outlive the degradation.
+			// A partial answer reflects a degraded fleet, not the data:
+			// it must not be served from cache after the shards recover.
 			if !meta.partial {
 				s.cache.put(keys[i], buf)
 			}
 			parts[i] = buf
 		}
 	}
-	var buf bytes.Buffer
-	buf.Grow(16 + len(parts)*256)
-	buf.WriteString(`{"results":[`)
-	for i, p := range parts {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(p)
-	}
-	buf.WriteString(`]}`)
+	buf := render(parts)
 	t = spanSince(tr, "encode", t)
 	unlock()
-	writeJSONBytes(w, http.StatusOK, buf.Bytes())
+	writeJSONBytes(w, http.StatusOK, buf)
 	spanSince(tr, "write", t)
 	return nil
 }
 
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) error {
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
 	body, err := bodyParams(r)
 	if err != nil {
 		return err
@@ -1267,22 +1228,9 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) error 
 	if !okA || !okB {
 		return errBadRequest("missing parameter 'a' or 'b'")
 	}
-	st, unlock := s.readState()
-	defer unlock()
-	a, err := st.resolve(aTok)
-	if err != nil {
-		return err
-	}
-	b, err := st.resolve(bTok)
-	if err != nil {
-		return err
-	}
-	sim, err := st.backend.Cosine(r.Context(), a, b)
-	if err != nil {
-		return err
-	}
-	return writeJSONUnlocked(w, unlock, SimilarityResponse{
-		A: aTok, B: bTok, Similarity: sim,
+	t = spanSince(tr, "parse", t)
+	return s.servePairs(w, r, t, [][2]string{{aTok, bTok}}, false, func(scores []float64) any {
+		return SimilarityResponse{A: aTok, B: bTok, Similarity: scores[0]}
 	})
 }
 
@@ -1297,35 +1245,59 @@ type SimilarityBatchResponse struct {
 }
 
 func (s *Server) handleSimilarityBatch(w http.ResponseWriter, r *http.Request) error {
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
 	var req SimilarityBatchRequest
 	if err := decodePost(r, &req); err != nil {
 		return err
 	}
-	if len(req.Pairs) == 0 {
-		return errBadRequest("empty 'pairs'")
+	if err := s.checkBatch(len(req.Pairs), "pairs"); err != nil {
+		return err
 	}
-	if max := s.maxBatch(); len(req.Pairs) > max {
-		return errBadRequest("batch of %d exceeds limit %d", len(req.Pairs), max)
-	}
+	t = spanSince(tr, "parse", t)
+	return s.servePairs(w, r, t, req.Pairs, false, func(scores []float64) any {
+		out := SimilarityBatchResponse{Results: make([]SimilarityResponse, len(scores))}
+		for i, p := range req.Pairs {
+			out.Results[i] = SimilarityResponse{A: p[0], B: p[1], Similarity: scores[i]}
+		}
+		return out
+	})
+}
+
+// servePairs scores every pair — /v1/similarity and /v1/predict are
+// batches of one — through one PairScores call, from the generation
+// acquired after parsing (t), and writes the body render builds from
+// the scores. Pairs resolve in order, so the first unknown vertex is
+// the 404.
+func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time, pairs [][2]string, hadamard bool, render func(scores []float64) any) error {
+	tr := telemetry.FromContext(r.Context())
 	st, unlock := s.readState()
 	defer unlock()
-	out := SimilarityBatchResponse{Results: make([]SimilarityResponse, len(req.Pairs))}
-	for i, p := range req.Pairs {
-		a, err := st.resolve(p[0])
-		if err != nil {
-			return err
+	t = spanSince(tr, "gen_acquire", t)
+	ids := make([][2]int, len(pairs))
+	for i, p := range pairs {
+		for j, tok := range p {
+			id, err := st.resolve(tok)
+			if err != nil {
+				return err
+			}
+			ids[i][j] = id
 		}
-		b, err := st.resolve(p[1])
-		if err != nil {
-			return err
-		}
-		sim, err := st.backend.Cosine(r.Context(), a, b)
-		if err != nil {
-			return err
-		}
-		out.Results[i] = SimilarityResponse{A: p[0], B: p[1], Similarity: sim}
 	}
-	return writeJSONUnlocked(w, unlock, out)
+	scores, err := st.backend.PairScores(r.Context(), ids, hadamard)
+	if err != nil {
+		return err
+	}
+	t = spanSince(tr, "index_search", t)
+	buf, err := json.Marshal(render(scores))
+	unlock()
+	if err != nil {
+		return err
+	}
+	t = spanSince(tr, "encode", t)
+	writeJSONBytes(w, http.StatusOK, buf)
+	spanSince(tr, "write", t)
+	return nil
 }
 
 func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
@@ -1410,6 +1382,8 @@ func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
 	body, err := bodyParams(r)
 	if err != nil {
 		return err
@@ -1426,22 +1400,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 			return errBadRequest("invalid hadamard %q", raw)
 		}
 	}
-	st, unlock := s.readState()
-	defer unlock()
-	u, err := st.resolve(uTok)
-	if err != nil {
-		return err
-	}
-	v, err := st.resolve(vTok)
-	if err != nil {
-		return err
-	}
-	score, err := st.backend.PairScore(r.Context(), u, v, hadamard)
-	if err != nil {
-		return err
-	}
-	return writeJSONUnlocked(w, unlock, PredictResponse{
-		U: uTok, V: vTok, Score: score, Scorer: scorerName(hadamard),
+	t = spanSince(tr, "parse", t)
+	return s.servePairs(w, r, t, [][2]string{{uTok, vTok}}, hadamard, func(scores []float64) any {
+		return PredictResponse{U: uTok, V: vTok, Score: scores[0], Scorer: scorerName(hadamard)}
 	})
 }
 
@@ -1458,39 +1419,24 @@ type PredictBatchResponse struct {
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) error {
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
 	var req PredictBatchRequest
 	if err := decodePost(r, &req); err != nil {
 		return err
 	}
-	if len(req.Pairs) == 0 {
-		return errBadRequest("empty 'pairs'")
+	if err := s.checkBatch(len(req.Pairs), "pairs"); err != nil {
+		return err
 	}
-	if max := s.maxBatch(); len(req.Pairs) > max {
-		return errBadRequest("batch of %d exceeds limit %d", len(req.Pairs), max)
-	}
-	st, unlock := s.readState()
-	defer unlock()
-	name := scorerName(req.Hadamard)
-	out := PredictBatchResponse{
-		Scorer:  name,
-		Results: make([]PredictResponse, len(req.Pairs)),
-	}
-	for i, p := range req.Pairs {
-		u, err := st.resolve(p[0])
-		if err != nil {
-			return err
+	t = spanSince(tr, "parse", t)
+	return s.servePairs(w, r, t, req.Pairs, req.Hadamard, func(scores []float64) any {
+		name := scorerName(req.Hadamard)
+		out := PredictBatchResponse{Scorer: name, Results: make([]PredictResponse, len(scores))}
+		for i, p := range req.Pairs {
+			out.Results[i] = PredictResponse{U: p[0], V: p[1], Score: scores[i], Scorer: name}
 		}
-		v, err := st.resolve(p[1])
-		if err != nil {
-			return err
-		}
-		score, err := st.backend.PairScore(r.Context(), u, v, req.Hadamard)
-		if err != nil {
-			return err
-		}
-		out.Results[i] = PredictResponse{U: p[0], V: p[1], Score: score, Scorer: name}
-	}
-	return writeJSONUnlocked(w, unlock, out)
+		return out
+	})
 }
 
 // VocabResponse answers /v1/vocab.
@@ -1657,24 +1603,24 @@ type DeleteBatchResponse struct {
 // errReadOnly is the write-endpoint answer on a read-only server.
 var errReadOnly = &httpError{code: http.StatusForbidden, msg: "server is read-only (started without write support)"}
 
-// validateUpsert checks one upsert item against the current store
+// validateUpsert checks one upsert record against the current store
 // shape before any mutation is applied.
-func validateUpsert(st *modelState, item *UpsertRequest) error {
-	if item.Vertex == "" {
+func validateUpsert(st *modelState, rec *wal.Record) error {
+	if rec.Token == "" {
 		return errBadRequest("missing 'vertex'")
 	}
-	for _, r := range item.Vertex {
+	for _, r := range rec.Token {
 		if r < 0x20 || r == 0x7f {
 			return errBadRequest("vertex name contains control characters")
 		}
 	}
-	if dim := st.backend.Dim(); len(item.Vector) != dim {
+	if dim := st.backend.Dim(); len(rec.Vector) != dim {
 		return errBadRequest("vector for %q has dimension %d, model dimension is %d",
-			item.Vertex, len(item.Vector), dim)
+			rec.Token, len(rec.Vector), dim)
 	}
-	for _, x := range item.Vector {
+	for _, x := range rec.Vector {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return errBadRequest("vector for %q contains NaN/Inf", item.Vertex)
+			return errBadRequest("vector for %q contains NaN/Inf", rec.Token)
 		}
 	}
 	return nil
@@ -1687,23 +1633,23 @@ func validateUpsert(st *modelState, item *UpsertRequest) error {
 // coherent). The token table grows in step with the rows so row IDs
 // and token slots stay aligned. The context bounds remote shard RPCs
 // in router mode; in-process shards ignore it.
-func (s *Server) applyUpsert(ctx context.Context, st *modelState, item *UpsertRequest) (UpsertResponse, error) {
+func (s *Server) applyUpsert(ctx context.Context, st *modelState, rec *wal.Record) (UpsertResponse, error) {
 	updated := false
-	if old, ok := st.byToken[item.Vertex]; ok {
+	if old, ok := st.byToken[rec.Token]; ok {
 		if err := st.backend.Delete(ctx, old); err != nil {
-			return UpsertResponse{}, fmt.Errorf("replacing %q: %w", item.Vertex, err)
+			return UpsertResponse{}, fmt.Errorf("replacing %q: %w", rec.Token, err)
 		}
 		updated = true
 	}
-	id, err := st.backend.Insert(ctx, item.Vertex, item.Vector)
+	id, err := st.backend.Insert(ctx, rec.Token, rec.Vector)
 	if err != nil {
 		return UpsertResponse{}, err
 	}
-	st.tokens = append(st.tokens, item.Vertex)
-	st.byToken[item.Vertex] = id
+	st.tokens = append(st.tokens, rec.Token)
+	st.byToken[rec.Token] = id
 	s.upserts.Add(1)
 	return UpsertResponse{
-		Vertex:     item.Vertex,
+		Vertex:     rec.Token,
 		ID:         id,
 		Updated:    updated,
 		Generation: st.gen,
@@ -1711,149 +1657,76 @@ func (s *Server) applyUpsert(ctx context.Context, st *modelState, item *UpsertRe
 	}, nil
 }
 
-func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) error {
-	if s.cfg.ReadOnly {
-		return errReadOnly
-	}
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
-	var req UpsertRequest
-	if err := decodePost(r, &req); err != nil {
-		return err
-	}
-	t = spanSince(tr, "parse", t)
-	st := s.lockCurrent()
-	t = spanSince(tr, "gen_acquire", t)
-	var lsn uint64
-	resp, err := func() (UpsertResponse, error) {
-		defer st.mu.Unlock()
-		// An expired deadline aborts before the append: nothing is
-		// logged or applied, so the 503 is a clean rejection.
-		if err := ctxExpired(r.Context()); err != nil {
-			return UpsertResponse{}, err
-		}
-		if err := validateUpsert(st, &req); err != nil {
-			return UpsertResponse{}, err
-		}
-		// Log before apply: if the append fails the store is untouched
-		// and the client gets a 500, never an un-replayable ack. Only
-		// the frame write happens under the lock — the fsync wait comes
-		// after the unlock, so concurrent writes share one fsync.
-		t0 := time.Now()
-		var err error
-		if lsn, err = s.walAppendNoSync(wal.Record{Op: wal.OpUpsert, Token: req.Vertex, Vector: req.Vector}); err != nil {
-			return UpsertResponse{}, err
-		}
-		t0 = spanSince(tr, "wal_append", t0)
-		resp, err := s.applyUpsert(r.Context(), st, &req)
-		spanSince(tr, "apply", t0)
-		return resp, err
-	}()
-	if err != nil {
-		return err
-	}
-	t = time.Now()
-	if err := s.walWaitDurableCtx(r.Context(), lsn); err != nil {
-		return err
-	}
-	t = spanSince(tr, "wal_fsync", t)
-	s.maybeCheckpoint(st)
-	writeJSON(w, http.StatusOK, resp)
-	spanSince(tr, "write", t)
-	return nil
-}
-
-func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error {
-	if s.cfg.ReadOnly {
-		return errReadOnly
-	}
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
-	var req UpsertBatchRequest
-	if err := decodePost(r, &req); err != nil {
-		return err
-	}
-	if len(req.Items) == 0 {
-		return errBadRequest("empty 'items'")
-	}
-	if max := s.maxBatch(); len(req.Items) > max {
-		return errBadRequest("batch of %d exceeds limit %d", len(req.Items), max)
-	}
-	t = spanSince(tr, "parse", t)
-	st := s.lockCurrent()
-	t = spanSince(tr, "gen_acquire", t)
-	var lsn uint64
-	out, err := func() (UpsertBatchResponse, error) {
-		defer st.mu.Unlock()
-		var out UpsertBatchResponse
-		if err := ctxExpired(r.Context()); err != nil {
-			return out, err
-		}
-		// Validate everything first so the batch applies all-or-nothing.
-		for i := range req.Items {
-			if err := validateUpsert(st, &req.Items[i]); err != nil {
-				return out, err
-			}
-		}
-		// The whole batch is one log frame: replay applies it
-		// all-or-nothing, matching the in-memory semantics.
-		recs := make([]wal.Record, len(req.Items))
-		for i := range req.Items {
-			recs[i] = wal.Record{Op: wal.OpUpsert, Token: req.Items[i].Vertex, Vector: req.Items[i].Vector}
-		}
-		t0 := time.Now()
-		var err error
-		if lsn, err = s.walAppendNoSync(recs...); err != nil {
-			return out, err
-		}
-		t0 = spanSince(tr, "wal_append", t0)
-		out.Results = make([]UpsertResponse, len(req.Items))
-		for i := range req.Items {
-			if out.Results[i], err = s.applyUpsert(r.Context(), st, &req.Items[i]); err != nil {
-				return out, err
-			}
-		}
-		spanSince(tr, "apply", t0)
-		return out, nil
-	}()
-	if err != nil {
-		return err
-	}
-	t = time.Now()
-	if err := s.walWaitDurableCtx(r.Context(), lsn); err != nil {
-		return err
-	}
-	t = spanSince(tr, "wal_fsync", t)
-	s.maybeCheckpoint(st)
-	writeJSON(w, http.StatusOK, out)
-	spanSince(tr, "write", t)
-	return nil
-}
-
 // applyDelete performs one delete under st's writer lock.
-func (s *Server) applyDelete(ctx context.Context, st *modelState, tok string) (DeleteResponse, error) {
-	id, ok := st.byToken[tok]
+func (s *Server) applyDelete(ctx context.Context, st *modelState, rec *wal.Record) (DeleteResponse, error) {
+	id, ok := st.byToken[rec.Token]
 	if !ok {
-		return DeleteResponse{}, errNotFound("unknown vertex %q", tok)
+		return DeleteResponse{}, errNotFound("unknown vertex %q", rec.Token)
 	}
 	if err := st.backend.Delete(ctx, id); err != nil {
 		return DeleteResponse{}, err
 	}
-	delete(st.byToken, tok)
+	delete(st.byToken, rec.Token)
 	s.deletes.Add(1)
 	return DeleteResponse{
-		Vertex:     tok,
+		Vertex:     rec.Token,
 		Deleted:    true,
 		Generation: st.gen,
 		Epoch:      st.epoch.Add(1),
 	}, nil
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
-	if s.cfg.ReadOnly {
-		return errReadOnly
+// writable gates a write endpoint: 403 on a read-only server, before
+// the body is read.
+func (s *Server) writable(h func(w http.ResponseWriter, r *http.Request) error) func(w http.ResponseWriter, r *http.Request) error {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		if s.cfg.ReadOnly {
+			return errReadOnly
+		}
+		return h(w, r)
 	}
-	tr := telemetry.FromContext(r.Context())
+}
+
+func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) error {
+	t := time.Now()
+	var req UpsertRequest
+	if err := decodePost(r, &req); err != nil {
+		return err
+	}
+	return s.upsertItems(w, r, t, []UpsertRequest{req}, func(out []UpsertResponse) any { return out[0] })
+}
+
+func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error {
+	t := time.Now()
+	var req UpsertBatchRequest
+	if err := decodePost(r, &req); err != nil {
+		return err
+	}
+	if err := s.checkBatch(len(req.Items), "items"); err != nil {
+		return err
+	}
+	return s.upsertItems(w, r, t, req.Items, func(out []UpsertResponse) any { return UpsertBatchResponse{Results: out} })
+}
+
+// upsertItems writes items through serveWrite: every item is validated
+// against the store's shape before any is logged or applied.
+func (s *Server) upsertItems(w http.ResponseWriter, r *http.Request, t time.Time, items []UpsertRequest, render func([]UpsertResponse) any) error {
+	recs := make([]wal.Record, len(items))
+	for i, it := range items {
+		recs[i] = wal.Record{Op: wal.OpUpsert, Token: it.Vertex, Vector: it.Vector}
+	}
+	spanSince(telemetry.FromContext(r.Context()), "parse", t)
+	return serveWrite(s, w, r, recs, func(st *modelState) error {
+		for i := range recs {
+			if err := validateUpsert(st, &recs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, s.applyUpsert, render)
+}
+
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	t := time.Now()
 	var req DeleteRequest
 	if err := decodePost(r, &req); err != nil {
@@ -1862,99 +1735,88 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	if req.Vertex == "" {
 		return errBadRequest("missing 'vertex'")
 	}
-	t = spanSince(tr, "parse", t)
-	st := s.lockCurrent()
-	t = spanSince(tr, "gen_acquire", t)
-	var lsn uint64
-	resp, err := func() (DeleteResponse, error) {
-		defer st.mu.Unlock()
-		if err := ctxExpired(r.Context()); err != nil {
-			return DeleteResponse{}, err
-		}
-		// Resolve before logging: a 404 must not burn a log record.
-		if _, ok := st.byToken[req.Vertex]; !ok {
-			return DeleteResponse{}, errNotFound("unknown vertex %q", req.Vertex)
-		}
-		t0 := time.Now()
-		var err error
-		if lsn, err = s.walAppendNoSync(wal.Record{Op: wal.OpDelete, Token: req.Vertex}); err != nil {
-			return DeleteResponse{}, err
-		}
-		t0 = spanSince(tr, "wal_append", t0)
-		resp, err := s.applyDelete(r.Context(), st, req.Vertex)
-		spanSince(tr, "apply", t0)
-		return resp, err
-	}()
-	if err != nil {
-		return err
-	}
-	t = time.Now()
-	if err := s.walWaitDurableCtx(r.Context(), lsn); err != nil {
-		return err
-	}
-	t = spanSince(tr, "wal_fsync", t)
-	s.maybeCheckpoint(st)
-	writeJSON(w, http.StatusOK, resp)
-	spanSince(tr, "write", t)
-	return nil
+	return s.deleteVertices(w, r, t, []string{req.Vertex}, func(out []DeleteResponse) any { return out[0] })
 }
 
 func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error {
-	if s.cfg.ReadOnly {
-		return errReadOnly
-	}
-	tr := telemetry.FromContext(r.Context())
 	t := time.Now()
 	var req DeleteBatchRequest
 	if err := decodePost(r, &req); err != nil {
 		return err
 	}
-	if len(req.Vertices) == 0 {
-		return errBadRequest("empty 'vertices'")
+	if err := s.checkBatch(len(req.Vertices), "vertices"); err != nil {
+		return err
 	}
-	if max := s.maxBatch(); len(req.Vertices) > max {
-		return errBadRequest("batch of %d exceeds limit %d", len(req.Vertices), max)
+	return s.deleteVertices(w, r, t, req.Vertices, func(out []DeleteResponse) any { return DeleteBatchResponse{Results: out} })
+}
+
+// deleteVertices writes vertices' tombstones through serveWrite. Every
+// vertex must exist — resolved before logging, so a 404 burns no log
+// record — and appear only once: a duplicate would pass the pre-check,
+// delete on its first occurrence and 404 on its second, leaving the
+// batch half-applied.
+func (s *Server) deleteVertices(w http.ResponseWriter, r *http.Request, t time.Time, vertices []string, render func([]DeleteResponse) any) error {
+	recs := make([]wal.Record, len(vertices))
+	for i, tok := range vertices {
+		recs[i] = wal.Record{Op: wal.OpDelete, Token: tok}
 	}
-	t = spanSince(tr, "parse", t)
-	st := s.lockCurrent()
-	t = spanSince(tr, "gen_acquire", t)
-	var lsn uint64
-	out, err := func() (DeleteBatchResponse, error) {
-		defer st.mu.Unlock()
-		var out DeleteBatchResponse
-		if err := ctxExpired(r.Context()); err != nil {
-			return out, err
-		}
-		// All-or-nothing: every vertex must exist — and appear only
-		// once (a duplicate would pass this pre-check, delete on its
-		// first occurrence and 404 on its second, leaving the batch
-		// half-applied).
-		seen := make(map[string]bool, len(req.Vertices))
-		for _, tok := range req.Vertices {
+	spanSince(telemetry.FromContext(r.Context()), "parse", t)
+	return serveWrite(s, w, r, recs, func(st *modelState) error {
+		seen := make(map[string]bool, len(vertices))
+		for _, tok := range vertices {
 			if _, ok := st.byToken[tok]; !ok {
-				return out, errNotFound("unknown vertex %q", tok)
+				return errNotFound("unknown vertex %q", tok)
 			}
 			if seen[tok] {
-				return out, errBadRequest("vertex %q appears twice in the batch", tok)
+				return errBadRequest("vertex %q appears twice in the batch", tok)
 			}
 			seen[tok] = true
 		}
-		// One frame for the whole batch, appended only after the
-		// pre-check above proved it will fully apply.
-		recs := make([]wal.Record, len(req.Vertices))
-		for i, tok := range req.Vertices {
-			recs[i] = wal.Record{Op: wal.OpDelete, Token: tok}
+		return nil
+	}, s.applyDelete, render)
+}
+
+// serveWrite is the one write path — a single write is a batch of one:
+// under the current generation's writer lock it checks the deadline,
+// validates every record, logs them as one WAL frame and applies them;
+// after the unlock it waits for the frame to be durable, checkpoints
+// if the log has grown enough, and writes the body render builds from
+// the per-record results. The frame is the atomicity unit — replay
+// applies it all-or-nothing, matching the in-memory semantics — and
+// one record is exactly the frame a single write always logged.
+func serveWrite[R any](s *Server, w http.ResponseWriter, r *http.Request, recs []wal.Record,
+	validate func(st *modelState) error,
+	apply func(ctx context.Context, st *modelState, rec *wal.Record) (R, error),
+	render func([]R) any) error {
+	tr := telemetry.FromContext(r.Context())
+	t := time.Now()
+	st := s.lockCurrent()
+	t = spanSince(tr, "gen_acquire", t)
+	var lsn uint64
+	out, err := func() ([]R, error) {
+		defer st.mu.Unlock()
+		// An expired deadline aborts before the append: nothing is
+		// logged or applied, so the 503 is a clean rejection.
+		if err := ctxExpired(r.Context()); err != nil {
+			return nil, err
 		}
+		if err := validate(st); err != nil {
+			return nil, err
+		}
+		// Log before apply: if the append fails the store is untouched
+		// and the client gets a 500, never an un-replayable ack. Only
+		// the frame write happens under the lock — the fsync wait comes
+		// after the unlock, so concurrent writes share one fsync.
 		t0 := time.Now()
 		var err error
 		if lsn, err = s.walAppendNoSync(recs...); err != nil {
-			return out, err
+			return nil, err
 		}
 		t0 = spanSince(tr, "wal_append", t0)
-		out.Results = make([]DeleteResponse, len(req.Vertices))
-		for i, tok := range req.Vertices {
-			if out.Results[i], err = s.applyDelete(r.Context(), st, tok); err != nil {
-				return out, err
+		out := make([]R, len(recs))
+		for i := range recs {
+			if out[i], err = apply(r.Context(), st, &recs[i]); err != nil {
+				return nil, err
 			}
 		}
 		spanSince(tr, "apply", t0)
@@ -1969,7 +1831,7 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 	}
 	t = spanSince(tr, "wal_fsync", t)
 	s.maybeCheckpoint(st)
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, render(out))
 	spanSince(tr, "write", t)
 	return nil
 }

@@ -155,6 +155,43 @@ func TestNeighborsBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// BenchmarkNeighborsBatch is one cold /v1/neighbors/batch of 64
+// vertices, k = 10, on an unsharded server — a one-shard coordinator,
+// whose batch must keep spreading its queries over the workers — for
+// the exact and the HNSW index.
+func BenchmarkNeighborsBatch(b *testing.B) {
+	vocab, dim := 20_000, 64
+	if testing.Short() {
+		vocab = 2_000
+	}
+	m, tokens := testModel(vocab, dim, 42)
+	req := NeighborsBatchRequest{K: 10}
+	for i := 0; i < 64; i++ {
+		req.Vertices = append(req.Vertices, tokens[i*vocab/64])
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []vecstore.Kind{vecstore.KindExact, vecstore.KindHNSW} {
+		b.Run(kind.String(), func(b *testing.B) {
+			s, err := NewFromModel(Config{CacheSize: -1, Index: vecstore.Config{Kind: kind}}, m, tokens)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := s.Handler()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/neighbors/batch", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 func TestSimilarityAndPredict(t *testing.T) {
 	_, hs := newTestServer(t, Config{}, 80, 6)
 	m, _ := testModel(80, 6, 42)

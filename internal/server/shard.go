@@ -7,13 +7,12 @@ package server
 // standard public read API over that slice, and exposes the
 // /shard/v1/* fan-out API its router consumes:
 //
-//	POST /shard/v1/search        — top-k for one query vector, or for one of
-//	                               this shard's rows by global ID (global IDs)
-//	POST /shard/v1/search/batch  — top-k for many query vectors
-//	POST /shard/v1/scan          — exact float64 kernel scan (analogy)
-//	POST /shard/v1/rows          — row data + squared norms by global ID
-//	POST /shard/v1/insert        — append a router-assigned global row
-//	POST /shard/v1/delete        — tombstone a global row
+//	POST /shard/v1/search  — top-k per query: this shard's rows by global
+//	                         ID and/or query vectors (global IDs)
+//	POST /shard/v1/scan    — exact float64 kernel scan (analogy)
+//	POST /shard/v1/rows    — row data + squared norms by global ID
+//	POST /shard/v1/insert  — append a router-assigned global row
+//	POST /shard/v1/delete  — tombstone a global row
 //
 // A shard process is the same Server as any other: its slice is
 // published as a one-shard coordinator, and these handlers — which sit
@@ -158,7 +157,6 @@ func newShardProcess(cfg Config) (*Server, error) {
 
 func (s *Server) registerShardAPI() {
 	s.mux.HandleFunc("/shard/v1/search", s.instrument("shard_search", s.handleShardSearch))
-	s.mux.HandleFunc("/shard/v1/search/batch", s.instrument("shard_search_batch", s.handleShardSearchBatch))
 	s.mux.HandleFunc("/shard/v1/scan", s.instrument("shard_scan", s.handleShardScan))
 	s.mux.HandleFunc("/shard/v1/rows", s.instrument("shard_rows", s.handleShardRows))
 	s.mux.HandleFunc("/shard/v1/insert", s.instrument("shard_insert", s.handleShardInsert))
@@ -205,27 +203,19 @@ func unpackVec[T float32 | float64](what string, b []byte, dim int) ([]T, error)
 }
 
 type shardSearchRequest struct {
-	// Exactly one of Vector (float32 bits) and Row (the global ID of a
-	// row this shard owns, searched with as stored).
-	Vector []byte `json:"vector,omitempty"`
-	Row    *int   `json:"row,omitempty"`
-	K      int    `json:"k"`
-}
-
-type shardSearchResponse struct {
-	Results []vecstore.Result `json:"results"` // global IDs
-	// Vector is the stored row of a by-row search (float32 bits), for
-	// the router to send on to the other shards.
-	Vector []byte `json:"vector,omitempty"`
-}
-
-type shardSearchBatchRequest struct {
-	Vectors [][]byte `json:"vectors"` // float32 bits, one entry per query
+	// The queries, at least one: Rows are global IDs of rows this shard
+	// owns, searched with as stored; Vectors are float32 bits.
+	Rows    []int    `json:"rows,omitempty"`
+	Vectors [][]byte `json:"vectors,omitempty"`
 	K       int      `json:"k"`
 }
 
-type shardSearchBatchResponse struct {
-	Results [][]vecstore.Result `json:"results"` // per query, global IDs
+type shardSearchResponse struct {
+	// Results holds one list per query, Rows' first, in global IDs.
+	Results [][]vecstore.Result `json:"results"`
+	// Rows are the stored rows of Rows (float32 bits), for the router
+	// to send on to the other shards.
+	Rows [][]byte `json:"rows,omitempty"`
 }
 
 type shardScanRequest struct {
@@ -278,71 +268,43 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error
 	if err := decodePost(r, &req); err != nil {
 		return err
 	}
-	st, unlock := s.readState()
-	defer unlock()
-	var q []float32
-	var echo []byte
-	if req.Row != nil {
-		if req.Vector != nil {
-			return errBadRequest("'row' and 'vector' are exclusive")
-		}
-		local, ok := s.shard.localOf(*req.Row)
-		if !ok {
-			return errNotFound("row %d is not on shard %d/%d", *req.Row, s.shard.id, s.shard.of)
-		}
-		// A tombstoned row still answers, as it does on /shard/v1/rows.
-		q = st.sharded.Row(local)
-		echo = packVec(q)
-	} else {
-		var err error
-		if q, err = unpackVec[float32]("query", req.Vector, st.backend.Dim()); err != nil {
-			return err
-		}
+	n := len(req.Rows) + len(req.Vectors)
+	if err := s.checkBatch(n, "rows' and 'vectors"); err != nil {
+		return err
 	}
 	// The router asks for the handler-level k+1 (self-stripping happens
 	// at the merge), so accept one past the public cap.
 	if req.K <= 0 || req.K > s.maxK()+1 {
 		return errBadRequest("invalid k %d", req.K)
 	}
-	if err := ctxExpired(r.Context()); err != nil {
-		return err
-	}
-	res := st.sharded.Search(q, req.K)
-	return writeJSONUnlocked(w, unlock, shardSearchResponse{Results: s.shard.toGlobal(res), Vector: echo})
-}
-
-func (s *Server) handleShardSearchBatch(w http.ResponseWriter, r *http.Request) error {
-	var req shardSearchBatchRequest
-	if err := decodePost(r, &req); err != nil {
-		return err
-	}
-	if len(req.Vectors) == 0 {
-		return errBadRequest("empty 'vectors'")
-	}
-	if max := s.maxBatch(); len(req.Vectors) > max {
-		return errBadRequest("batch of %d exceeds limit %d", len(req.Vectors), max)
-	}
-	if req.K <= 0 || req.K > s.maxK()+1 {
-		return errBadRequest("invalid k %d", req.K)
-	}
 	st, unlock := s.readState()
 	defer unlock()
-	qs := make([][]float32, len(req.Vectors))
+	qs := make([][]float32, 0, n)
+	resp := shardSearchResponse{Rows: make([][]byte, len(req.Rows))}
+	for i, gid := range req.Rows {
+		local, ok := s.shard.localOf(gid)
+		if !ok {
+			return errNotFound("row %d is not on shard %d/%d", gid, s.shard.id, s.shard.of)
+		}
+		// A tombstoned row still answers, as it does on /shard/v1/rows.
+		qs = append(qs, st.sharded.Row(local))
+		resp.Rows[i] = packVec(qs[i])
+	}
 	for i, b := range req.Vectors {
-		var err error
-		if qs[i], err = unpackVec[float32](fmt.Sprintf("query %d", i), b, st.backend.Dim()); err != nil {
+		q, err := unpackVec[float32](fmt.Sprintf("vector %d", i), b, st.backend.Dim())
+		if err != nil {
 			return err
 		}
+		qs = append(qs, q)
 	}
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	batch := st.sharded.SearchBatch(qs, req.K)
-	out := make([][]vecstore.Result, len(batch))
-	for i, res := range batch {
-		out[i] = s.shard.toGlobal(res)
+	resp.Results = st.sharded.SearchBatch(qs, req.K)
+	for i, res := range resp.Results {
+		resp.Results[i] = s.shard.toGlobal(res)
 	}
-	return writeJSONUnlocked(w, unlock, shardSearchBatchResponse{Results: out})
+	return writeJSONUnlocked(w, unlock, resp)
 }
 
 // handleShardScan is the remote half of the coordinator's ScanExact:
@@ -386,7 +348,8 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) error {
 	if len(req.IDs) == 0 {
 		return errBadRequest("empty 'ids'")
 	}
-	if max := s.maxBatch(); len(req.IDs) > max {
+	// A pair batch fetches both rows of every pair in one call.
+	if max := 2 * s.maxBatch(); len(req.IDs) > max {
 		return errBadRequest("batch of %d exceeds limit %d", len(req.IDs), max)
 	}
 	st, unlock := s.readState()

@@ -333,3 +333,81 @@ func TestShardedBundleBind(t *testing.T) {
 		}
 	}
 }
+
+// TestShardBatchMatchesSingle pins the batch contract: every
+// /v1/neighbors/batch item is, byte for byte, the /v1/neighbors body
+// for its vertex — exact and HNSW (a small graph and the defaults), one
+// and two in-process shards and a two-shard router, at k below, at and
+// past EfSearch, with the cache off so every answer is searched.
+func TestShardBatchMatchesSingle(t *testing.T) {
+	const vocab, dim = 1000, 16
+	m, tokens := testModel(vocab, dim, 42)
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if err := snapshot.SaveFile(path, m, tokens); err != nil {
+		t.Fatal(err)
+	}
+	var vertices []string
+	for id := 0; id < vocab; id += vocab / 40 {
+		vertices = append(vertices, tokens[id])
+	}
+	for _, tc := range []struct {
+		name string
+		idx  vecstore.Config
+		ef   int
+	}{
+		{"exact", vecstore.Config{}, 128},
+		{"hnsw-ef16-m4", vecstore.Config{Kind: vecstore.KindHNSW, EfSearch: 16, M: 4}, 16},
+		{"hnsw", vecstore.Config{Kind: vecstore.KindHNSW}, 128},
+	} {
+		urls := map[string]string{}
+		for _, shards := range []int{1, 2} {
+			idx := tc.idx
+			idx.Shards = shards
+			s, err := New(Config{ModelPath: path, CacheSize: -1, Index: idx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(s.Handler())
+			t.Cleanup(hs.Close)
+			urls[fmt.Sprintf("%d-shard", shards)] = hs.URL
+		}
+		addrs := make([]string, 2)
+		for i := range addrs {
+			s, err := New(Config{ModelPath: path, ShardCount: 2, ShardID: i, Index: tc.idx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(s.Handler())
+			t.Cleanup(hs.Close)
+			addrs[i] = hs.URL
+		}
+		// A slow probe must not read as a dead shard: this test is long.
+		_, router := startRouter(t, path, addrs, func(c *Config) { c.CacheSize, c.ProbeInterval = -1, time.Second })
+		urls["router"] = router.URL
+
+		for where, url := range urls {
+			for _, k := range []int{10, tc.ef - 1, tc.ef, 200} {
+				code, body := postRaw(t, url+"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: vertices, K: k})
+				var batch struct {
+					Results []json.RawMessage `json:"results"`
+				}
+				if err := json.Unmarshal([]byte(body), &batch); code != 200 || err != nil || len(batch.Results) != len(vertices) {
+					t.Fatalf("%s %s k=%d: batch status %d, %d results (%v): %.300s", tc.name, where, k, code, len(batch.Results), err, body)
+				}
+				differ := 0
+				for i, v := range vertices {
+					code, single := getRaw(t, fmt.Sprintf("%s/v1/neighbors?vertex=%s&k=%d", url, v, k))
+					if code != 200 {
+						t.Fatalf("%s %s k=%d %s: status %d", tc.name, where, k, v, code)
+					}
+					if string(batch.Results[i]) != single {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("%s %s k=%d: %d of %d batch items differ from the single answer", tc.name, where, k, differ, len(vertices))
+				}
+			}
+		}
+	}
+}

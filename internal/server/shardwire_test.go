@@ -24,16 +24,17 @@ import (
 	"v2v/internal/vecstore"
 )
 
-// TestShardSearchByRow pins /shard/v1/search with 'row': the results
-// are, byte for byte, those of searching with the row's vector, the
-// echoed vector is the row /shard/v1/rows serves, and every malformed
-// form is a 4xx.
+// TestShardSearchByRow pins /shard/v1/search with 'rows': the results
+// are, byte for byte, those of searching with the rows' vectors, the
+// echoed rows are those /shard/v1/rows serves, one request answers
+// rows and vectors together, query by query, and every malformed form
+// is a 4xx.
 func TestShardSearchByRow(t *testing.T) {
 	const vocab, dim, shards = 60, 8, 3
 	_, addrs, _ := startShardFleet(t, vocab, dim, shards)
 	type searchResp struct {
-		Results json.RawMessage `json:"results"`
-		Vector  []byte          `json:"vector"`
+		Results []json.RawMessage `json:"results"`
+		Rows    [][]byte          `json:"rows"`
 	}
 	for id := 0; id < vocab; id += 7 {
 		owner := addrs[vecstore.ShardOf(id, shards)]
@@ -41,25 +42,35 @@ func TestShardSearchByRow(t *testing.T) {
 		if code := postJSON(t, owner+"/shard/v1/rows", shardRowsRequest{IDs: []int{id}}, &rows); code != 200 {
 			t.Fatalf("rows %d: status %d", id, code)
 		}
-		var byRow, byVec searchResp
-		if code := postJSON(t, owner+"/shard/v1/search", shardSearchRequest{Row: &id, K: 5}, &byRow); code != 200 {
+		var byRow, byVec, both searchResp
+		if code := postJSON(t, owner+"/shard/v1/search", shardSearchRequest{Rows: []int{id}, K: 5}, &byRow); code != 200 {
 			t.Fatalf("search by row %d: status %d", id, code)
 		}
-		if !bytes.Equal(byRow.Vector, rows.Rows[0]) || len(byRow.Vector) != 4*dim {
-			t.Fatalf("row %d: echoed vector %x, /shard/v1/rows has %x", id, byRow.Vector, rows.Rows[0])
+		if len(byRow.Rows) != 1 || !bytes.Equal(byRow.Rows[0], rows.Rows[0]) || len(byRow.Rows[0]) != 4*dim || len(byRow.Results) != 1 {
+			t.Fatalf("row %d: echoed rows %x and %d result lists, /shard/v1/rows has %x", id, byRow.Rows, len(byRow.Results), rows.Rows[0])
 		}
-		if code := postJSON(t, owner+"/shard/v1/search", shardSearchRequest{Vector: byRow.Vector, K: 5}, &byVec); code != 200 {
+		if code := postJSON(t, owner+"/shard/v1/search", shardSearchRequest{Vectors: byRow.Rows, K: 5}, &byVec); code != 200 {
 			t.Fatalf("search by vector %d: status %d", id, code)
 		}
-		if !bytes.Equal(byRow.Results, byVec.Results) || byVec.Vector != nil {
-			t.Fatalf("row %d: by row %s, by vector %s (echo %x)", id, byRow.Results, byVec.Results, byVec.Vector)
+		if len(byVec.Results) != 1 || !bytes.Equal(byRow.Results[0], byVec.Results[0]) || byVec.Rows != nil {
+			t.Fatalf("row %d: by row %s, by vector %s (echo %x)", id, byRow.Results, byVec.Results, byVec.Rows)
+		}
+		// Rows and vectors together: one list per query, rows first.
+		req := shardSearchRequest{Rows: []int{id}, Vectors: [][]byte{byRow.Rows[0], byRow.Rows[0]}, K: 5}
+		if code := postJSON(t, owner+"/shard/v1/search", req, &both); code != 200 || len(both.Results) != 3 || len(both.Rows) != 1 {
+			t.Fatalf("row %d and two vectors: status %d, %d lists, %d echoed rows", id, code, len(both.Results), len(both.Rows))
+		}
+		for i, res := range both.Results {
+			if !bytes.Equal(res, byRow.Results[0]) {
+				t.Fatalf("row %d and two vectors: list %d is %s, want %s", id, i, res, byRow.Results[0])
+			}
 		}
 		// Every other shard answers 404, as /shard/v1/rows does.
 		for sid, addr := range addrs {
 			if addr == owner {
 				continue
 			}
-			if code, body := postRaw(t, addr+"/shard/v1/search", shardSearchRequest{Row: &id, K: 5}); code != 404 || !strings.Contains(body, "is not on shard") {
+			if code, body := postRaw(t, addr+"/shard/v1/search", shardSearchRequest{Rows: []int{id}, K: 5}); code != 404 || !strings.Contains(body, "is not on shard") {
 				t.Fatalf("row %d on shard %d: status %d body %s", id, sid, code, body)
 			}
 		}
@@ -69,27 +80,27 @@ func TestShardSearchByRow(t *testing.T) {
 	owner := addrs[vecstore.ShardOf(id, shards)]
 	good := make([]byte, 4*dim)
 	for name, req := range map[string]shardSearchRequest{
-		"row and vector":   {Row: &id, Vector: good, K: 5},
-		"neither":          {K: 5},
-		"one byte short":   {Vector: good[:4*dim-1], K: 5},
-		"one value short":  {Vector: good[:4*dim-4], K: 5},
-		"one value long":   {Vector: make([]byte, 4*dim+4), K: 5},
-		"a NaN":            {Vector: packVec(vec(dim, float32(math.NaN()))), K: 5},
-		"an infinity":      {Vector: packVec(vec(dim, 1, float32(math.Inf(-1)))), K: 5},
-		"k zero":           {Row: &id},
-		"k negative":       {Vector: good, K: -1},
-		"k past the limit": {Row: &id, K: defaultMaxK + 2},
+		"neither":             {K: 5},
+		"one byte short":      {Vectors: [][]byte{good[:4*dim-1]}, K: 5},
+		"one value short":     {Vectors: [][]byte{good[:4*dim-4]}, K: 5},
+		"one value long":      {Vectors: [][]byte{make([]byte, 4*dim+4)}, K: 5},
+		"a bad one after one": {Rows: []int{id}, Vectors: [][]byte{good, good[:4]}, K: 5},
+		"a NaN":               {Vectors: [][]byte{packVec(vec(dim, float32(math.NaN())))}, K: 5},
+		"an infinity":         {Vectors: [][]byte{packVec(vec(dim, 1, float32(math.Inf(-1))))}, K: 5},
+		"k zero":              {Rows: []int{id}},
+		"k negative":          {Vectors: [][]byte{good}, K: -1},
+		"k past the limit":    {Rows: []int{id}, K: defaultMaxK + 2},
 	} {
 		if code, body := postRaw(t, owner+"/shard/v1/search", req); code != 400 {
 			t.Errorf("%s: status %d body %s, want 400", name, code, body)
 		}
 	}
 	// One past the public cap is the router's k+1.
-	if code, body := postRaw(t, owner+"/shard/v1/search", shardSearchRequest{Row: &id, K: defaultMaxK + 1}); code != 200 {
+	if code, body := postRaw(t, owner+"/shard/v1/search", shardSearchRequest{Rows: []int{id}, K: defaultMaxK + 1}); code != 200 {
 		t.Errorf("k = limit+1: status %d body %s", code, body)
 	}
 	// The float-array form of a vector is not a second encoding.
-	if code, body := postRaw(t, owner+"/shard/v1/search", map[string]any{"vector": make([]float32, dim), "k": 5}); code != 400 {
+	if code, body := postRaw(t, owner+"/shard/v1/search", map[string]any{"vectors": [][]float32{make([]float32, dim)}, "k": 5}); code != 400 {
 		t.Errorf("float-array vector: status %d body %s, want 400", code, body)
 	}
 }
@@ -129,7 +140,10 @@ func countingFleet(t *testing.T, addrs []string) (proxies []string, calls func()
 
 // TestRouterShardCalls counts what reaches the shards: a cold
 // /v1/neighbors costs one search call per shard and no row fetch, a
-// cached one nothing, and a fleet of one shard exactly one call.
+// cached one nothing, and a fleet of one shard exactly one call; a
+// cold neighbours batch at most two search calls per shard and no row
+// fetch; a batch of pairs one row fetch per owning shard, however many
+// pairs.
 func TestRouterShardCalls(t *testing.T) {
 	for _, shards := range []int{3, 1} {
 		const vocab, dim = 40, 6
@@ -149,12 +163,31 @@ func TestRouterShardCalls(t *testing.T) {
 				t.Errorf("%d shards, cached %s: shard calls %v, want none", shards, vertex, got)
 			}
 		}
-		// The callers that still fetch rows first: one fetch per owning
-		// shard, spanned as shard_wait/rows (TestRouterFetchSpan).
-		calls()
+		batch := []string{"v2", "v3", "v18", "v38", "v3"}
+		if code, body := postRaw(t, router.URL+"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: batch, K: 5}); code != 200 {
+			t.Fatalf("%d shards, batch: status %d body %s", shards, code, body)
+		}
+		if got := calls(); got["/shard/v1/search"] > 2*shards || len(got) != 1 {
+			t.Errorf("%d shards, cold batch: shard calls %v, want at most %d to /shard/v1/search and no others", shards, got, 2*shards)
+		}
+		// The callers that fetch rows first: one fetch per owning shard,
+		// spanned as shard_wait/rows (TestRouterFetchSpan).
 		getRaw(t, router.URL+"/v1/similarity?a=v3&b=v3")
 		if got := calls(); got["/shard/v1/rows"] != 1 || len(got) != 1 {
 			t.Errorf("%d shards, similarity: shard calls %v, want one to /shard/v1/rows", shards, got)
+		}
+		var pairs [][2]string
+		owners := map[int]bool{}
+		for id := 0; id < vocab; id += 3 {
+			pairs = append(pairs, [2]string{fmt.Sprintf("v%d", id), fmt.Sprintf("v%d", vocab-1-id)})
+			owners[vecstore.ShardOf(id, shards)] = true
+			owners[vecstore.ShardOf(vocab-1-id, shards)] = true
+		}
+		if code, body := postRaw(t, router.URL+"/v1/similarity/batch", SimilarityBatchRequest{Pairs: pairs}); code != 200 {
+			t.Fatalf("%d shards, similarity batch: status %d body %s", shards, code, body)
+		}
+		if got := calls(); got["/shard/v1/rows"] != len(owners) || len(got) != 1 {
+			t.Errorf("%d shards, %d pairs: shard calls %v, want %d to /shard/v1/rows", shards, len(pairs), got, len(owners))
 		}
 	}
 }
@@ -213,7 +246,7 @@ func TestRouterFetchSpan(t *testing.T) {
 	}
 }
 
-// FuzzShardWire throws arbitrary bodies at the six /shard/v1/* request
+// FuzzShardWire throws arbitrary bodies at the five /shard/v1/* request
 // decoders of a live shard: no body may panic a handler (net/http
 // would turn that into a dropped connection; here it fails the test)
 // or be answered 5xx, and a body whose vector is not exactly the
@@ -231,29 +264,31 @@ func FuzzShardWire(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { s.Close() })
-	paths := []string{"/shard/v1/search", "/shard/v1/search/batch", "/shard/v1/scan", "/shard/v1/rows", "/shard/v1/insert", "/shard/v1/delete"}
+	paths := []string{"/shard/v1/search", "/shard/v1/scan", "/shard/v1/rows", "/shard/v1/insert", "/shard/v1/delete"}
 
-	row := 3
 	v32, v64 := packVec(make([]float32, dim)), packVec(make([]float64, dim))
-	for i, seed := range []any{
-		shardSearchRequest{Vector: v32, K: 3},
-		shardSearchBatchRequest{Vectors: [][]byte{v32, v32}, K: 2},
-		shardScanRequest{Target: v64, Exclude: []int{1}, K: 3},
-		shardRowsRequest{IDs: []int{0, 5}},
-		shardInsertRequest{ID: vocab, Token: "new", Vector: v32},
-		shardDeleteRequest{ID: 2},
-		shardSearchRequest{Row: &row, K: 3},
-		shardSearchRequest{Row: &row, Vector: v32, K: 3},
-		shardSearchRequest{Vector: v32[:5], K: 3},
-		shardScanRequest{Target: v32, K: 3},
-		map[string]any{"vector": []float32{1, 2, 3, 4}, "k": 3},
-		map[string]any{"vectors": []string{"AAAA", "!!"}, "k": 3},
+	for _, seed := range []struct {
+		path int
+		body any
+	}{
+		{0, shardSearchRequest{Vectors: [][]byte{v32}, K: 3}},
+		{0, shardSearchRequest{Rows: []int{3}, Vectors: [][]byte{v32, v32}, K: 2}},
+		{1, shardScanRequest{Target: v64, Exclude: []int{1}, K: 3}},
+		{2, shardRowsRequest{IDs: []int{0, 5}}},
+		{3, shardInsertRequest{ID: vocab, Token: "new", Vector: v32}},
+		{4, shardDeleteRequest{ID: 2}},
+		{0, shardSearchRequest{Rows: []int{3}, K: 3}},
+		{0, shardSearchRequest{Rows: []int{3, vocab}, K: 3}},
+		{0, shardSearchRequest{Vectors: [][]byte{v32[:5]}, K: 3}},
+		{1, shardScanRequest{Target: v32, K: 3}},
+		{0, map[string]any{"vectors": [][]float32{{1, 2, 3, 4}}, "k": 3}},
+		{0, map[string]any{"vectors": []string{"AAAA", "!!"}, "k": 3}},
 	} {
-		body, err := json.Marshal(seed)
+		body, err := json.Marshal(seed.body)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(uint8(i), body)
+		f.Add(uint8(seed.path), body)
 	}
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
@@ -272,7 +307,6 @@ func FuzzShardWire(f *testing.F) {
 			Vector  []byte   `json:"vector"`
 			Vectors [][]byte `json:"vectors"`
 			Target  []byte   `json:"target"`
-			Row     *int     `json:"row"`
 		}
 		if err := json.Unmarshal(body, &got); err != nil {
 			return // a decoder more lenient than this struct, e.g. trailing data
@@ -280,8 +314,10 @@ func FuzzShardWire(f *testing.F) {
 		bad := ""
 		switch p {
 		case "/shard/v1/search":
-			if got.Row == nil && len(got.Vector) != 4*dim {
-				bad = fmt.Sprintf("vector of %d bytes", len(got.Vector))
+			for _, v := range got.Vectors {
+				if len(v) != 4*dim {
+					bad = fmt.Sprintf("query vector of %d bytes", len(v))
+				}
 			}
 		case "/shard/v1/insert":
 			if len(got.Vector) != 4*dim {
@@ -290,12 +326,6 @@ func FuzzShardWire(f *testing.F) {
 		case "/shard/v1/scan":
 			if len(got.Target) != 8*dim {
 				bad = fmt.Sprintf("target of %d bytes", len(got.Target))
-			}
-		case "/shard/v1/search/batch":
-			for _, v := range got.Vectors {
-				if len(v) != 4*dim {
-					bad = fmt.Sprintf("batch vector of %d bytes", len(v))
-				}
 			}
 		}
 		if bad != "" {
@@ -340,12 +370,12 @@ func BenchmarkShardWire(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
 			var req shardSearchRequest
-			n = roundTrip(b, shardSearchRequest{Vector: packVec(q), K: 11}, &req)
-			if _, err := unpackVec[float32]("query", req.Vector, dim); err != nil {
+			n = roundTrip(b, shardSearchRequest{Vectors: [][]byte{packVec(q)}, K: 11}, &req)
+			if _, err := unpackVec[float32]("query", req.Vectors[0], dim); err != nil {
 				b.Fatal(err)
 			}
 			var resp shardSearchResponse
-			n += roundTrip(b, shardSearchResponse{Results: results, Vector: req.Vector}, &resp)
+			n += roundTrip(b, shardSearchResponse{Results: [][]vecstore.Result{results}, Rows: req.Vectors}, &resp)
 		}
 		b.ReportMetric(float64(n), "wire-bytes/op")
 	})

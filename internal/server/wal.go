@@ -155,15 +155,14 @@ func (s *Server) applyWALFrame(lsn uint64, recs []wal.Record) error {
 	for i := range recs {
 		switch recs[i].Op {
 		case wal.OpUpsert:
-			req := UpsertRequest{Vertex: recs[i].Token, Vector: recs[i].Vector}
-			if err := validateUpsert(st, &req); err != nil {
+			if err := validateUpsert(st, &recs[i]); err != nil {
 				return fmt.Errorf("frame %d upsert %q: %w", lsn, recs[i].Token, err)
 			}
-			if _, err := s.applyUpsert(context.Background(), st, &req); err != nil {
+			if _, err := s.applyUpsert(context.Background(), st, &recs[i]); err != nil {
 				return fmt.Errorf("frame %d upsert %q: %w", lsn, recs[i].Token, err)
 			}
 		case wal.OpDelete:
-			if _, err := s.applyDelete(context.Background(), st, recs[i].Token); err != nil {
+			if _, err := s.applyDelete(context.Background(), st, &recs[i]); err != nil {
 				var he *httpError
 				if errors.As(err, &he) && he.code == http.StatusNotFound {
 					continue

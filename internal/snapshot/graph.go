@@ -140,11 +140,13 @@ func LoadIndex(r io.Reader) (*vecstore.HNSWGraph, int, error) {
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
-	return loadIndex(br)
+	return loadIndex(br, nil)
 }
 
 // loadIndex implements LoadIndex over an existing buffered reader so
-// bundle loading can continue mid-stream after the model section.
+// bundle loading can continue mid-stream after the model section. buf
+// is the 4*maxLinks-byte read buffer, nil to allocate one: the shards
+// of a sharded section share one.
 //
 // A level's links are one read and one checksum update, and an error's
 // text is formatted when it is returned: at one read and one formatted
@@ -154,7 +156,7 @@ func LoadIndex(r io.Reader) (*vecstore.HNSWGraph, int, error) {
 // level's links are copied out of the fixed read buffer, and the counts
 // a corrupt header can claim (64 levels, maxLinks links) bound the
 // rest.
-func loadIndex(br *bufio.Reader) (*vecstore.HNSWGraph, int, error) {
+func loadIndex(br *bufio.Reader, buf []byte) (*vecstore.HNSWGraph, int, error) {
 	crc := crc32.NewIEEE()
 	// readFull fills buf and checksums it; n is what a failed read
 	// delivered.
@@ -199,7 +201,7 @@ func loadIndex(br *bufio.Reader) (*vecstore.HNSWGraph, int, error) {
 		Entry:    -1,
 		// Grown with append so a truncated stream fails before the
 		// claimed row count balloons the allocation.
-		Friends: make([][][]int32, 0, min(int(rows), 1<<10)),
+		Friends: make([][][]int32, 0, min(int(rows), 16)),
 	}
 	if entry != noEntry {
 		if entry >= rows {
@@ -209,7 +211,9 @@ func loadIndex(br *bufio.Reader) (*vecstore.HNSWGraph, int, error) {
 	}
 	var u8 [1]byte
 	var u32 [4]byte
-	buf := make([]byte, 4*maxLinks)
+	if buf == nil {
+		buf = make([]byte, 4*maxLinks)
+	}
 	for i := 0; i < int(rows); i++ {
 		if _, err := readFull(u8[:]); err != nil {
 			return nil, 0, truncated(err, "level byte at row %d", i)
@@ -349,7 +353,7 @@ func LoadBundleFile(path string) (*word2vec.Model, []string, *vecstore.HNSWGraph
 		}
 		return m, tokens, nil, nil
 	}
-	g, dim, err := loadIndex(br)
+	g, dim, err := loadIndex(br, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

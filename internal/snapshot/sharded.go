@@ -105,9 +105,10 @@ func loadShardedIndex(br *bufio.Reader) ([]*vecstore.HNSWGraph, int, error) {
 		return nil, 0, fmt.Errorf("snapshot: implausible shard count %d (want 2..%d)", shards, maxShards)
 	}
 	graphs := make([]*vecstore.HNSWGraph, 0, shards)
+	links := make([]byte, 4*maxLinks)
 	dim := 0
 	for i := 0; i < int(shards); i++ {
-		g, d, err := loadIndex(br)
+		g, d, err := loadIndex(br, links)
 		if err != nil {
 			return nil, 0, fmt.Errorf("snapshot: sharded index shard %d of %d: %w", i, shards, err)
 		}
@@ -234,7 +235,7 @@ func LoadBundle(path string) (*Bundle, error) {
 		b.Shards = graphs
 		return b, nil
 	default:
-		g, dim, err := loadIndex(br)
+		g, dim, err := loadIndex(br, nil)
 		if err != nil {
 			return nil, err
 		}

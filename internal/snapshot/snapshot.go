@@ -26,6 +26,7 @@ package snapshot
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -142,8 +143,9 @@ func load(br *bufio.Reader, size int64) (*word2vec.Model, []string, error) {
 	// an io.TeeReader around the raw stream: bufio read-ahead would
 	// otherwise hash trailer bytes into the payload sum.
 	crc := crc32.NewIEEE()
+	var src io.Reader = br // the matrix may come from a buffer instead
 	readFull := func(buf []byte, what string) error {
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if _, err := io.ReadFull(src, buf); err != nil {
 			return fmt.Errorf("snapshot: truncated %s: %w", what, err)
 		}
 		crc.Write(buf)
@@ -165,6 +167,9 @@ func load(br *bufio.Reader, size int64) (*word2vec.Model, []string, error) {
 	vocab := binary.LittleEndian.Uint32(head[16:])
 	if dim == 0 || dim > maxDim || int64(vocab)*int64(dim) > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("snapshot: implausible shape %dx%d", vocab, dim)
+	}
+	if flags := binary.LittleEndian.Uint32(head[20:]); flags != 0 {
+		return nil, nil, fmt.Errorf("snapshot: unsupported flags %#x (reserved, must be 0)", flags)
 	}
 	// Minimum stream length the claimed shape implies: header, one
 	// 4-byte length per token, the matrix, the trailer.
@@ -192,8 +197,28 @@ func load(br *bufio.Reader, size int64) (*word2vec.Model, []string, error) {
 		tokens = append(tokens, string(buf))
 	}
 
+	// With the stream length known, the claimed shape was checked
+	// against it above and the matrix is allocated once. A stream of
+	// unknown length must deliver the matrix first, into a buffer that
+	// grows with what arrives, so a header claiming gigabytes over a
+	// short stream fails at the stream's end instead of at the claim.
+	rowBytes := int64(dim) * 4
+	if size < 0 {
+		var buf bytes.Buffer
+		n, err := buf.ReadFrom(io.LimitReader(br, int64(vocab)*rowBytes))
+		if err != nil {
+			return nil, nil, fmt.Errorf("snapshot: reading matrix: %w", err)
+		}
+		if n < int64(vocab)*rowBytes {
+			return nil, nil, fmt.Errorf("snapshot: truncated matrix at row %d of %d: %w", n/rowBytes, vocab, io.ErrUnexpectedEOF)
+		}
+		src = &buf
+	}
 	m := word2vec.NewModel(int(vocab), int(dim))
-	row := make([]byte, int(dim)*4)
+	var row []byte
+	if vocab > 0 { // no rows, no row buffer: dim alone is only a claim
+		row = make([]byte, rowBytes)
+	}
 	for i := 0; i < int(vocab); i++ {
 		if err := readFull(row, fmt.Sprintf("matrix at row %d of %d", i, vocab)); err != nil {
 			return nil, nil, err

@@ -1,10 +1,12 @@
 package vecstore
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"v2v/internal/xrand"
 )
@@ -150,41 +152,54 @@ func BenchmarkSearchExactBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
 }
 
-// hnswBench caches a clustered (embedding-like) store of the same
-// shape as the gaussian query-bench store, plus the HNSW index over
-// it: the 100k x 128 build takes minutes and must not repeat per
-// benchmark. The distribution matters for a proximity graph — trained
-// embeddings are clustered, and that is the workload the serving
-// stack sees; TestHNSWRecallAtLeast95's gaussian case tracks the
-// structureless worst case.
-var hnswBench struct {
+// clusteredBench caches a clustered (embedding-like) store of the
+// same shape as the gaussian query-bench store. The distribution
+// matters for the approximate indexes — trained embeddings are
+// clustered, and that is the workload the serving stack sees;
+// TestHNSWRecallAtLeast95's gaussian case tracks the structureless
+// worst case.
+var clusteredBench struct {
 	once sync.Once
 	s    *Store
 	qs   [][]float32
+}
+
+func clusteredBenchSetup(b *testing.B) (*Store, [][]float32) {
+	b.Helper()
+	clusteredBench.once.Do(func() {
+		n, dim, clusters := 100_000, 128, 1000
+		if testing.Short() {
+			n, dim, clusters = 10_000, 64, 100
+		}
+		clusteredBench.s = clusteredStore(n, dim, clusters, 101)
+		rng := xrand.New(103)
+		qs := make([][]float32, 64)
+		for i := range qs {
+			qs[i] = clusteredBench.s.Row(rng.Intn(n))
+		}
+		clusteredBench.qs = qs
+	})
+	return clusteredBench.s, clusteredBench.qs
+}
+
+// hnswBench caches the HNSW index over the clustered store: the
+// 100k x 128 build takes minutes and must not repeat per benchmark.
+var hnswBench struct {
+	once sync.Once
 	idx  *HNSW
 }
 
 func hnswBenchSetup(b *testing.B) (*HNSW, [][]float32) {
 	b.Helper()
+	s, qs := clusteredBenchSetup(b)
 	hnswBench.once.Do(func() {
-		n, dim, clusters := 100_000, 128, 1000
-		if testing.Short() {
-			n, dim, clusters = 10_000, 64, 100
-		}
-		hnswBench.s = clusteredStore(n, dim, clusters, 101)
-		rng := xrand.New(103)
-		qs := make([][]float32, 64)
-		for i := range qs {
-			qs[i] = hnswBench.s.Row(rng.Intn(n))
-		}
-		hnswBench.qs = qs
-		h, err := NewHNSW(hnswBench.s, Cosine, HNSWConfig{Seed: 7})
+		h, err := NewHNSW(s, Cosine, HNSWConfig{Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}
 		hnswBench.idx = h
 	})
-	return hnswBench.idx, hnswBench.qs
+	return hnswBench.idx, qs
 }
 
 // BenchmarkSearchHNSW is the sublinear approximate path at M/efSearch
@@ -269,17 +284,37 @@ func BenchmarkSearchHNSWBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
 }
 
-// BenchmarkSearchIVF is the approximate path at nprobe defaults.
+// BenchmarkSearchIVF is the inverted file over the clustered store
+// BenchmarkSearchHNSW searches, one cosine top-10 per op, at nprobe 1,
+// 2 and the default (nlists/4); recall@10 against the exact index is
+// on each line, and build-s is the one build the three share.
 func BenchmarkSearchIVF(b *testing.B) {
-	s, qs := queryBenchSetup(b)
+	s, qs := clusteredBenchSetup(b)
+	start := time.Now()
 	ivf, err := NewIVF(s, Cosine, IVFConfig{Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ivf.Search(qs[i%len(qs)], 10)
+	build := time.Since(start)
+	for _, nprobe := range []int{1, 2, ivf.nprobe} {
+		name := fmt.Sprintf("nprobe=%d", nprobe)
+		if nprobe == ivf.nprobe {
+			name = "nprobe=default"
+		}
+		b.Run(name, func(b *testing.B) {
+			saved := ivf.nprobe
+			ivf.nprobe = nprobe
+			defer func() { ivf.nprobe = saved }()
+			// The clustered store's own query sample (seed 103).
+			recall := recallVsExact(b, s, ivf, 10, len(qs), 103)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ivf.Search(qs[i%len(qs)], 10)
+			}
+			b.ReportMetric(recall, "recall@10")
+			b.ReportMetric(build.Seconds(), "build-s")
+		})
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // recallVsExact measures recall@k of idx against the exact index over
 // queries sampled from the store's own rows.
-func recallVsExact(t *testing.T, s *Store, idx Index, k, trials int, seed uint64) float64 {
+func recallVsExact(t testing.TB, s *Store, idx Index, k, trials int, seed uint64) float64 {
 	t.Helper()
 	exact := NewExact(s, idx.Metric(), 0)
 	rng := xrand.New(seed)

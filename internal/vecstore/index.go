@@ -90,7 +90,7 @@ type Config struct {
 	// quantizer, HNSW level sampling). Builds are deterministic for a
 	// fixed seed regardless of Workers.
 	Seed uint64
-	// KMeansIters bounds quantizer training (0 = 15).
+	// KMeansIters bounds quantizer training (0 = 10).
 	KMeansIters int
 
 	// M is the HNSW per-level degree target (0 = 16).

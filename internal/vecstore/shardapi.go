@@ -29,6 +29,13 @@ func ShardSeed(seed uint64, shard int) uint64 { return shardSeed(seed, shard) }
 // scatter-gather merge exactly.
 func MergeTopK(perShard [][]Result, k int) []Result { return mergeTopK(perShard, k) }
 
+// MergeRowTopK merges per-shard top-(k+1) lists of a search by row
+// self into the top k excluding self — Sharded.SearchRows' merge, so a
+// router stripping the query row reproduces the coordinator's answer.
+func MergeRowTopK(perShard [][]Result, self, k int) []Result {
+	return mergeRowTopK(perShard, self, k)
+}
+
 // DotF64 is the float64-accumulating dot product kernel (same
 // accumulation order as Store.Dot), exported so a remote tier
 // computing pair scores over fetched rows matches the in-process

@@ -690,87 +690,75 @@ func (sh *Sharded) timeShard(sid int, timing bool, search func(sid int, vs *vsha
 	return time.Since(start)
 }
 
-// timeSpan records the duration of fn under name when rec is non-nil.
-func timeSpan(rec SpanRecorder, name string, fn func()) {
-	if rec == nil {
-		fn()
-		return
-	}
-	start := time.Now()
-	fn()
-	rec(name, time.Since(start))
-}
-
 // Search implements Index: the query fans out to every shard in
 // parallel, each shard answers from its own index under its read
 // lock, and the per-shard top-k merge keeps the global (score
 // descending, ID ascending) order.
 func (sh *Sharded) Search(q []float32, k int) []Result {
-	return sh.SearchSpans(q, k, nil)
-}
-
-// SearchSpans is Search with per-stage timing: rec (may be nil)
-// receives one "shard_wait/<sid>" span per shard and a "merge" span.
-// Results are identical to Search for the same inputs.
-func (sh *Sharded) SearchSpans(q []float32, k int, rec SpanRecorder) []Result {
 	perShard := make([][]Result, len(sh.shards))
-	sh.fanOut(context.Background(), rec, func(sid int, vs *vshard) {
+	sh.fanOut(context.Background(), nil, func(sid int, vs *vshard) {
 		vs.mu.RLock()
 		defer vs.mu.RUnlock()
 		perShard[sid] = toGlobal(vs.idx.Search(q, k), vs.globals)
 	})
-	var out []Result
-	timeSpan(rec, "merge", func() { out = mergeTopK(perShard, k) })
-	return out
+	return mergeTopK(perShard, k)
 }
 
-// SearchRow implements Index: every shard searches with row i's
-// vector asking for k+1 results, and the merge drops i itself before
-// truncating to k. For the exact kind this is identical to
-// exclude-at-scan: the top-k excluding i is exactly the top-(k+1)
-// including it, minus i. A one-shard coordinator asks its index's own
-// SearchRow, so it answers exactly as the bare index would for every
-// kind. Panics when the row was compacted away (check Deleted first).
+// SearchRow implements Index: SearchRows for one row.
 func (sh *Sharded) SearchRow(i, k int) []Result {
-	return sh.SearchRowSpans(i, k, nil)
+	out, _ := sh.SearchRows(context.Background(), []int{i}, k, nil)
+	return out[0]
 }
 
-// SearchRowSpans is SearchRow with per-stage timing: rec (may be nil)
-// receives one "shard_wait/<sid>" span per shard and a "merge" span
-// covering the top-k merge and self-row strip. Results are identical
-// to SearchRow for the same inputs.
-func (sh *Sharded) SearchRowSpans(i, k int, rec SpanRecorder) []Result {
-	out, _ := sh.SearchRowSpansCtx(context.Background(), i, k, rec)
-	return out
-}
-
-// SearchRowSpansCtx is SearchRowSpans with cancellation: when ctx
-// expires mid-fan-out the scatter-gather is abandoned — the slow
-// shards finish in the background under their own read locks, their
-// results are discarded, and the call returns (nil, ctx.Err())
-// without waiting for them.
-func (sh *Sharded) SearchRowSpansCtx(ctx context.Context, i, k int, rec SpanRecorder) ([]Result, error) {
-	vs0, local := sh.lockRow(i)
-	q := vs0.store.Row(local) // contents immutable; valid after unlock
-	vs0.mu.RUnlock()
+// SearchRows answers "the k nearest rows to row id, excluding id" for
+// every id — one path for a single query and a batch. Several shards
+// each answer the whole batch through their index's (worker-parallel)
+// SearchBatch for k+1, searching with the rows' vectors, and the merge
+// drops each query row before truncating to k: for the exact kind
+// that is identical to exclude-at-scan, the top k excluding i being
+// the top k+1 including it, minus i. A lone shard owns every row, so
+// each id goes through its index's own SearchRow, spread over the
+// workers: it answers exactly as the bare index would for every kind
+// (HNSW sizes its beam from k, and k+1-then-strip is a different
+// search past EfSearch). rec (may be nil) receives one
+// "shard_wait/<sid>" span per shard and a "merge" span for the merge
+// and strip. When ctx expires mid-fan-out the scatter-gather is
+// abandoned — the slow shards finish in the background under their
+// own read locks, their results are discarded, and the call returns
+// ctx.Err() without waiting for them. Panics when a row was compacted
+// away (check Deleted first).
+func (sh *Sharded) SearchRows(ctx context.Context, ids []int, k int, rec SpanRecorder) ([][]Result, error) {
+	out := make([][]Result, len(ids))
 	if k <= 0 {
-		return nil, nil
+		return out, nil
 	}
-
-	perShard := make([][]Result, len(sh.shards))
-	search := func(sid int, vs *vshard) {
-		vs.mu.RLock()
-		defer vs.mu.RUnlock()
-		perShard[sid] = toGlobal(vs.idx.Search(q, k+1), vs.globals)
-	}
+	perShard := make([][][]Result, len(sh.shards))
+	var search func(sid int, vs *vshard)
 	if len(sh.shards) == 1 {
-		// The lone shard owns the row, so its index excludes it at the
-		// scan, as a bare index does: HNSW sizes its beam from k, and
-		// k+1-then-strip is a different search past EfSearch.
 		search = func(int, *vshard) {
-			vs, local := sh.lockRow(i)
+			res := make([][]Result, len(ids))
+			parallelRange(len(ids), sh.perShard.Workers, func(lo, hi int) {
+				for j := lo; j < hi; j++ {
+					vs, local := sh.lockRow(ids[j])
+					res[j] = toGlobal(vs.idx.SearchRow(local, k), vs.globals)
+					vs.mu.RUnlock()
+				}
+			})
+			perShard[0] = res
+		}
+	} else {
+		qs := make([][]float32, len(ids))
+		for j, id := range ids {
+			qs[j] = sh.Row(id) // contents immutable; valid after unlock
+		}
+		search = func(sid int, vs *vshard) {
+			vs.mu.RLock()
 			defer vs.mu.RUnlock()
-			perShard[0] = toGlobal(vs.idx.SearchRow(local, k), vs.globals)
+			res := vs.idx.SearchBatch(qs, k+1)
+			for j := range res {
+				res[j] = toGlobal(res[j], vs.globals)
+			}
+			perShard[sid] = res
 		}
 	}
 	if err := sh.fanOut(ctx, rec, search); err != nil {
@@ -778,19 +766,20 @@ func (sh *Sharded) SearchRowSpansCtx(ctx context.Context, i, k int, rec SpanReco
 		// dropped unread.
 		return nil, err
 	}
-	var out []Result
-	timeSpan(rec, "merge", func() {
-		merged := mergeTopK(perShard, k+1)
-		out = merged[:0]
-		for _, r := range merged {
-			if r.ID != i {
-				out = append(out, r)
-			}
+	var start time.Time
+	if rec != nil {
+		start = time.Now()
+	}
+	lists := make([][]Result, len(sh.shards))
+	for j, id := range ids {
+		for sid := range perShard {
+			lists[sid] = perShard[sid][j]
 		}
-		if len(out) > k {
-			out = out[:k]
-		}
-	})
+		out[j] = mergeRowTopK(lists, id, k)
+	}
+	if rec != nil {
+		rec("merge", time.Since(start))
+	}
 	return out, nil
 }
 
@@ -925,4 +914,18 @@ func mergeTopK(perShard [][]Result, k int) []Result {
 		merged = merged[:k]
 	}
 	return merged
+}
+
+// mergeRowTopK merges per-shard top-(k+1) lists of a search by row
+// self into the top k excluding self: the one self-exclusion every
+// by-row merge, in-process or routed, goes through.
+func mergeRowTopK(perShard [][]Result, self, k int) []Result {
+	merged := mergeTopK(perShard, k+1)
+	out := merged[:0]
+	for _, r := range merged {
+		if r.ID != self {
+			out = append(out, r)
+		}
+	}
+	return out[:min(len(out), k)]
 }

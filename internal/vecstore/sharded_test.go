@@ -1,6 +1,7 @@
 package vecstore
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -93,8 +94,9 @@ func TestShardedExactParity(t *testing.T) {
 
 // TestOneShardParity pins the premise the serving tier stands on — an
 // unsharded server is a one-shard coordinator: for every kind it
-// returns the bare Open index's IDs and score bits from SearchRow,
-// Search, SearchBatch, Cosine and an exact scan, across an interleaved
+// returns the bare Open index's IDs and score bits from SearchRow (one
+// row and a batch through SearchRows), Search, SearchBatch, Cosine and
+// an exact scan, across an interleaved
 // insert/delete sequence and at every k (past EfSearch, where HNSW
 // sizes its beam from k, and past the row count). It also serves the
 // base store itself, not a copy of it.
@@ -135,8 +137,14 @@ func TestOneShardParity(t *testing.T) {
 				ids := []int{live[0], live[1], live[len(live)/4], live[len(live)/2], live[len(live)-2], live[len(live)-1]}
 				qs := [][]float32{q, s.Row(ids[0]), s.Row(ids[1])}
 				for _, k := range []int{1, 10, 200, s.Len()} {
-					for _, id := range ids {
-						sameResults(t, fmt.Sprintf("%s SearchRow(%d, %d)", stage, id, k), sh.SearchRow(id, k), bare.SearchRow(id, k))
+					batch, err := sh.SearchRows(context.Background(), ids, k, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, id := range ids {
+						want := bare.SearchRow(id, k)
+						sameResults(t, fmt.Sprintf("%s SearchRow(%d, %d)", stage, id, k), sh.SearchRow(id, k), want)
+						sameResults(t, fmt.Sprintf("%s SearchRows[%d] (%d, %d)", stage, j, id, k), batch[j], want)
 					}
 					sameResults(t, fmt.Sprintf("%s Search k=%d", stage, k), sh.Search(q, k), bare.Search(q, k))
 					got, want := sh.SearchBatch(qs, k), bare.SearchBatch(qs, k)
@@ -613,19 +621,15 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 }
 
-// TestShardedSearchSpans: the span-recording search variants return
-// results bit-identical to their untraced twins, and the recorder
-// sees exactly one shard_wait span per shard followed by one merge
-// span, replayed sequentially after the fan-out joins.
+// TestShardedSearchSpans: a traced SearchRows returns results
+// bit-identical to the untraced SearchRow, one row or a batch, and the
+// recorder sees exactly one shard_wait span per shard followed by one
+// merge span, replayed sequentially after the fan-out joins.
 func TestShardedSearchSpans(t *testing.T) {
 	const n, dim, k, shards = 300, 16, 8, 4
 	sh, err := OpenSharded(randStore(n, dim, 3), Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
-	}
-	q := make([]float32, dim)
-	for j := range q {
-		q[j] = float32(j%5) - 2
 	}
 
 	type span struct {
@@ -654,18 +658,22 @@ func TestShardedSearchSpans(t *testing.T) {
 		}
 	}
 
-	spans = nil
-	sameResults(t, "SearchSpans", sh.SearchSpans(q, k, rec), sh.Search(q, k))
-	checkSpans("SearchSpans")
-
-	spans = nil
-	sameResults(t, "SearchRowSpans", sh.SearchRowSpans(7, k, rec), sh.SearchRow(7, k))
-	checkSpans("SearchRowSpans")
+	for _, ids := range [][]int{{7}, {7, 0, 151, 299, 7}} {
+		spans = nil
+		got, err := sh.SearchRows(context.Background(), ids, k, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, id := range ids {
+			sameResults(t, fmt.Sprintf("SearchRows(%v)[%d]", ids, j), got[j], sh.SearchRow(id, k))
+		}
+		checkSpans(fmt.Sprintf("SearchRows(%v)", ids))
+	}
 
 	// A nil recorder must be accepted and record nothing (it is the
 	// untraced hot path).
 	spans = nil
-	if got := sh.SearchRowSpans(7, 0, nil); got != nil {
+	if got := sh.SearchRow(7, 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
 	if len(spans) != 0 {
