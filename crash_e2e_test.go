@@ -1,19 +1,13 @@
 package v2v
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
-
-	"v2v/internal/loadgen"
 )
 
 // crashReport is the machine-readable outcome of the crash e2e run
@@ -32,51 +26,15 @@ type crashReport struct {
 	RecoveredTorn    bool    `json:"recovered_torn"`
 }
 
-// startServeProcess launches the built binary with args, scans stderr
-// for the bound address, and returns the command plus base URL.
-func startServeProcess(t *testing.T, bin string, args ...string) (*exec.Cmd, string, *bytes.Buffer) {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting server: %v", err)
-	}
-	t.Cleanup(func() { cmd.Process.Kill() }) // no-op after Wait
-	addrc := make(chan string, 1)
-	var logTail bytes.Buffer
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			logTail.WriteString(line + "\n")
-			if _, after, ok := strings.Cut(line, "listening on "); ok {
-				select {
-				case addrc <- strings.TrimSpace(after):
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case a := <-addrc:
-		return cmd, "http://" + a, &logTail
-	case <-time.After(15 * time.Second):
-		t.Fatalf("server never reported its address; log:\n%s", logTail.String())
-		return nil, "", nil
-	}
-}
-
 // TestCrashRecoveryE2E is the tentpole acceptance test (`make
 // crash-smoke`): SIGKILL a real `v2v serve -wal` process in the middle
 // of a mixed read/write load run, restart it over the same directory,
-// and prove that ZERO acknowledged writes were lost. The loadgen write
-// journal defines the contract: for every token whose outcome is
-// unambiguous (its last journaled event was acknowledged and nothing
-// with an unknown outcome followed), the restarted server must agree
-// with the journal — upserted tokens resolve, deleted tokens 404.
+// and prove that ZERO acknowledged writes were lost. The load generator's
+// write journal (e2e_harness_test.go) defines the contract: for every
+// token whose outcome is unambiguous (its last journaled event was
+// acknowledged and nothing with an unknown outcome followed), the
+// restarted server must agree with the journal — upserted tokens
+// resolve, deleted tokens 404.
 // Tokens with in-flight writes at the kill are excluded: an unacked
 // write may legitimately land either way.
 func TestCrashRecoveryE2E(t *testing.T) { runCrashRecoveryE2E(t, 0) }
@@ -89,32 +47,8 @@ func TestCrashRecoveryE2E(t *testing.T) { runCrashRecoveryE2E(t, 0) }
 func TestShardedCrashRecoveryE2E(t *testing.T) { runCrashRecoveryE2E(t, 4) }
 
 func runCrashRecoveryE2E(t *testing.T, shards int) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "v2v")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/v2v")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building v2v: %v\n%s", err, out)
-	}
-
-	const vocab, dim = 200, 8
-	m := &Model{Dim: dim, Vocab: vocab, Vectors: make([]float32, vocab*dim)}
-	for i := range m.Vectors {
-		m.Vectors[i] = float32((i*2654435761)%997) / 997
-	}
-	model := filepath.Join(dir, "model.snap")
-	f, err := os.Create(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveSnapshot(f, m, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	const dim = 8
+	dir, bin, model := buildV2V(t, 200, dim)
 
 	walDir := filepath.Join(dir, "wal")
 	// Small segments and an aggressive checkpoint threshold so the run
@@ -128,39 +62,35 @@ func runCrashRecoveryE2E(t *testing.T, shards int) {
 	if shards > 1 {
 		serveArgs = append(serveArgs, "-shards", strconv.Itoa(shards))
 	}
-	cmd, base, logTail := startServeProcess(t, bin, serveArgs...)
+	var log e2eLog
+	cmd, base := startServe(t, &log, "server", bin, serveArgs...)
 
 	runFor := 4 * time.Second
 	if testing.Short() {
 		runFor = 2 * time.Second
 	}
 	killAfter := runFor * 6 / 10
-	mix, err := loadgen.WithWriteFraction(map[loadgen.Op]float64{
-		loadgen.OpNeighbors: 0.7, loadgen.OpSimilarity: 0.3,
-	}, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
 	killed := make(chan struct{})
 	timer := time.AfterFunc(killAfter, func() {
 		cmd.Process.Kill() // SIGKILL: no shutdown path runs
 		close(killed)
 	})
 	defer timer.Stop()
-	res, err := loadgen.Run(loadgen.Config{
-		BaseURL:      base,
-		Workers:      4,
-		QPS:          800,
-		Duration:     runFor,
-		Mix:          mix,
-		K:            5,
-		Seed:         23,
-		Timeout:      2 * time.Second,
-		RecordWrites: true,
+	// 85% reads (neighbours 7 : similarity 3), 15% writes (upserts
+	// 2 : deletes 1), paced at 800 req/s.
+	l := load{Workers: 4, QPS: 800, Duration: runFor, Seed: 23, Timeout: 2 * time.Second, Dim: dim}
+	res := l.run(t, base, func(w *loadWorker) int {
+		switch x := w.rng.Float64(); {
+		case x < 0.595:
+			return w.get("/v1/neighbors?vertex=" + w.tok() + "&k=5")
+		case x < 0.85:
+			return w.get("/v1/similarity?a=" + w.tok() + "&b=" + w.tok())
+		case x < 0.95:
+			return w.upsert()
+		default:
+			return w.remove()
+		}
 	})
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
 	<-killed
 	cmd.Wait() // reap; a SIGKILL exit is expected to be unclean
 
@@ -172,15 +102,15 @@ func runCrashRecoveryE2E(t *testing.T, shards int) {
 	}
 	if acked == 0 {
 		t.Fatalf("no write was acknowledged before the kill (journal: %d events); log:\n%s",
-			len(res.Writes), logTail.String())
+			len(res.Writes), &log)
 	}
-	if res.Overall.Errors == 0 {
+	if res.Errors() == 0 {
 		t.Fatalf("every request succeeded — the kill landed after the run; raise killAfter below runFor")
 	}
 
 	// Restart over the same WAL directory: checkpoint + replay must
 	// reconstruct every acknowledged write.
-	_, base2, logTail2 := startServeProcess(t, bin, serveArgs...)
+	_, base2 := startServe(t, &log, "restarted", bin, serveArgs...)
 
 	if shards > 1 {
 		// The restarted generation must actually be sharded — a silent
@@ -201,12 +131,12 @@ func runCrashRecoveryE2E(t *testing.T, shards int) {
 		}
 	}
 
-	// Fold the journal per token. Each token belongs to one worker and
-	// journals are worker-ordered, so the last event is the token's
-	// final acknowledged state — unless an unknown-outcome event
-	// follows it, which makes the token ambiguous.
+	// Fold the journal per token. Each token belongs to one worker,
+	// whose writes are journaled in the order sent, so the last event is
+	// the token's final acknowledged state — unless an unknown-outcome
+	// event follows it, which makes the token ambiguous.
 	type state struct {
-		lastAckedOp loadgen.Op
+		lastAckedOp string
 		hasAcked    bool
 		unkAfterAck bool
 	}
@@ -227,7 +157,7 @@ func runCrashRecoveryE2E(t *testing.T, shards int) {
 	}
 
 	rep := crashReport{
-		RunSeconds:       res.DurationSeconds,
+		RunSeconds:       res.Seconds,
 		KillAfterSeconds: killAfter.Seconds(),
 		JournaledEvents:  len(res.Writes),
 		AckedEvents:      acked,
@@ -244,13 +174,13 @@ func runCrashRecoveryE2E(t *testing.T, shards int) {
 		}
 		resp.Body.Close()
 		switch st.lastAckedOp {
-		case loadgen.OpUpsert:
+		case "upsert":
 			rep.VerifiedUpserts++
 			if resp.StatusCode != 200 {
 				rep.LostWrites++
 				t.Errorf("acked upsert of %q lost: status %d after restart", tok, resp.StatusCode)
 			}
-		case loadgen.OpDelete:
+		case "delete":
 			rep.VerifiedDeletes++
 			if resp.StatusCode != 404 {
 				rep.LostWrites++
@@ -280,7 +210,7 @@ func runCrashRecoveryE2E(t *testing.T, shards int) {
 	}
 	resp.Body.Close()
 	if !stats.WAL.Enabled {
-		t.Fatalf("restarted server does not report WAL enabled; log:\n%s", logTail2.String())
+		t.Fatalf("restarted server does not report WAL enabled; log:\n%s", &log)
 	}
 	rep.ReplayedRecords = stats.WAL.ReplayedRecords
 	rep.RecoveredTorn = stats.WAL.RecoveredTorn

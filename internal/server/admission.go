@@ -111,8 +111,8 @@ type AdmissionConfig struct {
 
 // Class defaults. The read budget is deliberately generous: admission
 // exists to cut off the unbounded tail, not to throttle a healthy
-// server — the knee should come from the hardware, found by the
-// loadgen sweep, and the budget tuned down from there.
+// server — the knee should come from the hardware, read off the
+// benchmark's client percentiles, and the budget tuned down from there.
 func defaultClassLimit(class string) ClassLimit {
 	procs := runtime.GOMAXPROCS(0)
 	switch class {

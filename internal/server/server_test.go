@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -265,6 +266,43 @@ func TestVocab(t *testing.T) {
 	getJSON(t, hs.URL+"/v1/vocab", &out)
 	if len(out.Tokens) != 40 {
 		t.Fatalf("full vocab: %d tokens", len(out.Tokens))
+	}
+}
+
+// TestSpecialCharacterTokens: tokens with query-reserved characters
+// (graphs read with -named have them) round-trip through /v1/vocab and
+// resolve on every read endpoint: escaped in a query string, raw in a
+// JSON body.
+func TestSpecialCharacterTokens(t *testing.T) {
+	var out VocabResponse
+	reserved := []string{"a b", "x&y", "p+q", "m=n", "c#d", "pct%25", "ü-umlaut", "plain"}
+	m, _ := testModel(len(reserved), 4, 1)
+	s, err := NewFromModel(Config{}, m, reserved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := httptest.NewServer(s.Handler())
+	defer rs.Close()
+	getJSON(t, rs.URL+"/v1/vocab", &out)
+	if !reflect.DeepEqual(out.Tokens, reserved) {
+		t.Fatalf("vocab of reserved tokens: %q", out.Tokens)
+	}
+	esc := func(i int) string { return url.QueryEscape(reserved[i%len(reserved)]) }
+	for i := range reserved {
+		a, b, c := esc(i), esc(i+1), esc(i+2)
+		for _, path := range []string{
+			"/v1/neighbors?k=3&vertex=" + a,
+			"/v1/similarity?a=" + a + "&b=" + b,
+			"/v1/analogy?k=3&a=" + a + "&b=" + b + "&c=" + c,
+			"/v1/predict?u=" + a + "&v=" + b,
+		} {
+			if code := getJSON(t, rs.URL+path, nil); code != 200 {
+				t.Errorf("GET %s: status %d", path, code)
+			}
+		}
+	}
+	if code := postJSON(t, rs.URL+"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: reserved, K: 3}, nil); code != 200 {
+		t.Errorf("neighbors batch of reserved tokens: status %d", code)
 	}
 }
 

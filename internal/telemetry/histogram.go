@@ -191,8 +191,8 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(bucketUpperNs(len(s.Counts) - 1))
 }
 
-// QuantileMs is Quantile in float milliseconds (the /stats and
-// loadgen reporting unit).
+// QuantileMs is Quantile in float milliseconds (the /stats
+// reporting unit).
 func (s HistogramSnapshot) QuantileMs(q float64) float64 {
 	return float64(s.Quantile(q)) / float64(time.Millisecond)
 }

@@ -12,8 +12,8 @@ import (
 // oracle is the exact nearest-rank quantile over raw observations:
 // the smallest value such that at least a q fraction of the samples
 // are <= it (rank ceil(q*n)) — the same definition the histogram
-// approximates and internal/loadgen historically computed from a
-// sorted slice.
+// approximates and the benchmark's percentile (benchmark/stats.go)
+// computes from a sorted slice.
 func oracle(ns []uint64, q float64) uint64 {
 	if len(ns) == 0 {
 		return 0

@@ -7,10 +7,10 @@
 // smoke tests use to validate what the server serves on /metrics.
 //
 // The package deliberately has no registry singleton and no
-// background goroutines: owners (internal/server, internal/loadgen)
-// hold their own metric values and compose an exposition page from
-// them at scrape time. See docs/OBSERVABILITY.md for the metric name
-// reference and the histogram's error bound.
+// background goroutines: an owner (internal/server) holds its own
+// metric values and composes an exposition page from them at scrape
+// time. See docs/OBSERVABILITY.md for the metric name reference and
+// the histogram's error bound.
 package telemetry
 
 import (

@@ -1,17 +1,12 @@
 package v2v
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
-	"sync"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -27,91 +22,27 @@ import (
 // down. Set ROUTER_SMOKE_OUT to save the fleet's combined log (CI
 // uploads it as an artifact).
 func TestRouterSmokeE2E(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "v2v")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/v2v")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building v2v: %v\n%s", err, out)
-	}
+	const shards = 4
+	_, bin, model := buildV2V(t, 60, 8) // the serve smoke's model
 
-	// The same deterministic model the serve smoke uses.
-	const vocab, dim, shards = 60, 8, 4
-	m := &Model{Dim: dim, Vocab: vocab, Vectors: make([]float32, vocab*dim)}
-	for i := range m.Vectors {
-		m.Vectors[i] = float32((i*2654435761)%997) / 997
-	}
-	model := filepath.Join(dir, "model.snap")
-	f, err := os.Create(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveSnapshot(f, m, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every process's log lands in one combined, labeled buffer so a
-	// failure (or ROUTER_SMOKE_OUT) shows the whole fleet's view.
-	var logMu sync.Mutex
-	var fleetLog bytes.Buffer
-	logf := func(tag, line string) {
-		logMu.Lock()
-		fleetLog.WriteString(tag + ": " + line + "\n")
-		logMu.Unlock()
-	}
+	// Every process's log lands in one combined, labeled log so a
+	// failure (or ROUTER_SMOKE_OUT) shows the whole fleet's view. The
+	// processes' own cleanups run first, so the file gets their last lines.
+	var fleetLog e2eLog
 	t.Cleanup(func() {
 		if out := os.Getenv("ROUTER_SMOKE_OUT"); out != "" {
-			logMu.Lock()
-			defer logMu.Unlock()
-			if err := os.WriteFile(out, fleetLog.Bytes(), 0o644); err != nil {
+			page := fleetLog.String()
+			if err := os.WriteFile(out, []byte(page), 0o644); err != nil {
 				t.Errorf("writing fleet log: %v", err)
 			} else {
-				t.Logf("fleet log written to %s (%d bytes)", out, fleetLog.Len())
+				t.Logf("fleet log written to %s (%d bytes)", out, len(page))
 			}
 		}
 	})
-
-	// start spawns `v2v serve` with the given extra flags and returns
-	// the process and its bound base URL (scanned from the "listening
-	// on" log line; stderr keeps draining into the fleet log).
 	start := func(tag string, extra ...string) (*exec.Cmd, string) {
 		t.Helper()
 		args := append([]string{"serve", "-model", model, "-addr", "127.0.0.1:0"}, extra...)
-		cmd := exec.Command(bin, args...)
-		stderr, err := cmd.StderrPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting %s: %v", tag, err)
-		}
-		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
-		addrc := make(chan string, 1)
-		go func() {
-			sc := bufio.NewScanner(stderr)
-			for sc.Scan() {
-				line := sc.Text()
-				logf(tag, line)
-				if _, after, ok := strings.Cut(line, "listening on "); ok {
-					select {
-					case addrc <- strings.TrimSpace(after):
-					default:
-					}
-				}
-			}
-		}()
-		select {
-		case a := <-addrc:
-			return cmd, "http://" + a
-		case <-time.After(15 * time.Second):
-			t.Fatalf("%s never reported its address; fleet log:\n%s", tag, fleetLog.String())
-			return nil, ""
-		}
+		return startServe(t, &fleetLog, tag, bin, args...)
 	}
 
 	// The fleet: four shard processes, the router over them, and the
@@ -156,7 +87,7 @@ func TestRouterSmokeE2E(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("router never saw all %d shards healthy; last /stats: %s\nfleet log:\n%s",
-				shards, body, fleetLog.String())
+				shards, body, &fleetLog)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -198,7 +129,7 @@ func TestRouterSmokeE2E(t *testing.T) {
 		t.Fatalf("killing shard %d: %v", victim, err)
 	}
 	shardCmds[victim].Wait()
-	logf("harness", fmt.Sprintf("SIGKILLed shard %d", victim))
+	fleetLog.add("harness", fmt.Sprintf("SIGKILLed shard %d", victim))
 	deadline = time.Now().Add(15 * time.Second)
 	for {
 		code, body := fetch("GET", routerURL+"/stats", "")
@@ -207,7 +138,7 @@ func TestRouterSmokeE2E(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("router never noticed shard %d dying; last /stats: %s\nfleet log:\n%s",
-				victim, body, fleetLog.String())
+				victim, body, &fleetLog)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -243,18 +174,6 @@ func TestRouterSmokeE2E(t *testing.T) {
 		cmd *exec.Cmd
 	}{{"router", routerCmd}, {"reference", refCmd},
 		{"shard0", shardCmds[0]}, {"shard2", shardCmds[2]}, {"shard3", shardCmds[3]}} {
-		if err := pc.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatalf("SIGTERM %s: %v", pc.tag, err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- pc.cmd.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s exited uncleanly after SIGTERM: %v\nfleet log:\n%s", pc.tag, err, fleetLog.String())
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s did not exit within 10s of SIGTERM; fleet log:\n%s", pc.tag, fleetLog.String())
-		}
+		stopServe(t, &fleetLog, pc.tag, pc.cmd)
 	}
 }

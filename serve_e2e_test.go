@@ -1,7 +1,6 @@
 package v2v
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -9,12 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"v2v/internal/snapshot"
 	"v2v/internal/telemetry"
@@ -28,68 +24,9 @@ import (
 // exercises the process-level signal path; everything below the
 // signal handler is covered in-process by internal/server.
 func TestServeSmokeE2E(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "v2v")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/v2v")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building v2v: %v\n%s", err, out)
-	}
-
-	// A small deterministic model, written as a binary snapshot.
-	const vocab, dim = 60, 8
-	m := &Model{Dim: dim, Vocab: vocab, Vectors: make([]float32, vocab*dim)}
-	for i := range m.Vectors {
-		m.Vectors[i] = float32((i*2654435761)%997) / 997
-	}
-	model := filepath.Join(dir, "model.snap")
-	f, err := os.Create(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveSnapshot(f, m, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cmd := exec.Command(bin, "serve", "-model", model, "-addr", "127.0.0.1:0")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting server: %v", err)
-	}
-	defer cmd.Process.Kill() // no-op after a clean Wait
-
-	// The server logs "listening on host:port" once bound; scan for it
-	// (and keep draining stderr so the child never blocks on the pipe).
-	addrc := make(chan string, 1)
-	var logTail bytes.Buffer
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			logTail.WriteString(line + "\n")
-			if _, after, ok := strings.Cut(line, "listening on "); ok {
-				select {
-				case addrc <- strings.TrimSpace(after):
-				default:
-				}
-			}
-		}
-	}()
-	var base string
-	select {
-	case a := <-addrc:
-		base = "http://" + a
-	case <-time.After(15 * time.Second):
-		t.Fatalf("server never reported its address; log:\n%s", logTail.String())
-	}
+	dir, bin, model := buildV2V(t, 60, 8)
+	var log e2eLog
+	cmd, base := startServe(t, &log, "server", bin, "serve", "-model", model, "-addr", "127.0.0.1:0")
 
 	get := func(path string) {
 		t.Helper()
@@ -206,19 +143,7 @@ func TestServeSmokeE2E(t *testing.T) {
 	}
 
 	// Clean SIGTERM shutdown: exit code 0, within the grace period.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatalf("SIGTERM: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("server exited uncleanly after SIGTERM: %v; log:\n%s", err, logTail.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("server did not exit within 10s of SIGTERM; log:\n%s", logTail.String())
-	}
+	stopServe(t, &log, "server", cmd)
 }
 
 // TestReloadShapeMismatchKeepsServing exercises the live /v1/reload
@@ -229,14 +154,7 @@ func TestServeSmokeE2E(t *testing.T) {
 // problem, and the previous generation must keep serving queries.
 func TestReloadShapeMismatchKeepsServing(t *testing.T) {
 	dir := t.TempDir()
-	mkModel := func(vocab int) *Model {
-		m := &Model{Dim: 8, Vocab: vocab, Vectors: make([]float32, vocab*8)}
-		for i := range m.Vectors {
-			m.Vectors[i] = float32((i*2654435761)%997) / 997
-		}
-		return m
-	}
-	mA := mkModel(60)
+	mA := e2eModel(60, 8)
 	hA, err := vecstore.NewHNSW(mA.Store(), vecstore.Cosine, vecstore.HNSWConfig{M: 8, EfConstruction: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +177,7 @@ func TestReloadShapeMismatchKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.Save(&badBuf, mkModel(50), nil); err != nil {
+	if err := snapshot.Save(&badBuf, e2eModel(50, 8), nil); err != nil {
 		t.Fatal(err)
 	}
 	badBuf.Write(goodBytes[modelA.Len():]) // the V2VHNSW1 graph section
