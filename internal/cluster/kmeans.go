@@ -4,8 +4,11 @@
 // communities (Section III: "we repeat the algorithm 100 times and
 // choose the best solution").
 //
-// The assignment step is parallelised over points; restarts are
-// parallelised over the worker pool.
+// Restarts are parallelised over the worker pool. When there are
+// fewer restarts than workers (the IVF coarse quantizer runs one), the
+// spare workers parallelise each restart's assignment step over
+// points; SSE is still summed serially in point order, so the result
+// never depends on the worker count.
 package cluster
 
 import (
@@ -80,6 +83,7 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	pointWorkers := workers / cfg.Restarts
 	if workers > cfg.Restarts {
 		workers = cfg.Restarts
 	}
@@ -99,7 +103,7 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 			defer wg.Done()
 			for r := range next {
 				rng := xrand.NewStream(cfg.Seed, uint64(r))
-				results[r] = lloyd(points, cfg, rng)
+				results[r] = lloyd(points, cfg, pointWorkers, rng)
 			}
 		}()
 	}
@@ -115,8 +119,9 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 	return best, nil
 }
 
-// lloyd runs one seeded Lloyd descent.
-func lloyd(points [][]float64, cfg Config, rng *xrand.RNG) *Result {
+// lloyd runs one seeded Lloyd descent, its assignment step split
+// over pointWorkers goroutines.
+func lloyd(points [][]float64, cfg Config, pointWorkers int, rng *xrand.RNG) *Result {
 	n := len(points)
 	d := len(points[0])
 	k := cfg.K
@@ -131,6 +136,7 @@ func lloyd(points [][]float64, cfg Config, rng *xrand.RNG) *Result {
 	}
 
 	assign := make([]int, n)
+	dist := make([]float64, n) // each point's squared distance to its center
 	counts := make([]int, k)
 	sums := make([][]float64, k)
 	for i := range sums {
@@ -139,20 +145,24 @@ func lloyd(points [][]float64, cfg Config, rng *xrand.RNG) *Result {
 
 	var sse, prevSSE float64
 	prevSSE = math.Inf(1)
-	iter := 0
-	for ; iter < cfg.MaxIter; iter++ {
+	iters := 0
+	for iters < cfg.MaxIter {
+		iters++
 		// Assignment step.
-		sse = 0
-		for i, p := range points {
-			bestC, bestD := 0, math.Inf(1)
-			for c, ctr := range centers {
-				dist := linalg.SquaredDistance(p, ctr)
-				if dist < bestD {
-					bestC, bestD = c, dist
+		parallelRange(n, pointWorkers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				bestC, bestD := 0, math.Inf(1)
+				for c, ctr := range centers {
+					if d := linalg.SquaredDistance(points[i], ctr); d < bestD {
+						bestC, bestD = c, d
+					}
 				}
+				assign[i], dist[i] = bestC, bestD
 			}
-			assign[i] = bestC
-			sse += bestD
+		})
+		sse = 0
+		for _, d := range dist {
+			sse += d
 		}
 		// Update step.
 		for c := range sums {
@@ -174,9 +184,8 @@ func lloyd(points [][]float64, cfg Config, rng *xrand.RNG) *Result {
 				// its current center to keep exactly k clusters.
 				far, farD := 0, -1.0
 				for i, p := range points {
-					dist := linalg.SquaredDistance(p, centers[assign[i]])
-					if dist > farD {
-						far, farD = i, dist
+					if d := linalg.SquaredDistance(p, centers[assign[i]]); d > farD {
+						far, farD = i, d
 					}
 				}
 				copy(centers[c], points[far])
@@ -196,8 +205,26 @@ func lloyd(points [][]float64, cfg Config, rng *xrand.RNG) *Result {
 		Assignments: assign,
 		Centers:     centers,
 		SSE:         sse,
-		Iterations:  iter + 1,
+		Iterations:  iters,
 	}
+}
+
+// parallelRange splits [0, n) across workers and blocks until done.
+func parallelRange(n, workers int, fn func(lo, hi int)) {
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	workers = min(workers, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(w*n/workers, (w+1)*n/workers)
+	}
+	wg.Wait()
 }
 
 // seedPlusPlus fills centers with the k-means++ D^2-weighted seeding

@@ -184,6 +184,26 @@ func TestMoreRestartsNeverWorse(t *testing.T) {
 	}
 }
 
+func TestKMeansIterationsCountsRunIterations(t *testing.T) {
+	points, _ := gaussianBlobs(5, 40, 4, 3, 1.5, 14)
+	capped, err := KMeans(points, Config{K: 5, Restarts: 1, MaxIter: 1, Tolerance: 1e-12, PlusPlus: true, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.Iterations != 1 {
+		t.Fatalf("MaxIter 1: Iterations = %d, want 1", capped.Iterations)
+	}
+	for _, maxIter := range []int{2, 5, 100} {
+		res, err := KMeans(points, Config{K: 5, Restarts: 3, MaxIter: maxIter, PlusPlus: true, Seed: 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations < 1 || res.Iterations > maxIter {
+			t.Fatalf("MaxIter %d: Iterations = %d", maxIter, res.Iterations)
+		}
+	}
+}
+
 func TestSSEOfMatchesResult(t *testing.T) {
 	points, _ := gaussianBlobs(3, 25, 2, 10, 1, 10)
 	cfg := DefaultConfig(3)

@@ -302,7 +302,7 @@ func TestConfigValidate(t *testing.T) {
 		{"exact dot", Config{Kind: KindExact, Metric: Dot}, false},
 		{"exact with seed", Config{Kind: KindExact, Seed: 42}, false},
 		{"ivf defaults", Config{Kind: KindIVF}, false},
-		{"ivf tuned", Config{Kind: KindIVF, NLists: 100, NProbe: 10, KMeansIters: 5}, false},
+		{"ivf tuned", Config{Kind: KindIVF, NLists: 100, NProbe: 10}, false},
 		{"hnsw defaults", Config{Kind: KindHNSW}, false},
 		{"hnsw tuned", Config{Kind: KindHNSW, Metric: Euclidean, M: 32, EfConstruction: 400, EfSearch: 256}, false},
 		{"unknown kind", Config{Kind: Kind(9)}, true},

@@ -90,8 +90,6 @@ type Config struct {
 	// quantizer, HNSW level sampling). Builds are deterministic for a
 	// fixed seed regardless of Workers.
 	Seed uint64
-	// KMeansIters bounds quantizer training (0 = 10).
-	KMeansIters int
 
 	// M is the HNSW per-level degree target (0 = 16).
 	M int
@@ -132,7 +130,6 @@ func (c Config) Validate() error {
 		{"Workers", c.Workers},
 		{"NLists", c.NLists},
 		{"NProbe", c.NProbe},
-		{"KMeansIters", c.KMeansIters},
 		{"M", c.M},
 		{"EfConstruction", c.EfConstruction},
 		{"EfSearch", c.EfSearch},
@@ -142,9 +139,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("vecstore: %s index: negative %s %d (0 selects the default)", c.Kind, p.name, p.v)
 		}
 	}
-	if c.Kind != KindIVF && (c.NLists != 0 || c.NProbe != 0 || c.KMeansIters != 0) {
-		return fmt.Errorf("vecstore: NLists/NProbe/KMeansIters are IVF parameters but Kind is %s (got NLists=%d NProbe=%d KMeansIters=%d)",
-			c.Kind, c.NLists, c.NProbe, c.KMeansIters)
+	if c.Kind != KindIVF && (c.NLists != 0 || c.NProbe != 0) {
+		return fmt.Errorf("vecstore: NLists/NProbe are IVF parameters but Kind is %s (got NLists=%d NProbe=%d)",
+			c.Kind, c.NLists, c.NProbe)
 	}
 	if c.Kind != KindHNSW && (c.M != 0 || c.EfConstruction != 0 || c.EfSearch != 0) {
 		return fmt.Errorf("vecstore: M/EfConstruction/EfSearch are HNSW parameters but Kind is %s (got M=%d EfConstruction=%d EfSearch=%d)",
@@ -215,11 +212,10 @@ func Open(s *Store, cfg Config) (Index, error) {
 	switch cfg.Kind {
 	case KindIVF:
 		return NewIVF(s, cfg.Metric, IVFConfig{
-			NLists:      cfg.NLists,
-			NProbe:      cfg.NProbe,
-			Seed:        cfg.Seed,
-			Workers:     cfg.Workers,
-			KMeansIters: cfg.KMeansIters,
+			NLists:  cfg.NLists,
+			NProbe:  cfg.NProbe,
+			Seed:    cfg.Seed,
+			Workers: cfg.Workers,
 		})
 	case KindHNSW:
 		return NewHNSW(s, cfg.Metric, HNSWConfig{

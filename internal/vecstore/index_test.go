@@ -1,6 +1,7 @@
 package vecstore
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -304,6 +305,49 @@ func TestIVFSearchBatchAndSearchRow(t *testing.T) {
 		if r.ID == 42 {
 			t.Fatal("SearchRow returned the query row")
 		}
+	}
+}
+
+// TestIVFEdgeCases drives degenerate stores through the k-means
+// quantizer: each builds, answers every query path, and gives the
+// same answers at every worker count (compared as text, so NaN scores
+// from zero rows compare equal).
+func TestIVFEdgeCases(t *testing.T) {
+	identical := New(8, 4)
+	for i := 0; i < identical.Len(); i++ {
+		copy(identical.Row(i), []float32{1, 2, 3, 4})
+	}
+	cases := []struct {
+		name   string
+		s      *Store
+		metric Metric
+		nlists int
+	}{
+		{"one row", randStore(1, 4, 71), Euclidean, 0},
+		{"n below nlists", randStore(5, 4, 73), Cosine, 20},
+		{"identical rows", identical, Cosine, 4},
+		{"zero rows cosine", New(6, 4), Cosine, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want string
+			for _, workers := range []int{1, 2, 4} {
+				ivf, err := NewIVF(tc.s, tc.metric, IVFConfig{NLists: tc.nlists, Seed: 11, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ivf.NLists() < 1 || ivf.NLists() > tc.s.Len() {
+					t.Fatalf("NLists = %d for %d rows", ivf.NLists(), tc.s.Len())
+				}
+				q := tc.s.Row(0)
+				got := fmt.Sprint(ivf.Search(q, 3), ivf.SearchRow(0, 3), ivf.SearchBatch([][]float32{q, q}, 3))
+				if workers == 1 {
+					want = got
+				} else if got != want {
+					t.Fatalf("workers=%d: %s, want %s", workers, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"math"
 	"sync"
 
-	"v2v/internal/xrand"
+	"v2v/internal/cluster"
 )
 
 // IVFConfig tunes the inverted-file index; see docs/VECTORS.md for
@@ -22,9 +22,6 @@ type IVFConfig struct {
 	Seed uint64
 	// Workers bounds build/batch parallelism (0 = GOMAXPROCS).
 	Workers int
-	// KMeansIters bounds Lloyd iterations of quantizer training
-	// (0 = 10).
-	KMeansIters int
 }
 
 // maxTrainPoints caps the quantizer training sample; training on a
@@ -34,7 +31,8 @@ type IVFConfig struct {
 const maxTrainPoints = 8192
 
 // IVF is an inverted-file approximate index: a k-means coarse
-// quantizer partitions the rows into cells, and a query scans only
+// quantizer (internal/cluster's k-means++ and Lloyd, one restart)
+// partitions the rows into cells, and a query scans only
 // the cells whose centroids score best. Recall is controlled by
 // NProbe; NProbe == NLists degenerates to an exact scan in cell
 // order.
@@ -86,10 +84,6 @@ func NewIVF(s *Store, metric Metric, cfg IVFConfig) (*IVF, error) {
 	if nprobe > nlists {
 		nprobe = nlists
 	}
-	iters := cfg.KMeansIters
-	if iters <= 0 {
-		iters = 10
-	}
 	workers := normWorkers(cfg.Workers)
 
 	// Cosine clusters on L2-normalized copies so that cell shape
@@ -98,7 +92,34 @@ func NewIVF(s *Store, metric Metric, cfg IVFConfig) (*IVF, error) {
 	if metric == Cosine {
 		space = normalizedCopy(s)
 	}
-	centroids := trainQuantizer(space, nlists, iters, cfg.Seed, workers)
+	// The quantizer is one k-means++/Lloyd descent over a
+	// deterministic stride sample: at most 10 iterations, stopping
+	// early once SSE improves by less than 1e-4 of itself.
+	m := min(n, maxTrainPoints)
+	stride := float64(n) / float64(m)
+	sample := make([][]float64, m)
+	for i := range sample {
+		row := space.Row(int(float64(i) * stride))
+		p := make([]float64, len(row))
+		for j, x := range row {
+			p[j] = float64(x)
+		}
+		sample[i] = p
+	}
+	km, err := cluster.KMeans(sample, cluster.Config{
+		K: min(nlists, m), Restarts: 1, MaxIter: 10, Tolerance: 1e-4,
+		PlusPlus: true, Seed: cfg.Seed, Workers: workers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("vecstore: IVF quantizer: %w", err)
+	}
+	centroids := New(len(km.Centers), s.Dim())
+	for c, ctr := range km.Centers {
+		row := centroids.Row(c)
+		for j, x := range ctr {
+			row[j] = float32(x)
+		}
+	}
 
 	// Final full-store assignment pass.
 	assign := make([]int32, n)
@@ -200,111 +221,6 @@ func normalizedCopy(s *Store) *Store {
 		}
 	}
 	return out
-}
-
-// trainQuantizer runs k-means++ initialisation and bounded Lloyd
-// iterations over a deterministic stride sample of space. Point
-// assignment is parallel (each point independent); centroid
-// accumulation is serial in point order, so the result does not
-// depend on the worker count.
-func trainQuantizer(space *Store, k, iters int, seed uint64, workers int) *Store {
-	n, dim := space.Len(), space.Dim()
-	sample := make([]int, 0, maxTrainPoints)
-	if n <= maxTrainPoints {
-		for i := 0; i < n; i++ {
-			sample = append(sample, i)
-		}
-	} else {
-		stride := float64(n) / maxTrainPoints
-		for i := 0; i < maxTrainPoints; i++ {
-			sample = append(sample, int(float64(i)*stride))
-		}
-	}
-	if k > len(sample) {
-		k = len(sample)
-	}
-
-	rng := xrand.New(seed + 0x1F1F)
-	centroids := New(k, dim)
-
-	// k-means++ seeding over the sample.
-	copy(centroids.Row(0), space.Row(sample[rng.Intn(len(sample))]))
-	d2 := make([]float64, len(sample))
-	for i, id := range sample {
-		d2[i] = sqDistF64(space.Row(id), centroids.Row(0))
-	}
-	for c := 1; c < k; c++ {
-		var total float64
-		for _, d := range d2 {
-			total += d
-		}
-		pick := sample[rng.Intn(len(sample))] // fallback: all mass at zero
-		if total > 0 {
-			r := rng.Float64() * total
-			for i, d := range d2 {
-				r -= d
-				if r <= 0 {
-					pick = sample[i]
-					break
-				}
-			}
-		}
-		copy(centroids.Row(c), space.Row(pick))
-		row := centroids.Row(c)
-		for i, id := range sample {
-			if d := sqDistF64(space.Row(id), row); d < d2[i] {
-				d2[i] = d
-			}
-		}
-	}
-
-	// Lloyd iterations.
-	assign := make([]int, len(sample))
-	sums := make([]float64, k*dim)
-	counts := make([]int, k)
-	for it := 0; it < iters; it++ {
-		centroids.InvalidateNorms()
-		changed := false
-		parallelRange(len(sample), workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				assign[i] = nearestCentroid(centroids, space.Row(sample[i]))
-			}
-		})
-		for i := range sums {
-			sums[i] = 0
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for i, id := range sample {
-			c := assign[i]
-			counts[c]++
-			row := space.Row(id)
-			acc := sums[c*dim : (c+1)*dim]
-			for j, x := range row {
-				acc[j] += float64(x)
-			}
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				continue // keep the old centroid for empty cells
-			}
-			inv := 1 / float64(counts[c])
-			row := centroids.Row(c)
-			for j := 0; j < dim; j++ {
-				nv := float32(sums[c*dim+j] * inv)
-				if nv != row[j] {
-					row[j] = nv
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	centroids.InvalidateNorms()
-	return centroids
 }
 
 // nearestCentroid returns the centroid with the smallest squared
