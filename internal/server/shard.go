@@ -122,9 +122,14 @@ func newShardProcess(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: slicing shard %d/%d: %w", cfg.ShardID, cfg.ShardCount, err)
 	}
+	total := b.Model.Vocab
 	if slice.Model.Vocab == 0 {
-		return nil, fmt.Errorf("server: shard %d owns no rows of this %d-row bundle (partition wider than the data)", cfg.ShardID, b.Model.Vocab)
+		return nil, fmt.Errorf("server: shard %d owns no rows of this %d-row bundle (partition wider than the data)", cfg.ShardID, total)
 	}
+	// b is not used past this point, so the whole bundle (every row, every
+	// shard's graph) is garbage while the slice's graph is copied into
+	// the index's own storage, and the collector's first goal, which sets
+	// the process's peak RSS, counts only what the shard keeps.
 	scfg := cfg
 	// Public writes enter through the router's hash routing; accepting
 	// them here would put rows on the wrong shard.
@@ -151,7 +156,7 @@ func newShardProcess(cfg Config) (*Server, error) {
 	}
 	s.shard = &shardState{id: cfg.ShardID, of: cfg.ShardCount, globals: slice.Globals}
 	s.registerShardAPI()
-	s.logger.Printf("server: shard %d/%d: serving %d of %d rows", cfg.ShardID, cfg.ShardCount, slice.Model.Vocab, b.Model.Vocab)
+	s.logger.Printf("server: shard %d/%d: serving %d of %d rows", cfg.ShardID, cfg.ShardCount, slice.Model.Vocab, total)
 	return s, nil
 }
 

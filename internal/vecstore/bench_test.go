@@ -240,8 +240,9 @@ func BenchmarkSearchHNSW(b *testing.B) {
 // BenchmarkHNSWBuild is one default-parameter cosine build of a
 // clustered 10 000 x 64 store per op (the repository benchmark's HNSW
 // shape), at every size of -short too: a build is seconds, not minutes.
-// The counters are read from the build's scratch, which NewHNSW leaves
-// in the index's pool: evals/op and rejected/op are the beam's and the
+// The counters are read from the scratch NewHNSW leaves in the index's
+// pool, into which it folds every build worker's, so they are the same
+// at every -cpu: evals/op and rejected/op are the beam's and the
 // descent's candidates and those the float32 pass dropped, sel/op the
 // comparisons of neighbour selection and selrefined/op those the
 // float64 kernel had to decide (about 0.5%; a two-sided test that

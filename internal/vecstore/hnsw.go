@@ -3,7 +3,9 @@ package vecstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"v2v/internal/f32"
 	"v2v/internal/xrand"
@@ -23,10 +25,11 @@ type HNSWConfig struct {
 	// recall at the cost of latency.
 	EfSearch int
 	// Seed drives level sampling. Builds are deterministic for a fixed
-	// seed regardless of Workers: insertion is sequential in row order
-	// and Workers only parallelizes SearchBatch.
+	// seed regardless of Workers: rows are linked in waves whose sizes
+	// depend only on the row count, and every wave's result is
+	// independent of how its rows are spread over workers.
 	Seed uint64
-	// Workers bounds batch-query parallelism (0 = GOMAXPROCS).
+	// Workers bounds build and batch-query parallelism (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -35,15 +38,33 @@ const (
 	defaultHNSWM    = 16
 	defaultHNSWEfC  = 200
 	defaultHNSWEf   = 128
+	maxHNSWM        = 1024
 	maxHNSWLevel    = 63 // level sampling cap; P(level > 63) is astronomically small
 	hnswLevelStream = 0x9E3779B97F4A7C15
 )
 
-// hnswNode is one vertex of the layered proximity graph: friends[l]
-// are its out-neighbors at level l, so len(friends)-1 is its top
-// level.
-type hnswNode struct {
-	friends [][]int32
+// The build's wave schedule (see link). A wave's size is a function of
+// how many rows the graph already holds and of nothing else, so the
+// graph cannot depend on Workers.
+const (
+	// serialRows: below this many linked rows a wave is one row. Those
+	// rows cost milliseconds, and a graph this small is exactly the one
+	// sequential Insert grows (the filter parity tests build their
+	// reference that way).
+	serialRows = 256
+	// A wave is then 1/waveShare of the linked rows, at most maxWave:
+	// no row's view of the graph misses more than a sixteenth of it.
+	waveShare = 16
+	maxWave   = 256
+)
+
+// waveSize is the number of rows the next wave links when linked rows
+// are in the graph.
+func waveSize(linked int) int {
+	if linked < serialRows {
+		return 1
+	}
+	return min(linked/waveShare, maxWave)
 }
 
 // HNSW is a hierarchical navigable small world index (Malkov &
@@ -55,8 +76,9 @@ type hnswNode struct {
 // stay linear in rows and cells respectively — at the price of
 // approximate results and an O(n log n) build.
 //
-// Build is sequential and deterministic for a fixed seed; queries are
-// safe for arbitrary concurrency once NewHNSW returns.
+// Build runs on Workers goroutines and is deterministic for a fixed
+// seed whatever their number (see link); queries are safe for
+// arbitrary concurrency once NewHNSW returns.
 //
 // Candidates are scored filter-and-refine, like the exact scan: where
 // a candidate must beat a known distance to matter (the beam's worst
@@ -92,7 +114,14 @@ type HNSW struct {
 	seed     uint64
 	entry    int32
 	maxLevel int
-	nodes    []hnswNode
+	// Node i's links at level 0 are l0[i*mmax0 : i*mmax0+l0n[i]]: one
+	// array of fixed slots, so the beam finds a list without chasing a
+	// pointer and linking writes in place. upper[i][l-1] are its links
+	// at level l >= 1, so len(upper[i]) is its top level; each of those
+	// lists is allocated once with room for M.
+	l0    []int32
+	l0n   []int32
+	upper [][][]int32
 	// gamma is the prefilter's error bound for the store's dimension
 	// (dotErrorBound); +Inf rejects nothing, which is how the parity
 	// test builds its reference.
@@ -109,17 +138,18 @@ type HNSW struct {
 	scratch sync.Pool // *hnswScratch, sized to the store
 }
 
-// NewHNSW builds the layered graph by sequential insertion in row
-// order. Level sampling consumes one deterministic RNG stream per row,
-// so the graph depends only on (store contents, metric, cfg.M,
-// cfg.EfConstruction, cfg.Seed).
+// NewHNSW builds the layered graph by inserting the rows in row order,
+// in waves on cfg.Workers goroutines (see link). Level sampling
+// consumes one deterministic RNG stream in row order, so the graph
+// depends only on (store contents, metric, cfg.M, cfg.EfConstruction,
+// cfg.Seed).
 func NewHNSW(s *Store, metric Metric, cfg HNSWConfig) (*HNSW, error) {
 	m := cfg.M
 	if m <= 0 {
 		m = defaultHNSWM
 	}
-	if m > 1024 {
-		return nil, fmt.Errorf("vecstore: HNSW M %d is implausibly large (max 1024)", m)
+	if m > maxHNSWM {
+		return nil, fmt.Errorf("vecstore: HNSW M %d is implausibly large (max %d)", m, maxHNSWM)
 	}
 	efc := cfg.EfConstruction
 	if efc <= 0 {
@@ -142,7 +172,6 @@ func NewHNSW(s *Store, metric Metric, cfg HNSWConfig) (*HNSW, error) {
 		workers: normWorkers(cfg.Workers),
 		seed:    cfg.Seed,
 		entry:   -1,
-		nodes:   make([]hnswNode, s.Len()),
 		gamma:   dotErrorBound(s.Dim()),
 	}
 	s.SqNorms() // precompute so build and concurrent queries never race the cache
@@ -153,19 +182,44 @@ func NewHNSW(s *Store, metric Metric, cfg HNSWConfig) (*HNSW, error) {
 	// inserting j produce identically-distributed levels.
 	h.mL = 1 / math.Log(float64(m))
 	h.rng = xrand.New(cfg.Seed ^ hnswLevelStream)
-	sc := h.newScratch()
-	for i := 0; i < s.Len(); i++ {
-		h.insert(int32(i), h.sampleLevel(h.rng, h.mL), sc)
-	}
-	h.scratch.Put(sc)
+	h.grow(s.Len())
+	h.build(0, s.Len())
 	h.builtMuts = s.Mutations()
 	return h, nil
 }
 
+// grow appends rows nodes to the graph, none of them linked yet.
+func (h *HNSW) grow(rows int) {
+	h.l0 = append(h.l0, make([]int32, rows*h.mmax0)...)
+	h.l0n = append(h.l0n, make([]int32, rows)...)
+	h.upper = append(h.upper, make([][][]int32, rows)...)
+}
+
+// build links rows [lo, hi) in waves of waveSize, on up to h.workers
+// goroutines, and leaves one scratch in the pool carrying every
+// worker's counters.
+func (h *HNSW) build(lo, hi int) {
+	scs := make([]*hnswScratch, min(h.workers, waveSize(hi))) // no wave is larger
+	for w := range scs {
+		scs[w] = h.newScratch()
+	}
+	for lo < hi {
+		next := min(hi, lo+waveSize(lo))
+		h.link(lo, next, scs)
+		lo = next
+	}
+	sc := scs[0]
+	for _, o := range scs[1:] {
+		sc.evals, sc.rejected = sc.evals+o.evals, sc.rejected+o.rejected
+		sc.selCmps, sc.selRefined = sc.selCmps+o.selCmps, sc.selRefined+o.selRefined
+	}
+	h.scratch.Put(sc)
+}
+
 // Insert implements MutableIndex: it appends v to the store and links
-// it into the graph with the same level sampling and diversity
-// pruning as the batch build, returning the new row ID. Safe to call
-// concurrently with queries (writer-locked).
+// it into the graph as a wave of one, with the same level sampling and
+// diversity pruning as the batch build, returning the new row ID. Safe
+// to call concurrently with queries (writer-locked).
 func (h *HNSW) Insert(v []float32) (int, error) {
 	if len(v) != h.s.Dim() {
 		return 0, fmt.Errorf("vecstore: Insert dim %d does not match store dim %d", len(v), h.s.Dim())
@@ -174,9 +228,9 @@ func (h *HNSW) Insert(v []float32) (int, error) {
 	defer h.mu.Unlock()
 	h.checkCoherent()
 	id := h.s.AppendRow(v)
-	h.nodes = append(h.nodes, hnswNode{})
+	h.grow(1)
 	sc := h.getScratch()
-	h.insert(int32(id), h.sampleLevel(h.rng, h.mL), sc)
+	h.link(id, id+1, []*hnswScratch{sc})
 	h.scratch.Put(sc)
 	return id, nil
 }
@@ -200,15 +254,15 @@ func (h *HNSW) checkCoherent() {
 	if h.s.Mutations() != h.builtMuts {
 		panic("vecstore: HNSW index is stale: Store.SetRow overwrote rows after the graph was built, leaving adjacency lists out of date; rebuild the index or apply writes through MutableIndex.Insert/Delete")
 	}
-	if len(h.nodes) != h.s.Len() {
-		panic(fmt.Sprintf("vecstore: HNSW graph covers %d of %d store rows: rows were appended to the store without MutableIndex.Insert", len(h.nodes), h.s.Len()))
+	if len(h.l0n) != h.s.Len() {
+		panic(fmt.Sprintf("vecstore: HNSW graph covers %d of %d store rows: rows were appended to the store without MutableIndex.Insert", len(h.l0n), h.s.Len()))
 	}
 }
 
 // sampleLevel draws floor(-ln(U) * mL), the paper's exponentially
 // decaying level distribution, capped to keep adversarial RNG draws
 // from building a degenerate tower.
-func (h *HNSW) sampleLevel(rng *xrand.RNG, mL float64) int {
+func sampleLevel(rng *xrand.RNG, mL float64) int {
 	u := rng.Float64()
 	for u == 0 {
 		u = rng.Float64()
@@ -267,74 +321,209 @@ func (h *HNSW) dists(q []float32, qn float64, ids []int32, sc *hnswScratch) []fl
 	return out
 }
 
-// insert links row i into the graph at levels [0, level].
-func (h *HNSW) insert(i int32, level int, sc *hnswScratch) {
-	h.nodes[i].friends = make([][]int32, level+1)
-	if h.entry < 0 {
-		h.entry, h.maxLevel = i, level
+// links returns node i's out-neighbours at level l, aliasing the
+// graph.
+func (h *HNSW) links(i int32, l int) []int32 {
+	if l == 0 {
+		o := int(i) * h.mmax0
+		return h.l0[o : o+int(h.l0n[i])]
+	}
+	return h.upper[i][l-1]
+}
+
+// setLinks overwrites node i's list at level l with links, which fits
+// the level's cap.
+func (h *HNSW) setLinks(i int32, l int, links []int32) {
+	if l == 0 {
+		o := int(i) * h.mmax0
+		h.l0n[i] = int32(copy(h.l0[o:o+h.mmax0], links))
 		return
 	}
+	h.upper[i][l-1] = append(h.upper[i][l-1][:0], links...)
+}
+
+// newUpper allocates a node's lists for levels 1..level, each with room
+// for M links, in one backing array.
+func (h *HNSW) newUpper(level int) [][]int32 {
+	if level == 0 {
+		return nil
+	}
+	lists := make([][]int32, level)
+	buf := make([]int32, level*h.m)
+	for l := range lists {
+		lists[l] = buf[l*h.m : l*h.m : (l+1)*h.m]
+	}
+	return lists
+}
+
+// link inserts rows [lo, hi), the next wave, into the graph in two
+// phases, each fanned out over the scratches' workers:
+//
+//  1. Every row finds its neighbours (searchNeighbors) in the graph as
+//     it stood when the wave began, which nothing writes meanwhile, and
+//     in the wave's earlier rows, and writes them as its own lists.
+//  2. The entry point moves, in row order, to the first row above the
+//     top level. The back-links the new lists ask for are sorted by
+//     target, level and row; each target takes its group in row order
+//     and is re-selected (shrink) once if that takes it over its cap.
+//     A shrink reads vectors and the target's own list only, so the
+//     targets are independent.
+//
+// Neither phase's result depends on which worker ran what, so neither
+// does the graph. A wave of one is the classic sequential insert: its
+// back-links each touch a distinct list, and its searches never read
+// the lists those back-links change.
+func (h *HNSW) link(lo, hi int, scs []*hnswScratch) {
+	for i := lo; i < hi; i++ { // levels draw from the stream in row order
+		h.upper[i] = h.newUpper(sampleLevel(h.rng, h.mL))
+	}
+	fanOut(hi-lo, len(scs), func(w, j int) { h.searchNeighbors(int32(lo+j), lo, scs[w]) })
+
+	// A back-link's key is (target, level, position in the wave): sorted,
+	// they group by target list and run in row order within a group.
+	sc := scs[0]
+	keys := sc.keys[:0]
+	for i := lo; i < hi; i++ {
+		level := len(h.upper[i])
+		if h.entry < 0 || level > h.maxLevel {
+			h.entry, h.maxLevel = int32(i), level
+		}
+		for l := 0; l <= level; l++ {
+			for _, nb := range h.links(int32(i), l) {
+				keys = append(keys, uint64(nb)<<32|uint64(l)<<24|uint64(i-lo))
+			}
+		}
+	}
+	slices.Sort(keys)
+	groups := sc.groups[:0]
+	for k := range keys {
+		if k == 0 || keys[k]>>24 != keys[k-1]>>24 {
+			groups = append(groups, k)
+		}
+	}
+	groups = append(groups, len(keys))
+	sc.keys, sc.groups = keys, groups
+	fanOut(len(groups)-1, len(scs), func(w, g int) {
+		h.addBackLinks(keys[groups[g]:groups[g+1]], lo, scs[w])
+	})
+}
+
+// fanOut runs fn(w, j) for every j in [0, n) on up to workers
+// goroutines, w naming the goroutine; the goroutines take the next j
+// as they finish one.
+func fanOut(n, workers int, fn func(w, j int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for j := 0; j < n; j++ {
+			fn(0, j)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := int(next.Add(1)) - 1; j < n; j = int(next.Add(1)) - 1 {
+				fn(w, j)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// searchNeighbors is phase 1 of link for row i of the wave that starts
+// at row lo: the paper's insert up to, not including, the back-links.
+// The greedy descent and the beams run in the graph as it stood when
+// the wave began; at each level the rows [lo, i) that reach it, its
+// peers, are scored directly and compete for the beam's places, so
+// that near-duplicates of one wave link to each other. The selection
+// is written as row i's own lists.
+func (h *HNSW) searchNeighbors(i int32, lo int, sc *hnswScratch) {
+	level := len(h.upper[i])
 	q := h.s.Row(int(i))
 	f := prefilter{metric: h.metric, gamma: h.gamma, qn: h.s.SqNorms()[i]}
 
 	// Greedy descent through the layers above the new node's level.
-	ep := h.entry
-	epDist := h.dist(q, f.qn, ep)
-	for l := h.maxLevel; l > level; l-- {
-		ep, epDist = h.greedyStep(q, &f, ep, epDist, l, sc)
+	eps := sc.eps[:0]
+	if h.entry >= 0 {
+		ep := h.entry
+		epDist := h.dist(q, f.qn, ep)
+		for l := h.maxLevel; l > level; l-- {
+			ep, epDist = h.greedyStep(q, &f, ep, epDist, l, sc)
+		}
+		eps = append(eps, ep)
 	}
 
-	// Beam search each level from min(level, maxLevel) down to 0,
-	// wiring bidirectional links as we go.
-	eps := sc.eps[:0]
-	eps = append(eps, ep)
-	top := level
-	if top > h.maxLevel {
-		top = h.maxLevel
-	}
-	for l := top; l >= 0; l-- {
-		h.searchLayer(q, &f, eps, l, h.efc, sc)
-		cands := sc.extractAsc()
-		limit := h.mmax0
-		if l > 0 {
-			limit = h.m
-		}
-		// A list is allocated once, with room for the link that takes it
-		// over its cap before shrink cuts it back in place. Copy the
-		// selection before wiring back-links: shrink reuses the
-		// selection scratch.
-		h.nodes[i].friends[l] = append(make([]int32, 0, limit+1), h.selectNeighbors(cands, h.m, sc)...)
-		for _, nb := range h.nodes[i].friends[l] {
-			fr := h.nodes[nb].friends[l]
-			if len(fr) == cap(fr) { // sized to its links by a bundle's loader: regrow once
-				fr = append(make([]int32, 0, limit+1), fr...)
+	for l := level; l >= 0; l-- {
+		cands := sc.res.h[:0]
+		if len(eps) > 0 && l <= h.maxLevel {
+			h.searchLayer(q, &f, eps, l, h.efc, sc)
+			cands = sc.extractAsc()
+			// Next level down starts from everything this beam found.
+			eps = eps[:0]
+			for _, c := range cands {
+				eps = append(eps, c.id)
 			}
-			fr = append(fr, i)
-			if len(fr) > limit {
-				fr = h.shrink(nb, fr, limit, sc)
+		}
+		peers := sc.peers[:0]
+		for p := lo; p < int(i); p++ {
+			if len(h.upper[p]) >= l {
+				peers = append(peers, int32(p))
 			}
-			h.nodes[nb].friends[l] = fr
 		}
-		// Next level down starts from everything this beam found.
-		eps = eps[:0]
-		for _, c := range cands {
-			eps = append(eps, c.id)
+		if len(peers) > 0 {
+			// The peers join as if the beam had found them: its efc
+			// nearest of the union are the candidates. Offered every peer,
+			// selection would keep far ones for their novel directions.
+			full := len(cands) == h.efc
+			for j, d := range h.dists(q, f.qn, peers, sc) {
+				if c := (hcand{peers[j], d}); !full || closer(c, cands[h.efc-1]) {
+					cands = append(cands, c)
+				}
+			}
+			sortCands(cands)
+			sc.res.h = cands
+			cands = cands[:min(len(cands), h.efc)]
 		}
+		sc.peers = peers
+		h.setLinks(i, l, h.selectNeighbors(cands, h.m, sc))
 	}
 	sc.eps = eps
-	if level > h.maxLevel {
-		h.entry, h.maxLevel = i, level
-	}
 }
 
-// greedyStep walks from ep to the locally closest node at level l
+// addBackLinks is phase 2 of link for one target list: keys are its
+// group, in row order, and lo the wave's first row.
+func (h *HNSW) addBackLinks(keys []uint64, lo int, sc *hnswScratch) {
+	to, l := int32(keys[0]>>32), int(keys[0]>>24&0xff)
+	fr := append(sc.links[:0], h.links(to, l)...)
+	for _, k := range keys {
+		fr = append(fr, int32(lo+int(k&0xffffff)))
+	}
+	if limit := h.levelCap(l); len(fr) > limit {
+		fr = h.shrink(to, fr, limit, sc)
+	}
+	h.setLinks(to, l, fr)
+	sc.links = fr
+}
+
+// levelCap is the most links a node keeps at level l.
+func (h *HNSW) levelCap(l int) int {
+	if l == 0 {
+		return h.mmax0
+	}
+	return h.m
+}
+
+// greedyStep walks from ep to the locally closest node at level l > 0
 // (ef = 1 descent). f carries the query's squared norm; its threshold
 // follows epDist.
 func (h *HNSW) greedyStep(q []float32, f *prefilter, ep int32, epDist float64, l int, sc *hnswScratch) (int32, float64) {
 	f.arm(-epDist)
 	for {
 		improved := false
-		for _, e := range h.nodes[ep].friends[l] {
+		for _, e := range h.upper[ep][l-1] {
 			if h.farther(f, q, e, sc) {
 				continue
 			}
@@ -369,8 +558,8 @@ func closer(a, b hcand) bool {
 // hnswScratch is the reusable per-search state: an epoch-tagged
 // visited set (cleared in O(1) by bumping the epoch), the candidate
 // min-heap, the bounded result max-heap, and small reusable slices, so
-// that a search allocates its result and an insert its new lists,
-// nothing else.
+// that a search allocates its result and an insert little beyond its
+// upper-level lists.
 type hnswScratch struct {
 	visited []uint32
 	epoch   uint32
@@ -382,6 +571,10 @@ type hnswScratch struct {
 	near    []hcand   // shrink's sorted list
 	surv    []int32   // searchLayer: the friends the float32 pass left
 	dist    []float64 // dists' result
+	peers   []int32   // searchNeighbors: the wave's earlier rows at a level
+	links   []int32   // addBackLinks: a list and its new back-links
+	keys    []uint64  // link: the wave's back-links, sorted
+	groups  []int     // link: where each target's keys start
 	// evals counts the candidates the beam and the descent considered
 	// through this scratch, rejected those the float32 pass dropped;
 	// selCmps the "closer to a kept neighbour?" comparisons of neighbour
@@ -468,10 +661,7 @@ func (h *HNSW) searchLayer(q []float32, f *prefilter, eps []int32, level, ef int
 		if len(sc.res.h) == ef && c.dist > sc.res.h[0].dist {
 			break
 		}
-		friends := h.nodes[c.id].friends
-		if level >= len(friends) {
-			continue
-		}
+		friends := h.links(c.id, level)
 		// The float32 pass runs over the whole list before anything is
 		// scored, so that the float64 chains of what it leaves overlap.
 		// The threshold it sees is the one this list started with, at
@@ -479,7 +669,7 @@ func (h *HNSW) searchLayer(q []float32, f *prefilter, eps []int32, level, ef int
 		// reached: it leaves a superset, and the extra rows fail the
 		// d < worst test below as they failed the filter.
 		surv := sc.surv[:0]
-		for _, e := range friends[level] {
+		for _, e := range friends {
 			if !sc.seen(e) && !h.farther(f, q, e, sc) {
 				surv = append(surv, e)
 			}
@@ -731,11 +921,11 @@ type HNSWGraph struct {
 func (h *HNSW) Graph() *HNSWGraph {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	friends := make([][][]int32, len(h.nodes))
-	for i := range h.nodes {
-		levels := make([][]int32, len(h.nodes[i].friends))
-		for l, links := range h.nodes[i].friends {
-			levels[l] = append([]int32(nil), links...)
+	friends := make([][][]int32, len(h.l0n))
+	for i := range friends {
+		levels := make([][]int32, 1+len(h.upper[i]))
+		for l := range levels {
+			levels[l] = append([]int32(nil), h.links(int32(i), l)...)
 		}
 		friends[i] = levels
 	}
@@ -750,35 +940,61 @@ func (h *HNSW) Graph() *HNSWGraph {
 
 // HNSWFromGraph rebinds a persisted topology to its vector store,
 // validating shape and every link so a corrupt or mismatched graph
-// fails cleanly instead of panicking at query time. efSearch and
-// workers override the persisted defaults when > 0.
+// fails cleanly instead of panicking at query time, and copies the
+// lists into the index's own storage. efSearch and workers override
+// the persisted defaults when > 0.
 func HNSWFromGraph(s *Store, g *HNSWGraph, efSearch, workers int) (*HNSW, error) {
 	if len(g.Friends) != s.Len() {
 		return nil, fmt.Errorf("vecstore: HNSW graph has %d nodes for a %d-row store", len(g.Friends), s.Len())
 	}
-	if g.M <= 0 {
-		return nil, fmt.Errorf("vecstore: HNSW graph has invalid M %d", g.M)
+	if g.M <= 0 || g.M > maxHNSWM {
+		return nil, fmt.Errorf("vecstore: HNSW graph has invalid M %d (want 1..%d)", g.M, maxHNSWM)
+	}
+	ef := g.EfSearch
+	if efSearch > 0 {
+		ef = efSearch
+	}
+	if ef <= 0 {
+		ef = defaultHNSWEf
+	}
+	h := &HNSW{
+		s:       s,
+		metric:  g.Metric,
+		m:       g.M,
+		mmax0:   2 * g.M,
+		efc:     defaultHNSWEfC,
+		ef:      ef,
+		workers: normWorkers(workers),
+		entry:   -1,
+		gamma:   dotErrorBound(s.Dim()),
+		// Incremental inserts over a rebound graph sample levels from a
+		// fresh stream (the build-time stream position is not
+		// persisted); mL depends only on M, so the distribution is
+		// identical.
+		mL:        1 / math.Log(float64(g.M)),
+		rng:       xrand.New(hnswLevelStream ^ uint64(len(g.Friends))),
+		builtMuts: s.Mutations(),
 	}
 	n := int32(s.Len())
-	entry := g.Entry
-	maxLevel := 0
-	if n == 0 {
-		entry = -1
-	} else {
-		if entry < 0 || entry >= n {
-			return nil, fmt.Errorf("vecstore: HNSW graph entry point %d out of range [0, %d)", entry, n)
+	if n > 0 {
+		if g.Entry < 0 || g.Entry >= n {
+			return nil, fmt.Errorf("vecstore: HNSW graph entry point %d out of range [0, %d)", g.Entry, n)
 		}
-		maxLevel = len(g.Friends[entry]) - 1
+		h.entry, h.maxLevel = g.Entry, len(g.Friends[g.Entry])-1
 	}
-	nodes := make([]hnswNode, s.Len())
 	for i, fr := range g.Friends {
 		if len(fr) == 0 {
 			return nil, fmt.Errorf("vecstore: HNSW graph node %d has no levels", i)
 		}
-		if len(fr)-1 > maxLevel {
-			return nil, fmt.Errorf("vecstore: HNSW graph node %d reaches level %d above the entry point's %d", i, len(fr)-1, maxLevel)
+		if len(fr)-1 > h.maxLevel {
+			return nil, fmt.Errorf("vecstore: HNSW graph node %d reaches level %d above the entry point's %d", i, len(fr)-1, h.maxLevel)
 		}
 		for l, links := range fr {
+			// A build never leaves a list above its cap, and the index
+			// holds no more.
+			if len(links) > h.levelCap(l) {
+				return nil, fmt.Errorf("vecstore: HNSW graph node %d level %d has %d links, above the level's cap %d", i, l, len(links), h.levelCap(l))
+			}
 			for _, e := range links {
 				if e < 0 || e >= n {
 					return nil, fmt.Errorf("vecstore: HNSW graph node %d level %d links to out-of-range row %d", i, l, e)
@@ -788,36 +1004,16 @@ func HNSWFromGraph(s *Store, g *HNSWGraph, efSearch, workers int) (*HNSW, error)
 				}
 			}
 		}
-		nodes[i].friends = fr
 	}
-	ef := g.EfSearch
-	if efSearch > 0 {
-		ef = efSearch
-	}
-	if ef <= 0 {
-		ef = defaultHNSWEf
+	h.grow(int(n))
+	for i, fr := range g.Friends {
+		h.upper[i] = h.newUpper(len(fr) - 1)
+		for l, links := range fr {
+			h.setLinks(int32(i), l, links)
+		}
 	}
 	s.SqNorms()
-	return &HNSW{
-		s:        s,
-		metric:   g.Metric,
-		m:        g.M,
-		mmax0:    2 * g.M,
-		efc:      defaultHNSWEfC,
-		ef:       ef,
-		workers:  normWorkers(workers),
-		entry:    entry,
-		maxLevel: maxLevel,
-		nodes:    nodes,
-		gamma:    dotErrorBound(s.Dim()),
-		// Incremental inserts over a rebound graph sample levels from a
-		// fresh stream (the build-time stream position is not
-		// persisted); mL depends only on M, so the distribution is
-		// identical.
-		mL:        1 / math.Log(float64(g.M)),
-		rng:       xrand.New(hnswLevelStream ^ uint64(len(g.Friends))),
-		builtMuts: s.Mutations(),
-	}, nil
+	return h, nil
 }
 
 // ---- Heaps ----------------------------------------------------------

@@ -172,6 +172,51 @@ func FuzzHNSWFilterParity(f *testing.F) {
 	})
 }
 
+// unfilteredWaves is unfilteredHNSW for a store past serialRows: NewHNSW's
+// wave build of s, in an index whose bound was forced to +Inf before
+// the first row was linked.
+func unfilteredWaves(t testing.TB, s *Store, metric Metric, cfg HNSWConfig) *HNSW {
+	t.Helper()
+	h, err := NewHNSW(New(0, s.Dim()), metric, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.gamma = math.Inf(1)
+	h.s.Append(s.Data())
+	h.grow(s.Len())
+	h.build(0, s.Len())
+	return h
+}
+
+// TestHNSWWaveFilterParity is TestHNSWFilterParity for stores large
+// enough that NewHNSW links rows in waves of several: on scan_test.go's
+// adversarial stores, for every metric, at both configurations, the
+// filtered wave build has the unfiltered one's adjacency and answers.
+func TestHNSWWaveFilterParity(t *testing.T) {
+	n := serialRows + 10*waveSize(serialRows) + 5 // ten waves of several, the last cut short
+	for name, cfg := range map[string]HNSWConfig{"M=6": filterCfg, "M=2": tightCfg} {
+		for _, dim := range []int{1, 7, 64, 67} {
+			for kind, e := range adversarialStores(n, dim, uint64(dim)) {
+				for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+					what := fmt.Sprintf("%s dim %d %s %v", name, dim, kind, metric)
+					got, err := NewHNSW(e.s, metric, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := unfilteredWaves(t, e.s, metric, cfg)
+					checkSameGraph(t, what, got, want)
+					for qi, q := range e.qs {
+						checkSameResults(t, fmt.Sprintf("%s query %d", what, qi), got.Search(q, 10), want.Search(q, 10))
+					}
+					for _, i := range []int{0, n / 2, n - 1} {
+						checkSameResults(t, fmt.Sprintf("%s row %d", what, i), got.SearchRow(i, 10), want.SearchRow(i, 10))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHNSWFilterRejectsCandidates holds the filter to its purpose: on
 // a clustered store at the default beam widths at least 30% of the
 // candidates a query considers are dropped on the float32 pass, so a

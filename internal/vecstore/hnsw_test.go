@@ -1,6 +1,9 @@
 package vecstore
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"v2v/internal/xrand"
@@ -68,27 +71,163 @@ func TestHNSWRecallAtLeast95(t *testing.T) {
 	}
 }
 
-func TestHNSWDeterministicAcrossWorkerCounts(t *testing.T) {
-	s := clusteredStore(3000, 16, 20, 83)
-	build := func(workers int) *HNSW {
-		h, err := NewHNSW(s, Cosine, HNSWConfig{Seed: 3, Workers: workers, M: 8, EfConstruction: 60})
+// buildSameAcrossWorkers builds s's graph at Workers 1, 2, 3, 4 and 8
+// and fails unless every build is the first one, link for link; it
+// returns the Workers-1 build.
+func buildSameAcrossWorkers(t *testing.T, what string, s *Store, metric Metric, cfg HNSWConfig) *HNSW {
+	t.Helper()
+	var first *HNSW
+	var want uint64
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		cfg.Workers = workers
+		h, err := NewHNSW(s, metric, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h
-	}
-	a, b := build(1), build(8)
-	for _, row := range []int{0, 123, 2999} {
-		ra, rb := a.SearchRow(row, 10), b.SearchRow(row, 10)
-		if len(ra) != len(rb) {
-			t.Fatalf("row %d: result counts differ: %d vs %d", row, len(ra), len(rb))
+		got := graphHash(h.Graph())
+		if first == nil {
+			first, want = h, got
+		} else if got != want {
+			t.Fatalf("%s: graph hash %#016x at Workers %d, %#016x at Workers 1", what, got, workers, want)
 		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("row %d rank %d differs across build workers: %+v vs %+v", row, i, ra[i], rb[i])
+	}
+	return first
+}
+
+// TestHNSWDeterministicAcrossWorkerCounts holds the whole graph, every
+// link at every level and the entry point, to the one-worker build's
+// for every metric: the rows of a wave are spread over the workers in
+// whatever order they finish, and none of that may show.
+func TestHNSWDeterministicAcrossWorkerCounts(t *testing.T) {
+	s := clusteredStore(3000, 16, 20, 83)
+	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+		buildSameAcrossWorkers(t, metric.String(), s, metric, HNSWConfig{Seed: 3, M: 8, EfConstruction: 60})
+	}
+}
+
+// checkAnswers holds h's Search, SearchRow and SearchBatch to the
+// answer counts the store size implies, and the batch to the single
+// queries. Where every distance ties (tied, says so), ties go to the
+// smaller ID, so every list points into the smallest IDs and those
+// point only at one another: a search finds at most that component,
+// which a sequential build makes the same way, and SearchRow of one of
+// its rows may come up one short.
+func checkAnswers(t *testing.T, what string, h *HNSW, k int, tied bool) {
+	t.Helper()
+	n := h.Store().Len()
+	var qs [][]float32
+	for _, i := range []int{0, n / 2, n - 1} {
+		if n == 0 {
+			break
+		}
+		qs = append(qs, h.Store().Row(i))
+		if got := h.Search(h.Store().Row(i), k); len(got) != min(k, n) {
+			t.Fatalf("%s: Search(row %d) gave %d results, want %d", what, i, len(got), min(k, n))
+		}
+		got := h.SearchRow(i, k)
+		if want := min(k, n-1); len(got) != want && !(tied && len(got) == want-1) {
+			t.Fatalf("%s: SearchRow(%d) gave %d results, want %d", what, i, len(got), want)
+		}
+		for _, r := range got {
+			if r.ID == i {
+				t.Fatalf("%s: SearchRow(%d) returned itself", what, i)
 			}
 		}
 	}
+	if n == 0 {
+		qs = append(qs, make([]float32, h.Store().Dim()))
+	}
+	batch := h.SearchBatch(qs, k)
+	for i, q := range qs {
+		checkSameResults(t, fmt.Sprintf("%s: batch query %d", what, i), batch[i], h.Search(q, k))
+	}
+}
+
+// waveLevels replays the build's level stream for n rows: the level of
+// every row, in row order.
+func waveLevels(n int, cfg HNSWConfig) []int {
+	rng := xrand.New(cfg.Seed ^ hnswLevelStream)
+	mL := 1 / math.Log(float64(cfg.M))
+	levels := make([]int, n)
+	for i := range levels {
+		levels[i] = sampleLevel(rng, mL)
+	}
+	return levels
+}
+
+// tallWave finds a seed whose level stream puts exactly two rows above
+// the top level of the rows before them into one wave of several, the
+// first at least as high as the second; end is the wave's end, and seed
+// 0 means no seed up to 500 does.
+func tallWave(cfg HNSWConfig) (seed uint64, first, second, top, end int) {
+	for seed = 1; seed <= 500; seed++ {
+		cfg.Seed = seed
+		levels := waveLevels(2000, cfg)
+		top = 0
+		for lo := 0; lo < len(levels); lo = end {
+			end = min(len(levels), lo+waveSize(lo))
+			var above []int
+			for i := lo; i < end; i++ {
+				if levels[i] > top {
+					above = append(above, i)
+				}
+			}
+			if end-lo > 1 && len(above) == 2 && levels[above[0]] >= levels[above[1]] {
+				return seed, above[0], above[1], top, end
+			}
+			top = max(top, slices.Max(levels[lo:end]))
+		}
+	}
+	return 0, 0, 0, 0, 0
+}
+
+// TestHNSWWaveEdgeCases builds the shapes where a wave could go wrong at
+// Workers 1, 2, 3, 4 and 8, holds the graphs to one another and the
+// answers to the store: stores of 0, 1 and 2 rows; stores ending at,
+// just past and one wave past the last one-row wave; a wave in which
+// two rows rise above the graph's top level; all rows identical; all
+// rows zero under Cosine.
+func TestHNSWWaveEdgeCases(t *testing.T) {
+	cfg := HNSWConfig{Seed: 5, M: 4, EfConstruction: 16, EfSearch: 16}
+	for _, n := range []int{0, 1, 2, serialRows, serialRows + 1, serialRows + waveSize(serialRows) + 1} {
+		what := fmt.Sprintf("n=%d", n)
+		checkAnswers(t, what, buildSameAcrossWorkers(t, what, randStore(n, 8, uint64(n)), Cosine, cfg), 10, false)
+	}
+
+	identical := New(serialRows+100, 8)
+	zero := New(serialRows+100, 8)
+	for i := 0; i < identical.Len(); i++ {
+		copy(identical.Row(i), []float32{1, -2, 3, -4, 5, -6, 7, -8})
+	}
+	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+		what := "identical rows " + metric.String()
+		checkAnswers(t, what, buildSameAcrossWorkers(t, what, identical, metric, cfg), 10, true)
+	}
+	checkAnswers(t, "zero rows", buildSameAcrossWorkers(t, "zero rows", zero, Cosine, cfg), 10, true)
+
+	// Two rows rise above the top level in one wave, the first at least
+	// as high as the second: sequential insertion makes the first the
+	// entry point and links the two on every level above the old top,
+	// where nothing else lives.
+	tall := HNSWConfig{M: 2, EfConstruction: 8, EfSearch: 16}
+	var first, second, oldTop, end int
+	tall.Seed, first, second, oldTop, end = tallWave(tall)
+	if tall.Seed == 0 {
+		t.Fatal("no seed puts two rows above the top level into one wave")
+	}
+	t.Logf("tall wave: seed %d, rows %d and %d above level %d, wave ends at %d", tall.Seed, first, second, oldTop, end)
+	h := buildSameAcrossWorkers(t, "tall wave", randStore(end, 8, 11), Euclidean, tall)
+	levels := waveLevels(end, tall)
+	if h.entry != int32(first) || h.maxLevel != levels[first] {
+		t.Fatalf("entry point %d at level %d, want row %d at level %d", h.entry, h.maxLevel, first, levels[first])
+	}
+	for l := oldTop + 1; l <= levels[second]; l++ {
+		if !slices.Equal(h.links(int32(second), l), []int32{int32(first)}) || !slices.Equal(h.links(int32(first), l), []int32{int32(second)}) {
+			t.Fatalf("rows %d and %d are alone at level %d above the old top %d, yet link to %v and %v",
+				first, second, l, oldTop, h.links(int32(first), l), h.links(int32(second), l))
+		}
+	}
+	checkAnswers(t, "tall wave", h, 10, false)
 }
 
 func TestHNSWSearchBatchMatchesSingle(t *testing.T) {
@@ -282,6 +421,22 @@ func TestHNSWFromGraphRejectsCorruptTopology(t *testing.T) {
 		{"invalid M", func(g *HNSWGraph) { g.M = 0 }},
 		{"link out of range", func(g *HNSWGraph) { g.Friends[0][0][0] = 42 }},
 		{"negative link", func(g *HNSWGraph) { g.Friends[0][0][0] = -3 }},
+		// Valid rows, one more than the level holds: 2*M at level 0, M
+		// above (the entry point reaches level 1 and may link to itself
+		// as far as the row checks go).
+		{"level 0 over its cap", func(g *HNSWGraph) {
+			for len(g.Friends[0][0]) <= 2*g.M {
+				g.Friends[0][0] = append(g.Friends[0][0], 1)
+			}
+		}},
+		{"level 1 over its cap", func(g *HNSWGraph) {
+			for len(g.Friends[g.Entry][1]) <= g.M {
+				g.Friends[g.Entry][1] = append(g.Friends[g.Entry][1], g.Entry)
+			}
+		}},
+	}
+	if len(h.Graph().Friends[h.Graph().Entry]) < 2 {
+		t.Fatal("the test graph's entry point does not reach level 1")
 	}
 	for _, tc := range cases {
 		g := fresh()
