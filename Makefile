@@ -5,11 +5,11 @@
 
 GO      ?= go
 BENCH_OUT ?= .bench_build/report.json
-BENCH_PKGS ?= ./internal/walk ./internal/word2vec ./internal/f32 ./internal/vecstore ./internal/knn \
+BENCH_PKGS ?= . ./internal/walk ./internal/word2vec ./internal/f32 ./internal/vecstore ./internal/knn \
 	./internal/snapshot ./internal/server
 
 .PHONY: build test race vet check-benchmark bench bench-smoke serve-smoke router-smoke crash-smoke \
-	crash-smoke-short crash-smoke-sharded wal-fuzz scan-fuzz hnsw-fuzz snapshot-fuzz shard-wire-fuzz clean
+	crash-smoke-short crash-smoke-sharded fuzz clean
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,7 @@ check-benchmark:
 
 # The whole module under the race detector. Hogwild training
 # serialises itself under -race (internal/word2vec/race_off.go), so
-# the trainer's runs check the streaming machinery, not SGD; vecstore
+# the trainer's runs check the walk producers, not SGD; vecstore
 # takes most of the time.
 race:
 	$(GO) test -race ./...
@@ -74,48 +74,25 @@ crash-smoke-short:
 crash-smoke-sharded:
 	$(GO) test -short -run TestShardedCrashRecoveryE2E -count 1 -v .
 
-# WAL replay fuzz smoke: a short bounded -fuzz run over the frame
-# decoder (the corpus seeds cover the torn/corrupt taxonomy; the fuzz
-# engine mutates from there). CI runs this on every push — crashes
-# land in internal/wal/testdata/fuzz for reproduction.
+# Fuzz smoke: every fuzz target of every package, found with
+# `go test -list`, runs for FUZZTIME in turn. They cover each decoder
+# that reads bytes from disk or the network (the WAL frames, the
+# snapshot's graph, model and sharded sections, the walk-corpus text,
+# the shard wire, the /metrics exposition) and the float32 prefilter
+# parity of the exact scan and HNSW. Minimizing a failure is capped at
+# 10 runs: a target that keeps state between inputs (the shard wire's
+# live shard) does not replay an input the same way twice, so an
+# uncapped minimization eats the budget. Crashes land in the package's
+# testdata/fuzz for reproduction.
 FUZZTIME ?= 15s
-wal-fuzz:
-	$(GO) test -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
-
-# Exact-scan prefilter fuzz smoke: stores and queries read out of raw
-# float32 bits (NaNs, infinities, subnormals, near-overflow
-# magnitudes); the filtered scan must return the IDs and score bits of
-# scoring every row in float64. Then the bound's two tests on their
-# own, thresholds out of raw bits too: "provably below" and "provably
-# above" may never contradict the float64 score, nor each other.
-scan-fuzz:
-	$(GO) test -run FuzzScanFilterParity -fuzz FuzzScanFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
-	$(GO) test -run FuzzPrefilterSides -fuzz FuzzPrefilterSides -fuzztime $(FUZZTIME) ./internal/vecstore
-
-# HNSW prefilter fuzz smoke: the same raw-bits stores; an index built
-# and queried behind the float32 filter must have the adjacency, IDs
-# and score bits of one that scores every candidate in float64.
-hnsw-fuzz:
-	$(GO) test -run FuzzHNSWFilterParity -fuzz FuzzHNSWFilterParity -fuzztime $(FUZZTIME) ./internal/vecstore
-
-# Snapshot decoder fuzz smoke: arbitrary bytes at the decoders a server
-# start-up reads its model and index from — the graph section, the
-# model section as a stream of unknown length, the sharded section; no
-# panic, no allocation sized by a count the stream has not backed, and
-# what is accepted (an in-range graph, a model) saves back to the bytes
-# it came from.
-snapshot-fuzz:
-	$(GO) test -run '^FuzzLoadIndex$$' -fuzz '^FuzzLoadIndex$$' -fuzztime $(FUZZTIME) ./internal/snapshot
-	$(GO) test -run '^FuzzLoadSnapshot$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/snapshot
-	$(GO) test -run '^FuzzLoadShardedIndex$$' -fuzz '^FuzzLoadShardedIndex$$' -fuzztime $(FUZZTIME) ./internal/snapshot
-
-# Shard wire fuzz smoke: arbitrary bodies at the five /shard/v1/*
-# request decoders of a live shard; none may panic, answer 5xx, or be
-# accepted with a vector that is not exactly the shard's dimension.
-# The shard keeps the writes it accepts, so an input does not replay
-# the same way twice: minimizing one is capped, or it eats the budget.
-shard-wire-fuzz:
-	$(GO) test -run FuzzShardWire -fuzz FuzzShardWire -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/server
+fuzz:
+	@set -e; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$targets" | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 10x $$pkg; \
+		done; \
+	done
 
 # The repository's benchmark: all six BENCHMARK.json workloads against
 # the real binary, the full report in BENCH_OUT. Compare two reports

@@ -416,10 +416,11 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	}
 }
 
-// ---- Streaming pipeline (docs/STREAMING.md) --------------------------
+// ---- Walk corpus (docs/STREAMING.md) ----------------------------------
 
 // streamBench caches a ~1M-edge Barabási–Albert graph (100k vertices,
-// m = 10) shared by the streaming benchmarks; -short scales it down.
+// m = 10) shared by the walk-stage and pipeline benchmarks; -short
+// scales it down.
 var streamBench struct {
 	once sync.Once
 	g    *Graph
@@ -446,9 +447,9 @@ func streamBenchOptions() Options {
 	return o
 }
 
-// BenchmarkWalkStageMaterialized measures the corpus stage of the
-// original pipeline on the 1M-edge graph: every token is buffered
-// before training can start, so B/op grows with the walk budget.
+// BenchmarkWalkStageMaterialized measures materializing the stream on
+// the 1M-edge graph (GenerateWalks, what saving walks costs): every
+// token is buffered, so B/op grows with the walk budget.
 func BenchmarkWalkStageMaterialized(b *testing.B) {
 	g := streamBenchGraph(b)
 	opts := streamBenchOptions()
@@ -467,8 +468,8 @@ func BenchmarkWalkStageMaterialized(b *testing.B) {
 
 // BenchmarkWalkStageStreaming drains the identical walks through the
 // stream's bounded buffers, sharded over GOMAXPROCS consumers like the
-// fused trainer: B/op is workers x StreamDepth x StreamBatch x Length,
-// independent of the total token count.
+// trainer: B/op is workers x 2 batches x 64 walks x Length, independent
+// of the total token count.
 func BenchmarkWalkStageStreaming(b *testing.B) {
 	g := streamBenchGraph(b)
 	opts := streamBenchOptions()
@@ -505,60 +506,50 @@ func BenchmarkWalkStageStreaming(b *testing.B) {
 }
 
 // BenchmarkPipeline1MEdges runs the full walk+train pipeline on the
-// 1M-edge graph both ways. The streaming path never materializes the
-// corpus (it pays one extra walk sweep for the counting pass instead),
-// so peakHeapMB — the maximum heap in use, sampled every 10ms during
-// the run — stays at the model matrices' floor while the materialized
-// path's peak additionally carries the full token corpus.
+// 1M-edge graph. The corpus is never materialized (the pipeline pays
+// one extra walk sweep for the counting pass instead), so peakHeapMB —
+// the maximum heap in use, sampled every 10ms during the run — stays
+// at the model matrices' floor.
 func BenchmarkPipeline1MEdges(b *testing.B) {
 	g := streamBenchGraph(b)
-	for _, streaming := range []bool{false, true} {
-		name := "materialized"
-		if streaming {
-			name = "streaming"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := streamBenchOptions()
-			opts.Streaming = streaming
-			runtime.GC()
-			stop := make(chan struct{})
-			var peak uint64
-			var samplerWg sync.WaitGroup
-			samplerWg.Add(1)
-			go func() {
-				defer samplerWg.Done()
-				var ms runtime.MemStats
-				t := time.NewTicker(10 * time.Millisecond)
-				defer t.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-t.C:
-						runtime.ReadMemStats(&ms)
-						if ms.HeapInuse > peak {
-							peak = ms.HeapInuse
-						}
-					}
-				}
-			}()
-			var emb *Embedding
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				emb, err = Embed(g, opts)
-				if err != nil {
-					b.Fatal(err)
+	opts := streamBenchOptions()
+	runtime.GC()
+	stop := make(chan struct{})
+	var peak uint64
+	var samplerWg sync.WaitGroup
+	samplerWg.Add(1)
+	go func() {
+		defer samplerWg.Done()
+		var ms runtime.MemStats
+		t := time.NewTicker(10 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				runtime.ReadMemStats(&ms)
+				if ms.HeapInuse > peak {
+					peak = ms.HeapInuse
 				}
 			}
-			b.StopTimer()
-			close(stop)
-			samplerWg.Wait()
-			b.ReportMetric(float64(emb.Tokens)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mtokens/s")
-			b.ReportMetric(float64(peak)/(1<<20), "peakHeapMB")
-		})
+		}
+	}()
+	var emb *Embedding
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		emb, err = Embed(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	close(stop)
+	samplerWg.Wait()
+	b.ReportMetric(float64(emb.Tokens)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mtokens/s")
+	b.ReportMetric(float64(peak)/(1<<20), "peakHeapMB")
 }
 
 // ---- helpers ---------------------------------------------------------

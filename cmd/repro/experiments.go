@@ -26,7 +26,6 @@ func (p params) embedOptions(dim int) v2v.Options {
 	o.WalksPerVertex = p.walksPerVertex
 	o.WalkLength = p.walkLength
 	o.Epochs = p.epochs
-	o.Streaming = p.streaming
 	o.Seed = p.seed + uint64(dim)*7919
 	return o
 }
@@ -86,28 +85,18 @@ func runFig4(p params, out string) error {
 	return nil
 }
 
-// sharedWalkEmbedder prepares one walk set generated under
+// sharedWalkEmbedder prepares one walk set under
 // p.embedOptions(seedDim) and returns an embed function that trains
 // any dimension on that same set — the paper's dimension-sweep
-// protocol. Materialized mode generates the corpus once and reuses
-// it; with -streaming a stream re-derives identical walks per model
-// so the set is never buffered.
+// protocol. The set is one stream: every model re-derives identical
+// walks, and none is stored.
 func (p params) sharedWalkEmbedder(g *v2v.Graph, seedDim int) (func(dim int) (*v2v.Embedding, error), error) {
-	if p.streaming {
-		stream, err := v2v.StreamWalks(g, p.embedOptions(seedDim))
-		if err != nil {
-			return nil, err
-		}
-		return func(dim int) (*v2v.Embedding, error) {
-			return v2v.EmbedWalkStream(g, stream, p.embedOptions(dim))
-		}, nil
-	}
-	corpus, err := v2v.GenerateWalks(g, p.embedOptions(seedDim))
+	stream, err := v2v.StreamWalks(g, p.embedOptions(seedDim))
 	if err != nil {
 		return nil, err
 	}
 	return func(dim int) (*v2v.Embedding, error) {
-		return v2v.EmbedWalks(g, corpus, p.embedOptions(dim))
+		return v2v.EmbedWalks(g, stream, p.embedOptions(dim))
 	}, nil
 }
 

@@ -5,15 +5,14 @@
 // Usage:
 //
 //	repro [-exp all|table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10]
-//	      [-scale small|medium|paper] [-out results] [-streaming] [-seed N]
+//	      [-scale small|medium|paper] [-out results] [-seed N]
 //
 // Scale controls graph sizes and walk budgets: "small" finishes in
 // well under a minute, "medium" (default) in a few minutes, "paper"
 // approaches the paper's sizes (1000-vertex benchmark graphs, a
-// 10k-airport route network) and takes correspondingly longer. With
-// -streaming every embedding runs through the fused walk→train
-// pipeline (docs/STREAMING.md); results are identical by construction,
-// memory stays bounded at paper scale. The paper's absolute runtimes
+// 10k-airport route network) and takes correspondingly longer. Walks
+// are streamed, never stored (docs/STREAMING.md), so memory stays
+// bounded at paper scale. The paper's absolute runtimes
 // are not reproducible (different hardware and a different word2vec
 // implementation); the *shapes* of every table and figure are. See
 // docs/EXPERIMENTS.md for the section-by-section command mapping.
@@ -30,11 +29,10 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run: all, table1, fig3..fig10")
-		scale     = flag.String("scale", "medium", "small, medium or paper")
-		out       = flag.String("out", "results", "output directory")
-		streaming = flag.Bool("streaming", false, "run every embedding through the fused streaming pipeline (docs/STREAMING.md)")
-		seed      = flag.Uint64("seed", 1, "master random seed")
+		exp   = flag.String("exp", "all", "experiment to run: all, table1, fig3..fig10")
+		scale = flag.String("scale", "medium", "small, medium or paper")
+		out   = flag.String("out", "results", "output directory")
+		seed  = flag.Uint64("seed", 1, "master random seed")
 	)
 	flag.Parse()
 
@@ -43,7 +41,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(2)
 	}
-	p.streaming = *streaming
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
@@ -88,8 +85,7 @@ func main() {
 
 // params bundles every scale-dependent knob.
 type params struct {
-	seed      uint64
-	streaming bool // fused walk→train pipeline for every embedding
+	seed uint64
 
 	// Synthetic benchmark (paper: 10 x 100, 200 inter edges).
 	communities   int

@@ -9,7 +9,7 @@
 //	    [-walks 10] [-length 80] [-window 5] [-epochs 3] [-directed]
 //	    [-named]
 //	    [-strategy uniform|edge-weighted|vertex-weighted|temporal|node2vec]
-//	    [-objective cbow|skipgram] [-sampler ns|hs] [-streaming] [-seed 1]
+//	    [-objective cbow|skipgram] [-sampler ns|hs] [-seed 1]
 //	    [-v]
 //
 // -v prints one line per stage to stderr: graph load, walk generation
@@ -191,7 +191,6 @@ func trainMain() {
 		q         = flag.Float64("q", 1, "node2vec in-out parameter")
 		objective = flag.String("objective", "cbow", "cbow or skipgram")
 		sampler   = flag.String("sampler", "ns", "ns (negative sampling) or hs (hierarchical softmax)")
-		streaming = flag.Bool("streaming", false, "fused walk→train pipeline: regenerate walks on the fly instead of materializing the corpus (see docs/STREAMING.md)")
 		format    = flag.String("format", "text", "output format: text (word2vec) or bin (binary snapshot, ~10x faster to load)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		verbose   = flag.Bool("v", false, "log one line per stage (graph load, walks, each epoch, save) to stderr")
@@ -234,7 +233,6 @@ func trainMain() {
 	opts.TemporalWindow = *window64
 	opts.ReturnParam = *p
 	opts.InOutParam = *q
-	opts.Streaming = *streaming
 	opts.Seed = *seed
 	switch *strategy {
 	case "uniform":
@@ -272,8 +270,8 @@ func trainMain() {
 		fatal(err)
 	}
 	if *verbose {
-		// On the streaming path the walk stage is the counting pass
-		// only; the walks are regenerated inside every epoch.
+		// The walk stage is the counting pass; the walks are
+		// regenerated inside every epoch.
 		fmt.Fprintf(os.Stderr, "walks: %d tokens in %v (%.1f Mtok/s)\n",
 			emb.Tokens, emb.WalkTime.Round(time.Microsecond), mega(emb.Tokens, emb.WalkTime))
 		for i, d := range emb.Stats.EpochDurations {

@@ -27,14 +27,6 @@ type Config struct {
 	Walk  walk.Config
 	Model word2vec.Config
 
-	// Streaming fuses the two stages: walks are re-derived from their
-	// deterministic RNG streams each epoch and fed to the trainer
-	// through bounded buffers, instead of materializing the full token
-	// corpus first. Same seed, same result (bit-identical with
-	// Workers = 1); memory bounded by workers x buffers instead of
-	// total tokens. See docs/STREAMING.md.
-	Streaming bool
-
 	// Index selects the similarity index the embedding's query paths
 	// (Neighbors, missing-label prediction) are served by. The zero
 	// value is the exact index; Kind = vecstore.KindIVF trades exact
@@ -60,9 +52,9 @@ type Embedding struct {
 	Model *word2vec.Model
 	Stats *word2vec.Stats
 
-	// WalkTime is the corpus-generation wall clock. On the streaming
-	// path it covers only the counting pass; the per-epoch walk
-	// regeneration is fused into training and lands in TrainTime.
+	// WalkTime is the wall clock of Embed's counting pass, one sweep
+	// over the walks; the walks are re-derived inside every epoch, so
+	// their generation lands in TrainTime too.
 	WalkTime  time.Duration
 	TrainTime time.Duration // CBOW training wall clock
 	Tokens    int           // corpus size in vertex occurrences
@@ -130,34 +122,12 @@ func (cfg Config) modelConfig() word2vec.Config {
 	return mcfg
 }
 
-// Embed runs the full V2V pipeline on g, dispatching on cfg.Streaming
-// between the materialized and the fused streaming path.
+// Embed runs the full V2V pipeline on g: it streams the walks of
+// cfg.Walk, runs the counting pass the trainer needs (exact token
+// count and per-vertex counts), then trains on the stream, each epoch
+// re-deriving the walks into bounded buffers. Corpus memory is
+// workers x a few batches of walks, whatever the walk budget.
 func Embed(g *graph.Graph, cfg Config) (*Embedding, error) {
-	if cfg.Streaming {
-		return EmbedStreaming(g, cfg)
-	}
-	corpus, walkTime, err := GenerateCorpus(g, cfg.Walk)
-	if err != nil {
-		return nil, err
-	}
-	emb, err := EmbedCorpus(g, corpus, cfg)
-	if err != nil {
-		return nil, err
-	}
-	emb.WalkTime = walkTime
-	return emb, nil
-}
-
-// EmbedStreaming runs the fused pipeline: a counting pass derives the
-// exact token statistics the trainer needs (learning-rate budget,
-// negative-sampling distribution), then every epoch regenerates the
-// walks from their per-walk RNG streams and feeds them to the trainer
-// through bounded buffers. Peak corpus-stage memory is
-// workers x StreamDepth x StreamBatch x Length tokens, independent of
-// the total corpus size. With identical seeds the embedding is
-// bit-identical to Embed's when Workers = 1 (Hogwild races make
-// multi-worker training nondeterministic on both paths).
-func EmbedStreaming(g *graph.Graph, cfg Config) (*Embedding, error) {
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("core: empty graph")
 	}
@@ -171,7 +141,7 @@ func EmbedStreaming(g *graph.Graph, cfg Config) (*Embedding, error) {
 	if tokens == 0 {
 		return nil, fmt.Errorf("core: walk generation produced an empty corpus")
 	}
-	emb, err := EmbedStream(g, stream, cfg)
+	emb, err := EmbedCorpus(g, stream, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -179,45 +149,19 @@ func EmbedStreaming(g *graph.Graph, cfg Config) (*Embedding, error) {
 	return emb, nil
 }
 
-// EmbedStream trains an embedding on a pre-built walk stream, the
-// streaming counterpart of EmbedCorpus: protocols that train several
-// models "in the same set of random walk paths" (the paper's Figure 9
-// dimension sweep) share one stream the way they would share one
-// corpus, re-deriving identical walks per model instead of buffering
-// them. Only cfg.Model is consulted (plus cfg.Walk.Seed for default
-// seeding); the walk configuration lives in the stream.
-func EmbedStream(g *graph.Graph, stream *walk.Stream, cfg Config) (*Embedding, error) {
-	if g.NumVertices() == 0 {
-		return nil, fmt.Errorf("core: empty graph")
-	}
-	model, stats, err := word2vec.TrainStreaming(stream, g.NumVertices(), cfg.modelConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Embedding{
-		Graph:     g,
-		Model:     model,
-		Stats:     stats,
-		TrainTime: stats.Duration,
-		Tokens:    stream.NumTokens(),
-		IndexCfg:  cfg.Index,
-	}, nil
-}
-
-// GenerateCorpus runs only the walk phase, returning the corpus and
-// its generation time. The paper's Figure 9 experiment trains models
-// of many dimensionalities "in the same set of random walk paths";
-// generate once and pass the corpus to EmbedCorpus per model.
+// GenerateCorpus runs only the walk phase, returning the materialized
+// corpus and its generation time, for callers that save walks or need
+// random access.
 func GenerateCorpus(g *graph.Graph, cfg walk.Config) (*walk.Corpus, time.Duration, error) {
 	if g.NumVertices() == 0 {
 		return nil, 0, fmt.Errorf("core: empty graph")
 	}
-	gen, err := walk.NewGenerator(g, cfg)
+	stream, err := walk.NewStream(g, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
 	start := time.Now()
-	corpus := gen.Generate()
+	corpus := stream.Materialize()
 	walkTime := time.Since(start)
 	if corpus.NumTokens() == 0 {
 		return nil, 0, fmt.Errorf("core: walk generation produced an empty corpus")
@@ -225,9 +169,12 @@ func GenerateCorpus(g *graph.Graph, cfg walk.Config) (*walk.Corpus, time.Duratio
 	return corpus, walkTime, nil
 }
 
-// EmbedCorpus trains an embedding on a pre-generated corpus. Only
-// cfg.Model is consulted (plus cfg.Walk.Seed for default seeding).
-func EmbedCorpus(g *graph.Graph, corpus *walk.Corpus, cfg Config) (*Embedding, error) {
+// EmbedCorpus trains an embedding on pre-built walks — a *walk.Stream
+// or a *walk.Corpus. The paper's Figure 9 experiment trains models of
+// many dimensionalities "in the same set of random walk paths": pass
+// the same walks to EmbedCorpus per model. Only cfg.Model is consulted
+// (plus cfg.Walk.Seed for default seeding).
+func EmbedCorpus(g *graph.Graph, corpus word2vec.Corpus, cfg Config) (*Embedding, error) {
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("core: empty graph")
 	}

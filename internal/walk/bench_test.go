@@ -19,14 +19,14 @@ func benchGraph(b *testing.B) *graph.Graph {
 // the paper's 1000-vertex benchmark (reported per generated token).
 func BenchmarkGenerateUniform(b *testing.B) {
 	g := benchGraph(b)
-	gen, err := NewGenerator(g, Config{WalksPerVertex: 5, Length: 80, Seed: 2})
+	s, err := NewStream(g, Config{WalksPerVertex: 5, Length: 80, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var tokens int
 	for i := 0; i < b.N; i++ {
-		c := gen.Generate()
+		c := s.Materialize()
 		tokens = c.NumTokens()
 	}
 	b.ReportMetric(float64(tokens), "tokens/corpus")
@@ -36,13 +36,13 @@ func BenchmarkGenerateUniform(b *testing.B) {
 // the parallel speedup.
 func BenchmarkGenerateUniformSerial(b *testing.B) {
 	g := benchGraph(b)
-	gen, err := NewGenerator(g, Config{WalksPerVertex: 5, Length: 80, Seed: 2, Workers: 1})
+	s, err := NewStream(g, Config{WalksPerVertex: 5, Length: 80, Seed: 2, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen.Generate()
+		s.Materialize()
 	}
 }
 
@@ -55,13 +55,13 @@ func BenchmarkGenerateEdgeWeighted(b *testing.B) {
 		gb.AddWeightedEdge(e.From, e.To, rng.Float64()+0.1)
 	}
 	g := gb.Build()
-	gen, err := NewGenerator(g, Config{WalksPerVertex: 5, Length: 80, Strategy: EdgeWeighted, Seed: 4})
+	s, err := NewStream(g, Config{WalksPerVertex: 5, Length: 80, Strategy: EdgeWeighted, Seed: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen.Generate()
+		s.Materialize()
 	}
 }
 
@@ -69,7 +69,7 @@ func BenchmarkGenerateEdgeWeighted(b *testing.B) {
 // walk.
 func BenchmarkGenerateNode2Vec(b *testing.B) {
 	g := benchGraph(b)
-	gen, err := NewGenerator(g, Config{
+	s, err := NewStream(g, Config{
 		WalksPerVertex: 5, Length: 80, Strategy: Node2Vec,
 		ReturnParam: 0.5, InOutParam: 2, Seed: 5,
 	})
@@ -78,7 +78,7 @@ func BenchmarkGenerateNode2Vec(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen.Generate()
+		s.Materialize()
 	}
 }
 
@@ -93,13 +93,13 @@ func BenchmarkGenerateTemporal(b *testing.B) {
 		gb.AddTemporalEdge(e.To, e.From, 1, int64(rng.Intn(100000)))
 	}
 	g := gb.Build()
-	gen, err := NewGenerator(g, Config{WalksPerVertex: 5, Length: 80, Strategy: Temporal, Seed: 7})
+	s, err := NewStream(g, Config{WalksPerVertex: 5, Length: 80, Strategy: Temporal, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen.Generate()
+		s.Materialize()
 	}
 }
 

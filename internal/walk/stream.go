@@ -10,56 +10,35 @@ import (
 	"v2v/internal/xrand"
 )
 
-// Default streaming knobs; see docs/STREAMING.md for tuning guidance.
+// A WalkSeq producer hands its reader batches of batchWalks walks and
+// runs at most batchDepth batches ahead, so one reader's buffers hold
+// batchDepth x batchWalks x Length tokens however many walks it reads.
+// Two batches let the producer fill one while the reader drains the
+// other; 64 walks make the handoff rare next to the walking.
 const (
-	defaultStreamBatch = 64 // walks per producer batch
-	defaultStreamDepth = 2  // batches buffered per shard
+	batchWalks = 64
+	batchDepth = 2
 )
 
-// Stream produces the same corpus as Generator.Generate without ever
-// materializing it: every walk is re-derived on demand from its
-// deterministic RNG stream (seed, walkID), so walk i of a Stream is
-// byte-identical to Walk(i) of the materialized corpus under the same
-// Config. Memory is bounded by shards x StreamDepth x StreamBatch x
-// Length tokens instead of the total token count, which is what lets
-// the pipeline embed million-edge graphs under the paper's walk
-// budgets.
-//
-// A Stream satisfies word2vec.StreamingCorpus structurally; pass it to
-// word2vec.TrainStreaming, or use core.Config.Streaming / the
-// v2v.EmbedStreaming facade.
+// Stream is the walks of a graph under a Config, never stored: walk i
+// is re-derived from its own RNG stream (Seed, i) each time it is read,
+// so every read of it — by WalkSeq, Counts or Materialize, from any
+// shard — has the same tokens, whatever Workers is. It is the input
+// word2vec.Train consumes, and what lets the pipeline run the paper's
+// walk budgets: memory is bounded by the readers' buffers instead of
+// the total token count.
 type Stream struct {
-	gen      *Generator
+	g        *graph.Graph
+	cfg      Config
 	numWalks int
-	batch    int // walks per buffered batch
-	depth    int // batches in flight per shard
+
+	aliases []*AliasTable // per-vertex, weighted strategies only
+	tAdj    [][]int       // temporal: neighbours sorted by edge time
+	tTimes  [][]int64     // temporal: matching sorted times
 
 	countOnce sync.Once
 	counts    []int // per-vertex occurrences over the whole corpus
 	total     int64 // total tokens over the whole corpus
-}
-
-// NewStream validates cfg against g and returns a streaming corpus.
-// cfg.StreamBatch and cfg.StreamDepth default to 64 and 2 when zero.
-func NewStream(g *graph.Graph, cfg Config) (*Stream, error) {
-	gen, err := NewGenerator(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	batch := cfg.StreamBatch
-	if batch <= 0 {
-		batch = defaultStreamBatch
-	}
-	depth := cfg.StreamDepth
-	if depth <= 0 {
-		depth = defaultStreamDepth
-	}
-	return &Stream{
-		gen:      gen,
-		numWalks: g.NumVertices() * cfg.WalksPerVertex,
-		batch:    batch,
-		depth:    depth,
-	}, nil
 }
 
 // NumWalks returns the number of walks the stream produces.
@@ -92,116 +71,159 @@ func (s *Stream) Counts(vocab int) ([]int, error) {
 	return append([]int(nil), s.counts[:vocab]...), nil
 }
 
-// count runs the one-off counting pass: every walk is generated once
-// with per-walk scratch (no corpus buffer) and only its token counts
-// are kept. The pass is sharded like Generate, so it costs one walk
-// sweep of CPU but O(vertices) memory.
+// count runs the one-off counting pass: one sharded walk sweep that
+// keeps only per-vertex counts, so it costs a sweep of CPU but
+// O(vertices) memory.
 func (s *Stream) count() {
 	s.countOnce.Do(func() {
-		n := s.gen.g.NumVertices()
-		workers := s.gen.cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > s.numWalks {
-			workers = s.numWalks
-		}
-		s.counts = make([]int, n)
-		if workers == 0 {
-			return
-		}
-		locals := make([][]int, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * s.numWalks / workers
-			hi := (w + 1) * s.numWalks / workers
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				counts := make([]int, n)
-				scratch := make([]int32, s.gen.cfg.Length)
-				var rng xrand.RNG
-				for id := lo; id < hi; id++ {
-					rng.SeedStream(s.gen.cfg.Seed, uint64(id))
-					l := s.gen.walkFrom(id/s.gen.cfg.WalksPerVertex, &rng, scratch)
-					for _, tok := range scratch[:l] {
-						counts[tok]++
-					}
+		s.counts = make([]int, s.g.NumVertices())
+		shards := sweep(s, func(lo, hi int) []int {
+			counts := make([]int, len(s.counts))
+			s.walks(lo, hi, func(w []int32) bool {
+				for _, tok := range w {
+					counts[tok]++
 				}
-				locals[w] = counts
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		var total int64
-		for _, counts := range locals {
+				return true
+			})
+			return counts
+		})
+		for _, counts := range shards {
 			for v, c := range counts {
 				s.counts[v] += c
-				total += int64(c)
+				s.total += int64(c)
 			}
 		}
-		s.total = total
 	})
 }
 
-// streamBatch is one producer buffer: a flat token block plus the
-// lengths of the walks packed into it.
-type streamBatch struct {
+// Materialize generates every walk and stores them as a Corpus, for
+// callers that need random access or a file (the paper's Figure 9
+// protocol saves its walks). Contiguous shards of walk IDs are
+// generated on Workers goroutines and stitched in walk-ID order.
+func (s *Stream) Materialize() *Corpus {
+	shards := sweep(s, func(lo, hi int) *Corpus {
+		c := &Corpus{
+			Tokens:  make([]int32, 0, (hi-lo)*min(s.cfg.Length, 64)),
+			Offsets: make([]int, 1, hi-lo+1),
+		}
+		s.walks(lo, hi, func(w []int32) bool {
+			c.Tokens = append(c.Tokens, w...)
+			c.Offsets = append(c.Offsets, len(c.Tokens))
+			return true
+		})
+		return c
+	})
+	total := 0
+	for _, sh := range shards {
+		total += sh.NumTokens()
+	}
+	c := &Corpus{Tokens: make([]int32, 0, total), Offsets: make([]int, 1, s.numWalks+1)}
+	for _, sh := range shards {
+		base := len(c.Tokens)
+		c.Tokens = append(c.Tokens, sh.Tokens...)
+		for _, off := range sh.Offsets[1:] {
+			c.Offsets = append(c.Offsets, base+off)
+		}
+	}
+	return c
+}
+
+// sweep splits the walk IDs into contiguous shards, one per worker
+// (Workers, GOMAXPROCS by default, at most one per walk), runs fn on
+// each in its own goroutine and returns their results in shard order.
+func sweep[T any](s *Stream, fn func(lo, hi int) T) []T {
+	workers := s.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	out := make([]T, min(workers, s.numWalks))
+	var wg sync.WaitGroup
+	for w := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[w] = fn(w*s.numWalks/len(out), (w+1)*s.numWalks/len(out))
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// walks is the one per-walk loop: it generates walks lo..hi-1 in
+// walk-ID order and passes each to yield until yield returns false.
+// Walk id starts at vertex id/WalksPerVertex and draws from its own RNG
+// stream (Seed, id). The slice yield receives is reused for the next
+// walk.
+func (s *Stream) walks(lo, hi int, yield func([]int32) bool) {
+	scratch := make([]int32, s.cfg.Length)
+	var rng xrand.RNG
+	for id := lo; id < hi; id++ {
+		rng.SeedStream(s.cfg.Seed, uint64(id))
+		if !yield(scratch[:s.walkFrom(id/s.cfg.WalksPerVertex, &rng, scratch)]) {
+			return
+		}
+	}
+}
+
+// batch is one producer buffer: a flat token block plus the lengths of
+// the walks packed into it.
+type batch struct {
 	tokens []int32
 	lens   []int
 }
 
 // WalkSeq returns an iterator over walks [lo, hi) in walk-ID order.
 // Walks are generated by a producer goroutine that runs ahead of the
-// consumer by at most StreamDepth batches of StreamBatch walks, so a
+// consumer by at most batchDepth batches of batchWalks walks, so a
 // shard's buffer memory is bounded regardless of hi-lo. The yielded
 // slice is only valid until the next iteration step. Breaking out of
 // the loop stops the producer; the iterator may be re-opened any
 // number of times (each epoch of training re-derives the same walks).
 func (s *Stream) WalkSeq(lo, hi int) iter.Seq[[]int32] {
 	return func(yield func([]int32) bool) {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > s.numWalks {
-			hi = s.numWalks
-		}
+		lo, hi := max(lo, 0), min(hi, s.numWalks)
 		if lo >= hi {
 			return
 		}
-		free := make(chan *streamBatch, s.depth)
-		filled := make(chan *streamBatch, s.depth)
+		free := make(chan *batch, batchDepth)
+		filled := make(chan *batch, batchDepth)
 		stop := make(chan struct{})
-		for i := 0; i < s.depth; i++ {
-			free <- &streamBatch{
-				tokens: make([]int32, 0, s.batch*s.gen.cfg.Length),
-				lens:   make([]int, 0, s.batch),
+		for i := 0; i < batchDepth; i++ {
+			free <- &batch{
+				tokens: make([]int32, 0, batchWalks*s.cfg.Length),
+				lens:   make([]int, 0, batchWalks),
 			}
 		}
 
 		go func() {
 			defer close(filled)
-			scratch := make([]int32, s.gen.cfg.Length)
-			var rng xrand.RNG
-			id := lo
-			for id < hi {
-				var buf *streamBatch
-				select {
-				case buf = <-free:
-				case <-stop:
-					return
+			var buf *batch
+			s.walks(lo, hi, func(w []int32) bool {
+				if buf == nil {
+					select {
+					case buf = <-free:
+					case <-stop:
+						return false
+					}
+					buf.tokens, buf.lens = buf.tokens[:0], buf.lens[:0]
 				}
-				buf.tokens = buf.tokens[:0]
-				buf.lens = buf.lens[:0]
-				for ; id < hi && len(buf.lens) < s.batch; id++ {
-					rng.SeedStream(s.gen.cfg.Seed, uint64(id))
-					l := s.gen.walkFrom(id/s.gen.cfg.WalksPerVertex, &rng, scratch)
-					buf.tokens = append(buf.tokens, scratch[:l]...)
-					buf.lens = append(buf.lens, l)
+				buf.tokens = append(buf.tokens, w...)
+				buf.lens = append(buf.lens, len(w))
+				if len(buf.lens) < batchWalks {
+					return true
 				}
 				select {
 				case filled <- buf:
+					buf = nil
+					return true
 				case <-stop:
-					return
+					return false
+				}
+			})
+			if buf != nil {
+				select {
+				case filled <- buf:
+				case <-stop:
 				}
 			}
 		}()
@@ -215,22 +237,9 @@ func (s *Stream) WalkSeq(lo, hi int) iter.Seq[[]int32] {
 				}
 				off += l
 			}
-			// Never blocks: at most depth buffers circulate and free
-			// has capacity depth.
+			// Never blocks: at most batchDepth buffers circulate and
+			// free has capacity batchDepth.
 			free <- buf
 		}
 	}
-}
-
-// Materialize drains the stream into a conventional Corpus, identical
-// to what Generator.Generate would have produced. Intended for tests
-// and for workflows that genuinely need random access (e.g. saving
-// walks to disk for the paper's Figure 9 protocol).
-func (s *Stream) Materialize() *Corpus {
-	c := &Corpus{Offsets: make([]int, 1, s.numWalks+1)}
-	for w := range s.WalkSeq(0, s.numWalks) {
-		c.Tokens = append(c.Tokens, w...)
-		c.Offsets = append(c.Offsets, c.Offsets[len(c.Offsets)-1]+len(w))
-	}
-	return c
 }

@@ -1,7 +1,9 @@
 package walk
 
 import (
+	"iter"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,37 +19,18 @@ func mustStream(t *testing.T, g *graph.Graph, cfg Config) *Stream {
 	return s
 }
 
-// TestStreamMatchesGenerate is the core determinism contract: walk i
-// of the stream is byte-identical to walk i of the materialized
-// corpus under the same config.
-func TestStreamMatchesGenerate(t *testing.T) {
-	g := graph.ErdosRenyiGNM(80, 300, 7)
-	cfg := Config{WalksPerVertex: 4, Length: 25, Seed: 11}
-	want := mustGen(t, g, cfg).Generate()
-	s := mustStream(t, g, cfg)
-
-	if s.NumWalks() != want.NumWalks() {
-		t.Fatalf("NumWalks = %d, want %d", s.NumWalks(), want.NumWalks())
-	}
-	if s.NumTokens() != want.NumTokens() {
-		t.Fatalf("NumTokens = %d, want %d", s.NumTokens(), want.NumTokens())
-	}
-	i := 0
-	for w := range s.WalkSeq(0, s.NumWalks()) {
-		exp := want.Walk(i)
-		if len(w) != len(exp) {
-			t.Fatalf("walk %d: length %d, want %d", i, len(w), len(exp))
-		}
-		for j := range w {
-			if w[j] != exp[j] {
-				t.Fatalf("walk %d token %d: %d, want %d", i, j, w[j], exp[j])
-			}
+// checkWalks drains seq and requires its walks to be want's walks
+// first, first+1, ... token for token. It returns how many it read.
+func checkWalks(t *testing.T, seq iter.Seq[[]int32], want *Corpus, first int) int {
+	t.Helper()
+	i := first
+	for w := range seq {
+		if !slices.Equal(w, want.Walk(i)) {
+			t.Fatalf("walk %d: %v, want %v", i, w, want.Walk(i))
 		}
 		i++
 	}
-	if i != want.NumWalks() {
-		t.Fatalf("stream yielded %d walks, want %d", i, want.NumWalks())
-	}
+	return i - first
 }
 
 // TestStreamCountsMatchCorpus checks that the counting pass agrees
@@ -55,7 +38,10 @@ func TestStreamMatchesGenerate(t *testing.T) {
 func TestStreamCountsMatchCorpus(t *testing.T) {
 	g := graph.BarabasiAlbert(120, 3, 5)
 	cfg := Config{WalksPerVertex: 3, Length: 15, Seed: 2}
-	want := mustGen(t, g, cfg).Generate().Counts(g.NumVertices())
+	want, err := generate(t, g, cfg).Counts(g.NumVertices())
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := mustStream(t, g, cfg).Counts(g.NumVertices())
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +54,7 @@ func TestStreamCountsMatchCorpus(t *testing.T) {
 }
 
 // TestStreamCountsVocabTooSmall: a vocab smaller than the largest
-// visited vertex must be rejected, matching the materialized trainer.
+// visited vertex must be rejected, as Corpus.Counts rejects it.
 func TestStreamCountsVocabTooSmall(t *testing.T) {
 	g := graph.Ring(10)
 	s := mustStream(t, g, Config{WalksPerVertex: 1, Length: 5, Seed: 1})
@@ -79,28 +65,18 @@ func TestStreamCountsVocabTooSmall(t *testing.T) {
 
 // TestStreamShardConcatenation: the concatenation of arbitrary shard
 // iterators equals the full sequence (this is how trainer workers
-// consume the stream).
+// consume the stream). The long shards span several batches, more than
+// are in flight at once, so buffers are recycled mid-shard.
 func TestStreamShardConcatenation(t *testing.T) {
 	g := graph.ErdosRenyiGNM(50, 180, 3)
-	cfg := Config{WalksPerVertex: 3, Length: 12, Seed: 9, StreamBatch: 5, StreamDepth: 1}
+	cfg := Config{WalksPerVertex: 6, Length: 12, Seed: 9}
 	s := mustStream(t, g, cfg)
-	want := mustGen(t, g, cfg).Generate()
+	want := generate(t, g, cfg)
 
-	bounds := []int{0, 1, 7, 64, 64, 99, s.NumWalks()}
+	bounds := []int{0, 1, 7, 64, 64, 2*batchWalks + 71, s.NumWalks()}
 	i := 0
 	for k := 0; k+1 < len(bounds); k++ {
-		for w := range s.WalkSeq(bounds[k], bounds[k+1]) {
-			exp := want.Walk(i)
-			if len(w) != len(exp) {
-				t.Fatalf("walk %d: length %d, want %d", i, len(w), len(exp))
-			}
-			for j := range w {
-				if w[j] != exp[j] {
-					t.Fatalf("walk %d token %d: %d, want %d", i, j, w[j], exp[j])
-				}
-			}
-			i++
-		}
+		i += checkWalks(t, s.WalkSeq(bounds[k], bounds[k+1]), want, i)
 	}
 	if i != s.NumWalks() {
 		t.Fatalf("shards yielded %d walks, want %d", i, s.NumWalks())
@@ -136,7 +112,7 @@ func TestStreamReopen(t *testing.T) {
 // producer goroutine rather than leak it.
 func TestStreamEarlyStop(t *testing.T) {
 	g := graph.Ring(30)
-	s := mustStream(t, g, Config{WalksPerVertex: 10, Length: 50, Seed: 6, StreamBatch: 4})
+	s := mustStream(t, g, Config{WalksPerVertex: 10, Length: 50, Seed: 6})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		n := 0
@@ -175,60 +151,49 @@ func TestStreamEmpty(t *testing.T) {
 	for range s.WalkSeq(0, s.NumWalks()) {
 		t.Fatal("empty stream yielded a walk")
 	}
+	if c := s.Materialize(); c.NumWalks() != 0 || c.NumTokens() != 0 {
+		t.Fatalf("materialized %d walks/%d tokens, want none", c.NumWalks(), c.NumTokens())
+	}
 }
 
-// TestStreamMaterialize round-trips the stream into a Corpus and
-// compares it with the generator's output.
+// checkMaterialize requires Materialize, sharded over 1 and 3 workers,
+// to store exactly the walks WalkSeq yields, in walk-ID order, with
+// the token count of the counting pass.
+func checkMaterialize(t *testing.T, g *graph.Graph, cfg Config) {
+	t.Helper()
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		s := mustStream(t, g, cfg)
+		got := s.Materialize()
+		if got.NumWalks() != s.NumWalks() || got.NumTokens() != s.NumTokens() {
+			t.Fatalf("workers=%d: materialized %d walks/%d tokens, stream has %d/%d", workers,
+				got.NumWalks(), got.NumTokens(), s.NumWalks(), s.NumTokens())
+		}
+		if n := checkWalks(t, s.WalkSeq(0, s.NumWalks()), got, 0); n != got.NumWalks() {
+			t.Fatalf("workers=%d: stream yielded %d walks, want %d", workers, n, got.NumWalks())
+		}
+	}
+}
+
+// TestStreamMaterialize is the core determinism contract: the one
+// materializer stores walk i of the stream as walk i of the corpus.
 func TestStreamMaterialize(t *testing.T) {
-	g := graph.ErdosRenyiGNM(40, 120, 8)
-	cfg := Config{WalksPerVertex: 2, Length: 10, Seed: 13}
-	want := mustGen(t, g, cfg).Generate()
-	got := mustStream(t, g, cfg).Materialize()
-	if got.NumWalks() != want.NumWalks() || got.NumTokens() != want.NumTokens() {
-		t.Fatalf("materialized %d walks/%d tokens, want %d/%d",
-			got.NumWalks(), got.NumTokens(), want.NumWalks(), want.NumTokens())
-	}
-	for i := range want.Tokens {
-		if got.Tokens[i] != want.Tokens[i] {
-			t.Fatalf("token %d: %d, want %d", i, got.Tokens[i], want.Tokens[i])
-		}
-	}
-	for i := range want.Offsets {
-		if got.Offsets[i] != want.Offsets[i] {
-			t.Fatalf("offset %d: %d, want %d", i, got.Offsets[i], want.Offsets[i])
-		}
-	}
+	checkMaterialize(t, graph.ErdosRenyiGNM(80, 300, 7), Config{WalksPerVertex: 4, Length: 25, Seed: 11})
 }
 
-// TestStreamWeightedStrategies: the determinism contract holds for
-// every walk strategy, not just Uniform.
+// TestStreamStrategies: the determinism contract holds for every walk
+// strategy, not just Uniform.
 func TestStreamStrategies(t *testing.T) {
-	weighted := weightedTestGraph()
 	cases := []struct {
 		name string
 		g    *graph.Graph
 		cfg  Config
 	}{
-		{"edge-weighted", weighted, Config{WalksPerVertex: 3, Length: 10, Strategy: EdgeWeighted, Seed: 3}},
+		{"edge-weighted", weightedTestGraph(), Config{WalksPerVertex: 3, Length: 10, Strategy: EdgeWeighted, Seed: 3}},
 		{"node2vec", graph.ErdosRenyiGNM(40, 150, 2), Config{WalksPerVertex: 3, Length: 10, Strategy: Node2Vec, ReturnParam: 1, InOutParam: 0.5, Seed: 3}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want := mustGen(t, tc.g, tc.cfg).Generate()
-			i := 0
-			for w := range mustStream(t, tc.g, tc.cfg).WalkSeq(0, want.NumWalks()) {
-				exp := want.Walk(i)
-				if len(w) != len(exp) {
-					t.Fatalf("walk %d: length %d, want %d", i, len(w), len(exp))
-				}
-				for j := range w {
-					if w[j] != exp[j] {
-						t.Fatalf("walk %d token %d: %d, want %d", i, j, w[j], exp[j])
-					}
-				}
-				i++
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkMaterialize(t, tc.g, tc.cfg) })
 	}
 }
 

@@ -11,20 +11,21 @@
 // node2vec-style second-order (p, q)-biased walk is included as an
 // extension for ablation studies.
 //
-// Corpus generation is embarrassingly parallel: the walk index space
-// is sharded over a pool of goroutines, and every individual walk
-// derives its own RNG stream from (seed, walkID), so the corpus is
-// bit-identical regardless of worker count.
+// Walks are never stored on the way to training: a Stream re-derives
+// each one from its own RNG stream (seed, walkID) whenever it is read,
+// so memory is bounded by a few buffers per reader instead of the
+// corpus size, and the walks are bit-identical for any worker count.
+// Materialize stores them as a Corpus when random access or a file is
+// needed.
 package walk
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"runtime"
+	"iter"
 	"strconv"
 	"strings"
-	"sync"
 
 	"v2v/internal/graph"
 	"v2v/internal/xrand"
@@ -81,12 +82,6 @@ type Config struct {
 	InOutParam     float64  // node2vec q; <= 0 means 1
 	Seed           uint64   //
 	Workers        int      // 0 means GOMAXPROCS
-
-	// Streaming knobs, consulted only by NewStream (see stream.go):
-	// walks per producer batch and batches buffered per shard. Zero
-	// selects the defaults (64 and 2).
-	StreamBatch int
-	StreamDepth int
 }
 
 // DefaultConfig returns the paper's default walk parameters.
@@ -111,6 +106,30 @@ func (c *Corpus) NumTokens() int { return len(c.Tokens) }
 // Walk returns the i-th walk. The slice aliases corpus storage.
 func (c *Corpus) Walk(i int) []int32 {
 	return c.Tokens[c.Offsets[i]:c.Offsets[i+1]]
+}
+
+// WalkSeq returns an iterator over walks [lo, hi), each a Walk view.
+func (c *Corpus) WalkSeq(lo, hi int) iter.Seq[[]int32] {
+	return func(yield func([]int32) bool) {
+		for i := lo; i < hi; i++ {
+			if !yield(c.Walk(i)) {
+				return
+			}
+		}
+	}
+}
+
+// Counts returns the number of occurrences of each vertex in [0, vocab),
+// or an error naming a token outside that range.
+func (c *Corpus) Counts(vocab int) ([]int, error) {
+	counts := make([]int, vocab)
+	for _, tok := range c.Tokens {
+		if tok < 0 || int(tok) >= vocab {
+			return nil, fmt.Errorf("walk: token %d out of vocab [0,%d)", tok, vocab)
+		}
+		counts[tok]++
+	}
+	return counts, nil
 }
 
 // Save writes the corpus as text: one walk per line, space-separated
@@ -146,7 +165,7 @@ func LoadCorpus(r io.Reader) (*Corpus, error) {
 		}
 		n := 0
 		for _, field := range strings.Fields(line) {
-			tok, err := strconv.Atoi(field)
+			tok, err := strconv.ParseInt(field, 10, 32)
 			if err != nil || tok < 0 {
 				return nil, fmt.Errorf("walk: line %d: bad token %q", lineNo, field)
 			}
@@ -161,31 +180,11 @@ func LoadCorpus(r io.Reader) (*Corpus, error) {
 	return c, nil
 }
 
-// Counts returns the number of occurrences of each vertex in the
-// corpus; numVertices is the vocabulary size.
-func (c *Corpus) Counts(numVertices int) []int {
-	counts := make([]int, numVertices)
-	for _, tok := range c.Tokens {
-		counts[tok]++
-	}
-	return counts
-}
-
-// Generator produces random-walk corpora over a fixed graph. It
-// precomputes per-vertex alias tables (for weighted strategies) and
-// time-sorted adjacency (for temporal walks) once, then serves any
-// number of Generate calls.
-type Generator struct {
-	g   *graph.Graph
-	cfg Config
-
-	aliases []*AliasTable // per-vertex, weighted strategies only
-	tAdj    [][]int       // temporal: neighbours sorted by edge time
-	tTimes  [][]int64     // temporal: matching sorted times
-}
-
-// NewGenerator validates cfg against g and returns a ready generator.
-func NewGenerator(g *graph.Graph, cfg Config) (*Generator, error) {
+// NewStream validates cfg against g and returns the stream of its
+// walks. Alias tables (weighted strategies) and time-sorted adjacency
+// (temporal walks) are built here, once; no walk is generated until the
+// stream is read.
+func NewStream(g *graph.Graph, cfg Config) (*Stream, error) {
 	if cfg.WalksPerVertex <= 0 {
 		return nil, fmt.Errorf("walk: WalksPerVertex must be positive, got %d", cfg.WalksPerVertex)
 	}
@@ -209,33 +208,33 @@ func NewGenerator(g *graph.Graph, cfg Config) (*Generator, error) {
 	default:
 		return nil, fmt.Errorf("walk: unknown strategy %v", cfg.Strategy)
 	}
-	gen := &Generator{g: g, cfg: cfg}
+	s := &Stream{g: g, cfg: cfg, numWalks: g.NumVertices() * cfg.WalksPerVertex}
 	switch cfg.Strategy {
 	case EdgeWeighted, VertexWeighted:
-		gen.buildAliases()
+		s.buildAliases()
 	case Temporal:
-		gen.buildTemporal()
+		s.buildTemporal()
 	}
-	return gen, nil
+	return s, nil
 }
 
 // buildAliases precomputes one alias table per vertex with positive
 // out-degree, with weights taken from edges or target vertices.
-func (gen *Generator) buildAliases() {
-	n := gen.g.NumVertices()
-	gen.aliases = make([]*AliasTable, n)
+func (s *Stream) buildAliases() {
+	n := s.g.NumVertices()
+	s.aliases = make([]*AliasTable, n)
 	for v := 0; v < n; v++ {
-		adj := gen.g.Neighbors(v)
+		adj := s.g.Neighbors(v)
 		if len(adj) == 0 {
 			continue
 		}
 		w := make([]float64, len(adj))
-		switch gen.cfg.Strategy {
+		switch s.cfg.Strategy {
 		case EdgeWeighted:
-			copy(w, gen.g.EdgeWeights(v))
+			copy(w, s.g.EdgeWeights(v))
 		case VertexWeighted:
 			for i, t := range adj {
-				w[i] = gen.g.VertexWeight(t)
+				w[i] = s.g.VertexWeight(t)
 			}
 		}
 		var total float64
@@ -248,19 +247,19 @@ func (gen *Generator) buildAliases() {
 				w[i] = 1
 			}
 		}
-		gen.aliases[v] = NewAliasTable(w)
+		s.aliases[v] = NewAliasTable(w)
 	}
 }
 
 // buildTemporal sorts every adjacency list by edge timestamp so that a
 // temporal step can binary-search the earliest admissible edge.
-func (gen *Generator) buildTemporal() {
-	n := gen.g.NumVertices()
-	gen.tAdj = make([][]int, n)
-	gen.tTimes = make([][]int64, n)
+func (s *Stream) buildTemporal() {
+	n := s.g.NumVertices()
+	s.tAdj = make([][]int, n)
+	s.tTimes = make([][]int64, n)
 	for v := 0; v < n; v++ {
-		adj := gen.g.Neighbors(v)
-		times := gen.g.EdgeTimes(v)
+		adj := s.g.Neighbors(v)
+		times := s.g.EdgeTimes(v)
 		idx := make([]int, len(adj))
 		for i := range idx {
 			idx[i] = i
@@ -278,83 +277,16 @@ func (gen *Generator) buildTemporal() {
 			sa[i] = adj[k]
 			st[i] = times[k]
 		}
-		gen.tAdj[v] = sa
-		gen.tTimes[v] = st
+		s.tAdj[v] = sa
+		s.tTimes[v] = st
 	}
-}
-
-// Generate runs the configured number of walks from every vertex in
-// parallel and returns the corpus. Walk w of vertex v has global walk
-// ID v*WalksPerVertex+w and derives its RNG stream from (Seed, ID), so
-// the result is independent of Workers.
-func (gen *Generator) Generate() *Corpus {
-	n := gen.g.NumVertices()
-	t := gen.cfg.WalksPerVertex
-	numWalks := n * t
-	workers := gen.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numWalks {
-		workers = numWalks
-	}
-	if workers == 0 {
-		return &Corpus{Offsets: []int{0}}
-	}
-
-	// Each worker fills a private buffer for a contiguous shard of
-	// walk IDs; shards are stitched afterwards. Lengths vary (walks
-	// can terminate early), so per-walk lengths are recorded first.
-	type shard struct {
-		tokens  []int32
-		lengths []int
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * numWalks / workers
-		hi := (w + 1) * numWalks / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			buf := make([]int32, 0, (hi-lo)*min(gen.cfg.Length, 64))
-			lengths := make([]int, 0, hi-lo)
-			scratch := make([]int32, gen.cfg.Length)
-			var rng xrand.RNG
-			for id := lo; id < hi; id++ {
-				start := id / t
-				rng.SeedStream(gen.cfg.Seed, uint64(id))
-				walkLen := gen.walkFrom(start, &rng, scratch)
-				buf = append(buf, scratch[:walkLen]...)
-				lengths = append(lengths, walkLen)
-			}
-			shards[w] = shard{tokens: buf, lengths: lengths}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	totalTokens := 0
-	for _, s := range shards {
-		totalTokens += len(s.tokens)
-	}
-	c := &Corpus{
-		Tokens:  make([]int32, 0, totalTokens),
-		Offsets: make([]int, 1, numWalks+1),
-	}
-	for _, s := range shards {
-		c.Tokens = append(c.Tokens, s.tokens...)
-		for _, l := range s.lengths {
-			c.Offsets = append(c.Offsets, c.Offsets[len(c.Offsets)-1]+l)
-		}
-	}
-	return c
 }
 
 // walkFrom writes one walk starting at start into scratch and returns
 // its length (>= 1; the start vertex always appears).
-func (gen *Generator) walkFrom(start int, rng *xrand.RNG, scratch []int32) int {
-	g := gen.g
-	cfg := gen.cfg
+func (s *Stream) walkFrom(start int, rng *xrand.RNG, scratch []int32) int {
+	g := s.g
+	cfg := s.cfg
 	scratch[0] = int32(start)
 	cur := start
 	prev := -1
@@ -369,20 +301,20 @@ func (gen *Generator) walkFrom(start int, rng *xrand.RNG, scratch []int32) int {
 			}
 			next = adj[rng.Intn(len(adj))]
 		case EdgeWeighted, VertexWeighted:
-			at := gen.aliases[cur]
+			at := s.aliases[cur]
 			if at == nil {
 				return step
 			}
 			next = g.Neighbors(cur)[at.Sample(rng)]
 		case Temporal:
-			nxt, t, ok := gen.temporalStep(cur, curTime, rng)
+			nxt, t, ok := s.temporalStep(cur, curTime, rng)
 			if !ok {
 				return step
 			}
 			next = nxt
 			curTime = t
 		case Node2Vec:
-			nxt, ok := gen.node2vecStep(prev, cur, rng)
+			nxt, ok := s.node2vecStep(prev, cur, rng)
 			if !ok {
 				return step
 			}
@@ -399,8 +331,8 @@ func (gen *Generator) walkFrom(start int, rng *xrand.RNG, scratch []int32) int {
 // timestamp is strictly greater than after and, when a window is
 // configured, at most after+window. Returns the chosen neighbour, the
 // edge's timestamp and whether a step was possible.
-func (gen *Generator) temporalStep(cur int, after int64, rng *xrand.RNG) (int, int64, bool) {
-	times := gen.tTimes[cur]
+func (s *Stream) temporalStep(cur int, after int64, rng *xrand.RNG) (int, int64, bool) {
+	times := s.tTimes[cur]
 	if len(times) == 0 {
 		return 0, 0, false
 	}
@@ -415,8 +347,8 @@ func (gen *Generator) temporalStep(cur int, after int64, rng *xrand.RNG) (int, i
 		}
 	}
 	end := len(times)
-	if gen.cfg.TemporalWindow > 0 && after > -1<<61 {
-		limit := after + gen.cfg.TemporalWindow
+	if s.cfg.TemporalWindow > 0 && after > -1<<61 {
+		limit := after + s.cfg.TemporalWindow
 		e, h := lo, len(times)
 		for e < h {
 			mid := (e + h) / 2
@@ -432,15 +364,15 @@ func (gen *Generator) temporalStep(cur int, after int64, rng *xrand.RNG) (int, i
 		return 0, 0, false
 	}
 	i := lo + rng.Intn(end-lo)
-	return gen.tAdj[cur][i], times[i], true
+	return s.tAdj[cur][i], times[i], true
 }
 
 // node2vecStep performs one second-order biased step: from cur, with
 // previous vertex prev, candidate x is weighted 1/p if x == prev, 1 if
 // x is adjacent to prev, and 1/q otherwise. Rejection sampling keeps
 // the step O(1) expected without per-(prev, cur) alias tables.
-func (gen *Generator) node2vecStep(prev, cur int, rng *xrand.RNG) (int, bool) {
-	g := gen.g
+func (s *Stream) node2vecStep(prev, cur int, rng *xrand.RNG) (int, bool) {
+	g := s.g
 	adj := g.Neighbors(cur)
 	if len(adj) == 0 {
 		return 0, false
@@ -448,11 +380,11 @@ func (gen *Generator) node2vecStep(prev, cur int, rng *xrand.RNG) (int, bool) {
 	if prev < 0 {
 		return adj[rng.Intn(len(adj))], true
 	}
-	p := gen.cfg.ReturnParam
+	p := s.cfg.ReturnParam
 	if p <= 0 {
 		p = 1
 	}
-	q := gen.cfg.InOutParam
+	q := s.cfg.InOutParam
 	if q <= 0 {
 		q = 1
 	}

@@ -11,19 +11,15 @@ import (
 	"v2v/internal/xrand"
 )
 
-func mustGen(t *testing.T, g *graph.Graph, cfg Config) *Generator {
+// generate materializes the walks of cfg over g.
+func generate(t *testing.T, g *graph.Graph, cfg Config) *Corpus {
 	t.Helper()
-	gen, err := NewGenerator(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen
+	return mustStream(t, g, cfg).Materialize()
 }
 
 func TestUniformWalkShape(t *testing.T) {
 	g := graph.Ring(10)
-	gen := mustGen(t, g, Config{WalksPerVertex: 3, Length: 7, Seed: 1})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 3, Length: 7, Seed: 1})
 	if c.NumWalks() != 30 {
 		t.Fatalf("walks = %d, want 30", c.NumWalks())
 	}
@@ -43,8 +39,7 @@ func TestWalkStepsFollowEdges(t *testing.T) {
 	g, _ := graph.CommunityBenchmark(graph.CommunityBenchmarkConfig{
 		NumCommunities: 2, CommunitySize: 15, Alpha: 0.6, InterEdges: 4, Seed: 3,
 	})
-	gen := mustGen(t, g, Config{WalksPerVertex: 2, Length: 20, Seed: 2})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 2, Length: 20, Seed: 2})
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
 		for j := 1; j < len(w); j++ {
@@ -59,8 +54,7 @@ func TestWalkDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := graph.ErdosRenyiGNM(60, 200, 4)
 	var tokens [][]int32
 	for _, workers := range []int{1, 3, 8} {
-		gen := mustGen(t, g, Config{WalksPerVertex: 4, Length: 12, Seed: 99, Workers: workers})
-		c := gen.Generate()
+		c := generate(t, g, Config{WalksPerVertex: 4, Length: 12, Seed: 99, Workers: workers})
 		tokens = append(tokens, append([]int32(nil), c.Tokens...))
 	}
 	for i := 1; i < len(tokens); i++ {
@@ -81,8 +75,7 @@ func TestDirectedWalkTerminatesAtSink(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2) // 2 is a sink
 	g := b.Build()
-	gen := mustGen(t, g, Config{WalksPerVertex: 5, Length: 50, Seed: 1})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 5, Length: 50, Seed: 1})
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
 		if int(w[len(w)-1]) != 2 && len(w) == 50 {
@@ -101,8 +94,7 @@ func TestIsolatedVertexWalkIsSingleton(t *testing.T) {
 	b := graph.NewBuilder(3) // vertex 2 isolated
 	b.AddEdge(0, 1)
 	g := b.Build()
-	gen := mustGen(t, g, Config{WalksPerVertex: 2, Length: 10, Seed: 1})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 2, Length: 10, Seed: 1})
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
 		if int(w[0]) == 2 && len(w) != 1 {
@@ -117,8 +109,7 @@ func TestEdgeWeightedWalkBias(t *testing.T) {
 	b.AddWeightedEdge(0, 1, 9)
 	b.AddWeightedEdge(0, 2, 1)
 	g := b.Build()
-	gen := mustGen(t, g, Config{WalksPerVertex: 3000, Length: 2, Strategy: EdgeWeighted, Seed: 11})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 3000, Length: 2, Strategy: EdgeWeighted, Seed: 11})
 	to1, to2 := 0, 0
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
@@ -145,8 +136,7 @@ func TestVertexWeightedWalkBias(t *testing.T) {
 	b.SetVertexWeight(1, 4)
 	b.SetVertexWeight(2, 1)
 	g := b.Build()
-	gen := mustGen(t, g, Config{WalksPerVertex: 3000, Length: 2, Strategy: VertexWeighted, Seed: 13})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 3000, Length: 2, Strategy: VertexWeighted, Seed: 13})
 	to1, to2 := 0, 0
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
@@ -174,8 +164,7 @@ func TestTemporalWalkIncreasingTimes(t *testing.T) {
 	b.AddTemporalEdge(2, 0, 1, 5) // would go back in time
 	b.AddTemporalEdge(2, 3, 1, 30)
 	g := b.Build()
-	gen := mustGen(t, g, Config{WalksPerVertex: 10, Length: 10, Strategy: Temporal, Seed: 17})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 10, Length: 10, Strategy: Temporal, Seed: 17})
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
 		if int(w[0]) == 0 {
@@ -200,8 +189,7 @@ func TestTemporalWindowConstraint(t *testing.T) {
 	b.AddTemporalEdge(0, 1, 1, 10)
 	b.AddTemporalEdge(1, 2, 1, 1000) // gap of 990
 	g := b.Build()
-	gen := mustGen(t, g, Config{WalksPerVertex: 5, Length: 10, Strategy: Temporal, TemporalWindow: 100, Seed: 19})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 5, Length: 10, Strategy: Temporal, TemporalWindow: 100, Seed: 19})
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
 		if int(w[0]) == 0 {
@@ -211,8 +199,7 @@ func TestTemporalWindowConstraint(t *testing.T) {
 		}
 	}
 	// Without the window the walk continues to 2.
-	gen2 := mustGen(t, g, Config{WalksPerVertex: 5, Length: 10, Strategy: Temporal, Seed: 19})
-	c2 := gen2.Generate()
+	c2 := generate(t, g, Config{WalksPerVertex: 5, Length: 10, Strategy: Temporal, Seed: 19})
 	found := false
 	for i := 0; i < c2.NumWalks(); i++ {
 		w := c2.Walk(i)
@@ -227,11 +214,10 @@ func TestTemporalWindowConstraint(t *testing.T) {
 
 func TestNode2VecWalkValid(t *testing.T) {
 	g := graph.ErdosRenyiGNM(40, 150, 21)
-	gen := mustGen(t, g, Config{
+	c := generate(t, g, Config{
 		WalksPerVertex: 3, Length: 15, Strategy: Node2Vec,
 		ReturnParam: 0.5, InOutParam: 2, Seed: 23,
 	})
-	c := gen.Generate()
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
 		for j := 1; j < len(w); j++ {
@@ -246,11 +232,10 @@ func TestNode2VecReturnBias(t *testing.T) {
 	// Path graph 0-1-2: from 1 with prev=0, p tiny makes returning to
 	// 0 much more likely than moving to 2.
 	g := graph.Path(3)
-	gen := mustGen(t, g, Config{
+	c := generate(t, g, Config{
 		WalksPerVertex: 4000, Length: 3, Strategy: Node2Vec,
 		ReturnParam: 0.05, InOutParam: 1, Seed: 29,
 	})
-	c := gen.Generate()
 	returns, advances := 0, 0
 	for i := 0; i < c.NumWalks(); i++ {
 		w := c.Walk(i)
@@ -278,7 +263,7 @@ func TestConfigValidation(t *testing.T) {
 		{WalksPerVertex: 1, Length: 1, Strategy: Strategy(99)},
 	}
 	for i, cfg := range cases {
-		if _, err := NewGenerator(g, cfg); err == nil {
+		if _, err := NewStream(g, cfg); err == nil {
 			t.Errorf("case %d: config %+v should be rejected", i, cfg)
 		}
 	}
@@ -286,9 +271,11 @@ func TestConfigValidation(t *testing.T) {
 
 func TestCorpusCounts(t *testing.T) {
 	g := graph.Ring(6)
-	gen := mustGen(t, g, Config{WalksPerVertex: 2, Length: 5, Seed: 31})
-	c := gen.Generate()
-	counts := c.Counts(6)
+	c := generate(t, g, Config{WalksPerVertex: 2, Length: 5, Seed: 31})
+	counts, err := c.Counts(6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -299,12 +286,19 @@ func TestCorpusCounts(t *testing.T) {
 	if c.NumTokens() != 6*2*5 {
 		t.Fatalf("tokens = %d", c.NumTokens())
 	}
+	// A token outside the vocabulary is an error, never an index panic.
+	if _, err := c.Counts(3); err == nil {
+		t.Error("Counts(3) on a 6-vertex ring corpus accepted")
+	}
+	negative := &Corpus{Tokens: []int32{0, -1}, Offsets: []int{0, 2}}
+	if _, err := negative.Counts(6); err == nil {
+		t.Error("Counts accepted a negative token")
+	}
 }
 
 func TestUniformWalkVisitsAllNeighborsEventually(t *testing.T) {
 	g := graph.Star(5) // hub 0 with leaves 1..4
-	gen := mustGen(t, g, Config{WalksPerVertex: 50, Length: 9, Seed: 37})
-	c := gen.Generate()
+	c := generate(t, g, Config{WalksPerVertex: 50, Length: 9, Seed: 37})
 	visited := make(map[int32]bool)
 	for i := 0; i < c.NumWalks(); i++ {
 		for _, tok := range c.Walk(i) {
@@ -318,8 +312,7 @@ func TestUniformWalkVisitsAllNeighborsEventually(t *testing.T) {
 
 func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 	g := graph.ErdosRenyiGNM(30, 80, 51)
-	gen := mustGen(t, g, Config{WalksPerVertex: 3, Length: 12, Seed: 52})
-	c1 := gen.Generate()
+	c1 := generate(t, g, Config{WalksPerVertex: 3, Length: 12, Seed: 52})
 	var buf bytes.Buffer
 	if err := c1.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -343,7 +336,12 @@ func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadCorpusErrors(t *testing.T) {
-	for _, in := range []string{"1 x 3\n", "-1 2\n"} {
+	for _, in := range []string{
+		"1 x 3\n",
+		"-1 2\n",
+		"0 1\n4294967296 1\n", // 2³² would wrap to vertex 0
+		"0 1\n2147483648 1\n", // 2³¹ would wrap negative
+	} {
 		if _, err := LoadCorpus(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q accepted", in)
 		}

@@ -14,11 +14,11 @@ func benchTrainCorpus(b *testing.B) (*walk.Corpus, int) {
 	g, _ := graph.CommunityBenchmark(graph.CommunityBenchmarkConfig{
 		NumCommunities: 10, CommunitySize: 50, Alpha: 0.5, InterEdges: 100, Seed: 1,
 	})
-	gen, err := walk.NewGenerator(g, walk.Config{WalksPerVertex: 4, Length: 60, Seed: 2})
+	s, err := walk.NewStream(g, walk.Config{WalksPerVertex: 4, Length: 60, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return gen.Generate(), g.NumVertices()
+	return s.Materialize(), g.NumVertices()
 }
 
 func benchTrain(b *testing.B, cfg Config) {
@@ -151,14 +151,14 @@ func BenchmarkTrainHogwild(b *testing.B) {
 // scaling can be measured and profiled without the harness.
 func BenchmarkTrainPipelineShape(b *testing.B) {
 	g, _ := graph.CommunityBenchmark(graph.DefaultCommunityBenchmark(0.1, 1))
-	gen, err := walk.NewGenerator(g, walk.Config{WalksPerVertex: 5, Length: 80, Seed: 1})
+	s, err := walk.NewStream(g, walk.Config{WalksPerVertex: 5, Length: 80, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig(50)
 	cfg.Epochs = 3
 	cfg.Seed = 1
-	benchScaling(b, gen.Generate(), g.NumVertices(), cfg)
+	benchScaling(b, s.Materialize(), g.NumVertices(), cfg)
 }
 
 // BenchmarkHuffmanBuild measures tree construction over a Zipfian

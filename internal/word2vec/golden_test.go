@@ -34,11 +34,11 @@ func TestTrainGoldenDigests(t *testing.T) {
 		NumCommunities: 3, CommunitySize: 12, Alpha: 0.6, InterEdges: 30, Seed: 5,
 	})
 	wcfg := walk.Config{WalksPerVertex: 6, Length: 30, Seed: 6}
-	gen, err := walk.NewGenerator(g, wcfg)
+	stream, err := walk.NewStream(g, wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := gen.Generate()
+	corpus := stream.Materialize()
 
 	config := func(obj Objective, smp Sampler) Config {
 		cfg := DefaultConfig(20)
@@ -54,11 +54,7 @@ func TestTrainGoldenDigests(t *testing.T) {
 		return m, err
 	}
 	streaming := func(cfg Config) (*Model, error) {
-		src, err := walk.NewStream(g, wcfg)
-		if err != nil {
-			return nil, err
-		}
-		m, _, err := TrainStreaming(src, g.NumVertices(), cfg)
+		m, _, err := Train(stream, g.NumVertices(), cfg)
 		return m, err
 	}
 	for _, tc := range []struct {

@@ -2,7 +2,6 @@ package word2vec
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"runtime"
 	"sync"
@@ -29,74 +28,29 @@ type Stats struct {
 
 // Train learns embeddings for a vocabulary of vocab vertices from the
 // given corpus. See Config for the hyper-parameters; the paper's V2V
-// uses CBOW with window 5.
+// uses CBOW with window 5. Each worker reads its shard of walks
+// through corpus.WalkSeq, so a streamed corpus is never held in
+// memory.
 func Train(corpus Corpus, vocab int, cfg Config) (*Model, *Stats, error) {
-	return trainSource(corpusSource{corpus}, vocab, cfg)
-}
-
-// TrainStreaming learns embeddings from a streaming corpus without
-// ever materializing it: each worker consumes its walk shard through
-// WalkSeq, so corpus memory is bounded by the source's buffers instead
-// of the total token count. With the same seed and Workers = 1 the
-// result is bit-identical to Train on the materialized equivalent —
-// the two entry points share the training loop and differ only in
-// where walks come from.
-func TrainStreaming(corpus StreamingCorpus, vocab int, cfg Config) (*Model, *Stats, error) {
-	return trainSource(corpus, vocab, cfg)
-}
-
-// trainSource is the shared implementation behind Train and
-// TrainStreaming.
-func trainSource(src StreamingCorpus, vocab int, cfg Config) (*Model, *Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
 	if vocab <= 0 {
 		return nil, nil, fmt.Errorf("word2vec: vocab must be positive, got %d", vocab)
 	}
-	if src.NumWalks() == 0 || src.NumTokens() == 0 {
+	if corpus.NumWalks() == 0 || corpus.NumTokens() == 0 {
 		return nil, nil, fmt.Errorf("word2vec: empty corpus")
 	}
 
-	tr, err := newTrainer(src, vocab, cfg)
+	tr, err := newTrainer(corpus, vocab, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return tr.run()
 }
 
-// corpusSource adapts a materialized Corpus to the StreamingCorpus
-// contract so the trainer has a single walk-consumption path.
-type corpusSource struct{ c Corpus }
-
-func (s corpusSource) NumWalks() int  { return s.c.NumWalks() }
-func (s corpusSource) NumTokens() int { return s.c.NumTokens() }
-
-func (s corpusSource) Counts(vocab int) ([]int, error) {
-	counts := make([]int, vocab)
-	for i := 0; i < s.c.NumWalks(); i++ {
-		for _, tok := range s.c.Walk(i) {
-			if int(tok) < 0 || int(tok) >= vocab {
-				return nil, fmt.Errorf("word2vec: token %d out of vocab [0,%d)", tok, vocab)
-			}
-			counts[tok]++
-		}
-	}
-	return counts, nil
-}
-
-func (s corpusSource) WalkSeq(lo, hi int) iter.Seq[[]int32] {
-	return func(yield func([]int32) bool) {
-		for i := lo; i < hi; i++ {
-			if !yield(s.c.Walk(i)) {
-				return
-			}
-		}
-	}
-}
-
 type trainer struct {
-	corpus StreamingCorpus
+	corpus Corpus
 	vocab  int
 	cfg    Config
 
@@ -113,7 +67,7 @@ type trainer struct {
 	budget    int64        // tokens expected over all (cap) epochs
 }
 
-func newTrainer(corpus StreamingCorpus, vocab int, cfg Config) (*trainer, error) {
+func newTrainer(corpus Corpus, vocab int, cfg Config) (*trainer, error) {
 	tr := &trainer{corpus: corpus, vocab: vocab, cfg: cfg}
 
 	counts, err := corpus.Counts(vocab)
@@ -255,8 +209,7 @@ func private[T any](n int) []T {
 }
 
 // work trains on walks [lo, hi), consumed through the corpus walk
-// iterator (a slice view for materialized corpora, a bounded-buffer
-// producer for streaming ones). It is the hot loop; shared syn0/syn1
+// iterator. It is the hot loop; shared syn0/syn1
 // are updated without synchronisation (Hogwild). All its float32
 // arithmetic over rows goes through the f32 kernels.
 func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples int64) {

@@ -87,20 +87,11 @@ func (s Sampler) String() string {
 	}
 }
 
-// Corpus is the training input: a set of vertex sequences. It is
-// satisfied by *walk.Corpus.
-type Corpus interface {
-	NumWalks() int
-	NumTokens() int
-	Walk(i int) []int32
-}
-
-// StreamingCorpus is a corpus whose walks are produced on demand
-// instead of being held in memory, the input of TrainStreaming. It is
-// satisfied by *walk.Stream.
+// Corpus is the training input: a set of vertex sequences, read one
+// walk at a time. It is satisfied by *walk.Stream, which re-derives
+// its walks on every read, and by *walk.Corpus, which stores them.
 //
-// The contract mirrors what the trainer needs from a materialized
-// corpus: NumTokens must be the exact total token count (it drives the
+// NumTokens must be the exact total token count (it drives the
 // learning-rate decay budget), Counts must be the exact per-token
 // occurrence counts (they build the negative-sampling and hierarchical
 // softmax structures) and WalkSeq(lo, hi) must yield walks lo..hi-1 in
@@ -108,7 +99,7 @@ type Corpus interface {
 // re-opened — the trainer opens one shard per worker per epoch.
 // Yielded slices are only read between iteration steps, so
 // implementations may reuse buffers.
-type StreamingCorpus interface {
+type Corpus interface {
 	NumWalks() int
 	NumTokens() int
 	Counts(vocab int) ([]int, error)

@@ -11,21 +11,6 @@ import (
 	"v2v/internal/xrand"
 )
 
-// testCorpus is a trivial in-memory corpus.
-type testCorpus struct {
-	walks [][]int32
-}
-
-func (c *testCorpus) NumWalks() int { return len(c.walks) }
-func (c *testCorpus) NumTokens() int {
-	n := 0
-	for _, w := range c.walks {
-		n += len(w)
-	}
-	return n
-}
-func (c *testCorpus) Walk(i int) []int32 { return c.walks[i] }
-
 // benchCorpus builds a real random-walk corpus over the paper's
 // synthetic benchmark, scaled down.
 func benchCorpus(t testing.TB, alpha float64, communities, size int) (*walk.Corpus, *graph.Graph, []int) {
@@ -34,19 +19,25 @@ func benchCorpus(t testing.TB, alpha float64, communities, size int) (*walk.Corp
 		NumCommunities: communities, CommunitySize: size,
 		Alpha: alpha, InterEdges: 10 * communities, Seed: 5,
 	})
-	gen, err := walk.NewGenerator(g, walk.Config{WalksPerVertex: 8, Length: 40, Seed: 6})
+	return benchStream(t, g).Materialize(), g, truth
+}
+
+// benchStream is the walk stream benchCorpus materializes.
+func benchStream(t testing.TB, g *graph.Graph) *walk.Stream {
+	t.Helper()
+	s, err := walk.NewStream(g, walk.Config{WalksPerVertex: 8, Length: 40, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gen.Generate(), g, truth
+	return s
 }
 
 func TestTrainRejectsBadInput(t *testing.T) {
-	c := &testCorpus{walks: [][]int32{{0, 1, 2}}}
+	c := &walk.Corpus{Tokens: []int32{0, 1, 2}, Offsets: []int{0, 3}}
 	if _, _, err := Train(c, 0, DefaultConfig(8)); err == nil {
 		t.Error("vocab 0 accepted")
 	}
-	if _, _, err := Train(&testCorpus{}, 3, DefaultConfig(8)); err == nil {
+	if _, _, err := Train(&walk.Corpus{Offsets: []int{0}}, 3, DefaultConfig(8)); err == nil {
 		t.Error("empty corpus accepted")
 	}
 	bad := DefaultConfig(0)
@@ -58,7 +49,7 @@ func TestTrainRejectsBadInput(t *testing.T) {
 	if _, _, err := Train(c, 3, badWin); err == nil {
 		t.Error("window 0 accepted")
 	}
-	outOfVocab := &testCorpus{walks: [][]int32{{0, 7}}}
+	outOfVocab := &walk.Corpus{Tokens: []int32{0, 7}, Offsets: []int{0, 2}}
 	if _, _, err := Train(outOfVocab, 3, DefaultConfig(8)); err == nil {
 		t.Error("out-of-vocab token accepted")
 	}
@@ -242,6 +233,42 @@ func TestDeterministicSingleWorker(t *testing.T) {
 	for i := range m1.Vectors {
 		if m1.Vectors[i] != m2.Vectors[i] {
 			t.Fatal("single-worker training is not deterministic")
+		}
+	}
+}
+
+// TestTrainStreamMatchesCorpus: with Workers = 1 a stream and the
+// corpus it materializes train exactly the same vectors through Train
+// — one a view of stored walks, the other re-derived into reused
+// buffers every epoch.
+func TestTrainStreamMatchesCorpus(t *testing.T) {
+	corpus, g, _ := benchCorpus(t, 0.6, 3, 12)
+	for _, sampler := range []Sampler{NegativeSampling, HierarchicalSoftmax} {
+		for _, obj := range []Objective{CBOW, SkipGram} {
+			cfg := DefaultConfig(12)
+			cfg.Sampler = sampler
+			cfg.Objective = obj
+			cfg.Epochs = 2
+			cfg.Workers = 1
+			cfg.Seed = 21
+			cfg.Subsample = 1e-2
+
+			want, wantStats, err := Train(corpus, g.NumVertices(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := Train(benchStream(t, g), g.NumVertices(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Vectors {
+				if got.Vectors[i] != want.Vectors[i] {
+					t.Fatalf("%v/%v: vector[%d] = %g, want %g", sampler, obj, i, got.Vectors[i], want.Vectors[i])
+				}
+			}
+			if gotStats.TokensTrained != wantStats.TokensTrained {
+				t.Fatalf("%v/%v: TokensTrained = %d, want %d", sampler, obj, gotStats.TokensTrained, wantStats.TokensTrained)
+			}
 		}
 	}
 }

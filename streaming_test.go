@@ -17,23 +17,27 @@ func streamingTestOptions() Options {
 	return o
 }
 
-// TestStreamingEmbeddingParity is the headline determinism guarantee:
-// with a fixed seed and Workers = 1, the streaming and materialized
-// pipelines produce bit-identical embeddings.
-func TestStreamingEmbeddingParity(t *testing.T) {
-	g, _ := CommunityBenchmark(DefaultBenchmarkConfig(0.5, 3))
-	opts := streamingTestOptions()
+// embedMaterialized trains on the stored corpus of opts' walks: the
+// reference Embed's streamed walks are held to.
+func embedMaterialized(t *testing.T, g *Graph, opts Options) *Embedding {
+	t.Helper()
+	corpus, err := GenerateWalks(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, err := EmbedWalks(g, corpus, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return emb
+}
 
-	want, err := Embed(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EmbedStreaming(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+// sameEmbedding requires got to have want's token count and vector
+// bits.
+func sameEmbedding(t *testing.T, got, want *Embedding) {
+	t.Helper()
 	if got.Tokens != want.Tokens {
-		t.Fatalf("streaming Tokens = %d, want %d", got.Tokens, want.Tokens)
+		t.Fatalf("Tokens = %d, want %d", got.Tokens, want.Tokens)
 	}
 	for i := range want.Model.Vectors {
 		if got.Model.Vectors[i] != want.Model.Vectors[i] {
@@ -43,26 +47,17 @@ func TestStreamingEmbeddingParity(t *testing.T) {
 	}
 }
 
-// TestStreamingOptionFlag: Options.Streaming routes Embed through the
-// same fused path as EmbedStreaming.
-func TestStreamingOptionFlag(t *testing.T) {
-	g := ErdosRenyiGNM(60, 200, 9)
+// TestStreamingEmbeddingParity is the headline determinism guarantee:
+// with a fixed seed and Workers = 1, Embed, which streams its walks,
+// is bit-identical to training on the materialized corpus.
+func TestStreamingEmbeddingParity(t *testing.T) {
+	g, _ := CommunityBenchmark(DefaultBenchmarkConfig(0.5, 3))
 	opts := streamingTestOptions()
-	opts.Streaming = true
-	viaFlag, err := Embed(g, opts)
+	got, err := Embed(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := EmbedStreaming(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range direct.Model.Vectors {
-		if viaFlag.Model.Vectors[i] != direct.Model.Vectors[i] {
-			t.Fatalf("vector[%d]: flag path %g, direct path %g",
-				i, viaFlag.Model.Vectors[i], direct.Model.Vectors[i])
-		}
-	}
+	sameEmbedding(t, got, embedMaterialized(t, g, opts))
 }
 
 // TestStreamingWalkMultisetParity: with Workers = N the streaming
@@ -122,8 +117,8 @@ func TestStreamingWalkMultisetParity(t *testing.T) {
 
 // TestStreamingSharedWalkParity: the Figure 9 protocol — several
 // models trained "in the same set of random walk paths" — must give
-// identical results whether the shared walks are a materialized
-// corpus or a stream re-derived per model.
+// identical results whether EmbedWalks is handed the shared walks as a
+// materialized corpus or as a stream re-derived per model.
 func TestStreamingSharedWalkParity(t *testing.T) {
 	g := ErdosRenyiGNM(70, 250, 11)
 	walkOpts := streamingTestOptions()
@@ -143,51 +138,40 @@ func TestStreamingSharedWalkParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EmbedWalkStream(g, stream, modelOpts)
+		got, err := EmbedWalks(g, stream, modelOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.Model.Vectors {
-			if got.Model.Vectors[i] != want.Model.Vectors[i] {
-				t.Fatalf("dim %d: vector[%d] = %g, want %g", dim, i, got.Model.Vectors[i], want.Model.Vectors[i])
-			}
-		}
+		sameEmbedding(t, got, want)
 	}
 }
 
-// TestStreamingEmptyGraph: both pipelines reject the degenerate
-// zero-vertex graph with the same class of error.
+// TestStreamingEmptyGraph: Embed and EmbedWalks over a stream both
+// reject the degenerate zero-vertex graph.
 func TestStreamingEmptyGraph(t *testing.T) {
 	g := NewGraphBuilder(0).Build()
 	opts := streamingTestOptions()
 	if _, err := Embed(g, opts); err == nil {
-		t.Error("materialized Embed accepted an empty graph")
+		t.Error("Embed accepted an empty graph")
 	}
-	if _, err := EmbedStreaming(g, opts); err == nil {
-		t.Error("streaming Embed accepted an empty graph")
+	stream, err := StreamWalks(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EmbedWalks(g, stream, opts); err == nil {
+		t.Error("EmbedWalks accepted the stream of an empty graph")
 	}
 }
 
 // TestStreamingIsolatedVertices: a graph of only isolated vertices
-// yields length-1 walks on both paths, which must still agree.
+// yields length-1 walks, streamed or stored, which must still agree.
 func TestStreamingIsolatedVertices(t *testing.T) {
 	g := NewGraphBuilder(8).Build()
 	opts := streamingTestOptions()
 	opts.WalksPerVertex = 2
-	want, err := Embed(g, opts)
+	got, err := Embed(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EmbedStreaming(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tokens != want.Tokens {
-		t.Fatalf("Tokens = %d, want %d", got.Tokens, want.Tokens)
-	}
-	for i := range want.Model.Vectors {
-		if got.Model.Vectors[i] != want.Model.Vectors[i] {
-			t.Fatalf("vector[%d] = %g, want %g", i, got.Model.Vectors[i], want.Model.Vectors[i])
-		}
-	}
+	sameEmbedding(t, got, embedMaterialized(t, g, opts))
 }

@@ -151,18 +151,6 @@ type Options struct {
 	Seed    uint64
 	Workers int
 
-	// Streaming selects the fused walk→train pipeline: walks are
-	// re-derived from their deterministic per-walk RNG streams each
-	// epoch and consumed through bounded buffers instead of being
-	// materialized up front, so corpus memory no longer grows with the
-	// walk budget. Same seed, same embedding (bit-identical with
-	// Workers = 1). StreamBatch and StreamDepth tune the buffers
-	// (walks per batch, batches per worker; zero = defaults 64 and 2).
-	// See docs/STREAMING.md.
-	Streaming   bool
-	StreamBatch int
-	StreamDepth int
-
 	// Index selects the similarity index serving the embedding's
 	// query paths (Embedding.Neighbors, missing-label prediction):
 	// the zero value is the exact scan; {Kind: IVFIndex, NProbe: n}
@@ -200,8 +188,6 @@ func (o Options) coreConfig() core.Config {
 			InOutParam:     o.InOutParam,
 			Seed:           o.Seed,
 			Workers:        o.Workers,
-			StreamBatch:    o.StreamBatch,
-			StreamDepth:    o.StreamDepth,
 		},
 		Model: word2vec.Config{
 			Dim:             o.Dim,
@@ -216,8 +202,7 @@ func (o Options) coreConfig() core.Config {
 			Workers:         o.Workers,
 			Seed:            o.Seed,
 		},
-		Streaming: o.Streaming,
-		Index:     o.Index,
+		Index: o.Index,
 	}
 }
 
@@ -234,39 +219,25 @@ type Model = word2vec.Model
 type EmbeddingNeighbor = word2vec.Neighbor
 
 // Embed runs the V2V pipeline (random walks, then CBOW/SkipGram
-// training) on g.
+// training) on g. The walks are streamed: re-derived from their
+// per-walk RNG streams in every epoch, never stored, so memory does not
+// grow with the walk budget (docs/STREAMING.md).
 func Embed(g *Graph, opts Options) (*Embedding, error) {
 	return core.Embed(g, opts.coreConfig())
 }
 
-// EmbedStreaming runs the fused streaming pipeline on g regardless of
-// opts.Streaming: walks are generated on the fly and never
-// materialized, bounding corpus memory by the stream buffers instead
-// of the walk budget. Equivalent to Embed with opts.Streaming = true.
-func EmbedStreaming(g *Graph, opts Options) (*Embedding, error) {
-	cfg := opts.coreConfig()
-	cfg.Streaming = true
-	return core.EmbedStreaming(g, cfg)
-}
-
-// WalkStream is a streaming walk corpus: walks are re-derived on
-// demand from their deterministic per-walk RNG streams, byte-identical
-// to the materialized WalkCorpus under the same options.
+// WalkStream is a walk corpus that is never stored: walks are
+// re-derived on demand from their deterministic per-walk RNG streams,
+// byte-identical to the WalkCorpus GenerateWalks returns under the same
+// options.
 type WalkStream = walk.Stream
 
-// StreamWalks returns the streaming counterpart of GenerateWalks. No
-// walks are generated until the stream is consumed.
+// StreamWalks returns the walks of the pipeline as a stream, without
+// generating any. Several models (e.g. a dimension sweep) can share one
+// stream with EmbedWalks, training on identical walks without storing
+// them.
 func StreamWalks(g *Graph, opts Options) (*WalkStream, error) {
 	return walk.NewStream(g, opts.coreConfig().Walk)
-}
-
-// EmbedWalkStream trains an embedding on a pre-built walk stream, the
-// streaming counterpart of EmbedWalks: several models (e.g. a
-// dimension sweep) can share one stream the way they would share one
-// corpus, training on identical walks without materializing them.
-// Only the model fields of opts are consulted.
-func EmbedWalkStream(g *Graph, stream *WalkStream, opts Options) (*Embedding, error) {
-	return core.EmbedStream(g, stream, opts.coreConfig())
 }
 
 // WalkCorpus is a generated set of random walks. It can be saved,
@@ -274,16 +245,20 @@ func EmbedWalkStream(g *Graph, stream *WalkStream, opts Options) (*Embedding, er
 // identical contexts, as the paper's Figure 9 experiment does.
 type WalkCorpus = walk.Corpus
 
+// WalkSource is what EmbedWalks trains on: a *WalkStream or a
+// *WalkCorpus.
+type WalkSource = word2vec.Corpus
+
 // GenerateWalks runs only the walk phase of the pipeline.
 func GenerateWalks(g *Graph, opts Options) (*WalkCorpus, error) {
 	corpus, _, err := core.GenerateCorpus(g, opts.coreConfig().Walk)
 	return corpus, err
 }
 
-// EmbedWalks trains an embedding on a pre-generated corpus; only the
-// model fields of opts are consulted.
-func EmbedWalks(g *Graph, corpus *WalkCorpus, opts Options) (*Embedding, error) {
-	return core.EmbedCorpus(g, corpus, opts.coreConfig())
+// EmbedWalks trains an embedding on pre-built walks; only the model
+// fields of opts are consulted.
+func EmbedWalks(g *Graph, walks WalkSource, opts Options) (*Embedding, error) {
+	return core.EmbedCorpus(g, walks, opts.coreConfig())
 }
 
 // LoadWalks reads a corpus written with WalkCorpus.Save.
