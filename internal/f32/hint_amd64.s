@@ -3,23 +3,8 @@
 #include "textflag.h"
 
 // The write hint lives apart from kernels_amd64.s: it computes
-// nothing, and it is the one routine here that reads CPUID's answer.
-
-// func cpuidExtECX() uint32
-//
-// ECX of CPUID leaf 8000_0001h, or 0 where that leaf does not exist.
-TEXT ·cpuidExtECX(SB), NOSPLIT, $0-4
-	MOVL  $0x80000000, AX
-	CPUID
-	XORL  CX, CX
-	CMPL  AX, $0x80000001
-	JB    cpuiddone
-	MOVL  $0x80000001, AX
-	CPUID
-
-cpuiddone:
-	MOVL CX, ret+0(FP)
-	RET
+// nothing, and its two encodings differ in what they ask of the
+// cache, not in any result.
 
 // func HintWrite(row []float32)
 //

@@ -19,6 +19,9 @@ func gradSSE2(step float32, h, out, e []float32)
 //go:noescape
 func dotRowsSSE2(q, rows, out []float32)
 
+//go:noescape
+func dotRowsAVX2(q, rows, out []float32)
+
 // Dot returns the inner product of a and b[:len(a)].
 func Dot(a, b []float32) float32 { return dotSSE2(a, b[:len(a)]) }
 
@@ -32,15 +35,60 @@ func Grad(g float32, h, out, e []float32) { gradSSE2(g, h, out[:len(h)], e[:len(
 // DotRows computes out[r] = Dot(q, rows[r*len(q):(r+1)*len(q)]) for
 // every r < len(out): one query against a block of consecutive rows
 // of a row-major matrix.
-func DotRows(q, rows, out []float32) { dotRowsSSE2(q, rows[:len(q)*len(out)], out) }
+func DotRows(q, rows, out []float32) {
+	rows = rows[:len(q)*len(out)]
+	if hasAVX2 {
+		dotRowsAVX2(q, rows, out)
+		return
+	}
+	dotRowsSSE2(q, rows, out)
+}
+
+// HasAVX2 reports whether this process runs the AVX2 encodings: the
+// processor has AVX2 and the operating system saves the YMM registers.
+func HasAVX2() bool { return hasAVX2 }
+
+// hasAVX2 picks dotRowsAVX2 over dotRowsSSE2. Both return the same
+// bits (TestKernelsMatchGeneric runs under each), so the choice
+// changes how fast a result comes, never which result.
+var hasAVX2 = detectAVX2()
+
+// detectAVX2 reads CPUID and XCR0: CPUID.7.0:EBX bit 5 (AVX2),
+// CPUID.1:ECX bits 27 (OSXSAVE) and 28 (AVX), and XCR0 bits 1 and 2
+// (the OS saves XMM and YMM state).
+func detectAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xgetbv0()&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() uint32
 
 // hasPrefetchW is CPUID 8000_0001h ECX bit 8, read once at package
 // init: whether HintWrite may issue PREFETCHW. It picks between two
-// hints, never between two results, which is why this package's one
-// CPUID dispatch is here and none is in the arithmetic.
+// hints, never between two results.
 var hasPrefetchW = cpuidExtECX()&(1<<8) != 0
 
-func cpuidExtECX() uint32
+// cpuidExtECX returns ECX of CPUID leaf 8000_0001h, or 0 where that
+// leaf does not exist.
+func cpuidExtECX() uint32 {
+	if maxLeaf, _, _, _ := cpuid(0x80000000, 0); maxLeaf < 0x80000001 {
+		return 0
+	}
+	_, _, ecx, _ := cpuid(0x80000001, 0)
+	return ecx
+}
 
 // HintWrite tells the processor that row is about to be read and then
 // written, so it can fetch row's cache lines in the exclusive state

@@ -5,20 +5,25 @@
 // over a row it is about to update. It imports nothing, so both can use
 // it.
 //
-// On amd64 the kernels are SSE2 assembly (kernels_amd64.s; the
-// GOAMD64=v1 baseline, no CPUID dispatch). This file has them in
-// portable Go: the implementation on every other GOARCH (and on amd64
-// under -tags purego), and the reference the assembly is tested
-// against. Each reproduces the assembly's arithmetic operation for
-// operation, so the two return identical bits: a model trained with
-// Workers = 1 is the same on every architecture, and so is the set of
-// rows a scan rejects.
+// On amd64 the kernels are assembly (kernels_amd64.s): SSE2, the
+// GOAMD64=v1 baseline, and for DotRows, the exact scan's hot loop, one
+// CPUID dispatch between two encodings. Where the processor has AVX2
+// and the operating system saves the YMM registers (hasAVX2, read once
+// at init), DotRows runs four rows per pass at 8-float width; elsewhere
+// it runs the SSE2 loop. Both compute the same bits: the AVX2 kernel's
+// YMM accumulator holds the SSE2 pair's eight partial sums, and
+// multiplies, adds and folds them in the same order (no FMA). This file
+// has the kernels in portable Go: the implementation on every other
+// GOARCH (and on amd64 under -tags purego), and the reference both
+// encodings are tested against. Each reproduces the assembly's
+// arithmetic operation for operation, so all return identical bits: a
+// model trained with Workers = 1 is the same on every architecture,
+// and so is the set of rows a scan rejects, whichever encoding a
+// machine picked.
 //
-// HintWrite (hint_amd64.s) is the exception to "no CPUID dispatch", and
-// may be: it picks PREFETCHW or PREFETCHT0 from a CPUID bit read at
-// init, and a prefetch has no architectural effect, so the choice
-// cannot make two machines compute different bits the way a choice
-// between two arithmetic kernels would. It has no portable twin to
+// HintWrite (hint_amd64.s) picks PREFETCHW or PREFETCHT0 from a CPUID
+// bit read at init. A prefetch has no architectural effect, so that
+// choice cannot change a result either. It has no portable twin to
 // match; elsewhere it is an empty function.
 package f32
 

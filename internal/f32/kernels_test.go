@@ -70,8 +70,9 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestKernelsMatchGeneric pins the numeric contract of the kernel
-// pair: the exported kernels (SSE2 assembly on amd64, the portable
-// ones under -tags purego) and the portable ones return the same bits
+// pair: the exported kernels (assembly on amd64, the DotRows encoding
+// CPUID picked or TestKernelsBothEncodings forces; the portable ones
+// under -tags purego) and the portable ones return the same bits
 // for every length and alignment, DotRows returns Dot's bits row by
 // row, and none writes outside its destination.
 func TestKernelsMatchGeneric(t *testing.T) {
@@ -247,10 +248,22 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 // kernelSink keeps the compiler from discarding the Dot calls.
 var kernelSink float32
 
+// encoding is one DotRows implementation a build can run. use selects
+// it and returns the function that restores the previous choice;
+// supported is false where this machine cannot run it.
+type encoding struct {
+	name      string
+	supported bool
+	use       func() (restore func())
+}
+
 // BenchmarkKernels times the kernels on operands that stay in L1, at
 // the dimensions the CLI (50) and the serving benchmark (64, 128) use.
-// DotRows runs over 256 rows, the exact scan's block, and reports the
-// time per row.
+// DotRows runs under each encoding of dotRowsEncodings and reports the
+// time per row: over 256 rows, the exact scan's block, and over a
+// 20 000-row store a block at a time, as the scan streams the
+// repository benchmark's serve_exact store (5 MB at dim 64), where
+// memory bandwidth, not the arithmetic, sets the pace.
 func BenchmarkKernels(b *testing.B) {
 	for _, dim := range []int{50, 64, 128} {
 		h, out, e := make([]float32, dim), make([]float32, dim), make([]float32, dim)
@@ -273,17 +286,27 @@ func BenchmarkKernels(b *testing.B) {
 				Grad(1e-9, h, out, e)
 			}
 		})
-		b.Run(fmt.Sprintf("DotRows/dim=%d", dim), func(b *testing.B) {
-			const nrows = 256
-			rows, dots := make([]float32, nrows*dim), make([]float32, nrows)
+		for _, nrows := range []int{256, 20_000} {
+			rows, dots := make([]float32, nrows*dim), make([]float32, 256)
 			for i := range rows {
 				rows[i] = float32(i%5) - 2
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				DotRows(h, rows, dots)
+			for _, enc := range dotRowsEncodings() {
+				b.Run(fmt.Sprintf("DotRows/dim=%d/rows=%d/%s", dim, nrows, enc.name), func(b *testing.B) {
+					if !enc.supported {
+						b.Skip("not supported here")
+					}
+					defer enc.use()()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for lo := 0; lo < nrows; lo += len(dots) {
+							n := min(nrows-lo, len(dots))
+							DotRows(h, rows[lo*dim:(lo+n)*dim], dots[:n])
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
+				})
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
-		})
+		}
 	}
 }

@@ -111,6 +111,38 @@ func BenchmarkSearchExactParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkSerialScanFloor is the measurement behind serialScanFloor:
+// one exact cosine top-10 query scanned by its caller alone (serial)
+// and fanned out over GOMAXPROCS partitions (parallel, whatever the
+// floor says), on clustered dim-64 stores from 1k to 16k rows. The
+// floor belongs where parallel starts to win. Run with -cpu 2.
+func BenchmarkSerialScanFloor(b *testing.B) {
+	for _, n := range []int{1024, 2048, 4096, 8192, 16384} {
+		s := clusteredStore(n, 64, 64, 101)
+		idx := NewExact(s, Cosine, 0)
+		for _, parallel := range []bool{false, true} {
+			name := fmt.Sprintf("rows=%d/serial", n)
+			if parallel {
+				name = fmt.Sprintf("rows=%d/parallel", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				dst := make([]Result, 0, 10)
+				for i := 0; i < b.N; i++ {
+					q := s.Row(i * 7919 % n)
+					if parallel {
+						dst = idx.searchParallel(q, 10, -1, dst[:0], idx.workers)
+						continue
+					}
+					var t TopK
+					t.Reset(10)
+					scanRange(s, Cosine, q, 0, n, -1, &t)
+					dst = t.Append(dst[:0])
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSearchExactConcurrent is the serving shape: 4 x GOMAXPROCS
 // callers at once (8 on the two-CPU benchmark box), every query fanned
 // out over GOMAXPROCS partitions or scanned by its caller alone. The

@@ -28,7 +28,8 @@ type Exact struct {
 
 // serialScanFloor is the row count below which a single query is
 // scanned serially; goroutine fan-out costs more than it saves on
-// small stores.
+// small stores. BenchmarkSerialScanFloor measures both sides of it
+// (docs/VECTORS.md has the figures).
 const serialScanFloor = 4096
 
 // NewExact builds an exact index. workers <= 0 means GOMAXPROCS.

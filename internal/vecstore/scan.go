@@ -2,6 +2,7 @@ package vecstore
 
 import (
 	"math"
+	"math/bits"
 
 	"v2v/internal/f32"
 )
@@ -67,6 +68,24 @@ import (
 // clustered store). TestPrefilterSides and FuzzPrefilterSides hold
 // both tests to S from scoreRow: drops ⇒ S < τ, beats ⇒ S > τ, never
 // both.
+//
+// The scan rejects in two stages. After DotRows, one vector pass over
+// the block (dropMask: AVX2 assembly where the processor has it, a
+// no-op elsewhere) sets a bit for every row drops rejects at the
+// threshold armed when the block starts, four rows per instruction,
+// with drops' float64 operations in drops' order. scanRange then
+// visits only the clear bits, in row order, and tests each again with
+// drops at the threshold of that moment before scoring it. That is
+// exact because the threshold never falls — a full TopK's worst entry
+// is replaced only by a better one, and a NaN worst entry never is —
+// and drops is monotone in τ: Cosine's τ-γ > 0 and -(τ-γ)²qn·rn, Dot's
+// x = a-τ inside the increasing x·|x|, Euclidean's comparison with τ
+// itself, each under IEEE rounding, which is monotone too (and a -0
+// threshold tests as +0 does). So a row the mask rejects at the
+// block's τ, drops rejects at any later τ: the rows pushed into the
+// heap, in their order, are those of testing every row with drops
+// alone (TestScanRescoresSameRows; TestRejectMaskMatchesDrops holds
+// the mask to drops bit for bit).
 
 // scanBlock is the number of rows per DotRows call: the float32 dots
 // of one block live on the scanning goroutine's stack.
@@ -132,32 +151,34 @@ func (f *prefilter) arm(tau float64) {
 }
 
 // drops reports whether a row with float32 dot a32 and squared norm rn
-// provably scores below the threshold.
+// provably scores below the threshold. Every rounded product is written
+// float64(x*y): the conversion is a rounding point the compiler may not
+// fuse into a multiply-add (GOAMD64=v3, arm64 and others otherwise
+// may), so drops keeps the bits of dropMaskAVX2, which never fuses.
+// 2a is exact and needs none.
 func (f *prefilter) drops(a32 float32, rn float64) bool {
 	// a32-a32 is 0 exactly when a32 is finite.
 	if !f.armed || a32-a32 != 0 || !(rn >= minSqNorm) {
 		return false
 	}
-	a := float64(a32)
 	if f.metric == Euclidean {
-		return 2*a-f.c*(f.qn+rn) < f.off
+		return 2*float64(a32)-float64(f.c*(f.qn+rn)) < f.off
 	}
-	x := a - f.off
-	return x*math.Abs(x)+f.c*rn < 0
+	x := float64(a32) - f.off
+	return float64(x*math.Abs(x))+float64(f.c*rn) < 0
 }
 
 // beats reports whether a row with float32 dot a32 and squared norm rn
-// provably scores above the threshold.
+// provably scores above the threshold, with drops' rounding points.
 func (f *prefilter) beats(a32 float32, rn float64) bool {
 	if !f.sure || a32-a32 != 0 || !(rn >= minSqNorm) {
 		return false
 	}
-	a := float64(a32)
 	if f.metric == Euclidean {
-		return 2*a-f.cb*(f.qn+rn) > f.off
+		return 2*float64(a32)-float64(f.cb*(f.qn+rn)) > f.off
 	}
-	x := a - f.off
-	return x*math.Abs(x)-f.cb*rn > 0
+	x := float64(a32) - f.off
+	return float64(x*math.Abs(x))-float64(f.cb*rn) > 0
 }
 
 // scanRange scores rows [lo, hi) of s against q and pushes them into
@@ -171,15 +192,25 @@ func scanRange(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *Top
 	for ; lo < hi; lo += scanBlock {
 		n := min(hi-lo, scanBlock)
 		f32.DotRows(q, s.data[lo*dim:(lo+n)*dim], dots[:n])
-		for j, a32 := range dots[:n] {
-			i := lo + j
-			if f.drops(a32, norms[i]) || i == exclude || (del != nil && del[i]) {
-				continue
+		var dropped [scanBlock / 64]uint64
+		f.dropMask(dots[:n], norms[lo:lo+n], &dropped)
+		for w := 0; w*64 < n; w++ {
+			// The rows of word w the mask left for drops to judge.
+			maybe := ^dropped[w]
+			if rows := n - w*64; rows < 64 {
+				maybe &= 1<<rows - 1
 			}
-			t.Push(i, scoreRow(s, metric, q, f.qn, i))
-			rescored++
-			if t.Full() && t.k != 0 {
-				f.arm(t.Threshold().Score)
+			for ; maybe != 0; maybe &= maybe - 1 {
+				j := w*64 + bits.TrailingZeros64(maybe)
+				i := lo + j
+				if f.drops(dots[j], norms[i]) || i == exclude || (del != nil && del[i]) {
+					continue
+				}
+				t.Push(i, scoreRow(s, metric, q, f.qn, i))
+				rescored++
+				if t.Full() && t.k != 0 {
+					f.arm(t.Threshold().Score)
+				}
 			}
 		}
 	}

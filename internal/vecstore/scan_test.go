@@ -233,6 +233,16 @@ func FuzzScanFilterParity(f *testing.F) {
 			f.Add(data, uint8(dim-1), uint8(2), uint8(200), uint8(0), uint16(0b10))
 		}
 	}
+	// Stores past two full blocks, so the engine starts from inputs
+	// that arm the prefilter inside a block and reach the reject pass.
+	for _, dim := range []int{1, 8} {
+		for _, e := range adversarialStores(2*scanBlock+3, dim, 5) {
+			data := rawBytes(e)
+			for metric := uint8(0); metric < 3; metric++ {
+				f.Add(data, uint8(dim-1), metric, uint8(10), uint8(7), uint16(0b100101))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, dimByte, metricByte, kByte, excludeByte uint8, dead uint16) {
 		q, s := rawStore(data, dimByte, math.MaxInt)
 		if s == nil {
@@ -343,6 +353,171 @@ func FuzzPrefilterSides(f *testing.F) {
 		}
 		checkPrefilterSides(t, fmt.Sprintf("dim %d n %d %v", dim, n, metric), s, metric, q, taus)
 	})
+}
+
+// checkDropMask holds dropMask to drops: for the prefilter f, armed or
+// not, bit j of the mask over dots and norms is set exactly when
+// f.drops(dots[j], norms[j]) holds. It returns the number of bits set.
+func checkDropMask(t testing.TB, what string, f *prefilter, dots []float32, norms []float64) (dropped int) {
+	t.Helper()
+	var mask [scanBlock / 64]uint64
+	f.dropMask(dots, norms, &mask)
+	for j := range scanBlock {
+		want := j < len(dots) && f.drops(dots[j], norms[j])
+		if got := mask[j/64]>>(j%64)&1 == 1; got != want {
+			a, rn := float32(0), 0.0
+			if j < len(dots) {
+				a, rn = dots[j], norms[j]
+			}
+			t.Fatalf("%s row %d: mask says drop=%v, drops says %v (a=%v rn=%v armed=%v off=%v c=%v qn=%v)", what, j, got, want, a, rn, f.armed, f.off, f.c, f.qn)
+		}
+		if want {
+			dropped++
+		}
+	}
+	return dropped
+}
+
+// TestRejectMaskMatchesDrops: on every adversarial store, for every
+// metric, a block's reject mask is drops row by row, at every
+// threshold of awkwardTaus and at every row's own score, with blocks
+// of every length mod 4.
+func TestRejectMaskMatchesDrops(t *testing.T) {
+	if !blockReject {
+		t.Skip("no reject pass in this build or on this processor")
+	}
+	dropped, rows := 0, 0
+	for _, dim := range []int{1, 3, 8, 9, 64, 67} {
+		for kind, e := range adversarialStores(scanBlock+3, dim, uint64(dim)) {
+			s := e.s
+			for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+				for qi, q := range append([][]float32{s.Row(0), s.Row(scanBlock / 2)}, e.qs...) {
+					dots := make([]float32, s.Len())
+					f32.DotRows(q, s.Data(), dots)
+					taus := append([]float64(nil), awkwardTaus...)
+					for i := 0; i < s.Len(); i += 7 {
+						taus = append(taus, scoreRow(s, metric, q, sqNorm(q), i))
+						if metric == Euclidean {
+							// The threshold at which drops turns for row
+							// i, and its two neighbours.
+							edge := 2*float64(dots[i]) - float64((1-dotErrorBound(dim))*(sqNorm(q)+s.SqNorms()[i]))
+							taus = append(taus, edge, math.Nextafter(edge, math.Inf(1)), math.Nextafter(edge, math.Inf(-1)))
+						}
+					}
+					for ti, tau := range taus {
+						f := prefilter{metric: metric, gamma: dotErrorBound(dim), qn: sqNorm(q)}
+						f.arm(tau)
+						for _, blk := range [][2]int{{0, scanBlock}, {scanBlock, s.Len()}, {5, 6}, {1, 11}, {2, 64 + 7}} {
+							what := fmt.Sprintf("dim %d %s %v query %d τ#%d=%v rows [%d,%d)", dim, kind, metric, qi, ti, tau, blk[0], blk[1])
+							dropped += checkDropMask(t, what, &f, dots[blk[0]:blk[1]], s.SqNorms()[blk[0]:blk[1]])
+							rows += blk[1] - blk[0]
+						}
+					}
+				}
+			}
+		}
+	}
+	// Both answers must be common for the comparison to mean anything.
+	t.Logf("%d of %d rows dropped", dropped, rows)
+	if dropped < rows/10 || dropped > rows*9/10 {
+		t.Errorf("%d of %d rows dropped: the thresholds no longer split the rows", dropped, rows)
+	}
+}
+
+// FuzzRejectMask reads a block of float32 dots and float64 squared
+// norms, the query's squared norm and a threshold out of raw bits.
+func FuzzRejectMask(f *testing.F) {
+	row := func(a float32, rn float64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, math.Float32bits(a))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(rn))
+	}
+	var seed []byte
+	for i, a := range []float32{0.5, -0.5, 1, 0, float32(math.Inf(1)), float32(math.NaN()), 1e-30, -3} {
+		seed = append(seed, row(a, float64(i)/4)...)
+	}
+	for metric := uint8(0); metric < 3; metric++ {
+		f.Add(seed, metric, uint8(63), math.Float64bits(1), math.Float64bits(0.25))
+		f.Add(seed, metric, uint8(0), math.Float64bits(1e-19), math.Float64bits(-1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, metricByte, dimByte uint8, qnBits, tauBits uint64) {
+		n := min(len(data)/12, scanBlock)
+		dots, norms := make([]float32, n), make([]float64, n)
+		for j := range n {
+			dots[j] = math.Float32frombits(binary.LittleEndian.Uint32(data[12*j:]))
+			norms[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[12*j+4:]))
+		}
+		p := prefilter{metric: Metric(metricByte % 3), gamma: dotErrorBound(1 + int(dimByte)), qn: math.Float64frombits(qnBits)}
+		p.arm(math.Float64frombits(tauBits))
+		if !blockReject {
+			t.Skip("no reject pass in this build or on this processor")
+		}
+		checkDropMask(t, fmt.Sprintf("%v n %d", p.metric, n), &p, dots, norms)
+	})
+}
+
+// TestScanRescoresSameRows: the reject pass changes no answer and no
+// rescored row. scanRange's result and its count of float64-scored
+// rows are the same with the pass on and off, on every adversarial
+// store (tombstones and an excluded row included) and on the
+// benchmark's fixture.
+func TestScanRescoresSameRows(t *testing.T) {
+	if !blockReject {
+		t.Skip("no reject pass in this build or on this processor")
+	}
+	defer func() { blockReject = true }()
+	scan := func(pass bool, s *Store, metric Metric, q []float32, k, exclude int) ([]Result, int) {
+		blockReject = pass
+		var heap TopK
+		heap.Reset(k)
+		rescored := scanRange(s, metric, q, 0, s.Len(), exclude, &heap)
+		return heap.Append(nil), rescored
+	}
+	check := func(what string, s *Store, metric Metric, q []float32, k, exclude int) {
+		t.Helper()
+		got, gotN := scan(true, s, metric, q, k, exclude)
+		want, wantN := scan(false, s, metric, q, k, exclude)
+		if gotN != wantN || len(got) != len(want) {
+			t.Fatalf("%s: %d results from %d rescored rows, %d from %d without the pass", what, len(got), gotN, len(want), wantN)
+		}
+		for r := range want {
+			if got[r].ID != want[r].ID || math.Float64bits(got[r].Score) != math.Float64bits(want[r].Score) {
+				t.Fatalf("%s rank %d: %+v, %+v without the pass", what, r, got[r], want[r])
+			}
+		}
+	}
+	n := 2*scanBlock + 3
+	for _, dim := range []int{1, 8, 9, 64} {
+		for kind, e := range adversarialStores(n, dim, uint64(dim)) {
+			for _, tombstones := range []bool{false, true} {
+				s := e.s
+				if tombstones {
+					s = s.Gather(s.LiveIDs())
+					for i := 0; i < n; i += 3 {
+						if err := s.Delete(i); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+					for qi, q := range append([][]float32{s.Row(1), s.Row(n / 2)}, e.qs...) {
+						for _, exclude := range []int{-1, 1, n / 2} {
+							for _, k := range []int{1, 10, 300} {
+								check(fmt.Sprintf("dim %d %s tombstones=%v %v query %d exclude %d k=%d", dim, kind, tombstones, metric, qi, exclude, k), s, metric, q, k, exclude)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	s := scanFixture()
+	rng := xrand.New(107)
+	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+		for range 8 {
+			row := rng.Intn(s.Len())
+			check(fmt.Sprintf("fixture %v row %d", metric, row), s, metric, s.Row(row), 10, row)
+		}
+	}
 }
 
 // scanFixture is the shape of the repository benchmark's serve_exact
