@@ -21,9 +21,10 @@ func TestHintWriteBothEncodings(t *testing.T) {
 	}
 }
 
-// TestKernelsBothEncodings runs the kernel tests under each DotRows
-// encoding in turn, whatever CPUID said: SSE2 always, AVX2 where this
-// machine can run it. Both must return the portable kernels' bits.
+// TestKernelsBothEncodings runs the kernel tests with hasAVX2 forced
+// off and on in turn, whatever CPUID said: "sse2" (DotRowsI8's
+// portable twin) always, "avx2" (its assembly) where this machine can
+// run it. Both must return the portable kernels' bits.
 func TestKernelsBothEncodings(t *testing.T) {
 	_, _, ecx1, _ := cpuid(1, 0)
 	_, ebx7, _, _ := cpuid(7, 0)
@@ -32,29 +33,30 @@ func TestKernelsBothEncodings(t *testing.T) {
 		xcr0 = fmt.Sprintf("%#x", xgetbv0())
 	}
 	t.Logf("CPUID.7.0:EBX = %#x, CPUID.1:ECX = %#x, XGETBV(0) = %s: AVX2 %v", ebx7, ecx1, xcr0, detectAVX2())
-	for _, e := range dotRowsEncodings() {
+	for _, e := range kernelEncodings() {
 		t.Run(e.name, func(t *testing.T) {
 			if !e.supported {
 				t.Skip("this processor or operating system does not offer AVX2")
 			}
 			defer e.use()()
 			TestKernelsMatchGeneric(t)
+			TestDotRowsI8MatchesGeneric(t)
 			TestDotNonFinite(t)
 			TestKernelsRejectShortOperands(t)
 		})
 	}
 }
 
-// dotRowsEncodings is the two encodings of DotRows on amd64, AVX2
+// kernelEncodings is the two settings of hasAVX2 on amd64, AVX2
 // marked unsupported where detectAVX2 says this machine lacks it.
-func dotRowsEncodings() []encoding {
+func kernelEncodings() []encoding {
 	var es []encoding
 	for _, avx2 := range []bool{false, true} {
-		name := "sse2"
+		name, i8 := "sse2", "generic"
 		if avx2 {
-			name = "avx2"
+			name, i8 = "avx2", "avx2"
 		}
-		es = append(es, encoding{name: name, supported: !avx2 || detectAVX2(), use: func() func() {
+		es = append(es, encoding{name: name, i8: i8, supported: !avx2 || detectAVX2(), use: func() func() {
 			was := hasAVX2
 			hasAVX2 = avx2
 			return func() { hasAVX2 = was }

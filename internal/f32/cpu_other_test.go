@@ -2,7 +2,8 @@
 
 package f32
 
-// dotRowsEncodings is the one DotRows this build has: the portable one.
-func dotRowsEncodings() []encoding {
-	return []encoding{{name: "portable", supported: true, use: func() func() { return func() {} }}}
+// kernelEncodings is the one set of kernels this build has: the
+// portable one.
+func kernelEncodings() []encoding {
+	return []encoding{{name: "portable", i8: "generic", supported: true, use: func() func() { return func() {} }}}
 }

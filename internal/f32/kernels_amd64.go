@@ -3,7 +3,7 @@
 package f32
 
 // The kernels of kernels_amd64.s. The assembly trusts len(first
-// slice) for every argument (DotRows: len(q) and len(out)), so the
+// slice) for every argument (DotRowsI8: len(q) and len(out)), so the
 // wrappers reslice the others to it: a short slice panics here
 // instead of being overrun there.
 
@@ -17,10 +17,7 @@ func addSSE2(dst, src []float32)
 func gradSSE2(step float32, h, out, e []float32)
 
 //go:noescape
-func dotRowsSSE2(q, rows, out []float32)
-
-//go:noescape
-func dotRowsAVX2(q, rows, out []float32)
+func dotRowsI8AVX2(q, rows []int8, out []int32)
 
 // Dot returns the inner product of a and b[:len(a)].
 func Dot(a, b []float32) float32 { return dotSSE2(a, b[:len(a)]) }
@@ -32,24 +29,28 @@ func Add(dst, src []float32) { addSSE2(dst, src[:len(dst)]) }
 // one pass. h, out and e must not overlap.
 func Grad(g float32, h, out, e []float32) { gradSSE2(g, h, out[:len(h)], e[:len(h)]) }
 
-// DotRows computes out[r] = Dot(q, rows[r*len(q):(r+1)*len(q)]) for
-// every r < len(out): one query against a block of consecutive rows
-// of a row-major matrix.
-func DotRows(q, rows, out []float32) {
+// DotRowsI8 computes out[r] = Σ_i q[i]·rows[r*len(q)+i] for every
+// r < len(out): one int8 query against a block of consecutive rows of
+// a row-major int8 matrix whose stride is len(q). len(q) must be a
+// multiple of 32 (pad both sides with zeros), and no element of rows
+// may be -128. The sums are exact when len(q) <= MaxI8Len; longer
+// queries wrap in int32, on both encodings alike.
+func DotRowsI8(q, rows []int8, out []int32) {
+	checkI8(q)
 	rows = rows[:len(q)*len(out)]
 	if hasAVX2 {
-		dotRowsAVX2(q, rows, out)
+		dotRowsI8AVX2(q, rows, out)
 		return
 	}
-	dotRowsSSE2(q, rows, out)
+	dotRowsI8Generic(q, rows, out)
 }
 
 // HasAVX2 reports whether this process runs the AVX2 encodings: the
 // processor has AVX2 and the operating system saves the YMM registers.
 func HasAVX2() bool { return hasAVX2 }
 
-// hasAVX2 picks dotRowsAVX2 over dotRowsSSE2. Both return the same
-// bits (TestKernelsMatchGeneric runs under each), so the choice
+// hasAVX2 picks dotRowsI8AVX2 over dotRowsI8Generic. Both return the
+// same sums (TestKernelsMatchGeneric runs under each), so the choice
 // changes how fast a result comes, never which result.
 var hasAVX2 = detectAVX2()
 

@@ -2,20 +2,19 @@
 
 #include "textflag.h"
 
-// Plain SSE2 (the GOAMD64=v1 baseline), plus one AVX2 routine,
-// dotRowsAVX2, which DotRows runs instead of dotRowsSSE2 where
-// hasAVX2 (CPUID and XCR0, read once at init) says it may. The two
-// encodings compute the same bits: one 8-float YMM accumulator holds
-// exactly the eight partial sums of the SSE2 X0:X1 pair, and the
-// multiplies, adds, fold and tail are the same operations in the same
-// order (no FMA, which rounds once where these round twice). Loads and
-// stores are unaligned (MOVUPS) because a row of a dim-50 matrix is
-// not 16-byte aligned. Every routine reads and writes exactly the
-// first len(first slice) elements of each slice argument; the Go
+// Plain SSE2 (the GOAMD64=v1 baseline) for the float32 kernels, plus
+// one AVX2 routine, dotRowsI8AVX2, which DotRowsI8 runs instead of its
+// portable twin where hasAVX2 (CPUID and XCR0, read once at init) says
+// it may. The float32 kernels multiply and add in the portable kernels'
+// order (no FMA, which rounds once where these round twice); the int8
+// one sums integers, exactly, so its order does not matter. Loads and
+// stores are unaligned (MOVUPS, VMOVDQU) because a row of a dim-50
+// matrix is not 16-byte aligned. Every routine reads and writes exactly
+// the first len(first slice) elements of each slice argument; the Go
 // declarations in kernels_amd64.go reslice the others to that length
-// first (the DotRows routines trust len(q) and len(out), and read
-// len(q)*len(out) floats of rows). kernels_generic.go repeats the
-// arithmetic of each routine operation for operation.
+// first (dotRowsI8AVX2 trusts len(q) and len(out), and reads
+// len(q)*len(out) bytes of rows). kernels_generic.go repeats the
+// arithmetic of each routine.
 
 // func dotSSE2(a, b []float32) float32
 TEXT ·dotSSE2(SB), NOSPLIT, $0-52
@@ -167,208 +166,103 @@ gradtail:
 graddone:
 	RET
 
-// func dotRowsSSE2(q, rows, out []float32)
-//
-// dotSSE2 once per row of rows, q as its first operand: the same
-// eight partial sums, the same fold, the same tail.
-TEXT ·dotRowsSSE2(SB), NOSPLIT, $0-72
-	MOVQ  q_base+0(FP), R8
-	MOVQ  q_len+8(FP), R9
-	MOVQ  rows_base+24(FP), DI
-	MOVQ  out_base+48(FP), BX
-	MOVQ  out_len+56(FP), R10
-	TESTQ R10, R10
-	JZ    rowsdone
-	MOVQ  R9, R11
-	SHRQ  $3, R11            // 8-float blocks per row
-	ANDQ  $7, R9             // tail floats per row
+// I8CHUNK(row, acc) adds the dot of the query chunk in Y4 (|Q| in Y5)
+// with the 32 row bytes at row into acc's eight int32 lanes: the row's
+// bytes take the query's signs (VPSIGNB: R·sign(Q), never overflowing
+// because no row byte is -128), VPMADDUBSW multiplies them by |Q| as
+// unsigned bytes and adds neighbours into int16 (at most 2·127² =
+// 32258, so it never saturates), and VPMADDWD by ones (Y15) adds
+// neighbouring int16s into int32. Y6 is scratch.
+#define I8CHUNK(row, acc) \
+	VMOVDQU    row, Y6; \
+	VPSIGNB    Y4, Y6, Y6; \
+	VPMADDUBSW Y6, Y5, Y6; \
+	VPMADDWD   Y15, Y6, Y6; \
+	VPADDD     Y6, acc, acc
 
-rowsnext:
+// func dotRowsI8AVX2(q, rows []int8, out []int32)
+//
+// Four rows per pass over 32-byte chunks, each row with a YMM of eight
+// int32 partial sums, folded at the end with VPHADDD; a 1-row loop
+// takes the last len(out)%4 rows. len(q) is the row stride and a
+// multiple of 32.
+TEXT ·dotRowsI8AVX2(SB), NOSPLIT, $0-72
+	MOVQ     q_base+0(FP), R8
+	MOVQ     q_len+8(FP), R9    // row stride in bytes
+	MOVQ     rows_base+24(FP), DI
+	MOVQ     out_base+48(FP), BX
+	MOVQ     out_len+56(FP), R10
+	MOVQ     R9, R11
+	SHRQ     $5, R11            // 32-byte chunks per row
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW   $15, Y15, Y15      // 1 in every int16 lane
+
+i8quadnext:
+	CMPQ  R10, $4
+	JB    i8onenext
 	MOVQ  R8, SI
-	XORPS X0, X0             // partial sums, lanes 0-3
-	XORPS X1, X1             // partial sums, lanes 4-7
+	LEAQ  (DI)(R9*2), R13       // row 2; rows 1 and 3 are R9 past 0 and 2
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
 	MOVQ  R11, DX
 	TESTQ DX, DX
-	JZ    rowsfold
+	JZ    i8quadfold
 
-rowsloop:
-	MOVUPS (SI), X2
-	MOVUPS 16(SI), X3
-	MOVUPS (DI), X4
-	MOVUPS 16(DI), X5
-	MULPS  X4, X2
-	MULPS  X5, X3
-	ADDPS  X2, X0
-	ADDPS  X3, X1
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	DECQ   DX
-	JNZ    rowsloop
-
-rowsfold:
-	ADDPS   X1, X0           // s[j] = p[j] + p[j+4]
-	MOVHLPS X0, X1           // X1[0], X1[1] = s2, s3
-	ADDPS   X1, X0           // X0[0] = s0+s2, X0[1] = s1+s3
-	MOVAPS  X0, X1
-	SHUFPS  $0x55, X1, X1    // X1[0] = s1+s3
-	ADDSS   X1, X0           // (s0+s2) + (s1+s3)
-	MOVQ    R9, CX
-	TESTQ   CX, CX
-	JZ      rowsstore
-
-rowstail:
-	MOVSS (SI), X2
-	MULSS (DI), X2
-	ADDSS X2, X0
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JNZ   rowstail
-
-rowsstore:
-	MOVSS X0, (BX)
-	ADDQ  $4, BX
-	DECQ  R10
-	JNZ   rowsnext
-
-rowsdone:
-	RET
-
-// FOLD8(Y, X) leaves in X's lane 0 the sum of Y's eight lanes, added
-// as the SSE2 fold adds X0:X1: s[j] = p[j] + p[j+4] (VEXTRACTF128,
-// VADDPS); X9[0], X9[1] = s2, s3 (VMOVHLPS); X[0] = s0+s2,
-// X[1] = s1+s3 (VADDPS); X9[0] = s1+s3 (VSHUFPS 0x55); and
-// (s0+s2) + (s1+s3) (VADDSS). X9 is scratch.
-#define FOLD8(Y, X) \
-	VEXTRACTF128 $1, Y, X9; \
-	VADDPS       X9, X, X; \
-	VMOVHLPS     X, X9, X9; \
-	VADDPS       X9, X, X; \
-	VSHUFPS      $0x55, X, X, X9; \
-	VADDSS       X9, X, X
-
-// func dotRowsAVX2(q, rows, out []float32)
-//
-// dotRowsSSE2 four rows per pass: the query's 8-float block is loaded
-// once and multiplied into four rows, each row with a YMM accumulator
-// whose lane j takes elements j, j+8, ... as the SSE2 pair does, q the
-// first operand of every multiply and the accumulator the first of
-// every add. A 1-row loop takes the last len(out)%4 rows.
-TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-72
-	MOVQ q_base+0(FP), R8
-	MOVQ q_len+8(FP), R9
-	MOVQ rows_base+24(FP), DI
-	MOVQ out_base+48(FP), BX
-	MOVQ out_len+56(FP), R10
-	MOVQ R9, R12
-	SHLQ $2, R12             // row stride in bytes
-	MOVQ R9, R11
-	SHRQ $3, R11             // 8-float blocks per row
-	ANDQ $7, R9              // tail floats per row
-
-quadnext:
-	CMPQ   R10, $4
-	JB     onenext
-	MOVQ   R8, SI
-	LEAQ   (DI)(R12*2), R13  // row 2; rows 1 and 3 are R12 past 0 and 2
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ   R11, DX
-	TESTQ  DX, DX
-	JZ     quadfold
-
-quadloop:
-	VMOVUPS (SI), Y4
-	VMULPS  (DI), Y4, Y5
-	VMULPS  (DI)(R12*1), Y4, Y6
-	VMULPS  (R13), Y4, Y7
-	VMULPS  (R13)(R12*1), Y4, Y8
-	VADDPS  Y5, Y0, Y0
-	VADDPS  Y6, Y1, Y1
-	VADDPS  Y7, Y2, Y2
-	VADDPS  Y8, Y3, Y3
+i8quadloop:
+	VMOVDQU (SI), Y4
+	VPABSB  Y4, Y5
+	I8CHUNK((DI), Y0)
+	I8CHUNK((DI)(R9*1), Y1)
+	I8CHUNK((R13), Y2)
+	I8CHUNK((R13)(R9*1), Y3)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 	ADDQ    $32, R13
 	DECQ    DX
-	JNZ     quadloop
+	JNZ     i8quadloop
 
-quadfold:
-	FOLD8(Y0, X0)
-	FOLD8(Y1, X1)
-	FOLD8(Y2, X2)
-	FOLD8(Y3, X3)
-	MOVQ  R9, CX
-	TESTQ CX, CX
-	JZ    quadstore
+i8quadfold:
+	VPHADDD      Y1, Y0, Y0     // row 0 pairs, row 1 pairs, per 128-bit half
+	VPHADDD      Y3, Y2, Y2     // rows 2 and 3 likewise
+	VPHADDD      Y2, Y0, Y0     // rows 0-3, one quarter of each per half
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0     // rows 0-3
+	VMOVDQU      X0, (BX)
+	ADDQ         $16, BX
+	LEAQ         (R13)(R9*1), DI // R13 ends on row 3: the next pass's row 0
+	SUBQ         $4, R10
+	JMP          i8quadnext
 
-quadtail:
-	VMOVSS (SI), X4
-	VMULSS (DI), X4, X5
-	VMULSS (DI)(R12*1), X4, X6
-	VMULSS (R13), X4, X7
-	VMULSS (R13)(R12*1), X4, X8
-	VADDSS X5, X0, X0
-	VADDSS X6, X1, X1
-	VADDSS X7, X2, X2
-	VADDSS X8, X3, X3
-	ADDQ   $4, SI
-	ADDQ   $4, DI
-	ADDQ   $4, R13
-	DECQ   CX
-	JNZ    quadtail
+i8onenext:
+	TESTQ R10, R10
+	JZ    i8done
+	MOVQ  R8, SI
+	VPXOR Y0, Y0, Y0
+	MOVQ  R11, DX
+	TESTQ DX, DX
+	JZ    i8onefold
 
-quadstore:
-	VMOVSS X0, (BX)
-	VMOVSS X1, 4(BX)
-	VMOVSS X2, 8(BX)
-	VMOVSS X3, 12(BX)
-	ADDQ   $16, BX
-	LEAQ   (R13)(R12*1), DI  // R13 ends on row 3: the next pass's row 0
-	SUBQ   $4, R10
-	JMP    quadnext
-
-onenext:
-	TESTQ  R10, R10
-	JZ     rowsavx2done
-	MOVQ   R8, SI
-	VXORPS Y0, Y0, Y0
-	MOVQ   R11, DX
-	TESTQ  DX, DX
-	JZ     onefold
-
-oneloop:
-	VMOVUPS (SI), Y4
-	VMULPS  (DI), Y4, Y5
-	VADDPS  Y5, Y0, Y0
+i8oneloop:
+	VMOVDQU (SI), Y4
+	VPABSB  Y4, Y5
+	I8CHUNK((DI), Y0)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 	DECQ    DX
-	JNZ     oneloop
+	JNZ     i8oneloop
 
-onefold:
-	FOLD8(Y0, X0)
-	MOVQ  R9, CX
-	TESTQ CX, CX
-	JZ    onestore
+i8onefold:
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPHADDD      X0, X0, X0
+	VPHADDD      X0, X0, X0
+	VMOVD        X0, (BX)
+	ADDQ         $4, BX
+	DECQ         R10
+	JMP          i8onenext
 
-onetail:
-	VMOVSS (SI), X4
-	VMULSS (DI), X4, X5
-	VADDSS X5, X0, X0
-	ADDQ   $4, SI
-	ADDQ   $4, DI
-	DECQ   CX
-	JNZ    onetail
-
-onestore:
-	VMOVSS X0, (BX)
-	ADDQ   $4, BX
-	DECQ   R10
-	JMP    onenext
-
-rowsavx2done:
+i8done:
 	VZEROUPPER
 	RET

@@ -1,25 +1,24 @@
-// Package f32 holds the repository's float32 vector kernels: Dot, Add
-// and Grad, the three level-1 operations of the word2vec training loop,
-// and DotRows, Dot over a block of matrix rows, the first pass of the
-// vecstore exact scan; plus HintWrite, the trainer's prefetch-for-write
-// over a row it is about to update. It imports nothing, so both can use
-// it.
+// Package f32 holds the repository's vector kernels: Dot, Add and
+// Grad, the three float32 level-1 operations of the word2vec training
+// loop; DotRowsI8, the int8 dot of one query against a block of matrix
+// rows, the first pass of the vecstore exact scan; and HintWrite, the
+// trainer's prefetch-for-write over a row it is about to update. It
+// imports nothing, so both can use it.
 //
-// On amd64 the kernels are assembly (kernels_amd64.s): SSE2, the
-// GOAMD64=v1 baseline, and for DotRows, the exact scan's hot loop, one
-// CPUID dispatch between two encodings. Where the processor has AVX2
-// and the operating system saves the YMM registers (hasAVX2, read once
-// at init), DotRows runs four rows per pass at 8-float width; elsewhere
-// it runs the SSE2 loop. Both compute the same bits: the AVX2 kernel's
-// YMM accumulator holds the SSE2 pair's eight partial sums, and
-// multiplies, adds and folds them in the same order (no FMA). This file
-// has the kernels in portable Go: the implementation on every other
-// GOARCH (and on amd64 under -tags purego), and the reference both
-// encodings are tested against. Each reproduces the assembly's
-// arithmetic operation for operation, so all return identical bits: a
-// model trained with Workers = 1 is the same on every architecture,
-// and so is the set of rows a scan rejects, whichever encoding a
-// machine picked.
+// On amd64 the kernels are assembly (kernels_amd64.s): Dot, Add and
+// Grad in SSE2, the GOAMD64=v1 baseline, and DotRowsI8, the exact
+// scan's hot loop, behind one CPUID dispatch. Where the processor has
+// AVX2 and the operating system saves the YMM registers (hasAVX2, read
+// once at init), DotRowsI8 runs four rows per pass over 32-byte
+// chunks; elsewhere it runs its portable twin. Integer sums are exact,
+// so the two agree by construction. This file has the kernels in
+// portable Go: the implementation on every other GOARCH (and on amd64
+// under -tags purego), and the reference the assembly is tested
+// against. Each float32 kernel reproduces the assembly's arithmetic
+// operation for operation, so all return identical bits: a model
+// trained with Workers = 1 is the same on every architecture, and so
+// is the set of rows a scan rejects, whichever encoding a machine
+// picked.
 //
 // HintWrite (hint_amd64.s) picks PREFETCHW or PREFETCHT0 from a CPUID
 // bit read at init. A prefetch has no architectural effect, so that
@@ -90,11 +89,37 @@ func gradGeneric(g float32, h, out, e []float32) {
 	}
 }
 
-// dotRowsGeneric computes out[r] = dotGeneric(q, row r of rows) for
-// every r < len(out).
-func dotRowsGeneric(q, rows, out []float32) {
+// dotRowsI8Generic computes out[r] = Σ_i q[i]·rows[r*len(q)+i] for
+// every r < len(out), in int32. Integer addition is associative, so
+// this order gives the assembly's bits, which sums in another.
+func dotRowsI8Generic(q, rows []int8, out []int32) {
 	rows = rows[:len(q)*len(out)]
 	for r := range out {
-		out[r] = dotGeneric(q, rows[r*len(q):(r+1)*len(q)])
+		a, b := q, rows[r*len(q):(r+1)*len(q)]
+		var s0, s1, s2, s3 int32
+		for len(a) >= 8 {
+			x, y := (*[8]int8)(a), (*[8]int8)(b)
+			s0 += int32(x[0])*int32(y[0]) + int32(x[4])*int32(y[4])
+			s1 += int32(x[1])*int32(y[1]) + int32(x[5])*int32(y[5])
+			s2 += int32(x[2])*int32(y[2]) + int32(x[6])*int32(y[6])
+			s3 += int32(x[3])*int32(y[3]) + int32(x[7])*int32(y[7])
+			a, b = a[8:], b[8:]
+		}
+		for i, x := range a {
+			s0 += int32(x) * int32(b[i])
+		}
+		out[r] = s0 + s1 + s2 + s3
+	}
+}
+
+// MaxI8Len is the longest query DotRowsI8 sums exactly: 127²·MaxI8Len
+// fits in an int32.
+const MaxI8Len = 1 << 17
+
+// checkI8 panics unless q is a query DotRowsI8 accepts: a whole number
+// of 32-byte chunks.
+func checkI8(q []int8) {
+	if len(q)%32 != 0 {
+		panic("f32: DotRowsI8 query length is not a multiple of 32")
 	}
 }

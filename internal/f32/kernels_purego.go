@@ -15,10 +15,12 @@ func Add(dst, src []float32) { addGeneric(dst, src) }
 // one pass. h, out and e must not overlap.
 func Grad(g float32, h, out, e []float32) { gradGeneric(g, h, out, e) }
 
-// DotRows computes out[r] = Dot(q, rows[r*len(q):(r+1)*len(q)]) for
-// every r < len(out): one query against a block of consecutive rows
-// of a row-major matrix.
-func DotRows(q, rows, out []float32) { dotRowsGeneric(q, rows, out) }
+// DotRowsI8 computes out[r] = Σ_i q[i]·rows[r*len(q)+i] for every
+// r < len(out), exactly; the contract is kernels_amd64.go's.
+func DotRowsI8(q, rows []int8, out []int32) {
+	checkI8(q)
+	dotRowsI8Generic(q, rows, out)
+}
 
 // HintWrite is a cache hint on amd64 (see kernels_amd64.go) and
 // nothing here: it has no result to reproduce.

@@ -70,11 +70,11 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestKernelsMatchGeneric pins the numeric contract of the kernel
-// pair: the exported kernels (assembly on amd64, the DotRows encoding
-// CPUID picked or TestKernelsBothEncodings forces; the portable ones
-// under -tags purego) and the portable ones return the same bits
-// for every length and alignment, DotRows returns Dot's bits row by
-// row, and none writes outside its destination.
+// pair: the exported kernels (assembly on amd64, the DotRowsI8
+// encoding CPUID picked or TestKernelsBothEncodings forces; the
+// portable ones under -tags purego) and the portable ones return the
+// same bits for every length and alignment, and none writes outside
+// its destination.
 func TestKernelsMatchGeneric(t *testing.T) {
 	rng := xrand.New(99)
 	for _, n := range kernelLens() {
@@ -106,21 +106,72 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			sameBits(t, "grad e "+name, e, wantE)
 			checkGuards(t, "grad out "+name, outBuf, n, outOff)
 			checkGuards(t, "grad e "+name, eBuf, n, eOff)
+		}
+	}
+}
 
+// i8Guard is the canary written either side of a DotRowsI8 output.
+const i8Guard = int32(-0x5a5a5a5a)
+
+// i8Rows returns nrows rows of stride bytes, the first dim of each
+// from fill and the rest zero, starting off bytes into their buffer.
+func i8Rows(nrows, dim, stride, off int, fill func() int8) []int8 {
+	v := make([]int8, off+nrows*stride)[off:]
+	for r := 0; r < nrows; r++ {
+		for i := 0; i < dim; i++ {
+			v[r*stride+i] = fill()
+		}
+	}
+	return v
+}
+
+// checkDotRowsI8 holds DotRowsI8 to its portable twin and to the sum
+// taken in int64, row by row, and fails if it wrote outside out.
+func checkDotRowsI8(t *testing.T, what string, q, rows []int8) {
+	t.Helper()
+	nrows := len(rows) / max(len(q), 1)
+	buf := make([]int32, nrows+2)
+	for i := range buf {
+		buf[i] = i8Guard
+	}
+	got, want := buf[1:1+nrows], make([]int32, nrows)
+	DotRowsI8(q, rows, got)
+	dotRowsI8Generic(q, rows, want)
+	for r := range want {
+		var exact int64
+		for i, x := range q {
+			exact += int64(x) * int64(rows[r*len(q)+i])
+		}
+		if got[r] != want[r] || int64(want[r]) != exact {
+			t.Fatalf("%s row %d: DotRowsI8 %d, portable kernel %d, exact %d", what, r, got[r], want[r], exact)
+		}
+	}
+	if buf[0] != i8Guard || buf[nrows+1] != i8Guard {
+		t.Fatalf("%s: wrote outside its output", what)
+	}
+}
+
+// TestDotRowsI8MatchesGeneric: DotRowsI8 (the encoding CPUID picked
+// or TestKernelsBothEncodings forces) returns its portable twin's sums,
+// which are the exact ones, at dims 1, 8, 9, 64 and 65 padded to whole
+// 32-byte chunks, at every row count mod 4 and past a 256-row block,
+// at four alignments, and on rows and queries of extreme bytes only.
+func TestDotRowsI8MatchesGeneric(t *testing.T) {
+	rng := xrand.New(11)
+	random := func() int8 { return int8(rng.Intn(255) - 127) }
+	extreme := func() int8 { return int8(127 - 254*rng.Intn(2)) }
+	for _, dim := range []int{1, 8, 9, 64, 65} {
+		stride := (dim + 31) &^ 31
+		for off := 0; off < 4; off++ {
 			for _, nrows := range []int{0, 1, 2, 3, 4, 5, 255, 256, 257} {
-				name := fmt.Sprintf("dotrows %s/rows=%d", name, nrows)
-				rows, _ := operand(rng, n*nrows, (off+1)%4)
-				got, gotBuf := operand(rng, nrows, (off+2)%4)
-				wantRows := make([]float32, nrows)
-				byRow := make([]float32, nrows)
-				DotRows(a, rows, got)
-				dotRowsGeneric(a, rows, wantRows)
-				for r := range byRow {
-					byRow[r] = Dot(a, rows[r*n:(r+1)*n])
-				}
-				sameBits(t, name, got, wantRows)
-				sameBits(t, name+" vs Dot row by row", got, byRow)
-				checkGuards(t, name, gotBuf, nrows, (off+2)%4)
+				name := fmt.Sprintf("dim=%d/off=%d/rows=%d", dim, off, nrows)
+				q := i8Rows(1, dim, stride, (off+1)%4, random)
+				checkDotRowsI8(t, name, q, i8Rows(nrows, dim, stride, off, random))
+				checkDotRowsI8(t, name+"/extreme", i8Rows(1, dim, stride, off, extreme), i8Rows(nrows, dim, stride, off, extreme))
+				// Every product at its largest: -128 is allowed in the
+				// query, where VPSIGNB never negates it.
+				lowest := i8Rows(1, dim, stride, off, func() int8 { return -128 })
+				checkDotRowsI8(t, name+"/lowest", lowest, i8Rows(nrows, dim, stride, off, func() int8 { return -127 }))
 			}
 		}
 	}
@@ -141,12 +192,8 @@ func TestDotNonFinite(t *testing.T) {
 				}
 				b[at] = bad
 				got, want := Dot(a, b), dotGeneric(a, b)
-				out := []float32{0}
-				DotRows(a, b, out)
-				for _, g := range []float32{got, out[0]} {
-					if math.IsNaN(float64(want)) != math.IsNaN(float64(g)) || (want == want && g != want) {
-						t.Fatalf("n=%d bad=%v at %d: %v, portable kernel has %v", n, bad, at, g, want)
-					}
+				if math.IsNaN(float64(want)) != math.IsNaN(float64(got)) || (want == want && got != want) {
+					t.Fatalf("n=%d bad=%v at %d: %v, portable kernel has %v", n, bad, at, got, want)
 				}
 			}
 		}
@@ -227,12 +274,14 @@ func TestHintWriteLeavesMemoryAlone(t *testing.T) { hintLeavesMemoryAlone(t) }
 // first panics instead of being overrun.
 func TestKernelsRejectShortOperands(t *testing.T) {
 	long, short := make([]float32, 16), make([]float32, 15)
+	q8, rows8, out8 := make([]int8, 32), make([]int8, 63), make([]int32, 2)
 	for name, call := range map[string]func(){
-		"dot":          func() { Dot(long, short) },
-		"add":          func() { Add(long, short) },
-		"grad out":     func() { Grad(1, long, short, long) },
-		"grad e":       func() { Grad(1, long, long, short) },
-		"dotrows rows": func() { DotRows(long[:4], short, long[:4]) },
+		"dot":             func() { Dot(long, short) },
+		"add":             func() { Add(long, short) },
+		"grad out":        func() { Grad(1, long, short, long) },
+		"grad e":          func() { Grad(1, long, long, short) },
+		"dotrowsi8 rows":  func() { DotRowsI8(q8, rows8, out8) },
+		"dotrowsi8 chunk": func() { DotRowsI8(q8[:31], rows8, out8) },
 	} {
 		func() {
 			defer func() {
@@ -248,22 +297,23 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 // kernelSink keeps the compiler from discarding the Dot calls.
 var kernelSink float32
 
-// encoding is one DotRows implementation a build can run. use selects
-// it and returns the function that restores the previous choice;
-// supported is false where this machine cannot run it.
+// encoding is one set of kernels a build can run, by the name of its
+// float32 encoding; i8 names the DotRowsI8 it runs. use selects it and
+// returns the function that restores the previous choice; supported is
+// false where this machine cannot run it.
 type encoding struct {
-	name      string
+	name, i8  string
 	supported bool
 	use       func() (restore func())
 }
 
 // BenchmarkKernels times the kernels on operands that stay in L1, at
 // the dimensions the CLI (50) and the serving benchmark (64, 128) use.
-// DotRows runs under each encoding of dotRowsEncodings and reports the
-// time per row: over 256 rows, the exact scan's block, and over a
-// 20 000-row store a block at a time, as the scan streams the
-// repository benchmark's serve_exact store (5 MB at dim 64), where
-// memory bandwidth, not the arithmetic, sets the pace.
+// DotRowsI8 runs at dim 64 (a 64-byte stride) under each encoding of
+// kernelEncodings and reports the time per row: over 256 rows, the
+// exact scan's block, and over a 20 000-row store a block at a time,
+// as the scan streams the repository benchmark's serve_exact store
+// (1.3 MB of int8 rows), where memory bandwidth may set the pace.
 func BenchmarkKernels(b *testing.B) {
 	for _, dim := range []int{50, 64, 128} {
 		h, out, e := make([]float32, dim), make([]float32, dim), make([]float32, dim)
@@ -286,27 +336,27 @@ func BenchmarkKernels(b *testing.B) {
 				Grad(1e-9, h, out, e)
 			}
 		})
-		for _, nrows := range []int{256, 20_000} {
-			rows, dots := make([]float32, nrows*dim), make([]float32, 256)
-			for i := range rows {
-				rows[i] = float32(i%5) - 2
-			}
-			for _, enc := range dotRowsEncodings() {
-				b.Run(fmt.Sprintf("DotRows/dim=%d/rows=%d/%s", dim, nrows, enc.name), func(b *testing.B) {
-					if !enc.supported {
-						b.Skip("not supported here")
+	}
+	const dim = 64
+	q := i8Rows(1, dim, dim, 0, func() int8 { return 37 })
+	for _, nrows := range []int{256, 20_000} {
+		k := 0
+		rows, dots := i8Rows(nrows, dim, dim, 0, func() int8 { k++; return int8(k%255 - 127) }), make([]int32, 256)
+		for _, enc := range kernelEncodings() {
+			b.Run(fmt.Sprintf("DotRowsI8/dim=%d/rows=%d/%s", dim, nrows, enc.i8), func(b *testing.B) {
+				if !enc.supported {
+					b.Skip("not supported here")
+				}
+				defer enc.use()()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < nrows; lo += len(dots) {
+						n := min(nrows-lo, len(dots))
+						DotRowsI8(q, rows[lo*dim:(lo+n)*dim], dots[:n])
 					}
-					defer enc.use()()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for lo := 0; lo < nrows; lo += len(dots) {
-							n := min(nrows-lo, len(dots))
-							DotRows(h, rows[lo*dim:(lo+n)*dim], dots[:n])
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
-				})
-			}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
+			})
 		}
 	}
 }

@@ -87,7 +87,8 @@ func BenchmarkSearchSeedBaseline(b *testing.B) {
 }
 
 // BenchmarkSearchExactSerial is one exact cosine top-10 per op on a
-// single worker: cached norms, float32 prefilter, bounded top-k heap.
+// single worker: cached norms, int8 and float32 prefilters, bounded
+// top-k heap.
 func BenchmarkSearchExactSerial(b *testing.B) {
 	s, qs := queryBenchSetup(b)
 	idx := NewExact(s, Cosine, 1)

@@ -7,10 +7,10 @@ import (
 
 // Exact is the brute-force index: a partitioned parallel scan with
 // bounded top-k heaps per partition. Results are exact, and — because
-// the float32 pass of the scan only rejects rows that provably cannot
-// enter a heap, and the float64 kernels that score the rest preserve
-// the seed's accumulation order — bit-for-bit identical to the
-// historical sort-everything paths (see scan.go).
+// the int8 and float32 passes of the scan only reject rows that
+// provably cannot enter a heap, and the float64 kernels that score the
+// rest preserve the seed's accumulation order — bit-for-bit identical
+// to the historical sort-everything paths (see scan.go).
 //
 // Exact implements MutableIndex trivially: an appended row is covered
 // by the very next scan and a tombstoned row is skipped by it, so
@@ -34,7 +34,8 @@ const serialScanFloor = 4096
 
 // NewExact builds an exact index. workers <= 0 means GOMAXPROCS.
 func NewExact(s *Store, metric Metric, workers int) *Exact {
-	s.SqNorms() // precompute so concurrent queries never race the cache
+	s.SqNorms() // precompute so concurrent queries never race the caches
+	s.int8Rows()
 	return &Exact{s: s, metric: metric, workers: normWorkers(workers)}
 }
 

@@ -285,7 +285,7 @@ func (h *HNSW) dist(q []float32, qn float64, i int32) float64 {
 // way. A true answer is final; false means "score it".
 func (h *HNSW) farther(f *prefilter, q []float32, e int32, sc *hnswScratch) bool {
 	sc.evals++
-	if !f.armed || !f.drops(f32.Dot(q, h.s.Row(int(e))), h.s.SqNorms()[e]) {
+	if !f.armed || !f.drops(float64(f32.Dot(q, h.s.Row(int(e)))), h.s.SqNorms()[e]) {
 		return false
 	}
 	sc.rejected++
@@ -700,7 +700,7 @@ func (h *HNSW) searchLayer(q []float32, f *prefilter, eps []int32, level, ef int
 // either direction, when gamma is +Inf).
 func (h *HNSW) nearer(f *prefilter, row []float32, c hcand, kept int32, sc *hnswScratch) bool {
 	sc.selCmps++
-	a, rn := f32.Dot(row, h.s.Row(int(kept))), h.s.SqNorms()[kept]
+	a, rn := float64(f32.Dot(row, h.s.Row(int(kept)))), h.s.SqNorms()[kept]
 	switch {
 	case f.drops(a, rn):
 		return false

@@ -4,7 +4,8 @@ package vecstore
 // from one of them. All accumulate in float64 and visit the elements
 // in index order, exactly like the seed's scalar loops, so scores are
 // bit-identical to the seed's on every GOARCH. The exact scan calls
-// them only for the rows its float32 pass could not reject (scan.go).
+// them only for the rows its int8 and float32 passes could not reject
+// (scan.go).
 //
 // Each kernel is one dependent chain of len(a) additions, so its time
 // is the adder's latency, not its throughput. The x4 forms run four

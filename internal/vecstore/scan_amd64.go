@@ -4,27 +4,10 @@ package vecstore
 
 import "v2v/internal/f32"
 
-// blockReject is whether scanRange runs the vector reject pass
-// (dropMaskAVX2) over each block: where this machine runs the AVX2
-// encodings. Tests turn it off to compare against the scalar loop.
-var blockReject = f32.HasAVX2()
+// maskAVX2 is whether int8Mask runs its AVX2 assembly
+// (int8MaskAVX2): where this machine runs the AVX2 encodings. Both
+// encodings set the same bits; tests switch it to compare them.
+var maskAVX2 = f32.HasAVX2()
 
 //go:noescape
-func dropMaskAVX2(dots []float32, norms []float64, euclidean bool, qn, off, c float64, mask *[scanBlock / 64]uint64)
-
-// dropMask sets bit j of mask (bit j%64 of word j/64) for each
-// j < len(dots) where f.drops(dots[j], norms[j]) holds, and leaves the
-// other bits as they are. mask must start zeroed. It does nothing when
-// blockReject is off or f is not armed.
-func (f *prefilter) dropMask(dots []float32, norms []float64, mask *[scanBlock / 64]uint64) {
-	if !blockReject || !f.armed {
-		return
-	}
-	norms = norms[:len(dots)]
-	dropMaskAVX2(dots, norms, f.metric == Euclidean, f.qn, f.off, f.c, mask)
-	for j := len(dots) &^ 3; j < len(dots); j++ {
-		if f.drops(dots[j], norms[j]) {
-			mask[j/64] |= 1 << (j % 64)
-		}
-	}
-}
+func int8MaskAVX2(dots []int32, scale, half, norms []float64, euclidean bool, sq, hq, qn, off, c float64, mask *[scanBlock / 64]uint64)

@@ -2,9 +2,10 @@
 
 package vecstore
 
-// blockReject is false here: there is no vector reject pass, and
-// scanRange tests every row with drops, one at a time.
-var blockReject = false
+// maskAVX2 is false here: int8Mask runs its portable loop alone.
+var maskAVX2 = false
 
-// dropMask leaves mask as it is: every row is scanRange's to test.
-func (f *prefilter) dropMask(dots []float32, norms []float64, mask *[scanBlock / 64]uint64) {}
+// int8MaskAVX2 has no assembly here, and int8Mask never calls it.
+func int8MaskAVX2(dots []int32, scale, half, norms []float64, euclidean bool, sq, hq, qn, off, c float64, mask *[scanBlock / 64]uint64) {
+	panic("vecstore: int8MaskAVX2 called without AVX2")
+}

@@ -10,11 +10,11 @@
 // native precision) but every score comes from a kernel that
 // accumulates in float64 in row order, exactly like the seed
 // implementations did after their float64 row copies. The exact scan
-// runs a float32 SIMD pass first, which only ever rejects rows that
-// provably cannot enter the top k (scan.go has the bound). Exact
-// search is therefore bit-for-bit compatible with the historical
-// brute-force results; only the storage and the selection algorithm
-// changed. See docs/VECTORS.md.
+// runs an int8 SIMD pass and a float32 one first, which only ever
+// reject rows that provably cannot enter the top k (scan.go has the
+// bounds). Exact search is therefore bit-for-bit compatible with the
+// historical brute-force results; only the storage and the selection
+// algorithm changed. See docs/VECTORS.md.
 //
 // Mutability contract: stores grow through Append/AppendRow and
 // shrink through tombstoning Delete; both are mutation APIs that must
@@ -97,6 +97,11 @@ type Store struct {
 	// race; normMu serialises (re)computation.
 	sqnorms atomic.Pointer[[]float64]
 	normMu  sync.Mutex
+
+	// i8 is the exact scan's int8 shadow of the rows (scan.go),
+	// built like the norm cache, on first use under normMu, and kept
+	// in step by SetRow and the append APIs once it exists.
+	i8 atomic.Pointer[int8Rows]
 }
 
 // New allocates an aligned zero store.
@@ -186,6 +191,9 @@ func (s *Store) SetRow(i int, v []float32) {
 	if p := s.sqnorms.Load(); p != nil {
 		(*p)[i] = sqNorm(v)
 	}
+	if r := s.i8.Load(); r != nil {
+		r.set(i, v)
+	}
 }
 
 // Mutations returns the in-place overwrite counter (see SetRow);
@@ -215,6 +223,9 @@ func (s *Store) AppendRow(v []float32) int {
 		norms := append(*p, sqNorm(v))
 		s.sqnorms.Store(&norms)
 	}
+	if r := s.i8.Load(); r != nil {
+		r.add(v)
+	}
 	return id
 }
 
@@ -240,6 +251,11 @@ func (s *Store) Append(vs []float32) int {
 			norms = append(norms, sqNorm(vs[r*s.dim:(r+1)*s.dim]))
 		}
 		s.sqnorms.Store(&norms)
+	}
+	if r := s.i8.Load(); r != nil {
+		for i := 0; i < rows; i++ {
+			r.add(vs[i*s.dim : (i+1)*s.dim])
+		}
 	}
 	return first
 }
@@ -335,18 +351,36 @@ func (s *Store) SqNorms() []float64 {
 	return norms
 }
 
-// InvalidateNorms drops the norm cache after external mutation of row
-// storage (e.g. continued training over a wrapped weight matrix).
+// int8Rows returns the exact scan's int8 shadow (scan.go), building
+// it on first call; concurrent callers are safe.
+func (s *Store) int8Rows() *int8Rows {
+	if r := s.i8.Load(); r != nil {
+		return r
+	}
+	s.normMu.Lock()
+	defer s.normMu.Unlock()
+	if r := s.i8.Load(); r != nil {
+		return r
+	}
+	r := newInt8Rows(s)
+	s.i8.Store(r)
+	return r
+}
+
+// InvalidateNorms drops the norm cache, and the exact scan's int8
+// shadow with it, after external mutation of row storage (e.g.
+// continued training over a wrapped weight matrix).
 func (s *Store) InvalidateNorms() {
 	s.normMu.Lock()
 	defer s.normMu.Unlock()
 	s.sqnorms.Store(nil)
+	s.i8.Store(nil)
 }
 
 // Gather copies the given rows, in order, into a new aligned store.
-// Row norms are carried over when already computed; tombstones are
-// not (a gathered store starts with every row live, which is what
-// compaction wants).
+// Row norms and the int8 shadow are carried over when already
+// computed; tombstones are not (a gathered store starts with every row
+// live, which is what compaction wants).
 func (s *Store) Gather(ids []int) *Store {
 	out := New(len(ids), s.dim)
 	for i, id := range ids {
@@ -358,6 +392,9 @@ func (s *Store) Gather(ids []int) *Store {
 			norms[i] = (*p)[id]
 		}
 		out.sqnorms.Store(&norms)
+	}
+	if r := s.i8.Load(); r != nil {
+		out.i8.Store(r.gather(ids))
 	}
 	return out
 }

@@ -113,7 +113,7 @@ type Neighbor struct {
 // Neighbors returns the k vertices most cosine-similar to w,
 // excluding w itself, in decreasing similarity order (ties toward the
 // smaller vertex). It runs on the model's exact index: cached norms,
-// a float32 prefilter and bounded top-k selection instead of the
+// int8 and float32 prefilters and bounded top-k selection instead of the
 // historical sort-everything scan, with identical results.
 func (m *Model) Neighbors(w, k int) []Neighbor {
 	if k <= 0 {

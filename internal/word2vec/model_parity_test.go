@@ -142,6 +142,39 @@ func TestInvalidateIndexAfterMutation(t *testing.T) {
 	}
 }
 
+// TestInvalidateIndexRefreshesScanShadow: the exact index's scan keeps
+// an int8 copy of the vectors to reject rows with. After Vectors are
+// mutated and InvalidateIndex runs, a vertex swung next to the query,
+// in a later scan block than the heap fills in, must be found, and the
+// answer must be the seed's: a stale int8 copy would bound it by its
+// old vector and reject it unscored.
+func TestInvalidateIndexRefreshesScanShadow(t *testing.T) {
+	rng := xrand.New(5)
+	m := NewModel(1000, 16)
+	for i := range m.Vectors {
+		m.Vectors[i] = float32(rng.NormFloat64())
+	}
+	const w, moved = 3, 900
+	check := func(what string) []Neighbor {
+		t.Helper()
+		got, want := m.Neighbors(w, 10), seedMostSimilar(m2Copy(m), w, 10)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s rank %d: %+v, want %+v (bit-for-bit)", what, i, got[i], want[i])
+			}
+		}
+		return got
+	}
+	check("before mutation")
+	for i, x := range m.Vector(w) {
+		m.Vector(moved)[i] = 2 * x
+	}
+	m.InvalidateIndex()
+	if nn := check("after mutation"); nn[0].Word != moved {
+		t.Fatalf("after mutation the nearest vertex is %+v, want %d", nn[0], moved)
+	}
+}
+
 // TestNormalizeInvalidatesIndex ensures Normalize refreshes cached
 // norms automatically.
 func TestNormalizeInvalidatesIndex(t *testing.T) {

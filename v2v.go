@@ -434,8 +434,8 @@ type IndexKind = vecstore.Kind
 
 // Index kinds.
 const (
-	// ExactIndex scans every vector — a float32 pass rejects what
-	// provably cannot rank, float64 kernels score the rest — into
+	// ExactIndex scans every vector — int8 and float32 passes reject
+	// what provably cannot rank, float64 kernels score the rest — into
 	// bounded top-k heaps; results are exact (and bit-for-bit
 	// identical to the pre-index brute-force paths).
 	ExactIndex = vecstore.KindExact
