@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,86 +87,113 @@ func BenchmarkSearchSeedBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchExactSerial is one exact cosine top-10 per op on a
-// single worker: cached norms, int8 and float32 prefilters, bounded
-// top-k heap.
+// BenchmarkSearchExactSerial is one exact cosine top-10 per op on
+// one goroutine at 100 000 x 128 (-short: 10 000 x 64): on the gaussian
+// store, which NewExact leaves in row order (no cell would be skipped),
+// and on the clustered one, which it cuts into cells.
 func BenchmarkSearchExactSerial(b *testing.B) {
-	s, qs := queryBenchSetup(b)
-	idx := NewExact(s, Cosine, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Search(qs[i%len(qs)], 10)
+	for _, bc := range []struct {
+		name  string
+		setup func(*testing.B) (*Store, [][]float32)
+	}{{"gaussian", queryBenchSetup}, {"clustered", clusteredBenchSetup}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, qs := bc.setup(b)
+			idx := NewExact(s, Cosine, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx.Search(qs[i%len(qs)], 10)
+			}
+		})
 	}
 }
 
-// BenchmarkSearchExactParallel adds the partitioned parallel scan. Its
-// allocs/op are the result plus one closure per partition goroutine;
-// heaps and merge buffer come from a pool.
-func BenchmarkSearchExactParallel(b *testing.B) {
-	s, qs := queryBenchSetup(b)
-	idx := NewExact(s, Cosine, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Search(qs[i%len(qs)], 10)
+// BenchmarkSearchExact is one exact cosine top-10 SearchRow per op and
+// per goroutine, GOMAXPROCS of them at once (run with -cpu 1,2), on
+// the repository benchmark's clustered store (scanFixture) and on a
+// gaussian store of the same shape, where no cell can be skipped:
+// what the cut saves and what it costs. rows-visited/query and
+// cells-visited/query are counted over the first 256 queries.
+func BenchmarkSearchExact(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		s    func() *Store
+	}{
+		{"fixture", scanFixture},
+		{"gaussian", func() *Store { return randStore(20_000, 64, 101) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := bc.s()
+			idx := NewExact(s, Cosine, 0)
+			n := s.Len()
+			var visited, cells int
+			for i := range 256 {
+				var heap TopK
+				heap.Reset(10)
+				c := scan(s, Cosine, s.Row(i*7919%n), i*7919%n, &heap)
+				visited += c.visited
+				cells += c.cells
+			}
+			var next atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					idx.SearchRow(int(next.Add(1))*7919%n, 10)
+				}
+			})
+			b.ReportMetric(float64(visited)/256, "rows-visited/query")
+			b.ReportMetric(float64(cells)/256, "cells-visited/query")
+		})
 	}
 }
 
-// BenchmarkSerialScanFloor is the measurement behind serialScanFloor:
-// one exact cosine top-10 query scanned by its caller alone (serial)
-// and fanned out over GOMAXPROCS partitions (parallel, whatever the
-// floor says), on clustered dim-64 stores from 1k to 16k rows. The
-// floor belongs where parallel starts to win. Run with -cpu 2.
-func BenchmarkSerialScanFloor(b *testing.B) {
-	for _, n := range []int{1024, 2048, 4096, 8192, 16384} {
-		s := clusteredStore(n, 64, 64, 101)
-		idx := NewExact(s, Cosine, 0)
-		for _, parallel := range []bool{false, true} {
-			name := fmt.Sprintf("rows=%d/serial", n)
-			if parallel {
-				name = fmt.Sprintf("rows=%d/parallel", n)
+// BenchmarkExactBuild is one NewExact per op over a fresh copy of a
+// gaussian store: the norms, the int8 shadow and the cut, on
+// GOMAXPROCS workers. -short runs the small shape only.
+func BenchmarkExactBuild(b *testing.B) {
+	for _, shape := range [][2]int{{20_000, 64}, {100_000, 128}} {
+		if testing.Short() && shape[0] > 20_000 {
+			continue
+		}
+		b.Run(fmt.Sprintf("rows=%d/dim=%d", shape[0], shape[1]), func(b *testing.B) {
+			src := randStore(shape[0], shape[1], 101)
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				s := Wrap(append([]float32(nil), src.Data()...), shape[0], shape[1])
+				b.StartTimer()
+				NewExact(s, Cosine, 0)
+			}
+		})
+	}
+}
+
+// BenchmarkCellFloor is the measurement behind cellFloor: one exact
+// cosine top-10 query per op on clustered dim-64 stores from 512 to 16k
+// rows, scanned in row order (uncut) and cell by cell (cut, whatever
+// the floor and the trial queries say). The floor belongs where cut
+// starts to win.
+func BenchmarkCellFloor(b *testing.B) {
+	defer func(floor, trials int) { cellFloor, cutTrials = floor, trials }(cellFloor, cutTrials)
+	cutTrials = 0
+	for _, n := range []int{128, 256, 512, 1024, 2048, 4096, 8192, 16384} {
+		for _, cut := range []bool{false, true} {
+			cellFloor = math.MaxInt
+			if cut {
+				cellFloor = 0
+			}
+			s := clusteredStore(n, 64, 64, 101)
+			idx := NewExact(s, Cosine, 1)
+			name := fmt.Sprintf("rows=%d/uncut", n)
+			if cut {
+				name = fmt.Sprintf("rows=%d/cut", n)
 			}
 			b.Run(name, func(b *testing.B) {
-				dst := make([]Result, 0, 10)
 				for i := 0; i < b.N; i++ {
-					q := s.Row(i * 7919 % n)
-					if parallel {
-						dst = idx.searchParallel(q, 10, -1, dst[:0], idx.workers)
-						continue
-					}
-					var t TopK
-					t.Reset(10)
-					scanRange(s, Cosine, q, 0, n, -1, &t)
-					dst = t.Append(dst[:0])
+					idx.SearchRow(i*7919%n, 10)
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSearchExactConcurrent is the serving shape: 4 x GOMAXPROCS
-// callers at once (8 on the two-CPU benchmark box), every query fanned
-// out over GOMAXPROCS partitions or scanned by its caller alone. The
-// pair is why searchParallel keeps its fan-out when the cores are
-// already busy: it costs a few percent there and halves the latency of
-// a lone query.
-func BenchmarkSearchExactConcurrent(b *testing.B) {
-	s, qs := queryBenchSetup(b)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"fanout", 0}, {"serial", 1}} {
-		b.Run(bc.name, func(b *testing.B) {
-			idx := NewExact(s, Cosine, bc.workers)
-			b.SetParallelism(4)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for i := 0; pb.Next(); i++ {
-					idx.Search(qs[i%len(qs)], 10)
-				}
-			})
-		})
 	}
 }
 
@@ -239,8 +267,8 @@ func hnswBenchSetup(b *testing.B) (*HNSW, [][]float32) {
 // defaults: one cosine top-10 per op. The recall@10 metric compares
 // the bench queries' answers against the exact index, so the
 // output line records quality next to latency. Compare ns/op
-// against BenchmarkSearchExactSerial (same shape, same kernels; a
-// dense scan's cost does not depend on the distribution). evals/op and
+// against BenchmarkSearchExactSerial/clustered, the exact scan of the
+// same store. evals/op and
 // rejected/op are the candidates a query considers and those the
 // float32 pass drops, over the same queries.
 func BenchmarkSearchHNSW(b *testing.B) {

@@ -39,10 +39,10 @@ type Kind uint8
 
 // Index kinds.
 const (
-	// KindExact scans every row — an int8 pass, then a float32 one,
-	// reject the rows that provably cannot enter the top k, the
-	// float64 kernels score the rest — partitioned across workers.
-	// Results are exact and bit-for-bit identical to the seed's
+	// KindExact scans the rows — whole cells of a clustered store,
+	// an int8 pass and then a float32 one reject the rows that
+	// provably cannot enter the top k, the float64 kernels score the
+	// rest. Results are exact and bit-for-bit identical to the seed's
 	// brute-force paths.
 	KindExact Kind = iota
 	// KindIVF prunes the scan with an inverted-file index: a k-means

@@ -99,25 +99,6 @@ func TestExactSearchRowExcludesSelf(t *testing.T) {
 	}
 }
 
-func TestExactParallelMatchesSerial(t *testing.T) {
-	// Above the serial floor so the partitioned path actually runs.
-	s := randStore(serialScanFloor+513, 16, 17)
-	q := make([]float32, 16)
-	rng := xrand.New(23)
-	for i := range q {
-		q[i] = float32(rng.NormFloat64())
-	}
-	serial := NewExact(s, Cosine, 1).Search(q, 10)
-	for _, workers := range []int{2, 3, 8} {
-		par := NewExact(s, Cosine, workers).Search(q, 10)
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d rank %d: %+v vs serial %+v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestExactSearchBatchMatchesSingle(t *testing.T) {
 	s := randStore(500, 12, 19)
 	idx := NewExact(s, Cosine, 3)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"v2v/internal/f32"
 )
@@ -11,7 +12,14 @@ import (
 // The exact scan is filter-and-refine: passes that may only reject a
 // row, then the float64 kernels of kernels.go on every row they leave,
 // exactly as before, so results are bit for bit those of scoring every
-// row. scanRange runs three stages per block of scanBlock rows:
+// row. A store NewExact has cut into cells (cells.go) is scanned range
+// by range: first the tail of rows appended since the cut, then the
+// cells by descending bound B, until the heap is full and the next
+// cell's B is below its threshold, which proves that no row of that
+// cell or of any cell after it can enter the heap (the cell bound
+// below). A store in row order is one range. One query state — the
+// quantised query, the armed prefilter — serves every range, and
+// scanRange runs three stages per block of up to scanBlock positions:
 //
 //  1. An int8 pass. f32.DotRowsI8 computes Q·R over the store's int8
 //     shadow, and int8Mask turns each into an upper bound hi >= q·r
@@ -119,6 +127,53 @@ import (
 // drops with the same float64 operations in the same order, so they
 // set the same bits (TestRejectMaskMatchesDrops, FuzzRejectMask,
 // TestScanRescoresSameRows).
+//
+// The cell bound. A cell holds rows r, a raw-mean centre c and a
+// unit-mean centre u, both float32, and radii ρ >= ‖r - c‖ and
+// ρ̂ >= ‖r/‖r‖ - u‖ over its rows (nonzero rows for ρ̂), measured in
+// float64 and rounded up by sl. For the metric's centre x (u for
+// Cosine, c otherwise) let a = f32.Dot(q, x) + γ‖q‖‖x‖. By the float32
+// bound q·x <= a, provided both squared norms are at least 2^-60 and a
+// is finite; otherwise B = +Inf. Then for every row of the cell
+//
+//	Dot:       q·r = q·x + q·(r-x) <= a + ‖q‖ρ
+//	Cosine:    q̂·r̂ = 1 - ‖q̂-r̂‖²/2, ‖q̂-r̂‖ >= d - ρ̂, and
+//	           d² = ‖q̂-u‖² = 1 + ‖u‖² - 2q·u/‖q‖ >= 1 + ‖u‖² - 2a/‖q‖,
+//	           so q̂·r̂ <= 1 - max(0, d-ρ̂)²/2; a zero row scores 0,
+//	           so a cell holding one takes max(B, 0)
+//	Euclidean: ‖q-r‖ >= d - ρ with d² = qn + ‖c‖² - 2q·c
+//	           >= qn + ‖c‖² - 2a, so -‖q-r‖² <= -max(0, d-ρ)²
+//
+// bound evaluates these in float64 with a slack sl·Z, where Z sums the
+// magnitudes of the terms (Cosine: 1 + ‖u‖² + |2a/‖q‖| + ρ̂²;
+// Euclidean: qn + ‖c‖² + |2a| + ρ²; Dot: ‖q‖(‖c‖ + ρ)), taken off d²
+// before its root and added to B. Every float64 rounding on the way —
+// the centres' squared norms, qn and its root, d², the radii, and the
+// float64 score's own kernel, which is off by at most about dim·2^-52
+// of a cosine's unit, of ‖q‖‖r‖ <= ‖q‖(‖c‖+ρ), of ‖q-r‖² <= 3Z — is
+// below (dim+32)·2^-52·Z, a quarter of sl·Z with sl = (dim+32)·2^-50
+// (cellSlack). So B is at least the float64 score of every row of its
+// cell, and a cell with B < τ holds only rows TopK.Push would drop.
+// SetRow widens the radii of the row's cell to hold its new value;
+// rows appended after the cut join the tail, which is always scanned.
+// TestCellBoundSound holds B to every row's score on 1e±38, subnormal,
+// zero and tied rows, before and after SetRow has grown the radii.
+//
+// The order. A cut store's rows are all finite: a store with a
+// non-finite row is never cut, and a non-finite write puts the shadow
+// back in row order. For a finite query every float64 score is then
+// finite — no sum can overflow, and qn·rn > 0 whenever neither is
+// zero — and TopK's order, score descending then ID ascending, is
+// total on finite scores, so the rows it keeps do not depend on the
+// order they are pushed in: cells best-first answer as row order does,
+// bit for bit. The threshold never falls from one range to the next,
+// so the stage 1 and 2 argument above holds across ranges. A
+// non-finite query may score rows NaN, and among NaNs TopK keeps the
+// rows pushed first; scan therefore scores every row of such a query
+// in row order, as the seed did (no bound rejects any of them: its qn
+// is not finite). TestCellScanParity and FuzzCellScanParity hold cut
+// stores to the seed's answer, NaN, infinite and zero queries
+// included.
 
 // scanBlock is the number of rows per DotRowsI8 call: the int32 dots
 // of one block live on the scanning goroutine's stack.
@@ -217,55 +272,125 @@ func (f *prefilter) beats(a, rn float64) bool {
 }
 
 // int8Rows is a store's int8 shadow, the exact scan's stage-1 input:
-// per row, its codes R (stride bytes: dim rounded up to 32, zero past
-// dim), its scale s_r (NaN for a row with a NaN or infinite element)
-// and ½‖r‖₁. Store builds and maintains it (store.go); snapshots do
-// not store it.
+// per position, the codes R of a row (stride bytes: dim rounded up to
+// 32, zero past dim), its scale s_r (NaN for a row with a NaN or
+// infinite element), ½‖r‖₁ and its squared norm. In row order
+// position i holds row i; a cut shadow (cells.go) holds its cells'
+// rows position by position, each cell's at [lo, hi), then a tail of
+// the rows appended since the cut, with ids and pos mapping between
+// positions and rows. Store builds and maintains it (store.go);
+// snapshots do not store it.
 type int8Rows struct {
 	stride int
 	codes  []int8
 	scale  []float64
 	half   []float64
+	norm   []float64
+
+	// The cut; all nil in row order.
+	ids   []int32   // position → row
+	pos   []int32   // row → position
+	cells []cell    // in position order; the tail follows the last
+	cen   []float32 // cell j's raw mean c at [j*dim, (j+1)*dim)
+	unit  []float32 // cell j's mean u of unit rows, the same way
+
+	// tried is set on a shadow in row order whose cut its trial
+	// queries did not keep (cells.go): NewExact does not cut it again.
+	tried bool
 }
 
-// newInt8Rows quantises every row of s.
-func newInt8Rows(s *Store) *int8Rows {
-	r := &int8Rows{stride: (s.dim + 31) &^ 31}
-	r.codes = make([]int8, 0, s.n*r.stride)
-	r.scale = make([]float64, 0, s.n)
-	r.half = make([]float64, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		r.add(s.Row(i))
-	}
+// newInt8Rows quantises every row of s, in row order, on up to workers
+// goroutines.
+func newInt8Rows(s *Store, workers int) *int8Rows {
+	n := s.n
+	r := &int8Rows{stride: (s.dim + 31) &^ 31, scale: make([]float64, n), half: make([]float64, n), norm: make([]float64, n)}
+	r.codes = make([]int8, n*r.stride)
+	parallelRange(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r.set(i, s.Row(i))
+		}
+	})
 	return r
 }
 
-// add appends v as the shadow's next row.
-func (r *int8Rows) add(v []float32) {
-	r.codes = slices.Grow(r.codes, r.stride)[:len(r.codes)+r.stride]
-	r.scale = append(r.scale, 0)
-	r.half = append(r.half, 0)
-	r.set(len(r.scale)-1, v)
-}
-
-// gather returns the shadow of the given rows, in order.
-func (r *int8Rows) gather(ids []int) *int8Rows {
-	g := &int8Rows{stride: r.stride, codes: make([]int8, len(ids)*r.stride), scale: make([]float64, len(ids)), half: make([]float64, len(ids))}
-	for i, id := range ids {
-		copy(g.codes[i*r.stride:(i+1)*r.stride], r.codes[id*r.stride:])
-		g.scale[i], g.half[i] = r.scale[id], r.half[id]
-	}
-	return g
-}
-
-// set quantises v into row i.
-func (r *int8Rows) set(i int, v []float32) {
-	r.scale[i] = quantize(r.codes[i*r.stride:(i+1)*r.stride], v)
+// set quantises v into position p.
+func (r *int8Rows) set(p int, v []float32) {
 	var l1 float64
 	for _, x := range v {
 		l1 += math.Abs(float64(x))
 	}
-	r.half[i] = l1 / 2
+	r.scale[p] = quantize(r.codes[p*r.stride:(p+1)*r.stride], v)
+	r.half[p], r.norm[p] = l1/2, sqNorm(v)
+}
+
+// position returns the position of row i.
+func (r *int8Rows) position(i int) int {
+	if r.pos == nil {
+		return i
+	}
+	return int(r.pos[i])
+}
+
+// tail returns the first position of the tail: 0 in row order.
+func (r *int8Rows) tail() int {
+	if len(r.cells) == 0 {
+		return 0
+	}
+	return r.cells[len(r.cells)-1].hi
+}
+
+// gather returns the shadow of the given rows, in order and in row
+// order.
+func (r *int8Rows) gather(ids []int) *int8Rows {
+	n := len(ids)
+	g := &int8Rows{stride: r.stride, codes: make([]int8, n*r.stride), scale: make([]float64, n), half: make([]float64, n), norm: make([]float64, n)}
+	for i, id := range ids {
+		p := r.position(id)
+		copy(g.codes[i*r.stride:(i+1)*r.stride], r.codes[p*r.stride:])
+		g.scale[i], g.half[i], g.norm[i] = r.scale[p], r.half[p], r.norm[p]
+	}
+	return g
+}
+
+// write quantises v into row i, appending it when i is the number of
+// rows shadowed, and returns the shadow that now holds it: r, or a copy
+// of r in row order when r is cut and v has a NaN or infinite element.
+// A row of a cell widens the cell's radii to hold it; an appended row
+// joins the tail.
+func (r *int8Rows) write(i int, v []float32) *int8Rows {
+	n := len(r.scale)
+	if i == n {
+		r.codes = slices.Grow(r.codes, r.stride)[:len(r.codes)+r.stride]
+		r.scale, r.half, r.norm = append(r.scale, 0), append(r.half, 0), append(r.norm, 0)
+		if r.ids != nil {
+			r.ids, r.pos = append(r.ids, int32(n)), append(r.pos, int32(n))
+		}
+	}
+	if r.ids != nil && !finite(v) {
+		all := make([]int, len(r.scale))
+		for j := range all {
+			all[j] = j
+		}
+		r = r.gather(all)
+	}
+	p := r.position(i)
+	r.set(p, v)
+	if j := r.cellOf(p); j >= 0 {
+		c := &r.cells[j]
+		rho, rhoU := r.radii(j, v, r.norm[p])
+		c.rho, c.rhoU, c.zero = max(c.rho, rho), max(c.rhoU, rhoU), c.zero || r.norm[p] == 0
+	}
+	return r
+}
+
+// finite reports whether every element of v is finite.
+func finite(v []float32) bool {
+	for _, x := range v {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // quantize writes v's codes round(v[i]/s) into dst, zeros past
@@ -282,12 +407,15 @@ func quantize(dst []int8, v []float32) float64 {
 		if !(a <= math.MaxFloat32) {
 			return math.NaN()
 		}
-		m = max(m, a)
+		if a > m {
+			m = a
+		}
 	}
 	if m == 0 {
 		return 0
 	}
 	s := m / 127
+	dst = dst[:len(v)]
 	for i, x := range v {
 		dst[i] = int8(math.Round(float64(x) / s))
 	}
@@ -344,32 +472,174 @@ func (f *prefilter) int8Mask(b *int8Query, dots []int32, scale, half, norms []fl
 	}
 }
 
-// scanRange scores rows [lo, hi) of s against q and pushes them into
-// t, skipping row exclude (-1 for none), every tombstoned row, and
-// every row the prefilter proves t would drop. It returns the number
-// of rows the float64 kernel scored.
-func scanRange(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *TopK) (rescored int) {
-	return scanStages(s, metric, q, lo, hi, exclude, t).rescored
+// scanCounts is what one scan did: the cells it scanned, the rows it
+// visited (the tail's and those cells'), the rows stage 1 left for
+// stage 2 (survivors) and the rows the float64 kernel scored
+// (rescored).
+type scanCounts struct{ cells, visited, survivors, rescored int }
+
+// scanner is one query's scan: the query's side of both bounds, armed
+// once and kept across every range it scans.
+type scanner struct {
+	s       *Store
+	sh      *int8Rows
+	metric  Metric
+	q       []float32
+	exclude int
+	f       prefilter
+	b       int8Query
+	dots    [scanBlock]int32
+	qbuf    [256]int8 // the codes of a query of up to 256 dimensions
+	order   []cellBound
+	scanCounts
 }
 
-// scanCounts is what one scan did: the rows stage 1 left for stage 2
-// (survivors) and the rows the float64 kernel scored (rescored).
-type scanCounts struct{ survivors, rescored int }
+// cellBound is a cell's bound B for one query, and the cell.
+type cellBound struct {
+	b float64
+	j int
+}
 
-// scanStages is scanRange, counting both stages' survivors.
-func scanStages(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *TopK) (c scanCounts) {
-	norms, del, sh := s.SqNorms(), s.deleted, s.int8Rows()
-	f := prefilter{metric: metric, gamma: dotErrorBound(s.dim), qn: sqNorm(q)}
-	var qbuf [256]int8 // the codes of a query of up to 256 dimensions
-	b := newInt8Query(q, sh.stride, qbuf[:])
-	var dots [scanBlock]int32
+var scannerPool = sync.Pool{New: func() any { return new(scanner) }}
+
+// scan pushes into t every row of s that can enter it, skipping row
+// exclude (-1 for none), every tombstoned row, every row the
+// prefilter proves t would drop, and every cell whose bound proves the
+// same of all its rows.
+func scan(s *Store, metric Metric, q []float32, exclude int, t *TopK) scanCounts {
+	qn := sqNorm(q)
+	if qn-qn != 0 {
+		// A non-finite query: its scores may be NaN, and TopK keeps
+		// the rows that come first among NaNs, so every row is scored,
+		// in row order. No bound would reject one.
+		c := scanCounts{visited: s.n}
+		for i := 0; i < s.n; i++ {
+			if i != exclude && !s.Deleted(i) {
+				t.Push(i, scoreRow(s, metric, q, qn, i))
+				c.survivors++
+				c.rescored++
+			}
+		}
+		return c
+	}
+	return scanShadow(s, s.int8Rows(), metric, q, qn, exclude, t)
+}
+
+// scanShadow is scan over the shadow sh of s, for a finite query q of
+// squared norm qn.
+func scanShadow(s *Store, sh *int8Rows, metric Metric, q []float32, qn float64, exclude int, t *TopK) (c scanCounts) {
+	sc := scannerPool.Get().(*scanner)
+	*sc = scanner{s: s, sh: sh, metric: metric, q: q, exclude: exclude, order: sc.order[:0],
+		f: prefilter{metric: metric, gamma: dotErrorBound(s.dim), qn: qn}}
+	defer func() {
+		c = sc.scanCounts
+		*sc = scanner{order: sc.order[:0]} // the pool keeps no store alive
+		scannerPool.Put(sc)
+	}()
+	sc.b = newInt8Query(q, sh.stride, sc.qbuf[:])
+	sc.scanRange(t, sh.tail(), len(sh.scale))
+	if len(sh.cells) == 0 {
+		return
+	}
+	// The cells by descending bound, ties to the smaller index: a heap,
+	// since a clustered query stops after a few.
+	nq, sl := math.Sqrt(qn), cellSlack(s.dim)
+	for j := range sh.cells {
+		sc.order = append(sc.order, cellBound{sh.bound(j, metric, q, qn, nq, 2/nq, sc.f.gamma, sl), j})
+	}
+	h := sc.order
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		top := h[0]
+		if t.Full() && t.k != 0 && top.b < t.Threshold().Score {
+			break
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		sc.cells++
+		sc.scanRange(t, sh.cells[top.j].lo, sh.cells[top.j].hi)
+	}
+	return
+}
+
+// siftDown restores the heap order of h (largest bound at the root,
+// ties to the smaller cell) below i.
+func siftDown(h []cellBound, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && ahead(h[r], h[l]) {
+			l = r
+		}
+		if !ahead(h[l], h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+}
+
+// ahead reports whether a is visited before b.
+func ahead(a, b cellBound) bool { return a.b > b.b || (a.b == b.b && a.j < b.j) }
+
+// bound returns B, an upper bound on the float64 score of every row of
+// cell j for the query q (squared norm qn, its root nq, and inv = 2/nq),
+// or +Inf where the cell bound in the header does not apply.
+func (r *int8Rows) bound(j int, metric Metric, q []float32, qn, nq, inv, gamma, sl float64) float64 {
+	dim := len(q)
+	c := &r.cells[j]
+	x, xn, nx, rho := r.cen[j*dim:(j+1)*dim], c.cn, c.cr, c.rho
+	if metric == Cosine {
+		x, xn, nx, rho = r.unit[j*dim:(j+1)*dim], c.un, c.ur, c.rhoU
+	}
+	if !(qn >= minSqNorm) || !(xn >= minSqNorm) {
+		return math.Inf(1)
+	}
+	a := float64(f32.Dot(q, x)) + float64(gamma*nq)*nx
+	if a-a != 0 {
+		return math.Inf(1)
+	}
+	switch metric {
+	case Cosine:
+		t := a * inv
+		z := 1 + xn + math.Abs(t) + rho*rho
+		d := math.Sqrt(max(0, 1+xn-t-sl*z))
+		m := max(0, d-rho)
+		b := 1 - m*m/2 + sl*z
+		if c.zero {
+			b = max(b, 0)
+		}
+		return b
+	case Dot:
+		return a + nq*rho + sl*nq*(nx+rho)
+	default:
+		z := qn + xn + math.Abs(2*a) + rho*rho
+		d := math.Sqrt(max(0, qn+xn-2*a-sl*z))
+		m := max(0, d-rho)
+		return -m*m + sl*z
+	}
+}
+
+// scanRange scores the rows at positions [lo, hi) of the shadow in
+// three stages per block (see the header) and pushes them into t. t is
+// an argument rather than a field: the pooled scanner would make every
+// caller's heap escape.
+func (c *scanner) scanRange(t *TopK, lo, hi int) {
+	s, sh, f := c.s, c.sh, &c.f
+	del := s.deleted
+	c.visited += hi - lo
 	for lo < hi {
 		n, armed := min(hi-lo, scanBlock), f.armed
 		next := lo + n
 		var dropped [scanBlock / 64]uint64
 		if armed {
-			f32.DotRowsI8(b.codes, sh.codes[lo*sh.stride:next*sh.stride], dots[:n])
-			f.int8Mask(&b, dots[:n], sh.scale[lo:next], sh.half[lo:next], norms[lo:next], &dropped)
+			f32.DotRowsI8(c.b.codes, sh.codes[lo*sh.stride:next*sh.stride], c.dots[:n])
+			f.int8Mask(&c.b, c.dots[:n], sh.scale[lo:next], sh.half[lo:next], sh.norm[lo:next], &dropped)
 		}
 	block:
 		for w := 0; w*64 < n; w++ {
@@ -379,12 +649,16 @@ func scanStages(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *To
 				maybe &= 1<<rows - 1
 			}
 			for ; maybe != 0; maybe &= maybe - 1 {
-				i := lo + w*64 + bits.TrailingZeros64(maybe)
+				p := lo + w*64 + bits.TrailingZeros64(maybe)
+				i := p
+				if sh.ids != nil {
+					i = int(sh.ids[p])
+				}
 				c.survivors++
-				if i == exclude || (del != nil && del[i]) || f.drops(float64(f32.Dot(q, s.Row(i))), norms[i]) {
+				if i == c.exclude || (del != nil && del[i]) || f.drops(float64(f32.Dot(c.q, s.Row(i))), sh.norm[p]) {
 					continue
 				}
-				t.Push(i, scoreRow(s, metric, q, f.qn, i))
+				t.Push(i, scoreRow(s, c.metric, c.q, f.qn, i))
 				c.rescored++
 				if t.Full() && t.k != 0 {
 					f.arm(t.Threshold().Score)
@@ -392,7 +666,7 @@ func scanStages(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *To
 						// Armed for the first time: the next block starts
 						// after this row, so stage 1 judges the rest of
 						// this one.
-						next = i + 1
+						next = p + 1
 						break block
 					}
 				}
@@ -400,5 +674,4 @@ func scanStages(s *Store, metric Metric, q []float32, lo, hi, exclude int, t *To
 		}
 		lo = next
 	}
-	return c
 }

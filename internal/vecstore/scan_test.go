@@ -403,16 +403,6 @@ func int8BoundStores(n, dim int, seed uint64) map[string]adversarialStore {
 	return out
 }
 
-// finite reports whether every element of v is finite.
-func finite(v []float32) bool {
-	for _, x := range v {
-		if x-x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // maxAbs returns max|v[i]| in float64.
 func maxAbs(v []float32) float64 {
 	m := 0.0
@@ -431,7 +421,7 @@ func maxAbs(v []float32) float64 {
 // float64 score S of every metric, at thresholds at and around S.
 func checkInt8Bound(t testing.TB, what string, s *Store, q []float32) {
 	t.Helper()
-	sh := newInt8Rows(s)
+	sh := newInt8Rows(s, 1)
 	b := newInt8Query(q, sh.stride, nil)
 	if slices.Contains(b.codes, -128) || slices.Contains(sh.codes, -128) {
 		t.Fatalf("%s: a code is -128", what)
@@ -521,27 +511,56 @@ func FuzzInt8Bound(f *testing.F) {
 	})
 }
 
-// checkShadowFresh fails unless s has an int8 shadow and it is the one
-// newInt8Rows builds from s's rows as they are now.
+// checkShadowFresh fails unless s has an int8 shadow that holds every
+// row, at the row's position, as newInt8Rows quantises it now, and,
+// when the shadow is cut, unless every cell's bound holds for queries
+// at both ends of the store (checkCellBounds).
 func checkShadowFresh(t *testing.T, what string, s *Store) {
 	t.Helper()
-	got, want := s.i8.Load(), newInt8Rows(s)
+	got, want := s.i8.Load(), newInt8Rows(s, 1)
 	if got == nil {
 		t.Fatalf("%s: the store has no int8 shadow", what)
 	}
-	same := func(a, b []float64) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return x == y || (x != x && y != y) })
+	if got.stride != want.stride || len(got.scale) != s.Len() {
+		t.Fatalf("%s: the int8 shadow has %d rows of stride %d, the store %d of stride %d", what, len(got.scale), got.stride, s.Len(), want.stride)
 	}
-	if got.stride != want.stride || !slices.Equal(got.codes, want.codes) || !same(got.scale, want.scale) || !same(got.half, want.half) {
-		t.Fatalf("%s: the int8 shadow is not the rows' (%d rows shadowed, %d in the store)", what, len(got.scale), s.Len())
+	same := func(x, y float64) bool { return x == y || (x != x && y != y) }
+	st := got.stride
+	for i := 0; i < s.Len(); i++ {
+		p := got.position(i)
+		if got.ids != nil && int(got.ids[p]) != i {
+			t.Fatalf("%s: row %d is at position %d, which holds row %d", what, i, p, got.ids[p])
+		}
+		if !slices.Equal(got.codes[p*st:(p+1)*st], want.codes[i*st:(i+1)*st]) || !same(got.scale[p], want.scale[i]) || !same(got.half[p], want.half[i]) || !same(got.norm[p], want.norm[i]) {
+			t.Fatalf("%s: the int8 shadow of row %d (position %d) is not the row's", what, i, p)
+		}
+	}
+	if got.cells != nil {
+		for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+			for _, i := range []int{0, s.Len() - 1} {
+				checkCellBounds(t, fmt.Sprintf("%s %v row %d", what, metric, i), s, metric, s.Row(i))
+			}
+		}
 	}
 }
 
 // TestInt8ShadowFollowsWrites: every write path keeps the exact scan's
-// int8 shadow in step with the rows, and a query whose best answer is
-// the written row gets seedSearch's answer. A stale shadow would bound
-// that row by its old values, and stage 1 would reject it.
+// int8 shadow in step with the rows, in row order and cut into cells,
+// and a query whose best answer is the written row gets seedSearch's
+// answer. A stale shadow would bound that row by its old values, and
+// stage 1 would reject it; a stale cell would be skipped on a bound
+// that no longer holds. Cut, the store is clustered, so a SetRow moves
+// its row out of its cell's ball; a non-finite SetRow or Append puts
+// the shadow back in row order.
 func TestInt8ShadowFollowsWrites(t *testing.T) {
+	t.Run("rows", func(t *testing.T) { shadowFollowsWrites(t, false) })
+	t.Run("cells", func(t *testing.T) {
+		withCells(t)
+		shadowFollowsWrites(t, true)
+	})
+}
+
+func shadowFollowsWrites(t *testing.T, cut bool) {
 	const n, dim, k = 3*scanBlock + 5, 16, 10
 	rng := xrand.New(62)
 	fresh := func() []float32 {
@@ -554,6 +573,9 @@ func TestInt8ShadowFollowsWrites(t *testing.T) {
 	check := func(what string, got []Result, s *Store, q []float32, exclude, best int) {
 		t.Helper()
 		checkShadowFresh(t, what, s)
+		if cut != (s.i8.Load().cells != nil) {
+			t.Fatalf("%s: cut=%v, want %v", what, !cut, cut)
+		}
 		want := seedSearch(s, Cosine, q, k, exclude)
 		if len(got) != len(want) || (best >= 0 && want[0].ID != best) {
 			t.Fatalf("%s: %d results, seedSearch %d, its best %+v (want row %d)", what, len(got), len(want), want[0], best)
@@ -564,8 +586,14 @@ func TestInt8ShadowFollowsWrites(t *testing.T) {
 			}
 		}
 	}
+	store := func(seed uint64) *Store {
+		if cut {
+			return clusteredStore(n, dim, 24, seed)
+		}
+		return randStore(n, dim, seed)
+	}
 
-	s := randStore(n, dim, 61)
+	s := store(61)
 	e := NewExact(s, Cosine, 1)
 	v := fresh()
 	id, err := e.Insert(v)
@@ -594,11 +622,14 @@ func TestInt8ShadowFollowsWrites(t *testing.T) {
 		ids = append(ids, i)
 	}
 	g := s.Gather(ids) // 2*scanBlock+1 is odd: its image is row scanBlock
+	if g.i8.Load().cells != nil {
+		t.Fatal("Gather kept the cells")
+	}
 	check("Gather", NewExact(g, Cosine, 1).Search(y, k), g, y, -1, scanBlock)
 
 	// In-process sharded exact: each shard's compaction gathers its
 	// live rows into a new store and opens an index over it.
-	sh, err := OpenSharded(randStore(n, dim, 63), Config{Shards: 2})
+	sh, err := OpenSharded(store(63), Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,6 +654,9 @@ func TestInt8ShadowFollowsWrites(t *testing.T) {
 	}
 	for sid, vs := range sh.shards {
 		checkShadowFresh(t, fmt.Sprintf("shard %d after compaction and Insert", sid), vs.store)
+		if cut != (vs.store.i8.Load().cells != nil) {
+			t.Fatalf("shard %d after compaction: cut=%v, want %v", sid, !cut, cut)
+		}
 	}
 	live, globals := sh.GatherLive()
 	want := seedSearch(live, Cosine, z, k, -1)
@@ -635,6 +669,31 @@ func TestInt8ShadowFollowsWrites(t *testing.T) {
 			t.Fatalf("sharded rank %d: %+v, seedSearch row %d score %v", r, got[r], globals[want[r].ID], want[r].Score)
 		}
 	}
+
+	// Delete and non-finite writes, last: seedSearch scores tombstoned
+	// rows and cannot sort NaN scores, so checkScanParity checks them.
+	if err := e.Delete(first + 1); err != nil {
+		t.Fatal(err)
+	}
+	checkShadowFresh(t, "Delete", s)
+	checkScanParity(t, "Delete", s, Cosine, x, k, -1)
+	bad := fresh()
+	bad[5] = float32(math.NaN())
+	s.SetRow(3, bad)
+	checkShadowFresh(t, "non-finite SetRow", s)
+	if s.i8.Load().cells != nil {
+		t.Fatal("non-finite SetRow: the shadow is still cut")
+	}
+	checkScanParity(t, "non-finite SetRow", s, Cosine, s.Row(4), k, 4)
+	a := store(65)
+	NewExact(a, Cosine, 1)
+	bad[5] = float32(math.Inf(-1))
+	a.Append(append(fresh(), bad...))
+	checkShadowFresh(t, "non-finite Append", a)
+	if a.i8.Load().cells != nil {
+		t.Fatal("non-finite Append: the shadow is still cut")
+	}
+	checkScanParity(t, "non-finite Append", a, Cosine, a.Row(4), k, 4)
 }
 
 // maskEncodings runs check under each int8Mask encoding this machine
@@ -688,7 +747,7 @@ func TestRejectMaskMatchesDrops(t *testing.T) {
 		for _, dim := range []int{1, 3, 8, 9, 64, 67} {
 			for kind, e := range adversarialStores(scanBlock+3, dim, uint64(dim)) {
 				s := e.s
-				sh := newInt8Rows(s)
+				sh := newInt8Rows(s, 1)
 				norms := s.SqNorms()
 				for _, metric := range []Metric{Cosine, Dot, Euclidean} {
 					for qi, q := range append([][]float32{s.Row(0), s.Row(scanBlock / 2)}, e.qs...) {
@@ -776,7 +835,7 @@ func FuzzRejectMask(f *testing.F) {
 }
 
 // TestScanRescoresSameRows: the int8 kernels' encoding changes no
-// answer and no rescored row. scanRange's result and its count of
+// answer and no rescored row. scan's result and its count of
 // float64-scored rows are the same with the AVX2 stage-1 mask and with
 // the portable one, on every adversarial store (tombstones and an
 // excluded row included) and on the benchmark's fixture.
@@ -789,7 +848,7 @@ func TestScanRescoresSameRows(t *testing.T) {
 		maskAVX2 = pass
 		var heap TopK
 		heap.Reset(k)
-		rescored := scanRange(s, metric, q, 0, s.Len(), exclude, &heap)
+		rescored := scan(s, metric, q, exclude, &heap).rescored
 		return heap.Append(nil), rescored
 	}
 	check := func(what string, s *Store, metric Metric, q []float32, k, exclude int) {
@@ -848,7 +907,7 @@ var scanFixture = sync.OnceValue(func() *Store { return clusteredStore(20_000, 6
 // the benchmark's fixture fewer than 2% of rows may reach the float64
 // kernel, for every metric, so a bound that degrades to "rescore
 // everything" fails here and not only in a benchmark. The answers are
-// checked on the way, through the partitioned scan too.
+// checked on the way, through SearchRow too.
 func TestScanFilterRejectsMostRows(t *testing.T) {
 	s := scanFixture()
 	n, queries := s.Len(), 32
@@ -857,15 +916,15 @@ func TestScanFilterRejectsMostRows(t *testing.T) {
 	}
 	rng := xrand.New(103)
 	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
-		parallel := NewExact(s, metric, 3)
+		idx := NewExact(s, metric, 3)
 		rescored := 0
 		for i := 0; i < queries; i++ {
 			row := rng.Intn(n)
 			var heap TopK
 			heap.Reset(10)
-			rescored += scanRange(s, metric, s.Row(row), 0, n, row, &heap)
+			rescored += scan(s, metric, s.Row(row), row, &heap).rescored
 			want := seedSearch(s, metric, s.Row(row), 10, row)
-			for name, got := range map[string][]Result{"scanRange": heap.Append(nil), "SearchRow": parallel.SearchRow(row, 10)} {
+			for name, got := range map[string][]Result{"scan": heap.Append(nil), "SearchRow": idx.SearchRow(row, 10)} {
 				for r := range want {
 					if got[r] != want[r] {
 						t.Fatalf("%v row %d rank %d: %s has %+v, seed %+v", metric, row, r, name, got[r], want[r])
@@ -887,7 +946,7 @@ func TestScanFilterRejectsMostRows(t *testing.T) {
 // for the float32 test, rescored/query the rows that reached the
 // float64 kernel. Run with -cpu 1,2 to see what a second core adds.
 func BenchmarkScanRange(b *testing.B) {
-	s := scanFixture()
+	s := clusteredStore(20_000, 64, 200, 101) // scanFixture's rows, never cut
 	s.SqNorms()
 	s.int8Rows()
 	n := s.Len()
@@ -898,7 +957,7 @@ func BenchmarkScanRange(b *testing.B) {
 		for pb.Next() {
 			row := int(next.Add(1)) * 7919 % n
 			heap.Reset(10)
-			c := scanStages(s, Cosine, s.Row(row), 0, n, row, &heap)
+			c := scan(s, Cosine, s.Row(row), row, &heap)
 			survivors.Add(int64(c.survivors))
 			rescored.Add(int64(c.rescored))
 		}

@@ -10,11 +10,11 @@
 // native precision) but every score comes from a kernel that
 // accumulates in float64 in row order, exactly like the seed
 // implementations did after their float64 row copies. The exact scan
-// runs an int8 SIMD pass and a float32 one first, which only ever
-// reject rows that provably cannot enter the top k (scan.go has the
-// bounds). Exact search is therefore bit-for-bit compatible with the
-// historical brute-force results; only the storage and the selection
-// algorithm changed. See docs/VECTORS.md.
+// skips whole cells and runs an int8 SIMD pass and a float32 one
+// first, which only ever reject rows that provably cannot enter the
+// top k (scan.go has the bounds). Exact search is therefore
+// bit-for-bit compatible with the historical brute-force results; only
+// the storage and the selection algorithm changed. See docs/VECTORS.md.
 //
 // Mutability contract: stores grow through Append/AppendRow and
 // shrink through tombstoning Delete; both are mutation APIs that must
@@ -99,8 +99,9 @@ type Store struct {
 	normMu  sync.Mutex
 
 	// i8 is the exact scan's int8 shadow of the rows (scan.go),
-	// built like the norm cache, on first use under normMu, and kept
-	// in step by SetRow and the append APIs once it exists.
+	// built like the norm cache, on first use under normMu, cut into
+	// cells by NewExact (cells.go), and kept in step by SetRow and the
+	// append APIs once it exists.
 	i8 atomic.Pointer[int8Rows]
 }
 
@@ -192,7 +193,7 @@ func (s *Store) SetRow(i int, v []float32) {
 		(*p)[i] = sqNorm(v)
 	}
 	if r := s.i8.Load(); r != nil {
-		r.set(i, v)
+		s.i8.Store(r.write(i, v))
 	}
 }
 
@@ -224,7 +225,7 @@ func (s *Store) AppendRow(v []float32) int {
 		s.sqnorms.Store(&norms)
 	}
 	if r := s.i8.Load(); r != nil {
-		r.add(v)
+		s.i8.Store(r.write(id, v))
 	}
 	return id
 }
@@ -254,8 +255,9 @@ func (s *Store) Append(vs []float32) int {
 	}
 	if r := s.i8.Load(); r != nil {
 		for i := 0; i < rows; i++ {
-			r.add(vs[i*s.dim : (i+1)*s.dim])
+			r = r.write(first+i, vs[i*s.dim:(i+1)*s.dim])
 		}
+		s.i8.Store(r)
 	}
 	return first
 }
@@ -362,9 +364,35 @@ func (s *Store) int8Rows() *int8Rows {
 	if r := s.i8.Load(); r != nil {
 		return r
 	}
-	r := newInt8Rows(s)
+	r := newInt8Rows(s, 1)
 	s.i8.Store(r)
 	return r
+}
+
+// cutInt8Rows builds the exact scan's int8 shadow if there is none
+// and, unless it is cut already or a cut of it was tried and not kept,
+// cuts it into cells for metric (cells.go), on up to workers
+// goroutines.
+func (s *Store) cutInt8Rows(metric Metric, workers int) {
+	s.normMu.Lock()
+	defer s.normMu.Unlock()
+	r := s.i8.Load()
+	if r == nil {
+		r = newInt8Rows(s, workers)
+	}
+	if s.sqnorms.Load() == nil {
+		// The shadow holds the norms SqNorms computes, and the cut's
+		// trial queries read them.
+		norms := make([]float64, s.n)
+		for i := range norms {
+			norms[i] = r.norm[r.position(i)]
+		}
+		s.sqnorms.Store(&norms)
+	}
+	if r.cells == nil && !r.tried {
+		r = r.cut(s, metric, workers)
+	}
+	s.i8.Store(r)
 }
 
 // InvalidateNorms drops the norm cache, and the exact scan's int8
@@ -379,8 +407,8 @@ func (s *Store) InvalidateNorms() {
 
 // Gather copies the given rows, in order, into a new aligned store.
 // Row norms and the int8 shadow are carried over when already
-// computed; tombstones are not (a gathered store starts with every row
-// live, which is what compaction wants).
+// computed, the shadow in row order; tombstones are not (a gathered
+// store starts with every row live, which is what compaction wants).
 func (s *Store) Gather(ids []int) *Store {
 	out := New(len(ids), s.dim)
 	for i, id := range ids {

@@ -143,35 +143,58 @@ func TestInvalidateIndexAfterMutation(t *testing.T) {
 }
 
 // TestInvalidateIndexRefreshesScanShadow: the exact index's scan keeps
-// an int8 copy of the vectors to reject rows with. After Vectors are
+// an int8 copy of the vectors to reject rows with, and on a large
+// clustered model cuts it into cells it skips whole. After Vectors are
 // mutated and InvalidateIndex runs, a vertex swung next to the query,
-// in a later scan block than the heap fills in, must be found, and the
-// answer must be the seed's: a stale int8 copy would bound it by its
-// old vector and reject it unscored.
+// in a later scan block than the heap fills in (or, cut, into another
+// cell), must be found, and the answer must be the seed's: a stale int8
+// copy would bound it by its old vector and reject it unscored, and a
+// stale cell would be skipped.
 func TestInvalidateIndexRefreshesScanShadow(t *testing.T) {
-	rng := xrand.New(5)
-	m := NewModel(1000, 16)
-	for i := range m.Vectors {
-		m.Vectors[i] = float32(rng.NormFloat64())
-	}
-	const w, moved = 3, 900
-	check := func(what string) []Neighbor {
-		t.Helper()
-		got, want := m.Neighbors(w, 10), seedMostSimilar(m2Copy(m), w, 10)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s rank %d: %+v, want %+v (bit-for-bit)", what, i, got[i], want[i])
+	for _, c := range []struct {
+		name              string
+		vocab, dim, blobs int
+		w, moved          int
+	}{
+		{"gaussian", 1000, 16, 0, 3, 900},
+		{"clustered", 6000, 16, 60, 3, 5900},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := xrand.New(5)
+			m := NewModel(c.vocab, c.dim)
+			anchors := make([]float64, max(c.blobs, 1)*c.dim)
+			for i := range anchors {
+				anchors[i] = 5 * rng.NormFloat64()
 			}
-		}
-		return got
-	}
-	check("before mutation")
-	for i, x := range m.Vector(w) {
-		m.Vector(moved)[i] = 2 * x
-	}
-	m.InvalidateIndex()
-	if nn := check("after mutation"); nn[0].Word != moved {
-		t.Fatalf("after mutation the nearest vertex is %+v, want %d", nn[0], moved)
+			for v := 0; v < c.vocab; v++ {
+				a := anchors[rng.Intn(max(c.blobs, 1))*c.dim:]
+				for i := range m.Vector(v) {
+					x := rng.NormFloat64()
+					if c.blobs > 0 {
+						x = a[i] + 0.5*x
+					}
+					m.Vector(v)[i] = float32(x)
+				}
+			}
+			check := func(what string) []Neighbor {
+				t.Helper()
+				got, want := m.Neighbors(c.w, 10), seedMostSimilar(m2Copy(m), c.w, 10)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s rank %d: %+v, want %+v (bit-for-bit)", what, i, got[i], want[i])
+					}
+				}
+				return got
+			}
+			check("before mutation")
+			for i, x := range m.Vector(c.w) {
+				m.Vector(c.moved)[i] = 2 * x
+			}
+			m.InvalidateIndex()
+			if nn := check("after mutation"); nn[0].Word != c.moved {
+				t.Fatalf("after mutation the nearest vertex is %+v, want %d", nn[0], c.moved)
+			}
+		})
 	}
 }
 
