@@ -17,8 +17,18 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also runs for arm64, so that an assembly file without its
+# portable twin fails here and not on an arm64 machine, and checks that
+# the float64 kernels compile there to no fused multiply-add: arm64
+# would otherwise round s + d*d once where amd64 rounds twice, and
+# every Euclidean score would differ between the two
+# (internal/f32/kernels_f64.go).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/f32 2>&1 | awk \
+		'/kernels_f64\.go:[0-9]+\)/ { n++ } /kernels_f64\.go:[0-9]+\)[ \t]+F(N)?M(ADD|SUB)/ { print; bad++ } \
+		END { if (!n) print "no arm64 assembly of kernels_f64.go to check"; exit !n || bad }'
 
 # benchmark/ is a module of its own, outside ./...: vet it and run
 # its unit and smoke tests against this checkout.

@@ -41,6 +41,7 @@ func TestKernelsBothEncodings(t *testing.T) {
 			defer e.use()()
 			TestKernelsMatchGeneric(t)
 			TestDotRowsI8MatchesGeneric(t)
+			TestGatherMatchesGeneric(t)
 			TestDotNonFinite(t)
 			TestKernelsRejectShortOperands(t)
 		})

@@ -19,6 +19,15 @@ func gradSSE2(step float32, h, out, e []float32)
 //go:noescape
 func dotRowsI8AVX2(q, rows []int8, out []int32)
 
+//go:noescape
+func dotGatherAVX2(q, data []float32, ids []int32, out []float32)
+
+//go:noescape
+func dotF64QuadsAVX2(q []float64, data []float32, ids []int32, out []float64)
+
+//go:noescape
+func sqDistF64QuadsAVX2(q []float64, data []float32, ids []int32, out []float64)
+
 // Dot returns the inner product of a and b[:len(a)].
 func Dot(a, b []float32) float32 { return dotSSE2(a, b[:len(a)]) }
 
@@ -43,6 +52,69 @@ func DotRowsI8(q, rows []int8, out []int32) {
 		return
 	}
 	dotRowsI8Generic(q, rows, out)
+}
+
+// DotGather sets out[j] = Dot(q, row ids[j] of data) for every
+// j < len(ids), data being a row-major matrix of len(q)-element rows:
+// the dots of q with rows picked by ID. Every ID must name a whole row.
+func DotGather(q, data []float32, ids []int32, out []float32) {
+	out = checkGather(q, data, ids, out)
+	if hasAVX2 {
+		dotGatherAVX2(q, data, ids, out)
+		return
+	}
+	dotGatherRows(q, data, ids, out)
+}
+
+// DotF64Gather sets out[j] = DotF64(q, row ids[j] of data) for every
+// j < len(ids), data being a row-major matrix of len(q)-element rows.
+// q64 must hold q widened (Widen): the AVX2 encoding reads it. Every ID
+// must name a whole row.
+func DotF64Gather(q []float32, q64 []float64, data []float32, ids []int32, out []float64) {
+	f64Gather(false, q, q64, data, ids, out)
+}
+
+// SqDistF64Gather sets out[j] = SqDistF64(q, row ids[j] of data),
+// with DotF64Gather's operands.
+func SqDistF64Gather(q []float32, q64 []float64, data []float32, ids []int32, out []float64) {
+	f64Gather(true, q, q64, data, ids, out)
+}
+
+// f64Gather is DotF64Gather, or SqDistF64Gather when euclid is set.
+// The assembly takes whole quads of rows; a last partial quad runs
+// padded with its last row.
+func f64Gather(euclid bool, q []float32, q64 []float64, data []float32, ids []int32, out []float64) {
+	out = checkGather(q, data, ids, out)
+	if !hasAVX2 {
+		if euclid {
+			f64GatherGeneric(SqDistF64x4, q, data, ids, out)
+		} else {
+			f64GatherGeneric(DotF64x4, q, data, ids, out)
+		}
+		return
+	}
+	q64 = q64[:len(q)]
+	n := len(ids) &^ 3
+	f64QuadsAVX2(euclid, q64, data, ids[:n], out[:n])
+	if n == len(ids) {
+		return
+	}
+	var padIDs [4]int32
+	var padOut [4]float64
+	for j := range padIDs {
+		padIDs[j] = ids[min(n+j, len(ids)-1)]
+	}
+	f64QuadsAVX2(euclid, q64, data, padIDs[:], padOut[:])
+	copy(out[n:], padOut[:])
+}
+
+// f64QuadsAVX2 runs the assembly of f64Gather over whole quads.
+func f64QuadsAVX2(euclid bool, q64 []float64, data []float32, ids []int32, out []float64) {
+	if euclid {
+		sqDistF64QuadsAVX2(q64, data, ids, out)
+		return
+	}
+	dotF64QuadsAVX2(q64, data, ids, out)
 }
 
 // HasAVX2 reports whether this process runs the AVX2 encodings: the

@@ -3,9 +3,10 @@
 #include "textflag.h"
 
 // Plain SSE2 (the GOAMD64=v1 baseline) for the float32 kernels, plus
-// one AVX2 routine, dotRowsI8AVX2, which DotRowsI8 runs instead of its
-// portable twin where hasAVX2 (CPUID and XCR0, read once at init) says
-// it may. The float32 kernels multiply and add in the portable kernels'
+// the AVX2 routines dotRowsI8AVX2, dotGatherAVX2, dotF64QuadsAVX2 and
+// sqDistF64QuadsAVX2, which run instead of their portable twins where
+// hasAVX2 (CPUID and XCR0, read once at init) says they may. The
+// floating-point kernels multiply and add in the portable kernels'
 // order (no FMA, which rounds once where these round twice); the int8
 // one sums integers, exactly, so its order does not matter. Loads and
 // stores are unaligned (MOVUPS, VMOVDQU) because a row of a dim-50
@@ -13,8 +14,10 @@
 // the first len(first slice) elements of each slice argument; the Go
 // declarations in kernels_amd64.go reslice the others to that length
 // first (dotRowsI8AVX2 trusts len(q) and len(out), and reads
-// len(q)*len(out) bytes of rows). kernels_generic.go repeats the
-// arithmetic of each routine.
+// len(q)*len(out) bytes of rows; the gathered kernels trust len(q) and
+// len(ids), and read the rows ids names, which checkGather bounds).
+// kernels_generic.go and kernels_f64.go repeat the arithmetic of each
+// routine.
 
 // func dotSSE2(a, b []float32) float32
 TEXT ·dotSSE2(SB), NOSPLIT, $0-52
@@ -266,3 +269,256 @@ i8onefold:
 i8done:
 	VZEROUPPER
 	RET
+
+// FOLD8(Y, X) leaves in X's lane 0 the sum of Y's eight lanes, added
+// as dotSSE2's fold adds X0:X1: s[j] = p[j] + p[j+4] (VEXTRACTF128,
+// VADDPS); X9[0], X9[1] = s2, s3 (VMOVHLPS); X[0] = s0+s2,
+// X[1] = s1+s3 (VADDPS); X9[0] = s1+s3 (VSHUFPS 0x55); and
+// (s0+s2) + (s1+s3) (VADDSS). X9 is scratch.
+#define FOLD8(Y, X) \
+	VEXTRACTF128 $1, Y, X9; \
+	VADDPS       X9, X, X; \
+	VMOVHLPS     X, X9, X9; \
+	VADDPS       X9, X, X; \
+	VSHUFPS      $0x55, X, X, X9; \
+	VADDSS       X9, X, X
+
+// ROW(i, r) points r at the row ids[i] names: data + ids[i]*stride,
+// with BX the ids, R12 the row stride in bytes and DI data.
+#define ROW(i, r) \
+	MOVLQSX (i*4)(BX), r; \
+	IMULQ   R12, r; \
+	ADDQ    DI, r
+
+// func dotGatherAVX2(q, data []float32, ids []int32, out []float32)
+//
+// dotSSE2 of q with the rows ids names, four rows per pass: the
+// query's 8-float block is loaded once and multiplied into four rows,
+// each row with a YMM accumulator whose lane j takes elements j, j+8,
+// ... as dotSSE2's X0:X1 pair does, q the first operand of every
+// multiply and the accumulator the first of every add, then dotSSE2's
+// fold and its tail. A 1-row loop takes the last len(ids)%4 rows. CX
+// is the byte offset into q and into every row.
+TEXT ·dotGatherAVX2(SB), NOSPLIT, $0-96
+	MOVQ q_base+0(FP), R8
+	MOVQ q_len+8(FP), R12
+	MOVQ data_base+24(FP), DI
+	MOVQ ids_base+48(FP), BX
+	MOVQ ids_len+56(FP), R10
+	MOVQ out_base+72(FP), DX
+	MOVQ R12, R11
+	ANDQ $-8, R11
+	SHLQ $2, R11             // bytes of whole 8-float blocks
+	SHLQ $2, R12             // row stride in bytes
+
+gquadnext:
+	CMPQ   R10, $4
+	JB     gonenext
+	ROW(0, AX)
+	ROW(1, SI)
+	ROW(2, R13)
+	ROW(3, R9)
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ   CX, CX
+	CMPQ   CX, R11
+	JAE    gquadfold
+
+gquadloop:
+	VMOVUPS (R8)(CX*1), Y4
+	VMULPS  (AX)(CX*1), Y4, Y5
+	VMULPS  (SI)(CX*1), Y4, Y6
+	VMULPS  (R13)(CX*1), Y4, Y7
+	VMULPS  (R9)(CX*1), Y4, Y8
+	VADDPS  Y5, Y0, Y0
+	VADDPS  Y6, Y1, Y1
+	VADDPS  Y7, Y2, Y2
+	VADDPS  Y8, Y3, Y3
+	ADDQ    $32, CX
+	CMPQ    CX, R11
+	JB      gquadloop
+
+gquadfold:
+	FOLD8(Y0, X0)
+	FOLD8(Y1, X1)
+	FOLD8(Y2, X2)
+	FOLD8(Y3, X3)
+
+gquadtail:
+	CMPQ   CX, R12
+	JAE    gquadstore
+	VMOVSS (R8)(CX*1), X4
+	VMULSS (AX)(CX*1), X4, X5
+	VMULSS (SI)(CX*1), X4, X6
+	VMULSS (R13)(CX*1), X4, X7
+	VMULSS (R9)(CX*1), X4, X8
+	VADDSS X5, X0, X0
+	VADDSS X6, X1, X1
+	VADDSS X7, X2, X2
+	VADDSS X8, X3, X3
+	ADDQ   $4, CX
+	JMP    gquadtail
+
+gquadstore:
+	VMOVSS X0, (DX)
+	VMOVSS X1, 4(DX)
+	VMOVSS X2, 8(DX)
+	VMOVSS X3, 12(DX)
+	ADDQ   $16, DX
+	ADDQ   $16, BX
+	SUBQ   $4, R10
+	JMP    gquadnext
+
+gonenext:
+	TESTQ  R10, R10
+	JZ     gdone
+	ROW(0, AX)
+	VXORPS Y0, Y0, Y0
+	XORQ   CX, CX
+	CMPQ   CX, R11
+	JAE    gonefold
+
+goneloop:
+	VMOVUPS (R8)(CX*1), Y4
+	VMULPS  (AX)(CX*1), Y4, Y5
+	VADDPS  Y5, Y0, Y0
+	ADDQ    $32, CX
+	CMPQ    CX, R11
+	JB      goneloop
+
+gonefold:
+	FOLD8(Y0, X0)
+
+gonetail:
+	CMPQ   CX, R12
+	JAE    gonestore
+	VMOVSS (R8)(CX*1), X4
+	VMULSS (AX)(CX*1), X4, X5
+	VADDSS X5, X0, X0
+	ADDQ   $4, CX
+	JMP    gonetail
+
+gonestore:
+	VMOVSS X0, (DX)
+	ADDQ   $4, DX
+	ADDQ   $4, BX
+	DECQ   R10
+	JMP    gonenext
+
+gdone:
+	VZEROUPPER
+	RET
+
+// F64QUADS(name, TERM) is the float64 gathered kernel over whole
+// quads of rows: lane j of Y0 is the float64 sum of row j of the quad,
+// and TERM(r, q) turns Y r, element i of the four rows widened, into
+// the four terms that sum adds, q being the query's element i
+// broadcast. Per four elements the rows' float32s are transposed 4x4
+// (VUNPCKLPS/HPS, VMOVLHPS/HLPS) so that register k holds element i+k
+// of rows 0-3, widened (VCVTPS2PD) and added in element order; the
+// len%4 tail gathers one element of each row at a time (VINSERTPS).
+// Every lane thus performs the portable kernel's operations in its
+// order on the same operands, never fused, so each sum is that
+// kernel's bit for bit. R8 is the widened query, CX the byte offset
+// into the float32 rows (the query's is twice it), R11 the bytes of
+// whole 4-element groups, R12 the row stride in bytes.
+#define F64QUADS(TERM) \
+	MOVQ q_base+0(FP), R8; \
+	MOVQ q_len+8(FP), R12; \
+	MOVQ data_base+24(FP), DI; \
+	MOVQ ids_base+48(FP), BX; \
+	MOVQ ids_len+56(FP), R10; \
+	MOVQ out_base+72(FP), DX; \
+	MOVQ R12, R11; \
+	ANDQ $-4, R11; \
+	SHLQ $2, R11; \
+	SHLQ $2, R12; \
+	SHRQ $2, R10; \
+	JZ   f64done; \
+f64quad: \
+	ROW(0, AX); \
+	ROW(1, SI); \
+	ROW(2, R13); \
+	ROW(3, R9); \
+	VXORPD Y0, Y0, Y0; \
+	XORQ   CX, CX; \
+	CMPQ   CX, R11; \
+	JAE    f64tail; \
+f64group: \
+	VMOVUPS      (AX)(CX*1), X1; \
+	VMOVUPS      (SI)(CX*1), X2; \
+	VMOVUPS      (R13)(CX*1), X3; \
+	VMOVUPS      (R9)(CX*1), X4; \
+	VUNPCKLPS    X2, X1, X5; \
+	VUNPCKHPS    X2, X1, X6; \
+	VUNPCKLPS    X4, X3, X7; \
+	VUNPCKHPS    X4, X3, X8; \
+	VMOVLHPS     X7, X5, X1; \
+	VMOVHLPS     X5, X7, X2; \
+	VMOVLHPS     X8, X6, X3; \
+	VMOVHLPS     X6, X8, X4; \
+	VCVTPS2PD    X1, Y1; \
+	VCVTPS2PD    X2, Y2; \
+	VCVTPS2PD    X3, Y3; \
+	VCVTPS2PD    X4, Y4; \
+	VBROADCASTSD (R8)(CX*2), Y5; \
+	VBROADCASTSD 8(R8)(CX*2), Y6; \
+	VBROADCASTSD 16(R8)(CX*2), Y7; \
+	VBROADCASTSD 24(R8)(CX*2), Y8; \
+	TERM(Y1, Y5); \
+	TERM(Y2, Y6); \
+	TERM(Y3, Y7); \
+	TERM(Y4, Y8); \
+	VADDPD       Y1, Y0, Y0; \
+	VADDPD       Y2, Y0, Y0; \
+	VADDPD       Y3, Y0, Y0; \
+	VADDPD       Y4, Y0, Y0; \
+	ADDQ         $16, CX; \
+	CMPQ         CX, R11; \
+	JB           f64group; \
+f64tail: \
+	CMPQ         CX, R12; \
+	JAE          f64store; \
+	VMOVSS       (AX)(CX*1), X1; \
+	VINSERTPS    $0x10, (SI)(CX*1), X1, X1; \
+	VINSERTPS    $0x20, (R13)(CX*1), X1, X1; \
+	VINSERTPS    $0x30, (R9)(CX*1), X1, X1; \
+	VCVTPS2PD    X1, Y1; \
+	VBROADCASTSD (R8)(CX*2), Y5; \
+	TERM(Y1, Y5); \
+	VADDPD       Y1, Y0, Y0; \
+	ADDQ         $4, CX; \
+	JMP          f64tail; \
+f64store: \
+	VMOVUPD Y0, (DX); \
+	ADDQ    $32, DX; \
+	ADDQ    $16, BX; \
+	DECQ    R10; \
+	JNZ     f64quad; \
+f64done: \
+	VZEROUPPER; \
+	RET
+
+// DOTTERM: r = q·r, exact (two float32s' product fits a float64).
+#define DOTTERM(r, q) VMULPD r, q, r
+
+// SQTERM: r = (q-r)², the difference and the square rounded apart.
+#define SQTERM(r, q) \
+	VSUBPD r, q, r; \
+	VMULPD r, r, r
+
+// func dotF64QuadsAVX2(q []float64, data []float32, ids []int32, out []float64)
+//
+// out[j] = DotF64 of the query (q, widened) with row ids[j], for
+// len(ids) a multiple of 4.
+TEXT ·dotF64QuadsAVX2(SB), NOSPLIT, $0-96
+	F64QUADS(DOTTERM)
+
+// func sqDistF64QuadsAVX2(q []float64, data []float32, ids []int32, out []float64)
+//
+// out[j] = SqDistF64 of the query (q, widened) and row ids[j], for
+// len(ids) a multiple of 4.
+TEXT ·sqDistF64QuadsAVX2(SB), NOSPLIT, $0-96
+	F64QUADS(SQTERM)

@@ -1,24 +1,32 @@
 // Package f32 holds the repository's vector kernels: Dot, Add and
 // Grad, the three float32 level-1 operations of the word2vec training
 // loop; DotRowsI8, the int8 dot of one query against a block of matrix
-// rows, the first pass of the vecstore exact scan; and HintWrite, the
-// trainer's prefetch-for-write over a row it is about to update. It
-// imports nothing, so both can use it.
+// rows, the first pass of the vecstore exact scan; the float64
+// similarity kernels every vecstore score comes from (DotF64,
+// SqDistF64, their four-row forms, and DotF64Gather and
+// SqDistF64Gather over rows picked by ID, kernels_f64.go); DotGather,
+// the float32 dot over rows picked by ID, HNSW's first pass over a
+// friend list; and HintWrite, the trainer's prefetch-for-write over a
+// row it is about to update. It imports nothing, so every package can
+// use it.
 //
 // On amd64 the kernels are assembly (kernels_amd64.s): Dot, Add and
-// Grad in SSE2, the GOAMD64=v1 baseline, and DotRowsI8, the exact
-// scan's hot loop, behind one CPUID dispatch. Where the processor has
-// AVX2 and the operating system saves the YMM registers (hasAVX2, read
-// once at init), DotRowsI8 runs four rows per pass over 32-byte
-// chunks; elsewhere it runs its portable twin. Integer sums are exact,
-// so the two agree by construction. This file has the kernels in
-// portable Go: the implementation on every other GOARCH (and on amd64
-// under -tags purego), and the reference the assembly is tested
-// against. Each float32 kernel reproduces the assembly's arithmetic
-// operation for operation, so all return identical bits: a model
-// trained with Workers = 1 is the same on every architecture, and so
-// is the set of rows a scan rejects, whichever encoding a machine
-// picked.
+// Grad in SSE2, the GOAMD64=v1 baseline, and DotRowsI8, DotGather and
+// the gathered float64 kernels behind one CPUID dispatch. Where the
+// processor has AVX2 and the operating system saves the YMM registers
+// (hasAVX2, read once at init), they run four rows per pass; elsewhere
+// their portable twins (DotGather: Dot per row). DotRowsI8's integer
+// sums are exact, so its two encodings agree by construction.
+// DotGather keeps one YMM of eight partial sums per row, dotSSE2's
+// X0:X1 pair, folded in dotSSE2's order; the float64 kernels keep one
+// YMM lane per row, each lane the portable chain's operations in its
+// order, never fused. This file has the float32 kernels in portable
+// Go: the implementation on every other GOARCH (and on amd64 under
+// -tags purego), and the reference the assembly is tested against.
+// Each reproduces the assembly's arithmetic operation for operation,
+// so all return identical bits: a model trained with Workers = 1 is
+// the same on every architecture, and so are the rows a scan rejects,
+// an HNSW graph and every score, whichever encoding a machine picked.
 //
 // HintWrite (hint_amd64.s) picks PREFETCHW or PREFETCHT0 from a CPUID
 // bit read at init. A prefetch has no architectural effect, so that
@@ -56,6 +64,16 @@ func dotGeneric(a, b []float32) float32 {
 		sum += float32(x * b[i])
 	}
 	return sum
+}
+
+// dotGatherRows sets out[j] = Dot(q, row ids[j] of data), a row at a
+// time: DotGather's twin, and its path where there is no AVX2.
+func dotGatherRows(q, data []float32, ids []int32, out []float32) {
+	dim := len(q)
+	out = out[:len(ids)]
+	for j, id := range ids {
+		out[j] = Dot(q, data[int(id)*dim:int(id)*dim+dim])
+	}
 }
 
 // addGeneric computes dst += src[:len(dst)].

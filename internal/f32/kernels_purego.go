@@ -22,6 +22,25 @@ func DotRowsI8(q, rows []int8, out []int32) {
 	dotRowsI8Generic(q, rows, out)
 }
 
+// DotGather sets out[j] = Dot(q, row ids[j] of data) for every
+// j < len(ids); the contract is kernels_amd64.go's.
+func DotGather(q, data []float32, ids []int32, out []float32) {
+	dotGatherRows(q, data, ids, checkGather(q, data, ids, out))
+}
+
+// DotF64Gather sets out[j] = DotF64(q, row ids[j] of data) for every
+// j < len(ids); the contract is kernels_amd64.go's (q64 goes unread
+// here).
+func DotF64Gather(q []float32, q64 []float64, data []float32, ids []int32, out []float64) {
+	f64GatherGeneric(DotF64x4, q, data, ids, checkGather(q, data, ids, out))
+}
+
+// SqDistF64Gather sets out[j] = SqDistF64(q, row ids[j] of data) for
+// every j < len(ids); the contract is kernels_amd64.go's.
+func SqDistF64Gather(q []float32, q64 []float64, data []float32, ids []int32, out []float64) {
+	f64GatherGeneric(SqDistF64x4, q, data, ids, checkGather(q, data, ids, out))
+}
+
 // HintWrite is a cache hint on amd64 (see kernels_amd64.go) and
 // nothing here: it has no result to reproduce.
 func HintWrite(row []float32) {}

@@ -177,6 +177,104 @@ func TestDotRowsI8MatchesGeneric(t *testing.T) {
 	}
 }
 
+// gatherFill returns a value for a gather test operand: in raw mode
+// random bits, every fourth value an awkward one (NaN, ±Inf, the
+// subnormals' ends, ±1e±38, the largest finite magnitudes, zeros);
+// otherwise a value of mixed sign and magnitude, so that summation
+// order shows in the last bits.
+func gatherFill(rng *xrand.RNG, raw bool) float32 {
+	if !raw {
+		return (rng.Float32() - 0.5) * float32(math.Exp(float64(rng.Intn(9)-4)))
+	}
+	awkward := []float32{
+		float32(math.NaN()), math.Float32frombits(0x7fc00001), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), 1e38, -1e38, 1e-38, -1e-38,
+		math.MaxFloat32, -math.MaxFloat32, 0, float32(math.Copysign(0, -1)),
+	}
+	if rng.Intn(4) == 0 {
+		return awkward[rng.Intn(len(awkward))]
+	}
+	return math.Float32frombits(rng.Uint32())
+}
+
+// same32 and same64 report whether two sums are the same value, bit
+// for bit, a NaN matching any NaN: which payload survives two NaNs
+// meeting follows an operand order no kernel promises.
+func same32(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+func same64(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// TestGatherMatchesGeneric: DotGather, DotF64Gather and
+// SqDistF64Gather (the encoding CPUID picked or
+// TestKernelsBothEncodings forces) return, for every row they gather,
+// the one-row portable kernel's bits — and the float64 ones those of
+// their portable gathered twin — at every dim 0-130, on lists of every
+// length 0-9 (each length mod 4, repeated IDs included) at two
+// alignments of the matrix, on ordinary values, raw bits with awkward
+// values, and zero rows; none writes outside its output.
+func TestGatherMatchesGeneric(t *testing.T) {
+	rng := xrand.New(31)
+	const rows = 7
+	for dim := 0; dim <= 130; dim++ {
+		for trial := 0; trial < 4; trial++ {
+			raw, off := trial%2 == 1, trial/2
+			q := make([]float32, dim)
+			for i := range q {
+				q[i] = gatherFill(rng, raw)
+			}
+			q64 := make([]float64, dim)
+			Widen(q64, q)
+			data := make([]float32, off+rows*dim)[off:]
+			for r := 0; r < rows-1; r++ { // the last row stays zero
+				for i := 0; i < dim; i++ {
+					data[r*dim+i] = gatherFill(rng, raw)
+				}
+			}
+			row := func(id int32) []float32 { return data[int(id)*dim : int(id)*dim+dim] }
+			for n := 0; n <= 9; n++ {
+				name := fmt.Sprintf("dim=%d/raw=%v/off=%d/ids=%d", dim, raw, off, n)
+				ids := make([]int32, n)
+				for j := range ids {
+					ids[j] = int32(rng.Intn(rows))
+				}
+				out32 := make([]float32, n+2)
+				out32[0], out32[n+1] = guard, guard
+				DotGather(q, data, ids, out32[1:n+1])
+				var dot, sq, dotTwin, sqTwin [2 + 9]float64
+				for _, o := range []*[11]float64{&dot, &sq} {
+					o[0], o[n+1] = float64(guard), float64(guard)
+				}
+				DotF64Gather(q, q64, data, ids, dot[1:n+1])
+				SqDistF64Gather(q, q64, data, ids, sq[1:n+1])
+				f64GatherGeneric(DotF64x4, q, data, ids, dotTwin[:n])
+				f64GatherGeneric(SqDistF64x4, q, data, ids, sqTwin[:n])
+				for j, id := range ids {
+					if got, want := out32[1+j], dotGeneric(q, row(id)); !same32(got, want) {
+						t.Fatalf("%s: DotGather row %d = %x, portable Dot %x", name, j, math.Float32bits(got), math.Float32bits(want))
+					}
+					for _, c := range []struct {
+						what            string
+						got, twin, want float64
+					}{
+						{"DotF64Gather", dot[1+j], dotTwin[j], DotF64(q, row(id))},
+						{"SqDistF64Gather", sq[1+j], sqTwin[j], SqDistF64(q, row(id))},
+					} {
+						if !same64(c.got, c.want) || !same64(c.twin, c.want) {
+							t.Fatalf("%s: %s row %d = %x, portable gather %x, one-row kernel %x", name, c.what, j, math.Float64bits(c.got), math.Float64bits(c.twin), math.Float64bits(c.want))
+						}
+					}
+				}
+				if out32[0] != guard || out32[n+1] != guard || dot[0] != float64(guard) || dot[n+1] != float64(guard) || sq[0] != float64(guard) || sq[n+1] != float64(guard) {
+					t.Fatalf("%s: a gather wrote outside its output", name)
+				}
+			}
+		}
+	}
+}
+
 // TestDotNonFinite: overflow, infinities and NaN come out of the
 // assembly as they come out of the portable kernels. The exact scan
 // relies on it: a non-finite float32 dot sends the row to the float64
@@ -282,6 +380,11 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 		"grad e":          func() { Grad(1, long, long, short) },
 		"dotrowsi8 rows":  func() { DotRowsI8(q8, rows8, out8) },
 		"dotrowsi8 chunk": func() { DotRowsI8(q8[:31], rows8, out8) },
+		"gather id":       func() { DotGather(long[:4], long, []int32{4}, make([]float32, 1)) },
+		"gather negative": func() { DotGather(long[:4], long, []int32{-1}, make([]float32, 1)) },
+		"gather out":      func() { DotGather(long[:4], long, []int32{0, 1}, make([]float32, 1)) },
+		"gather f64 id":   func() { DotF64Gather(long[:4], make([]float64, 4), long, []int32{4}, make([]float64, 1)) },
+		"gather f64 out":  func() { SqDistF64Gather(long[:4], make([]float64, 4), long, []int32{0, 1}, make([]float64, 1)) },
 	} {
 		func() {
 			defer func() {
@@ -309,6 +412,11 @@ type encoding struct {
 
 // BenchmarkKernels times the kernels on operands that stay in L1, at
 // the dimensions the CLI (50) and the serving benchmark (64, 128) use.
+// The gathered kernels run on four rows of a 64-row matrix per op,
+// under each encoding of kernelEncodings: DotGather (sse2: Dot per
+// row; avx2: four rows per pass) and DotF64Gather and SqDistF64Gather
+// (generic: the Go x4 kernels; avx2: a YMM lane per row), as HNSW's
+// beam calls them on a friend list.
 // DotRowsI8 runs at dim 64 (a 64-byte stride) under each encoding of
 // kernelEncodings and reports the time per row: over 256 rows, the
 // exact scan's block, and over a 20 000-row store a block at a time,
@@ -336,6 +444,32 @@ func BenchmarkKernels(b *testing.B) {
 				Grad(1e-9, h, out, e)
 			}
 		})
+		data, h64 := make([]float32, 64*dim), make([]float64, dim)
+		for i := range data {
+			data[i] = float32(i%11) - 5
+		}
+		Widen(h64, h)
+		ids, dots, dists := []int32{3, 17, 40, 9}, make([]float32, 4), make([]float64, 4)
+		for _, enc := range kernelEncodings() {
+			for _, k := range []struct {
+				name string
+				run  func()
+			}{
+				{"DotGather/dim=%d/" + enc.name, func() { DotGather(h, data, ids, dots) }},
+				{"DotF64Gather/dim=%d/" + enc.i8, func() { DotF64Gather(h, h64, data, ids, dists) }},
+				{"SqDistF64Gather/dim=%d/" + enc.i8, func() { SqDistF64Gather(h, h64, data, ids, dists) }},
+			} {
+				b.Run(fmt.Sprintf(k.name, dim), func(b *testing.B) {
+					if !enc.supported {
+						b.Skip("not supported here")
+					}
+					defer enc.use()()
+					for i := 0; i < b.N; i++ {
+						k.run()
+					}
+				})
+			}
+		}
 	}
 	const dim = 64
 	q := i8Rows(1, dim, dim, 0, func() int8 { return 37 })

@@ -84,8 +84,11 @@ func waveSize(linked int) int {
 // a candidate must beat a known distance to matter (the beam's worst
 // retained result, the descent's current best), a float32 dot comes
 // first and the prefilter of scan.go drops the candidate when it
-// proves the float64 score cannot; the beam scores what is left of a
-// friend list four rows at a time (dotF64x4), each score the single
+// proves the float64 score cannot. The beam takes a friend list
+// whole: one gathered float32 kernel call over its unvisited members
+// (f32.DotGather), the drop test per friend at the threshold the list
+// started with, then one gathered float64 call over the survivors
+// (f32.DotF64Gather, four rows per pass), each score the single
 // kernel's bits. Neighbour selection, which is most of an insert,
 // needs no score at all, only "is this candidate closer to a kept
 // neighbour than to the new node": the float32 dot answers through
@@ -292,32 +295,52 @@ func (h *HNSW) farther(f *prefilter, q []float32, e int32, sc *hnswScratch) bool
 	return true
 }
 
-// dists returns dist(q, id) for every id, in order, in scratch
-// storage: four rows per kernel call, the last call's spare slots
-// scoring the last row again. Each distance is dist's, bit for bit
-// (NaN payloads aside, see kernels.go).
-func (h *HNSW) dists(q []float32, qn float64, ids []int32, sc *hnswScratch) []float64 {
-	out := sc.dist[:0]
-	norms := h.s.SqNorms()
-	last := len(ids) - 1
-	for i := 0; i <= last; i += 4 {
-		i0, i1, i2, i3 := ids[i], ids[min(i+1, last)], ids[min(i+2, last)], ids[min(i+3, last)]
-		r0, r1, r2, r3 := h.s.Row(int(i0)), h.s.Row(int(i1)), h.s.Row(int(i2)), h.s.Row(int(i3))
-		var d [4]float64
-		switch h.metric {
-		case Euclidean:
-			d[0], d[1], d[2], d[3] = sqDistF64x4(q, r0, r1, r2, r3)
-		case Cosine:
-			d[0], d[1], d[2], d[3] = dotF64x4(q, r0, r1, r2, r3)
-			d[0], d[1] = -cosineFromDot(d[0], qn, norms[i0]), -cosineFromDot(d[1], qn, norms[i1])
-			d[2], d[3] = -cosineFromDot(d[2], qn, norms[i2]), -cosineFromDot(d[3], qn, norms[i3])
-		default:
-			d[0], d[1], d[2], d[3] = dotF64x4(q, r0, r1, r2, r3)
-			d[0], d[1], d[2], d[3] = -d[0], -d[1], -d[2], -d[3]
-		}
-		out = append(out, d[:min(4, last+1-i)]...)
+// survivors keeps of ids, in place, the candidates the float32 pass
+// cannot prove farther than the distance f was last armed with,
+// counting every candidate and every drop. One gathered kernel call
+// scores the whole list first, so every drop test sees the threshold
+// the list started with.
+func (h *HNSW) survivors(f *prefilter, q []float32, ids []int32, sc *hnswScratch) []int32 {
+	sc.evals += len(ids)
+	if !f.armed || len(ids) == 0 {
+		return ids
 	}
+	dots := slices.Grow(sc.dots[:0], len(ids))[:len(ids)]
+	f32.DotGather(q, h.s.data, ids, dots)
+	sc.dots = dots
+	norms := h.s.SqNorms()
+	kept := ids[:0]
+	for j, e := range ids {
+		if !f.drops(float64(dots[j]), norms[e]) {
+			kept = append(kept, e)
+		}
+	}
+	sc.rejected += len(ids) - len(kept)
+	return kept
+}
+
+// dists returns dist(q, id) for every id, in order, in scratch
+// storage, from one gathered float64 kernel call; q64 is q widened
+// (hnswScratch.widen). Each distance is dist's, bit for bit (NaN
+// payloads aside, see internal/f32).
+func (h *HNSW) dists(q []float32, q64 []float64, qn float64, ids []int32, sc *hnswScratch) []float64 {
+	out := slices.Grow(sc.dist[:0], len(ids))[:len(ids)]
 	sc.dist = out
+	if h.metric == Euclidean {
+		f32.SqDistF64Gather(q, q64, h.s.data, ids, out)
+		return out
+	}
+	f32.DotF64Gather(q, q64, h.s.data, ids, out)
+	if h.metric == Cosine {
+		norms := h.s.SqNorms()
+		for j, id := range ids {
+			out[j] = -cosineFromDot(out[j], qn, norms[id])
+		}
+		return out
+	}
+	for j := range out {
+		out[j] = -out[j]
+	}
 	return out
 }
 
@@ -443,6 +466,7 @@ func fanOut(n, workers int, fn func(w, j int)) {
 func (h *HNSW) searchNeighbors(i int32, lo int, sc *hnswScratch) {
 	level := len(h.upper[i])
 	q := h.s.Row(int(i))
+	q64 := sc.widen(q)
 	f := prefilter{metric: h.metric, gamma: h.gamma, qn: h.s.SqNorms()[i]}
 
 	// Greedy descent through the layers above the new node's level.
@@ -459,7 +483,7 @@ func (h *HNSW) searchNeighbors(i int32, lo int, sc *hnswScratch) {
 	for l := level; l >= 0; l-- {
 		cands := sc.res.h[:0]
 		if len(eps) > 0 && l <= h.maxLevel {
-			h.searchLayer(q, &f, eps, l, h.efc, sc)
+			h.searchLayer(q, q64, &f, eps, l, h.efc, sc)
 			cands = sc.extractAsc()
 			// Next level down starts from everything this beam found.
 			eps = eps[:0]
@@ -478,7 +502,7 @@ func (h *HNSW) searchNeighbors(i int32, lo int, sc *hnswScratch) {
 			// nearest of the union are the candidates. Offered every peer,
 			// selection would keep far ones for their novel directions.
 			full := len(cands) == h.efc
-			for j, d := range h.dists(q, f.qn, peers, sc) {
+			for j, d := range h.dists(q, q64, f.qn, peers, sc) {
 				if c := (hcand{peers[j], d}); !full || closer(c, cands[h.efc-1]) {
 					cands = append(cands, c)
 				}
@@ -555,21 +579,22 @@ func closer(a, b hcand) bool {
 	return a.id < b.id
 }
 
-// hnswScratch is the reusable per-search state: an epoch-tagged
-// visited set (cleared in O(1) by bumping the epoch), the candidate
-// min-heap, the bounded result max-heap, and small reusable slices, so
-// that a search allocates its result and an insert little beyond its
-// upper-level lists.
+// hnswScratch is the reusable per-search state: a visited bitset
+// (one bit per row, so that a search's marks stay in L1; cleared per
+// layer search), the candidate min-heap, the bounded result max-heap,
+// and small reusable slices, so that a search allocates its result and
+// an insert little beyond its upper-level lists.
 type hnswScratch struct {
-	visited []uint32
-	epoch   uint32
+	visited []uint64
 	cand    candHeap
 	res     resultHeap
 	eps     []int32
+	q64     []float64 // the query of the search or insert, widened
 	sel     []int32   // selectNeighbors' selection
 	spilled []int32   // selectNeighbors' discarded candidates
 	near    []hcand   // shrink's sorted list
 	surv    []int32   // searchLayer: the friends the float32 pass left
+	dots    []float32 // survivors' float32 dots
 	dist    []float64 // dists' result
 	peers   []int32   // searchNeighbors: the wave's earlier rows at a level
 	links   []int32   // addBackLinks: a list and its new back-links
@@ -582,45 +607,49 @@ type hnswScratch struct {
 	evals, rejected, selCmps, selRefined int
 }
 
+// visitedWords is the length of a visited bitset over n rows.
+func visitedWords(n int) int { return (n + 63) / 64 }
+
 func (h *HNSW) newScratch() *hnswScratch {
 	// Slack beyond the current row count so a stream of incremental
 	// inserts does not reallocate the visited set per row.
 	n := h.s.Len()
-	buf := make([]uint32, n+n/2+64)
-	return &hnswScratch{visited: buf[:n]}
+	buf := make([]uint64, visitedWords(n+n/2+64))
+	return &hnswScratch{visited: buf[:visitedWords(n)]}
 }
 
 func (h *HNSW) getScratch() *hnswScratch {
-	n := h.s.Len()
-	if sc, ok := h.scratch.Get().(*hnswScratch); ok && cap(sc.visited) >= n {
-		// Growing within capacity is safe: the extension holds zeros
-		// (never a live epoch) or epochs from earlier searches, which
-		// begin()'s epoch bump makes stale.
-		sc.visited = sc.visited[:n]
+	w := visitedWords(h.s.Len())
+	if sc, ok := h.scratch.Get().(*hnswScratch); ok && cap(sc.visited) >= w {
+		// Growing within capacity is safe: begin clears the whole set.
+		sc.visited = sc.visited[:w]
 		return sc
 	}
 	return h.newScratch()
 }
 
-// begin opens a fresh visited epoch.
+// widen returns q in float64, in scratch storage: the gathered float64
+// kernels' query operand, converted once per search or insert.
+func (sc *hnswScratch) widen(q []float32) []float64 {
+	sc.q64 = slices.Grow(sc.q64[:0], len(q))[:len(q)]
+	f32.Widen(sc.q64, q)
+	return sc.q64
+}
+
+// begin clears the visited set and both heaps for a layer search.
 func (sc *hnswScratch) begin() {
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: clear and restart
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
-		sc.epoch = 1
-	}
+	clear(sc.visited)
 	sc.cand.h = sc.cand.h[:0]
 	sc.res.h = sc.res.h[:0]
 }
 
 // seen marks id visited, reporting whether it already was.
 func (sc *hnswScratch) seen(id int32) bool {
-	if sc.visited[id] == sc.epoch {
+	w, bit := &sc.visited[id>>6], uint64(1)<<(id&63)
+	if *w&bit != 0 {
 		return true
 	}
-	sc.visited[id] = sc.epoch
+	*w |= bit
 	return false
 }
 
@@ -639,7 +668,7 @@ func (sc *hnswScratch) extractAsc() []hcand {
 // cannot improve the ef retained results. Results are left in sc.res.
 // f carries the query's squared norm; once ef results are retained its
 // threshold follows the worst of them.
-func (h *HNSW) searchLayer(q []float32, f *prefilter, eps []int32, level, ef int, sc *hnswScratch) {
+func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32, level, ef int, sc *hnswScratch) {
 	sc.begin()
 	for _, ep := range eps {
 		if sc.seen(ep) {
@@ -663,19 +692,20 @@ func (h *HNSW) searchLayer(q []float32, f *prefilter, eps []int32, level, ef int
 		}
 		friends := h.links(c.id, level)
 		// The float32 pass runs over the whole list before anything is
-		// scored, so that the float64 chains of what it leaves overlap.
-		// The threshold it sees is the one this list started with, at
-		// worst looser than the one a friend-by-friend pass would have
-		// reached: it leaves a superset, and the extra rows fail the
-		// d < worst test below as they failed the filter.
+		// scored, so that the float64 kernel takes what it leaves four
+		// rows at a time. The threshold it sees is the one this list
+		// started with, at worst looser than the one a friend-by-friend
+		// pass would have reached: it leaves a superset, and the extra
+		// rows fail the d < worst test below as they failed the filter.
 		surv := sc.surv[:0]
 		for _, e := range friends {
-			if !sc.seen(e) && !h.farther(f, q, e, sc) {
+			if !sc.seen(e) {
 				surv = append(surv, e)
 			}
 		}
 		sc.surv = surv
-		for j, d := range h.dists(q, f.qn, surv, sc) {
+		surv = h.survivors(f, q, surv, sc)
+		for j, d := range h.dists(q, q64, f.qn, surv, sc) {
 			e := surv[j]
 			if len(sc.res.h) < ef {
 				sc.res.push(hcand{e, d})
@@ -754,7 +784,8 @@ func (h *HNSW) selectNeighbors(cands []hcand, m int, sc *hnswScratch) []int32 {
 // writes the selection back over the list.
 func (h *HNSW) shrink(node int32, friends []int32, limit int, sc *hnswScratch) []int32 {
 	near := sc.near[:0]
-	for i, d := range h.dists(h.s.Row(int(node)), h.s.SqNorms()[node], friends, sc) {
+	q := h.s.Row(int(node))
+	for i, d := range h.dists(q, sc.widen(q), h.s.SqNorms()[node], friends, sc) {
 		near = append(near, hcand{friends[i], d})
 	}
 	sortCands(near)
@@ -824,6 +855,7 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 	// Every metric's filter needs the squared norm; scoreRow reads it
 	// for Cosine only.
 	f := prefilter{metric: h.metric, gamma: h.gamma, qn: sqNorm(q)}
+	q64 := sc.widen(q)
 	ep := h.entry
 	epDist := h.dist(q, f.qn, ep)
 	for l := h.maxLevel; l > 0; l-- {
@@ -848,12 +880,18 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 		ef = n
 	}
 	sc.eps = append(sc.eps[:0], ep)
-	h.searchLayer(q, &f, sc.eps, 0, ef, sc)
-	cands := sc.extractAsc()
+	h.searchLayer(q, q64, &f, sc.eps, 0, ef, sc)
+	// Pull the k nearest live results out of the beam: heapify its ef
+	// nearest-first, in O(ef), and pop until k are kept. closer is a
+	// total order wherever no distance is NaN, so these are the first k
+	// of the sorted beam.
+	near := candHeap{sc.res.h}
+	near.init()
 	del := h.s.deleted
 	start := len(dst)
-	for _, c := range cands {
-		if int(c.id) == exclude || (del != nil && del[c.id]) || len(dst)-start == k {
+	for len(near.h) > 0 && len(dst)-start < k {
+		c := near.pop()
+		if int(c.id) == exclude || (del != nil && del[c.id]) {
 			continue
 		}
 		score := -c.dist
@@ -1040,18 +1078,31 @@ func (q *candHeap) pop() hcand {
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
 	q.h = q.h[:last]
-	i := 0
+	q.siftDown(0)
+	return top
+}
+
+// init orders an arbitrary array into a heap, in O(len).
+func (q *candHeap) init() {
+	for i := len(q.h)/2 - 1; i >= 0; i-- {
+		q.siftDown(i)
+	}
+}
+
+// siftDown restores the heap below h[i] after h[i] was overwritten.
+func (q *candHeap) siftDown(i int) {
+	n := len(q.h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
-		if l < last && closer(q.h[l], q.h[best]) {
+		if l < n && closer(q.h[l], q.h[best]) {
 			best = l
 		}
-		if r < last && closer(q.h[r], q.h[best]) {
+		if r < n && closer(q.h[r], q.h[best]) {
 			best = r
 		}
 		if best == i {
-			return top
+			return
 		}
 		q.h[i], q.h[best] = q.h[best], q.h[i]
 		i = best

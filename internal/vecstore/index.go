@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+
+	"v2v/internal/f32"
 )
 
 // Metric selects the similarity. Scores are "higher is better":
@@ -253,11 +255,11 @@ func normWorkers(w int) int {
 func scoreRow(s *Store, metric Metric, q []float32, qn float64, i int) float64 {
 	switch metric {
 	case Euclidean:
-		return -sqDistF64(q, s.Row(i))
+		return -f32.SqDistF64(q, s.Row(i))
 	case Cosine:
-		return cosineFromDot(dotF64(q, s.Row(i)), qn, s.SqNorms()[i])
+		return cosineFromDot(f32.DotF64(q, s.Row(i)), qn, s.SqNorms()[i])
 	default:
-		return dotF64(q, s.Row(i))
+		return f32.DotF64(q, s.Row(i))
 	}
 }
 

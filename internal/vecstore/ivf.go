@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"v2v/internal/cluster"
+	"v2v/internal/f32"
 )
 
 // IVFConfig tunes the inverted-file index; see docs/VECTORS.md for
@@ -228,7 +229,7 @@ func normalizedCopy(s *Store) *Store {
 func nearestCentroid(centroids *Store, v []float32) int {
 	best, bestD := 0, math.Inf(1)
 	for c := 0; c < centroids.Len(); c++ {
-		if d := sqDistF64(v, centroids.Row(c)); d < bestD {
+		if d := f32.SqDistF64(v, centroids.Row(c)); d < bestD {
 			best, bestD = c, d
 		}
 	}
@@ -308,11 +309,11 @@ func (v *IVF) search(q []float32, k, exclude int, dst []Result, sc *ivfScratch) 
 	for c := 0; c < v.centroids.Len(); c++ {
 		switch v.metric {
 		case Euclidean:
-			sc.top.Push(c, -sqDistF64(q, v.centroids.Row(c)))
+			sc.top.Push(c, -f32.SqDistF64(q, v.centroids.Row(c)))
 		case Cosine:
-			sc.top.Push(c, cosineFromDot(dotF64(q, v.centroids.Row(c)), qn, cn[c]))
+			sc.top.Push(c, cosineFromDot(f32.DotF64(q, v.centroids.Row(c)), qn, cn[c]))
 		default:
-			sc.top.Push(c, dotF64(q, v.centroids.Row(c)))
+			sc.top.Push(c, f32.DotF64(q, v.centroids.Row(c)))
 		}
 	}
 	sc.probes = sc.top.Append(sc.probes[:0])

@@ -4,7 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"v2v/internal/f32"
 	"v2v/internal/xrand"
+)
+
+// The float64 kernels live in internal/f32; this package's tests call
+// them by these names.
+var (
+	dotF64      = f32.DotF64
+	dotF64x4    = f32.DotF64x4
+	sqDistF64   = f32.SqDistF64
+	sqDistF64x4 = f32.SqDistF64x4
 )
 
 // rawVec reads n float32s out of random bits, every fourth one an

@@ -8,6 +8,8 @@ package vecstore
 // and its shard processes calling these functions agree with a
 // single-process `Sharded` by construction, not by coincidence.
 
+import "v2v/internal/f32"
+
 // ShardOf routes a global row ID to its shard among n: the
 // splitmix64-style finalizer the in-process coordinator uses, stable
 // across processes and restarts. Every placement decision in the
@@ -40,7 +42,7 @@ func MergeRowTopK(perShard [][]Result, self, k int) []Result {
 // accumulation order as Store.Dot), exported so a remote tier
 // computing pair scores over fetched rows matches the in-process
 // result bit for bit.
-func DotF64(a, b []float32) float64 { return dotF64(a, b) }
+func DotF64(a, b []float32) float64 { return f32.DotF64(a, b) }
 
 // CosineFromDot finishes a cosine similarity from a precomputed dot
 // product and the two squared norms, with the store-wide zero-vector

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"v2v/internal/f32"
 )
 
 // Sharded is a scatter-gather coordinator over N hash-partitioned
@@ -377,7 +379,7 @@ func (sh *Sharded) Cosine(a, b int) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return cosineFromDot(dotF64(va, vb), na, nb)
+	return cosineFromDot(f32.DotF64(va, vb), na, nb)
 }
 
 // Dot returns the float64-accumulated inner product of global rows a
@@ -385,7 +387,7 @@ func (sh *Sharded) Cosine(a, b int) float64 {
 func (sh *Sharded) Dot(a, b int) float64 {
 	va, _ := sh.RowNorm(a)
 	vb, _ := sh.RowNorm(b)
-	return dotF64(va, vb)
+	return f32.DotF64(va, vb)
 }
 
 // RowNorm returns Row(id) and its cached squared L2 norm — what a

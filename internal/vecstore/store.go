@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"v2v/internal/f32"
 )
 
 // cacheLine is the alignment (in bytes) of store allocations. Rows
@@ -428,7 +430,7 @@ func (s *Store) Gather(ids []int) *Store {
 }
 
 // Dot returns the float64-accumulated inner product of rows i and j.
-func (s *Store) Dot(i, j int) float64 { return dotF64(s.Row(i), s.Row(j)) }
+func (s *Store) Dot(i, j int) float64 { return f32.DotF64(s.Row(i), s.Row(j)) }
 
 // Cosine returns the cosine similarity of rows i and j, or 0 when
 // either row is the zero vector — the same convention (and the same
@@ -439,7 +441,7 @@ func (s *Store) Cosine(i, j int) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return dotF64(s.Row(i), s.Row(j)) / math.Sqrt(na*nb)
+	return f32.DotF64(s.Row(i), s.Row(j)) / math.Sqrt(na*nb)
 }
 
 // sqNorm accumulates the squared L2 norm in float64, row order.
