@@ -28,6 +28,13 @@ import (
 // and starts one shard-process server per partition member.
 func startShardFleet(t *testing.T, vocab, dim, n int) (path string, addrs []string, fleet []*httptest.Server) {
 	t.Helper()
+	return startIndexedFleet(t, vocab, dim, n, vecstore.Config{})
+}
+
+// startIndexedFleet is startShardFleet with every shard building the
+// index idx describes over its slice.
+func startIndexedFleet(t *testing.T, vocab, dim, n int, idx vecstore.Config) (path string, addrs []string, fleet []*httptest.Server) {
+	t.Helper()
 	m, tokens := testModel(vocab, dim, 42)
 	path = filepath.Join(t.TempDir(), "model.snap")
 	if err := snapshot.SaveFile(path, m, tokens); err != nil {
@@ -36,7 +43,7 @@ func startShardFleet(t *testing.T, vocab, dim, n int) (path string, addrs []stri
 	addrs = make([]string, n)
 	fleet = make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
-		s, err := New(Config{ModelPath: path, ShardCount: n, ShardID: i})
+		s, err := New(Config{ModelPath: path, ShardCount: n, ShardID: i, Index: idx})
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -267,6 +274,67 @@ func TestRouterWrites(t *testing.T) {
 		gotCode, got := getRaw(t, router.URL+p)
 		if gotCode != wantCode || got != want {
 			t.Errorf("%s diverges after writes:\nin-process (%d): %s\nrouter     (%d): %s", p, wantCode, want, gotCode, got)
+		}
+	}
+}
+
+// TestRouterTombstonedHNSW is the fleet's side of the HNSW tombstone
+// contract: shard processes never compact, so their dead fraction is
+// unbounded, and a query must still get k live neighbours back. Nine of
+// ten rows are deleted through the router, then k = 50 is asked of an
+// HNSW fleet and checked against the exact answer over the live rows
+// (an in-process exact server given the same deletes). A narrow
+// EfSearch keeps each shard's beam well below its row count, as it is
+// at serving scale, on shards of a few hundred rows.
+func TestRouterTombstonedHNSW(t *testing.T) {
+	const vocab, dim, shards, k = 1000, 8, 2, 50
+	path, addrs, _ := startIndexedFleet(t, vocab, dim, shards,
+		vecstore.Config{Kind: vecstore.KindHNSW, EfSearch: 16, Seed: 3})
+	_, router := startRouter(t, path, addrs, nil)
+	ref, err := New(Config{ModelPath: path, CompactFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refHS := httptest.NewServer(ref.Handler())
+	defer refHS.Close()
+
+	var dead []string
+	for i := 0; i < vocab; i++ {
+		if i%10 != 0 {
+			dead = append(dead, fmt.Sprintf("v%d", i))
+		}
+	}
+	for _, url := range []string{router.URL, refHS.URL} {
+		if code, body := postRaw(t, url+"/v1/delete/batch", DeleteBatchRequest{Vertices: dead}); code != http.StatusOK {
+			t.Fatalf("delete batch at %s: %d %s", url, code, body)
+		}
+	}
+	for _, q := range []string{"v0", "v10", "v500", "v990"} {
+		var got, want NeighborsResponse
+		p := fmt.Sprintf("/v1/neighbors?vertex=%s&k=%d", q, k)
+		if code := getJSON(t, router.URL+p, &got); code != http.StatusOK {
+			t.Fatalf("%s: router status %d", p, code)
+		}
+		getJSON(t, refHS.URL+p, &want)
+		if len(got.Neighbors) != k {
+			t.Errorf("%s: %d neighbours from the HNSW fleet, want %d", p, len(got.Neighbors), k)
+		}
+		exact := map[string]bool{}
+		for _, n := range want.Neighbors {
+			exact[n.Vertex] = true
+		}
+		hits := 0
+		for _, n := range got.Neighbors {
+			var id int
+			if _, err := fmt.Sscanf(n.Vertex, "v%d", &id); err != nil || id%10 != 0 {
+				t.Fatalf("%s: neighbour %q is not a live row", p, n.Vertex)
+			}
+			if exact[n.Vertex] {
+				hits++
+			}
+		}
+		if hits < k*9/10 {
+			t.Errorf("%s: %d of the exact %d live neighbours returned", p, hits, k)
 		}
 	}
 }

@@ -263,19 +263,11 @@ func hnswBenchSetup(b *testing.B) (*HNSW, [][]float32) {
 	return hnswBench.idx, qs
 }
 
-// BenchmarkSearchHNSW is the sublinear approximate path at M/efSearch
-// defaults: one cosine top-10 per op. The recall@10 metric compares
-// the bench queries' answers against the exact index, so the
-// output line records quality next to latency. Compare ns/op
-// against BenchmarkSearchExactSerial/clustered, the exact scan of the
-// same store. evals/op and
-// rejected/op are the candidates a query considers and those the
-// float32 pass drops, over the same queries.
-func BenchmarkSearchHNSW(b *testing.B) {
-	h, qs := hnswBenchSetup(b)
-	exact := NewExact(h.Store(), Cosine, 1)
+// beamRecall searches h for each query's top 10 through sc, which
+// counts the candidates the beam considers, and returns recall@10
+// against exact (over the live rows: exact skips tombstones).
+func beamRecall(h *HNSW, exact *Exact, qs [][]float32, sc *hnswScratch) float64 {
 	hits, total := 0, 0
-	sc := h.newScratch()
 	for _, q := range qs {
 		in := map[int]bool{}
 		for _, r := range h.search(q, 10, -1, nil, sc) {
@@ -288,14 +280,65 @@ func BenchmarkSearchHNSW(b *testing.B) {
 			}
 		}
 	}
+	return float64(hits) / float64(total)
+}
+
+// BenchmarkSearchHNSW is the sublinear approximate path at M/efSearch
+// defaults: one cosine top-10 per op. The recall@10 metric compares
+// the bench queries' answers against the exact index, so the
+// output line records quality next to latency. Compare ns/op
+// against BenchmarkSearchExactSerial/clustered, the exact scan of the
+// same store. evals/op and
+// rejected/op are the candidates a query considers and those the
+// float32 pass drops, over the same queries.
+func BenchmarkSearchHNSW(b *testing.B) {
+	h, qs := hnswBenchSetup(b)
+	sc := h.newScratch()
+	recall := beamRecall(h, NewExact(h.Store(), Cosine, 1), qs, sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Search(qs[i%len(qs)], 10)
 	}
-	b.ReportMetric(float64(hits)/float64(total), "recall@10")
+	b.ReportMetric(recall, "recall@10")
 	b.ReportMetric(float64(sc.evals)/float64(len(qs)), "evals/op")
 	b.ReportMetric(float64(sc.rejected)/float64(len(qs)), "rejected/op")
+}
+
+// BenchmarkSearchHNSWTombstoned is BenchmarkSearchHNSW on a copy of
+// the bench store and graph with 2% and 25% of the rows, drawn by a
+// seeded RNG, tombstoned: one cosine top-10 per op. recall@10 is
+// against the exact index over the live rows, and evals/op counts the
+// candidates a query considers, which a tombstone raises only by the
+// nodes it routes the beam through (compare BenchmarkSearchHNSW's).
+func BenchmarkSearchHNSWTombstoned(b *testing.B) {
+	base, qs := hnswBenchSetup(b)
+	n := base.Store().Len()
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	for _, pct := range []int{2, 25} {
+		h, err := HNSWFromGraph(base.Store().Gather(ids), base.Graph(), 0, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, id := range xrand.New(107).Perm(n)[:n*pct/100] {
+			if err := h.Delete(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sc := h.newScratch()
+		recall := beamRecall(h, NewExact(h.Store(), Cosine, 1), qs, sc)
+		b.Run(fmt.Sprintf("dead=%d%%", pct), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.Search(qs[i%len(qs)], 10)
+			}
+			b.ReportMetric(recall, "recall@10")
+			b.ReportMetric(float64(sc.evals)/float64(len(qs)), "evals/op")
+		})
+	}
 }
 
 // BenchmarkHNSWBuild is one default-parameter cosine build of a

@@ -102,10 +102,11 @@ func waveSize(linked int) int {
 // HNSW implements MutableIndex: Insert reuses the build-time level
 // sampling (continuing the build's deterministic RNG stream) and
 // diversity-pruned linking for one new row, and Delete tombstones a
-// row — it keeps routing searches through the graph but is filtered
-// out of results, the standard mark-deleted scheme (reclaimed by a
-// compaction rebuild). Mutations hold the writer lock; queries share
-// the reader lock.
+// row, the standard mark-deleted scheme (reclaimed by a compaction
+// rebuild): a dead row is still scored and expanded, so it keeps
+// routing the beam, but never takes one of its ef result slots, so a
+// query returns k live results whenever k live rows are reachable.
+// Mutations hold the writer lock; queries share the reader lock.
 type HNSW struct {
 	s        *Store
 	metric   Metric
@@ -483,7 +484,7 @@ func (h *HNSW) searchNeighbors(i int32, lo int, sc *hnswScratch) {
 	for l := level; l >= 0; l-- {
 		cands := sc.res.h[:0]
 		if len(eps) > 0 && l <= h.maxLevel {
-			h.searchLayer(q, q64, &f, eps, l, h.efc, sc)
+			h.searchLayer(q, q64, &f, eps, l, h.efc, nil, sc)
 			cands = sc.extractAsc()
 			// Next level down starts from everything this beam found.
 			eps = eps[:0]
@@ -667,8 +668,10 @@ func (sc *hnswScratch) extractAsc() []hcand {
 // Algorithm 2: expand the closest unexpanded candidate until the beam
 // cannot improve the ef retained results. Results are left in sc.res.
 // f carries the query's squared norm; once ef results are retained its
-// threshold follows the worst of them.
-func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32, level, ef int, sc *hnswScratch) {
+// threshold follows the worst of them. A row del marks (the store's
+// tombstones; nil in the build) is scored and expanded but never
+// retained: it routes the beam and takes no result slot.
+func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32, level, ef int, del []bool, sc *hnswScratch) {
 	sc.begin()
 	for _, ep := range eps {
 		if sc.seen(ep) {
@@ -676,7 +679,9 @@ func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32
 		}
 		d := h.dist(q, f.qn, ep)
 		sc.cand.push(hcand{ep, d})
-		sc.res.push(hcand{ep, d})
+		if del == nil || !del[ep] {
+			sc.res.push(hcand{ep, d})
+		}
 	}
 	for len(sc.res.h) > ef {
 		sc.res.pop()
@@ -706,15 +711,20 @@ func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32
 		sc.surv = surv
 		surv = h.survivors(f, q, surv, sc)
 		for j, d := range h.dists(q, q64, f.qn, surv, sc) {
-			e := surv[j]
-			if len(sc.res.h) < ef {
-				sc.res.push(hcand{e, d})
-			} else if d < sc.res.h[0].dist {
-				sc.res.replaceTop(hcand{e, d})
-			} else {
+			full := len(sc.res.h) == ef
+			if full && !(d < sc.res.h[0].dist) {
 				continue
 			}
+			e := surv[j]
 			sc.cand.push(hcand{e, d})
+			if del != nil && del[e] {
+				continue
+			}
+			if full {
+				sc.res.replaceTop(hcand{e, d})
+			} else {
+				sc.res.push(hcand{e, d})
+			}
 			if len(sc.res.h) == ef {
 				f.arm(-sc.res.h[0].dist)
 			}
@@ -865,33 +875,21 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 	if ef < k+1 { // +1 leaves room to drop an excluded self-hit
 		ef = k + 1
 	}
-	if dead := h.s.Dead(); dead > 0 {
-		// Tombstoned rows still occupy beam slots before being
-		// filtered below; widen the beam (at most 2x, so worst-case
-		// latency stays bounded — the compaction threshold bounds the
-		// dead fraction long-term) to keep ~k live results surviving.
-		extra := dead
-		if extra > ef {
-			extra = ef
-		}
-		ef += extra
-	}
 	if ef > n {
 		ef = n
 	}
 	sc.eps = append(sc.eps[:0], ep)
-	h.searchLayer(q, q64, &f, sc.eps, 0, ef, sc)
-	// Pull the k nearest live results out of the beam: heapify its ef
-	// nearest-first, in O(ef), and pop until k are kept. closer is a
-	// total order wherever no distance is NaN, so these are the first k
-	// of the sorted beam.
+	h.searchLayer(q, q64, &f, sc.eps, 0, ef, h.s.deleted, sc)
+	// Pull the k nearest results, all live, out of the beam: heapify
+	// its ef nearest-first, in O(ef), and pop until k are kept. closer
+	// is a total order wherever no distance is NaN, so these are the
+	// first k of the sorted beam.
 	near := candHeap{sc.res.h}
 	near.init()
-	del := h.s.deleted
 	start := len(dst)
 	for len(near.h) > 0 && len(dst)-start < k {
 		c := near.pop()
-		if int(c.id) == exclude || (del != nil && del[c.id]) {
+		if int(c.id) == exclude {
 			continue
 		}
 		score := -c.dist

@@ -421,3 +421,75 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 		})
 	}
 }
+
+// TestHNSWTombstones pins what a tombstone costs an HNSW query: only
+// the nodes it routes through, never a result slot. Per metric, on a
+// seeded clustered store whose rows die in a fixed random order:
+// (a) with nine rows in ten dead, a k = 50 query returns min(k, live)
+// results, all of them live; (b) at 0.5%, 2%, 10% and 25% dead,
+// recall@10 against the exact answer over the live rows is within 0.01
+// of the tombstone-free index's; (c) at 2% dead the beam considers at
+// most 5% more candidates per query than it did with none.
+func TestHNSWTombstones(t *testing.T) {
+	const n, dim, nq, k = 2000, 32, 200, 50
+	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+		s := clusteredStore(n, dim, 40, 227)
+		h, err := NewHNSW(s, metric, HNSWConfig{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := NewExact(s, metric, 1)
+		rng := xrand.New(229)
+		qs := make([][]float32, nq)
+		for i := range qs {
+			qs[i] = s.Row(rng.Intn(n))
+		}
+		sc := h.newScratch()
+		// measure returns the candidates the beam considered per query
+		// and recall@10 over the live rows.
+		measure := func() (float64, float64) {
+			sc.evals = 0
+			recall := beamRecall(h, exact, qs, sc)
+			return float64(sc.evals) / nq, recall
+		}
+		order := rng.Perm(n)
+		dead := 0
+		kill := func(upTo int) {
+			for ; dead < upTo; dead++ {
+				if err := h.Delete(order[dead]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		evals0, recall0 := measure()
+		t.Logf("%v: no tombstones: %.1f evals/query, recall@10 %.4f", metric, evals0, recall0)
+		for _, per1000 := range []int{5, 20, 100, 250} {
+			kill(n * per1000 / 1000)
+			evals, recall := measure()
+			t.Logf("%v: %d dead: %.1f evals/query, recall@10 %.4f", metric, dead, evals, recall)
+			if recall < recall0-0.01 {
+				t.Errorf("%v, %d of %d rows dead: recall@10 %.4f, want at least %.4f (tombstone-free %.4f less 0.01)",
+					metric, dead, n, recall, recall0-0.01, recall0)
+			}
+			if per1000 == 20 && evals > 1.05*evals0 {
+				t.Errorf("%v, %d of %d rows dead: %.1f evals per query, want at most 1.05 x the tombstone-free %.1f",
+					metric, dead, n, evals, evals0)
+			}
+		}
+
+		kill(n * 9 / 10)
+		want := min(k, n-dead)
+		for i, q := range qs {
+			res := h.Search(q, k)
+			if len(res) != want {
+				t.Fatalf("%v, %d of %d rows dead, query %d: %d results, want %d", metric, dead, n, i, len(res), want)
+			}
+			for _, r := range res {
+				if s.Deleted(r.ID) {
+					t.Fatalf("%v, %d of %d rows dead, query %d: dead row %d returned", metric, dead, n, i, r.ID)
+				}
+			}
+		}
+	}
+}
