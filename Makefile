@@ -87,7 +87,7 @@ crash-smoke-sharded:
 # Fuzz smoke: every fuzz target of every package, found with
 # `go test -list`, runs for FUZZTIME in turn. They cover each decoder
 # that reads bytes from disk or the network (the WAL frames, the
-# snapshot's graph, model and sharded sections, the walk-corpus text,
+# snapshot's model section and index trailer, the walk-corpus text,
 # the shard wire, the /metrics exposition) and the float32 prefilter
 # parity of the exact scan and HNSW. Minimizing a failure is capped at
 # 10 runs: a target that keeps state between inputs (the shard wire's

@@ -520,8 +520,8 @@ func queryMain(args []string) {
 		fatal(err)
 	}
 	start := time.Now()
-	// A bundle file with a matching HNSW section binds the prebuilt
-	// graph here instead of rebuilding.
+	// A bundle whose index trailer matches cfg binds the prebuilt
+	// graphs here instead of rebuilding.
 	model, tokens, idx, err := v2v.LoadIndexedSnapshot(*modelF, cfg)
 	if err != nil {
 		fatal(err)

@@ -51,7 +51,7 @@ func buildV2V(t *testing.T, vocab, dim int) (dir, bin, model string) {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/v2v").CombinedOutput(); err != nil {
 		t.Fatalf("building v2v: %v\n%s", err, out)
 	}
-	if err := snapshot.SaveFile(model, e2eModel(vocab, dim), nil); err != nil {
+	if err := snapshot.SaveBundleFile(model, e2eModel(vocab, dim), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return dir, bin, model

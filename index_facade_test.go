@@ -1,6 +1,9 @@
 package v2v
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,7 +62,10 @@ func TestVectorIndexThroughFacade(t *testing.T) {
 
 // TestHNSWIndexThroughFacade exercises the HNSW surface end to end:
 // build through NewIndex, persist through SaveIndexedSnapshot, bind
-// through LoadIndexedSnapshot, and require identical answers.
+// through LoadIndexedSnapshot, and require identical answers — flat and
+// sharded, at several worker counts. A bundle's bytes do not depend on
+// the worker count that built it, and the loaded index binds the saved
+// graphs instead of rebuilding: saving it again gives the same bytes.
 func TestHNSWIndexThroughFacade(t *testing.T) {
 	g, _ := CommunityBenchmark(DefaultBenchmarkConfig(0.8, 31))
 	opts := DefaultOptions(16)
@@ -71,41 +77,64 @@ func TestHNSWIndexThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hnsw, err := NewIndex(emb.Model, IndexConfig{Kind: HNSWIndex, M: 8, EfConstruction: 40, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tokens := make([]string, g.NumVertices())
 	for v := range tokens {
 		tokens[v] = g.Name(v)
 	}
-	path := filepath.Join(t.TempDir(), "bundle.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveIndexedSnapshot(f, emb.Model, tokens, hnsw); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	var path string // the last bundle saved, for the checks below
+	for _, shards := range []int{1, 2} {
+		var first []byte
+		for _, workers := range []int{1, 2, 4} {
+			hnsw, err := NewIndex(emb.Model, IndexConfig{Kind: HNSWIndex, Shards: shards, M: 8, EfConstruction: 40, Seed: 5, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path = filepath.Join(dir, fmt.Sprintf("bundle-%d-%d.snap", shards, workers))
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveIndexedSnapshot(f, emb.Model, tokens, hnsw); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			saved, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = saved
+			} else if !bytes.Equal(saved, first) {
+				t.Fatalf("shards=%d: the bundle built at %d workers differs from the one built at 1", shards, workers)
+			}
 
-	m2, tokens2, idx2, err := LoadIndexedSnapshot(path, IndexConfig{Kind: HNSWIndex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Vocab != emb.Model.Vocab || len(tokens2) != len(tokens) {
-		t.Fatalf("bundle shape: %d vectors, %d tokens", m2.Vocab, len(tokens2))
-	}
-	for _, row := range []int{0, 100, 999} {
-		a, b := hnsw.SearchRow(row, 5), idx2.SearchRow(row, 5)
-		if len(a) != len(b) {
-			t.Fatalf("row %d: %d vs %d results", row, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row %d rank %d: %+v vs %+v after persistence", row, i, a[i], b[i])
+			m2, tokens2, idx2, err := LoadIndexedSnapshot(path, IndexConfig{Kind: HNSWIndex, Shards: shards, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m2.Vocab != emb.Model.Vocab || len(tokens2) != len(tokens) {
+				t.Fatalf("bundle shape: %d vectors, %d tokens", m2.Vocab, len(tokens2))
+			}
+			var again bytes.Buffer
+			if err := SaveIndexedSnapshot(&again, m2, tokens2, idx2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), saved) {
+				t.Fatalf("shards=%d workers=%d: the loaded index is not the saved graphs (rebuilt?)", shards, workers)
+			}
+			for row := 0; row < emb.Model.Vocab; row += 97 {
+				a, b := hnsw.SearchRow(row, 10), idx2.SearchRow(row, 10)
+				if len(a) != len(b) {
+					t.Fatalf("shards=%d workers=%d row %d: %d vs %d results", shards, workers, row, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].ID != b[i].ID || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+						t.Fatalf("shards=%d workers=%d row %d rank %d: %+v vs %+v after persistence", shards, workers, row, i, a[i], b[i])
+					}
+				}
 			}
 		}
 	}

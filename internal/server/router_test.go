@@ -37,7 +37,7 @@ func startIndexedFleet(t *testing.T, vocab, dim, n int, idx vecstore.Config) (pa
 	t.Helper()
 	m, tokens := testModel(vocab, dim, 42)
 	path = filepath.Join(t.TempDir(), "model.snap")
-	if err := snapshot.SaveFile(path, m, tokens); err != nil {
+	if err := snapshot.SaveBundleFile(path, m, tokens, nil); err != nil {
 		t.Fatal(err)
 	}
 	addrs = make([]string, n)

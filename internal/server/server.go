@@ -311,7 +311,7 @@ func New(cfg Config) (*Server, error) {
 // prebuilt coordinator bound to the model's store. The index
 // configuration is validated up front so the bind fast path cannot
 // accept a config the build path would reject; non-HNSW configurations
-// skip decoding the graph section entirely.
+// skip decoding the index trailer entirely.
 func loadServable(cfg Config, path string) (*word2vec.Model, []string, *vecstore.Sharded, error) {
 	if err := cfg.Index.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -324,30 +324,19 @@ func loadServable(cfg Config, path string) (*word2vec.Model, []string, *vecstore
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	graphs := b.Shards
-	if b.Graph != nil {
-		graphs = []*vecstore.HNSWGraph{b.Graph}
-	}
-	sh, err := bindGraphs(b.Model.Store(), graphs, cfg.Index)
+	sh, err := bindGraphs(b.Model.Store(), b.Shards, cfg.Index)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("binding bundled index: %w", err)
 	}
 	return b.Model, b.Tokens, sh, nil
 }
 
-// bindGraphs binds persisted HNSW graphs — a sharded bundle's, or a
-// plain bundle's one — over store when cfg can serve them: an HNSW
-// configuration with one shard per graph, the graphs' metric, and no
-// explicitly conflicting build parameter. Anything else (no graphs, a
-// different partition) returns nil and the caller builds.
+// bindGraphs binds a bundle's persisted HNSW graphs, one per shard,
+// over store when cfg can serve them (vecstore.Bindable). Anything else
+// (no graphs, a different partition) returns nil and the caller builds.
 func bindGraphs(store *vecstore.Store, graphs []*vecstore.HNSWGraph, cfg vecstore.Config) (*vecstore.Sharded, error) {
-	if cfg.Kind != vecstore.KindHNSW || len(graphs) != max(cfg.Shards, 1) || cfg.EfConstruction != 0 {
+	if !vecstore.Bindable(graphs, cfg) {
 		return nil, nil
-	}
-	for _, g := range graphs {
-		if g.Metric != cfg.Metric || (cfg.M != 0 && cfg.M != g.M) {
-			return nil, nil
-		}
 	}
 	return vecstore.OpenShardedFromGraphs(store, graphs, cfg)
 }

@@ -383,7 +383,7 @@ func TestHNSWPrebuiltGraphServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "bundle.snap")
-	if err := snapshot.SaveBundleFile(path, m, tokens, h.Graph()); err != nil {
+	if err := snapshot.SaveBundleFile(path, m, tokens, []*vecstore.HNSWGraph{h.Graph()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -439,10 +439,10 @@ func TestReloadEndpoint(t *testing.T) {
 	m2, tokens2 := testModel(70, 8, 2)
 	path1 := filepath.Join(dir, "m1.snap")
 	path2 := filepath.Join(dir, "m2.snap")
-	if err := snapshot.SaveFile(path1, m1, tokens1); err != nil {
+	if err := snapshot.SaveBundleFile(path1, m1, tokens1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.SaveFile(path2, m2, tokens2); err != nil {
+	if err := snapshot.SaveBundleFile(path2, m2, tokens2, nil); err != nil {
 		t.Fatal(err)
 	}
 

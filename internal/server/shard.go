@@ -142,11 +142,7 @@ func newShardProcess(cfg Config) (*Server, error) {
 	// randomness matches the in-process coordinator's derivation.
 	scfg.Index.Shards = 0
 	scfg.Index.Seed = vecstore.ShardSeed(cfg.Index.Seed, cfg.ShardID)
-	var graphs []*vecstore.HNSWGraph
-	if slice.Graph != nil {
-		graphs = []*vecstore.HNSWGraph{slice.Graph}
-	}
-	prebuilt, err := bindGraphs(slice.Model.Store(), graphs, scfg.Index)
+	prebuilt, err := bindGraphs(slice.Model.Store(), slice.Shards, scfg.Index)
 	if err != nil {
 		return nil, fmt.Errorf("server: binding shard %d bundled graph: %w", cfg.ShardID, err)
 	}

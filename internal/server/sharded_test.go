@@ -68,7 +68,7 @@ func TestShardedServingParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "bundle.snap")
-		if err := snapshot.SaveBundleFile(path, m, tokens, h.Graph()); err != nil {
+		if err := snapshot.SaveBundleFile(path, m, tokens, []*vecstore.HNSWGraph{h.Graph()}); err != nil {
 			t.Fatal(err)
 		}
 		var logBuf bytes.Buffer
@@ -302,8 +302,8 @@ func TestShardedBundleBind(t *testing.T) {
 		t.Fatalf("Graphs: %v", err)
 	}
 	path := t.TempDir() + "/sharded.snap"
-	if err := snapshot.SaveShardedBundleFile(path, m, tokens, graphs); err != nil {
-		t.Fatalf("SaveShardedBundleFile: %v", err)
+	if err := snapshot.SaveBundleFile(path, m, tokens, graphs); err != nil {
+		t.Fatalf("SaveBundleFile: %v", err)
 	}
 
 	srvCfg := Config{
@@ -343,7 +343,7 @@ func TestShardBatchMatchesSingle(t *testing.T) {
 	const vocab, dim = 1000, 16
 	m, tokens := testModel(vocab, dim, 42)
 	path := filepath.Join(t.TempDir(), "model.snap")
-	if err := snapshot.SaveFile(path, m, tokens); err != nil {
+	if err := snapshot.SaveBundleFile(path, m, tokens, nil); err != nil {
 		t.Fatal(err)
 	}
 	var vertices []string

@@ -255,7 +255,7 @@ func FuzzShardWire(f *testing.F) {
 	const vocab, dim = 24, 4
 	m, tokens := testModel(vocab, dim, 42)
 	path := f.TempDir() + "/model.snap"
-	if err := snapshot.SaveFile(path, m, tokens); err != nil {
+	if err := snapshot.SaveBundleFile(path, m, tokens, nil); err != nil {
 		f.Fatal(err)
 	}
 	// Shard 0 of 1 owns every row, so by-row requests resolve.

@@ -15,15 +15,13 @@ import (
 // slice and an in-process coordinator built from the whole bundle
 // hold bit-identical shard stores.
 type ShardSlice struct {
-	// Model holds the slice's vectors; local row i is global row
-	// Globals[i] of the source bundle.
-	Model  *word2vec.Model
-	Tokens []string
+	// Bundle is the slice as a one-shard bundle: local row i of its
+	// model is global row Globals[i] of the source bundle, and its one
+	// graph is the source bundle's graph for this shard — none when
+	// the source was not built for this shard count.
+	Bundle
 	// Globals maps local row -> global row ID, ascending.
 	Globals []int
-	// Graph is the bundle's prebuilt per-shard HNSW graph for this
-	// shard, nil when the bundle was not built for this shard count.
-	Graph *vecstore.HNSWGraph
 }
 
 // SliceShard extracts shard sid of an n-way partition from b. Tokens
@@ -59,9 +57,11 @@ func SliceShard(b *Bundle, sid, n int) (*ShardSlice, error) {
 			tokens[local] = strconv.Itoa(id)
 		}
 	}
-	s := &ShardSlice{Model: m, Tokens: tokens, Globals: globals}
+	s := &ShardSlice{Bundle: Bundle{Model: m, Tokens: tokens}, Globals: globals}
 	if len(b.Shards) == n {
-		s.Graph = b.Shards[sid]
+		// A slice of its own: b.Shards[sid:sid+1] would keep every
+		// other shard's graph reachable through the shared array.
+		s.Shards = []*vecstore.HNSWGraph{b.Shards[sid]}
 	}
 	return s, nil
 }

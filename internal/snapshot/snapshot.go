@@ -133,11 +133,11 @@ func Load(r io.Reader) (*word2vec.Model, []string, error) {
 }
 
 // load implements Load over an existing buffered reader (so bundle
-// loading can continue into a trailing index-graph section). size,
-// when >= 0, is the total stream length (known on the file path): the
-// header's claimed shape is checked against it before any shape-sized
-// allocation, so a corrupt or crafted header on a small file fails
-// instantly instead of attempting a multi-gigabyte make.
+// loading can continue into an index trailer). size, when >= 0, is the
+// total stream length (known on the file path): the header's claimed
+// shape is checked against it before any shape-sized allocation, so a
+// corrupt or crafted header on a small file fails instantly instead of
+// attempting a multi-gigabyte make.
 func load(br *bufio.Reader, size int64) (*word2vec.Model, []string, error) {
 	// The CRC is updated on consumption (after each ReadFull), not via
 	// an io.TeeReader around the raw stream: bufio read-ahead would
@@ -236,13 +236,14 @@ func load(br *bufio.Reader, size int64) (*word2vec.Model, []string, error) {
 	if stored := binary.LittleEndian.Uint32(u32[:]); stored != want {
 		return nil, nil, fmt.Errorf("snapshot: checksum mismatch (stored %08x, computed %08x): file is corrupt", stored, want)
 	}
-	// The only bytes allowed after the model section are an
-	// index-graph section (see graph.go), a sharded index section
-	// (see sharded.go) or a WAL handoff section (see walmeta.go);
-	// anything else is corruption.
+	// The only bytes allowed after the model section are an index
+	// trailer (see graph.go) or a WAL handoff section (see walmeta.go);
+	// anything else — an older bundle's trailer included — is named by
+	// the bytes it starts with.
 	if trail, err := br.Peek(len(IndexMagic)); len(trail) > 0 {
-		if !IsIndexGraph(trail) && !IsShardedIndex(trail) && !IsWALMeta(trail) {
-			return nil, nil, fmt.Errorf("snapshot: trailing data after checksum")
+		if !isIndexGraph(trail) && !IsWALMeta(trail) {
+			return nil, nil, fmt.Errorf("snapshot: trailing data after checksum starts %q, not the index trailer magic %q or the WAL handoff magic %q",
+				trail, IndexMagic, WALMetaMagic)
 		}
 	} else if err != io.EOF {
 		return nil, nil, err
@@ -280,27 +281,36 @@ func notModelError(head []byte, err error) error {
 	return fmt.Errorf("snapshot: file starts with %q — not the snapshot magic %q and not word2vec text: %w", head, Magic, err)
 }
 
-// SaveFile writes a snapshot to path via a same-directory temp file
-// and rename, so a crash mid-write never leaves a half-snapshot at
-// the target path — the invariant hot reload depends on.
-func SaveFile(path string, m *word2vec.Model, tokens []string) error {
+// writeAtomic writes path through write into a same-directory temp
+// file and a rename, so a crash mid-write never leaves a half-written
+// file at the target — the invariant hot reload depends on. durable
+// adds an fsync before the rename and a directory sync after it, for a
+// file that must itself survive a crash once published.
+func writeAtomic(path string, durable bool, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if err := Save(f, m, tokens); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil && durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+	if durable {
+		if d, err := os.Open(filepath.Dir(path)); err == nil {
+			d.Sync()
+			d.Close()
+		}
 	}
 	return nil
 }

@@ -3,11 +3,9 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"runtime"
 	"testing"
 
-	"v2v/internal/vecstore"
 	"v2v/internal/word2vec"
 )
 
@@ -47,7 +45,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	flipped[len(flipped)-1] ^= 0x40
 	for _, seed := range [][]byte{
 		valid,
-		append(append([]byte(nil), valid...), fuzzSection(f)...), // a bundle
+		append(append([]byte(nil), valid...), fuzzTrailer(f)...), // a bundle
 		valid[:len(valid)-1],
 		valid[:30],
 		flipped,
@@ -79,65 +77,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		if !bytes.HasPrefix(data, saved.Bytes()) {
 			t.Fatalf("a loaded model saves to %d bytes that are not the input's first", saved.Len())
-		}
-	})
-}
-
-// shardedHeader is a sharded section's 20-byte header for count shards,
-// checksum included.
-func shardedHeader(count uint32) []byte {
-	h := append([]byte(ShardMagic), make([]byte, 8)...)
-	binary.LittleEndian.PutUint32(h[8:], ShardVersion)
-	binary.LittleEndian.PutUint32(h[12:], count)
-	return binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(h))
-}
-
-// FuzzLoadShardedIndex feeds the sharded-section decoder arbitrary
-// bytes, with FuzzLoadIndex's properties: no panic, no allocation by a
-// count the stream has not backed — however many shards it claims, they
-// read through one link buffer — and accepted graphs save back to a
-// prefix of the input.
-func FuzzLoadShardedIndex(f *testing.F) {
-	var valid bytes.Buffer
-	g0 := &vecstore.HNSWGraph{Metric: vecstore.Cosine, M: 2, EfSearch: 4, Entry: 1, Friends: [][][]int32{{{1}}, {{0}, {}}}}
-	g1 := &vecstore.HNSWGraph{Metric: vecstore.Cosine, M: 2, EfSearch: 4, Entry: -1}
-	if err := SaveShardedIndex(&valid, 5, []*vecstore.HNSWGraph{g0, g1}); err != nil {
-		f.Fatal(err)
-	}
-	var empty bytes.Buffer // a 37-byte section: the smallest a shard can be
-	if err := SaveIndex(&empty, 5, g1); err != nil {
-		f.Fatal(err)
-	}
-	v := valid.Bytes()
-	for _, seed := range [][]byte{
-		v,
-		v[:19],
-		v[:20],
-		v[:len(v)-1],
-		append(shardedHeader(maxShards), bytes.Repeat(empty.Bytes(), 64)...),
-		append(shardedHeader(1), empty.Bytes()...),
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var graphs []*vecstore.HNSWGraph
-		var dim int
-		var err error
-		grew := allocated(func() { graphs, dim, err = LoadShardedIndex(bytes.NewReader(data)) })
-		// The reader's and the link buffer, the shard table, then
-		// FuzzLoadIndex's bound per delivered byte.
-		if limit := uint64(256<<10 + 32*len(data)); grew > limit {
-			t.Fatalf("%d bytes of input allocated %d bytes (limit %d)", len(data), grew, limit)
-		}
-		if err != nil {
-			return
-		}
-		var saved bytes.Buffer
-		if err := SaveShardedIndex(&saved, dim, graphs); err != nil {
-			t.Fatalf("SaveShardedIndex of loaded graphs: %v", err)
-		}
-		if !bytes.HasPrefix(data, saved.Bytes()) {
-			t.Fatalf("loaded graphs save to %d bytes that are not the input's first", saved.Len())
 		}
 	})
 }

@@ -245,8 +245,8 @@ func TestLoadAutoDetectsBothFormats(t *testing.T) {
 func TestSaveFileLoadFile(t *testing.T) {
 	m, tokens := testModel(30, 5, 9)
 	path := filepath.Join(t.TempDir(), "model.snap")
-	if err := SaveFile(path, m, tokens); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	if err := SaveBundleFile(path, m, tokens, nil); err != nil {
+		t.Fatalf("SaveBundleFile: %v", err)
 	}
 	got, gotTokens, err := LoadFile(path)
 	if err != nil {
@@ -306,39 +306,60 @@ func BenchmarkLoadText(b *testing.B) {
 // entry point produces for a wrong-format file: it must name the
 // bytes the file actually starts with and the magic that was
 // expected, instead of surfacing a baffling word2vec text-parse
-// artifact.
+// artifact. A bundle whose index trailer is of an older format (one
+// graph, "V2VHNSW1", or a sharded section, "V2VSHRD1") fails the same
+// way, naming the trailer's magic and the current one.
 func TestWrongFormatErrorNamesMagic(t *testing.T) {
-	head := "\x89ELF\x01\x02\x03\x04"
-	path := filepath.Join(t.TempDir(), "bogus.bin")
-	if err := os.WriteFile(path, []byte(head+"not a model in any format"), 0o644); err != nil {
+	m, tokens := testModel(4, 3, 5)
+	var model bytes.Buffer
+	if err := Save(&model, m, tokens); err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s accepted a wrong-format file", name)
-		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("%q", head)) {
-			t.Errorf("%s error does not name the observed head %q: %v", name, head, err)
-		}
-		if !strings.Contains(err.Error(), Magic) {
-			t.Errorf("%s error does not name the expected magic %q: %v", name, Magic, err)
-		}
+	// oldBundle is the model followed by a trailer of an older layout:
+	// magic, version 1, then bytes no current loader reads.
+	oldBundle := func(magic string) []byte {
+		b := append(append([]byte(nil), model.Bytes()...), magic...)
+		b = binary.LittleEndian.AppendUint32(b, 1)
+		return append(b, make([]byte, 24)...)
 	}
-	_, _, err := LoadFile(path)
-	check("LoadFile", err)
+	for _, c := range []struct {
+		name, head, want string
+		data             []byte
+	}{
+		{"elf", "\x89ELF\x01\x02\x03\x04", Magic, []byte("\x89ELF\x01\x02\x03\x04not a model in any format")},
+		{"one-graph bundle v1", "V2VHNSW1", IndexMagic, oldBundle("V2VHNSW1")},
+		{"sharded bundle v1", "V2VSHRD1", IndexMagic, oldBundle("V2VSHRD1")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bogus.bin")
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check := func(name string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted a wrong-format file", name)
+				}
+				if !strings.Contains(err.Error(), fmt.Sprintf("%q", c.head)) {
+					t.Errorf("%s error does not name the observed head %q: %v", name, c.head, err)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s error does not name the expected magic %q: %v", name, c.want, err)
+				}
+			}
+			_, _, err := LoadFile(path)
+			check("LoadFile", err)
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, aerr := LoadAuto(f)
+			f.Close()
+			check("LoadAuto", aerr)
+
+			_, berr := LoadBundle(path)
+			check("LoadBundle", berr)
+		})
 	}
-	_, _, aerr := LoadAuto(f)
-	f.Close()
-	check("LoadAuto", aerr)
-
-	_, berr := LoadBundle(path)
-	check("LoadBundle", berr)
-
-	_, _, _, gerr := LoadBundleFile(path)
-	check("LoadBundleFile", gerr)
 }

@@ -26,7 +26,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"v2v/internal/word2vec"
 )
@@ -77,44 +76,16 @@ func loadWALMeta(br *bufio.Reader) (uint64, error) {
 
 // SaveCheckpointFile atomically writes a checkpoint: a model snapshot
 // followed by a WAL handoff section recording that every log frame
-// with lsn <= lsn is folded into it. Like SaveFile, a crash mid-write
-// never leaves a half-checkpoint at the target path.
+// with lsn <= lsn is folded into it. A checkpoint exists to survive a
+// crash, so it is synced before the rename publishes it: the replay cut
+// it records is never ahead of the data it claims to hold.
 func SaveCheckpointFile(path string, m *word2vec.Model, tokens []string, lsn uint64) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".checkpoint-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := Save(f, m, tokens); err != nil {
-		return fail(err)
-	}
-	if err := saveWALMeta(f, lsn); err != nil {
-		return fail(err)
-	}
-	// A checkpoint exists to survive a crash: fsync before the rename
-	// publishes it, so the replay cut it records is never ahead of the
-	// data it claims to hold.
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return writeAtomic(path, true, func(w io.Writer) error {
+		if err := Save(w, m, tokens); err != nil {
+			return err
+		}
+		return saveWALMeta(w, lsn)
+	})
 }
 
 // LoadCheckpointFile loads a checkpoint written by SaveCheckpointFile

@@ -45,15 +45,15 @@ func TestCheckpointLoadableAsPlainModel(t *testing.T) {
 	if m2.Vocab != m.Vocab || !reflect.DeepEqual(tokens2, tokens) {
 		t.Fatal("LoadFile mangled the checkpoint model")
 	}
-	m3, _, g, err := LoadBundleFile(path)
+	b, err := LoadBundle(path)
 	if err != nil {
-		t.Fatalf("LoadBundleFile on checkpoint: %v", err)
+		t.Fatalf("LoadBundle on checkpoint: %v", err)
 	}
-	if g != nil {
-		t.Fatal("LoadBundleFile invented an index graph")
+	if b.Shards != nil {
+		t.Fatal("LoadBundle invented an index graph")
 	}
-	if !reflect.DeepEqual(m3.Vectors, m.Vectors) {
-		t.Fatal("LoadBundleFile mangled the checkpoint model")
+	if !reflect.DeepEqual(b.Model.Vectors, m.Vectors) {
+		t.Fatal("LoadBundle mangled the checkpoint model")
 	}
 }
 
@@ -98,7 +98,7 @@ func TestCheckpointRejectsDamage(t *testing.T) {
 
 	// A plain model (no handoff section) is not a checkpoint.
 	plain := filepath.Join(dir, "plain.snap")
-	if err := SaveFile(plain, m, tokens); err != nil {
+	if err := SaveBundleFile(plain, m, tokens, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := LoadCheckpointFile(plain); err == nil {

@@ -936,9 +936,10 @@ func (h *HNSW) SearchBatch(qs [][]float32, k int) [][]Result {
 
 // HNSWGraph is the serializable topology of an HNSW index: everything
 // except the vectors themselves, which live in the Store. The snapshot
-// package persists it as the optional index-graph section so a server
-// can load a prebuilt graph instead of re-inserting every row at
-// startup (see internal/snapshot and docs/INDEXES.md).
+// package persists it, one graph per shard, as a bundle's index
+// trailer so a server can load a prebuilt graph instead of
+// re-inserting every row at startup (see internal/snapshot and
+// docs/INDEXES.md).
 type HNSWGraph struct {
 	Metric   Metric
 	M        int

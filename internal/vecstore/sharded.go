@@ -145,12 +145,29 @@ func OpenSharded(s *Store, cfg Config) (*Sharded, error) {
 	})
 }
 
+// Bindable reports whether persisted graphs, one per shard, may serve
+// cfg as they are: an HNSW configuration with one shard per graph
+// (Shards, or 1 below 2), the graphs' metric, and no explicit build
+// parameter they contradict — a caller that pins M or EfConstruction
+// asked for a specific build, so it gets one. Anything else builds.
+func Bindable(graphs []*HNSWGraph, cfg Config) bool {
+	if cfg.Kind != KindHNSW || len(graphs) != max(cfg.Shards, 1) || cfg.EfConstruction != 0 {
+		return false
+	}
+	for _, g := range graphs {
+		if g.Metric != cfg.Metric || (cfg.M != 0 && cfg.M != g.M) {
+			return false
+		}
+	}
+	return true
+}
+
 // OpenShardedFromGraphs rebinds persisted per-shard HNSW graphs over
 // s instead of rebuilding: the hash partition of s's rows is
 // recomputed (it is deterministic in (row count, shard count)) and
 // graph g[i] is validated against shard i's store. cfg must be an
 // HNSW configuration whose shard count (Shards, or 1 below 2) is
-// len(graphs) — a plain single-graph bundle binds as one shard.
+// len(graphs) — a one-graph bundle binds as one shard.
 func OpenShardedFromGraphs(s *Store, graphs []*HNSWGraph, cfg Config) (*Sharded, error) {
 	if cfg.Kind != KindHNSW {
 		return nil, fmt.Errorf("vecstore: OpenShardedFromGraphs needs an HNSW config, got %s", cfg.Kind)

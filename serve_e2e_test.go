@@ -160,12 +160,12 @@ func TestReloadShapeMismatchKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := filepath.Join(dir, "good.snap")
-	if err := snapshot.SaveBundleFile(good, mA, nil, hA.Graph()); err != nil {
+	if err := snapshot.SaveBundleFile(good, mA, nil, []*vecstore.HNSWGraph{hA.Graph()}); err != nil {
 		t.Fatal(err)
 	}
 	// The poison bundle: a 50-row model carrying the 60-node graph.
 	// SaveBundle refuses to write one, so splice it byte-wise: model
-	// B's snapshot followed by the graph section sliced off the good
+	// B's snapshot followed by the index trailer sliced off the good
 	// bundle (each section carries its own CRC, so both still verify —
 	// only the cross-section shape check can reject it, which is
 	// exactly the reload path under test).
@@ -180,7 +180,11 @@ func TestReloadShapeMismatchKeepsServing(t *testing.T) {
 	if err := snapshot.Save(&badBuf, e2eModel(50, 8), nil); err != nil {
 		t.Fatal(err)
 	}
-	badBuf.Write(goodBytes[modelA.Len():]) // the V2VHNSW1 graph section
+	trailer := goodBytes[modelA.Len():]
+	if !bytes.HasPrefix(trailer, []byte(snapshot.IndexMagic)) {
+		t.Fatalf("good bundle's trailer starts %q, want %q", trailer[:min(len(trailer), 8)], snapshot.IndexMagic)
+	}
+	badBuf.Write(trailer)
 	bad := filepath.Join(dir, "bad.snap")
 	if err := os.WriteFile(bad, badBuf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)

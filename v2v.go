@@ -284,58 +284,58 @@ func SaveSnapshot(w io.Writer, m *Model, tokens []string) error {
 func LoadSnapshot(r io.Reader) (*Model, []string, error) { return snapshot.Load(r) }
 
 // SaveIndexedSnapshot writes a bundle: the model snapshot followed by
-// the topology of a prebuilt HNSW index (its own magic, version and
-// CRC-32 section). A server or query CLI loading the bundle with an
-// HNSW index configuration binds the persisted graph instead of
-// re-inserting every row — startup cost becomes a bounds-checked
-// read. idx must be an HNSW index over m's store (built with NewIndex
-// and Kind: HNSWIndex) — or a sharded HNSW coordinator (Shards > 1),
-// whose per-shard graphs are written as a sharded bundle that a
-// matching configuration rebinds the same way. See docs/INDEXES.md.
+// an index trailer (its own magic, version and CRC-32) holding the
+// topology of a prebuilt HNSW index, one graph per shard. A server or
+// query CLI loading the bundle with a matching HNSW index configuration
+// binds the persisted graphs instead of re-inserting every row —
+// startup cost becomes a bounds-checked read. idx must be an HNSW index
+// over m's store built with NewIndex and Kind: HNSWIndex, flat or
+// sharded (Shards > 1). See docs/INDEXES.md.
 func SaveIndexedSnapshot(w io.Writer, m *Model, tokens []string, idx Index) error {
-	switch h := idx.(type) {
-	case *vecstore.HNSW:
-		return snapshot.SaveBundle(w, m, tokens, h.Graph())
-	case *vecstore.Sharded:
-		graphs, err := h.Graphs()
-		if err != nil {
-			return fmt.Errorf("v2v: SaveIndexedSnapshot: %w", err)
-		}
-		return snapshot.SaveShardedBundle(w, m, tokens, graphs)
-	default:
-		return fmt.Errorf("v2v: SaveIndexedSnapshot needs an HNSW index, got %T (exact and IVF indexes rebuild quickly and are not persisted)", idx)
+	graphs, err := indexGraphs(idx)
+	if err != nil {
+		return fmt.Errorf("v2v: SaveIndexedSnapshot: %w", err)
 	}
+	return snapshot.SaveBundle(w, m, tokens, graphs)
 }
 
 // SaveIndexedSnapshotFile writes the bundle to path atomically
-// (same-directory temp file and rename, like SaveFile), so a crash
-// mid-write never leaves a half-bundle at the target — the invariant
-// the hot-reload deploy loop depends on. Prefer this over
-// SaveIndexedSnapshot for files the server reloads from.
+// (same-directory temp file and rename), so a crash mid-write never
+// leaves a half-bundle at the target — the invariant the hot-reload
+// deploy loop depends on. Prefer this over SaveIndexedSnapshot for
+// files the server reloads from.
 func SaveIndexedSnapshotFile(path string, m *Model, tokens []string, idx Index) error {
+	graphs, err := indexGraphs(idx)
+	if err != nil {
+		return fmt.Errorf("v2v: SaveIndexedSnapshotFile: %w", err)
+	}
+	return snapshot.SaveBundleFile(path, m, tokens, graphs)
+}
+
+// indexGraphs returns the per-shard graphs of an HNSW index, one for a
+// flat index.
+func indexGraphs(idx Index) ([]*vecstore.HNSWGraph, error) {
 	switch h := idx.(type) {
 	case *vecstore.HNSW:
-		return snapshot.SaveBundleFile(path, m, tokens, h.Graph())
+		return []*vecstore.HNSWGraph{h.Graph()}, nil
 	case *vecstore.Sharded:
-		graphs, err := h.Graphs()
-		if err != nil {
-			return fmt.Errorf("v2v: SaveIndexedSnapshotFile: %w", err)
-		}
-		return snapshot.SaveShardedBundleFile(path, m, tokens, graphs)
+		return h.Graphs()
 	default:
-		return fmt.Errorf("v2v: SaveIndexedSnapshotFile needs an HNSW index, got %T (exact and IVF indexes rebuild quickly and are not persisted)", idx)
+		return nil, fmt.Errorf("needs an HNSW index, got %T (exact and IVF indexes rebuild quickly and are not persisted)", idx)
 	}
 }
 
 // LoadIndexedSnapshot loads a model file in any persistence format
 // (bundle, binary snapshot, word2vec text — auto-sniffed) and returns
 // an index over it per cfg, validating cfg first. When the file
-// bundles an HNSW graph and cfg asks for an HNSW index compatible
-// with it — same metric, no explicitly conflicting build parameters
-// (an M different from the graph's, or a nonzero EfConstruction) —
-// the prebuilt graph is bound (cfg.EfSearch and cfg.Workers still
-// apply); otherwise the index is built from scratch. Non-HNSW
-// configurations skip decoding the graph section entirely.
+// bundles HNSW graphs and cfg asks for an HNSW index they can serve —
+// one shard per graph, the same metric, no explicitly conflicting
+// build parameter (an M different from the graphs', or a nonzero
+// EfConstruction) — the prebuilt graphs are bound (cfg.EfSearch and
+// cfg.Workers still apply); otherwise the index is built from scratch.
+// Like NewIndex it returns a flat HNSW index when cfg.Shards is below 2
+// and a sharded coordinator otherwise. Non-HNSW configurations skip
+// decoding the index trailer entirely.
 func LoadIndexedSnapshot(path string, cfg IndexConfig) (*Model, []string, Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -356,50 +356,23 @@ func LoadIndexedSnapshot(path string, cfg IndexConfig) (*Model, []string, Index,
 		return nil, nil, nil, err
 	}
 	m, tokens := b.Model, b.Tokens
-	if cfg.Shards > 1 {
-		if bindableShards(b.Shards, cfg) {
-			idx, err := vecstore.OpenShardedFromGraphs(m.Store(), b.Shards, cfg)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("v2v: binding bundled sharded index: %w", err)
-			}
-			return m, tokens, idx, nil
-		}
-	} else if bindableGraph(b.Graph, cfg) {
-		idx, err := vecstore.HNSWFromGraph(m.Store(), b.Graph, cfg.EfSearch, cfg.Workers)
+	if !vecstore.Bindable(b.Shards, cfg) {
+		idx, err := vecstore.Open(m.Store(), cfg)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("v2v: binding bundled index graph: %w", err)
+			return nil, nil, nil, err
 		}
 		return m, tokens, idx, nil
 	}
-	idx, err := vecstore.Open(m.Store(), cfg)
+	var idx Index
+	if cfg.Shards <= 1 {
+		idx, err = vecstore.HNSWFromGraph(m.Store(), b.Shards[0], cfg.EfSearch, cfg.Workers)
+	} else {
+		idx, err = vecstore.OpenShardedFromGraphs(m.Store(), b.Shards, cfg)
+	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, fmt.Errorf("v2v: binding bundled index: %w", err)
 	}
 	return m, tokens, idx, nil
-}
-
-// bindableGraph reports whether a persisted graph satisfies an HNSW
-// configuration: same metric, and no explicit build parameter the
-// graph contradicts (a caller that pins M or EfConstruction asked for
-// a specific build, so it gets one).
-func bindableGraph(g *vecstore.HNSWGraph, cfg IndexConfig) bool {
-	return g != nil && g.Metric == cfg.Metric &&
-		(cfg.M == 0 || cfg.M == g.M) && cfg.EfConstruction == 0
-}
-
-// bindableShards is bindableGraph for a sharded bundle: the persisted
-// partition must match the configured shard count, and every shard's
-// graph must individually satisfy the configuration.
-func bindableShards(graphs []*vecstore.HNSWGraph, cfg IndexConfig) bool {
-	if len(graphs) != cfg.Shards {
-		return false
-	}
-	for _, g := range graphs {
-		if !bindableGraph(g, cfg) {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- Vector store and top-k indexes --------------------------------
