@@ -9,7 +9,7 @@ BENCH_PKGS ?= . ./internal/walk ./internal/word2vec ./internal/f32 ./internal/ve
 	./internal/snapshot ./internal/server
 
 .PHONY: build test race vet check-benchmark bench bench-smoke serve-smoke router-smoke crash-smoke \
-	crash-smoke-short crash-smoke-sharded fuzz clean
+	fuzz clean
 
 build:
 	$(GO) build ./...
@@ -69,26 +69,28 @@ router-smoke:
 # Crash-recovery fault-injection e2e: builds the real binary, serves a
 # snapshot with -wal, SIGKILLs the process in the middle of a mixed
 # 15%-write load run, restarts over the same directory and fails if
-# any acknowledged write was lost. Writes a machine-readable recovery
-# report to CRASH_REPORT_OUT when set (CI uploads it as an artifact).
+# any acknowledged write was lost. SHARDS=4 runs it against a 4-shard
+# serving generation (TestShardedCrashRecoveryE2E), where
+# deterministic hash routing must put every acknowledged write back in
+# the shard it was served from; SHARDS=1, the default, is one shard.
+# SHORT=1 runs the 2 s load of -short instead of 4 s. Writes a
+# machine-readable recovery report to CRASH_REPORT_OUT when set (CI
+# uploads it as an artifact).
 CRASH_REPORT_OUT ?=
+SHARDS ?= 1
+SHORT ?=
 crash-smoke:
-	CRASH_REPORT_OUT=$(CRASH_REPORT_OUT) $(GO) test -run TestCrashRecoveryE2E -count 1 -v .
-
-crash-smoke-short:
-	CRASH_REPORT_OUT=$(CRASH_REPORT_OUT) $(GO) test -short -run 'TestCrashRecoveryE2E$$' -count 1 -v .
-
-# Same fault-injection run against a 4-shard serving generation:
-# SIGKILL mid-load, restart, and prove deterministic hash routing puts
-# every acknowledged write back in the shard it was served from.
-crash-smoke-sharded:
-	$(GO) test -short -run TestShardedCrashRecoveryE2E -count 1 -v .
+	$(if $(filter-out 1 4,$(SHARDS)),$(error crash-smoke runs SHARDS=1 or SHARDS=4, not $(SHARDS)))
+	CRASH_REPORT_OUT=$(CRASH_REPORT_OUT) $(GO) test $(if $(SHORT),-short) \
+		-run '^Test$(if $(filter 4,$(SHARDS)),Sharded)CrashRecoveryE2E$$' -count 1 -v .
 
 # Fuzz smoke: every fuzz target of every package, found with
 # `go test -list`, runs for FUZZTIME in turn. They cover each decoder
 # that reads bytes from disk or the network (the WAL frames, the
 # snapshot's model section and index trailer, the walk-corpus text,
-# the shard wire, the /metrics exposition) and the float32 prefilter
+# both halves of the shard wire — a shard's /shard/v1/* request
+# decoders and the router's decoder of search replies — the /metrics
+# exposition) and the float32 prefilter
 # parity of the exact scan and HNSW. Minimizing a failure is capped at
 # 10 runs: a target that keeps state between inputs (the shard wire's
 # live shard) does not replay an input the same way twice, so an

@@ -40,7 +40,7 @@ type crashReport struct {
 func TestCrashRecoveryE2E(t *testing.T) { runCrashRecoveryE2E(t, 0) }
 
 // TestShardedCrashRecoveryE2E is the same fault-injection run against
-// a 4-shard serving generation (`make crash-smoke-sharded`). Hash
+// a 4-shard serving generation (`make crash-smoke SHARDS=4`). Hash
 // routing is deterministic, so replay must land every acknowledged
 // write back in the shard it was served from: any misroute makes the
 // per-token verification below disagree with the journal.

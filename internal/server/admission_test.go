@@ -372,7 +372,6 @@ func TestEndpointClassMapping(t *testing.T) {
 		// deadline must be honored under shard overload too), writes as
 		// writes.
 		"shard_search": classRead, "shard_scan": classRead,
-		"shard_rows":   classRead,
 		"shard_insert": classWrite, "shard_delete": classWrite,
 	}
 	for _, name := range endpointNames {

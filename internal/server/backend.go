@@ -164,15 +164,24 @@ func (lb *localBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecstor
 }
 
 func (lb *localBackend) PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error) {
+	return pairScores(lb.sh, pairs, hadamard), nil
+}
+
+// pairScores is PairScores over rows in this process — the
+// coordinator's, or the router's copy — with the same float64 kernels.
+func pairScores(rows interface {
+	Dot(a, b int) float64
+	Cosine(a, b int) float64
+}, pairs [][2]int, hadamard bool) []float64 {
 	out := make([]float64, len(pairs))
 	for i, p := range pairs {
 		if hadamard {
-			out[i] = lb.sh.Dot(p[0], p[1])
+			out[i] = rows.Dot(p[0], p[1])
 		} else {
-			out[i] = lb.sh.Cosine(p[0], p[1])
+			out[i] = rows.Cosine(p[0], p[1])
 		}
 	}
-	return out, nil
+	return out
 }
 
 func (lb *localBackend) Insert(ctx context.Context, token string, v []float32) (int, error) {

@@ -2,34 +2,37 @@ package server
 
 // Router mode (Config.Router): the remoteBackend implementation of
 // shardBackend, talking HTTP to one shard process per partition, plus
-// the newRouter constructor. The router holds the full token table
-// (every write flows through it, so it tracks liveness itself) but no
-// vectors: row data, searches and exact scans come from the shard
-// fleet over the /shard/v1/* API (shard.go defines both wire halves).
+// the newRouter constructor. The router holds the token table and the
+// rows (every write flows through it); searches and exact scans come
+// from the shard fleet over the /shard/v1/* API (shard.go defines both
+// wire halves).
 //
 // Fleet membership is health-checked: a prober GETs each shard's
 // /healthz on a fixed cadence and verifies the shard's identity block
-// (right shard ID, right partition width, right dimensionality), so a
-// misconfigured or restarted-with-the-wrong-flags process reads as
-// down instead of quietly merging wrong rows. An unhealthy shard is
-// skipped before any RPC: with AllowPartial the response says so
-// explicitly (partial=true, shards_answered=N), without it the read is
-// a 503 — never a hang, never a silently truncated answer.
+// (right shard ID, right partition width, right dimensionality, and
+// at least the rows the router has seen it acknowledge), so a
+// misconfigured process, or one restarted from its bundle after
+// acknowledged writes, reads as down instead of quietly merging wrong
+// or missing rows. An unhealthy shard is skipped before any RPC: with
+// AllowPartial the response says so explicitly (partial=true,
+// shards_answered=N), without it the read is a 503 — never a hang,
+// never a silently truncated answer.
 //
 // Parity with the in-process coordinator is by construction: the
 // shards run the same per-shard kernels over bit-identical slices
 // (snapshot.SliceShard), vectors cross the wire as their bits (shard.go,
 // "Fan-out wire types"), and the router merges with the exported
-// vecstore.MergeTopK / CosineFromDot the coordinator itself uses.
+// vecstore.MergeRowTopK / MergeTopK the coordinator itself uses, and
+// scores pairs with the same Store kernels.
 //
-// A neighbours query — one vertex or a batch — takes two steps: every
-// shard that owns query rows is asked first, by row ID — it searches
-// with its stored rows and returns them beside its results — and each
-// shard then gets the rows it does not own. One vertex costs one call
-// per shard; a batch at most two. The alternative that would make it
-// one step, keeping every row in the router (newRouter reads them and
-// drops them), was rejected: it puts 4·dim bytes per vector into the
-// one process that is meant to hold none.
+// A neighbours query — one vertex or a batch — is one call per shard,
+// as in the in-process coordinator: every shard gets every query row
+// in one binary frame. The router's rows cost 4·dim bytes per vector,
+// as much as all the shards' float32 rows together. The trade,
+// measured on the benchmark's serve_fleet (router and 2 shard
+// processes on a 2-vCPU Xeon, medians of ten alternating runs)
+// against the two-step JSON search it replaced, which asked the owners
+// by row ID first: 3190 → 3980 req/s for rss 61.2 → 65.2 MiB.
 
 import (
 	"bytes"
@@ -47,7 +50,6 @@ import (
 	"time"
 
 	"v2v/internal/snapshot"
-	"v2v/internal/telemetry"
 	"v2v/internal/vecstore"
 	"v2v/internal/word2vec"
 )
@@ -66,18 +68,25 @@ type remoteShard struct {
 
 	healthy       atomic.Bool
 	probeFailures atomic.Uint64
+	// assigned counts this shard's acknowledged rows (its bundle slice,
+	// then every acked insert); a probe finding fewer marks it down.
+	assigned atomic.Int64
 	// stat caches the occupancy block of the last successful probe, so
 	// /stats and /metrics never fan out.
 	stat atomic.Pointer[vecstore.ShardStat]
 }
 
 // remoteBackend implements shardBackend over a fleet of shard
-// processes. Liveness bookkeeping (rows assigned, tombstones) lives
-// here: every write flows through the router, so occupancy reads never
-// cross the network.
+// processes. Liveness bookkeeping (rows assigned, tombstones) and the
+// rows themselves live here: every write flows through the router, so
+// occupancy reads and row reads never cross the network.
 type remoteBackend struct {
-	shards       []*remoteShard
-	dim          int
+	shards []*remoteShard
+	dim    int
+	// store holds every global row by ID, tombstoned ones too. It grows
+	// in Insert, under the generation's writer lock; readers hold the
+	// reader lock.
+	store        *vecstore.Store
 	timeout      time.Duration
 	allowPartial bool
 	log          *log.Logger
@@ -98,7 +107,7 @@ type remoteBackend struct {
 	done          sync.WaitGroup
 }
 
-func newRemoteBackend(cfg Config, vocab, dim int, logger *log.Logger) *remoteBackend {
+func newRemoteBackend(cfg Config, store *vecstore.Store, logger *log.Logger) *remoteBackend {
 	shards := make([]*remoteShard, len(cfg.ShardAddrs))
 	for i, addr := range cfg.ShardAddrs {
 		addr = strings.TrimRight(addr, "/")
@@ -122,9 +131,13 @@ func newRemoteBackend(cfg Config, vocab, dim int, logger *log.Logger) *remoteBac
 	if interval <= 0 {
 		interval = defaultProbeInterval
 	}
+	for id := 0; id < store.Len(); id++ {
+		shards[vecstore.ShardOf(id, len(shards))].assigned.Add(1)
+	}
 	rb := &remoteBackend{
 		shards:        shards,
-		dim:           dim,
+		dim:           store.Dim(),
+		store:         store,
 		timeout:       timeout,
 		allowPartial:  cfg.AllowPartial,
 		log:           logger,
@@ -132,7 +145,7 @@ func newRemoteBackend(cfg Config, vocab, dim int, logger *log.Logger) *remoteBac
 		probeInterval: interval,
 		stop:          make(chan struct{}),
 	}
-	rb.rows.Store(int64(vocab))
+	rb.rows.Store(int64(store.Len()))
 	// One synchronous probe round before serving: startup logs (and the
 	// first requests) see the real fleet state, not all-down defaults.
 	rb.probeAll()
@@ -179,6 +192,9 @@ func (rb *remoteBackend) probeAll() {
 func (rb *remoteBackend) probe(sh *remoteShard) {
 	ctx, cancel := context.WithTimeout(context.Background(), rb.probeInterval)
 	defer cancel()
+	// Read before the shard answers: a row acknowledged by then is
+	// already there, and a shard's row count never shrinks.
+	acked := sh.assigned.Load()
 	var hz healthzProbe
 	ok := false
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.addr+"/healthz", nil)
@@ -188,9 +204,13 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&hz) == nil {
 				// Identity check: answering HTTP is not enough — the
 				// process must be the shard this slot is configured for,
-				// or its global IDs would merge as garbage.
+				// or its global IDs would merge as garbage, and it must
+				// hold every row it acknowledged, or its answers would
+				// silently miss them. More rows than that is an insert in
+				// flight or one whose acknowledgment was lost (filterKnown).
 				ok = hz.Shard != nil && hz.Shard.ID == sh.sid &&
-					hz.Shard.Of == len(rb.shards) && hz.Dim == rb.dim
+					hz.Shard.Of == len(rb.shards) && hz.Dim == rb.dim &&
+					int64(hz.Shard.Rows) >= acked
 			}
 			resp.Body.Close()
 		}
@@ -216,24 +236,34 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 
 // ---- RPC plumbing ---------------------------------------------------
 
-// call is post with in marshalled as the body; a fan-out marshals once
-// and posts the same bytes to every shard instead.
+// call is post with in marshalled as the JSON body and the reply
+// unmarshalled into out; a reply that does not decode is the shard's
+// failure, not the client's.
 func (rb *remoteBackend) call(ctx context.Context, sh *remoteShard, path string, in, out any, idempotent bool) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	return rb.post(ctx, sh, path, body, out, idempotent)
+	raw, err := rb.post(ctx, sh, path, body, idempotent)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return errShardUnavailable(sh.sid, sh.addr, err)
+	}
+	return nil
 }
 
-// post POSTs body to path on sh and decodes the 200 response into out.
+// post POSTs body to path on sh and returns the 200 reply's bytes.
 // The context is the deadline authority; a call with no inherited
 // deadline gets the backend's RemoteTimeout. idempotent calls retry
-// once — but only on transport errors, where the shard never answered;
-// once a shard has answered (any status), its verdict is forwarded,
-// never replayed. Context expiry maps to errDeadlineExpired (503),
-// exhausted transport attempts to errShardUnavailable.
-func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string, body []byte, out any, idempotent bool) error {
+// once — but only on transport errors, where the shard never answered
+// or its reply was cut off; once a shard has answered (any status),
+// its verdict is forwarded, never replayed. A non-200 reply is the
+// shard's JSON error, forwarded with its status. Context expiry maps
+// to errDeadlineExpired (503), exhausted transport attempts to
+// errShardUnavailable.
+func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string, body []byte, idempotent bool) ([]byte, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, rb.timeout)
@@ -246,17 +276,16 @@ func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string,
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if ctx.Err() != nil {
-			return errDeadlineExpired
+			return nil, errDeadlineExpired
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.addr+path, bytes.NewReader(body))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		req.Header.Set("Content-Type", "application/json")
 		resp, err := sh.client.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
-				return errDeadlineExpired
+				return nil, errDeadlineExpired
 			}
 			lastErr = err
 			continue
@@ -271,36 +300,34 @@ func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string,
 			if json.Unmarshal(raw, &e) == nil && e.Error != "" {
 				msg = e.Error
 			}
-			return &httpError{code: resp.StatusCode, msg: fmt.Sprintf("shard %d: %s", sh.sid, msg)}
+			return nil, &httpError{code: resp.StatusCode, msg: fmt.Sprintf("shard %d: %s", sh.sid, msg)}
 		}
-		err = json.NewDecoder(resp.Body).Decode(out)
+		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			if ctx.Err() != nil {
-				return errDeadlineExpired
+				return nil, errDeadlineExpired
 			}
 			lastErr = err
 			continue
 		}
-		return nil
+		return raw, nil
 	}
-	return errShardUnavailable(sh.sid, sh.addr, lastErr)
+	return nil, errShardUnavailable(sh.sid, sh.addr, lastErr)
 }
 
-// scatterShards fans fn out to the healthy shards a request needs —
-// every shard when need is nil, else those with positions in
-// need[sid], which fn receives; the others count as answered — and
-// collects results indexed by shard ID (zero value for shards that
-// did not answer). rec, when non-nil, receives one "shard_wait/<sid>"
-// span per shard that completed successfully — spans for abandoned
-// shards are never recorded, so an expired request's trace shows
-// exactly the shards that made the answer. Error policy: context
-// expiry and shard 4xx verdicts (a bug surface, not an availability
-// event) always propagate; other failures propagate in strict mode and
-// demote the shard to "skipped" under AllowPartial — unless owners:
-// the shards then hold the request's own rows, which have no partial
-// substitute (errOwnerDown).
-func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.SpanRecorder, need [][]int, owners bool, fn func(ctx context.Context, sh *remoteShard, pos []int) (T, error)) ([]T, searchMeta, error) {
+// scatterShards fans fn out to every healthy shard and collects
+// results indexed by shard ID (zero value for shards that did not
+// answer). rec, when non-nil, receives one "shard_wait/<sid>" span per
+// shard that completed successfully — spans for abandoned shards are
+// never recorded, so an expired request's trace shows exactly the
+// shards that made the answer. Error policy: context expiry and shard
+// 4xx verdicts (a bug surface, not an availability event) always
+// propagate; other failures propagate in strict mode and demote the
+// shard to "skipped" under AllowPartial — unless owners[sid]: that
+// shard owns one of the request's query rows, and a query is never
+// answered without its own row's shard (errOwnerDown).
+func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.SpanRecorder, owners []bool, fn func(ctx context.Context, sh *remoteShard) (T, error)) ([]T, searchMeta, error) {
 	type done struct {
 		sid int
 		val T
@@ -313,16 +340,9 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 	ch := make(chan done, len(rb.shards))
 	launched, answered := 0, 0
 	for _, sh := range rb.shards {
-		var pos []int
-		if need != nil {
-			if pos = need[sh.sid]; pos == nil {
-				answered++
-				continue
-			}
-		}
 		if !sh.healthy.Load() {
 			switch {
-			case owners:
+			case owners != nil && owners[sh.sid]:
 				return nil, searchMeta{}, errOwnerDown(sh)
 			case !rb.allowPartial:
 				return nil, searchMeta{}, errShardUnavailable(sh.sid, sh.addr, nil)
@@ -332,7 +352,7 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 		launched++
 		go func(sh *remoteShard) {
 			start := time.Now()
-			v, err := fn(ctx, sh, pos)
+			v, err := fn(ctx, sh)
 			ch <- done{sid: sh.sid, val: v, dur: time.Since(start), err: err}
 		}(sh)
 	}
@@ -347,7 +367,7 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 				if errors.As(d.err, &he) && he.code >= 400 && he.code < 500 {
 					return nil, searchMeta{}, d.err
 				}
-				if owners || !rb.allowPartial {
+				if (owners != nil && owners[d.sid]) || !rb.allowPartial {
 					return nil, searchMeta{}, d.err
 				}
 				continue
@@ -373,58 +393,26 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 }
 
 // errOwnerDown is the 503 for a query whose own row lives on a shard
-// that is out of membership: a query's rows have no partial
-// substitute, so their owner must answer regardless of AllowPartial.
+// that is out of membership: a row's owner must answer regardless of
+// AllowPartial.
 func errOwnerDown(sh *remoteShard) *httpError {
 	return errShardUnavailable(sh.sid, sh.addr, errors.New("query row owner must answer"))
 }
 
-// owned groups the positions in ids by the shard that owns each row.
-func (rb *remoteBackend) owned(ids []int) [][]int {
-	out := make([][]int, len(rb.shards))
-	for p, id := range ids {
-		sid := vecstore.ShardOf(id, len(rb.shards))
-		out[sid] = append(out[sid], p)
-	}
-	return out
-}
-
-// fetchRows resolves global IDs to row vectors and squared norms from
-// their owning shards, one call per owner. The round trip is recorded
-// on the request's trace as "shard_wait/rows", so the stages of a
-// request that fetches add up to its index_search like those of one
-// that only scatters.
-func (rb *remoteBackend) fetchRows(ctx context.Context, ids []int) ([][]float32, []float64, error) {
-	start := time.Now()
-	defer func() { telemetry.FromContext(ctx).Add("shard_wait/rows", time.Since(start)) }()
-	owned := rb.owned(ids)
-	got, _, err := scatterShards(ctx, rb, nil, owned, true, func(ctx context.Context, sh *remoteShard, pos []int) (shardRowsResponse, error) {
-		req := shardRowsRequest{IDs: make([]int, len(pos))}
-		for i, p := range pos {
-			req.IDs[i] = ids[p]
+// owners marks the shards that own ids, or fails with errOwnerDown if
+// one of them is out of membership: no endpoint answers a read while
+// the shard that holds one of its own rows is down, although the
+// router holds the rows itself.
+func (rb *remoteBackend) owners(ids ...int) ([]bool, error) {
+	out := make([]bool, len(rb.shards))
+	for _, id := range ids {
+		sh := rb.shards[vecstore.ShardOf(id, len(rb.shards))]
+		if !sh.healthy.Load() {
+			return nil, errOwnerDown(sh)
 		}
-		var resp shardRowsResponse
-		err := rb.call(ctx, sh, "/shard/v1/rows", req, &resp, true)
-		if err == nil && (len(resp.Rows) != len(pos) || len(resp.SqNorms) != len(pos)) {
-			err = errShardUnavailable(sh.sid, sh.addr,
-				fmt.Errorf("rows response covers %d of %d requested rows", len(resp.Rows), len(pos)))
-		}
-		return resp, err
-	})
-	if err != nil {
-		return nil, nil, err
+		out[sh.sid] = true
 	}
-	rows := make([][]float32, len(ids))
-	norms := make([]float64, len(ids))
-	for sid, pos := range owned {
-		for i, p := range pos {
-			if rows[p], err = unpackVec[float32](fmt.Sprintf("row %d", ids[p]), got[sid].Rows[i], rb.dim); err != nil {
-				return nil, nil, errShardUnavailable(sid, rb.shards[sid].addr, err)
-			}
-			norms[p] = got[sid].SqNorms[i]
-		}
-	}
-	return rows, norms, nil
+	return out, nil
 }
 
 // filterKnown drops result IDs at or past the router's row horizon —
@@ -462,69 +450,44 @@ func (rb *remoteBackend) Deleted(id int) bool {
 }
 
 func (rb *remoteBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
-	// k+1 like the in-process coordinator: a query row ranks first in
-	// its own results and is stripped at the merge.
-	search := func(ctx context.Context, sh *remoteShard, pos []int, req shardSearchRequest) (shardSearchResponse, error) {
-		req.K = k + 1
-		var resp shardSearchResponse
-		err := rb.call(ctx, sh, "/shard/v1/search", req, &resp, true)
-		if err == nil && len(resp.Results) != len(pos) {
-			err = errShardUnavailable(sh.sid, sh.addr,
-				fmt.Errorf("search response covers %d of %d queries", len(resp.Results), len(pos)))
-		}
-		return resp, err
-	}
-	// First every owner searches with its stored rows and returns them.
-	owned := rb.owned(ids)
-	own, _, err := scatterShards(ctx, rb, rec, owned, true, func(ctx context.Context, sh *remoteShard, pos []int) (shardSearchResponse, error) {
-		req := shardSearchRequest{Rows: make([]int, len(pos))}
-		for i, p := range pos {
-			req.Rows[i] = ids[p]
-		}
-		return search(ctx, sh, pos, req)
-	})
+	// One frame for every shard, k+1 like the in-process coordinator: a
+	// query row ranks first in its own shard's results and is stripped
+	// at the merge. The rows are read here, under the caller's reader
+	// lock; the shard calls only send the bytes.
+	owners, err := rb.owners(ids...)
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
-	rows := make([][]byte, len(ids))
-	lists := make([][][]vecstore.Result, len(ids)) // per query, one list per shard that answered
-	others := make([][]int, len(rb.shards))        // shard ID -> positions of the rows it does not own
-	for sid, pos := range owned {
-		for i, p := range pos {
-			if i >= len(own[sid].Rows) || len(own[sid].Rows[i]) != 4*rb.dim {
-				return nil, searchMeta{}, errShardUnavailable(sid, rb.shards[sid].addr,
-					fmt.Errorf("row %d did not come back as the %d bytes dimension %d takes", ids[p], 4*rb.dim, rb.dim))
-			}
-			rows[p] = own[sid].Rows[i]
-			lists[p] = append(lists[p], own[sid].Results[i])
-			for other := range others {
-				if other != sid {
-					others[other] = append(others[other], p)
-				}
-			}
-		}
+	qs := make([][]float32, len(ids))
+	for p, id := range ids {
+		qs[p] = rb.store.Row(id)
 	}
-	// Then every shard searches with the rows it does not own, as the
-	// bits they arrived in.
-	rest, meta, err := scatterShards(ctx, rb, rec, others, false, func(ctx context.Context, sh *remoteShard, pos []int) (shardSearchResponse, error) {
-		req := shardSearchRequest{Vectors: make([][]byte, len(pos))}
-		for i, p := range pos {
-			req.Vectors[i] = rows[p]
+	body := appendSearchFrame(nil, k+1, qs)
+	per, meta, err := scatterShards(ctx, rb, rec, owners, func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error) {
+		raw, err := rb.post(ctx, sh, "/shard/v1/search", body, true)
+		if err != nil {
+			return nil, err
 		}
-		return search(ctx, sh, pos, req)
+		res, err := decodeSearchResults(raw, len(ids))
+		if err != nil {
+			return nil, errShardUnavailable(sh.sid, sh.addr, err)
+		}
+		return res, nil
 	})
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
 	start := time.Now()
-	for sid, resp := range rest {
-		for i := range resp.Results { // none from a skipped shard
-			lists[others[sid][i]] = append(lists[others[sid][i]], resp.Results[i])
-		}
-	}
 	out := make([][]vecstore.Result, len(ids))
+	lists := make([][]vecstore.Result, 0, len(rb.shards))
 	for p, id := range ids {
-		out[p] = vecstore.MergeRowTopK(rb.filterKnown(lists[p]), id, k)
+		lists = lists[:0]
+		for _, res := range per {
+			if res != nil { // nil: a skipped shard
+				lists = append(lists, res[p])
+			}
+		}
+		out[p] = vecstore.MergeRowTopK(rb.filterKnown(lists), id, k)
 	}
 	if rec != nil {
 		rec("merge", time.Since(start))
@@ -536,11 +499,10 @@ func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecsto
 	if k <= 0 {
 		return nil, searchMeta{}, nil
 	}
-	rows, _, err := rb.fetchRows(ctx, []int{a, b, c})
-	if err != nil {
+	if _, err := rb.owners(a, b, c); err != nil {
 		return nil, searchMeta{}, err
 	}
-	va, vb, vc := rows[0], rows[1], rows[2]
+	va, vb, vc := rb.store.Row(a), rb.store.Row(b), rb.store.Row(c)
 	// The exact float64 target of word2vec.AnalogyStore; shards
 	// recompute its norm from these exactly-transported values, so the
 	// distributed kernel is the in-process kernel.
@@ -548,16 +510,11 @@ func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecsto
 	for i := range target {
 		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
 	}
-	body, err := json.Marshal(shardScanRequest{Target: packVec(target), Exclude: []int{a, b, c}, K: k})
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	per, meta, err := scatterShards(ctx, rb, rec, nil, false, func(ctx context.Context, sh *remoteShard, _ []int) ([]vecstore.Result, error) {
+	req := shardScanRequest{Target: packVec(target), Exclude: []int{a, b, c}, K: k}
+	per, meta, err := scatterShards(ctx, rb, rec, nil, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
 		var resp shardScanResponse
-		if err := rb.post(ctx, sh, "/shard/v1/scan", body, &resp, true); err != nil {
-			return nil, err
-		}
-		return resp.Results, nil
+		err := rb.call(ctx, sh, "/shard/v1/scan", req, &resp, true)
+		return resp.Results, err
 	})
 	if err != nil {
 		return nil, searchMeta{}, err
@@ -575,27 +532,14 @@ func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecsto
 }
 
 func (rb *remoteBackend) PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error) {
-	// One fetch for the whole batch: a call per owning shard, however
-	// many pairs.
 	ids := make([]int, 0, 2*len(pairs))
 	for _, p := range pairs {
 		ids = append(ids, p[0], p[1])
 	}
-	rows, sq, err := rb.fetchRows(ctx, ids)
-	if err != nil {
+	if _, err := rb.owners(ids...); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(pairs))
-	for i := range pairs {
-		u, v := 2*i, 2*i+1
-		dot := vecstore.DotF64(rows[u], rows[v])
-		if hadamard {
-			out[i] = dot
-		} else {
-			out[i] = vecstore.CosineFromDot(dot, sq[u], sq[v])
-		}
-	}
-	return out, nil
+	return pairScores(rb.store, pairs, hadamard), nil
 }
 
 func (rb *remoteBackend) Insert(ctx context.Context, token string, v []float32) (int, error) {
@@ -612,6 +556,8 @@ func (rb *remoteBackend) Insert(ctx context.Context, token string, v []float32) 
 	if err := rb.call(ctx, sh, "/shard/v1/insert", shardInsertRequest{ID: id, Token: token, Vector: packVec(v)}, &resp, false); err != nil {
 		return 0, err
 	}
+	rb.store.AppendRow(v)
+	sh.assigned.Add(1)
 	rb.rows.Add(1)
 	return id, nil
 }
@@ -669,8 +615,8 @@ func (rb *remoteBackend) Close() {
 // ---- Router construction --------------------------------------------
 
 // newRouter builds a router-mode server (see the file comment): the
-// bundle's token table over a remoteBackend, no local vectors, no
-// index, no WAL.
+// bundle's token table and rows over a remoteBackend, no index, no
+// WAL.
 func newRouter(cfg Config) (*Server, error) {
 	if len(cfg.ShardAddrs) == 0 {
 		return nil, fmt.Errorf("server: Router requires ShardAddrs (one per shard, in shard order)")
@@ -696,7 +642,7 @@ func newRouter(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %d tokens for %d rows", len(tokens), m.Vocab)
 	}
 	s := newShell(cfg)
-	rb := newRemoteBackend(cfg, m.Vocab, m.Dim, s.logger)
+	rb := newRemoteBackend(cfg, m.Store(), s.logger)
 	byToken := make(map[string]int, len(tokens))
 	for i, tok := range tokens {
 		byToken[tok] = i

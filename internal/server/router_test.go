@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -557,5 +558,94 @@ func TestRouterRejectsMisconfiguration(t *testing.T) {
 	// Reload is a distributed operation the router cannot do alone.
 	if code, body := postRaw(t, hs.URL+"/v1/reload", map[string]string{}); code != 501 {
 		t.Fatalf("router reload: status %d body %s", code, body)
+	}
+}
+
+// TestRouterShardLostRows: a shard restarted from its bundle after
+// acknowledged upserts holds fewer rows than the router saw it
+// acknowledge, and reads as down — a strict read is a 503 naming it,
+// and /stats says so — while a shard holding more rows than that (an
+// insert whose acknowledgment was lost) stays up. Probes run only
+// when the test calls probeAll.
+func TestRouterShardLostRows(t *testing.T) {
+	const vocab, dim, shards = 40, 6, 2
+	m, tokens := testModel(vocab, dim, 42)
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if err := snapshot.SaveBundleFile(path, m, tokens, nil); err != nil {
+		t.Fatal(err)
+	}
+	handlers := make([]atomic.Pointer[http.Handler], shards)
+	start := func(sid int) {
+		s, err := New(Config{ModelPath: path, ShardCount: shards, ShardID: sid})
+		if err != nil {
+			t.Fatalf("shard %d: %v", sid, err)
+		}
+		t.Cleanup(func() { s.Close() })
+		h := s.Handler()
+		handlers[sid].Store(&h)
+	}
+	addrs := make([]string, shards)
+	for sid := range addrs {
+		start(sid)
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			(*handlers[sid].Load()).ServeHTTP(w, r)
+		}))
+		t.Cleanup(hs.Close)
+		addrs[sid] = hs.URL
+	}
+	s, router := startRouter(t, path, addrs, func(c *Config) { c.ProbeInterval = time.Hour })
+	rb := s.state.Load().backend.(*remoteBackend)
+	healthy := func() []bool {
+		var stats StatsResponse
+		getJSON(t, router.URL+"/stats", &stats)
+		out := make([]bool, shards)
+		for _, b := range stats.Backends {
+			out[b.Shard] = b.Healthy
+		}
+		return out
+	}
+
+	owner := vecstore.ShardOf(vocab, shards) // the first upsert's shard
+	if code, body := postRaw(t, router.URL+"/v1/upsert", UpsertRequest{Vertex: "w", Vector: vec(dim, 1)}); code != http.StatusOK {
+		t.Fatalf("upsert: status %d body %s", code, body)
+	}
+	// The other shard takes a row the router never recorded, as when
+	// an insert's acknowledgment is lost.
+	other, extra := 1-owner, vocab+1
+	for vecstore.ShardOf(extra, shards) != other {
+		extra++
+	}
+	if code, body := postRaw(t, addrs[other]+"/shard/v1/insert", shardInsertRequest{ID: extra, Token: "lost-ack", Vector: packVec(vec(dim, 0, 1))}); code != http.StatusOK {
+		t.Fatalf("direct insert on shard %d: status %d body %s", other, code, body)
+	}
+	rb.probeAll()
+	if got := healthy(); !got[0] || !got[1] {
+		t.Fatalf("after an acked upsert and an unrecorded insert: healthy %v, want both", got)
+	}
+
+	start(owner) // restarted from the bundle: the upsert is gone
+	rb.probeAll()
+	if got := healthy(); got[owner] || !got[other] {
+		t.Fatalf("after shard %d lost a row: healthy %v, want only shard %d", owner, got, other)
+	}
+	name := fmt.Sprintf("shard %d (%s) unavailable", owner, addrs[owner])
+	if code, body := getRaw(t, router.URL+"/v1/neighbors?vertex=v1&k=3"); code != http.StatusServiceUnavailable || !strings.Contains(body, name) {
+		t.Fatalf("read over a shard that lost a row: status %d body %s, want a 503 naming %q", code, body, name)
+	}
+	// Pair scores need no shard, but a row's owner must be up all the
+	// same: the router answers a pair on the other shard only.
+	var mine, theirs []string
+	for id := 0; id < vocab; id++ {
+		if vecstore.ShardOf(id, shards) == owner {
+			mine = append(mine, fmt.Sprintf("v%d", id))
+		} else {
+			theirs = append(theirs, fmt.Sprintf("v%d", id))
+		}
+	}
+	if code, body := getRaw(t, router.URL+"/v1/similarity?a="+theirs[0]+"&b="+mine[0]); code != http.StatusServiceUnavailable || !strings.Contains(body, name) {
+		t.Fatalf("similarity with a row on the down shard: status %d body %s, want a 503 naming %q", code, body, name)
+	}
+	if code, body := getRaw(t, router.URL+"/v1/similarity?a="+theirs[0]+"&b="+theirs[1]); code != http.StatusOK {
+		t.Fatalf("similarity on the up shard: status %d body %s", code, body)
 	}
 }

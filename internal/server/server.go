@@ -218,8 +218,7 @@ var endpointNames = []string{
 	// The /shard/v1/* fan-out API a shard process serves to its router
 	// (registered only in shard mode; the counters always exist so the
 	// stats key set stays fixed).
-	"shard_search", "shard_scan", "shard_rows", "shard_insert",
-	"shard_delete",
+	"shard_search", "shard_scan", "shard_insert", "shard_delete",
 }
 
 type endpointCounters struct {

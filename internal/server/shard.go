@@ -7,10 +7,8 @@ package server
 // standard public read API over that slice, and exposes the
 // /shard/v1/* fan-out API its router consumes:
 //
-//	POST /shard/v1/search  — top-k per query: this shard's rows by global
-//	                         ID and/or query vectors (global IDs)
+//	POST /shard/v1/search  — top-k per query vector (a binary frame)
 //	POST /shard/v1/scan    — exact float64 kernel scan (analogy)
-//	POST /shard/v1/rows    — row data + squared norms by global ID
 //	POST /shard/v1/insert  — append a router-assigned global row
 //	POST /shard/v1/delete  — tombstone a global row
 //
@@ -30,8 +28,12 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 
 	"v2v/internal/snapshot"
 	"v2v/internal/vecstore"
@@ -48,15 +50,15 @@ type shardState struct {
 	globals []int // ascending global IDs; globals[local] = global
 }
 
-// toGlobal maps local-ID results to global-ID results. Locals ascend
-// with globals, so the (score desc, ID asc) result order is preserved
-// by construction — the property the router's merge depends on.
+// toGlobal maps local-ID results, which the caller owns, to global
+// IDs in place. Locals ascend with globals, so the (score desc, ID
+// asc) result order is preserved by construction — the property the
+// router's merge depends on.
 func (sh *shardState) toGlobal(res []vecstore.Result) []vecstore.Result {
-	out := make([]vecstore.Result, len(res))
-	for i, h := range res {
-		out[i] = vecstore.Result{ID: sh.globals[h.ID], Score: h.Score}
+	for i := range res {
+		res[i].ID = sh.globals[res[i].ID]
 	}
-	return out
+	return res
 }
 
 // localOf finds the local row for a global ID (binary search — globals
@@ -159,20 +161,19 @@ func newShardProcess(cfg Config) (*Server, error) {
 func (s *Server) registerShardAPI() {
 	s.mux.HandleFunc("/shard/v1/search", s.instrument("shard_search", s.handleShardSearch))
 	s.mux.HandleFunc("/shard/v1/scan", s.instrument("shard_scan", s.handleShardScan))
-	s.mux.HandleFunc("/shard/v1/rows", s.instrument("shard_rows", s.handleShardRows))
 	s.mux.HandleFunc("/shard/v1/insert", s.instrument("shard_insert", s.handleShardInsert))
 	s.mux.HandleFunc("/shard/v1/delete", s.instrument("shard_delete", s.handleShardDelete))
 }
 
-// ---- Fan-out wire types (shared with remoteBackend in remote.go; the
-// router and the shard marshal the same structs, so the JSON shape
-// cannot drift between them). Every vector crosses as the IEEE-754
-// bits of its values, little-endian, 4 bytes per float32 and 8 per
-// float64, in a []byte that encoding/json carries as base64: exact by
-// construction, and neither side prints or parses a decimal. Scalars
-// (scores, squared norms, IDs) stay JSON numbers, whose
-// shortest-round-trip form is exact for float64. There is one encoding
-// and no negotiation: a peer that sends anything else gets a 400. ----
+// ---- Fan-out wire types (shared with remoteBackend in remote.go, so
+// the wire cannot drift between router and shard). Every vector
+// crosses as the little-endian IEEE-754 bits of its values: exact by
+// construction. /shard/v1/search, the one route with traffic, is a
+// binary frame both ways (below); the others are JSON, with vectors as
+// base64 bits and scalars as JSON numbers, whose shortest-round-trip
+// form is exact for float64. Errors are JSON on every route. There is
+// one encoding per route and no negotiation: a peer that sends
+// anything else gets a 400. ----
 
 // packVec returns the wire form of v.
 func packVec[T float32 | float64](v []T) []byte {
@@ -203,20 +204,118 @@ func unpackVec[T float32 | float64](what string, b []byte, dim int) ([]T, error)
 	return v, nil
 }
 
-type shardSearchRequest struct {
-	// The queries, at least one: Rows are global IDs of rows this shard
-	// owns, searched with as stored; Vectors are float32 bits.
-	Rows    []int    `json:"rows,omitempty"`
-	Vectors [][]byte `json:"vectors,omitempty"`
-	K       int      `json:"k"`
+// The search frame, all little-endian. Request:
+//
+//	k u32 | n u32 | n × dim float32 bits
+//
+// Response, per query in request order:
+//
+//	count u32 | count × (id u64 | score float64 bits)
+//
+// with IDs global and each list best first.
+
+// appendSearchFrame appends the search request for qs at k to dst.
+func appendSearchFrame(dst []byte, k int, qs [][]float32) []byte {
+	size := 8
+	for _, q := range qs {
+		size += 4 * len(q)
+	}
+	dst = slices.Grow(dst, size)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(qs)))
+	for _, q := range qs {
+		for _, x := range q {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
+		}
+	}
+	return dst
 }
 
-type shardSearchResponse struct {
-	// Results holds one list per query, Rows' first, in global IDs.
-	Results [][]vecstore.Result `json:"results"`
-	// Rows are the stored rows of Rows (float32 bits), for the router
-	// to send on to the other shards.
-	Rows [][]byte `json:"rows,omitempty"`
+// readSearchFrame reads a search request of 1..maxN dim-element
+// vectors at k in 1..maxK. Every other body, and a vector holding a
+// NaN or an infinity, is a 400; it allocates only for bytes that
+// arrive.
+func readSearchFrame(r io.Reader, dim, maxN, maxK int) (int, [][]float32, error) {
+	b, err := io.ReadAll(io.LimitReader(r, 8+4*int64(maxN)*int64(dim)+1))
+	if err != nil {
+		return 0, nil, errBadRequest("search frame: %v", err)
+	}
+	if len(b) < 8 {
+		return 0, nil, errBadRequest("search frame of %d bytes has no 8-byte header", len(b))
+	}
+	k, n := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+	if k == 0 || uint64(k) > uint64(maxK) {
+		return 0, nil, errBadRequest("invalid k %d", k)
+	}
+	if n == 0 || uint64(n) > uint64(maxN) {
+		return 0, nil, errBadRequest("batch of %d queries, limit %d", n, maxN)
+	}
+	if want := 8 + 4*int(n)*dim; len(b) != want {
+		return 0, nil, errBadRequest("search frame of %d bytes (or more), %d queries of dimension %d take %d", len(b), n, dim, want)
+	}
+	vs := make([]float32, int(n)*dim)
+	for i := range vs {
+		if vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[8+4*i:])); vs[i]-vs[i] != 0 {
+			return 0, nil, errBadRequest("vector %d: component %d is not finite", i/dim, i%dim)
+		}
+	}
+	qs := make([][]float32, n)
+	for i := range qs {
+		qs[i] = vs[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return int(k), qs, nil
+}
+
+// appendSearchResults appends the search response for lists to dst.
+func appendSearchResults(dst []byte, lists [][]vecstore.Result) []byte {
+	size := 0
+	for _, list := range lists {
+		size += 4 + 16*len(list)
+	}
+	dst = slices.Grow(dst, size)
+	for _, list := range lists {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(list)))
+		for _, h := range list {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(h.ID))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.Score))
+		}
+	}
+	return dst
+}
+
+// decodeSearchResults decodes a search response of n lists. A count
+// past what the remaining bytes hold is refused before anything is
+// allocated for it, as are an ID that is not a non-negative int, a
+// score that is not finite, and bytes left over.
+func decodeSearchResults(b []byte, n int) ([][]vecstore.Result, error) {
+	out := make([][]vecstore.Result, n)
+	for q := range out {
+		if len(b) < 4 {
+			return nil, fmt.Errorf("search reply ends before list %d", q)
+		}
+		count := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		if uint64(count) > uint64(len(b))/16 {
+			return nil, fmt.Errorf("search reply list %d claims %d results in %d bytes", q, count, len(b))
+		}
+		list := make([]vecstore.Result, count)
+		for i := range list {
+			id, score := binary.LittleEndian.Uint64(b), math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+			b = b[16:]
+			if id > math.MaxInt {
+				return nil, fmt.Errorf("search reply list %d: ID %d out of range", q, id)
+			}
+			if score-score != 0 {
+				return nil, fmt.Errorf("search reply list %d: score of row %d is not finite", q, id)
+			}
+			list[i] = vecstore.Result{ID: int(id), Score: score}
+		}
+		out[q] = list
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("search reply carries %d bytes past its last list", len(b))
+	}
+	return out, nil
 }
 
 type shardScanRequest struct {
@@ -231,15 +330,6 @@ type shardScanRequest struct {
 
 type shardScanResponse struct {
 	Results []vecstore.Result `json:"results"` // global IDs
-}
-
-type shardRowsRequest struct {
-	IDs []int `json:"ids"` // global IDs; every one must live here
-}
-
-type shardRowsResponse struct {
-	Rows    [][]byte  `json:"rows"` // float32 bits, one entry per ID
-	SqNorms []float64 `json:"sqnorms"`
 }
 
 type shardInsertRequest struct {
@@ -264,48 +354,34 @@ type shardDeleteResponse struct {
 
 // ---- Fan-out handlers ----------------------------------------------
 
+// handleShardSearch answers a search frame: every query vector's top
+// k on this shard, in global IDs.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error {
-	var req shardSearchRequest
-	if err := decodePost(r, &req); err != nil {
-		return err
-	}
-	n := len(req.Rows) + len(req.Vectors)
-	if err := s.checkBatch(n, "rows' and 'vectors"); err != nil {
-		return err
+	if r.Method != http.MethodPost {
+		return &httpError{code: http.StatusMethodNotAllowed, msg: "use POST"}
 	}
 	// The router asks for the handler-level k+1 (self-stripping happens
-	// at the merge), so accept one past the public cap.
-	if req.K <= 0 || req.K > s.maxK()+1 {
-		return errBadRequest("invalid k %d", req.K)
+	// at the merge), so accept one past the public cap. A shard never
+	// swaps generations, so the dimension is read before the lock.
+	k, qs, err := readSearchFrame(r.Body, s.state.Load().backend.Dim(), s.maxBatch(), s.maxK()+1)
+	if err != nil {
+		return err
 	}
 	st, unlock := s.readState()
 	defer unlock()
-	qs := make([][]float32, 0, n)
-	resp := shardSearchResponse{Rows: make([][]byte, len(req.Rows))}
-	for i, gid := range req.Rows {
-		local, ok := s.shard.localOf(gid)
-		if !ok {
-			return errNotFound("row %d is not on shard %d/%d", gid, s.shard.id, s.shard.of)
-		}
-		// A tombstoned row still answers, as it does on /shard/v1/rows.
-		qs = append(qs, st.sharded.Row(local))
-		resp.Rows[i] = packVec(qs[i])
-	}
-	for i, b := range req.Vectors {
-		q, err := unpackVec[float32](fmt.Sprintf("vector %d", i), b, st.backend.Dim())
-		if err != nil {
-			return err
-		}
-		qs = append(qs, q)
-	}
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	resp.Results = st.sharded.SearchBatch(qs, req.K)
-	for i, res := range resp.Results {
-		resp.Results[i] = s.shard.toGlobal(res)
+	lists := st.sharded.SearchBatch(qs, k)
+	for i, res := range lists {
+		lists[i] = s.shard.toGlobal(res)
 	}
-	return writeJSONUnlocked(w, unlock, resp)
+	buf := appendSearchResults(nil, lists)
+	unlock()
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Write(buf)
+	return nil
 }
 
 // handleShardScan is the remote half of the coordinator's ScanExact:
@@ -339,39 +415,6 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
 	}
 	res := st.sharded.ScanExact(word2vec.AnalogyKernel(target), exclude, req.K)
 	return writeJSONUnlocked(w, unlock, shardScanResponse{Results: s.shard.toGlobal(res)})
-}
-
-func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) error {
-	var req shardRowsRequest
-	if err := decodePost(r, &req); err != nil {
-		return err
-	}
-	if len(req.IDs) == 0 {
-		return errBadRequest("empty 'ids'")
-	}
-	// A pair batch fetches both rows of every pair in one call.
-	if max := 2 * s.maxBatch(); len(req.IDs) > max {
-		return errBadRequest("batch of %d exceeds limit %d", len(req.IDs), max)
-	}
-	st, unlock := s.readState()
-	defer unlock()
-	resp := shardRowsResponse{
-		Rows:    make([][]byte, len(req.IDs)),
-		SqNorms: make([]float64, len(req.IDs)),
-	}
-	for i, gid := range req.IDs {
-		local, ok := s.shard.localOf(gid)
-		if !ok {
-			return errNotFound("row %d is not on shard %d/%d", gid, s.shard.id, s.shard.of)
-		}
-		// Tombstoned rows still answer: row contents are immutable, and
-		// the in-process coordinator serves them the same way (handlers
-		// never resolve a deleted token, so this only ever feeds pair
-		// scores and fan-out queries for live rows).
-		row, sq := st.sharded.RowNorm(local)
-		resp.Rows[i], resp.SqNorms[i] = packVec(row), sq
-	}
-	return writeJSONUnlocked(w, unlock, resp)
 }
 
 func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error {
