@@ -1,13 +1,13 @@
-// Command communities detects communities in a graph with every
-// method in the library — V2V embedding + k-means, CNM greedy
-// modularity, Girvan-Newman, Louvain and label propagation — and
-// prints a comparison of modularity and runtime (plus pairwise
-// precision/recall when ground truth is supplied).
+// Command communities detects communities in a graph with the paper's
+// three methods — V2V embedding + k-means, CNM greedy modularity and
+// Girvan-Newman (Table I) — and prints a comparison of modularity and
+// runtime (plus pairwise precision/recall when ground truth is
+// supplied).
 //
 // Usage:
 //
 //	communities -in graph.txt -k 10 [-truth labels.txt]
-//	            [-methods v2v,cnm,gn,louvain,lpa] [-dim 10] [-seed 1]
+//	            [-methods v2v,cnm,gn] [-dim 10] [-seed 1]
 //
 // labels.txt holds one integer community label per line, in vertex
 // order.
@@ -30,7 +30,7 @@ func main() {
 		in      = flag.String("in", "", "input edge list (required)")
 		truthF  = flag.String("truth", "", "ground-truth labels, one per line (optional)")
 		k       = flag.Int("k", 0, "number of communities for v2v/cnm/gn (0 = let each method decide)")
-		methods = flag.String("methods", "v2v,cnm,gn,louvain,lpa,walktrap,spectral", "comma-separated methods")
+		methods = flag.String("methods", "v2v,cnm,gn", "comma-separated methods: v2v, cnm, gn")
 		dim     = flag.Int("dim", 10, "V2V embedding dimensions (paper Table I uses 10)")
 		walks   = flag.Int("walks", 10, "V2V walks per vertex")
 		length  = flag.Int("length", 80, "V2V walk length")
@@ -99,34 +99,8 @@ func main() {
 				fatal(err)
 			}
 			part = res.Partition
-		case "louvain":
-			res, err := v2v.Louvain(g, v2v.LouvainConfig{Seed: *seed})
-			if err != nil {
-				fatal(err)
-			}
-			part = res.Partition
-		case "lpa":
-			part, err = v2v.LabelPropagation(g, v2v.LabelPropagationConfig{Seed: *seed})
-			if err != nil {
-				fatal(err)
-			}
-		case "walktrap":
-			res, err := v2v.Walktrap(g, v2v.WalktrapConfig{TargetK: *k})
-			if err != nil {
-				fatal(err)
-			}
-			part = res.Partition
-		case "spectral":
-			kk := *k
-			if kk <= 0 {
-				fatal(fmt.Errorf("spectral needs -k"))
-			}
-			part, err = v2v.SpectralCommunities(g, v2v.SpectralCommunitiesConfig{K: kk, Seed: *seed})
-			if err != nil {
-				fatal(err)
-			}
 		default:
-			fatal(fmt.Errorf("unknown method %q", m))
+			fatal(fmt.Errorf("unknown method %q (valid: v2v, cnm, gn)", m))
 		}
 		elapsed := time.Since(start)
 

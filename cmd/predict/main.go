@@ -7,8 +7,7 @@
 //
 //	predict -in graph.txt -labels labels.txt [-k 3] [-folds 10]
 //	        [-dim 50] [-predict-missing] [-seed 1]
-//	        [-index exact|ivf|hnsw] [-nlists 0] [-nprobe 0]
-//	        [-m 0] [-efc 0] [-efs 0]
+//	        [-index exact|hnsw] [-m 0] [-efc 0] [-efs 0]
 //	        [-model-out model.snap]
 //
 // -model-out additionally saves the trained embedding as a binary
@@ -18,9 +17,9 @@
 // -predict-missing, lines equal to "?" are predicted from the rest
 // and the completed list is printed.
 //
-// -index ivf and -index hnsw serve -predict-missing through an
-// approximate index (see docs/INDEXES.md for the selection guide and
-// the nlists/nprobe and m/efc/efs recall trade-offs).
+// -index hnsw serves -predict-missing through an approximate index
+// (see docs/INDEXES.md for the selection guide and the m/efc/efs
+// recall trade-offs).
 // Cross-validation always uses the exact index so reported accuracies
 // stay comparable with the paper.
 package main
@@ -47,9 +46,7 @@ func main() {
 		missing = flag.Bool("predict-missing", false, "predict '?' labels instead of cross-validating")
 		dirFlag = flag.Bool("directed", false, "treat edges as directed")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		index   = flag.String("index", "exact", "similarity index for -predict-missing: exact, ivf or hnsw")
-		nlists  = flag.Int("nlists", 0, "ivf: coarse cells (0 = sqrt(n))")
-		nprobe  = flag.Int("nprobe", 0, "ivf: cells scanned per query (0 = nlists/4)")
+		index   = flag.String("index", "exact", "similarity index for -predict-missing: exact or hnsw")
 		hm      = flag.Int("m", 0, "hnsw: links per node per level (0 = 16)")
 		efc     = flag.Int("efc", 0, "hnsw: construction beam width (0 = 200)")
 		efs     = flag.Int("efs", 0, "hnsw: query beam width (0 = 128)")
@@ -85,12 +82,10 @@ func main() {
 	switch *index {
 	case "exact":
 		opts.Index = v2v.IndexConfig{Kind: v2v.ExactIndex}
-	case "ivf":
-		opts.Index = v2v.IndexConfig{Kind: v2v.IVFIndex, NLists: *nlists, NProbe: *nprobe, Seed: *seed}
 	case "hnsw":
 		opts.Index = v2v.IndexConfig{Kind: v2v.HNSWIndex, M: *hm, EfConstruction: *efc, EfSearch: *efs, Seed: *seed}
 	default:
-		fatal(fmt.Errorf("unknown index kind %q (want exact, ivf or hnsw)", *index))
+		fatal(fmt.Errorf("unknown index kind %q (want exact or hnsw; exact replaces the removed ivf)", *index))
 	}
 	if err := opts.Index.Validate(); err != nil {
 		fatal(err)

@@ -22,15 +22,14 @@
 //
 // Query usage (one-shot, over a saved model):
 //
-//	v2v query -model vectors.txt [-k 10] [-index exact|ivf|hnsw]
-//	          [-nlists 0] [-nprobe 0] [-m 0] [-efc 0] [-efs 0]
-//	          [-shards 0] [-v] [vertex ...]
+//	v2v query -model vectors.txt [-k 10] [-index exact|hnsw]
+//	          [-m 0] [-efc 0] [-efs 0] [-shards 0] [-v] [vertex ...]
 //
 // Queries are vertex tokens, taken from the command line or — when
 // none are given — one per line from stdin; each answer line is
-// "query neighbor similarity". The IVF and HNSW indexes trade exact
-// results for speed; see docs/INDEXES.md for the selection guide and
-// the nlists/nprobe and m/efc/efs knobs.
+// "query neighbor similarity". The HNSW index trades exact results
+// for speed; see docs/INDEXES.md for the selection guide and the
+// m/efc/efs knobs.
 //
 // Index usage (persist a prebuilt HNSW graph next to the model):
 //
@@ -48,8 +47,8 @@
 // Serve usage (the long-lived HTTP/JSON query server):
 //
 //	v2v serve -model vectors.snap [-addr 127.0.0.1:8080]
-//	          [-index exact|ivf|hnsw] [-nlists 0] [-nprobe 0]
-//	          [-m 0] [-efc 0] [-efs 0] [-shards 0] [-cache 4096]
+//	          [-index exact|hnsw] [-m 0] [-efc 0] [-efs 0]
+//	          [-shards 0] [-cache 4096]
 //	          [-readonly] [-compact-frac 0]
 //	          [-wal DIR] [-wal-sync always|interval|never]
 //	          [-wal-sync-interval 100ms] [-wal-segment-bytes N]
@@ -141,9 +140,7 @@ func main() {
 // IndexConfig validation.
 func indexSelection(fs *flag.FlagSet, defaultKind string) func() (v2v.IndexConfig, error) {
 	var (
-		kind   = fs.String("index", defaultKind, "index kind: exact, ivf or hnsw")
-		nlists = fs.Int("nlists", 0, "ivf: coarse cells (0 = sqrt(n))")
-		nprobe = fs.Int("nprobe", 0, "ivf: cells scanned per query (0 = nlists/4)")
+		kind   = fs.String("index", defaultKind, "index kind: exact or hnsw")
 		m      = fs.Int("m", 0, "hnsw: links per node per level (0 = 16)")
 		efc    = fs.Int("efc", 0, "hnsw: construction beam width (0 = 200)")
 		efs    = fs.Int("efs", 0, "hnsw: query beam width (0 = 128)")
@@ -153,8 +150,6 @@ func indexSelection(fs *flag.FlagSet, defaultKind string) func() (v2v.IndexConfi
 	return func() (v2v.IndexConfig, error) {
 		cfg := v2v.IndexConfig{
 			Seed:           *seed,
-			NLists:         *nlists,
-			NProbe:         *nprobe,
 			M:              *m,
 			EfConstruction: *efc,
 			EfSearch:       *efs,
@@ -163,12 +158,10 @@ func indexSelection(fs *flag.FlagSet, defaultKind string) func() (v2v.IndexConfi
 		switch *kind {
 		case "exact":
 			cfg.Kind = v2v.ExactIndex
-		case "ivf":
-			cfg.Kind = v2v.IVFIndex
 		case "hnsw":
 			cfg.Kind = v2v.HNSWIndex
 		default:
-			return cfg, fmt.Errorf("unknown index kind %q (want exact, ivf or hnsw)", *kind)
+			return cfg, fmt.Errorf("unknown index kind %q (want exact or hnsw; exact replaces the removed ivf)", *kind)
 		}
 		return cfg, cfg.Validate()
 	}
@@ -474,7 +467,7 @@ func indexMain(args []string) {
 		fatal(err)
 	}
 	if cfg.Kind != v2v.HNSWIndex {
-		fatal(fmt.Errorf("only hnsw graphs are persisted (exact and ivf rebuild quickly); got -index %s", cfg.Kind))
+		fatal(fmt.Errorf("only hnsw graphs are persisted (exact rebuilds quickly); got -index %s", cfg.Kind))
 	}
 	f, err := os.Open(*modelF)
 	if err != nil {

@@ -4,7 +4,6 @@
 //
 //	visualize -graph graph.txt -out drawing.svg          force layout
 //	visualize -vectors vecs.txt -out scatter.svg         PCA scatter
-//	visualize -vectors vecs.txt -tsne -out scatter.svg   t-SNE scatter
 //
 // An optional -labels file (one label per line, vertex order) colours
 // the points by category.
@@ -26,8 +25,7 @@ func main() {
 		vecF    = flag.String("vectors", "", "word2vec text file to project")
 		labelsF = flag.String("labels", "", "category labels, one per line (optional)")
 		out     = flag.String("out", "", "output SVG (required)")
-		useTSNE = flag.Bool("tsne", false, "project with t-SNE instead of PCA")
-		iters   = flag.Int("iters", 200, "layout / t-SNE iterations")
+		iters   = flag.Int("iters", 200, "layout iterations")
 		title   = flag.String("title", "", "plot title")
 		seed    = flag.Uint64("seed", 1, "random seed")
 	)
@@ -85,19 +83,11 @@ func main() {
 		fatal(err)
 	}
 	rows := model.Rows()
-	var pts [][]float64
-	if *useTSNE {
-		pts, err = v2v.TSNE(rows, v2v.TSNEConfig{Iterations: *iters, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		pca, err := v2v.PCAOf(rows, 2, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		pts = pca.TransformAll(rows)
+	pca, err := v2v.PCAOf(rows, 2, *seed)
+	if err != nil {
+		fatal(err)
 	}
+	pts := pca.TransformAll(rows)
 	xs := make([]float64, len(pts))
 	ys := make([]float64, len(pts))
 	for i, p := range pts {

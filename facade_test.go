@@ -133,66 +133,6 @@ func TestSilhouetteAndChooseKThroughFacade(t *testing.T) {
 	}
 }
 
-func TestWalktrapAndSpectralThroughFacade(t *testing.T) {
-	g, truth := CommunityBenchmark(BenchmarkConfig{
-		NumCommunities: 4, CommunitySize: 20, Alpha: 0.7, InterEdges: 10, Seed: 41,
-	})
-	wt, err := Walktrap(g, WalktrapConfig{TargetK: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, r, _ := EvaluateCommunities(truth, wt.Partition); p < 0.9 || r < 0.9 {
-		t.Fatalf("Walktrap facade: %.2f/%.2f", p, r)
-	}
-	sp, err := SpectralCommunities(g, SpectralCommunitiesConfig{K: 4, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, r, _ := EvaluateCommunities(truth, sp); p < 0.9 || r < 0.9 {
-		t.Fatalf("Spectral facade: %.2f/%.2f", p, r)
-	}
-	emb, err := SpectralEmbed(g, 4, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(emb.Coordinates) != g.NumVertices() {
-		t.Fatal("spectral embedding shape wrong")
-	}
-}
-
-// TestEmbeddingFamilyComparison runs the three embedding-flavoured
-// detectors (V2V, spectral, Walktrap) on one graph — the library's
-// own mini-survey of walk-based community detection.
-func TestEmbeddingFamilyComparison(t *testing.T) {
-	g, truth := miniBenchmark(0.6, 44)
-	opts := miniOptions(16)
-	emb, err := Embed(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2vRes, err := emb.DetectCommunities(CommunityConfig{K: 5, Restarts: 20, Seed: 45})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wt, err := Walktrap(g, WalktrapConfig{TargetK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := SpectralCommunities(g, SpectralCommunitiesConfig{K: 5, Seed: 46})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, part := range map[string][]int{
-		"v2v": v2vRes.Partition, "walktrap": wt.Partition, "spectral": sp,
-	} {
-		p, r, _ := EvaluateCommunities(truth, part)
-		t.Logf("%s: %.3f/%.3f", name, p, r)
-		if p < 0.8 || r < 0.8 {
-			t.Errorf("%s below 0.8: %.3f/%.3f", name, p, r)
-		}
-	}
-}
-
 func TestPCAOfAndBarChart(t *testing.T) {
 	rows := [][]float64{{1, 0, 0}, {2, 0, 0}, {3, 0.1, 0}, {4, 0, 0.1}}
 	pca, err := PCAOf(rows, 2, 39)

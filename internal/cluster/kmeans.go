@@ -4,11 +4,9 @@
 // communities (Section III: "we repeat the algorithm 100 times and
 // choose the best solution").
 //
-// Restarts are parallelised over the worker pool. When there are
-// fewer restarts than workers (the IVF coarse quantizer runs one), the
-// spare workers parallelise each restart's assignment step over
-// points; SSE is still summed serially in point order, so the result
-// never depends on the worker count.
+// Restarts are parallelised over the worker pool, at most one worker
+// per restart; each restart runs serially on its own seeded stream,
+// so the result never depends on the worker count.
 package cluster
 
 import (
@@ -33,7 +31,7 @@ type Config struct {
 	// otherwise.
 	PlusPlus bool
 	Seed     uint64
-	Workers  int // 0 = GOMAXPROCS
+	Workers  int // restarts run in parallel, up to one per restart; 0 = GOMAXPROCS
 }
 
 // DefaultConfig mirrors the paper's clustering setup: k clusters,
@@ -83,10 +81,7 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pointWorkers := workers / cfg.Restarts
-	if workers > cfg.Restarts {
-		workers = cfg.Restarts
-	}
+	workers = min(workers, cfg.Restarts)
 
 	results := make([]*Result, cfg.Restarts)
 	var wg sync.WaitGroup
@@ -103,7 +98,7 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 			defer wg.Done()
 			for r := range next {
 				rng := xrand.NewStream(cfg.Seed, uint64(r))
-				results[r] = lloyd(points, cfg, pointWorkers, rng)
+				results[r] = lloyd(points, cfg, rng)
 			}
 		}()
 	}
@@ -119,9 +114,8 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 	return best, nil
 }
 
-// lloyd runs one seeded Lloyd descent, its assignment step split
-// over pointWorkers goroutines.
-func lloyd(points [][]float64, cfg Config, pointWorkers int, rng *xrand.RNG) *Result {
+// lloyd runs one seeded Lloyd descent.
+func lloyd(points [][]float64, cfg Config, rng *xrand.RNG) *Result {
 	n := len(points)
 	d := len(points[0])
 	k := cfg.K
@@ -149,17 +143,15 @@ func lloyd(points [][]float64, cfg Config, pointWorkers int, rng *xrand.RNG) *Re
 	for iters < cfg.MaxIter {
 		iters++
 		// Assignment step.
-		parallelRange(n, pointWorkers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				bestC, bestD := 0, math.Inf(1)
-				for c, ctr := range centers {
-					if d := linalg.SquaredDistance(points[i], ctr); d < bestD {
-						bestC, bestD = c, d
-					}
+		for i, p := range points {
+			bestC, bestD := 0, math.Inf(1)
+			for c, ctr := range centers {
+				if d := linalg.SquaredDistance(p, ctr); d < bestD {
+					bestC, bestD = c, d
 				}
-				assign[i], dist[i] = bestC, bestD
 			}
-		})
+			assign[i], dist[i] = bestC, bestD
+		}
 		sse = 0
 		for _, d := range dist {
 			sse += d
@@ -207,24 +199,6 @@ func lloyd(points [][]float64, cfg Config, pointWorkers int, rng *xrand.RNG) *Re
 		SSE:         sse,
 		Iterations:  iters,
 	}
-}
-
-// parallelRange splits [0, n) across workers and blocks until done.
-func parallelRange(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	workers = min(workers, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(w*n/workers, (w+1)*n/workers)
-	}
-	wg.Wait()
 }
 
 // seedPlusPlus fills centers with the k-means++ D^2-weighted seeding

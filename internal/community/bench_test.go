@@ -51,28 +51,6 @@ func BenchmarkEdgeBetweenness(b *testing.B) {
 	}
 }
 
-// BenchmarkLouvain measures the fast modern baseline.
-func BenchmarkLouvain(b *testing.B) {
-	g, _ := benchCommunityGraph(b, 100, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Louvain(g, LouvainConfig{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLabelPropagation measures LPA sweeps.
-func BenchmarkLabelPropagation(b *testing.B) {
-	g, _ := benchCommunityGraph(b, 100, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LabelPropagation(g, LabelPropagationConfig{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkModularity measures the quality function itself.
 func BenchmarkModularity(b *testing.B) {
 	g, truth := benchCommunityGraph(b, 100, 0.5)

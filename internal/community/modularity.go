@@ -2,8 +2,8 @@
 // detection algorithms the paper compares V2V against: the CNM greedy
 // modularity algorithm (Clauset, Newman, Moore 2004) and the
 // Girvan-Newman edge-betweenness algorithm (2002, with Brandes-style
-// betweenness accumulation), plus Louvain and label propagation as
-// modern extensions, and the modularity quality function itself.
+// betweenness accumulation), and the modularity quality function
+// itself.
 package community
 
 import (

@@ -29,9 +29,9 @@ type Config struct {
 
 	// Index selects the similarity index the embedding's query paths
 	// (Neighbors, missing-label prediction) are served by. The zero
-	// value is the exact index; Kind = vecstore.KindIVF trades exact
-	// results for nprobe-pruned approximate search. The metric is
-	// always cosine, the paper's similarity. See docs/VECTORS.md.
+	// value is the exact index; Kind = vecstore.KindHNSW trades exact
+	// results for sublinear graph search. The metric is always cosine,
+	// the paper's similarity. See docs/VECTORS.md.
 	Index vecstore.Config
 }
 
@@ -89,8 +89,8 @@ func (e *Embedding) VectorIndex() (vecstore.Index, error) {
 
 // InvalidateIndex drops the cached similarity index (and the model's
 // own store/norm caches) after the embedding vectors were mutated —
-// an IVF index would otherwise keep serving cell assignments computed
-// from the old geometry. Like the mutation itself, it must not run
+// an HNSW index would otherwise keep serving a graph linked over the
+// old geometry. Like the mutation itself, it must not run
 // concurrently with queries.
 func (e *Embedding) InvalidateIndex() {
 	e.idxMu.Lock()
@@ -100,8 +100,8 @@ func (e *Embedding) InvalidateIndex() {
 }
 
 // Neighbors returns the k vertices most cosine-similar to v through
-// the configured index — exact by default, nprobe-pruned when the
-// embedding was configured with an IVF index.
+// the configured index — exact by default, approximate when the
+// embedding was configured with an HNSW index.
 func (e *Embedding) Neighbors(v, k int) ([]word2vec.Neighbor, error) {
 	idx, err := e.VectorIndex()
 	if err != nil {
@@ -282,7 +282,7 @@ func (e *Embedding) CrossValidateLabels(labels []int, k, folds int, seed uint64)
 // PredictLabels trains a k-NN classifier on the vertices with label
 // >= 0 and predicts a label for every vertex with label < 0,
 // returning the completed label slice (the paper's missing-data
-// recovery scenario). When the embedding is configured with an IVF
+// recovery scenario). When the embedding is configured with an HNSW
 // index (Config.Index), prediction searches approximately through it.
 func (e *Embedding) PredictLabels(labels []int, k int) ([]int, error) {
 	if len(labels) != e.Model.Vocab {

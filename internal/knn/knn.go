@@ -8,7 +8,7 @@
 // store with cached norms, and queries use bounded top-k selection —
 // O(n log k) per query instead of scoring plus sorting all n training
 // points — through a pluggable index (exact by default, optionally
-// IVF for approximate prediction at scale). Distance evaluation
+// HNSW for approximate prediction at scale). Distance evaluation
 // accumulates in float64 in the same order as the historical
 // [][]float64 code, so on float32-representable inputs — embeddings,
 // which are born float32 — exact-index predictions are bit-for-bit
@@ -21,7 +21,6 @@ package knn
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"v2v/internal/vecstore"
 	"v2v/internal/xrand"
@@ -79,13 +78,6 @@ type Classifier struct {
 	store  *vecstore.Store
 	labels []int
 	index  vecstore.Index
-
-	// Exact fallback for queries an approximate index answers with
-	// zero candidates (e.g. all probed IVF cells empty); built
-	// lazily, the training set is never empty so it always yields a
-	// vote.
-	fallbackMu sync.Mutex
-	fallback   *vecstore.Exact
 }
 
 // NewClassifier stores the labelled training points, converting the
@@ -122,9 +114,11 @@ func NewClassifierStore(k int, dist Distance, s *vecstore.Store, labels []int) *
 }
 
 // UseIndex replaces the default exact index with the one described by
-// cfg (the metric is forced to the classifier's distance). An IVF
+// cfg (the metric is forced to the classifier's distance). An HNSW
 // index makes prediction approximate but sub-linear in the training
-// set size; see docs/VECTORS.md.
+// set size; see docs/INDEXES.md. The training store is never empty
+// and holds no tombstones, so every index answers each query with at
+// least one row to vote.
 func (c *Classifier) UseIndex(cfg vecstore.Config) error {
 	cfg.Metric = c.Distance.metric()
 	idx, err := vecstore.Open(c.store, cfg)
@@ -143,25 +137,7 @@ func (c *Classifier) Predict(x []float64) int {
 	for i, v := range x {
 		q[i] = float32(v)
 	}
-	res := c.index.Search(q, c.K)
-	if len(res) == 0 {
-		res = c.exactFallback().Search(q, c.K)
-	}
-	return c.vote(res)
-}
-
-// exactFallback returns (building on first use) the exact index used
-// when the configured index returns no candidates.
-func (c *Classifier) exactFallback() *vecstore.Exact {
-	if e, ok := c.index.(*vecstore.Exact); ok {
-		return e
-	}
-	c.fallbackMu.Lock()
-	defer c.fallbackMu.Unlock()
-	if c.fallback == nil {
-		c.fallback = vecstore.NewExact(c.store, c.Distance.metric(), 0)
-	}
-	return c.fallback
+	return c.vote(c.index.Search(q, c.K))
 }
 
 // PredictAll classifies every query through the index's batch path.
@@ -192,9 +168,6 @@ func (c *Classifier) PredictRows(qs [][]float32) []int { return c.predictBatch(q
 func (c *Classifier) predictBatch(qs [][]float32) []int {
 	out := make([]int, len(qs))
 	for i, res := range c.index.SearchBatch(qs, c.K) {
-		if len(res) == 0 {
-			res = c.exactFallback().Search(qs[i], c.K)
-		}
 		out[i] = c.vote(res)
 	}
 	return out

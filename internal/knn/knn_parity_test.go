@@ -210,9 +210,9 @@ func TestCrossValidateStoreMatchesRowPath(t *testing.T) {
 	}
 }
 
-// TestUseIndexIVF checks approximate prediction stays accurate on
+// TestUseIndexHNSW checks approximate prediction stays accurate on
 // separable data.
-func TestUseIndexIVF(t *testing.T) {
+func TestUseIndexHNSW(t *testing.T) {
 	rng := xrand.New(103)
 	var pts [][]float64
 	var labels []int
@@ -224,7 +224,7 @@ func TestUseIndexIVF(t *testing.T) {
 		}
 	}
 	clf := NewClassifier(3, Euclidean, pts, labels)
-	if err := clf.UseIndex(vecstore.Config{Kind: vecstore.KindIVF, NLists: 6, NProbe: 3, Seed: 5}); err != nil {
+	if err := clf.UseIndex(vecstore.Config{Kind: vecstore.KindHNSW, M: 4, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
@@ -234,7 +234,7 @@ func TestUseIndexIVF(t *testing.T) {
 		}
 	}
 	if acc := float64(correct) / float64(len(pts)); acc < 0.95 {
-		t.Fatalf("IVF-backed accuracy %.3f on separable data", acc)
+		t.Fatalf("HNSW-backed accuracy %.3f on separable data", acc)
 	}
 	if err := clf.UseIndex(vecstore.Config{Kind: vecstore.Kind(9)}); err == nil {
 		t.Fatal("unknown index kind accepted")

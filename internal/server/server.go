@@ -1617,7 +1617,7 @@ func validateUpsert(st *modelState, rec *wal.Record) error {
 // applyUpsert performs one validated upsert under st's writer lock:
 // an existing vertex's row is tombstoned and the new vector is
 // appended and indexed (in-place overwrites would silently corrupt
-// HNSW/IVF structure; tombstone-and-reinsert keeps every index
+// HNSW structure; tombstone-and-reinsert keeps every index
 // coherent). The token table grows in step with the rows so row IDs
 // and token slots stay aligned. The context bounds remote shard RPCs
 // in router mode; in-process shards ignore it.

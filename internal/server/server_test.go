@@ -358,19 +358,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestIVFIndexServing(t *testing.T) {
-	_, hs := newTestServer(t, Config{
-		Index: vecstore.Config{Kind: vecstore.KindIVF, Seed: 1},
-	}, 300, 16)
-	var out NeighborsResponse
-	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=v10&k=5", &out); code != 200 {
-		t.Fatalf("ivf neighbors status %d", code)
-	}
-	if len(out.Neighbors) != 5 {
-		t.Fatalf("ivf returned %d neighbors", len(out.Neighbors))
-	}
-}
-
 // TestHNSWPrebuiltGraphServing covers the bundled-graph fast path:
 // a server configured for HNSW must bind the snapshot's index graph
 // (startup and reload) and answer neighbor queries identically to an
@@ -606,13 +593,9 @@ func vec(dim int, lead ...float32) []float32 {
 // vertices' neighbor lists — on the very next query, with no
 // /v1/reload, including through the response cache.
 func TestUpsertVisibleWithoutReload(t *testing.T) {
-	for _, kind := range []vecstore.Kind{vecstore.KindExact, vecstore.KindIVF, vecstore.KindHNSW} {
+	for _, kind := range []vecstore.Kind{vecstore.KindExact, vecstore.KindHNSW} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := Config{CacheSize: 256, Index: vecstore.Config{Kind: kind, Seed: 1}}
-			if kind == vecstore.KindIVF {
-				cfg.Index.NLists = 8
-				cfg.Index.NProbe = 8
-			}
 			if kind == vecstore.KindHNSW {
 				cfg.Index.M = 8
 				cfg.Index.EfConstruction = 60

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"v2v/internal/xrand"
 )
@@ -385,55 +384,6 @@ func BenchmarkSearchHNSWBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.SearchBatch(qs, 10)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
-}
-
-// BenchmarkSearchIVF is the inverted file over the clustered store
-// BenchmarkSearchHNSW searches, one cosine top-10 per op, at nprobe 1,
-// 2 and the default (nlists/4); recall@10 against the exact index is
-// on each line, and build-s is the one build the three share.
-func BenchmarkSearchIVF(b *testing.B) {
-	s, qs := clusteredBenchSetup(b)
-	start := time.Now()
-	ivf, err := NewIVF(s, Cosine, IVFConfig{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	build := time.Since(start)
-	for _, nprobe := range []int{1, 2, ivf.nprobe} {
-		name := fmt.Sprintf("nprobe=%d", nprobe)
-		if nprobe == ivf.nprobe {
-			name = "nprobe=default"
-		}
-		b.Run(name, func(b *testing.B) {
-			saved := ivf.nprobe
-			ivf.nprobe = nprobe
-			defer func() { ivf.nprobe = saved }()
-			// The clustered store's own query sample (seed 103).
-			recall := recallVsExact(b, s, ivf, 10, len(qs), 103)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ivf.Search(qs[i%len(qs)], 10)
-			}
-			b.ReportMetric(recall, "recall@10")
-			b.ReportMetric(build.Seconds(), "build-s")
-		})
-	}
-}
-
-// BenchmarkSearchIVFBatch is the approximate batched path.
-func BenchmarkSearchIVFBatch(b *testing.B) {
-	s, qs := queryBenchSetup(b)
-	ivf, err := NewIVF(s, Cosine, IVFConfig{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ivf.SearchBatch(qs, 10)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
 }

@@ -72,9 +72,9 @@ func waveSize(linked int) int {
 // exponentially sparser samples used for coarse routing and layer 0
 // holds every row. A query greedily descends to layer 0, then runs a
 // bounded best-first beam (efSearch) there. Search cost grows roughly
-// logarithmically with the store size — sublinear where Exact and IVF
-// stay linear in rows and cells respectively — at the price of
-// approximate results and an O(n log n) build.
+// logarithmically with the store size — sublinear where Exact stays
+// linear in rows — at the price of approximate results and an
+// O(n log n) build.
 //
 // Build runs on Workers goroutines and is deterministic for a fixed
 // seed whatever their number (see link); queries are safe for

@@ -456,23 +456,15 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value", Config{}, false},
 		{"exact dot", Config{Kind: KindExact, Metric: Dot}, false},
 		{"exact with seed", Config{Kind: KindExact, Seed: 42}, false},
-		{"ivf defaults", Config{Kind: KindIVF}, false},
-		{"ivf tuned", Config{Kind: KindIVF, NLists: 100, NProbe: 10}, false},
 		{"hnsw defaults", Config{Kind: KindHNSW}, false},
 		{"hnsw tuned", Config{Kind: KindHNSW, Metric: Euclidean, M: 32, EfConstruction: 400, EfSearch: 256}, false},
 		{"unknown kind", Config{Kind: Kind(9)}, true},
+		{"kind past hnsw", Config{Kind: KindHNSW + 1}, true},
 		{"unknown metric", Config{Metric: Metric(9)}, true},
 		{"negative workers", Config{Workers: -1}, true},
-		{"negative nlists", Config{Kind: KindIVF, NLists: -4}, true},
-		{"negative nprobe", Config{Kind: KindIVF, NProbe: -1}, true},
 		{"negative m", Config{Kind: KindHNSW, M: -16}, true},
 		{"negative efsearch", Config{Kind: KindHNSW, EfSearch: -1}, true},
-		{"nprobe above nlists", Config{Kind: KindIVF, NLists: 4, NProbe: 5}, true},
-		{"nprobe without nlists ok", Config{Kind: KindIVF, NProbe: 7}, false},
-		{"ivf params on exact", Config{Kind: KindExact, NProbe: 2}, true},
-		{"ivf params on hnsw", Config{Kind: KindHNSW, NLists: 8}, true},
 		{"hnsw params on exact", Config{Kind: KindExact, EfSearch: 64}, true},
-		{"hnsw params on ivf", Config{Kind: KindIVF, M: 16}, true},
 	}
 	s := randStore(30, 4, 139)
 	for _, tc := range cases {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"v2v/internal/f32"
 )
@@ -47,11 +48,6 @@ const (
 	// rest. Results are exact and bit-for-bit identical to the seed's
 	// brute-force paths.
 	KindExact Kind = iota
-	// KindIVF prunes the scan with an inverted-file index: a k-means
-	// coarse quantizer assigns rows to NLists cells and queries probe
-	// only the NProbe closest cells. Approximate; recall is tuned by
-	// NProbe (see docs/VECTORS.md).
-	KindIVF
 	// KindHNSW routes through a hierarchical navigable small world
 	// graph: greedy descent through sparse upper layers, then a
 	// bounded EfSearch beam at layer 0. Approximate with sublinear
@@ -64,8 +60,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindExact:
 		return "exact"
-	case KindIVF:
-		return "ivf"
 	case KindHNSW:
 		return "hnsw"
 	default:
@@ -83,15 +77,9 @@ type Config struct {
 	// 0 means GOMAXPROCS.
 	Workers int
 
-	// NLists is the number of IVF cells (0 = sqrt(n) heuristic).
-	NLists int
-	// NProbe is the number of cells scanned per IVF query
-	// (0 = max(1, NLists/4), which lands >= 0.95 recall@10 on the
-	// paper-scale graphs; raise it toward NLists for higher recall).
-	NProbe int
-	// Seed drives index construction randomness (the IVF k-means
-	// quantizer, HNSW level sampling). Builds are deterministic for a
-	// fixed seed regardless of Workers.
+	// Seed drives index construction randomness (HNSW level
+	// sampling). Builds are deterministic for a fixed seed regardless
+	// of Workers.
 	Seed uint64
 
 	// M is the HNSW per-level degree target (0 = 16).
@@ -112,14 +100,14 @@ type Config struct {
 
 // Validate reports, with a descriptive error, why the configuration
 // cannot build an index: an unknown kind or metric, a negative
-// parameter, a parameter that belongs to a different index kind, or an
-// inconsistent IVF probe count. The zero value (serial exact cosine)
-// is always valid; Open validates before building.
+// parameter, or a parameter that belongs to a different index kind.
+// The zero value (serial exact cosine) is always valid; Open validates
+// before building.
 func (c Config) Validate() error {
 	switch c.Kind {
-	case KindExact, KindIVF, KindHNSW:
+	case KindExact, KindHNSW:
 	default:
-		return fmt.Errorf("vecstore: unknown index kind %v (valid: exact, ivf, hnsw)", c.Kind)
+		return fmt.Errorf("vecstore: unknown index kind %v (valid: exact, hnsw)", c.Kind)
 	}
 	switch c.Metric {
 	case Cosine, Dot, Euclidean:
@@ -131,8 +119,6 @@ func (c Config) Validate() error {
 		v    int
 	}{
 		{"Workers", c.Workers},
-		{"NLists", c.NLists},
-		{"NProbe", c.NProbe},
 		{"M", c.M},
 		{"EfConstruction", c.EfConstruction},
 		{"EfSearch", c.EfSearch},
@@ -142,16 +128,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("vecstore: %s index: negative %s %d (0 selects the default)", c.Kind, p.name, p.v)
 		}
 	}
-	if c.Kind != KindIVF && (c.NLists != 0 || c.NProbe != 0) {
-		return fmt.Errorf("vecstore: NLists/NProbe are IVF parameters but Kind is %s (got NLists=%d NProbe=%d)",
-			c.Kind, c.NLists, c.NProbe)
-	}
 	if c.Kind != KindHNSW && (c.M != 0 || c.EfConstruction != 0 || c.EfSearch != 0) {
 		return fmt.Errorf("vecstore: M/EfConstruction/EfSearch are HNSW parameters but Kind is %s (got M=%d EfConstruction=%d EfSearch=%d)",
 			c.Kind, c.M, c.EfConstruction, c.EfSearch)
-	}
-	if c.Kind == KindIVF && c.NLists > 0 && c.NProbe > c.NLists {
-		return fmt.Errorf("vecstore: NProbe %d exceeds NLists %d (an IVF query cannot probe more cells than exist)", c.NProbe, c.NLists)
 	}
 	return nil
 }
@@ -177,7 +156,7 @@ type Index interface {
 }
 
 // MutableIndex is the online-write extension of Index: every index
-// this package builds (Exact, IVF, HNSW) implements it. Insert and
+// this package builds (Exact, HNSW) implements it. Insert and
 // Delete are safe to call concurrently with queries and each other —
 // each index serialises its mutations behind a writer lock while
 // queries proceed under a shared reader lock — so a serving layer can
@@ -185,9 +164,9 @@ type Index interface {
 //
 // Once a store is indexed mutably, grow and shrink it only through
 // these methods: a direct Store.AppendRow leaves the appended row
-// invisible to approximate indexes, and a Store.SetRow silently
-// invalidates their adjacency/cell structure — both are detected and
-// reported at the next query instead of returning wrong results.
+// invisible to HNSW, and a Store.SetRow silently invalidates its
+// adjacency — both are detected and reported at the next query instead
+// of returning wrong results.
 type MutableIndex interface {
 	Index
 	// Insert appends v as a new row of the underlying store and
@@ -213,13 +192,6 @@ func Open(s *Store, cfg Config) (Index, error) {
 		return OpenSharded(s, cfg)
 	}
 	switch cfg.Kind {
-	case KindIVF:
-		return NewIVF(s, cfg.Metric, IVFConfig{
-			NLists:  cfg.NLists,
-			NProbe:  cfg.NProbe,
-			Seed:    cfg.Seed,
-			Workers: cfg.Workers,
-		})
 	case KindHNSW:
 		return NewHNSW(s, cfg.Metric, HNSWConfig{
 			M:              cfg.M,
@@ -248,6 +220,28 @@ func normWorkers(w int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return w
+}
+
+// parallelRange splits [0, n) across workers and blocks until done.
+func parallelRange(n, workers int, fn func(lo, hi int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * n / workers
+		hi := (w + 1) * n / workers
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
 }
 
 // scoreRow scores a single row with the float64 kernels: the score

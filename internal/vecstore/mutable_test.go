@@ -19,10 +19,6 @@ func openKind(t *testing.T, s *Store, kind Kind) MutableIndex {
 		cfg.M = 8
 		cfg.EfConstruction = 60
 	}
-	if kind == KindIVF {
-		cfg.NLists = 8
-		cfg.NProbe = 8 // exhaustive probing: IVF results match exact
-	}
 	idx, err := OpenMutable(s, cfg)
 	if err != nil {
 		t.Fatalf("OpenMutable(%v): %v", kind, err)
@@ -110,7 +106,7 @@ func TestStoreDeleteTombstones(t *testing.T) {
 // write cycle: inserts become immediately searchable, deletes vanish
 // from results, and the error paths are descriptive.
 func TestMutableInsertDelete(t *testing.T) {
-	for _, kind := range []Kind{KindExact, KindIVF, KindHNSW} {
+	for _, kind := range []Kind{KindExact, KindHNSW} {
 		t.Run(kind.String(), func(t *testing.T) {
 			s := clusteredStore(400, 16, 10, 5)
 			idx := openKind(t, s, kind)
@@ -271,38 +267,9 @@ func TestIncrementalHNSWRecallParity(t *testing.T) {
 	}
 }
 
-// TestIVFInsertAssignsToNearestCell checks the incremental IVF path:
-// inserted rows are findable at NProbe=NLists (exhaustive probing),
-// and land in the same cell a rebuild would put them in for the
-// cosine (normalized-space) metric.
-func TestIVFInsertAssignsToNearestCell(t *testing.T) {
-	s := clusteredStore(600, 8, 6, 21)
-	idx := openKind(t, s, KindIVF).(*IVF)
-	rng := xrand.New(4)
-	for i := 0; i < 50; i++ {
-		v := make([]float32, 8)
-		for j := range v {
-			v[j] = float32(rng.NormFloat64() * 3)
-		}
-		id, err := idx.Insert(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := idx.Search(v, 1)
-		if len(res) != 1 || res[0].ID != id {
-			t.Fatalf("insert %d not retrievable: %+v", i, res)
-		}
-	}
-	// Zero-vector insert follows the build convention (stays zero in
-	// the normalized assignment space) and must not panic.
-	if _, err := idx.Insert(make([]float32, 8)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStaleIndexDetected is the mutation-safety satellite: an
-// in-place SetRow (or a bypassing append) after an approximate index
-// was built must fail loudly at the next query, not return silently
+// in-place SetRow (or a bypassing append) after an HNSW graph was
+// built must fail loudly at the next query, not return silently
 // wrong neighbors.
 func TestStaleIndexDetected(t *testing.T) {
 	mustPanic := func(t *testing.T, substr string, fn func()) {
@@ -318,20 +285,18 @@ func TestStaleIndexDetected(t *testing.T) {
 		}()
 		fn()
 	}
-	for _, kind := range []Kind{KindIVF, KindHNSW} {
-		t.Run(kind.String()+"/setrow", func(t *testing.T) {
-			s := clusteredStore(300, 8, 5, 2)
-			idx := openKind(t, s, kind)
-			s.SetRow(5, make([]float32, 8))
-			mustPanic(t, "SetRow", func() { idx.Search(s.Row(0), 3) })
-		})
-		t.Run(kind.String()+"/bypass-append", func(t *testing.T) {
-			s := clusteredStore(300, 8, 5, 2)
-			idx := openKind(t, s, kind)
-			s.AppendRow(make([]float32, 8))
-			mustPanic(t, "without MutableIndex.Insert", func() { idx.Search(s.Row(0), 3) })
-		})
-	}
+	t.Run("hnsw/setrow", func(t *testing.T) {
+		s := clusteredStore(300, 8, 5, 2)
+		idx := openKind(t, s, KindHNSW)
+		s.SetRow(5, make([]float32, 8))
+		mustPanic(t, "SetRow", func() { idx.Search(s.Row(0), 3) })
+	})
+	t.Run("hnsw/bypass-append", func(t *testing.T) {
+		s := clusteredStore(300, 8, 5, 2)
+		idx := openKind(t, s, KindHNSW)
+		s.AppendRow(make([]float32, 8))
+		mustPanic(t, "without MutableIndex.Insert", func() { idx.Search(s.Row(0), 3) })
+	})
 	// Exact tolerates SetRow (the scan reads current data and SetRow
 	// maintains the norm cache): no panic, fresh results.
 	s := clusteredStore(300, 8, 5, 2)
@@ -349,7 +314,7 @@ func TestStaleIndexDetected(t *testing.T) {
 // concurrent inserts, deletes and queries — the -race acceptance test
 // for the MutableIndex locking contract.
 func TestConcurrentMutationAndQuery(t *testing.T) {
-	for _, kind := range []Kind{KindExact, KindIVF, KindHNSW} {
+	for _, kind := range []Kind{KindExact, KindHNSW} {
 		t.Run(kind.String(), func(t *testing.T) {
 			const base = 300
 			s := clusteredStore(base, 8, 6, 9)

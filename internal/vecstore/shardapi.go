@@ -1,12 +1,12 @@
 package vecstore
 
 // This file is the cross-process face of the sharding subsystem: the
-// routing hash, the seed derivation, and the merge/kernel helpers a
-// remote scatter-gather tier needs to reproduce the in-process
-// coordinator's answers bit for bit. Everything here is a thin
-// exported wrapper over the internals Sharded itself uses — a router
-// and its shard processes calling these functions agree with a
-// single-process `Sharded` by construction, not by coincidence.
+// routing hash, the seed derivation, and the merge helpers a remote
+// scatter-gather tier needs to reproduce the in-process coordinator's
+// answers bit for bit, plus the per-row score kernel. Everything here
+// is a thin exported wrapper over the internals Sharded itself uses —
+// a router and its shard processes calling these functions agree with
+// a single-process `Sharded` by construction, not by coincidence.
 
 import "v2v/internal/f32"
 
@@ -38,21 +38,8 @@ func MergeRowTopK(perShard [][]Result, self, k int) []Result {
 	return mergeRowTopK(perShard, self, k)
 }
 
-// DotF64 is the float64-accumulating dot product kernel (same
-// accumulation order as Store.Dot), exported so a remote tier
-// computing pair scores over fetched rows matches the in-process
-// result bit for bit.
+// DotF64 is the float64-accumulating dot product kernel every index
+// scores a row with (same accumulation order as Store.Dot), exported
+// so a caller outside the package can time the per-row kernel on its
+// own.
 func DotF64(a, b []float32) float64 { return f32.DotF64(a, b) }
-
-// CosineFromDot finishes a cosine similarity from a precomputed dot
-// product and the two squared norms, with the store-wide zero-vector
-// convention: 0 when either norm is 0. Combined with DotF64 and the
-// squared norms a shard reports for its rows, it reproduces
-// Sharded.Cosine across a process boundary.
-func CosineFromDot(dot, sqNormA, sqNormB float64) float64 {
-	return cosineFromDot(dot, sqNormA, sqNormB)
-}
-
-// SqNormF64 accumulates v's squared L2 norm in float64, in row order —
-// the norm convention Store caches and every cosine kernel consumes.
-func SqNormF64(v []float32) float64 { return sqNorm(v) }

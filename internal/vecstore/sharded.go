@@ -125,7 +125,7 @@ func shardOf(id, n int) int {
 }
 
 // shardSeed decorrelates per-shard construction randomness (HNSW
-// level sampling, IVF k-means) while staying deterministic in
+// level sampling) while staying deterministic in
 // (cfg.Seed, shard).
 func shardSeed(seed uint64, shard int) uint64 {
 	return seed + uint64(shard)*0x9e3779b97f4a7c15
@@ -136,9 +136,7 @@ func shardSeed(seed uint64, shard int) uint64 {
 // unsharded server serves). The N per-shard builds run concurrently.
 // Tombstones in s carry over. A one-shard coordinator adopts s as its
 // shard's store, so s must from then on be written only through the
-// coordinator; wider partitions copy their rows out of s. IVF requires
-// every shard to receive at least one row, so it needs s.Len()
-// comfortably above cfg.Shards.
+// coordinator; wider partitions copy their rows out of s.
 func OpenSharded(s *Store, cfg Config) (*Sharded, error) {
 	return openSharded(s, cfg, func(_ int, st *Store, per Config) (MutableIndex, error) {
 		return OpenMutable(st, per)
@@ -208,13 +206,6 @@ func openSharded(s *Store, cfg Config, index func(sid int, st *Store, per Config
 		sid := shardOf(i, ns)
 		sh.locs[i] = shardLoc{shard: int32(sid), local: int32(len(ids[sid]))}
 		ids[sid] = append(ids[sid], i)
-	}
-	if cfg.Kind == KindIVF {
-		for sid, list := range ids {
-			if len(list) == 0 {
-				return nil, fmt.Errorf("vecstore: sharded IVF: shard %d of %d received no rows (store has %d); use fewer shards or a different kind", sid, ns, n)
-			}
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -557,8 +548,9 @@ func (sh *Sharded) compactShard(sid int) {
 		err := sh.compactLoop(sid, OpenMutable, time.Sleep)
 		vs.compacting.Store(false)
 		if err != nil {
-			// e.g. IVF over a now-empty shard; wait for the next
-			// threshold-crossing delete instead of spinning.
+			// The rebuild failed and the shard keeps its old index;
+			// wait for the next threshold-crossing delete instead of
+			// spinning.
 			return
 		}
 		// A delete may have crossed the threshold while this run was

@@ -107,7 +107,6 @@ func TestOneShardParity(t *testing.T) {
 	const n, dim = 3000, 16
 	for _, cfg := range []Config{
 		{Kind: KindExact, Workers: 2},
-		{Kind: KindIVF, NLists: 8, NProbe: 3, Seed: 5},
 		{Kind: KindHNSW, M: 4, EfConstruction: 20, Seed: 5},
 	} {
 		t.Run(cfg.Kind.String(), func(t *testing.T) {
@@ -471,11 +470,12 @@ func TestShardedCompactionStaleRebuild(t *testing.T) {
 // TestShardedHNSWAndIVF: the coordinator hosts approximate per-shard
 // indexes too — results are well-formed, exclude deletes, and inserts
 // are visible (recall quality is pinned by TestHNSWRecallAtLeast95).
+// The name predates the removal of the IVF kind; the hnsw leg is the
+// one that remains.
 func TestShardedHNSWAndIVF(t *testing.T) {
 	const n, dim = 400, 16
 	for _, cfg := range []Config{
 		{Kind: KindHNSW, Shards: 4, M: 8, EfConstruction: 40, Seed: 5},
-		{Kind: KindIVF, Shards: 4, NLists: 8, NProbe: 8, Seed: 5},
 	} {
 		t.Run(cfg.Kind.String(), func(t *testing.T) {
 			s := randStore(n, dim, 31)
@@ -512,10 +512,6 @@ func TestShardedHNSWAndIVF(t *testing.T) {
 				}
 			}
 		})
-	}
-	// IVF cannot shard an empty or too-small store into live shards.
-	if _, err := OpenSharded(New(0, 4), Config{Kind: KindIVF, Shards: 4}); err == nil {
-		t.Fatal("sharded IVF over empty store accepted")
 	}
 }
 

@@ -85,10 +85,9 @@ type Store struct {
 	deleted []bool
 	dead    int
 
-	// muts counts in-place row overwrites (SetRow). Graph- and
-	// cell-structured indexes snapshot it at build time and refuse to
-	// answer queries once it moves: an overwritten vector silently
-	// invalidates HNSW adjacency and IVF cell assignments, which no
+	// muts counts in-place row overwrites (SetRow). HNSW snapshots it
+	// at build time and refuses to answer queries once it moves: an
+	// overwritten vector silently invalidates its adjacency, which no
 	// norm-cache update can repair. Appends and deletes do not bump it
 	// — they are coherent index operations when routed through
 	// MutableIndex.

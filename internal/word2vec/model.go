@@ -126,7 +126,7 @@ func (m *Model) Neighbors(w, k int) []Neighbor {
 func (m *Model) MostSimilar(w, k int) []Neighbor { return m.Neighbors(w, k) }
 
 // NeighborsIndex answers a neighbor query through a caller-supplied
-// index (e.g. an IVF index for approximate search); w is excluded
+// index (e.g. an HNSW index for approximate search); w is excluded
 // from the results.
 func NeighborsIndex(idx vecstore.Index, w, k int) []Neighbor {
 	if k <= 0 {

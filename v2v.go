@@ -33,8 +33,6 @@ import (
 	"v2v/internal/openflights"
 	"v2v/internal/server"
 	"v2v/internal/snapshot"
-	"v2v/internal/spectral"
-	"v2v/internal/tsne"
 	"v2v/internal/vecstore"
 	"v2v/internal/viz"
 	"v2v/internal/walk"
@@ -153,9 +151,8 @@ type Options struct {
 
 	// Index selects the similarity index serving the embedding's
 	// query paths (Embedding.Neighbors, missing-label prediction):
-	// the zero value is the exact scan; {Kind: IVFIndex, NProbe: n}
-	// trades exactness for nprobe-pruned approximate search and
-	// {Kind: HNSWIndex} for sublinear graph search. See
+	// the zero value is the exact scan; {Kind: HNSWIndex} trades
+	// exactness for sublinear graph search. See
 	// docs/VECTORS.md and docs/INDEXES.md.
 	Index IndexConfig
 }
@@ -321,7 +318,7 @@ func indexGraphs(idx Index) ([]*vecstore.HNSWGraph, error) {
 	case *vecstore.Sharded:
 		return h.Graphs()
 	default:
-		return nil, fmt.Errorf("needs an HNSW index, got %T (exact and IVF indexes rebuild quickly and are not persisted)", idx)
+		return nil, fmt.Errorf("needs an HNSW index, got %T (exact indexes rebuild quickly and are not persisted)", idx)
 	}
 }
 
@@ -386,7 +383,7 @@ type VectorStore = vecstore.Store
 type Index = vecstore.Index
 
 // MutableIndex is the online-write extension of Index: Insert appends
-// and indexes a new vector (incrementally, even for HNSW and IVF) and
+// and indexes a new vector (incrementally, even for HNSW) and
 // Delete tombstones a row, both safe to call concurrently with
 // queries. Every index built by NewIndex, NewVectorIndex and
 // LoadIndexedSnapshot implements it — use AsMutableIndex to surface
@@ -412,9 +409,6 @@ const (
 	// bounded top-k heaps; results are exact (and bit-for-bit
 	// identical to the pre-index brute-force paths).
 	ExactIndex = vecstore.KindExact
-	// IVFIndex prunes the scan with a k-means coarse quantizer,
-	// probing only the NProbe closest cells; approximate.
-	IVFIndex = vecstore.KindIVF
 	// HNSWIndex routes queries through a hierarchical navigable small
 	// world graph: sublinear approximate search whose recall is tuned
 	// by M and EfSearch. The graph can be persisted alongside the
@@ -423,8 +417,8 @@ const (
 	HNSWIndex = vecstore.KindHNSW
 )
 
-// IndexConfig selects and tunes an index (kind, metric, IVF
-// NLists/NProbe, HNSW M/EfConstruction/EfSearch, workers, seed). The
+// IndexConfig selects and tunes an index (kind, metric, HNSW
+// M/EfConstruction/EfSearch, workers, seed). The
 // zero value is an exact cosine index; invalid combinations are
 // rejected with a descriptive error by every constructor (see
 // IndexConfig.Validate). docs/INDEXES.md is the selection and tuning
@@ -551,13 +545,6 @@ func PCAOf(rows [][]float64, k int, seed uint64) (*PCA, error) {
 	return linalg.FitPCA(rows, k, seed)
 }
 
-// TSNEConfig controls the t-SNE embedding.
-type TSNEConfig = tsne.Config
-
-// TSNE computes a t-SNE projection of arbitrary points (the paper
-// cites t-SNE alongside PCA for visualization).
-func TSNE(points [][]float64, cfg TSNEConfig) ([][]float64, error) { return tsne.Embed(points, cfg) }
-
 // KMeansConfig controls direct k-means clustering of points.
 type KMeansConfig = cluster.Config
 
@@ -635,57 +622,6 @@ type GNResult = community.GNResult
 // GirvanNewman runs the edge-betweenness community detection
 // algorithm, the paper's second direct graph-based baseline.
 func GirvanNewman(g *Graph, cfg GNConfig) (*GNResult, error) { return community.GirvanNewman(g, cfg) }
-
-// LouvainConfig controls the Louvain extension baseline.
-type LouvainConfig = community.LouvainConfig
-
-// LouvainResult is the outcome of a Louvain run.
-type LouvainResult = community.LouvainResult
-
-// Louvain runs Blondel et al.'s modularity optimisation (extension;
-// not in the paper's comparison).
-func Louvain(g *Graph, cfg LouvainConfig) (*LouvainResult, error) {
-	return community.Louvain(g, cfg)
-}
-
-// LabelPropagationConfig controls the LPA extension baseline.
-type LabelPropagationConfig = community.LabelPropagationConfig
-
-// LabelPropagation runs asynchronous label propagation (extension).
-func LabelPropagation(g *Graph, cfg LabelPropagationConfig) ([]int, error) {
-	return community.LabelPropagation(g, cfg)
-}
-
-// WalktrapConfig controls the Walktrap baseline.
-type WalktrapConfig = community.WalktrapConfig
-
-// WalktrapResult is the outcome of a Walktrap run.
-type WalktrapResult = community.WalktrapResult
-
-// Walktrap runs Pons & Latapy's random-walk community detection (the
-// paper's reference [14] and V2V's closest ancestor: it compares
-// t-step walk distributions directly instead of learning embeddings).
-func Walktrap(g *Graph, cfg WalktrapConfig) (*WalktrapResult, error) {
-	return community.Walktrap(g, cfg)
-}
-
-// SpectralEmbedding holds Laplacian-eigenmap coordinates per vertex.
-type SpectralEmbedding = spectral.Embedding
-
-// SpectralEmbed computes the k-dimensional spectral embedding of an
-// undirected graph — the classical linear-algebraic alternative to
-// V2V's learned embedding.
-func SpectralEmbed(g *Graph, k int, seed uint64) (*SpectralEmbedding, error) {
-	return spectral.Embed(g, k, seed)
-}
-
-// SpectralCommunitiesConfig controls SpectralCommunities.
-type SpectralCommunitiesConfig = spectral.CommunitiesConfig
-
-// SpectralCommunities performs Ng-Jordan-Weiss spectral clustering.
-func SpectralCommunities(g *Graph, cfg SpectralCommunitiesConfig) ([]int, error) {
-	return spectral.Communities(g, cfg)
-}
 
 // ---- Link prediction (extension; paper conclusion) ------------------
 
