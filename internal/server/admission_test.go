@@ -371,7 +371,7 @@ func TestEndpointClassMapping(t *testing.T) {
 		// The shard fan-out API: reads admit as reads (a router-side
 		// deadline must be honored under shard overload too), writes as
 		// writes.
-		"shard_search": classRead, "shard_scan": classRead,
+		"shard_search": classRead,
 		"shard_insert": classWrite, "shard_delete": classWrite,
 	}
 	for _, name := range endpointNames {

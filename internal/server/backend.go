@@ -92,8 +92,8 @@ type shardBackend interface {
 	// Analogy ranks rows by cosine similarity to
 	// vector(b) - vector(a) + vector(c), excluding the three query
 	// rows and tombstones — the exact float64 kernel of
-	// word2vec.AnalogyStore, scatter-gathered.
-	Analogy(ctx context.Context, a, b, c, k int, rec vecstore.SpanRecorder) ([]word2vec.Neighbor, searchMeta, error)
+	// word2vec.AnalogyStore, over every shard's rows.
+	Analogy(ctx context.Context, a, b, c, k int) ([]word2vec.Neighbor, error)
 	// PairScores scores every (u, v) pair with the link-prediction
 	// embedding score: dot when hadamard, else cosine (0 when either
 	// row is the zero vector) — /v1/similarity is the cosine.
@@ -156,11 +156,11 @@ func (lb *localBackend) SearchRows(ctx context.Context, ids []int, k int, rec ve
 	return res, searchMeta{}, nil
 }
 
-func (lb *localBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecstore.SpanRecorder) ([]word2vec.Neighbor, searchMeta, error) {
+func (lb *localBackend) Analogy(ctx context.Context, a, b, c, k int) ([]word2vec.Neighbor, error) {
 	if err := ctxExpired(ctx); err != nil {
-		return nil, searchMeta{}, err
+		return nil, err
 	}
-	return word2vec.AnalogySharded(lb.sh, a, b, c, k), searchMeta{}, nil
+	return word2vec.AnalogySharded(lb.sh, a, b, c, k), nil
 }
 
 func (lb *localBackend) PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error) {

@@ -3,27 +3,27 @@ package server
 // Router mode (Config.Router): the remoteBackend implementation of
 // shardBackend, talking HTTP to one shard process per partition, plus
 // the newRouter constructor. The router holds the token table and the
-// rows (every write flows through it); searches and exact scans come
-// from the shard fleet over the /shard/v1/* API (shard.go defines both
-// wire halves).
+// rows (every write flows through it); neighbour searches come from
+// the shard fleet over the /shard/v1/* API (shard.go defines both wire
+// halves), and every other read is scored from the router's rows.
 //
 // Fleet membership is health-checked: a prober GETs each shard's
 // /healthz on a fixed cadence and verifies the shard's identity block
 // (right shard ID, right partition width, right dimensionality, and
-// at least the rows the router has seen it acknowledge), so a
-// misconfigured process, or one restarted from its bundle after
-// acknowledged writes, reads as down instead of quietly merging wrong
-// or missing rows. An unhealthy shard is skipped before any RPC: with
-// AllowPartial the response says so explicitly (partial=true,
-// shards_answered=N), without it the read is a 503 — never a hang,
-// never a silently truncated answer.
+// at least the writes the router has seen it acknowledge in its
+// epoch), so a misconfigured process, or one restarted from its bundle
+// after acknowledged writes, reads as down instead of quietly merging
+// wrong, missing or deleted rows. An unhealthy shard is skipped before
+// any RPC: with AllowPartial the response says so explicitly
+// (partial=true, shards_answered=N), without it the read is a 503 —
+// never a hang, never a silently truncated answer.
 //
 // Parity with the in-process coordinator is by construction: the
 // shards run the same per-shard kernels over bit-identical slices
 // (snapshot.SliceShard), vectors cross the wire as their bits (shard.go,
 // "Fan-out wire types"), and the router merges with the exported
-// vecstore.MergeRowTopK / MergeTopK the coordinator itself uses, and
-// scores pairs with the same Store kernels.
+// vecstore.MergeRowTopK the coordinator itself uses, and scores pairs
+// and analogies with the same Store kernels.
 //
 // A neighbours query — one vertex or a batch — is one call per shard,
 // as in the in-process coordinator: every shard gets every query row
@@ -68,38 +68,29 @@ type remoteShard struct {
 
 	healthy       atomic.Bool
 	probeFailures atomic.Uint64
-	// assigned counts this shard's acknowledged rows (its bundle slice,
-	// then every acked insert); a probe finding fewer marks it down.
-	assigned atomic.Int64
+	// acked counts the writes, inserts and deletes, this shard has
+	// acknowledged to this router; a probe finding a lower epoch marks
+	// it down.
+	acked atomic.Uint64
 	// stat caches the occupancy block of the last successful probe, so
 	// /stats and /metrics never fan out.
 	stat atomic.Pointer[vecstore.ShardStat]
 }
 
 // remoteBackend implements shardBackend over a fleet of shard
-// processes. Liveness bookkeeping (rows assigned, tombstones) and the
-// rows themselves live here: every write flows through the router, so
-// occupancy reads and row reads never cross the network.
+// processes. The rows and their tombstones live here: every write
+// flows through the router, so occupancy reads and row reads never
+// cross the network.
 type remoteBackend struct {
 	shards []*remoteShard
 	dim    int
-	// store holds every global row by ID, tombstoned ones too. It grows
-	// in Insert, under the generation's writer lock; readers hold the
-	// reader lock.
+	// store holds every global row by ID, and tombstones the deleted
+	// ones. Insert and Delete change it under the generation's writer
+	// lock; readers hold the reader lock.
 	store        *vecstore.Store
 	timeout      time.Duration
 	allowPartial bool
 	log          *log.Logger
-
-	// rows is the next global ID to assign == rows ever assigned.
-	// Writers hold the generation's writer lock, so load-then-add in
-	// Insert is not a race; the atomic lets readers skip the lock.
-	rows atomic.Int64
-	dead atomic.Int64
-	// deleted tracks tombstoned global IDs (Deleted() must answer
-	// locally — it runs inside token resolution on every read).
-	delMu   sync.RWMutex
-	deleted map[int]bool
 
 	probeInterval time.Duration
 	stop          chan struct{}
@@ -131,9 +122,6 @@ func newRemoteBackend(cfg Config, store *vecstore.Store, logger *log.Logger) *re
 	if interval <= 0 {
 		interval = defaultProbeInterval
 	}
-	for id := 0; id < store.Len(); id++ {
-		shards[vecstore.ShardOf(id, len(shards))].assigned.Add(1)
-	}
 	rb := &remoteBackend{
 		shards:        shards,
 		dim:           store.Dim(),
@@ -141,11 +129,9 @@ func newRemoteBackend(cfg Config, store *vecstore.Store, logger *log.Logger) *re
 		timeout:       timeout,
 		allowPartial:  cfg.AllowPartial,
 		log:           logger,
-		deleted:       make(map[int]bool),
 		probeInterval: interval,
 		stop:          make(chan struct{}),
 	}
-	rb.rows.Store(int64(store.Len()))
 	// One synchronous probe round before serving: startup logs (and the
 	// first requests) see the real fleet state, not all-down defaults.
 	rb.probeAll()
@@ -192,9 +178,9 @@ func (rb *remoteBackend) probeAll() {
 func (rb *remoteBackend) probe(sh *remoteShard) {
 	ctx, cancel := context.WithTimeout(context.Background(), rb.probeInterval)
 	defer cancel()
-	// Read before the shard answers: a row acknowledged by then is
-	// already there, and a shard's row count never shrinks.
-	acked := sh.assigned.Load()
+	// Read before the shard answers: a write acknowledged by then is
+	// already in its epoch, which only a restart takes back.
+	acked := sh.acked.Load()
 	var hz healthzProbe
 	ok := false
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.addr+"/healthz", nil)
@@ -205,12 +191,13 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 				// Identity check: answering HTTP is not enough — the
 				// process must be the shard this slot is configured for,
 				// or its global IDs would merge as garbage, and it must
-				// hold every row it acknowledged, or its answers would
-				// silently miss them. More rows than that is an insert in
-				// flight or one whose acknowledgment was lost (filterKnown).
+				// hold every write it acknowledged, or its answers would
+				// silently miss inserted rows or serve deleted ones. A
+				// higher epoch is a write in flight or one whose
+				// acknowledgment was lost (filterKnown).
 				ok = hz.Shard != nil && hz.Shard.ID == sh.sid &&
 					hz.Shard.Of == len(rb.shards) && hz.Dim == rb.dim &&
-					int64(hz.Shard.Rows) >= acked
+					hz.Shard.Epoch >= acked
 			}
 			resp.Body.Close()
 		}
@@ -236,15 +223,15 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 
 // ---- RPC plumbing ---------------------------------------------------
 
-// call is post with in marshalled as the JSON body and the reply
-// unmarshalled into out; a reply that does not decode is the shard's
-// failure, not the client's.
-func (rb *remoteBackend) call(ctx context.Context, sh *remoteShard, path string, in, out any, idempotent bool) error {
+// call is a write's post, with in marshalled as the JSON body and the
+// reply unmarshalled into out; a reply that does not decode is the
+// shard's failure, not the client's. Writes are never retried.
+func (rb *remoteBackend) call(ctx context.Context, sh *remoteShard, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	raw, err := rb.post(ctx, sh, path, body, idempotent)
+	raw, err := rb.post(ctx, sh, path, body, false)
 	if err != nil {
 		return err
 	}
@@ -327,14 +314,14 @@ func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string,
 // shard to "skipped" under AllowPartial — unless owners[sid]: that
 // shard owns one of the request's query rows, and a query is never
 // answered without its own row's shard (errOwnerDown).
-func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.SpanRecorder, owners []bool, fn func(ctx context.Context, sh *remoteShard) (T, error)) ([]T, searchMeta, error) {
+func (rb *remoteBackend) scatterShards(ctx context.Context, rec vecstore.SpanRecorder, owners []bool, fn func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error)) ([][][]vecstore.Result, searchMeta, error) {
 	type done struct {
 		sid int
-		val T
+		val [][]vecstore.Result
 		dur time.Duration
 		err error
 	}
-	out := make([]T, len(rb.shards))
+	out := make([][][]vecstore.Result, len(rb.shards))
 	// Buffered to the fleet width: abandoned goroutines park their
 	// result and exit instead of leaking.
 	ch := make(chan done, len(rb.shards))
@@ -342,7 +329,7 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 	for _, sh := range rb.shards {
 		if !sh.healthy.Load() {
 			switch {
-			case owners != nil && owners[sh.sid]:
+			case owners[sh.sid]:
 				return nil, searchMeta{}, errOwnerDown(sh)
 			case !rb.allowPartial:
 				return nil, searchMeta{}, errShardUnavailable(sh.sid, sh.addr, nil)
@@ -367,7 +354,7 @@ func scatterShards[T any](ctx context.Context, rb *remoteBackend, rec vecstore.S
 				if errors.As(d.err, &he) && he.code >= 400 && he.code < 500 {
 					return nil, searchMeta{}, d.err
 				}
-				if (owners != nil && owners[d.sid]) || !rb.allowPartial {
+				if owners[d.sid] || !rb.allowPartial {
 					return nil, searchMeta{}, d.err
 				}
 				continue
@@ -420,7 +407,7 @@ func (rb *remoteBackend) owners(ids ...int) ([]bool, error) {
 // insert whose acknowledgment was lost); serving it would index past
 // the token table. Lists are filtered in place, preserving order.
 func (rb *remoteBackend) filterKnown(per [][]vecstore.Result) [][]vecstore.Result {
-	horizon := int(rb.rows.Load())
+	horizon := rb.store.Len()
 	for sid, list := range per {
 		keep := list[:0]
 		for _, h := range list {
@@ -435,18 +422,15 @@ func (rb *remoteBackend) filterKnown(per [][]vecstore.Result) [][]vecstore.Resul
 
 // ---- shardBackend ---------------------------------------------------
 
+// The occupancy accessors read rb.store, so their callers hold the
+// generation lock like every other reader of it.
 func (rb *remoteBackend) Dim() int  { return rb.dim }
-func (rb *remoteBackend) Rows() int { return int(rb.rows.Load()) }
-func (rb *remoteBackend) Live() int { return rb.Rows() - rb.Dead() }
-func (rb *remoteBackend) Dead() int { return int(rb.dead.Load()) }
+func (rb *remoteBackend) Rows() int { return rb.store.Len() }
+func (rb *remoteBackend) Live() int { return rb.store.Live() }
+func (rb *remoteBackend) Dead() int { return rb.store.Dead() }
 
 func (rb *remoteBackend) Deleted(id int) bool {
-	if id < 0 || id >= rb.Rows() {
-		return true
-	}
-	rb.delMu.RLock()
-	defer rb.delMu.RUnlock()
-	return rb.deleted[id]
+	return id < 0 || id >= rb.store.Len() || rb.store.Deleted(id)
 }
 
 func (rb *remoteBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
@@ -463,7 +447,7 @@ func (rb *remoteBackend) SearchRows(ctx context.Context, ids []int, k int, rec v
 		qs[p] = rb.store.Row(id)
 	}
 	body := appendSearchFrame(nil, k+1, qs)
-	per, meta, err := scatterShards(ctx, rb, rec, owners, func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error) {
+	per, meta, err := rb.scatterShards(ctx, rec, owners, func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error) {
 		raw, err := rb.post(ctx, sh, "/shard/v1/search", body, true)
 		if err != nil {
 			return nil, err
@@ -495,40 +479,13 @@ func (rb *remoteBackend) SearchRows(ctx context.Context, ids []int, k int, rec v
 	return out, meta, nil
 }
 
-func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int, rec vecstore.SpanRecorder) ([]word2vec.Neighbor, searchMeta, error) {
-	if k <= 0 {
-		return nil, searchMeta{}, nil
-	}
+// Analogy needs only its query rows' owners up, like PairScores: it
+// scans the router's live rows with Model.Analogy's kernel.
+func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int) ([]word2vec.Neighbor, error) {
 	if _, err := rb.owners(a, b, c); err != nil {
-		return nil, searchMeta{}, err
+		return nil, err
 	}
-	va, vb, vc := rb.store.Row(a), rb.store.Row(b), rb.store.Row(c)
-	// The exact float64 target of word2vec.AnalogyStore; shards
-	// recompute its norm from these exactly-transported values, so the
-	// distributed kernel is the in-process kernel.
-	target := make([]float64, rb.dim)
-	for i := range target {
-		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
-	}
-	req := shardScanRequest{Target: packVec(target), Exclude: []int{a, b, c}, K: k}
-	per, meta, err := scatterShards(ctx, rb, rec, nil, func(ctx context.Context, sh *remoteShard) ([]vecstore.Result, error) {
-		var resp shardScanResponse
-		err := rb.call(ctx, sh, "/shard/v1/scan", req, &resp, true)
-		return resp.Results, err
-	})
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	start := time.Now()
-	merged := vecstore.MergeTopK(rb.filterKnown(per), k)
-	ns := make([]word2vec.Neighbor, len(merged))
-	for i, r := range merged {
-		ns[i] = word2vec.Neighbor{Word: r.ID, Similarity: r.Score}
-	}
-	if rec != nil {
-		rec("merge", time.Since(start))
-	}
-	return ns, meta, nil
+	return word2vec.AnalogyStore(rb.store, a, b, c, k), nil
 }
 
 func (rb *remoteBackend) PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error) {
@@ -543,9 +500,9 @@ func (rb *remoteBackend) PairScores(ctx context.Context, pairs [][2]int, hadamar
 }
 
 func (rb *remoteBackend) Insert(ctx context.Context, token string, v []float32) (int, error) {
-	// The caller holds the generation's writer lock, so the
-	// load-then-add is not a race: this ID is ours to assign.
-	id := int(rb.rows.Load())
+	// The caller holds the generation's writer lock, so this ID is ours
+	// to assign.
+	id := rb.store.Len()
 	sid := vecstore.ShardOf(id, len(rb.shards))
 	sh := rb.shards[sid]
 	if !sh.healthy.Load() {
@@ -553,12 +510,11 @@ func (rb *remoteBackend) Insert(ctx context.Context, token string, v []float32) 
 		return 0, errShardUnavailable(sid, sh.addr, errors.New("row owner must accept the write"))
 	}
 	var resp shardInsertResponse
-	if err := rb.call(ctx, sh, "/shard/v1/insert", shardInsertRequest{ID: id, Token: token, Vector: packVec(v)}, &resp, false); err != nil {
+	if err := rb.call(ctx, sh, "/shard/v1/insert", shardInsertRequest{ID: id, Token: token, Vector: packVec(v)}, &resp); err != nil {
 		return 0, err
 	}
 	rb.store.AppendRow(v)
-	sh.assigned.Add(1)
-	rb.rows.Add(1)
+	sh.acked.Add(1)
 	return id, nil
 }
 
@@ -569,16 +525,13 @@ func (rb *remoteBackend) Delete(ctx context.Context, id int) error {
 		return errShardUnavailable(sid, sh.addr, errors.New("row owner must accept the write"))
 	}
 	var resp shardDeleteResponse
-	if err := rb.call(ctx, sh, "/shard/v1/delete", shardDeleteRequest{ID: id}, &resp, false); err != nil {
+	if err := rb.call(ctx, sh, "/shard/v1/delete", shardDeleteRequest{ID: id}, &resp); err != nil {
 		return err
 	}
-	rb.delMu.Lock()
-	if !rb.deleted[id] {
-		rb.deleted[id] = true
-		rb.dead.Add(1)
-	}
-	rb.delMu.Unlock()
-	return nil
+	sh.acked.Add(1)
+	// The probe holds router and shard to the same acked writes, so the
+	// row the shard just deleted is live here too.
+	return rb.store.Delete(id)
 }
 
 func (rb *remoteBackend) ShardStats() []vecstore.ShardStat {

@@ -424,6 +424,56 @@ func TestRouterShardDown(t *testing.T) {
 	}
 }
 
+// TestRouterAnalogyOwners: a fleet analogy is scored from the router's
+// rows, so like similarity it needs only its query rows' owners. With
+// a shard down, a strict router answers an analogy whose a, b and c
+// live elsewhere byte-for-byte as the healthy fleet did, and one with
+// any of them on the down shard is a 503 naming it.
+func TestRouterAnalogyOwners(t *testing.T) {
+	const vocab, dim, shards = 40, 6, 3
+	path, addrs, fleet := startShardFleet(t, vocab, dim, shards)
+	_, healthy := startRouter(t, path, addrs, nil)
+	// A second router, asked nothing before the outage, so no answer of
+	// it comes from its cache.
+	degradedS, degraded := startRouter(t, path, addrs, nil)
+
+	const deadSid = 1
+	var live, dead []string
+	for id := 0; id < vocab; id++ {
+		if vecstore.ShardOf(id, shards) == deadSid {
+			dead = append(dead, fmt.Sprintf("v%d", id))
+		} else {
+			live = append(live, fmt.Sprintf("v%d", id))
+		}
+	}
+	analogy := func(a, b, c string) string {
+		return fmt.Sprintf("/v1/analogy?a=%s&b=%s&c=%s&k=7", a, b, c)
+	}
+	p := analogy(live[0], live[1], live[2])
+	code, want := getRaw(t, healthy.URL+p)
+	if code != http.StatusOK {
+		t.Fatalf("%s on the healthy fleet: status %d body %s", p, code, want)
+	}
+
+	fleet[deadSid].CloseClientConnections()
+	fleet[deadSid].Close()
+	waitUnhealthy(t, degradedS, deadSid)
+
+	if code, got := getRaw(t, degraded.URL+p); code != http.StatusOK || got != want {
+		t.Fatalf("%s with non-owner shard %d down: status %d body %s, want the healthy fleet's %s", p, deadSid, code, got, want)
+	}
+	name := fmt.Sprintf("shard %d (%s) unavailable", deadSid, addrs[deadSid])
+	for _, p := range []string{
+		analogy(dead[0], live[1], live[2]),
+		analogy(live[0], dead[0], live[2]),
+		analogy(live[0], live[1], dead[0]),
+	} {
+		if code, body := getRaw(t, degraded.URL+p); code != http.StatusServiceUnavailable || !strings.Contains(body, name) {
+			t.Errorf("%s with its owner down: status %d body %s, want a 503 naming %q", p, code, body, name)
+		}
+	}
+}
+
 // TestRouterDeadlineFanOut extends the deterministic admission suite
 // across the shard boundary: a read whose -deadline-ms expires while
 // one remote shard is stuck answers 503 immediately, the trace keeps
@@ -562,11 +612,12 @@ func TestRouterRejectsMisconfiguration(t *testing.T) {
 }
 
 // TestRouterShardLostRows: a shard restarted from its bundle after
-// acknowledged upserts holds fewer rows than the router saw it
+// acknowledged writes holds fewer writes than the router saw it
 // acknowledge, and reads as down — a strict read is a 503 naming it,
-// and /stats says so — while a shard holding more rows than that (an
-// insert whose acknowledgment was lost) stays up. Probes run only
-// when the test calls probeAll.
+// and /stats says so — whether the writes it lost were upserts or
+// deletes, while a shard holding more writes than that (an insert
+// whose acknowledgment was lost) stays up. Probes run only when the
+// test calls probeAll.
 func TestRouterShardLostRows(t *testing.T) {
 	const vocab, dim, shards = 40, 6, 2
 	m, tokens := testModel(vocab, dim, 42)
@@ -593,9 +644,10 @@ func TestRouterShardLostRows(t *testing.T) {
 		t.Cleanup(hs.Close)
 		addrs[sid] = hs.URL
 	}
-	s, router := startRouter(t, path, addrs, func(c *Config) { c.ProbeInterval = time.Hour })
+	hourly := func(c *Config) { c.ProbeInterval = time.Hour }
+	s, router := startRouter(t, path, addrs, hourly)
 	rb := s.state.Load().backend.(*remoteBackend)
-	healthy := func() []bool {
+	healthyAt := func(router *httptest.Server) []bool {
 		var stats StatsResponse
 		getJSON(t, router.URL+"/stats", &stats)
 		out := make([]bool, shards)
@@ -604,6 +656,7 @@ func TestRouterShardLostRows(t *testing.T) {
 		}
 		return out
 	}
+	healthy := func() []bool { return healthyAt(router) }
 
 	owner := vecstore.ShardOf(vocab, shards) // the first upsert's shard
 	if code, body := postRaw(t, router.URL+"/v1/upsert", UpsertRequest{Vertex: "w", Vector: vec(dim, 1)}); code != http.StatusOK {
@@ -647,5 +700,36 @@ func TestRouterShardLostRows(t *testing.T) {
 	}
 	if code, body := getRaw(t, router.URL+"/v1/similarity?a="+theirs[0]+"&b="+theirs[1]); code != http.StatusOK {
 		t.Fatalf("similarity on the up shard: status %d body %s", code, body)
+	}
+
+	// Deletes alone: a fresh fleet and router, every row of shard 0 but
+	// v0 deleted through it, then shard 0 restarted from the bundle,
+	// which holds every row it should and the deleted ones besides.
+	for sid := range addrs {
+		start(sid)
+	}
+	s2, router2 := startRouter(t, path, addrs, hourly)
+	var doomed []string
+	for id := 1; id < vocab; id++ {
+		if vecstore.ShardOf(id, shards) == 0 {
+			doomed = append(doomed, fmt.Sprintf("v%d", id))
+		}
+	}
+	if code, body := postRaw(t, router2.URL+"/v1/delete/batch", DeleteBatchRequest{Vertices: doomed}); code != http.StatusOK {
+		t.Fatalf("delete batch: status %d body %s", code, body)
+	}
+	rb2 := s2.state.Load().backend.(*remoteBackend)
+	rb2.probeAll()
+	if got := healthyAt(router2); !got[0] || !got[1] {
+		t.Fatalf("after acked deletes: healthy %v, want both", got)
+	}
+	start(0) // restarted from the bundle: the deletes are gone
+	rb2.probeAll()
+	if got := healthyAt(router2); got[0] || !got[1] {
+		t.Fatalf("after shard 0 lost its deletes: healthy %v, want only shard 1", got)
+	}
+	name = fmt.Sprintf("shard 0 (%s) unavailable", addrs[0])
+	if code, body := getRaw(t, router2.URL+"/v1/neighbors?vertex=v0&k=10"); code != http.StatusServiceUnavailable || !strings.Contains(body, name) {
+		t.Fatalf("read over a shard that lost its deletes: status %d body %s, want a 503 naming %q", code, body, name)
 	}
 }

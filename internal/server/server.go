@@ -218,7 +218,7 @@ var endpointNames = []string{
 	// The /shard/v1/* fan-out API a shard process serves to its router
 	// (registered only in shard mode; the counters always exist so the
 	// stats key set stays fixed).
-	"shard_search", "shard_scan", "shard_insert", "shard_delete",
+	"shard_search", "shard_insert", "shard_delete",
 }
 
 type endpointCounters struct {
@@ -1340,9 +1340,9 @@ func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Analogy targets are synthetic vectors (b - a + c); they are
 	// scored by the exact analogy scan over the live rows regardless
-	// of the configured neighbors index, scatter-gathered across the
-	// shards.
-	res, meta, err := st.backend.Analogy(r.Context(), a, b, c, k, traceRecorder(tr))
+	// of the configured neighbors index: the in-process shards' rows,
+	// or the router's copy of them.
+	res, err := st.backend.Analogy(r.Context(), a, b, c, k)
 	if err != nil {
 		return err
 	}
@@ -1354,14 +1354,11 @@ func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
 	for i, n := range res {
 		nbrs[i] = NeighborJSON{Vertex: st.tokens[n.Word], Score: n.Similarity}
 	}
-	buf, err = json.Marshal(NeighborsResponse{K: k, Neighbors: nbrs,
-		Partial: meta.partial, ShardsAnswered: meta.shardsAnswered})
+	buf, err = json.Marshal(NeighborsResponse{K: k, Neighbors: nbrs})
 	if err != nil {
 		return err
 	}
-	if !meta.partial {
-		s.cache.put(key, buf)
-	}
+	s.cache.put(key, buf)
 	t = spanSince(tr, "encode", t)
 	unlock()
 	writeJSONBytes(w, http.StatusOK, buf)

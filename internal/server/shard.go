@@ -8,9 +8,11 @@ package server
 // /shard/v1/* fan-out API its router consumes:
 //
 //	POST /shard/v1/search  — top-k per query vector (a binary frame)
-//	POST /shard/v1/scan    — exact float64 kernel scan (analogy)
 //	POST /shard/v1/insert  — append a router-assigned global row
 //	POST /shard/v1/delete  — tombstone a global row
+//
+// The router scores every other read (similarity, predict, analogy)
+// from its own copy of the rows, so those need no route here.
 //
 // A shard process is the same Server as any other: its slice is
 // published as a one-shard coordinator, and these handlers — which sit
@@ -37,7 +39,6 @@ import (
 
 	"v2v/internal/snapshot"
 	"v2v/internal/vecstore"
-	"v2v/internal/word2vec"
 )
 
 // shardState is the partition identity of a shard process: which slice
@@ -160,7 +161,6 @@ func newShardProcess(cfg Config) (*Server, error) {
 
 func (s *Server) registerShardAPI() {
 	s.mux.HandleFunc("/shard/v1/search", s.instrument("shard_search", s.handleShardSearch))
-	s.mux.HandleFunc("/shard/v1/scan", s.instrument("shard_scan", s.handleShardScan))
 	s.mux.HandleFunc("/shard/v1/insert", s.instrument("shard_insert", s.handleShardInsert))
 	s.mux.HandleFunc("/shard/v1/delete", s.instrument("shard_delete", s.handleShardDelete))
 }
@@ -168,15 +168,14 @@ func (s *Server) registerShardAPI() {
 // ---- Fan-out wire types (shared with remoteBackend in remote.go, so
 // the wire cannot drift between router and shard). Every vector
 // crosses as the little-endian IEEE-754 bits of its values: exact by
-// construction. /shard/v1/search, the one route with traffic, is a
-// binary frame both ways (below); the others are JSON, with vectors as
-// base64 bits and scalars as JSON numbers, whose shortest-round-trip
-// form is exact for float64. Errors are JSON on every route. There is
-// one encoding per route and no negotiation: a peer that sends
-// anything else gets a 400. ----
+// construction. /shard/v1/search, the read route, is a binary frame
+// both ways (below); the write routes are JSON, with the inserted
+// vector as base64 bits and IDs and epochs as JSON numbers. Errors are
+// JSON on every route. There is one encoding per route and no
+// negotiation: a peer that sends anything else gets a 400. ----
 
 // packVec returns the wire form of v.
-func packVec[T float32 | float64](v []T) []byte {
+func packVec(v []float32) []byte {
 	b, err := binary.Append(make([]byte, 0, binary.Size(v)), binary.LittleEndian, v)
 	if err != nil {
 		panic(err) // cannot happen: float slices are fixed-size data
@@ -188,8 +187,8 @@ func packVec[T float32 | float64](v []T) []byte {
 // it in the 400 that any other length gets, and that a NaN or an
 // infinity gets: bits can carry what a JSON number cannot, and no
 // endpoint has ever accepted one.
-func unpackVec[T float32 | float64](what string, b []byte, dim int) ([]T, error) {
-	v := make([]T, dim)
+func unpackVec(what string, b []byte, dim int) ([]float32, error) {
+	v := make([]float32, dim)
 	if len(b) != binary.Size(v) {
 		return nil, errBadRequest("%s is %d bytes, dimension %d takes %d", what, len(b), dim, binary.Size(v))
 	}
@@ -318,20 +317,6 @@ func decodeSearchResults(b []byte, n int) ([][]vecstore.Result, error) {
 	return out, nil
 }
 
-type shardScanRequest struct {
-	// Target is the exact float64 kernel target (e.g. b - a + c for
-	// analogy) as float64 bits; the shard recomputes the target norm
-	// locally from these exact values, so every shard scores with the
-	// same float64 kernel the in-process scan uses.
-	Target  []byte `json:"target"`
-	Exclude []int  `json:"exclude,omitempty"` // global IDs to skip
-	K       int    `json:"k"`
-}
-
-type shardScanResponse struct {
-	Results []vecstore.Result `json:"results"` // global IDs
-}
-
 type shardInsertRequest struct {
 	ID     int    `json:"id"` // router-assigned global ID
 	Token  string `json:"token"`
@@ -384,39 +369,6 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
-// handleShardScan is the remote half of the coordinator's ScanExact:
-// every live, non-excluded local row is scored with the analogy kernel
-// against the router's exact float64 target, in ascending local — so
-// ascending global — order: the same tie-breaking ScanExact's
-// per-shard scan produces in-process, so the router's merge is
-// bit-identical to the in-process merge.
-func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) error {
-	var req shardScanRequest
-	if err := decodePost(r, &req); err != nil {
-		return err
-	}
-	st, unlock := s.readState()
-	defer unlock()
-	target, err := unpackVec[float64]("target", req.Target, st.backend.Dim())
-	if err != nil {
-		return err
-	}
-	if req.K <= 0 || req.K > s.maxK() {
-		return errBadRequest("invalid k %d", req.K)
-	}
-	if err := ctxExpired(r.Context()); err != nil {
-		return err
-	}
-	var exclude []int
-	for _, gid := range req.Exclude {
-		if local, ok := s.shard.localOf(gid); ok {
-			exclude = append(exclude, local)
-		}
-	}
-	res := st.sharded.ScanExact(word2vec.AnalogyKernel(target), exclude, req.K)
-	return writeJSONUnlocked(w, unlock, shardScanResponse{Results: s.shard.toGlobal(res)})
-}
-
 func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error {
 	var req shardInsertRequest
 	if err := decodePost(r, &req); err != nil {
@@ -427,7 +379,7 @@ func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	v, err := unpackVec[float32]("vector", req.Vector, st.backend.Dim())
+	v, err := unpackVec("vector", req.Vector, st.backend.Dim())
 	if err != nil {
 		return err
 	}

@@ -153,8 +153,8 @@ func countingFleet(t *testing.T, addrs []string) (proxies []string, calls func()
 // TestRouterShardCalls counts what reaches the shards: a cold
 // /v1/neighbors or /v1/neighbors/batch costs exactly one search call
 // per shard and nothing else, a cached one nothing; similarity and
-// predict, a batch of pairs too, are answered from the router's rows
-// with no call at all; an analogy is one scan call per shard.
+// predict, a batch of pairs too, and analogy are answered from the
+// router's rows with no call at all.
 func TestRouterShardCalls(t *testing.T) {
 	for _, shards := range []int{3, 1} {
 		const vocab, dim = 40, 6
@@ -199,7 +199,7 @@ func TestRouterShardCalls(t *testing.T) {
 		if code, body := getRaw(t, router.URL+"/v1/analogy?a=v1&b=v2&c=v3&k=4"); code != 200 {
 			t.Fatalf("%d shards, analogy: status %d body %s", shards, code, body)
 		}
-		only("analogy", "/shard/v1/scan", shards)
+		only("analogy", "/shard/v1/search", 0)
 	}
 }
 
@@ -233,8 +233,9 @@ func (l *logBuffer) takeSlow(t *testing.T) string {
 }
 
 // TestRouterFetchSpan: no request fetches rows, so none records a
-// shard_wait/rows span; similarity and predict record no shard span
-// at all, and an analogy or a neighbours query exactly one per shard.
+// shard_wait/rows span; similarity, predict and analogy record no
+// shard span at all, as in-process, and a neighbours query exactly one
+// per shard.
 func TestRouterFetchSpan(t *testing.T) {
 	const vocab, dim, shards = 40, 6, 2
 	path, addrs, _ := startShardFleet(t, vocab, dim, shards)
@@ -246,7 +247,7 @@ func TestRouterFetchSpan(t *testing.T) {
 	for p, spans := range map[string]int{
 		"/v1/similarity?a=v3&b=v11":      0,
 		"/v1/predict?u=v5&v=v6":          0,
-		"/v1/analogy?a=v1&b=v2&c=v3&k=4": shards,
+		"/v1/analogy?a=v1&b=v2&c=v3&k=4": 0,
 		"/v1/neighbors?vertex=v7&k=5":    shards,
 	} {
 		if code, body := getRaw(t, router.URL+p); code != 200 {
@@ -264,7 +265,7 @@ func TestRouterFetchSpan(t *testing.T) {
 	}
 }
 
-// FuzzShardWire throws arbitrary bodies at the four /shard/v1/*
+// FuzzShardWire throws arbitrary bodies at the three /shard/v1/*
 // request decoders of a live shard: no body may panic a handler
 // (net/http would turn that into a dropped connection; here it fails
 // the test) or be answered 5xx, and a body whose vectors are not
@@ -282,10 +283,10 @@ func FuzzShardWire(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { s.Close() })
-	paths := []string{"/shard/v1/search", "/shard/v1/scan", "/shard/v1/insert", "/shard/v1/delete"}
+	paths := []string{"/shard/v1/search", "/shard/v1/insert", "/shard/v1/delete"}
 
 	q := make([]float32, dim)
-	v32, v64 := packVec(q), packVec(make([]float64, dim))
+	v32 := packVec(q)
 	frames := [][]byte{
 		appendSearchFrame(nil, 3, [][]float32{q}),
 		appendSearchFrame(nil, 2, [][]float32{q, vec(dim, 1), q}),
@@ -301,12 +302,12 @@ func FuzzShardWire(f *testing.F) {
 		path int
 		body any
 	}{
-		{1, shardScanRequest{Target: v64, Exclude: []int{1}, K: 3}},
-		{2, shardInsertRequest{ID: vocab, Token: "new", Vector: v32}},
-		{3, shardDeleteRequest{ID: 2}},
-		{3, shardDeleteRequest{ID: vocab + 5}},
-		{1, shardScanRequest{Target: v32, K: 3}},
-		{2, map[string]any{"id": vocab + 1, "token": "t", "vector": []float32{1, 2, 3, 4}}},
+		{1, shardInsertRequest{ID: vocab, Token: "nan", Vector: packVec(vec(dim, float32(math.NaN())))}},
+		{1, shardInsertRequest{ID: vocab, Token: "new", Vector: v32}},
+		{2, shardDeleteRequest{ID: 2}},
+		{2, shardDeleteRequest{ID: vocab + 5}},
+		{1, shardInsertRequest{ID: vocab, Token: "long", Vector: packVec(make([]float32, 2*dim))}},
+		{1, map[string]any{"id": vocab + 1, "token": "t", "vector": []float32{1, 2, 3, 4}}},
 	} {
 		body, err := json.Marshal(seed.body)
 		if err != nil {
@@ -339,16 +340,12 @@ func FuzzShardWire(f *testing.F) {
 		}
 		var got struct {
 			Vector []byte `json:"vector"`
-			Target []byte `json:"target"`
 		}
 		if err := json.Unmarshal(body, &got); err != nil {
 			return // a decoder more lenient than this struct, e.g. trailing data
 		}
 		if p == "/shard/v1/insert" && len(got.Vector) != 4*dim {
 			t.Fatalf("insert accepted a vector of %d bytes (dimension %d): %q", len(got.Vector), dim, body)
-		}
-		if p == "/shard/v1/scan" && len(got.Target) != 8*dim {
-			t.Fatalf("scan accepted a target of %d bytes (dimension %d): %q", len(got.Target), dim, body)
 		}
 	})
 }
@@ -446,7 +443,7 @@ func BenchmarkShardWire(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var req jsonRequest
 			n = roundTrip(b, jsonRequest{Vectors: [][]byte{packVec(q)}, K: 11}, &req)
-			if _, err := unpackVec[float32]("query", req.Vectors[0], dim); err != nil {
+			if _, err := unpackVec("query", req.Vectors[0], dim); err != nil {
 				b.Fatal(err)
 			}
 			var resp jsonResponse

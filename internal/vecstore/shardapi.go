@@ -1,7 +1,7 @@
 package vecstore
 
 // This file is the cross-process face of the sharding subsystem: the
-// routing hash, the seed derivation, and the merge helpers a remote
+// routing hash, the seed derivation, and the merge helper a remote
 // scatter-gather tier needs to reproduce the in-process coordinator's
 // answers bit for bit, plus the per-row score kernel. Everything here
 // is a thin exported wrapper over the internals Sharded itself uses —
@@ -23,13 +23,6 @@ func ShardOf(id, n int) int { return shardOf(id, n) }
 // building an index over its partition in isolation uses the exact
 // per-shard randomness the in-process coordinator would.
 func ShardSeed(seed uint64, shard int) uint64 { return shardSeed(seed, shard) }
-
-// MergeTopK merges per-shard top-k result lists (each sorted
-// best-first) into the global top-k with the coordinator's ordering:
-// score descending, ID ascending on ties. A router merging remote
-// shard answers through MergeTopK reproduces the in-process
-// scatter-gather merge exactly.
-func MergeTopK(perShard [][]Result, k int) []Result { return mergeTopK(perShard, k) }
 
 // MergeRowTopK merges per-shard top-(k+1) lists of a search by row
 // self into the top k excluding self — Sharded.SearchRows' merge, so a

@@ -62,22 +62,22 @@ func TestShardSeedMatchesCoordinator(t *testing.T) {
 	}
 }
 
-// TestMergeTopKMatchesSharded checks the exported merge agrees with
-// the coordinator's internal merge on ties and truncation.
+// TestMergeTopKMatchesSharded checks the coordinator's merge, which
+// MergeRowTopK wraps, on ties and truncation.
 func TestMergeTopKMatchesSharded(t *testing.T) {
 	perShard := [][]Result{
 		{{ID: 5, Score: 0.9}, {ID: 9, Score: 0.5}},
 		{{ID: 2, Score: 0.9}, {ID: 7, Score: 0.5}},
 		{{ID: 1, Score: 0.3}},
 	}
-	got := MergeTopK(perShard, 3)
+	got := mergeTopK(perShard, 3)
 	want := []Result{{ID: 2, Score: 0.9}, {ID: 5, Score: 0.9}, {ID: 7, Score: 0.5}}
 	if len(got) != len(want) {
-		t.Fatalf("MergeTopK returned %d results, want %d: %v", len(got), len(want), got)
+		t.Fatalf("mergeTopK returned %d results, want %d: %v", len(got), len(want), got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("MergeTopK[%d] = %+v, want %+v (ties must break toward the smaller ID)", i, got[i], want[i])
+			t.Fatalf("mergeTopK[%d] = %+v, want %+v (ties must break toward the smaller ID)", i, got[i], want[i])
 		}
 	}
 }

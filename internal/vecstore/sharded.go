@@ -824,10 +824,11 @@ func (sh *Sharded) SearchBatch(qs [][]float32, k int) [][]Result {
 
 // ScanExact scores every live row with the caller's kernel and
 // returns the global top-k, excluding the given global IDs — the
-// scatter-gather form of a hand-written exact scan (the serving
-// analogy path). score must be a pure per-row function; rows are
-// visited shard-parallel, per shard in ascending global order, so
-// results match a single global scan of the same kernel exactly.
+// scatter-gather form of a hand-written exact scan (an in-process
+// server's analogy, word2vec.AnalogySharded). score must be a pure
+// per-row function; rows are visited shard-parallel, per shard in
+// ascending global order, so results match a single global scan of the
+// same kernel exactly.
 func (sh *Sharded) ScanExact(score func(v []float32) float64, exclude []int, k int) []Result {
 	if k <= 0 {
 		return nil

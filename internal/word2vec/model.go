@@ -151,50 +151,29 @@ func (m *Model) Analogy(a, b, c, k int) []Neighbor {
 	return AnalogyStore(m.Store(), a, b, c, k)
 }
 
-// AnalogyStore is Analogy over an arbitrary vector store — the
-// serving path, which holds a (possibly grown or tombstoned) store
-// rather than a Model. The three query rows and every tombstoned row
-// are excluded; the arithmetic is identical to the historical
-// Model.Analogy (float64 target, scalar accumulation in row order),
-// so results are bit-for-bit compatible on an unmutated store.
+// AnalogyStore is Analogy over an arbitrary, possibly grown or
+// tombstoned vector store, such as a router's copy of its fleet's
+// rows. The three query rows and every tombstoned row are excluded;
+// each row is scored by AnalogyKernel in row order, so results are
+// bit-for-bit the historical Model.Analogy's on an unmutated store.
 func AnalogyStore(s *vecstore.Store, a, b, c, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	dim := s.Dim()
-	target := make([]float64, dim)
-	va, vb, vc := s.Row(a), s.Row(b), s.Row(c)
-	for i := range target {
-		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
-	}
-	var tNorm float64
-	for _, x := range target {
-		tNorm += x * x
-	}
-	tNorm = math.Sqrt(tNorm)
+	score := AnalogyKernel(analogyTarget(s.Row(a), s.Row(b), s.Row(c)))
 	var top vecstore.TopK
 	top.Reset(k)
 	for u := 0; u < s.Len(); u++ {
 		if u == a || u == b || u == c || s.Deleted(u) {
 			continue
 		}
-		vu := s.Row(u)
-		var dot, un float64
-		for i := range vu {
-			dot += float64(vu[i]) * target[i]
-			un += float64(vu[i]) * float64(vu[i])
-		}
-		sim := 0.0
-		if un > 0 && tNorm > 0 {
-			sim = dot / (math.Sqrt(un) * tNorm)
-		}
-		top.Push(u, sim)
+		top.Push(u, score(s.Row(u)))
 	}
 	return toNeighbors(top.Append(nil))
 }
 
 // AnalogySharded is AnalogyStore over a sharded store: the same
-// float64 target arithmetic, pushed through the coordinator's exact
+// target and kernel, pushed through the coordinator's exact
 // scatter-gather scan. ScanExact visits each shard's rows in
 // ascending global order and merges with the same tie-breaks TopK
 // uses, so results are bit-for-bit AnalogyStore's over the
@@ -203,20 +182,25 @@ func AnalogySharded(sh *vecstore.Sharded, a, b, c, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	target := make([]float64, sh.Dim())
-	va, vb, vc := sh.Row(a), sh.Row(b), sh.Row(c)
-	for i := range target {
-		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
-	}
+	target := analogyTarget(sh.Row(a), sh.Row(b), sh.Row(c))
 	return toNeighbors(sh.ScanExact(AnalogyKernel(target), []int{a, b, c}, k))
 }
 
+// analogyTarget returns vb - va + vc in float64, the target every
+// analogy scan scores against.
+func analogyTarget(va, vb, vc []float32) []float64 {
+	target := make([]float64, len(va))
+	for i := range target {
+		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
+	}
+	return target
+}
+
 // AnalogyKernel returns the per-row score of an analogy scan against
-// target: AnalogyStore's arithmetic (float64 dot over the row norm,
-// accumulated in row order; 0 when either vector is zero) as a
-// vecstore.Sharded.ScanExact kernel. A shard process scoring a target
-// its router sent calls it too, so every topology ranks with the same
-// bits.
+// target: the float64 dot over the row norm, accumulated in row order,
+// and 0 when either vector is zero. AnalogyStore scores each row with
+// it, and AnalogySharded passes it to vecstore.Sharded.ScanExact, so
+// every topology ranks with the same bits.
 func AnalogyKernel(target []float64) func(vu []float32) float64 {
 	var tNorm float64
 	for _, x := range target {
