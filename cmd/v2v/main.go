@@ -359,7 +359,7 @@ func serveMain(args []string) {
 		shardAddrs   = fs.String("shard-addrs", "", "comma-separated shard base URLs in shard order (entry i is the -shard-id i process; requires -router)")
 		allowPartial = fs.Bool("allow-partial", false, "router: skip unhealthy shards and flag responses partial instead of answering 503")
 		probeMs      = fs.Float64("probe-ms", 0, "router: shard health-probe interval in ms (0 = 2000)")
-		remoteMs     = fs.Float64("remote-timeout-ms", 0, "router: per-shard call timeout in ms when the request carries no deadline (0 = 5000)")
+		remoteMs     = fs.Float64("remote-timeout-ms", 0, "router: shard call timeout in ms: probes, searches, and writes whose request carries no deadline (0 = 5000)")
 		shardID      = fs.Int("shard-id", -1, "serve one shard of an N-way partition (requires -shards N; shard processes back a -router)")
 
 		walDir      = fs.String("wal", "", "write-ahead log directory (enables durable writes + crash recovery)")

@@ -53,6 +53,11 @@ type backendHealth struct {
 	// ProbeFailures counts consecutive failed health probes (0 when
 	// healthy).
 	ProbeFailures uint64 `json:"probe_failures,omitempty"`
+	// SearchCalls counts the search frames sent to the shard and
+	// SearchQueries the query rows they carried: their ratio is the
+	// queries one call serves.
+	SearchCalls   uint64 `json:"search_calls"`
+	SearchQueries uint64 `json:"search_queries"`
 }
 
 // shardBackend is the serving tier's shard boundary (see the file

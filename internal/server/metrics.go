@@ -254,7 +254,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	// shard dropping out before clients see 503s/partials. In-process
 	// shards report none.
 	if health := st.backend.Health(); len(health) > 0 {
-		var up, probeFails []telemetry.Sample
+		var up, probeFails, calls, queries []telemetry.Sample
 		for _, bh := range health {
 			label := `shard="` + strconv.Itoa(bh.Shard) + `",addr=` + strconv.Quote(bh.Addr)
 			v := 0.0
@@ -263,9 +263,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 			}
 			up = append(up, telemetry.Sample{Labels: label, Value: v})
 			probeFails = append(probeFails, telemetry.Sample{Labels: label, Value: float64(bh.ProbeFailures)})
+			calls = append(calls, telemetry.Sample{Labels: label, Value: float64(bh.SearchCalls)})
+			queries = append(queries, telemetry.Sample{Labels: label, Value: float64(bh.SearchQueries)})
 		}
 		ew.GaugeFamily("v2v_backend_up", "1 when the shard backend passed its last health probe.", up...)
 		ew.GaugeFamily("v2v_backend_probe_failures", "Consecutive failed health probes per shard backend.", probeFails...)
+		ew.CounterFamily("v2v_backend_search_calls_total", "Search calls (frames) sent per shard backend.", calls...)
+		ew.CounterFamily("v2v_backend_search_queries_total", "Query rows carried by the search calls per shard backend.", queries...)
 	}
 	ew.CounterFamily("v2v_compactions_total", "Completed compactions (the sum over shards).",
 		telemetry.Sample{Value: float64(compactions)})

@@ -25,14 +25,26 @@ package server
 // vecstore.MergeRowTopK the coordinator itself uses, and scores pairs
 // and analogies with the same Store kernels.
 //
-// A neighbours query — one vertex or a batch — is one call per shard,
-// as in the in-process coordinator: every shard gets every query row
-// in one binary frame. The router's rows cost 4·dim bytes per vector,
-// as much as all the shards' float32 rows together. The trade,
-// measured on the benchmark's serve_fleet (router and 2 shard
-// processes on a 2-vCPU Xeon, medians of ten alternating runs)
-// against the two-step JSON search it replaced, which asked the owners
-// by row ID first: 3190 → 3980 req/s for rss 61.2 → 65.2 MiB.
+// A neighbours query — one vertex or a batch — costs at most one call
+// per shard: every shard gets every query row in one binary frame, and
+// concurrent single-vertex queries share it, as a WAL's group commit
+// shares one fsync. Each shard keeps at most one shared call in flight
+// per k; the single-vertex queries that arrive meanwhile wait in the
+// shard's queue and leave together in the next call at their k, up to
+// the smaller of the router's and the shard's MaxBatch rows. Calls at
+// different k go side by side, and a client batch, whose rows already
+// share its call, goes at once in a call of its own (take). A shard's
+// senders are one parked goroutine plus one per call in flight
+// (sender). A lone query's frame is the one it would send alone. The
+// router's rows cost 4·dim bytes per vector, as much as all the
+// shards' float32 rows together. Both trades, measured on the
+// benchmark's serve_fleet (router and 2 shard processes on a 2-vCPU
+// Xeon, medians of ten alternating runs): the rows against the
+// two-step JSON search they replaced, which asked the owners by row ID
+// first, 3190 → 3980 req/s for rss 61.2 → 65.2 MiB; the shared frame
+// against one call per query, 3345 → 3981 req/s (rss unchanged). The
+// sharing pays where many queries wait at one k, as serve_fleet's do;
+// docs/SERVING.md has the mixed-k and batch-beside-single figures.
 
 import (
 	"bytes"
@@ -68,6 +80,9 @@ type remoteShard struct {
 
 	healthy       atomic.Bool
 	probeFailures atomic.Uint64
+	// searchCalls counts the search frames sent to this shard and
+	// searchQueries the query rows they carried.
+	searchCalls, searchQueries atomic.Uint64
 	// acked counts the writes, inserts and deletes, this shard has
 	// acknowledged to this router; a probe finding a lower epoch marks
 	// it down.
@@ -75,6 +90,46 @@ type remoteShard struct {
 	// stat caches the occupancy block of the last successful probe, so
 	// /stats and /metrics never fan out.
 	stat atomic.Pointer[vecstore.ShardStat]
+	// maxBatch is the shard's own limit on query rows per search frame,
+	// from its last successful probe (0 before one).
+	maxBatch atomic.Int64
+
+	// The search queue and its senders (sender): queue holds the
+	// queries waiting for one of this shard's frames, oldest first, and
+	// busy the k of every shared frame in flight, at most one per k.
+	// idle counts the senders parked on wake and not yet woken. closed
+	// is set at Close.
+	mu     sync.Mutex
+	wake   sync.Cond // L is &mu
+	queue  []*searchQuery
+	busy   map[int]bool
+	idle   int
+	closed bool
+}
+
+// searchQuery is one SearchRows call as the shard senders see it: its
+// query rows, encoded once for every shard, and the channel each
+// shard's sender answers on.
+type searchQuery struct {
+	ctx   context.Context
+	k     int             // the frame's k: the caller's k+1
+	n     int             // query rows
+	rows  []byte          // the rows' float32 bits, as they follow a frame's header
+	reply chan shardReply // buffered to the fleet width: a sender never blocks
+}
+
+// shardReply is one shard's answer to a searchQuery: a list per query
+// row, or the error the whole frame met.
+type shardReply struct {
+	sid   int
+	lists [][]vecstore.Result
+	err   error
+}
+
+// errClosed is the error a search on sh meets once the backend has
+// closed.
+func (sh *remoteShard) errClosed() error {
+	return errShardUnavailable(sh.sid, sh.addr, errors.New("router closed"))
 }
 
 // remoteBackend implements shardBackend over a fleet of shard
@@ -90,15 +145,18 @@ type remoteBackend struct {
 	store        *vecstore.Store
 	timeout      time.Duration
 	allowPartial bool
+	maxBatch     int // query rows per search frame
 	log          *log.Logger
 
 	probeInterval time.Duration
-	stop          chan struct{}
-	stopOnce      sync.Once
-	done          sync.WaitGroup
+	// ctx ends at Close, stopping the prober and cancelling the calls in
+	// flight; done waits for the prober and the senders.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   sync.WaitGroup
 }
 
-func newRemoteBackend(cfg Config, store *vecstore.Store, logger *log.Logger) *remoteBackend {
+func newRemoteBackend(cfg Config, store *vecstore.Store, maxBatch int, logger *log.Logger) *remoteBackend {
 	shards := make([]*remoteShard, len(cfg.ShardAddrs))
 	for i, addr := range cfg.ShardAddrs {
 		addr = strings.TrimRight(addr, "/")
@@ -112,7 +170,9 @@ func newRemoteBackend(cfg Config, store *vecstore.Store, logger *log.Logger) *re
 				MaxIdleConnsPerHost: 32,
 				IdleConnTimeout:     90 * time.Second,
 			}},
+			busy: make(map[int]bool),
 		}
+		shards[i].wake.L = &shards[i].mu
 	}
 	timeout := cfg.RemoteTimeout
 	if timeout <= 0 {
@@ -122,15 +182,18 @@ func newRemoteBackend(cfg Config, store *vecstore.Store, logger *log.Logger) *re
 	if interval <= 0 {
 		interval = defaultProbeInterval
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	rb := &remoteBackend{
 		shards:        shards,
 		dim:           store.Dim(),
 		store:         store,
 		timeout:       timeout,
 		allowPartial:  cfg.AllowPartial,
+		maxBatch:      maxBatch,
 		log:           logger,
 		probeInterval: interval,
-		stop:          make(chan struct{}),
+		ctx:           ctx,
+		cancel:        cancel,
 	}
 	// One synchronous probe round before serving: startup logs (and the
 	// first requests) see the real fleet state, not all-down defaults.
@@ -155,7 +218,7 @@ func (rb *remoteBackend) probeLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-rb.stop:
+		case <-rb.ctx.Done():
 			return
 		case <-t.C:
 			rb.probeAll()
@@ -175,8 +238,11 @@ func (rb *remoteBackend) probeAll() {
 	wg.Wait()
 }
 
+// probe checks sh once. Its deadline is RemoteTimeout, as for every
+// other shard call: a /healthz slower than the probe interval is not a
+// shard down.
 func (rb *remoteBackend) probe(sh *remoteShard) {
-	ctx, cancel := context.WithTimeout(context.Background(), rb.probeInterval)
+	ctx, cancel := context.WithTimeout(rb.ctx, rb.timeout)
 	defer cancel()
 	// Read before the shard answers: a write acknowledged by then is
 	// already in its epoch, which only a restart takes back.
@@ -204,6 +270,7 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 	}
 	if ok {
 		sh.probeFailures.Store(0)
+		sh.maxBatch.Store(int64(hz.Shard.MaxBatch))
 		sh.stat.Store(&vecstore.ShardStat{
 			Rows:    hz.Shard.Rows,
 			Live:    hz.Shard.Live,
@@ -214,6 +281,9 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 			rb.log.Printf("server: shard %d (%s) joined", sh.sid, sh.addr)
 		}
 		return
+	}
+	if rb.ctx.Err() != nil {
+		return // closing: a probe cut short says nothing of the shard
 	}
 	sh.probeFailures.Add(1)
 	if sh.healthy.Swap(false) {
@@ -303,49 +373,188 @@ func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string,
 	return nil, errShardUnavailable(sh.sid, sh.addr, lastErr)
 }
 
-// scatterShards fans fn out to every healthy shard and collects
-// results indexed by shard ID (zero value for shards that did not
-// answer). rec, when non-nil, receives one "shard_wait/<sid>" span per
-// shard that completed successfully — spans for abandoned shards are
-// never recorded, so an expired request's trace shows exactly the
-// shards that made the answer. Error policy: context expiry and shard
-// 4xx verdicts (a bug surface, not an availability event) always
-// propagate; other failures propagate in strict mode and demote the
-// shard to "skipped" under AllowPartial — unless owners[sid]: that
-// shard owns one of the request's query rows, and a query is never
-// answered without its own row's shard (errOwnerDown).
-func (rb *remoteBackend) scatterShards(ctx context.Context, rec vecstore.SpanRecorder, owners []bool, fn func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error)) ([][][]vecstore.Result, searchMeta, error) {
-	type done struct {
-		sid int
-		val [][]vecstore.Result
-		dur time.Duration
-		err error
+// ---- Search queues --------------------------------------------------
+
+// enqueue adds q to sh's search queue. Unless q will share the frame
+// its k has in flight, a parked sender is woken for it, or a new one
+// started if none is parked. A closed queue answers at once.
+func (rb *remoteBackend) enqueue(sh *remoteShard, q *searchQuery) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed {
+		q.reply <- shardReply{sid: sh.sid, err: sh.errClosed()}
+		return
 	}
-	out := make([][][]vecstore.Result, len(rb.shards))
-	// Buffered to the fleet width: abandoned goroutines park their
-	// result and exit instead of leaking.
-	ch := make(chan done, len(rb.shards))
-	launched, answered := 0, 0
-	for _, sh := range rb.shards {
-		if !sh.healthy.Load() {
-			switch {
-			case owners[sh.sid]:
-				return nil, searchMeta{}, errOwnerDown(sh)
-			case !rb.allowPartial:
-				return nil, searchMeta{}, errShardUnavailable(sh.sid, sh.addr, nil)
+	sh.queue = append(sh.queue, q)
+	switch {
+	case q.n == 1 && sh.busy[q.k]:
+		// The sender of q.k's shared frame takes it next.
+	case sh.idle > 0:
+		sh.idle--
+		sh.wake.Signal()
+	default:
+		rb.done.Add(1)
+		go rb.sender(sh)
+	}
+}
+
+// sender sends sh's frames, one at a time, as long as take finds one.
+// Then it parks for the next query, unless another sender is parked
+// already: a shard keeps one idle sender, and as many busy ones as it
+// has calls in flight. Senders exit at Close.
+func (rb *remoteBackend) sender(sh *remoteShard) {
+	defer rb.done.Done()
+	var frame []*searchQuery
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for !sh.closed {
+		// The shard's own limit bounds a frame as well as the router's.
+		maxRows := rb.maxBatch
+		if m := int(sh.maxBatch.Load()); m > 0 && m < maxRows {
+			maxRows = m
+		}
+		if frame = sh.take(frame[:0], maxRows); len(frame) == 0 {
+			if sh.idle > 0 {
+				return
 			}
+			sh.idle++
+			sh.wake.Wait()
 			continue
 		}
-		launched++
-		go func(sh *remoteShard) {
-			start := time.Now()
-			v, err := fn(ctx, sh)
-			ch <- done{sid: sh.sid, val: v, dur: time.Since(start), err: err}
-		}(sh)
+		sh.mu.Unlock()
+		rb.send(sh, frame)
+		sh.mu.Lock()
+		if frame[0].n == 1 {
+			delete(sh.busy, frame[0].k)
+		}
+		clear(frame)
 	}
-	for i := 0; i < launched; i++ {
+}
+
+// take moves the next frame from the queue to dst, oldest query first.
+// Single-row queries share frames: the oldest whose k has no shared
+// frame in flight leads, every later single-row query of its k joins
+// while the frame stays within maxRows rows, and the k is busy until
+// the call returns. A client batch, which spreads a call's cost over
+// its own rows already, is a frame of its own and waits for none. A
+// query whose context has ended is dropped unsent. The caller holds
+// sh.mu.
+func (sh *remoteShard) take(dst []*searchQuery, maxRows int) []*searchQuery {
+	keep := sh.queue[:0]
+	for _, q := range sh.queue {
+		switch {
+		case q.ctx.Err() != nil:
+			// Its caller has left: dropped, never sent.
+		case len(dst) == 0 && (q.n > 1 || !sh.busy[q.k]):
+			dst = append(dst, q)
+		case len(dst) > 0 && dst[0].n == 1 && q.n == 1 && q.k == dst[0].k && len(dst) < maxRows:
+			dst = append(dst, q)
+		default:
+			keep = append(keep, q)
+		}
+	}
+	clear(sh.queue[len(keep):])
+	sh.queue = keep
+	if len(dst) > 0 && dst[0].n == 1 {
+		sh.busy[dst[0].k] = true
+	}
+	return dst
+}
+
+// send makes frame's search call and hands each query its own lists,
+// or the call's error. The call is cancelled once every query in the
+// frame has stopped waiting (its context ended); it is retried once on
+// a transport error, like any idempotent post. A shared call fails
+// only where each of its queries' own call would: every row the router
+// holds is finite (checkFinite at load; every write refuses the rest),
+// a frame stays within the shard's MaxBatch, and its queries share its
+// k. What is left — a shard down or shedding load, a transport error
+// after the retry — fails a lone query's call as well.
+func (rb *remoteBackend) send(sh *remoteShard, frame []*searchQuery) {
+	n, size := 0, 8
+	for _, q := range frame {
+		n += q.n
+		size += len(q.rows)
+	}
+	body := appendSearchHeader(make([]byte, 0, size), frame[0].k, n)
+	for _, q := range frame {
+		body = append(body, q.rows...)
+	}
+	ctx, cancel := context.WithCancel(rb.ctx)
+	defer cancel()
+	var waiting atomic.Int32
+	waiting.Store(int32(len(frame)))
+	stops := make([]func() bool, len(frame))
+	for i, q := range frame {
+		stops[i] = context.AfterFunc(q.ctx, func() {
+			if waiting.Add(-1) == 0 {
+				cancel()
+			}
+		})
+	}
+	sh.searchCalls.Add(1)
+	sh.searchQueries.Add(uint64(n))
+	raw, err := rb.post(ctx, sh, "/shard/v1/search", body, true)
+	for _, stop := range stops {
+		stop()
+	}
+	var res [][]vecstore.Result
+	switch {
+	case err != nil && rb.ctx.Err() != nil:
+		err = sh.errClosed()
+	case err == nil:
+		if res, err = decodeSearchResults(raw, n); err != nil {
+			err = errShardUnavailable(sh.sid, sh.addr, err)
+		}
+	}
+	off := 0
+	for _, q := range frame {
+		r := shardReply{sid: sh.sid, err: err}
+		if err == nil {
+			r.lists = res[off : off+q.n : off+q.n]
+		}
+		off += q.n
+		q.reply <- r
+	}
+}
+
+// scatterShards queues q on every healthy shard and collects the
+// lists indexed by shard ID (nil for shards that did not answer). It
+// starts no goroutine: the shards' senders answer on q.reply. rec,
+// when non-nil, receives one "shard_wait/<sid>" span per shard that
+// answered, from the queueing to the answer — spans for abandoned
+// shards are never recorded, so an expired request's trace shows
+// exactly the shards that made the answer. Error policy: context
+// expiry and shard 4xx verdicts (a bug surface, not an availability
+// event) always propagate; other failures propagate in strict mode and
+// demote the shard to "skipped" under AllowPartial — unless
+// owners[sid]: that shard owns one of the request's query rows, and a
+// query is never answered without its own row's shard (errOwnerDown).
+func (rb *remoteBackend) scatterShards(ctx context.Context, rec vecstore.SpanRecorder, owners []bool, q *searchQuery) ([][][]vecstore.Result, searchMeta, error) {
+	// Membership is read once, and nothing is queued before the request
+	// is known to go ahead.
+	targets := make([]*remoteShard, 0, len(rb.shards))
+	for _, sh := range rb.shards {
+		if sh.healthy.Load() {
+			targets = append(targets, sh)
+			continue
+		}
+		switch {
+		case owners[sh.sid]:
+			return nil, searchMeta{}, errOwnerDown(sh)
+		case !rb.allowPartial:
+			return nil, searchMeta{}, errShardUnavailable(sh.sid, sh.addr, nil)
+		}
+	}
+	start := time.Now()
+	for _, sh := range targets {
+		rb.enqueue(sh, q)
+	}
+	out := make([][][]vecstore.Result, len(rb.shards))
+	answered := 0
+	for range targets {
 		select {
-		case d := <-ch:
+		case d := <-q.reply:
 			if d.err != nil {
 				if d.err == errDeadlineExpired {
 					return nil, searchMeta{}, d.err
@@ -359,15 +568,15 @@ func (rb *remoteBackend) scatterShards(ctx context.Context, rec vecstore.SpanRec
 				}
 				continue
 			}
-			out[d.sid] = d.val
+			out[d.sid] = d.lists
 			answered++
 			if rec != nil {
-				rec("shard_wait/"+strconv.Itoa(d.sid), d.dur)
+				rec("shard_wait/"+strconv.Itoa(d.sid), time.Since(start))
 			}
 		case <-ctx.Done():
-			// Slow shards are abandoned, not waited on: the in-flight
-			// RPCs are cancelled through ctx and their goroutines drain
-			// into the buffered channel.
+			// Slow shards are abandoned, not waited on: a frame whose
+			// every query has left is cancelled (send), and a query that
+			// leaves while still queued is never sent (take).
 			return nil, searchMeta{}, errDeadlineExpired
 		}
 	}
@@ -434,30 +643,25 @@ func (rb *remoteBackend) Deleted(id int) bool {
 }
 
 func (rb *remoteBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
-	// One frame for every shard, k+1 like the in-process coordinator: a
+	// One query for every shard, k+1 like the in-process coordinator: a
 	// query row ranks first in its own shard's results and is stripped
-	// at the merge. The rows are read here, under the caller's reader
-	// lock; the shard calls only send the bytes.
+	// at the merge. The rows are encoded here, under the caller's reader
+	// lock; the senders only copy the bytes.
 	owners, err := rb.owners(ids...)
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
-	qs := make([][]float32, len(ids))
-	for p, id := range ids {
-		qs[p] = rb.store.Row(id)
+	q := &searchQuery{
+		ctx:   ctx,
+		k:     k + 1,
+		n:     len(ids),
+		rows:  make([]byte, 0, 4*rb.dim*len(ids)),
+		reply: make(chan shardReply, len(rb.shards)),
 	}
-	body := appendSearchFrame(nil, k+1, qs)
-	per, meta, err := rb.scatterShards(ctx, rec, owners, func(ctx context.Context, sh *remoteShard) ([][]vecstore.Result, error) {
-		raw, err := rb.post(ctx, sh, "/shard/v1/search", body, true)
-		if err != nil {
-			return nil, err
-		}
-		res, err := decodeSearchResults(raw, len(ids))
-		if err != nil {
-			return nil, errShardUnavailable(sh.sid, sh.addr, err)
-		}
-		return res, nil
-	})
+	for _, id := range ids {
+		q.rows = appendSearchRow(q.rows, rb.store.Row(id))
+	}
+	per, meta, err := rb.scatterShards(ctx, rec, owners, q)
 	if err != nil {
 		return nil, searchMeta{}, err
 	}
@@ -552,13 +756,28 @@ func (rb *remoteBackend) Health() []backendHealth {
 			Addr:          sh.addr,
 			Healthy:       sh.healthy.Load(),
 			ProbeFailures: sh.probeFailures.Load(),
+			SearchCalls:   sh.searchCalls.Load(),
+			SearchQueries: sh.searchQueries.Load(),
 		}
 	}
 	return out
 }
 
 func (rb *remoteBackend) Close() {
-	rb.stopOnce.Do(func() { close(rb.stop) })
+	// Queued queries fail at once and nothing more is queued; parked
+	// senders exit, and busy ones once their calls, cancelled, return.
+	for _, sh := range rb.shards {
+		sh.mu.Lock()
+		sh.closed = true
+		queued := sh.queue
+		sh.queue = nil
+		sh.wake.Broadcast()
+		sh.mu.Unlock()
+		for _, q := range queued {
+			q.reply <- shardReply{sid: sh.sid, err: sh.errClosed()}
+		}
+	}
+	rb.cancel()
 	rb.done.Wait()
 	for _, sh := range rb.shards {
 		sh.client.CloseIdleConnections()
@@ -594,8 +813,11 @@ func newRouter(cfg Config) (*Server, error) {
 	if len(tokens) != m.Vocab {
 		return nil, fmt.Errorf("server: %d tokens for %d rows", len(tokens), m.Vocab)
 	}
+	if err := checkFinite(m.Store(), tokens); err != nil {
+		return nil, err
+	}
 	s := newShell(cfg)
-	rb := newRemoteBackend(cfg, m.Store(), s.logger)
+	rb := newRemoteBackend(cfg, m.Store(), s.maxBatch(), s.logger)
 	byToken := make(map[string]int, len(tokens))
 	for i, tok := range tokens {
 		byToken[tok] = i

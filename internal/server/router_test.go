@@ -8,13 +8,21 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -731,5 +739,506 @@ func TestRouterShardLostRows(t *testing.T) {
 	name = fmt.Sprintf("shard 0 (%s) unavailable", addrs[0])
 	if code, body := getRaw(t, router2.URL+"/v1/neighbors?vertex=v0&k=10"); code != http.StatusServiceUnavailable || !strings.Contains(body, name) {
 		t.Fatalf("read over a shard that lost its deletes: status %d body %s, want a 503 naming %q", code, body, name)
+	}
+}
+
+// searchGate fronts a shard with a proxy that records the k and the
+// row count of every search frame and parks the first frame of each k
+// in park until release is closed. parked receives the k of every frame
+// parked; a parked frame whose request context ends first sends its k
+// on cancelled and is never answered.
+type searchGate struct {
+	url       string
+	park      map[int]bool
+	parked    chan int
+	cancelled chan int
+	release   chan struct{}
+	once      sync.Once
+
+	mu     sync.Mutex
+	frames [][2]int // (k, n) per search call, in arrival order
+}
+
+func startSearchGate(t *testing.T, target string, park ...int) *searchGate {
+	t.Helper()
+	u, err := url.Parse(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	g := &searchGate{
+		park:      make(map[int]bool),
+		parked:    make(chan int, len(park)),
+		cancelled: make(chan int, len(park)),
+		release:   make(chan struct{}),
+	}
+	for _, k := range park {
+		g.park[k] = true
+	}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard/v1/search" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil || len(body) < 8 {
+				w.WriteHeader(http.StatusBadGateway)
+				return
+			}
+			k := int(binary.LittleEndian.Uint32(body))
+			g.mu.Lock()
+			g.frames = append(g.frames, [2]int{k, int(binary.LittleEndian.Uint32(body[4:]))})
+			first := g.park[k]
+			delete(g.park, k)
+			g.mu.Unlock()
+			if first {
+				g.parked <- k
+				select {
+				case <-g.release:
+				case <-r.Context().Done():
+					g.cancelled <- k
+					return
+				}
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	t.Cleanup(g.open) // before hs.Close: a parked handler must return
+	g.url = hs.URL
+	return g
+}
+
+func (g *searchGate) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *searchGate) seen() [][2]int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([][2]int(nil), g.frames...)
+}
+
+// waitQueued waits until n queries wait in shard sid's search queue.
+func waitQueued(t *testing.T, rb *remoteBackend, sid, n int) {
+	t.Helper()
+	sh := rb.shards[sid]
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		sh.mu.Lock()
+		got := len(sh.queue)
+		sh.mu.Unlock()
+		if got == n {
+			return
+		}
+	}
+	t.Fatalf("shard %d's search queue never held %d queries", sid, n)
+}
+
+// fetch is getRaw/postRaw for a goroutine other than the test's: a
+// nil body is a GET.
+func fetch(url string, body any) (int, string, error) {
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = http.Get(url)
+	} else {
+		buf, merr := json.Marshal(body)
+		if merr != nil {
+			return 0, "", merr
+		}
+		resp, err = http.Post(url, "application/json", bytes.NewReader(buf))
+	}
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b), err
+}
+
+// routerQuery is one public neighbours request: a nil body is a GET.
+type routerQuery struct {
+	path string
+	body any
+}
+
+type routerAnswer struct {
+	code int
+	body string
+	err  error
+}
+
+// askAll sends qs to base concurrently; the function it returns waits
+// for the answers, in qs's order.
+func askAll(base string, qs []routerQuery) func() []routerAnswer {
+	got := make([]routerAnswer, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i].code, got[i].body, got[i].err = fetch(base+q.path, q.body)
+		}()
+	}
+	return func() []routerAnswer { wg.Wait(); return got }
+}
+
+// checkAgainst holds every answer to the in-process coordinator's body
+// for the same query over the bundle at path.
+func checkAgainst(t *testing.T, path string, shards, maxBatch int, qs []routerQuery, got []routerAnswer) {
+	t.Helper()
+	ref, err := New(Config{ModelPath: path, Index: vecstore.Config{Shards: shards}, MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refHS := httptest.NewServer(ref.Handler())
+	defer refHS.Close()
+	for i, q := range qs {
+		wantCode, want, err := fetch(refHS.URL+q.path, q.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].err != nil || got[i].code != wantCode || got[i].body != want {
+			t.Errorf("%s %v diverges:\nin-process (%d): %s\nrouter     (%d, %v): %s", q.path, q.body, wantCode, want, got[i].code, got[i].err, got[i].body)
+		}
+	}
+}
+
+// waitFrames waits until the gate has seen n search frames.
+func waitFrames(t *testing.T, g *searchGate, n int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if len(g.seen()) >= n {
+			return
+		}
+	}
+	t.Fatalf("shard saw frames %v, want %d: %s", g.seen(), n, what)
+}
+
+// TestRouterCoalescedSearch: single-vertex neighbours queries that
+// arrive while a shard's shared call at their k is in flight share its
+// next call, one per k within MaxBatch rows; calls at different k, and
+// client batches, which always go in calls of their own, wait for none.
+// Shard 1's first frames at k 5 and 9 are parked at once; a batch at
+// each k reaches it meanwhile; single queries at both k queue behind
+// the parked frames. On release shard 1 sees the singles in two frames
+// at k 5 (MaxBatch 4) and one at k 9, every body is the in-process
+// coordinator's, every request traced one shard_wait span per shard,
+// and the backend counters say how many queries each call carried.
+func TestRouterCoalescedSearch(t *testing.T) {
+	const vocab, dim, shards, maxBatch = 60, 6, 2, 4
+	path, addrs, _ := startShardFleet(t, vocab, dim, shards)
+	gate := startSearchGate(t, addrs[1], 6, 10) // the frames' k is the caller's k+1
+	var slowlog logBuffer
+	s, router := startRouter(t, path, []string{addrs[0], gate.url}, func(c *Config) {
+		c.MaxBatch = maxBatch
+		c.SlowLogMs = 0.000001
+		c.Log = log.New(&slowlog, "", 0)
+	})
+	rb := s.state.Load().backend.(*remoteBackend)
+
+	parked := []routerQuery{
+		{"/v1/neighbors?vertex=v0&k=5", nil},
+		{"/v1/neighbors?vertex=v8&k=9", nil},
+	}
+	batches := []routerQuery{
+		{"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: []string{"v20", "v21", "v20"}, K: 5}},
+		{"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: []string{"v22", "v23", "v24", "v25"}, K: 9}},
+	}
+	queued := []routerQuery{
+		{"/v1/neighbors?vertex=v1&k=5", nil},
+		{"/v1/neighbors?vertex=v2&k=5", nil},
+		{"/v1/neighbors?vertex=v3&k=5", nil},
+		{"/v1/neighbors?vertex=v4&k=5", nil},
+		{"/v1/neighbors?vertex=v5&k=5", nil},
+		{"/v1/neighbors?vertex=v1&k=5", nil},
+		{"/v1/neighbors?vertex=v10&k=9", nil},
+		{"/v1/neighbors?vertex=v11&k=9", nil},
+		{"/v1/neighbors?vertex=v12&k=9", nil},
+	}
+	parkedAnswers := askAll(router.URL, parked)
+	waitFrames(t, gate, len(parked), "the frames at k 5 and 9 in flight together")
+	batchAnswers := askAll(router.URL, batches)
+	waitFrames(t, gate, len(parked)+len(batches), "the client batches sent while the shared frames are parked")
+	queuedAnswers := askAll(router.URL, queued)
+	waitQueued(t, rb, 1, len(queued))
+	gate.open()
+	got := append(append(parkedAnswers(), batchAnswers()...), queuedAnswers()...)
+	all := append(append(parked, batches...), queued...)
+	checkAgainst(t, path, shards, maxBatch, all, got)
+
+	frames := gate.seen()
+	sorted := func(fs [][2]int) [][2]int {
+		fs = slices.Clone(fs)
+		slices.SortFunc(fs, func(a, b [2]int) int { return 100*(a[0]-b[0]) + a[1] - b[1] })
+		return fs
+	}
+	want := [][][2]int{{{6, 1}, {10, 1}}, {{6, 3}, {10, 4}}, {{6, 2}, {6, 4}, {10, 3}}}
+	if len(frames) != 7 || !slices.Equal(sorted(frames[:2]), want[0]) || !slices.Equal(sorted(frames[2:4]), want[1]) || !slices.Equal(sorted(frames[4:]), want[2]) {
+		t.Fatalf("shard 1 saw search frames (k, rows) %v, want the parked %v, the batches %v, then the singles in %v", frames, want[0], want[1], want[2])
+	}
+
+	// One slow-log line per request, each with one span per shard.
+	var lines []string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		lines = lines[:0]
+		slowlog.mu.Lock()
+		for _, line := range strings.Split(slowlog.b.String(), "\n") {
+			if strings.Contains(line, "slow query") {
+				lines = append(lines, line)
+			}
+		}
+		slowlog.mu.Unlock()
+		if len(lines) >= len(all) {
+			break
+		}
+	}
+	if len(lines) != len(all) {
+		t.Fatalf("%d slow-log lines for %d requests: %q", len(lines), len(all), lines)
+	}
+	for _, line := range lines {
+		for sid := 0; sid < shards; sid++ {
+			if n := strings.Count(line, fmt.Sprintf("shard_wait/%d=", sid)); n != 1 {
+				t.Errorf("slow-log line with %d shard_wait/%d spans, want 1: %q", n, sid, line)
+			}
+		}
+	}
+
+	var stats StatsResponse
+	getJSON(t, router.URL+"/stats", &stats)
+	for _, b := range stats.Backends {
+		if b.SearchQueries != 18 {
+			t.Errorf("shard %d: search_queries %d, want 18", b.Shard, b.SearchQueries)
+		}
+		if b.Shard == 1 && b.SearchCalls != 7 {
+			t.Errorf("shard 1: search_calls %d, want 7", b.SearchCalls)
+		}
+	}
+	_, metrics := getRaw(t, router.URL+"/metrics")
+	if want := fmt.Sprintf("v2v_backend_search_calls_total{shard=\"1\",addr=%q} 7\n", gate.url); !strings.Contains(metrics, want) {
+		t.Errorf("router /metrics lacks %q", want)
+	}
+	if want := fmt.Sprintf("v2v_backend_search_queries_total{shard=\"1\",addr=%q} 18\n", gate.url); !strings.Contains(metrics, want) {
+		t.Errorf("router /metrics lacks %q", want)
+	}
+}
+
+// TestRouterCoalescedShardLimit: a shared frame stays within the
+// shard's own MaxBatch when it is below the router's, so queries that
+// each fit a shard are never merged into a frame it refuses. The
+// shards accept 3 rows a frame, the router 8; seven single queries at
+// one k queue behind a parked frame, and every query is answered as
+// in-process.
+func TestRouterCoalescedShardLimit(t *testing.T) {
+	const vocab, dim, shards, shardBatch = 40, 6, 2, 3
+	m, tokens := testModel(vocab, dim, 42)
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if err := snapshot.SaveBundleFile(path, m, tokens, nil); err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, shards)
+	for i := range addrs {
+		s, err := New(Config{ModelPath: path, ShardCount: shards, ShardID: i, MaxBatch: shardBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(s.Handler())
+		t.Cleanup(hs.Close)
+		addrs[i] = hs.URL
+	}
+	gate := startSearchGate(t, addrs[1], 6)
+	s, router := startRouter(t, path, []string{addrs[0], gate.url}, func(c *Config) { c.MaxBatch = 8 })
+	rb := s.state.Load().backend.(*remoteBackend)
+
+	parked := []routerQuery{{"/v1/neighbors?vertex=v0&k=5", nil}}
+	var queued []routerQuery
+	for i := 1; i <= 7; i++ {
+		queued = append(queued, routerQuery{fmt.Sprintf("/v1/neighbors?vertex=v%d&k=5", i), nil})
+	}
+	parkedAnswers := askAll(router.URL, parked)
+	<-gate.parked
+	queuedAnswers := askAll(router.URL, queued)
+	waitQueued(t, rb, 1, len(queued))
+	gate.open()
+	got := append(parkedAnswers(), queuedAnswers()...)
+	checkAgainst(t, path, shards, shardBatch, append(parked, queued...), got)
+	if frames := gate.seen(); !slices.Equal(frames, [][2]int{{6, 1}, {6, 3}, {6, 3}, {6, 1}}) {
+		t.Errorf("shard 1 saw frames (k, rows) %v, want the parked one, then its MaxBatch 3 rows at a time", frames)
+	}
+}
+
+// TestNonFiniteModelRefused: no topology loads a model holding a NaN or
+// an infinity, the values every write path refuses. A search over such
+// a row cannot rank it, and through a router a query holding it would
+// fail every query sharing its frame.
+func TestNonFiniteModelRefused(t *testing.T) {
+	const vocab, dim, shards, bad = 20, 4, 2, 3
+	m, tokens := testModel(vocab, dim, 42)
+	m.Vectors[bad*dim+1] = float32(math.NaN())
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if err := snapshot.SaveBundleFile(path, m, tokens, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"in-process": {ModelPath: path},
+		"shard":      {ModelPath: path, ShardCount: shards, ShardID: vecstore.ShardOf(bad, shards)},
+		"router":     {ModelPath: path, Router: true, ShardAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
+	} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `vector "v3": component 1 is not finite`) {
+			t.Errorf("%s: New = %v, want a refusal naming v3", name, err)
+		}
+	}
+}
+
+// TestRouterDeadlineAbandonedFrame: a search call is cancelled once
+// every query in its frame has stopped waiting, and a query that stops
+// waiting while still queued is never sent. Query A's frame is parked
+// at shard 1 and query B, at A's k, queues behind it; both give up. The gate sees A's call cancelled before it is released, and
+// the next query at that k goes out alone and is answered at once, not
+// after RemoteTimeout. After Close a search fails instead of waiting on
+// a stopped sender.
+func TestRouterDeadlineAbandonedFrame(t *testing.T) {
+	const vocab, dim, shards = 40, 6, 2
+	const remoteTimeout = 20 * time.Second
+	path, addrs, _ := startShardFleet(t, vocab, dim, shards)
+	gate := startSearchGate(t, addrs[1], 6)
+	s, router := startRouter(t, path, []string{addrs[0], gate.url}, func(c *Config) {
+		c.RemoteTimeout = remoteTimeout
+	})
+	rb := s.state.Load().backend.(*remoteBackend)
+
+	search := func(ctx context.Context, ids []int, k int) chan error {
+		errc := make(chan error, 1)
+		go func() {
+			_, _, err := rb.SearchRows(ctx, ids, k, nil)
+			errc <- err
+		}()
+		return errc
+	}
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA := search(ctxA, []int{1}, 5)
+	<-gate.parked
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	errB := search(ctxB, []int{2}, 5)
+	waitQueued(t, rb, 1, 1)
+
+	cancelB()
+	if err := <-errB; !errors.Is(err, errDeadlineExpired) {
+		t.Fatalf("queued query B after its context ended: %v, want errDeadlineExpired", err)
+	}
+	cancelA()
+	if err := <-errA; !errors.Is(err, errDeadlineExpired) {
+		t.Fatalf("parked query A after its context ended: %v, want errDeadlineExpired", err)
+	}
+	select {
+	case <-gate.cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked call was not cancelled when its only query gave up")
+	}
+	gate.open()
+
+	start := time.Now()
+	if code, body := getRaw(t, router.URL+"/v1/neighbors?vertex=v3&k=5"); code != http.StatusOK {
+		t.Fatalf("query after the abandoned frame: status %d body %s", code, body)
+	}
+	if took := time.Since(start); took > remoteTimeout/4 {
+		t.Fatalf("query after the abandoned frame took %v", took)
+	}
+	if frames := gate.seen(); !slices.Equal(frames, [][2]int{{6, 1}, {6, 1}}) {
+		t.Fatalf("shard 1 saw search frames (k, rows) %v, want A's (6 1) and the last query's (6 1): B is never sent", frames)
+	}
+
+	// Close stops the senders; a search after it fails at once.
+	rb.Close()
+	if _, _, err := rb.SearchRows(context.Background(), []int{1}, 5, nil); err == nil || !strings.Contains(err.Error(), "router closed") {
+		t.Fatalf("search after Close: %v, want a shard unavailable: router closed", err)
+	}
+}
+
+// TestRouterProbeDeadline: a probe waits RemoteTimeout for /healthz,
+// like every other shard call, not the probe interval. Shard 0's
+// /healthz is delayed past several intervals and the shard stays up;
+// held past RemoteTimeout, it reads down.
+func TestRouterProbeDeadline(t *testing.T) {
+	const vocab, dim, shards = 20, 4, 2
+	const interval, remoteTimeout, delay = 10 * time.Millisecond, 400 * time.Millisecond, 80 * time.Millisecond
+	path, addrs, _ := startShardFleet(t, vocab, dim, shards)
+	target, err := url.Parse(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(target)
+	// mode 0 passes /healthz through, 1 delays it, 2 holds it until the
+	// caller gives up; a delayed probe that finds mode 2 is held too.
+	var mode atomic.Int32
+	hold := make(chan struct{})
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			if mode.Load() == 1 {
+				time.Sleep(delay)
+			}
+			if mode.Load() == 2 {
+				select {
+				case <-hold:
+				case <-r.Context().Done():
+				}
+				return
+			}
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	defer gate.Close()
+	defer close(hold)
+	s, _ := startRouter(t, path, []string{gate.URL, addrs[1]}, func(c *Config) {
+		c.ProbeInterval = interval
+		c.RemoteTimeout = remoteTimeout
+	})
+	rb := s.state.Load().backend.(*remoteBackend)
+	sh := rb.shards[0]
+	if !sh.healthy.Load() {
+		t.Fatal("shard 0 down before its /healthz was delayed")
+	}
+
+	mode.Store(1)
+	rb.probeAll()
+	if !sh.healthy.Load() || sh.probeFailures.Load() != 0 {
+		t.Fatalf("a /healthz %v slow (probe interval %v, RemoteTimeout %v): healthy %v after %d failed probes, want up",
+			delay, interval, remoteTimeout, sh.healthy.Load(), sh.probeFailures.Load())
+	}
+
+	mode.Store(2)
+	start := time.Now()
+	rb.probeAll()
+	if took := time.Since(start); took < remoteTimeout {
+		t.Errorf("a held /healthz failed after %v, before RemoteTimeout %v", took, remoteTimeout)
+	}
+	if sh.healthy.Load() {
+		t.Fatal("shard 0 still up after a probe held past RemoteTimeout")
+	}
+}
+
+// TestRouterCoalescedTake pins how a shard's queue is cut into frames:
+// the oldest query still waited on leads; a single-row query leads only
+// if its k has no shared frame in flight, and later single-row queries
+// of its k join while the frame stays within the row limit; a client
+// batch is a frame of its own whatever is in flight; a query whose
+// context has ended is dropped unsent; and a shared frame's k stays
+// busy until its call returns.
+func TestRouterCoalescedTake(t *testing.T) {
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	live := context.Background()
+	q := func(ctx context.Context, k, n int) *searchQuery { return &searchQuery{ctx: ctx, k: k, n: n} }
+	a, b, c, d, e, f, g, h := q(gone, 6, 1), q(live, 6, 1), q(live, 10, 1), q(live, 6, 3), q(live, 6, 1), q(live, 10, 1), q(live, 3, 1), q(live, 6, 1)
+	sh := &remoteShard{queue: []*searchQuery{a, b, c, d, e, f, g, h}, busy: map[int]bool{3: true}}
+	for i, step := range []struct {
+		done int // the k whose shared call returns before this take (0: none)
+		want []*searchQuery
+	}{{0, []*searchQuery{b, e}}, {0, []*searchQuery{c, f}}, {0, []*searchQuery{d}}, {0, nil}, {6, []*searchQuery{h}}, {3, []*searchQuery{g}}, {0, nil}} {
+		delete(sh.busy, step.done)
+		if got := sh.take(nil, 2); !slices.Equal(got, step.want) {
+			t.Fatalf("take %d: %v, want %v", i, got, step.want)
+		}
+	}
+	if !maps.Equal(sh.busy, map[int]bool{10: true, 6: true, 3: true}) || len(sh.queue) != 0 {
+		t.Fatalf("after the takes: busy %v, queue %v; want 10, 6 and 3 in flight and an empty queue", sh.busy, sh.queue)
 	}
 }

@@ -151,9 +151,12 @@ type Config struct {
 	// next success.
 	ProbeInterval time.Duration
 
-	// RemoteTimeout bounds each shard HTTP call when the request
-	// context carries no deadline of its own (0 = 5s). With admission
-	// deadlines configured the per-class deadline governs instead.
+	// RemoteTimeout bounds each shard HTTP call (0 = 5s): every health
+	// probe and search call, and a write whose request context carries
+	// no deadline of its own (with admission deadlines configured the
+	// per-class deadline governs a write instead). A search call, which
+	// several queries may share, is also cancelled once every one of
+	// them has stopped waiting.
 	RemoteTimeout time.Duration
 
 	// ShardCount > 0 runs this server as shard ShardID of a
@@ -438,6 +441,21 @@ func (s *Server) SwapModel(m *word2vec.Model, tokens []string, source string) (u
 	return s.swapModel(m, tokens, source, nil)
 }
 
+// checkFinite refuses a store with a NaN or an infinite component. No
+// write accepts one (validateUpsert, the shard wire), so a store that
+// passes holds only finite rows, every search score over it is finite,
+// and no query row can make a router's shared search frame fail.
+func checkFinite(store *vecstore.Store, tokens []string) error {
+	for id := 0; id < store.Len(); id++ {
+		for i, x := range store.Row(id) {
+			if x-x != 0 {
+				return fmt.Errorf("server: vector %q: component %d is not finite", tokens[id], i)
+			}
+		}
+	}
+	return nil
+}
+
 // swapModel implements SwapModel; prebuilt, when non-nil, is served
 // as the new generation's coordinator instead of building one from
 // Config.Index (the bundled-graph fast path).
@@ -464,6 +482,9 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 	if store.Len() != m.Vocab || store.Dead() > 0 {
 		return 0, fmt.Errorf("server: model store holds %d rows (%d tombstoned) but the model reports %d vectors — it was mutated by online writes; reload from a snapshot instead of republishing it",
 			store.Len(), store.Dead(), m.Vocab)
+	}
+	if err := checkFinite(store, tokens); err != nil {
+		return 0, err
 	}
 	// Every generation is a coordinator; Shards < 2 is one shard, which
 	// serves the model's store itself rather than a copy.
@@ -1166,9 +1187,11 @@ func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, t time.T
 			return err
 		}
 		// The shard boundary: fan out through the backend (goroutines
-		// in-process, HTTP in router mode). A ctx-aware fan-out abandons
-		// slow shards on expiry — they finish on their own and their
-		// results are discarded, so the 503 goes out immediately. The
+		// in-process, in router mode each shard's search queue, whose
+		// calls concurrent queries share). A ctx-aware fan-out abandons
+		// slow shards on expiry — they finish on their own, or are
+		// cancelled once no query waits on them, and their results are
+		// discarded, so the 503 goes out immediately. The
 		// deferred (idempotent) unlock releases this generation's reader
 		// lock as usual — shard searches never touch it.
 		res, meta, err := st.backend.SearchRows(r.Context(), missIDs, k, traceRecorder(tr))

@@ -87,6 +87,9 @@ type ShardInfo struct {
 	Deleted int `json:"deleted"`
 	// Epoch counts accepted writes on this shard.
 	Epoch uint64 `json:"epoch"`
+	// MaxBatch is the most query rows this shard accepts in one search
+	// frame; the router caps the frames it shares at it.
+	MaxBatch int `json:"max_batch"`
 }
 
 // shardInfo snapshots the shard identity block, nil when this process
@@ -97,12 +100,13 @@ func (s *Server) shardInfo() *ShardInfo {
 	}
 	st := s.state.Load()
 	return &ShardInfo{
-		ID:      s.shard.id,
-		Of:      s.shard.of,
-		Rows:    st.backend.Rows(),
-		Live:    st.backend.Live(),
-		Deleted: st.backend.Dead(),
-		Epoch:   st.epoch.Load(),
+		ID:       s.shard.id,
+		Of:       s.shard.of,
+		Rows:     st.backend.Rows(),
+		Live:     st.backend.Live(),
+		Deleted:  st.backend.Dead(),
+		Epoch:    st.epoch.Load(),
+		MaxBatch: s.maxBatch(),
 	}
 }
 
@@ -213,19 +217,17 @@ func unpackVec(what string, b []byte, dim int) ([]float32, error) {
 //
 // with IDs global and each list best first.
 
-// appendSearchFrame appends the search request for qs at k to dst.
-func appendSearchFrame(dst []byte, k int, qs [][]float32) []byte {
-	size := 8
-	for _, q := range qs {
-		size += 4 * len(q)
-	}
-	dst = slices.Grow(dst, size)
+// appendSearchHeader appends a search request's header, n queries at
+// k, to dst; the n rows follow it.
+func appendSearchHeader(dst []byte, k, n int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(qs)))
-	for _, q := range qs {
-		for _, x := range q {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
-		}
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// appendSearchRow appends one query row's float32 bits to dst.
+func appendSearchRow(dst []byte, q []float32) []byte {
+	for _, x := range q {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
 	}
 	return dst
 }

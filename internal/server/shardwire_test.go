@@ -28,6 +28,16 @@ import (
 	"v2v/internal/vecstore"
 )
 
+// appendSearchFrame appends the search request for qs at k to dst, the
+// frame the router sends for one query of len(qs) rows.
+func appendSearchFrame(dst []byte, k int, qs [][]float32) []byte {
+	dst = appendSearchHeader(dst, k, len(qs))
+	for _, q := range qs {
+		dst = appendSearchRow(dst, q)
+	}
+	return dst
+}
+
 // postFrame POSTs a search frame and returns the status and the body.
 func postFrame(t *testing.T, url string, frame []byte) (int, []byte) {
 	t.Helper()
