@@ -7,7 +7,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -18,25 +17,12 @@ import (
 	"v2v/internal/vecstore"
 )
 
-// blockingBackend wraps the real shard backend but parks every
-// SearchRows call on a channel the test controls — the "slow index"
-// stub — and then answers as if the search had run past its budget
-// unnoticed: a complete result, whatever became of the deadline.
-type blockingBackend struct {
-	shardBackend
-	entered chan struct{} // one token per SearchRows entry
-	release chan struct{} // closed to let parked searches finish
-}
-
-func (b *blockingBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
-	b.entered <- struct{}{}
-	<-b.release
-	return b.shardBackend.SearchRows(context.WithoutCancel(ctx), ids, k, rec)
-}
-
 // newDeadlineServer builds a server whose read class has the given
-// deadline, over a blocking index when block is non-nil.
-func newDeadlineServer(t *testing.T, deadlineMs float64, block *blockingBackend, logBuf *bytes.Buffer) (*Server, *httptest.Server) {
+// deadline, over a blocking index when block is non-nil: the
+// generation's one shard searches through block, a fakeShard
+// (faults_test.go) holding every row, which parks each search on a
+// channel the test controls — the "slow index" stub.
+func newDeadlineServer(t *testing.T, deadlineMs float64, block *fakeShard, logBuf *bytes.Buffer) (*Server, *httptest.Server) {
 	t.Helper()
 	m, tokens := testModel(50, 8, 42)
 	cfg := Config{
@@ -52,9 +38,12 @@ func newDeadlineServer(t *testing.T, deadlineMs float64, block *blockingBackend,
 		t.Fatalf("newFromModel: %v", err)
 	}
 	if block != nil {
-		st := s.state.Load()
-		block.shardBackend = st.backend
-		st.backend = block
+		block.cut(t, m.Store(), 0, 1)
+		sharded, err := vecstore.OpenRemote(m.Store(), []vecstore.ShardSearcher{block}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.state.Load().sharded = sharded
 	}
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
@@ -118,7 +107,7 @@ func TestDeadlineExpiryMidSearch(t *testing.T) {
 			return http.Post(url+"/v1/neighbors/batch", "application/json", strings.NewReader(`{"vertices":["v1","v2"],"k":3}`))
 		},
 	} {
-		block := &blockingBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
+		block := &fakeShard{entered: make(chan struct{}, 1), release: make(chan struct{})}
 		s, hs := newDeadlineServer(t, 5, block, nil)
 
 		done := make(chan int, 1)

@@ -222,11 +222,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	ew.GaugeFamily("v2v_write_epoch", "Accepted writes in the current generation.",
 		telemetry.Sample{Value: float64(st.epoch.Load())})
 	ew.GaugeFamily("v2v_model_vectors", "Live vectors in the served model.",
-		telemetry.Sample{Value: float64(st.backend.Live())})
+		telemetry.Sample{Value: float64(st.sharded.Live())})
 	ew.GaugeFamily("v2v_model_dim", "Dimensionality of the served model.",
-		telemetry.Sample{Value: float64(st.backend.Dim())})
+		telemetry.Sample{Value: float64(st.sharded.Dim())})
 	ew.GaugeFamily("v2v_tombstones", "Tombstoned rows awaiting compaction.",
-		telemetry.Sample{Value: float64(st.backend.Dead())})
+		telemetry.Sample{Value: float64(st.sharded.Dead())})
 	ew.CounterFamily("v2v_reloads_total", "Completed model reloads.",
 		telemetry.Sample{Value: float64(s.reloads.Load())})
 	ew.CounterFamily("v2v_upserts_total", "Accepted upserts.",
@@ -236,7 +236,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 
 	var compactions uint64
 	var rows, live, dead, epochs, shardCkr []telemetry.Sample
-	for sid, ss := range st.backend.ShardStats() {
+	for sid, ss := range s.shardStats(st) {
 		label := `shard="` + strconv.Itoa(sid) + `"`
 		rows = append(rows, telemetry.Sample{Labels: label, Value: float64(ss.Rows)})
 		live = append(live, telemetry.Sample{Labels: label, Value: float64(ss.Live)})
@@ -253,7 +253,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	// Router mode: per-backend membership, so dashboards can alert on a
 	// shard dropping out before clients see 503s/partials. In-process
 	// shards report none.
-	if health := st.backend.Health(); len(health) > 0 {
+	if health := s.fleet.Health(); len(health) > 0 {
 		var up, probeFails, calls, queries []telemetry.Sample
 		for _, bh := range health {
 			label := `shard="` + strconv.Itoa(bh.Shard) + `",addr=` + strconv.Quote(bh.Addr)

@@ -1,11 +1,14 @@
 package server
 
-// Router mode (Config.Router): the remoteBackend implementation of
-// shardBackend, talking HTTP to one shard process per partition, plus
-// the newRouter constructor. The router holds the token table and the
-// rows (every write flows through it); neighbour searches come from
-// the shard fleet over the /shard/v1/* API (shard.go defines both wire
-// halves), and every other read is scored from the router's rows.
+// Router mode (Config.Router): the router is the same Server as any
+// other, over the same vecstore.Sharded coordinator (OpenRemote). Its
+// shards hold the bundle's rows and tombstones but no index — every
+// write flows through the router — and each shard's search seam is the
+// frame queue to the shard process that holds its index
+// (shardSearcher). Similarity, predict and analogy make no shard call.
+// This file holds what only a router has: the transport (post, call),
+// the probe and its membership, the search queues, the owner shard's
+// write RPC (write), and newRouter.
 //
 // Fleet membership is health-checked: a prober GETs each shard's
 // /healthz on a fixed cadence and verifies the shard's identity block
@@ -13,17 +16,19 @@ package server
 // at least the writes the router has seen it acknowledge in its
 // epoch), so a misconfigured process, or one restarted from its bundle
 // after acknowledged writes, reads as down instead of quietly merging
-// wrong, missing or deleted rows. An unhealthy shard is skipped before
-// any RPC: with AllowPartial the response says so explicitly
-// (partial=true, shards_answered=N), without it the read is a 503 —
-// never a hang, never a silently truncated answer.
+// wrong, missing or deleted rows. An unhealthy shard's seam fails at
+// once, with no call; the coordinator's fan-out rule then answers
+// without it only with AllowPartial and only when it owns none of the
+// query rows (partial=true, shards_answered=N), and otherwise the read
+// is a 503 — never a hang, never a silently truncated answer. The same
+// owner rule holds for similarity, predict and analogy (ownersUp),
+// which make no call.
 //
 // Parity with the in-process coordinator is by construction: the
 // shards run the same per-shard kernels over bit-identical slices
 // (snapshot.SliceShard), vectors cross the wire as their bits (shard.go,
-// "Fan-out wire types"), and the router merges with the exported
-// vecstore.MergeRowTopK the coordinator itself uses, and scores pairs
-// and analogies with the same Store kernels.
+// "Fan-out wire types"), and the merge, pair scores and analogy are
+// the coordinator's own code.
 //
 // A neighbours query — one vertex or a batch — costs at most one call
 // per shard: every shard gets every query row in one binary frame, and
@@ -35,16 +40,17 @@ package server
 // different k go side by side, and a client batch, whose rows already
 // share its call, goes at once in a call of its own (take). A shard's
 // senders are one parked goroutine plus one per call in flight
-// (sender). A lone query's frame is the one it would send alone. The
-// router's rows cost 4·dim bytes per vector, as much as all the
-// shards' float32 rows together. Both trades, measured on the
-// benchmark's serve_fleet (router and 2 shard processes on a 2-vCPU
-// Xeon, medians of ten alternating runs): the rows against the
-// two-step JSON search they replaced, which asked the owners by row ID
-// first, 3190 → 3980 req/s for rss 61.2 → 65.2 MiB; the shared frame
-// against one call per query, 3345 → 3981 req/s (rss unchanged). The
-// sharing pays where many queries wait at one k, as serve_fleet's do;
-// docs/SERVING.md has the mixed-k and batch-beside-single figures.
+// (sender), so the fan-out itself starts no goroutine. A lone query's
+// frame is the one it would send alone. The router's rows cost 4·dim
+// bytes per vector, as much as all the shards' float32 rows together.
+// Both trades, measured on the benchmark's serve_fleet (router and 2
+// shard processes on a 2-vCPU Xeon, medians of ten alternating runs):
+// the rows against the two-step JSON search they replaced, which asked
+// the owners by row ID first, 3190 → 3980 req/s for rss 61.2 → 65.2
+// MiB; the shared frame against one call per query, 3345 → 3981 req/s
+// (rss unchanged). The sharing pays where many queries wait at one k,
+// as serve_fleet's do; docs/SERVING.md has the mixed-k and
+// batch-beside-single figures.
 
 import (
 	"bytes"
@@ -63,13 +69,40 @@ import (
 
 	"v2v/internal/snapshot"
 	"v2v/internal/vecstore"
-	"v2v/internal/word2vec"
 )
 
 const (
 	defaultProbeInterval = 2 * time.Second
 	defaultRemoteTimeout = 5 * time.Second
 )
+
+// backendHealth is one remote shard's membership status as its
+// router's probes see it. Surfaced per shard in /stats and /metrics.
+type backendHealth struct {
+	Shard int `json:"shard"`
+	// Addr is the shard's base URL.
+	Addr    string `json:"addr,omitempty"`
+	Healthy bool   `json:"healthy"`
+	// ProbeFailures counts consecutive failed health probes (0 when
+	// healthy).
+	ProbeFailures uint64 `json:"probe_failures,omitempty"`
+	// SearchCalls counts the search frames sent to the shard and
+	// SearchQueries the query rows they carried: their ratio is the
+	// queries one call serves.
+	SearchCalls   uint64 `json:"search_calls"`
+	SearchQueries uint64 `json:"search_queries"`
+}
+
+// errShardUnavailable builds the 503 a router answers when a shard it
+// needs is down and partial results are not allowed (or the query's
+// own row lives on the dead shard).
+func errShardUnavailable(sid int, addr string, cause error) *httpError {
+	msg := fmt.Sprintf("shard %d (%s) unavailable", sid, addr)
+	if cause != nil {
+		msg = fmt.Sprintf("%s: %v", msg, cause)
+	}
+	return &httpError{code: http.StatusServiceUnavailable, msg: msg}
+}
 
 // remoteShard is one shard process as the router sees it: a pooled
 // HTTP client plus probe-maintained membership state.
@@ -107,23 +140,14 @@ type remoteShard struct {
 	closed bool
 }
 
-// searchQuery is one SearchRows call as the shard senders see it: its
-// query rows, encoded once for every shard, and the channel each
-// shard's sender answers on.
+// searchQuery is one search on one shard as its senders see it: its
+// query rows, and the channel the coordinator's fan-out waits on.
 type searchQuery struct {
 	ctx   context.Context
-	k     int             // the frame's k: the caller's k+1
-	n     int             // query rows
-	rows  []byte          // the rows' float32 bits, as they follow a frame's header
-	reply chan shardReply // buffered to the fleet width: a sender never blocks
-}
-
-// shardReply is one shard's answer to a searchQuery: a list per query
-// row, or the error the whole frame met.
-type shardReply struct {
-	sid   int
-	lists [][]vecstore.Result
-	err   error
+	k     int                        // the frame's k
+	n     int                        // query rows
+	qs    [][]float32                // the rows, immutable: read without a lock
+	reply chan<- vecstore.ShardReply // room for every shard: a sender never blocks
 }
 
 // errClosed is the error a search on sh meets once the backend has
@@ -132,21 +156,15 @@ func (sh *remoteShard) errClosed() error {
 	return errShardUnavailable(sh.sid, sh.addr, errors.New("router closed"))
 }
 
-// remoteBackend implements shardBackend over a fleet of shard
-// processes. The rows and their tombstones live here: every write
-// flows through the router, so occupancy reads and row reads never
-// cross the network.
+// remoteBackend is a router's fleet of shard processes: their
+// membership, their search queues and the calls to them. The rows and
+// their tombstones are the router's Sharded's (newRouter).
 type remoteBackend struct {
-	shards []*remoteShard
-	dim    int
-	// store holds every global row by ID, and tombstones the deleted
-	// ones. Insert and Delete change it under the generation's writer
-	// lock; readers hold the reader lock.
-	store        *vecstore.Store
-	timeout      time.Duration
-	allowPartial bool
-	maxBatch     int // query rows per search frame
-	log          *log.Logger
+	shards   []*remoteShard
+	dim      int
+	timeout  time.Duration
+	maxBatch int // query rows per search frame
+	log      *log.Logger
 
 	probeInterval time.Duration
 	// ctx ends at Close, stopping the prober and cancelling the calls in
@@ -156,7 +174,7 @@ type remoteBackend struct {
 	done   sync.WaitGroup
 }
 
-func newRemoteBackend(cfg Config, store *vecstore.Store, maxBatch int, logger *log.Logger) *remoteBackend {
+func newRemoteBackend(cfg Config, dim, maxBatch int, logger *log.Logger) *remoteBackend {
 	shards := make([]*remoteShard, len(cfg.ShardAddrs))
 	for i, addr := range cfg.ShardAddrs {
 		addr = strings.TrimRight(addr, "/")
@@ -185,10 +203,8 @@ func newRemoteBackend(cfg Config, store *vecstore.Store, maxBatch int, logger *l
 	ctx, cancel := context.WithCancel(context.Background())
 	rb := &remoteBackend{
 		shards:        shards,
-		dim:           store.Dim(),
-		store:         store,
+		dim:           dim,
 		timeout:       timeout,
-		allowPartial:  cfg.AllowPartial,
 		maxBatch:      maxBatch,
 		log:           logger,
 		probeInterval: interval,
@@ -260,7 +276,8 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 				// hold every write it acknowledged, or its answers would
 				// silently miss inserted rows or serve deleted ones. A
 				// higher epoch is a write in flight or one whose
-				// acknowledgment was lost (filterKnown).
+				// acknowledgment was lost (the merge's horizon drops
+				// such a row: vecstore.Sharded.SearchRowsPartial).
 				ok = hz.Shard != nil && hz.Shard.ID == sh.sid &&
 					hz.Shard.Of == len(rb.shards) && hz.Dim == rb.dim &&
 					hz.Shard.Epoch >= acked
@@ -272,10 +289,11 @@ func (rb *remoteBackend) probe(sh *remoteShard) {
 		sh.probeFailures.Store(0)
 		sh.maxBatch.Store(int64(hz.Shard.MaxBatch))
 		sh.stat.Store(&vecstore.ShardStat{
-			Rows:    hz.Shard.Rows,
-			Live:    hz.Shard.Live,
-			Deleted: hz.Shard.Deleted,
-			Epoch:   hz.Shard.Epoch,
+			Rows:        hz.Shard.Rows,
+			Live:        hz.Shard.Live,
+			Deleted:     hz.Shard.Deleted,
+			Epoch:       hz.Shard.Epoch,
+			Compactions: hz.Shard.Compactions,
 		})
 		if !sh.healthy.Swap(true) {
 			rb.log.Printf("server: shard %d (%s) joined", sh.sid, sh.addr)
@@ -375,6 +393,27 @@ func (rb *remoteBackend) post(ctx context.Context, sh *remoteShard, path string,
 
 // ---- Search queues --------------------------------------------------
 
+// shardSearcher is shard sh's search seam (vecstore.ShardSearcher):
+// the query joins sh's queue, and its frame's sender answers. A shard
+// out of membership answers at once, with no call.
+type shardSearcher struct {
+	rb *remoteBackend
+	sh *remoteShard
+}
+
+func (s shardSearcher) Search(ctx context.Context, ids []int, qs [][]float32, k int, reply chan<- vecstore.ShardReply) {
+	if !s.sh.healthy.Load() {
+		reply <- vecstore.ShardReply{Shard: s.sh.sid, Err: errShardUnavailable(s.sh.sid, s.sh.addr, nil)}
+		return
+	}
+	if ids != nil {
+		// The shard searches by vector, so a query row ranks in its own
+		// shard's list; k+1 leaves room for it, and the merge drops it.
+		k++
+	}
+	s.rb.enqueue(s.sh, &searchQuery{ctx: ctx, k: k, n: len(qs), qs: qs, reply: reply})
+}
+
 // enqueue adds q to sh's search queue. Unless q will share the frame
 // its k has in flight, a parked sender is woken for it, or a new one
 // started if none is parked. A closed queue answers at once.
@@ -382,7 +421,7 @@ func (rb *remoteBackend) enqueue(sh *remoteShard, q *searchQuery) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
-		q.reply <- shardReply{sid: sh.sid, err: sh.errClosed()}
+		q.reply <- vecstore.ShardReply{Shard: sh.sid, Err: sh.errClosed()}
 		return
 	}
 	sh.queue = append(sh.queue, q)
@@ -466,19 +505,20 @@ func (sh *remoteShard) take(dst []*searchQuery, maxRows int) []*searchQuery {
 // frame has stopped waiting (its context ended); it is retried once on
 // a transport error, like any idempotent post. A shared call fails
 // only where each of its queries' own call would: every row the router
-// holds is finite (checkFinite at load; every write refuses the rest),
-// a frame stays within the shard's MaxBatch, and its queries share its
-// k. What is left — a shard down or shedding load, a transport error
-// after the retry — fails a lone query's call as well.
+// holds is finite (the snapshot loader refuses any other, and so does
+// every write), a frame stays within the shard's MaxBatch, and its
+// queries share its k. What is left — a shard down or shedding load, a
+// transport error after the retry — fails a lone query's call as well.
 func (rb *remoteBackend) send(sh *remoteShard, frame []*searchQuery) {
-	n, size := 0, 8
+	n := 0
 	for _, q := range frame {
 		n += q.n
-		size += len(q.rows)
 	}
-	body := appendSearchHeader(make([]byte, 0, size), frame[0].k, n)
+	body := appendSearchHeader(make([]byte, 0, 8+4*rb.dim*n), frame[0].k, n)
 	for _, q := range frame {
-		body = append(body, q.rows...)
+		for _, row := range q.qs {
+			body = appendSearchRow(body, row)
+		}
 	}
 	ctx, cancel := context.WithCancel(rb.ctx)
 	defer cancel()
@@ -509,235 +549,56 @@ func (rb *remoteBackend) send(sh *remoteShard, frame []*searchQuery) {
 	}
 	off := 0
 	for _, q := range frame {
-		r := shardReply{sid: sh.sid, err: err}
+		r := vecstore.ShardReply{Shard: sh.sid, Err: err}
 		if err == nil {
-			r.lists = res[off : off+q.n : off+q.n]
+			r.Lists = res[off : off+q.n : off+q.n]
 		}
 		off += q.n
 		q.reply <- r
 	}
 }
 
-// scatterShards queues q on every healthy shard and collects the
-// lists indexed by shard ID (nil for shards that did not answer). It
-// starts no goroutine: the shards' senders answer on q.reply. rec,
-// when non-nil, receives one "shard_wait/<sid>" span per shard that
-// answered, from the queueing to the answer — spans for abandoned
-// shards are never recorded, so an expired request's trace shows
-// exactly the shards that made the answer. Error policy: context
-// expiry and shard 4xx verdicts (a bug surface, not an availability
-// event) always propagate; other failures propagate in strict mode and
-// demote the shard to "skipped" under AllowPartial — unless
-// owners[sid]: that shard owns one of the request's query rows, and a
-// query is never answered without its own row's shard (errOwnerDown).
-func (rb *remoteBackend) scatterShards(ctx context.Context, rec vecstore.SpanRecorder, owners []bool, q *searchQuery) ([][][]vecstore.Result, searchMeta, error) {
-	// Membership is read once, and nothing is queued before the request
-	// is known to go ahead.
-	targets := make([]*remoteShard, 0, len(rb.shards))
-	for _, sh := range rb.shards {
-		if sh.healthy.Load() {
-			targets = append(targets, sh)
-			continue
-		}
-		switch {
-		case owners[sh.sid]:
-			return nil, searchMeta{}, errOwnerDown(sh)
-		case !rb.allowPartial:
-			return nil, searchMeta{}, errShardUnavailable(sh.sid, sh.addr, nil)
-		}
-	}
-	start := time.Now()
-	for _, sh := range targets {
-		rb.enqueue(sh, q)
-	}
-	out := make([][][]vecstore.Result, len(rb.shards))
-	answered := 0
-	for range targets {
-		select {
-		case d := <-q.reply:
-			if d.err != nil {
-				if d.err == errDeadlineExpired {
-					return nil, searchMeta{}, d.err
-				}
-				var he *httpError
-				if errors.As(d.err, &he) && he.code >= 400 && he.code < 500 {
-					return nil, searchMeta{}, d.err
-				}
-				if owners[d.sid] || !rb.allowPartial {
-					return nil, searchMeta{}, d.err
-				}
-				continue
-			}
-			out[d.sid] = d.lists
-			answered++
-			if rec != nil {
-				rec("shard_wait/"+strconv.Itoa(d.sid), time.Since(start))
-			}
-		case <-ctx.Done():
-			// Slow shards are abandoned, not waited on: a frame whose
-			// every query has left is cancelled (send), and a query that
-			// leaves while still queued is never sent (take).
-			return nil, searchMeta{}, errDeadlineExpired
-		}
-	}
-	meta := searchMeta{}
-	if answered < len(rb.shards) {
-		meta.partial = true
-		meta.shardsAnswered = answered
-	}
-	return out, meta, nil
-}
-
-// errOwnerDown is the 503 for a query whose own row lives on a shard
-// that is out of membership: a row's owner must answer regardless of
-// AllowPartial.
-func errOwnerDown(sh *remoteShard) *httpError {
-	return errShardUnavailable(sh.sid, sh.addr, errors.New("query row owner must answer"))
-}
-
-// owners marks the shards that own ids, or fails with errOwnerDown if
-// one of them is out of membership: no endpoint answers a read while
-// the shard that holds one of its own rows is down, although the
-// router holds the rows itself.
-func (rb *remoteBackend) owners(ids ...int) ([]bool, error) {
-	out := make([]bool, len(rb.shards))
-	for _, id := range ids {
-		sh := rb.shards[vecstore.ShardOf(id, len(rb.shards))]
-		if !sh.healthy.Load() {
-			return nil, errOwnerDown(sh)
-		}
-		out[sh.sid] = true
-	}
-	return out, nil
-}
-
-// filterKnown drops result IDs at or past the router's row horizon —
-// a shard can briefly hold a row the router failed to record (an
-// insert whose acknowledgment was lost); serving it would index past
-// the token table. Lists are filtered in place, preserving order.
-func (rb *remoteBackend) filterKnown(per [][]vecstore.Result) [][]vecstore.Result {
-	horizon := rb.store.Len()
-	for sid, list := range per {
-		keep := list[:0]
-		for _, h := range list {
-			if h.ID < horizon {
-				keep = append(keep, h)
-			}
-		}
-		per[sid] = keep
-	}
-	return per
-}
-
-// ---- shardBackend ---------------------------------------------------
-
-// The occupancy accessors read rb.store, so their callers hold the
-// generation lock like every other reader of it.
-func (rb *remoteBackend) Dim() int  { return rb.dim }
-func (rb *remoteBackend) Rows() int { return rb.store.Len() }
-func (rb *remoteBackend) Live() int { return rb.store.Live() }
-func (rb *remoteBackend) Dead() int { return rb.store.Dead() }
-
-func (rb *remoteBackend) Deleted(id int) bool {
-	return id < 0 || id >= rb.store.Len() || rb.store.Deleted(id)
-}
-
-func (rb *remoteBackend) SearchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, searchMeta, error) {
-	// One query for every shard, k+1 like the in-process coordinator: a
-	// query row ranks first in its own shard's results and is stripped
-	// at the merge. The rows are encoded here, under the caller's reader
-	// lock; the senders only copy the bytes.
-	owners, err := rb.owners(ids...)
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	q := &searchQuery{
-		ctx:   ctx,
-		k:     k + 1,
-		n:     len(ids),
-		rows:  make([]byte, 0, 4*rb.dim*len(ids)),
-		reply: make(chan shardReply, len(rb.shards)),
+// ownersUp is the 503 when a shard owning one of ids is out of
+// membership: no endpoint answers a read while the shard that holds
+// one of its own rows is down, AllowPartial or not, although the
+// router scores similarity, predict and analogy from its own rows. A
+// nil fleet — a server that is not a router — has every owner up.
+func (rb *remoteBackend) ownersUp(ids ...int) error {
+	if rb == nil {
+		return nil
 	}
 	for _, id := range ids {
-		q.rows = appendSearchRow(q.rows, rb.store.Row(id))
-	}
-	per, meta, err := rb.scatterShards(ctx, rec, owners, q)
-	if err != nil {
-		return nil, searchMeta{}, err
-	}
-	start := time.Now()
-	out := make([][]vecstore.Result, len(ids))
-	lists := make([][]vecstore.Result, 0, len(rb.shards))
-	for p, id := range ids {
-		lists = lists[:0]
-		for _, res := range per {
-			if res != nil { // nil: a skipped shard
-				lists = append(lists, res[p])
-			}
+		if sh := rb.shards[vecstore.ShardOf(id, len(rb.shards))]; !sh.healthy.Load() {
+			return errShardUnavailable(sh.sid, sh.addr, errors.New("query row owner must answer"))
 		}
-		out[p] = vecstore.MergeRowTopK(rb.filterKnown(lists), id, k)
 	}
-	if rec != nil {
-		rec("merge", time.Since(start))
-	}
-	return out, meta, nil
+	return nil
 }
 
-// Analogy needs only its query rows' owners up, like PairScores: it
-// scans the router's live rows with Model.Analogy's kernel.
-func (rb *remoteBackend) Analogy(ctx context.Context, a, b, c, k int) ([]word2vec.Neighbor, error) {
-	if _, err := rb.owners(a, b, c); err != nil {
-		return nil, err
-	}
-	return word2vec.AnalogyStore(rb.store, a, b, c, k), nil
-}
+// ---- Writes ---------------------------------------------------------
 
-func (rb *remoteBackend) PairScores(ctx context.Context, pairs [][2]int, hadamard bool) ([]float64, error) {
-	ids := make([]int, 0, 2*len(pairs))
-	for _, p := range pairs {
-		ids = append(ids, p[0], p[1])
-	}
-	if _, err := rb.owners(ids...); err != nil {
-		return nil, err
-	}
-	return pairScores(rb.store, pairs, hadamard), nil
-}
-
-func (rb *remoteBackend) Insert(ctx context.Context, token string, v []float32) (int, error) {
-	// The caller holds the generation's writer lock, so this ID is ours
-	// to assign.
-	id := rb.store.Len()
-	sid := vecstore.ShardOf(id, len(rb.shards))
-	sh := rb.shards[sid]
+// write sends a write of row id to the shard that owns the row and
+// counts its acknowledgment, which the probe then holds it to. Writes
+// are never partial: an owner out of membership is a 503. It runs
+// under the generation's writer lock, before the router's Sharded
+// applies the write, so a write the shard refused is never served.
+func (rb *remoteBackend) write(ctx context.Context, id int, path string, req, resp any) error {
+	sh := rb.shards[vecstore.ShardOf(id, len(rb.shards))]
 	if !sh.healthy.Load() {
-		// Writes are never partial: the row has exactly one home.
-		return 0, errShardUnavailable(sid, sh.addr, errors.New("row owner must accept the write"))
+		return errShardUnavailable(sh.sid, sh.addr, errors.New("row owner must accept the write"))
 	}
-	var resp shardInsertResponse
-	if err := rb.call(ctx, sh, "/shard/v1/insert", shardInsertRequest{ID: id, Token: token, Vector: packVec(v)}, &resp); err != nil {
-		return 0, err
-	}
-	rb.store.AppendRow(v)
-	sh.acked.Add(1)
-	return id, nil
-}
-
-func (rb *remoteBackend) Delete(ctx context.Context, id int) error {
-	sid := vecstore.ShardOf(id, len(rb.shards))
-	sh := rb.shards[sid]
-	if !sh.healthy.Load() {
-		return errShardUnavailable(sid, sh.addr, errors.New("row owner must accept the write"))
-	}
-	var resp shardDeleteResponse
-	if err := rb.call(ctx, sh, "/shard/v1/delete", shardDeleteRequest{ID: id}, &resp); err != nil {
+	if err := rb.call(ctx, sh, path, req, resp); err != nil {
 		return err
 	}
 	sh.acked.Add(1)
-	// The probe holds router and shard to the same acked writes, so the
-	// row the shard just deleted is live here too.
-	return rb.store.Delete(id)
+	return nil
 }
 
+// ---- Membership ------------------------------------------------------
+
+// ShardStats is the per-shard occupancy block of a router's /stats and
+// /metrics: each shard process's own counts, as last probed, since the
+// router's rows do not compact with them.
 func (rb *remoteBackend) ShardStats() []vecstore.ShardStat {
 	out := make([]vecstore.ShardStat, len(rb.shards))
 	for i, sh := range rb.shards {
@@ -748,7 +609,12 @@ func (rb *remoteBackend) ShardStats() []vecstore.ShardStat {
 	return out
 }
 
+// Health reports each shard's membership, in shard order; nil on a
+// server that is not a router.
 func (rb *remoteBackend) Health() []backendHealth {
+	if rb == nil {
+		return nil
+	}
 	out := make([]backendHealth, len(rb.shards))
 	for i, sh := range rb.shards {
 		out[i] = backendHealth{
@@ -763,7 +629,12 @@ func (rb *remoteBackend) Health() []backendHealth {
 	return out
 }
 
+// Close stops the prober and the senders and drops idle connections;
+// nil on a server that is not a router.
 func (rb *remoteBackend) Close() {
+	if rb == nil {
+		return
+	}
 	// Queued queries fail at once and nothing more is queued; parked
 	// senders exit, and busy ones once their calls, cancelled, return.
 	for _, sh := range rb.shards {
@@ -774,7 +645,7 @@ func (rb *remoteBackend) Close() {
 		sh.wake.Broadcast()
 		sh.mu.Unlock()
 		for _, q := range queued {
-			q.reply <- shardReply{sid: sh.sid, err: sh.errClosed()}
+			q.reply <- vecstore.ShardReply{Shard: sh.sid, Err: sh.errClosed()}
 		}
 	}
 	rb.cancel()
@@ -787,8 +658,8 @@ func (rb *remoteBackend) Close() {
 // ---- Router construction --------------------------------------------
 
 // newRouter builds a router-mode server (see the file comment): the
-// bundle's token table and rows over a remoteBackend, no index, no
-// WAL.
+// bundle's token table, and its rows in a Sharded whose shards search
+// through the fleet; no index, no WAL.
 func newRouter(cfg Config) (*Server, error) {
 	if len(cfg.ShardAddrs) == 0 {
 		return nil, fmt.Errorf("server: Router requires ShardAddrs (one per shard, in shard order)")
@@ -813,18 +684,25 @@ func newRouter(cfg Config) (*Server, error) {
 	if len(tokens) != m.Vocab {
 		return nil, fmt.Errorf("server: %d tokens for %d rows", len(tokens), m.Vocab)
 	}
-	if err := checkFinite(m.Store(), tokens); err != nil {
-		return nil, err
-	}
 	s := newShell(cfg)
-	rb := newRemoteBackend(cfg, m.Store(), s.maxBatch(), s.logger)
+	rb := newRemoteBackend(cfg, m.Dim, s.maxBatch(), s.logger)
+	seams := make([]vecstore.ShardSearcher, len(rb.shards))
+	for i, sh := range rb.shards {
+		seams[i] = shardSearcher{rb: rb, sh: sh}
+	}
+	sharded, err := vecstore.OpenRemote(m.Store(), seams, cfg.AllowPartial)
+	if err != nil {
+		rb.Close()
+		return nil, fmt.Errorf("server: opening the router's shards: %w", err)
+	}
+	s.fleet = rb
 	byToken := make(map[string]int, len(tokens))
 	for i, tok := range tokens {
 		byToken[tok] = i
 	}
 	gen := s.gen.Add(1)
 	s.state.Store(&modelState{
-		backend:  rb,
+		sharded:  sharded,
 		tokens:   tokens,
 		byToken:  byToken,
 		gen:      gen,

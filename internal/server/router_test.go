@@ -121,7 +121,7 @@ func postRaw(t *testing.T, url string, body any) (int, string) {
 // of membership.
 func waitUnhealthy(t *testing.T, s *Server, sid int) {
 	t.Helper()
-	rb := s.state.Load().backend.(*remoteBackend)
+	rb := s.fleet
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if !rb.shards[sid].healthy.Load() {
@@ -345,6 +345,79 @@ func TestRouterTombstonedHNSW(t *testing.T) {
 		if hits < k*9/10 {
 			t.Errorf("%s: %d of the exact %d live neighbours returned", p, hits, k)
 		}
+	}
+}
+
+// TestRouterShardCompaction: shard processes compact like any server.
+// Nine of ten rows are deleted through a router and through the
+// in-process two-shard coordinator; every shard process's /stats then
+// counts a compaction, the router's /stats sums them from its probes,
+// and every read body stays the in-process server's, byte for byte:
+// a compaction renumbers a shard's slots, never the global IDs its
+// answers carry.
+func TestRouterShardCompaction(t *testing.T) {
+	const vocab, dim, shards = 400, 6, 2
+	path, addrs, fleet := startShardFleet(t, vocab, dim, shards)
+	_, router := startRouter(t, path, addrs, nil)
+	ref, err := New(Config{ModelPath: path, Index: vecstore.Config{Shards: shards}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refHS := httptest.NewServer(ref.Handler())
+	defer refHS.Close()
+
+	var dead []string
+	for i := 0; i < vocab; i++ {
+		if i%10 != 0 {
+			dead = append(dead, fmt.Sprintf("v%d", i))
+		}
+	}
+	for _, url := range []string{router.URL, refHS.URL} {
+		if code, body := postRaw(t, url+"/v1/delete/batch", DeleteBatchRequest{Vertices: dead}); code != http.StatusOK {
+			t.Fatalf("delete batch at %s: %d %s", url, code, body)
+		}
+	}
+	compactions := func(url string) uint64 {
+		var stats StatsResponse
+		getJSON(t, url+"/stats", &stats)
+		return stats.Writes.Compactions
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sid, hs := range fleet {
+		for compactions(hs.URL) < 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d never compacted at 90%% dead", sid)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for compactions(router.URL) < shards {
+		if time.Now().After(deadline) {
+			t.Fatalf("router /stats counts %d compactions, want at least %d", compactions(router.URL), shards)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	for _, p := range []string{
+		"/v1/neighbors?vertex=v0&k=5",
+		"/v1/neighbors?vertex=v10&k=13",
+		"/v1/neighbors?vertex=v390&k=39",
+		"/v1/neighbors?vertex=v390&k=50",
+		"/v1/neighbors?vertex=v7&k=5", // deleted: 404 from both
+		"/v1/similarity?a=v20&b=v30",
+		"/v1/analogy?a=v0&b=v10&c=v20&k=6",
+		"/v1/vocab?limit=1000",
+	} {
+		wantCode, want := getRaw(t, refHS.URL+p)
+		gotCode, got := getRaw(t, router.URL+p)
+		if gotCode != wantCode || got != want {
+			t.Errorf("%s diverges after compaction:\nin-process (%d): %s\nrouter     (%d): %s", p, wantCode, want, gotCode, got)
+		}
+	}
+	body := NeighborsBatchRequest{Vertices: []string{"v0", "v100", "v200", "v300"}, K: 8}
+	wantCode, want := postRaw(t, refHS.URL+"/v1/neighbors/batch", body)
+	if gotCode, got := postRaw(t, router.URL+"/v1/neighbors/batch", body); gotCode != wantCode || got != want {
+		t.Errorf("batch diverges after compaction:\nin-process (%d): %s\nrouter     (%d): %s", wantCode, want, gotCode, got)
 	}
 }
 
@@ -603,7 +676,7 @@ func TestRouterRejectsMisconfiguration(t *testing.T) {
 	// fleet reads as down, and strict reads answer 503 instead of
 	// merging garbage.
 	s, hs := startRouter(t, path, []string{addrs[1], addrs[0]}, nil)
-	rb := s.state.Load().backend.(*remoteBackend)
+	rb := s.fleet
 	for sid := range rb.shards {
 		if rb.shards[sid].healthy.Load() {
 			t.Fatalf("mis-ordered shard %d read as healthy", sid)
@@ -654,7 +727,7 @@ func TestRouterShardLostRows(t *testing.T) {
 	}
 	hourly := func(c *Config) { c.ProbeInterval = time.Hour }
 	s, router := startRouter(t, path, addrs, hourly)
-	rb := s.state.Load().backend.(*remoteBackend)
+	rb := s.fleet
 	healthyAt := func(router *httptest.Server) []bool {
 		var stats StatsResponse
 		getJSON(t, router.URL+"/stats", &stats)
@@ -726,7 +799,7 @@ func TestRouterShardLostRows(t *testing.T) {
 	if code, body := postRaw(t, router2.URL+"/v1/delete/batch", DeleteBatchRequest{Vertices: doomed}); code != http.StatusOK {
 		t.Fatalf("delete batch: status %d body %s", code, body)
 	}
-	rb2 := s2.state.Load().backend.(*remoteBackend)
+	rb2 := s2.fleet
 	rb2.probeAll()
 	if got := healthyAt(router2); !got[0] || !got[1] {
 		t.Fatalf("after acked deletes: healthy %v, want both", got)
@@ -931,7 +1004,7 @@ func TestRouterCoalescedSearch(t *testing.T) {
 		c.SlowLogMs = 0.000001
 		c.Log = log.New(&slowlog, "", 0)
 	})
-	rb := s.state.Load().backend.(*remoteBackend)
+	rb := s.fleet
 
 	parked := []routerQuery{
 		{"/v1/neighbors?vertex=v0&k=5", nil},
@@ -1044,7 +1117,7 @@ func TestRouterCoalescedShardLimit(t *testing.T) {
 	}
 	gate := startSearchGate(t, addrs[1], 6)
 	s, router := startRouter(t, path, []string{addrs[0], gate.url}, func(c *Config) { c.MaxBatch = 8 })
-	rb := s.state.Load().backend.(*remoteBackend)
+	rb := s.fleet
 
 	parked := []routerQuery{{"/v1/neighbors?vertex=v0&k=5", nil}}
 	var queued []routerQuery
@@ -1101,12 +1174,12 @@ func TestRouterDeadlineAbandonedFrame(t *testing.T) {
 	s, router := startRouter(t, path, []string{addrs[0], gate.url}, func(c *Config) {
 		c.RemoteTimeout = remoteTimeout
 	})
-	rb := s.state.Load().backend.(*remoteBackend)
+	rb := s.fleet
 
 	search := func(ctx context.Context, ids []int, k int) chan error {
 		errc := make(chan error, 1)
 		go func() {
-			_, _, err := rb.SearchRows(ctx, ids, k, nil)
+			_, _, err := s.state.Load().searchRows(ctx, ids, k, nil)
 			errc <- err
 		}()
 		return errc
@@ -1148,7 +1221,7 @@ func TestRouterDeadlineAbandonedFrame(t *testing.T) {
 
 	// Close stops the senders; a search after it fails at once.
 	rb.Close()
-	if _, _, err := rb.SearchRows(context.Background(), []int{1}, 5, nil); err == nil || !strings.Contains(err.Error(), "router closed") {
+	if _, _, err := s.state.Load().searchRows(context.Background(), []int{1}, 5, nil); err == nil || !strings.Contains(err.Error(), "router closed") {
 		t.Fatalf("search after Close: %v, want a shard unavailable: router closed", err)
 	}
 }
@@ -1191,7 +1264,7 @@ func TestRouterProbeDeadline(t *testing.T) {
 		c.ProbeInterval = interval
 		c.RemoteTimeout = remoteTimeout
 	})
-	rb := s.state.Load().backend.(*remoteBackend)
+	rb := s.fleet
 	sh := rb.shards[0]
 	if !sh.healthy.Load() {
 		t.Fatal("shard 0 down before its /healthz was delayed")

@@ -6,17 +6,17 @@
 //
 // Design notes:
 //
-//   - All model-dependent state (token table, shard backend) lives in
-//     one generation behind an atomic pointer. A request
+//   - All model-dependent state (token table, sharded coordinator)
+//     lives in one generation behind an atomic pointer. A request
 //     loads the pointer once and answers entirely from that
 //     generation, so a hot reload (Reload/SwapModel) swaps the whole
 //     world atomically: in-flight requests finish against the old
 //     model, new requests see the new one, and nothing is ever
 //     dropped or torn.
-//   - Every generation reaches its vectors through one shard
-//     boundary (backend.go): an in-process vecstore.Sharded
-//     coordinator — one shard wide for an unsharded server — or, in
-//     router mode, remote shard processes. No handler knows which.
+//   - Every generation holds its vectors in one vecstore.Sharded
+//     coordinator — one shard wide for an unsharded server — whose
+//     shards search in-process or, in router mode, in their shard
+//     processes (remote.go). No handler knows which.
 //   - Within a generation, /v1/upsert and /v1/delete mutate the shards
 //     in place: writes take the generation's writer lock, reads its
 //     reader lock, and every write bumps a write epoch that is part of
@@ -188,14 +188,9 @@ const (
 // the table and mutate the shards under mu; epoch counts those writes
 // for cache scoping.
 type modelState struct {
-	// backend is the generation's shard boundary: every access to
-	// vectors goes through it (see backend.go). A localBackend over
-	// sharded in-process, a remoteBackend in router mode.
-	backend shardBackend
-	// sharded is the concrete in-process coordinator under backend, for
-	// the two callers that sit behind the boundary: the WAL checkpoint
-	// (GatherLive) and a shard process's /shard/v1/* handlers. Nil in
-	// router mode, which has neither (see newRouter).
+	// sharded holds the generation's vectors: every access to them
+	// goes through it. Its shards search in-process, or in router mode
+	// through the shard processes (newRouter).
 	sharded  *vecstore.Sharded
 	tokens   []string
 	byToken  map[string]int
@@ -257,6 +252,10 @@ type Server struct {
 	classes    map[string]*classState // admission + inflight per endpoint class
 	tracePool  sync.Pool              // *telemetry.Trace, reset between requests
 	build      telemetry.Build
+
+	// fleet is the shard processes of a router (Config.Router): their
+	// membership, search queues and write RPCs. Nil otherwise.
+	fleet *remoteBackend
 
 	// shard is non-nil when this process serves one partition of a
 	// sharded deployment (Config.ShardCount > 0); it carries the
@@ -348,6 +347,9 @@ func bindGraphs(store *vecstore.Store, graphs []*vecstore.HNSWGraph, cfg vecstor
 // Config.WAL set, an existing checkpoint in the WAL directory
 // supersedes m, and the surviving log is replayed.
 func NewFromModel(cfg Config, m *word2vec.Model, tokens []string) (*Server, error) {
+	if err := checkFinite(m, tokens); err != nil {
+		return nil, err
+	}
 	if cfg.WAL.Dir != "" {
 		return newDurable(cfg, func() (*word2vec.Model, []string, *vecstore.Sharded, error) {
 			return m, tokens, nil, nil
@@ -438,20 +440,20 @@ func (s *Server) SwapModel(m *word2vec.Model, tokens []string, source string) (u
 		// against the rest of its fleet; restart the deployment instead.
 		return 0, fmt.Errorf("server: model swaps are not supported in router/shard mode")
 	}
+	if err := checkFinite(m, tokens); err != nil {
+		return 0, err
+	}
 	return s.swapModel(m, tokens, source, nil)
 }
 
-// checkFinite refuses a store with a NaN or an infinite component. No
-// write accepts one (validateUpsert, the shard wire), so a store that
-// passes holds only finite rows, every search score over it is finite,
-// and no query row can make a router's shared search frame fail.
-func checkFinite(store *vecstore.Store, tokens []string) error {
-	for id := 0; id < store.Len(); id++ {
-		for i, x := range store.Row(id) {
-			if x-x != 0 {
-				return fmt.Errorf("server: vector %q: component %d is not finite", tokens[id], i)
-			}
-		}
+// checkFinite holds a model handed over in memory to the check every
+// loader makes of what it reads.
+func checkFinite(m *word2vec.Model, tokens []string) error {
+	if m == nil {
+		return nil // swapModel names the empty model
+	}
+	if err := snapshot.CheckFinite(m, tokens); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	return nil
 }
@@ -482,9 +484,6 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 	if store.Len() != m.Vocab || store.Dead() > 0 {
 		return 0, fmt.Errorf("server: model store holds %d rows (%d tombstoned) but the model reports %d vectors — it was mutated by online writes; reload from a snapshot instead of republishing it",
 			store.Len(), store.Dead(), m.Vocab)
-	}
-	if err := checkFinite(store, tokens); err != nil {
-		return 0, err
 	}
 	// Every generation is a coordinator; Shards < 2 is one shard, which
 	// serves the model's store itself rather than a copy.
@@ -540,7 +539,6 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 		ckptLSN = s.wal.LastLSN()
 	}
 	s.state.Store(&modelState{
-		backend:  newLocalBackend(sharded),
 		sharded:  sharded,
 		tokens:   tokens,
 		byToken:  byToken,
@@ -954,9 +952,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		"status":     "ok",
 		"generation": st.gen,
 		"epoch":      st.epoch.Load(),
-		"vectors":    st.backend.Live(),
-		"dim":        st.backend.Dim(),
-		"shards":     len(st.backend.ShardStats()),
+		"vectors":    st.sharded.Live(),
+		"dim":        st.sharded.Dim(),
+		"shards":     st.sharded.NumShards(),
 		"build":      s.build,
 	}
 	// A shard process identifies its slice here: the router's health
@@ -1038,6 +1036,15 @@ type EndpointStatsJSON struct {
 	MaxMs     float64 `json:"max_ms"`
 }
 
+// shardStats is the per-shard occupancy block of /stats and /metrics,
+// in shard order: a router's comes from its shards' probes.
+func (s *Server) shardStats(st *modelState) []vecstore.ShardStat {
+	if s.fleet != nil {
+		return s.fleet.ShardStats()
+	}
+	return st.sharded.ShardStats()
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	st, unlock := s.readState()
 	defer unlock()
@@ -1059,7 +1066,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Shards compact on their own side of the boundary; the server-wide
 	// counter is their sum.
-	shardStats := st.backend.ShardStats()
+	shardStats := s.shardStats(st)
 	var compactions uint64
 	for _, ss := range shardStats {
 		compactions += ss.Compactions
@@ -1070,8 +1077,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		Generation:    st.gen,
 		Reloads:       s.reloads.Load(),
 		Model: ModelStats{
-			Vectors:  st.backend.Live(),
-			Dim:      st.backend.Dim(),
+			Vectors:  st.sharded.Live(),
+			Dim:      st.sharded.Dim(),
 			Index:    s.cfg.Index.Kind.String(),
 			Source:   st.source,
 			LoadedAt: st.loadedAt.UTC().Format(time.RFC3339),
@@ -1082,10 +1089,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			Deletes:     s.deletes.Load(),
 			Compactions: compactions,
 			Epoch:       st.epoch.Load(),
-			Tombstones:  st.backend.Dead(),
+			Tombstones:  st.sharded.Dead(),
 		},
 		Shards:    shardStats,
-		Backends:  st.backend.Health(),
+		Backends:  s.fleet.Health(),
 		Shard:     s.shardInfo(),
 		WAL:       s.walStats(),
 		Admission: s.admissionStats(),
@@ -1153,6 +1160,17 @@ func (s *Server) handleNeighborsBatch(w http.ResponseWriter, r *http.Request) er
 	})
 }
 
+// searchRows is the generation's neighbours search
+// (vecstore.Sharded.SearchRowsPartial), with the end of ctx reported as
+// errDeadlineExpired; a shard's own failure is an *httpError already.
+func (st *modelState) searchRows(ctx context.Context, ids []int, k int, rec vecstore.SpanRecorder) ([][]vecstore.Result, int, error) {
+	res, answered, err := st.sharded.SearchRowsPartial(ctx, ids, k, rec)
+	if err != nil && ctx.Err() != nil {
+		return nil, 0, errDeadlineExpired
+	}
+	return res, answered, err
+}
+
 // serveNeighbors answers the top k of every vertex — /v1/neighbors is
 // a batch of one — from the generation acquired after parsing (t) and
 // writes the body render builds from the per-vertex answers. Each
@@ -1186,17 +1204,24 @@ func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, t time.T
 		if err := ctxExpired(r.Context()); err != nil {
 			return err
 		}
-		// The shard boundary: fan out through the backend (goroutines
-		// in-process, in router mode each shard's search queue, whose
-		// calls concurrent queries share). A ctx-aware fan-out abandons
-		// slow shards on expiry — they finish on their own, or are
-		// cancelled once no query waits on them, and their results are
-		// discarded, so the 503 goes out immediately. The
-		// deferred (idempotent) unlock releases this generation's reader
-		// lock as usual — shard searches never touch it.
-		res, meta, err := st.backend.SearchRows(r.Context(), missIDs, k, traceRecorder(tr))
+		// The shard boundary: fan out through every shard's seam (in
+		// process, a goroutine or the caller's own; in router mode each
+		// shard's search queue, whose calls concurrent queries share). A
+		// ctx-aware fan-out abandons slow shards on expiry — they finish
+		// on their own, or are cancelled once no query waits on them,
+		// and their results are discarded, so the 503 goes out
+		// immediately. The deferred (idempotent) unlock releases this
+		// generation's reader lock as usual — shard searches never touch
+		// it.
+		res, answered, err := st.searchRows(r.Context(), missIDs, k, traceRecorder(tr))
 		if err != nil {
 			return err
+		}
+		// A partial answer reflects a degraded fleet, not the data: it
+		// says so, and it is not cached.
+		partial, shardsAnswered := answered < st.sharded.NumShards(), 0
+		if partial {
+			shardsAnswered = answered
 		}
 		t = spanSince(tr, "index_search", t)
 		// Post-search boundary: a search that ran past the budget must
@@ -1207,13 +1232,11 @@ func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, t time.T
 		}
 		for j, i := range missIdx {
 			buf, err := json.Marshal(NeighborsResponse{Vertex: vertices[i], K: k, Neighbors: toNeighborJSON(st, res[j]),
-				Partial: meta.partial, ShardsAnswered: meta.shardsAnswered})
+				Partial: partial, ShardsAnswered: shardsAnswered})
 			if err != nil {
 				return err
 			}
-			// A partial answer reflects a degraded fleet, not the data:
-			// it must not be served from cache after the shards recover.
-			if !meta.partial {
+			if !partial {
 				s.cache.put(keys[i], buf)
 			}
 			parts[i] = buf
@@ -1276,10 +1299,10 @@ func (s *Server) handleSimilarityBatch(w http.ResponseWriter, r *http.Request) e
 }
 
 // servePairs scores every pair — /v1/similarity and /v1/predict are
-// batches of one — through one PairScores call, from the generation
-// acquired after parsing (t), and writes the body render builds from
-// the scores. Pairs resolve in order, so the first unknown vertex is
-// the 404.
+// batches of one — from the generation acquired after parsing (t), and
+// writes the body render builds from the scores. Pairs resolve in
+// order, so the first unknown vertex is the 404; on a router, a pair
+// whose row's owner shard is down is the 503 next (ownersUp).
 func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time, pairs [][2]string, hadamard bool, render func(scores []float64) any) error {
 	tr := telemetry.FromContext(r.Context())
 	st, unlock := s.readState()
@@ -1295,10 +1318,12 @@ func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time,
 			ids[i][j] = id
 		}
 	}
-	scores, err := st.backend.PairScores(r.Context(), ids, hadamard)
-	if err != nil {
-		return err
+	for _, p := range ids {
+		if err := s.fleet.ownersUp(p[0], p[1]); err != nil {
+			return err
+		}
 	}
+	scores := pairScores(st.sharded, ids, hadamard)
 	t = spanSince(tr, "index_search", t)
 	buf, err := json.Marshal(render(scores))
 	unlock()
@@ -1309,6 +1334,21 @@ func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time,
 	writeJSONBytes(w, http.StatusOK, buf)
 	spanSince(tr, "write", t)
 	return nil
+}
+
+// pairScores scores every (u, v) pair with the link-prediction
+// embedding score: dot when hadamard, else cosine (0 when either row
+// is the zero vector) — /v1/similarity is the cosine.
+func pairScores(sh *vecstore.Sharded, pairs [][2]int, hadamard bool) []float64 {
+	score := sh.Cosine
+	if hadamard {
+		score = sh.Dot
+	}
+	out := make([]float64, len(pairs))
+	for i, p := range pairs {
+		out[i] = score(p[0], p[1])
+	}
+	return out
 }
 
 func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
@@ -1363,12 +1403,12 @@ func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Analogy targets are synthetic vectors (b - a + c); they are
 	// scored by the exact analogy scan over the live rows regardless
-	// of the configured neighbors index: the in-process shards' rows,
-	// or the router's copy of them.
-	res, err := st.backend.Analogy(r.Context(), a, b, c, k)
-	if err != nil {
+	// of the configured neighbors index — a router scans its own rows,
+	// but the query rows' owner shards must be up all the same.
+	if err := s.fleet.ownersUp(a, b, c); err != nil {
 		return err
 	}
+	res := word2vec.AnalogySharded(st.sharded, a, b, c, k)
 	t = spanSince(tr, "index_search", t)
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
@@ -1412,6 +1452,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 	return s.servePairs(w, r, t, [][2]string{{uTok, vTok}}, hadamard, func(scores []float64) any {
 		return PredictResponse{U: uTok, V: vTok, Score: scores[0], Scorer: scorerName(hadamard)}
 	})
+}
+
+// scorerName names the pair score a /v1/predict response reports.
+func scorerName(hadamard bool) string {
+	if hadamard {
+		return "embedding-dot"
+	}
+	return "embedding-cosine"
 }
 
 // PredictBatchRequest is the /v1/predict/batch body.
@@ -1458,7 +1506,7 @@ func (s *Server) handleVocab(w http.ResponseWriter, r *http.Request) error {
 	st, unlock := s.readState()
 	defer unlock()
 	q := r.URL.Query()
-	live := st.backend.Live()
+	live := st.sharded.Live()
 	offset, limit := 0, live
 	if raw := q.Get("offset"); raw != "" {
 		v, err := strconv.Atoi(raw)
@@ -1486,13 +1534,13 @@ func (s *Server) handleVocab(w http.ResponseWriter, r *http.Request) error {
 	// only, stopping as soon as the page is full (no O(vocab) work
 	// for a small page).
 	var tokens []string
-	if st.backend.Rows() == live {
+	if st.sharded.Rows() == live {
 		tokens = st.tokens[offset : offset+limit]
 	} else {
 		tokens = make([]string, 0, limit)
 		skipped := 0
 		for i, tok := range st.tokens {
-			if st.backend.Deleted(i) {
+			if st.sharded.Deleted(i) {
 				continue
 			}
 			if skipped < offset {
@@ -1546,8 +1594,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) error {
 	defer unlock()
 	return writeJSONUnlocked(w, unlock, ReloadResponse{
 		Generation: gen,
-		Vectors:    st.backend.Live(),
-		Dim:        st.backend.Dim(),
+		Vectors:    st.sharded.Live(),
+		Dim:        st.sharded.Dim(),
 		Source:     st.source,
 		LoadMillis: float64(time.Since(start).Microseconds()) / 1000,
 	})
@@ -1622,7 +1670,7 @@ func validateUpsert(st *modelState, rec *wal.Record) error {
 			return errBadRequest("vertex name contains control characters")
 		}
 	}
-	if dim := st.backend.Dim(); len(rec.Vector) != dim {
+	if dim := st.sharded.Dim(); len(rec.Vector) != dim {
 		return errBadRequest("vector for %q has dimension %d, model dimension is %d",
 			rec.Token, len(rec.Vector), dim)
 	}
@@ -1644,12 +1692,12 @@ func validateUpsert(st *modelState, rec *wal.Record) error {
 func (s *Server) applyUpsert(ctx context.Context, st *modelState, rec *wal.Record) (UpsertResponse, error) {
 	updated := false
 	if old, ok := st.byToken[rec.Token]; ok {
-		if err := st.backend.Delete(ctx, old); err != nil {
+		if err := s.deleteRow(ctx, st, old); err != nil {
 			return UpsertResponse{}, fmt.Errorf("replacing %q: %w", rec.Token, err)
 		}
 		updated = true
 	}
-	id, err := st.backend.Insert(ctx, rec.Token, rec.Vector)
+	id, err := s.insertRow(ctx, st, rec.Token, rec.Vector)
 	if err != nil {
 		return UpsertResponse{}, err
 	}
@@ -1665,13 +1713,36 @@ func (s *Server) applyUpsert(ctx context.Context, st *modelState, rec *wal.Recor
 	}, nil
 }
 
+// insertRow appends v as the generation's next row, under its writer
+// lock, and deleteRow tombstones row id; on a router the row's owner
+// shard takes the write first (remoteBackend.write).
+func (s *Server) insertRow(ctx context.Context, st *modelState, token string, v []float32) (int, error) {
+	if s.fleet != nil {
+		id := st.sharded.Rows()
+		req := shardInsertRequest{ID: id, Token: token, Vector: packVec(v)}
+		if err := s.fleet.write(ctx, id, "/shard/v1/insert", req, &shardInsertResponse{}); err != nil {
+			return 0, err
+		}
+	}
+	return st.sharded.Insert(v)
+}
+
+func (s *Server) deleteRow(ctx context.Context, st *modelState, id int) error {
+	if s.fleet != nil {
+		if err := s.fleet.write(ctx, id, "/shard/v1/delete", shardDeleteRequest{ID: id}, &shardDeleteResponse{}); err != nil {
+			return err
+		}
+	}
+	return st.sharded.Delete(id)
+}
+
 // applyDelete performs one delete under st's writer lock.
 func (s *Server) applyDelete(ctx context.Context, st *modelState, rec *wal.Record) (DeleteResponse, error) {
 	id, ok := st.byToken[rec.Token]
 	if !ok {
 		return DeleteResponse{}, errNotFound("unknown vertex %q", rec.Token)
 	}
-	if err := st.backend.Delete(ctx, id); err != nil {
+	if err := s.deleteRow(ctx, st, id); err != nil {
 		return DeleteResponse{}, err
 	}
 	delete(st.byToken, rec.Token)

@@ -23,9 +23,9 @@ package server
 // after), so the router's merge sees exactly what the in-process
 // coordinator's merge sees. Shard mode forces the public write
 // endpoints read-only (writes enter through the router), serves
-// /v1/reload as 501, rejects WAL, and disables compaction: a
-// compaction would retire local row IDs and silently detach them from
-// the global map.
+// /v1/reload as 501 and rejects WAL. It compacts like any server: a
+// compaction renumbers only the coordinator's shard-local slots, so the
+// row IDs the globals table maps from never move.
 
 import (
 	"encoding/binary"
@@ -42,7 +42,8 @@ import (
 )
 
 // shardState is the partition identity of a shard process: which slice
-// it serves and the local→global row mapping. globals is append-only
+// it serves and the local→global row mapping, from the IDs of its
+// one-shard coordinator, which compaction leaves in place. globals is append-only
 // and guarded by the generation's mu (reads under RLock, inserts under
 // Lock); shard mode never swaps generations, so the mapping's identity
 // is stable for the process lifetime.
@@ -87,6 +88,9 @@ type ShardInfo struct {
 	Deleted int `json:"deleted"`
 	// Epoch counts accepted writes on this shard.
 	Epoch uint64 `json:"epoch"`
+	// Compactions counts the shard's completed compactions; a router
+	// sums them into its own /stats.
+	Compactions uint64 `json:"compactions"`
 	// MaxBatch is the most query rows this shard accepts in one search
 	// frame; the router caps the frames it shares at it.
 	MaxBatch int `json:"max_batch"`
@@ -100,13 +104,14 @@ func (s *Server) shardInfo() *ShardInfo {
 	}
 	st := s.state.Load()
 	return &ShardInfo{
-		ID:       s.shard.id,
-		Of:       s.shard.of,
-		Rows:     st.backend.Rows(),
-		Live:     st.backend.Live(),
-		Deleted:  st.backend.Dead(),
-		Epoch:    st.epoch.Load(),
-		MaxBatch: s.maxBatch(),
+		ID:          s.shard.id,
+		Of:          s.shard.of,
+		Rows:        st.sharded.Rows(),
+		Live:        st.sharded.Live(),
+		Deleted:     st.sharded.Dead(),
+		Epoch:       st.epoch.Load(),
+		Compactions: st.sharded.ShardStats()[0].Compactions,
+		MaxBatch:    s.maxBatch(),
 	}
 }
 
@@ -141,10 +146,6 @@ func newShardProcess(cfg Config) (*Server, error) {
 	// Public writes enter through the router's hash routing; accepting
 	// them here would put rows on the wrong shard.
 	scfg.ReadOnly = true
-	// A compaction would retire local row IDs and silently detach them
-	// from the global map; tombstones are reclaimed by re-slicing a
-	// fresh bundle instead.
-	scfg.CompactFraction = -1
 	// The slice is served as a one-shard coordinator; per-shard build
 	// randomness matches the in-process coordinator's derivation.
 	scfg.Index.Shards = 0
@@ -169,7 +170,7 @@ func (s *Server) registerShardAPI() {
 	s.mux.HandleFunc("/shard/v1/delete", s.instrument("shard_delete", s.handleShardDelete))
 }
 
-// ---- Fan-out wire types (shared with remoteBackend in remote.go, so
+// ---- Fan-out wire types (shared with the router in remote.go, so
 // the wire cannot drift between router and shard). Every vector
 // crosses as the little-endian IEEE-754 bits of its values: exact by
 // construction. /shard/v1/search, the read route, is a binary frame
@@ -350,7 +351,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) error
 	// The router asks for the handler-level k+1 (self-stripping happens
 	// at the merge), so accept one past the public cap. A shard never
 	// swaps generations, so the dimension is read before the lock.
-	k, qs, err := readSearchFrame(r.Body, s.state.Load().backend.Dim(), s.maxBatch(), s.maxK()+1)
+	k, qs, err := readSearchFrame(r.Body, s.state.Load().sharded.Dim(), s.maxBatch(), s.maxK()+1)
 	if err != nil {
 		return err
 	}
@@ -381,7 +382,7 @@ func (s *Server) handleShardInsert(w http.ResponseWriter, r *http.Request) error
 	if err := ctxExpired(r.Context()); err != nil {
 		return err
 	}
-	v, err := unpackVec("vector", req.Vector, st.backend.Dim())
+	v, err := unpackVec("vector", req.Vector, st.sharded.Dim())
 	if err != nil {
 		return err
 	}

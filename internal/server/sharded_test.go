@@ -337,8 +337,13 @@ func TestShardedBundleBind(t *testing.T) {
 // TestShardBatchMatchesSingle pins the batch contract: every
 // /v1/neighbors/batch item is, byte for byte, the /v1/neighbors body
 // for its vertex — exact and HNSW (a small graph and the defaults), one
-// and two in-process shards and a two-shard router, at k below, at and
-// past EfSearch, with the cache off so every answer is searched.
+// and two in-process shards and a one- and a two-shard router, at k
+// below, at and past EfSearch, with the cache off so every answer is
+// searched. A one-shard router asks its shard for k+1 by vector and
+// drops the query row, as every router does, where the in-process lone
+// shard searches by row at k: its single bodies are the in-process
+// one-shard server's for the exact kind at any k, and for HNSW where
+// k+2 <= EfSearch, so that both search the same beam.
 func TestShardBatchMatchesSingle(t *testing.T) {
 	const vocab, dim = 1000, 16
 	m, tokens := testModel(vocab, dim, 42)
@@ -384,6 +389,14 @@ func TestShardBatchMatchesSingle(t *testing.T) {
 		// A slow probe must not read as a dead shard: this test is long.
 		_, router := startRouter(t, path, addrs, func(c *Config) { c.CacheSize, c.ProbeInterval = -1, time.Second })
 		urls["router"] = router.URL
+		lone, err := New(Config{ModelPath: path, ShardCount: 1, ShardID: 0, Index: tc.idx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loneHS := httptest.NewServer(lone.Handler())
+		t.Cleanup(loneHS.Close)
+		_, router1 := startRouter(t, path, []string{loneHS.URL}, func(c *Config) { c.CacheSize, c.ProbeInterval = -1, time.Second })
+		urls["1-router"] = router1.URL
 
 		for where, url := range urls {
 			for _, k := range []int{10, tc.ef - 1, tc.ef, 200} {
@@ -402,6 +415,11 @@ func TestShardBatchMatchesSingle(t *testing.T) {
 					}
 					if string(batch.Results[i]) != single {
 						differ++
+					}
+					if where == "1-router" && (tc.name == "exact" || k+2 <= tc.ef) {
+						if _, want := getRaw(t, fmt.Sprintf("%s/v1/neighbors?vertex=%s&k=%d", urls["1-shard"], v, k)); single != want {
+							t.Errorf("%s k=%d %s: one-shard router %s, in-process one shard %s", tc.name, k, v, single, want)
+						}
 					}
 				}
 				if differ > 0 {

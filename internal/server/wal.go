@@ -367,14 +367,12 @@ func (s *Server) walStats() WALStats {
 }
 
 // Close releases the server's durable resources (the write-ahead
-// log) and its shard backend (health-probe goroutines, idle remote
-// connections in router mode). Serve calls it on shutdown; embedders
-// that never call Serve (tests, in-process harnesses) should close
-// explicitly. Idempotent.
+// log) and, in router mode, its fleet (health-probe goroutines, search
+// senders, idle remote connections). Serve calls it on shutdown;
+// embedders that never call Serve (tests, in-process harnesses) should
+// close explicitly. Idempotent.
 func (s *Server) Close() error {
-	if st := s.state.Load(); st != nil {
-		st.backend.Close()
-	}
+	s.fleet.Close()
 	if s.wal == nil {
 		return nil
 	}

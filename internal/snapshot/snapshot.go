@@ -248,6 +248,43 @@ func load(br *bufio.Reader, size int64) (*word2vec.Model, []string, error) {
 	} else if err != io.EOF {
 		return nil, nil, err
 	}
+	if err := CheckFinite(m, tokens); err != nil {
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return m, tokens, nil
+}
+
+// CheckFinite refuses a model holding a NaN or an infinity, naming the
+// first such row by its token (by its index when tokens is nil). Every
+// loader here runs it on what it decodes, and no write accepts such a
+// value either, so a served row is finite and so is every score over
+// it: no search can fail on one, alone or in a router's shared frame.
+func CheckFinite(m *word2vec.Model, tokens []string) error {
+	for id := 0; id < m.Vocab; id++ {
+		for i, x := range m.Vector(id) {
+			if x-x != 0 {
+				name := strconv.Itoa(id)
+				if tokens != nil {
+					name = tokens[id]
+				}
+				return fmt.Errorf("vector %q: component %d is not finite", name, i)
+			}
+		}
+	}
+	return nil
+}
+
+// loadText reads the word2vec text format, held to the binary
+// decoder's finite check; head names the stream's first bytes when it
+// is not text either.
+func loadText(br *bufio.Reader, head []byte) (*word2vec.Model, []string, error) {
+	m, tokens, err := word2vec.Load(br)
+	if err != nil {
+		return nil, nil, notModelError(head, err)
+	}
+	if err := CheckFinite(m, tokens); err != nil {
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
 	return m, tokens, nil
 }
 
@@ -265,11 +302,7 @@ func LoadAuto(r io.Reader) (*word2vec.Model, []string, error) {
 	if IsSnapshot(head) {
 		return load(br, -1)
 	}
-	m, tokens, err := word2vec.Load(br)
-	if err != nil {
-		return nil, nil, notModelError(head, err)
-	}
-	return m, tokens, nil
+	return loadText(br, head)
 }
 
 // notModelError names the magic bytes actually seen when a stream is
@@ -336,9 +369,5 @@ func LoadFile(path string) (*word2vec.Model, []string, error) {
 	if IsSnapshot(head) {
 		return load(br, size)
 	}
-	m, tokens, err := word2vec.Load(br)
-	if err != nil {
-		return nil, nil, notModelError(head, err)
-	}
-	return m, tokens, nil
+	return loadText(br, head)
 }

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
 	"testing"
 
@@ -43,12 +44,20 @@ func FuzzLoadSnapshot(f *testing.F) {
 	valid := snap.Bytes()
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0x40
+	// A well-formed snapshot whose second row holds a NaN: the decoder
+	// must refuse it, so the body below never sees it loaded.
+	m.Vectors[m.Dim] = float32(math.NaN())
+	var nan bytes.Buffer
+	if err := Save(&nan, m, []string{"a", "bc", ""}); err != nil {
+		f.Fatal(err)
+	}
 	for _, seed := range [][]byte{
 		valid,
 		append(append([]byte(nil), valid...), fuzzTrailer(f)...), // a bundle
 		valid[:len(valid)-1],
 		valid[:30],
 		flipped,
+		nan.Bytes(),
 		resealed(valid, 20, 1),                // reserved flags set
 		append(snapshotHeader(0, 1<<20), '0'), // no rows, a 4 MiB row buffer
 		append(snapshotHeader(1, 1<<20), 0, 0, 0, 0),             // 28 bytes claiming a 4 MiB row
@@ -70,6 +79,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		for i, x := range got.Vectors {
+			if x-x != 0 {
+				t.Fatalf("loaded a model with the non-finite value %v at row %d", x, i/got.Dim)
+			}
 		}
 		var saved bytes.Buffer
 		if err := Save(&saved, got, tokens); err != nil {

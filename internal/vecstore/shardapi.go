@@ -1,12 +1,13 @@
 package vecstore
 
 // This file is the cross-process face of the sharding subsystem: the
-// routing hash, the seed derivation, and the merge helper a remote
-// scatter-gather tier needs to reproduce the in-process coordinator's
-// answers bit for bit, plus the per-row score kernel. Everything here
-// is a thin exported wrapper over the internals Sharded itself uses —
-// a router and its shard processes calling these functions agree with
-// a single-process `Sharded` by construction, not by coincidence.
+// routing hash and the seed derivation a shard process needs to hold
+// exactly the slice, built exactly as, the in-process coordinator
+// would, plus the per-row score kernel. Everything here is a thin
+// exported wrapper over the internals Sharded itself uses — a router
+// (itself a Sharded, see OpenRemote) and its shard processes calling
+// these functions agree with a single-process Sharded by construction,
+// not by coincidence.
 
 import "v2v/internal/f32"
 
@@ -23,13 +24,6 @@ func ShardOf(id, n int) int { return shardOf(id, n) }
 // building an index over its partition in isolation uses the exact
 // per-shard randomness the in-process coordinator would.
 func ShardSeed(seed uint64, shard int) uint64 { return shardSeed(seed, shard) }
-
-// MergeRowTopK merges per-shard top-(k+1) lists of a search by row
-// self into the top k excluding self — Sharded.SearchRows' merge, so a
-// router stripping the query row reproduces the coordinator's answer.
-func MergeRowTopK(perShard [][]Result, self, k int) []Result {
-	return mergeRowTopK(perShard, self, k)
-}
 
 // DotF64 is the float64-accumulating dot product kernel every index
 // scores a row with (same accumulation order as Store.Dot), exported

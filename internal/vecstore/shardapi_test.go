@@ -62,8 +62,8 @@ func TestShardSeedMatchesCoordinator(t *testing.T) {
 	}
 }
 
-// TestMergeTopKMatchesSharded checks the coordinator's merge, which
-// MergeRowTopK wraps, on ties and truncation.
+// TestMergeTopKMatchesSharded checks the coordinator's merge on ties
+// and truncation.
 func TestMergeTopKMatchesSharded(t *testing.T) {
 	perShard := [][]Result{
 		{{ID: 5, Score: 0.9}, {ID: 9, Score: 0.5}},

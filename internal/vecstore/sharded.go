@@ -14,8 +14,9 @@ import (
 // Sharded is a scatter-gather coordinator over N hash-partitioned
 // shards, each owning a private Store, MutableIndex and write lock.
 // It is the one shape the serving tier holds vectors in: an unsharded
-// server is N = 1, whose shard serves the base store itself and whose
-// queries skip the fan-out (see fanOut).
+// server is N = 1, whose shard serves the base store itself, and a
+// router is N shards whose indexes live in shard processes
+// (OpenRemote).
 // Rows are routed to shards by a stable hash of their global ID, so
 // the partition depends only on (row count, shard count) — never on
 // insertion timing — and a rebuilt or replayed store lands every row
@@ -34,15 +35,18 @@ import (
 //     1/N of the data — while the other shards keep answering and
 //     accepting writes at full speed.
 //
-// Queries fan out to every shard in parallel and merge the per-shard
-// top-k with the same (score descending, ID ascending) ordering every
-// index uses. For the exact kind the merged results are bit-identical
-// to an unsharded Exact over the same rows: per-row scores do not
+// Queries fan out to every shard in parallel, each through the
+// shard's search seam (ShardSearcher) — its own index in-process, its
+// shard process's search queue on a router; nothing else differs —
+// and merge the per-shard top-k with the same (score descending, ID
+// ascending) ordering every index uses. For the exact kind the merged
+// results are bit-identical to an unsharded Exact over the same rows: per-row scores do not
 // depend on which store holds the row (float64 accumulation is per
 // row), and local IDs within a shard are assigned in ascending global
 // order — at build, on insert, and across compaction — so per-shard
 // tie-breaking toward smaller local IDs agrees with global
-// tie-breaking. TestShardedExactParity pins this.
+// tie-breaking. TestShardedExactParity pins this; a shard process
+// answers over a bit-identical slice of the rows (snapshot.SliceShard).
 //
 // Global IDs are stable for the lifetime of the coordinator: a
 // per-shard compaction renumbers only shard-local slots and rewrites
@@ -64,6 +68,11 @@ type Sharded struct {
 	// SetCompactFraction.
 	compactFraction float64
 
+	// searchers are the shards' search seams, in shard order; see
+	// scatter for allowPartial.
+	searchers    []ShardSearcher
+	allowPartial bool
+
 	// mu guards locs and every shard's nextLocal. Lock order:
 	// coordinator mu strictly before any shard mu; writers hand off
 	// (acquire the shard lock before releasing mu) so shard-local
@@ -83,7 +92,8 @@ type shardLoc struct {
 
 // vshard is one shard: a private store + index pair behind its own
 // RWMutex. globals maps local slot -> global ID (always ascending,
-// see the parity argument on Sharded).
+// see the parity argument on Sharded). A router's shard has no index:
+// idx is nil, and its store holds the rows and tombstones alone.
 type vshard struct {
 	mu      sync.RWMutex
 	store   *Store
@@ -208,33 +218,45 @@ func openSharded(s *Store, cfg Config, index func(sid int, st *Store, per Config
 		ids[sid] = append(ids[sid], i)
 	}
 
-	var wg sync.WaitGroup
 	errs := make([]error, ns)
-	for sid := 0; sid < ns; sid++ {
-		wg.Add(1)
-		go func(sid int) {
-			defer wg.Done()
-			st, globals, err := shardStore(s, ids[sid], ns)
-			if err != nil {
-				errs[sid] = err
-				return
-			}
+	sh.eachShard(func(sid int, _ *vshard) {
+		st, globals, err := shardStore(s, ids[sid], ns)
+		if err == nil {
 			shardCfg := per
 			shardCfg.Seed = shardSeed(cfg.Seed, sid)
-			idx, err := index(sid, st, shardCfg)
-			if err != nil {
-				errs[sid] = err
-				return
+			var idx MutableIndex
+			if idx, err = index(sid, st, shardCfg); err == nil {
+				sh.shards[sid] = &vshard{store: st, idx: idx, globals: globals, nextLocal: st.Len()}
 			}
-			sh.shards[sid] = &vshard{store: st, idx: idx, globals: globals, nextLocal: st.Len()}
-		}(sid)
-	}
-	wg.Wait()
+		}
+		errs[sid] = err
+	})
 	for sid, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("vecstore: opening shard %d/%d: %w", sid, ns, err)
 		}
 	}
+	sh.searchers = make([]ShardSearcher, ns)
+	for sid := range sh.searchers {
+		sh.searchers[sid] = localShard{sh: sh, sid: sid}
+	}
+	return sh, nil
+}
+
+// OpenRemote opens a router's coordinator over s: len(searchers)
+// shards that hold rows and tombstones but no index (no int8 shadow,
+// no cells), shard sid searched through searchers[sid] in the process
+// that holds its index, with scatter's allowPartial. It never
+// compacts: the shard processes compact their own rows.
+func OpenRemote(s *Store, searchers []ShardSearcher, allowPartial bool) (*Sharded, error) {
+	sh, err := openSharded(s, Config{Shards: len(searchers)}, func(int, *Store, Config) (MutableIndex, error) {
+		return nil, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sh.searchers = searchers
+	sh.allowPartial = allowPartial
 	return sh, nil
 }
 
@@ -406,26 +428,6 @@ func (sh *Sharded) RowNorm(id int) ([]float32, float64) {
 	return vs.store.Row(local), vs.store.SqNorms()[local]
 }
 
-// LiveIDs returns every live global ID in ascending order.
-func (sh *Sharded) LiveIDs() []int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ids := make([]int, 0, len(sh.locs))
-	for id, loc := range sh.locs {
-		if loc.local < 0 {
-			continue
-		}
-		vs := sh.shards[loc.shard]
-		vs.mu.RLock()
-		dead := vs.store.Deleted(int(loc.local))
-		vs.mu.RUnlock()
-		if !dead {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // GatherLive copies every live row, in ascending global-ID order,
 // into a fresh single Store and returns it with the rows' global IDs
 // — the checkpoint/snapshot export path. The copy is one consistent
@@ -476,7 +478,7 @@ func (sh *Sharded) Insert(v []float32) (int, error) {
 	sh.mu.Unlock()
 	defer vs.mu.Unlock()
 
-	got, err := vs.idx.Insert(v)
+	got, err := vs.insert(v)
 	if err != nil {
 		// Unreachable for dimension-checked input (the only insert
 		// error any built-in index reports); the location table
@@ -511,7 +513,7 @@ func (sh *Sharded) Delete(id int) error {
 	vs := sh.shards[loc.shard]
 	vs.mu.Lock() // coordinator read lock held: compaction can't remap loc underneath
 	sh.mu.RUnlock()
-	err := vs.idx.Delete(int(loc.local))
+	err := vs.delete(int(loc.local))
 	if err == nil {
 		vs.writes++
 	}
@@ -521,6 +523,23 @@ func (sh *Sharded) Delete(id int) error {
 		sh.compactShard(int(loc.shard))
 	}
 	return err
+}
+
+// insert appends v to the shard's rows, and to its index if it has
+// one, and returns the row's local slot.
+func (vs *vshard) insert(v []float32) (int, error) {
+	if vs.idx == nil {
+		return vs.store.AppendRow(v), nil
+	}
+	return vs.idx.Insert(v)
+}
+
+// delete tombstones local slot l, in the index where there is one.
+func (vs *vshard) delete(l int) error {
+	if vs.idx == nil {
+		return vs.store.Delete(l)
+	}
+	return vs.idx.Delete(l)
 }
 
 // overThreshold reports whether the shard's tombstone fraction calls
@@ -629,90 +648,197 @@ func (sh *Sharded) compactLoop(sid int, open func(*Store, Config) (MutableIndex,
 }
 
 // SpanRecorder receives named stage durations from a scatter-gather
-// query: one "shard_wait/<sid>" span per shard (that shard's lock +
-// search time) and one "merge" span for the top-k merge. Recorders
-// are invoked sequentially on the calling goroutine, after the
-// fan-out has joined, so they need no internal locking. A nil
+// query: one "shard_wait/<sid>" span per shard that answered (from the
+// fan-out's start to that shard's answer) and one "merge" span for the
+// top-k merge. Recorders are invoked sequentially on the calling
+// goroutine before the search returns, so they need no locking. A nil
 // recorder disables timing entirely — the untraced path does not even
 // read the clock.
 type SpanRecorder func(name string, d time.Duration)
 
-// fanOut runs one search closure per shard and, when rec is non-nil,
-// replays each shard's elapsed time to it afterwards. search runs
-// under no locks — each closure takes its own shard read lock. A lone
-// shard is searched on the caller's goroutine: there is nothing to
-// overlap, and the hop costs more than it buys. Several run in
-// parallel, and when ctx expires before every shard has answered
-// fanOut returns ctx.Err() immediately instead of joining: abandoned
-// searches finish on their own goroutines (each still under only its
-// shard's read lock) and drain into a buffered channel, so nothing
-// blocks and no lock leaks — but the caller must discard any output
-// the closures write, and no span is replayed to rec on an abort (the
-// recorder is typically backed by a pooled per-request trace that is
-// reused the moment the caller returns). An already-expired ctx
-// searches nothing.
-func (sh *Sharded) fanOut(ctx context.Context, rec SpanRecorder, search func(sid int, vs *vshard)) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// ShardSearcher is one shard's search seam, the only way a Sharded
+// searches a shard. Search answers on reply, once, with one list per
+// query in qs: the shard's k nearest live rows to it, best first, in
+// global IDs. When ids is non-nil, qs[j] is row ids[j]'s own vector,
+// and its list leaves that row out, or is k+1 long and may hold it (a
+// search by vector cannot tell the row from an equal one; the merge
+// drops it). A seam that cannot answer replies with the error instead,
+// and may not reply once ctx has ended. It may answer before it
+// returns or later, from any goroutine: reply has room for every
+// shard's answer.
+type ShardSearcher interface {
+	Search(ctx context.Context, ids []int, qs [][]float32, k int, reply chan<- ShardReply)
+}
+
+// ShardReply is one shard's answer on a ShardSearcher's reply channel:
+// its lists, or the error that kept it from answering.
+type ShardReply struct {
+	Shard int
+	Lists [][]Result
+	Err   error
+}
+
+// localShard is an in-process shard's seam: its own index, searched
+// under the shard's read lock — a lone shard on the caller's goroutine,
+// where there is nothing to overlap, each of several on its own. It
+// never fails and ignores ctx: an abandoned search finishes under only
+// its shard's read lock and drains into reply.
+type localShard struct {
+	sh  *Sharded
+	sid int
+}
+
+func (l localShard) Search(ctx context.Context, ids []int, qs [][]float32, k int, reply chan<- ShardReply) {
+	if len(l.sh.shards) == 1 {
+		reply <- ShardReply{Lists: l.search(ids, qs, k)}
+		return
 	}
-	if len(sh.shards) == 1 {
-		if d := sh.timeShard(0, rec != nil, search); rec != nil {
-			rec("shard_wait/0", d)
-		}
-		return nil
-	}
-	type shardDone struct {
-		sid int
-		d   time.Duration
-	}
-	ch := make(chan shardDone, len(sh.shards))
-	for sid := range sh.shards {
-		go func() { ch <- shardDone{sid, sh.timeShard(sid, rec != nil, search)} }()
-	}
-	var durs []time.Duration
-	if rec != nil {
-		durs = make([]time.Duration, len(sh.shards))
-	}
-	for range sh.shards {
-		select {
-		case sd := <-ch:
-			if durs != nil {
-				durs[sd.sid] = sd.d
+	go func() { reply <- ShardReply{Shard: l.sid, Lists: l.search(ids, qs, k)} }()
+}
+
+func (l localShard) search(ids []int, qs [][]float32, k int) [][]Result {
+	sh := l.sh
+	if ids != nil && len(sh.shards) == 1 {
+		// A lone shard owns every query row, so each goes through its
+		// index's own SearchRow, spread over the workers: it answers
+		// exactly as the bare index would for every kind (HNSW sizes its
+		// beam from k, and k+1-then-strip is a different search past
+		// EfSearch).
+		res := make([][]Result, len(ids))
+		parallelRange(len(ids), sh.perShard.Workers, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				vs, local := sh.lockRow(ids[j])
+				res[j] = toGlobal(vs.idx.SearchRow(local, k), vs.globals)
+				vs.mu.RUnlock()
 			}
-		case <-ctx.Done():
-			return ctx.Err()
+		})
+		return res
+	}
+	if ids != nil {
+		k++ // room for the query row, which the merge drops
+	}
+	vs := sh.shards[l.sid]
+	vs.mu.RLock()
+	defer vs.mu.RUnlock()
+	res := vs.idx.SearchBatch(qs, k)
+	for j := range res {
+		res[j] = toGlobal(res[j], vs.globals)
+	}
+	return res
+}
+
+// scatter asks every shard's seam for qs at k (ids as ShardSearcher
+// takes them) and returns each shard's lists in shard order, nil for a
+// shard skipped, and how many shards answered. The fan-out rule: a
+// shard whose seam fails is skipped only when the coordinator allows
+// partial answers and the shard owns none of ids; any other failure is
+// the call's error. The end of ctx is ctx.Err() at once — later answers
+// are dropped, and a failure after it is the expiry's. rec gets the
+// shard_wait span of every shard that answered, whatever scatter
+// returns. An already-expired ctx searches nothing.
+func (sh *Sharded) scatter(ctx context.Context, ids []int, qs [][]float32, k int, rec SpanRecorder) ([][][]Result, int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	n := len(sh.searchers)
+	reply := make(chan ShardReply, n)
+	var start time.Time
+	var waits []time.Duration
+	if rec != nil {
+		start, waits = time.Now(), make([]time.Duration, n)
+	}
+	for _, s := range sh.searchers {
+		s.Search(ctx, ids, qs, k, reply)
+	}
+	perShard := make([][][]Result, n)
+	answered := 0
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		r, ok := nextReply(ctx, reply)
+		switch {
+		case !ok:
+			err = ctx.Err()
+		case r.Err == nil:
+			perShard[r.Shard] = r.Lists
+			answered++
+			if rec != nil {
+				waits[r.Shard] = time.Since(start)
+			}
+		case ctx.Err() != nil:
+			err = ctx.Err()
+		case !sh.allowPartial || owns(r.Shard, n, ids):
+			err = r.Err
 		}
 	}
-	for sid, d := range durs {
-		rec("shard_wait/"+strconv.Itoa(sid), d)
+	for sid, d := range waits {
+		if perShard[sid] != nil {
+			rec("shard_wait/"+strconv.Itoa(sid), d)
+		}
 	}
-	return nil
+	if err != nil {
+		return nil, 0, err
+	}
+	return perShard, answered, nil
 }
 
-// timeShard runs search on shard sid and returns how long it took, or
-// 0 without reading the clock when not timing.
-func (sh *Sharded) timeShard(sid int, timing bool, search func(sid int, vs *vshard)) time.Duration {
-	if !timing {
-		search(sid, sh.shards[sid])
-		return 0
+// nextReply waits for the next shard's answer or the end of ctx; an
+// answer already in when ctx ends still counts.
+func nextReply(ctx context.Context, reply <-chan ShardReply) (ShardReply, bool) {
+	select {
+	case r := <-reply:
+		return r, true
+	case <-ctx.Done():
+		select {
+		case r := <-reply:
+			return r, true
+		default:
+			return ShardReply{}, false
+		}
 	}
-	start := time.Now()
-	search(sid, sh.shards[sid])
-	return time.Since(start)
 }
 
-// Search implements Index: the query fans out to every shard in
-// parallel, each shard answers from its own index under its read
-// lock, and the per-shard top-k merge keeps the global (score
-// descending, ID ascending) order.
+// owns reports whether shard sid of n holds one of ids.
+func owns(sid, n int, ids []int) bool {
+	for _, id := range ids {
+		if shardOf(id, n) == sid {
+			return true
+		}
+	}
+	return false
+}
+
+// column gathers query j's list from every shard that answered.
+func column(dst [][]Result, perShard [][][]Result, j int) [][]Result {
+	dst = dst[:0]
+	for _, res := range perShard {
+		if res != nil {
+			dst = append(dst, res[j])
+		}
+	}
+	return dst
+}
+
+// eachShard runs fn on every shard — on the caller's goroutine for a
+// lone shard, in parallel for several — and waits for all of them.
+func (sh *Sharded) eachShard(fn func(sid int, vs *vshard)) {
+	if len(sh.shards) == 1 {
+		fn(0, sh.shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for sid := range sh.shards {
+		wg.Add(1)
+		go func(vs *vshard) {
+			defer wg.Done()
+			fn(sid, vs)
+		}(sh.shards[sid])
+	}
+	wg.Wait()
+}
+
+// Search implements Index: SearchBatch for one query.
 func (sh *Sharded) Search(q []float32, k int) []Result {
-	perShard := make([][]Result, len(sh.shards))
-	sh.fanOut(context.Background(), nil, func(sid int, vs *vshard) {
-		vs.mu.RLock()
-		defer vs.mu.RUnlock()
-		perShard[sid] = toGlobal(vs.idx.Search(q, k), vs.globals)
-	})
-	return mergeTopK(perShard, k)
+	return sh.SearchBatch([][]float32{q}, k)[0]
 }
 
 // SearchRow implements Index: SearchRows for one row.
@@ -722,76 +848,51 @@ func (sh *Sharded) SearchRow(i, k int) []Result {
 }
 
 // SearchRows answers "the k nearest rows to row id, excluding id" for
-// every id — one path for a single query and a batch. Several shards
-// each answer the whole batch through their index's (worker-parallel)
-// SearchBatch for k+1, searching with the rows' vectors, and the merge
-// drops each query row before truncating to k: for the exact kind
-// that is identical to exclude-at-scan, the top k excluding i being
-// the top k+1 including it, minus i. A lone shard owns every row, so
-// each id goes through its index's own SearchRow, spread over the
-// workers: it answers exactly as the bare index would for every kind
-// (HNSW sizes its beam from k, and k+1-then-strip is a different
-// search past EfSearch). rec (may be nil) receives one
-// "shard_wait/<sid>" span per shard and a "merge" span for the merge
-// and strip. When ctx expires mid-fan-out the scatter-gather is
-// abandoned — the slow shards finish in the background under their
-// own read locks, their results are discarded, and the call returns
-// ctx.Err() without waiting for them. Panics when a row was compacted
-// away (check Deleted first).
+// every id — one path for a single query and a batch: every shard
+// answers the whole batch at once. Several in-process shards, like a
+// router's shard processes, search the rows' vectors for k+1 (the
+// index's worker-parallel SearchBatch), and the merge drops each query
+// row before truncating to k: for the exact kind that is identical to
+// exclude-at-scan, the top k excluding i being the top k+1 including
+// it, minus i. A lone in-process shard answers through its index's own
+// SearchRow (localShard). rec (may be nil) receives the scatter's
+// spans and a "merge" span. When ctx expires mid-fan-out the call
+// returns ctx.Err() without waiting for the slow shards. Panics when a
+// row was compacted away (check Deleted first).
 func (sh *Sharded) SearchRows(ctx context.Context, ids []int, k int, rec SpanRecorder) ([][]Result, error) {
+	out, _, err := sh.SearchRowsPartial(ctx, ids, k, rec)
+	return out, err
+}
+
+// SearchRowsPartial is SearchRows that also returns how many shards
+// answered: fewer than all only under OpenRemote's allowPartial.
+func (sh *Sharded) SearchRowsPartial(ctx context.Context, ids []int, k int, rec SpanRecorder) ([][]Result, int, error) {
 	out := make([][]Result, len(ids))
-	if k <= 0 {
-		return out, nil
+	if k <= 0 || len(ids) == 0 {
+		return out, len(sh.shards), nil
 	}
-	perShard := make([][][]Result, len(sh.shards))
-	var search func(sid int, vs *vshard)
-	if len(sh.shards) == 1 {
-		search = func(int, *vshard) {
-			res := make([][]Result, len(ids))
-			parallelRange(len(ids), sh.perShard.Workers, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					vs, local := sh.lockRow(ids[j])
-					res[j] = toGlobal(vs.idx.SearchRow(local, k), vs.globals)
-					vs.mu.RUnlock()
-				}
-			})
-			perShard[0] = res
-		}
-	} else {
-		qs := make([][]float32, len(ids))
-		for j, id := range ids {
-			qs[j] = sh.Row(id) // contents immutable; valid after unlock
-		}
-		search = func(sid int, vs *vshard) {
-			vs.mu.RLock()
-			defer vs.mu.RUnlock()
-			res := vs.idx.SearchBatch(qs, k+1)
-			for j := range res {
-				res[j] = toGlobal(res[j], vs.globals)
-			}
-			perShard[sid] = res
-		}
+	qs := make([][]float32, len(ids))
+	for j, id := range ids {
+		qs[j] = sh.Row(id) // contents immutable; valid after unlock
 	}
-	if err := sh.fanOut(ctx, rec, search); err != nil {
-		// perShard may still be written by abandoned goroutines; it is
-		// dropped unread.
-		return nil, err
+	perShard, answered, err := sh.scatter(ctx, ids, qs, k, rec)
+	if err != nil {
+		return nil, 0, err
 	}
 	var start time.Time
 	if rec != nil {
 		start = time.Now()
 	}
-	lists := make([][]Result, len(sh.shards))
+	horizon := sh.Rows()
+	lists := make([][]Result, 0, len(perShard))
 	for j, id := range ids {
-		for sid := range perShard {
-			lists[sid] = perShard[sid][j]
-		}
-		out[j] = mergeRowTopK(lists, id, k)
+		lists = column(lists, perShard, j)
+		out[j] = mergeRowTopK(lists, id, horizon, k)
 	}
 	if rec != nil {
 		rec("merge", time.Since(start))
 	}
-	return out, nil
+	return out, answered, nil
 }
 
 // SearchBatch implements Index: each shard answers the whole batch
@@ -802,33 +903,22 @@ func (sh *Sharded) SearchBatch(qs [][]float32, k int) [][]Result {
 	if len(qs) == 0 {
 		return out
 	}
-	perShard := make([][][]Result, len(sh.shards))
-	sh.fanOut(context.Background(), nil, func(sid int, vs *vshard) {
-		vs.mu.RLock()
-		defer vs.mu.RUnlock()
-		rss := vs.idx.SearchBatch(qs, k)
-		for qi := range rss {
-			rss[qi] = toGlobal(rss[qi], vs.globals)
-		}
-		perShard[sid] = rss
-	})
-	scratch := make([][]Result, len(sh.shards))
-	for qi := range qs {
-		for sid := range perShard {
-			scratch[sid] = perShard[sid][qi]
-		}
-		out[qi] = mergeTopK(scratch, k)
+	perShard, _, _ := sh.scatter(context.Background(), nil, qs, k, nil)
+	lists := make([][]Result, 0, len(perShard))
+	for j := range qs {
+		lists = column(lists, perShard, j)
+		out[j] = mergeTopK(lists, k)
 	}
 	return out
 }
 
 // ScanExact scores every live row with the caller's kernel and
 // returns the global top-k, excluding the given global IDs — the
-// scatter-gather form of a hand-written exact scan (an in-process
-// server's analogy, word2vec.AnalogySharded). score must be a pure
-// per-row function; rows are visited shard-parallel, per shard in
-// ascending global order, so results match a single global scan of the
-// same kernel exactly.
+// scatter-gather form of a hand-written exact scan (a server's
+// analogy, word2vec.AnalogySharded), over the rows, so a router's too.
+// score must be a pure per-row function; rows are visited
+// shard-parallel, per shard in ascending global order, so results
+// match a single global scan of the same kernel exactly.
 func (sh *Sharded) ScanExact(score func(v []float32) float64, exclude []int, k int) []Result {
 	if k <= 0 {
 		return nil
@@ -838,7 +928,7 @@ func (sh *Sharded) ScanExact(score func(v []float32) float64, exclude []int, k i
 		ex[int32(id)] = true
 	}
 	perShard := make([][]Result, len(sh.shards))
-	sh.fanOut(context.Background(), nil, func(sid int, vs *vshard) {
+	sh.eachShard(func(sid int, vs *vshard) {
 		vs.mu.RLock()
 		defer vs.mu.RUnlock()
 		var top TopK
@@ -928,16 +1018,24 @@ func mergeTopK(perShard [][]Result, k int) []Result {
 	return merged
 }
 
-// mergeRowTopK merges per-shard top-(k+1) lists of a search by row
-// self into the top k excluding self: the one self-exclusion every
-// by-row merge, in-process or routed, goes through.
-func mergeRowTopK(perShard [][]Result, self, k int) []Result {
-	merged := mergeTopK(perShard, k+1)
-	out := merged[:0]
-	for _, r := range merged {
-		if r.ID != self {
-			out = append(out, r)
+// mergeRowTopK merges per-shard lists of a search by row self into
+// the top k rows other than self and below horizon, the coordinator's
+// row count: a shard process can hold a row its router never recorded
+// (an insert whose acknowledgment was lost), which no caller could
+// resolve. In-process no shard answers past it.
+func mergeRowTopK(perShard [][]Result, self, horizon, k int) []Result {
+	total := 0
+	for _, rs := range perShard {
+		total += len(rs)
+	}
+	merged := make([]Result, 0, total)
+	for _, rs := range perShard {
+		for _, r := range rs {
+			if r.ID != self && r.ID < horizon {
+				merged = append(merged, r)
+			}
 		}
 	}
-	return out[:min(len(out), k)]
+	sortResults(merged)
+	return merged[:min(len(merged), k)]
 }
