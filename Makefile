@@ -6,7 +6,7 @@
 GO      ?= go
 BENCH_OUT ?= .bench_build/report.json
 BENCH_PKGS ?= . ./internal/walk ./internal/word2vec ./internal/f32 ./internal/vecstore ./internal/knn \
-	./internal/snapshot ./internal/server
+	./internal/snapshot ./internal/server ./internal/cluster
 
 .PHONY: build test race vet check-benchmark bench bench-smoke serve-smoke router-smoke crash-smoke \
 	fuzz clean

@@ -1,7 +1,10 @@
 package v2v
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation benchmarks for the design choices called out in DESIGN.md.
+// ablation benchmarks over the knobs of the paper's own configuration:
+// walk budget, k-means restarts and worker count. The model is always
+// CBOW with negative sampling over the paper's walks, as in every
+// cmd/repro experiment.
 // Benchmarks use scaled-down workloads (see docs/EXPERIMENTS.md for
 // the scale rationale); run `go run ./cmd/repro -scale paper` for
 // paper-size regeneration.
@@ -16,6 +19,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"v2v/internal/graph"
 )
 
 const (
@@ -296,44 +301,7 @@ func BenchmarkFig10AccuracyVsK(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design choices from DESIGN.md) -----------------------
-
-// BenchmarkAblationObjective compares CBOW (the paper) with SkipGram
-// (DeepWalk/node2vec) at identical budgets.
-func BenchmarkAblationObjective(b *testing.B) {
-	g, truth := benchGraph(b, 0.5)
-	for _, obj := range []Objective{CBOW, SkipGram} {
-		b.Run(obj.String(), func(b *testing.B) {
-			var lastP float64
-			for i := 0; i < b.N; i++ {
-				o := benchOptions(16)
-				o.Objective = obj
-				emb := embedBench(b, g, o)
-				res, err := emb.DetectCommunities(CommunityConfig{K: benchCommunities, Restarts: 30, Seed: 5})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lastP, _, _ = EvaluateCommunities(truth, res.Partition)
-			}
-			b.ReportMetric(lastP, "precision")
-		})
-	}
-}
-
-// BenchmarkAblationSampler compares negative sampling with
-// hierarchical softmax.
-func BenchmarkAblationSampler(b *testing.B) {
-	g, _ := benchGraph(b, 0.5)
-	for _, s := range []SamplerKind{NegativeSampling, HierarchicalSoftmax} {
-		b.Run(s.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := benchOptions(16)
-				o.Sampler = s
-				embedBench(b, g, o)
-			}
-		})
-	}
-}
+// ---- Ablations ------------------------------------------------------
 
 // BenchmarkAblationWalkBudget varies the walk budget t (walks per
 // vertex), the paper's main cost knob.
@@ -353,25 +321,6 @@ func BenchmarkAblationWalkBudget(b *testing.B) {
 				lastP, _, _ = EvaluateCommunities(truth, res.Partition)
 			}
 			b.ReportMetric(lastP, "precision")
-		})
-	}
-}
-
-// BenchmarkAblationWalkStrategy compares uniform walks (the paper)
-// with node2vec's biased second-order walks.
-func BenchmarkAblationWalkStrategy(b *testing.B) {
-	g, _ := benchGraph(b, 0.5)
-	configs := map[string]func(*Options){
-		"uniform":  func(o *Options) { o.Strategy = UniformWalk },
-		"node2vec": func(o *Options) { o.Strategy = Node2VecWalk; o.ReturnParam = 1; o.InOutParam = 0.5 },
-	}
-	for name, mod := range configs {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := benchOptions(16)
-				mod(&o)
-				embedBench(b, g, o)
-			}
 		})
 	}
 }
@@ -433,7 +382,7 @@ func streamBenchGraph(b *testing.B) *Graph {
 		if testing.Short() {
 			n, m = 10_000, 5
 		}
-		streamBench.g = BarabasiAlbert(n, m, 42)
+		streamBench.g = graph.BarabasiAlbert(n, m, 42)
 	})
 	return streamBench.g
 }

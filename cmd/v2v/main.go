@@ -8,9 +8,10 @@
 //	v2v -in graph.txt [-out vectors.txt] [-format text|bin] [-dim 50]
 //	    [-walks 10] [-length 80] [-window 5] [-epochs 3] [-directed]
 //	    [-named]
-//	    [-strategy uniform|edge-weighted|vertex-weighted|temporal|node2vec]
-//	    [-objective cbow|skipgram] [-sampler ns|hs] [-seed 1]
-//	    [-v]
+//	    [-strategy uniform|edge-weighted|vertex-weighted|temporal]
+//	    [-temporal-window 0] [-seed 1] [-v]
+//
+// The model is CBOW with negative sampling, the paper's.
 //
 // -v prints one line per stage to stderr: graph load, walk generation
 // (tokens, Mtok/s), each training epoch (seconds, Mtok/s, mean loss;
@@ -167,26 +168,53 @@ func indexSelection(fs *flag.FlagSet, defaultKind string) func() (v2v.IndexConfi
 	}
 }
 
+// trainOptions registers the walk and model flags on fs and returns a
+// closure assembling the Options after parsing. An unknown -strategy
+// is an error naming the four walks that remain.
+func trainOptions(fs *flag.FlagSet) func() (v2v.Options, error) {
+	var (
+		dim      = fs.Int("dim", 50, "embedding dimensions")
+		walks    = fs.Int("walks", 10, "random walks per vertex (paper default 1000)")
+		length   = fs.Int("length", 80, "walk length (paper default 1000)")
+		window   = fs.Int("window", 5, "context window n")
+		epochs   = fs.Int("epochs", 3, "training epochs")
+		strategy = fs.String("strategy", "uniform", "walk strategy: uniform, edge-weighted, vertex-weighted or temporal")
+		window64 = fs.Int64("temporal-window", 0, "temporal strategy: max timestamp gap (0 = unbounded)")
+		seed     = fs.Uint64("seed", 1, "random seed")
+	)
+	return func() (v2v.Options, error) {
+		opts := v2v.DefaultOptions(*dim)
+		opts.WalksPerVertex = *walks
+		opts.WalkLength = *length
+		opts.Window = *window
+		opts.Epochs = *epochs
+		opts.TemporalWindow = *window64
+		opts.Seed = *seed
+		switch *strategy {
+		case "uniform":
+			opts.Strategy = v2v.UniformWalk
+		case "edge-weighted":
+			opts.Strategy = v2v.EdgeWeightedWalk
+		case "vertex-weighted":
+			opts.Strategy = v2v.VertexWeightedWalk
+		case "temporal":
+			opts.Strategy = v2v.TemporalWalk
+		default:
+			return opts, fmt.Errorf("unknown strategy %q (want uniform, edge-weighted, vertex-weighted or temporal; node2vec was removed)", *strategy)
+		}
+		return opts, nil
+	}
+}
+
 func trainMain() {
 	var (
-		in        = flag.String("in", "", "input edge list (required; '-' for stdin)")
-		out       = flag.String("out", "", "output vector file (default stdout)")
-		dim       = flag.Int("dim", 50, "embedding dimensions")
-		walks     = flag.Int("walks", 10, "random walks per vertex (paper default 1000)")
-		length    = flag.Int("length", 80, "walk length (paper default 1000)")
-		window    = flag.Int("window", 5, "context window n")
-		epochs    = flag.Int("epochs", 3, "training epochs")
-		directed  = flag.Bool("directed", false, "treat edges as directed")
-		named     = flag.Bool("named", false, "vertex names instead of integer indices")
-		strategy  = flag.String("strategy", "uniform", "walk strategy: uniform, edge-weighted, vertex-weighted, temporal, node2vec")
-		window64  = flag.Int64("temporal-window", 0, "temporal strategy: max timestamp gap (0 = unbounded)")
-		p         = flag.Float64("p", 1, "node2vec return parameter")
-		q         = flag.Float64("q", 1, "node2vec in-out parameter")
-		objective = flag.String("objective", "cbow", "cbow or skipgram")
-		sampler   = flag.String("sampler", "ns", "ns (negative sampling) or hs (hierarchical softmax)")
-		format    = flag.String("format", "text", "output format: text (word2vec) or bin (binary snapshot, ~10x faster to load)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		verbose   = flag.Bool("v", false, "log one line per stage (graph load, walks, each epoch, save) to stderr")
+		in       = flag.String("in", "", "input edge list (required; '-' for stdin)")
+		out      = flag.String("out", "", "output vector file (default stdout)")
+		directed = flag.Bool("directed", false, "treat edges as directed")
+		named    = flag.Bool("named", false, "vertex names instead of integer indices")
+		format   = flag.String("format", "text", "output format: text (word2vec) or bin (binary snapshot, ~10x faster to load)")
+		verbose  = flag.Bool("v", false, "log one line per stage (graph load, walks, each epoch, save) to stderr")
+		options  = trainOptions(flag.CommandLine)
 	)
 	flag.Parse()
 	if *in == "" {
@@ -195,6 +223,10 @@ func trainMain() {
 	}
 	if *format != "text" && *format != "bin" {
 		fatal(fmt.Errorf("unknown format %q (want text or bin)", *format))
+	}
+	opts, err := options()
+	if err != nil {
+		fatal(err)
 	}
 
 	var input *os.File
@@ -216,46 +248,6 @@ func trainMain() {
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "graph: %d vertices, %d edges, loaded in %v\n",
 			g.NumVertices(), g.NumEdges(), time.Since(start).Round(time.Microsecond))
-	}
-
-	opts := v2v.DefaultOptions(*dim)
-	opts.WalksPerVertex = *walks
-	opts.WalkLength = *length
-	opts.Window = *window
-	opts.Epochs = *epochs
-	opts.TemporalWindow = *window64
-	opts.ReturnParam = *p
-	opts.InOutParam = *q
-	opts.Seed = *seed
-	switch *strategy {
-	case "uniform":
-		opts.Strategy = v2v.UniformWalk
-	case "edge-weighted":
-		opts.Strategy = v2v.EdgeWeightedWalk
-	case "vertex-weighted":
-		opts.Strategy = v2v.VertexWeightedWalk
-	case "temporal":
-		opts.Strategy = v2v.TemporalWalk
-	case "node2vec":
-		opts.Strategy = v2v.Node2VecWalk
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
-	switch *objective {
-	case "cbow":
-		opts.Objective = v2v.CBOW
-	case "skipgram":
-		opts.Objective = v2v.SkipGram
-	default:
-		fatal(fmt.Errorf("unknown objective %q", *objective))
-	}
-	switch *sampler {
-	case "ns":
-		opts.Sampler = v2v.NegativeSampling
-	case "hs":
-		opts.Sampler = v2v.HierarchicalSoftmax
-	default:
-		fatal(fmt.Errorf("unknown sampler %q", *sampler))
 	}
 
 	emb, err := v2v.Embed(g, opts)

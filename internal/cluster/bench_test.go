@@ -47,15 +47,3 @@ func BenchmarkKMeansDimensions(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSilhouette measures the O(n^2) quality score used by
-// ChooseK.
-func BenchmarkSilhouette(b *testing.B) {
-	points, labels := gaussianBlobs(10, 100, 10, 15, 1, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Silhouette(points, labels); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,5 +1,5 @@
 // Package core wires the substrates into the paper's V2V pipeline:
-// constrained random walks over a graph feed a CBOW (or SkipGram)
+// constrained random walks over a graph feed a CBOW
 // model whose hidden-layer weights become the vertex embeddings
 // (Figure 1 of the paper). It also hosts the embedding-space
 // application drivers: community detection by k-means (Section III),
@@ -231,22 +231,6 @@ func (e *Embedding) DetectCommunities(cfg CommunityConfig) (*CommunityResult, er
 		SSE:         res.SSE,
 		ClusterTime: time.Since(start),
 	}, nil
-}
-
-// ChooseCommunities selects the community count in [kMin, kMax] by
-// maximum silhouette over k-means clusterings of the embedding,
-// addressing the parameter-selection question of the paper's
-// conclusion (the ground-truth k is unknown in practice).
-func (e *Embedding) ChooseCommunities(kMin, kMax int, cfg CommunityConfig) (*cluster.KSelection, error) {
-	kcfg := cluster.DefaultConfig(0)
-	if cfg.Restarts > 0 {
-		kcfg.Restarts = cfg.Restarts
-	} else {
-		kcfg.Restarts = 10 // silhouette sweeps re-cluster per k; keep it bounded
-	}
-	kcfg.Seed = cfg.Seed
-	kcfg.Workers = cfg.Workers
-	return cluster.ChooseK(e.Model.Rows(), kMin, kMax, kcfg)
 }
 
 // EvaluateCommunities returns the paper's pairwise precision and

@@ -6,7 +6,6 @@ import (
 
 	"v2v/internal/graph"
 	"v2v/internal/walk"
-	"v2v/internal/word2vec"
 )
 
 func testConfig(dim int) Config {
@@ -225,21 +224,6 @@ func TestEmbedWithConvergence(t *testing.T) {
 	}
 }
 
-func TestChooseCommunitiesFindsTrueK(t *testing.T) {
-	g, _ := benchmarkGraph(t, 0.8)
-	emb, err := Embed(g, testConfig(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := emb.ChooseCommunities(2, 7, CommunityConfig{Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.K != 4 {
-		t.Fatalf("ChooseCommunities picked %d, want 4 (scores %v)", sel.K, sel.Silhouettes)
-	}
-}
-
 func TestEmbedDirectedGraph(t *testing.T) {
 	b := graph.NewBuilder(0)
 	b.SetDirected(true)
@@ -274,24 +258,5 @@ func TestEmbedTemporalStrategy(t *testing.T) {
 	}
 	if emb.Tokens == 0 {
 		t.Fatal("empty temporal corpus")
-	}
-}
-
-func TestEmbedSkipGramHS(t *testing.T) {
-	g, truth := benchmarkGraph(t, 0.8)
-	cfg := testConfig(16)
-	cfg.Model.Objective = word2vec.SkipGram
-	cfg.Model.Sampler = word2vec.HierarchicalSoftmax
-	emb, err := Embed(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := emb.DetectCommunities(CommunityConfig{K: 4, Restarts: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, r, _ := EvaluateCommunities(truth, res.Partition)
-	if p < 0.8 || r < 0.8 {
-		t.Fatalf("SkipGram+HS pipeline: precision %.3f recall %.3f", p, r)
 	}
 }

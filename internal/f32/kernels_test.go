@@ -299,9 +299,9 @@ func TestDotNonFinite(t *testing.T) {
 }
 
 // TestGradAdjacentRows runs Grad on three neighbouring rows of one
-// matrix, the layout the trainer hands it (h a syn0 row in SkipGram,
-// out a syn1 row): the rows before and after each operand must come
-// back untouched, and the result must match the unfused definition.
+// matrix, as out is a syn1 row between others in the trainer: the
+// rows before and after each operand must come back untouched, and
+// the result must match the unfused definition.
 func TestGradAdjacentRows(t *testing.T) {
 	rng := xrand.New(7)
 	for _, dim := range []int{1, 7, 8, 9, 50, 64} {

@@ -31,15 +31,6 @@ func BenchmarkBarabasiAlbert(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSDistances measures single-source BFS.
-func BenchmarkBFSDistances(b *testing.B) {
-	g, _ := CommunityBenchmark(DefaultCommunityBenchmark(0.5, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.BFSDistances(i % g.NumVertices())
-	}
-}
-
 // BenchmarkHasEdge measures adjacency binary search.
 func BenchmarkHasEdge(b *testing.B) {
 	g, _ := CommunityBenchmark(DefaultCommunityBenchmark(0.5, 3))

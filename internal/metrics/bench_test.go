@@ -28,14 +28,3 @@ func BenchmarkCountPairs(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkNMI measures normalised mutual information.
-func BenchmarkNMI(b *testing.B) {
-	truth, pred := benchLabels(100000, 10, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NMI(truth, pred); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,14 +1,11 @@
 // Package metrics implements the clustering and classification
 // quality measures used in the paper's evaluation: pairwise precision
 // and recall of a clustering against ground-truth communities
-// (Section III-B), plus standard extras (F1, NMI, adjusted Rand
-// index, accuracy, confusion matrices) for the extended experiments.
+// (Section III-B), plus their F1 and the accuracy, confusion-matrix
+// and purity measures.
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PairCounts holds the pair-level contingency of a clustering versus
 // ground truth: of all unordered vertex pairs, how many are together
@@ -82,78 +79,6 @@ func PairwiseF1(truth, pred []int) (float64, error) {
 		return 0, nil
 	}
 	return 2 * p * r / (p + r), nil
-}
-
-// AdjustedRandIndex returns the ARI of the two labelings: 1 for
-// identical partitions, ~0 for independent ones.
-func AdjustedRandIndex(truth, pred []int) (float64, error) {
-	pc, err := CountPairs(truth, pred)
-	if err != nil {
-		return 0, err
-	}
-	if pc.Pairs == 0 {
-		return 1, nil
-	}
-	expected := float64(pc.TogetherTruth) * float64(pc.TogetherCluster) / float64(pc.Pairs)
-	maxIndex := (float64(pc.TogetherTruth) + float64(pc.TogetherCluster)) / 2
-	if maxIndex == expected {
-		return 1, nil
-	}
-	return (float64(pc.TogetherBoth) - expected) / (maxIndex - expected), nil
-}
-
-// NMI returns the normalised mutual information (arithmetic-mean
-// normalisation) between the two labelings, in [0, 1]. Degenerate
-// single-cluster cases return 1 when the partitions are identical and
-// 0 otherwise.
-func NMI(truth, pred []int) (float64, error) {
-	n := len(truth)
-	if n != len(pred) {
-		return 0, fmt.Errorf("metrics: truth has %d items, pred has %d", n, len(pred))
-	}
-	if n == 0 {
-		return 1, nil
-	}
-	type cell struct{ t, p int }
-	joint := make(map[cell]float64)
-	pt := make(map[int]float64)
-	pp := make(map[int]float64)
-	for i := 0; i < n; i++ {
-		joint[cell{truth[i], pred[i]}]++
-		pt[truth[i]]++
-		pp[pred[i]]++
-	}
-	fn := float64(n)
-	var mi, ht, hp float64
-	for c, cnt := range joint {
-		pxy := cnt / fn
-		px := pt[c.t] / fn
-		py := pp[c.p] / fn
-		mi += pxy * math.Log(pxy/(px*py))
-	}
-	for _, cnt := range pt {
-		p := cnt / fn
-		ht -= p * math.Log(p)
-	}
-	for _, cnt := range pp {
-		p := cnt / fn
-		hp -= p * math.Log(p)
-	}
-	if ht == 0 && hp == 0 {
-		return 1, nil // both are single clusters: identical partitions
-	}
-	denom := (ht + hp) / 2
-	if denom == 0 {
-		return 0, nil
-	}
-	v := mi / denom
-	if v < 0 {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v, nil
 }
 
 // Accuracy returns the fraction of positions where pred equals truth.

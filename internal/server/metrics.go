@@ -245,10 +245,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		shardCkr = append(shardCkr, telemetry.Sample{Labels: label, Value: float64(ss.Compactions)})
 		compactions += ss.Compactions
 	}
-	ew.GaugeFamily("v2v_shard_rows", "Rows held per shard (live + tombstoned).", rows...)
+	ew.GaugeFamily("v2v_shard_rows", "Rows per shard, live + tombstoned; on a router, every ID the shard process assigned.", rows...)
 	ew.GaugeFamily("v2v_shard_live", "Live rows per shard.", live...)
 	ew.GaugeFamily("v2v_shard_tombstones", "Tombstoned rows per shard.", dead...)
-	ew.GaugeFamily("v2v_shard_epoch", "Compaction epoch per shard.", epochs...)
+	ew.GaugeFamily("v2v_shard_epoch", "Per shard: compaction epoch in process; on a router, the shard process's write epoch.", epochs...)
 	ew.CounterFamily("v2v_shard_compactions_total", "Completed compactions per shard.", shardCkr...)
 	// Router mode: per-backend membership, so dashboards can alert on a
 	// shard dropping out before clients see 503s/partials. In-process

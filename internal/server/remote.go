@@ -695,6 +695,7 @@ func newRouter(cfg Config) (*Server, error) {
 		rb.Close()
 		return nil, fmt.Errorf("server: opening the router's shards: %w", err)
 	}
+	sharded.SetCompactFraction(cfg.compactFraction())
 	s.fleet = rb
 	byToken := make(map[string]int, len(tokens))
 	for i, tok := range tokens {

@@ -352,13 +352,14 @@ func TestRouterTombstonedHNSW(t *testing.T) {
 // Nine of ten rows are deleted through a router and through the
 // in-process two-shard coordinator; every shard process's /stats then
 // counts a compaction, the router's /stats sums them from its probes,
-// and every read body stays the in-process server's, byte for byte:
+// the router's own copy of the rows compacts below the threshold, and
+// every read body stays the in-process server's, byte for byte:
 // a compaction renumbers a shard's slots, never the global IDs its
 // answers carry.
 func TestRouterShardCompaction(t *testing.T) {
 	const vocab, dim, shards = 400, 6, 2
 	path, addrs, fleet := startShardFleet(t, vocab, dim, shards)
-	_, router := startRouter(t, path, addrs, nil)
+	routerS, router := startRouter(t, path, addrs, nil)
 	ref, err := New(Config{ModelPath: path, Index: vecstore.Config{Shards: shards}})
 	if err != nil {
 		t.Fatal(err)
@@ -396,6 +397,20 @@ func TestRouterShardCompaction(t *testing.T) {
 			t.Fatalf("router /stats counts %d compactions, want at least %d", compactions(router.URL), shards)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	// The router's own rows compact too: each shard of its coordinator
+	// drops below the default compact fraction.
+	for sid := 0; sid < shards; sid++ {
+		for {
+			ss := routerS.state.Load().sharded.ShardStats()[sid]
+			if float64(ss.Deleted) < defaultCompactFraction*float64(ss.Rows) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("router's own shard %d never compacted: %d of %d rows tombstoned", sid, ss.Deleted, ss.Rows)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 
 	for _, p := range []string{

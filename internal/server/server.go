@@ -98,6 +98,8 @@ type Config struct {
 	// triggers compaction of the shard it landed on (gather its live
 	// rows, rebuild its index, swap it in; see vecstore.Sharded). 0
 	// means the 0.25 default; negative disables compaction entirely.
+	// A router compacts its own copy of the rows by the same rule,
+	// with no index to rebuild.
 	CompactFraction float64
 
 	// WAL enables write-ahead logging of the online write path: every
@@ -182,6 +184,15 @@ const (
 	defaultMaxBatch        = 4096
 	defaultCompactFraction = 0.25
 )
+
+// compactFraction is CompactFraction with its default applied, for
+// vecstore.Sharded.SetCompactFraction.
+func (c Config) compactFraction() float64 {
+	if c.CompactFraction == 0 {
+		return defaultCompactFraction
+	}
+	return c.CompactFraction
+}
 
 // modelState is one generation of servable state. The token
 // identities are fixed for the generation's lifetime, but writes grow
@@ -495,11 +506,7 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 			return 0, fmt.Errorf("server: building index: %w", err)
 		}
 	}
-	frac := s.cfg.CompactFraction
-	if frac == 0 {
-		frac = defaultCompactFraction
-	}
-	sharded.SetCompactFraction(frac) // negative disables
+	sharded.SetCompactFraction(s.cfg.compactFraction()) // negative disables
 	byToken := make(map[string]int, len(tokens))
 	for i, tok := range tokens {
 		byToken[tok] = i
@@ -976,7 +983,9 @@ type StatsResponse struct {
 	Writes        WriteStats           `json:"writes"`
 	Shards        []vecstore.ShardStat `json:"shards,omitempty"`
 	// Shards is the per-shard occupancy block, in shard order: one
-	// entry for an unsharded server.
+	// entry for an unsharded server. A router reports the shard
+	// processes' probed Shard blocks here, which count differently
+	// (docs/OBSERVABILITY.md).
 	//
 	// Backends reports per-shard membership health — present only in
 	// router mode, where shards are remote processes that can fail

@@ -68,6 +68,10 @@ type Sharded struct {
 	// SetCompactFraction.
 	compactFraction float64
 
+	// open builds the index of a compacted shard over its new store:
+	// OpenMutable, or noIndex on a router.
+	open func(*Store, Config) (MutableIndex, error)
+
 	// searchers are the shards' search seams, in shard order; see
 	// scatter for allowPartial.
 	searchers    []ShardSearcher
@@ -208,6 +212,7 @@ func openSharded(s *Store, cfg Config, index func(sid int, st *Store, per Config
 		kind:     cfg.Kind,
 		dim:      s.Dim(),
 		perShard: per,
+		open:     OpenMutable,
 		locs:     make([]shardLoc, n),
 		shards:   make([]*vshard, ns),
 	}
@@ -246,19 +251,25 @@ func openSharded(s *Store, cfg Config, index func(sid int, st *Store, per Config
 // OpenRemote opens a router's coordinator over s: len(searchers)
 // shards that hold rows and tombstones but no index (no int8 shadow,
 // no cells), shard sid searched through searchers[sid] in the process
-// that holds its index, with scatter's allowPartial. It never
-// compacts: the shard processes compact their own rows.
+// that holds its index, with scatter's allowPartial. Past the
+// SetCompactFraction threshold a shard compacts its rows alone: the
+// shard processes compact their indexes themselves.
 func OpenRemote(s *Store, searchers []ShardSearcher, allowPartial bool) (*Sharded, error) {
-	sh, err := openSharded(s, Config{Shards: len(searchers)}, func(int, *Store, Config) (MutableIndex, error) {
-		return nil, nil
+	sh, err := openSharded(s, Config{Shards: len(searchers)}, func(_ int, st *Store, per Config) (MutableIndex, error) {
+		return noIndex(st, per)
 	})
 	if err != nil {
 		return nil, err
 	}
+	sh.open = noIndex
 	sh.searchers = searchers
 	sh.allowPartial = allowPartial
 	return sh, nil
 }
+
+// noIndex opens a router's shard: its rows are read by ID only, so it
+// has no index.
+func noIndex(*Store, Config) (MutableIndex, error) { return nil, nil }
 
 // shardStore returns the store one shard of an ns-way partition of s
 // serves, and its local -> global table: ids are the shard's rows in
@@ -564,7 +575,7 @@ func (sh *Sharded) compactShard(sid int) {
 		return
 	}
 	go func() {
-		err := sh.compactLoop(sid, OpenMutable, time.Sleep)
+		err := sh.compactLoop(sid, sh.open, time.Sleep)
 		vs.compacting.Store(false)
 		if err != nil {
 			// The rebuild failed and the shard keeps its old index;
@@ -591,7 +602,7 @@ func (sh *Sharded) compactShard(sid int) {
 // write, and the loop pauses for compactBackoff times what the attempt
 // cost before it gathers again — so compaction completes once writes
 // quiesce, without needing another write to trigger it. open and pause
-// are OpenMutable and time.Sleep outside tests.
+// are sh.open and time.Sleep outside tests.
 func (sh *Sharded) compactLoop(sid int, open func(*Store, Config) (MutableIndex, error), pause func(time.Duration)) error {
 	vs := sh.shards[sid]
 	for {

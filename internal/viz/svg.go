@@ -210,74 +210,6 @@ func (c *LineChart) WriteSVG(w io.Writer) error {
 	return nil
 }
 
-// BarChart renders labelled bars (used for degree histograms and
-// category counts).
-type BarChart struct {
-	Title  string
-	XLabel string
-	YLabel string
-	Labels []string // one per bar
-	Values []float64
-	Width  int
-	Height int
-}
-
-// WriteSVG renders the chart.
-func (c *BarChart) WriteSVG(w io.Writer) error {
-	if len(c.Labels) != len(c.Values) {
-		return fmt.Errorf("viz: bar chart has %d labels for %d values", len(c.Labels), len(c.Values))
-	}
-	width, height := c.Width, c.Height
-	if width <= 0 {
-		width = 720
-	}
-	if height <= 0 {
-		height = 420
-	}
-	const margin = 56.0
-	maxV := 0.0
-	for _, v := range c.Values {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	fmt.Fprintf(w, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", width, height, width, height)
-	fmt.Fprintf(w, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
-	if c.Title != "" {
-		fmt.Fprintf(w, `<text x="%d" y="24" font-family="sans-serif" font-size="16" text-anchor="middle">%s</text>`+"\n", width/2, escape(c.Title))
-	}
-	fmt.Fprintf(w, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="black"/>`+"\n", margin, float64(height)-margin, float64(width)-margin, float64(height)-margin)
-	n := len(c.Values)
-	if n == 0 {
-		fmt.Fprintln(w, `</svg>`)
-		return nil
-	}
-	span := (float64(width) - 2*margin) / float64(n)
-	barW := span * 0.8
-	for i, v := range c.Values {
-		h := v / maxV * (float64(height) - 2*margin)
-		x := margin + float64(i)*span + span*0.1
-		y := float64(height) - margin - h
-		fmt.Fprintf(w, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`+"\n", x, y, barW, h, Color(0))
-		if n <= 40 {
-			fmt.Fprintf(w, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="9" text-anchor="middle">%s</text>`+"\n",
-				x+barW/2, float64(height)-margin+12, escape(c.Labels[i]))
-		}
-	}
-	if c.XLabel != "" {
-		fmt.Fprintf(w, `<text x="%d" y="%d" font-family="sans-serif" font-size="12" text-anchor="middle">%s</text>`+"\n", width/2, height-8, escape(c.XLabel))
-	}
-	if c.YLabel != "" {
-		fmt.Fprintf(w, `<text x="16" y="%d" font-family="sans-serif" font-size="12" text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>`+"\n", height/2, height/2, escape(c.YLabel))
-	}
-	fmt.Fprintf(w, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="10" text-anchor="end">%.3g</text>`+"\n", margin-6, margin+4, maxV)
-	fmt.Fprintln(w, `</svg>`)
-	return nil
-}
-
 // GraphPlot draws a laid-out graph: vertex positions plus edges.
 type GraphPlot struct {
 	Title    string

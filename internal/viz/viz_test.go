@@ -116,44 +116,6 @@ func TestGraphPlotSVG(t *testing.T) {
 	}
 }
 
-func TestBarChartSVG(t *testing.T) {
-	c := &BarChart{
-		Title:  "degrees",
-		Labels: []string{"0", "1", "2"},
-		Values: []float64{5, 10, 2},
-	}
-	var buf bytes.Buffer
-	if err := c.WriteSVG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if strings.Count(s, "<rect") < 4 { // background + 3 bars
-		t.Fatalf("missing bars: %d rects", strings.Count(s, "<rect"))
-	}
-	if !strings.Contains(s, "degrees") {
-		t.Fatal("title missing")
-	}
-}
-
-func TestBarChartValidationAndEmpty(t *testing.T) {
-	bad := &BarChart{Labels: []string{"a"}, Values: []float64{1, 2}}
-	if err := bad.WriteSVG(&bytes.Buffer{}); err == nil {
-		t.Fatal("mismatched labels accepted")
-	}
-	empty := &BarChart{}
-	var buf bytes.Buffer
-	if err := empty.WriteSVG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "</svg>") {
-		t.Fatal("empty chart not closed")
-	}
-	zero := &BarChart{Labels: []string{"x"}, Values: []float64{0}}
-	if err := zero.WriteSVG(&bytes.Buffer{}); err != nil {
-		t.Fatal("all-zero values should render")
-	}
-}
-
 func TestColorCycles(t *testing.T) {
 	if Color(0) != Palette[0] {
 		t.Fatal("Color(0) wrong")

@@ -65,23 +65,6 @@ func BenchmarkGenerateEdgeWeighted(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateNode2Vec measures the rejection-sampled biased
-// walk.
-func BenchmarkGenerateNode2Vec(b *testing.B) {
-	g := benchGraph(b)
-	s, err := NewStream(g, Config{
-		WalksPerVertex: 5, Length: 80, Strategy: Node2Vec,
-		ReturnParam: 0.5, InOutParam: 2, Seed: 5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Materialize()
-	}
-}
-
 // BenchmarkGenerateTemporal measures time-respecting walks.
 func BenchmarkGenerateTemporal(b *testing.B) {
 	gb := graph.NewBuilder(0)

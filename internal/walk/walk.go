@@ -7,9 +7,7 @@
 // weights (transition probability proportional to edge weight, via
 // alias tables), vertex weights (probability proportional to target
 // vertex weight), and timestamps (strictly time-increasing walks,
-// optionally with a window threshold between consecutive edges). A
-// node2vec-style second-order (p, q)-biased walk is included as an
-// extension for ablation studies.
+// optionally with a window threshold between consecutive edges).
 //
 // Walks are never stored on the way to training: a Stream re-derives
 // each one from its own RNG stream (seed, walkID) whenever it is read,
@@ -46,10 +44,6 @@ const (
 	// optional maximum gap (Config.TemporalWindow) between
 	// consecutive edges.
 	Temporal
-	// Node2Vec is the second-order biased walk of Grover & Leskovec,
-	// parameterised by Config.ReturnParam (p) and Config.InOutParam
-	// (q). Included as an extension; the paper's V2V uses Uniform.
-	Node2Vec
 )
 
 // String implements fmt.Stringer.
@@ -63,8 +57,6 @@ func (s Strategy) String() string {
 		return "vertex-weighted"
 	case Temporal:
 		return "temporal"
-	case Node2Vec:
-		return "node2vec"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -78,8 +70,6 @@ type Config struct {
 	Length         int      // l in the paper (number of vertices per walk)
 	Strategy       Strategy //
 	TemporalWindow int64    // max gap between consecutive edge times; 0 = unbounded
-	ReturnParam    float64  // node2vec p; <= 0 means 1
-	InOutParam     float64  // node2vec q; <= 0 means 1
 	Seed           uint64   //
 	Workers        int      // 0 means GOMAXPROCS
 }
@@ -192,7 +182,7 @@ func NewStream(g *graph.Graph, cfg Config) (*Stream, error) {
 		return nil, fmt.Errorf("walk: Length must be positive, got %d", cfg.Length)
 	}
 	switch cfg.Strategy {
-	case Uniform, Node2Vec:
+	case Uniform:
 	case EdgeWeighted:
 		if !g.Weighted() {
 			return nil, fmt.Errorf("walk: EdgeWeighted strategy on unweighted graph")
@@ -289,7 +279,6 @@ func (s *Stream) walkFrom(start int, rng *xrand.RNG, scratch []int32) int {
 	cfg := s.cfg
 	scratch[0] = int32(start)
 	cur := start
-	prev := -1
 	var curTime int64 = -1 << 62 // temporal walks: minimum admissible previous time
 	for step := 1; step < cfg.Length; step++ {
 		var next int
@@ -313,15 +302,8 @@ func (s *Stream) walkFrom(start int, rng *xrand.RNG, scratch []int32) int {
 			}
 			next = nxt
 			curTime = t
-		case Node2Vec:
-			nxt, ok := s.node2vecStep(prev, cur, rng)
-			if !ok {
-				return step
-			}
-			next = nxt
 		}
 		scratch[step] = int32(next)
-		prev = cur
 		cur = next
 	}
 	return cfg.Length
@@ -365,49 +347,4 @@ func (s *Stream) temporalStep(cur int, after int64, rng *xrand.RNG) (int, int64,
 	}
 	i := lo + rng.Intn(end-lo)
 	return s.tAdj[cur][i], times[i], true
-}
-
-// node2vecStep performs one second-order biased step: from cur, with
-// previous vertex prev, candidate x is weighted 1/p if x == prev, 1 if
-// x is adjacent to prev, and 1/q otherwise. Rejection sampling keeps
-// the step O(1) expected without per-(prev, cur) alias tables.
-func (s *Stream) node2vecStep(prev, cur int, rng *xrand.RNG) (int, bool) {
-	g := s.g
-	adj := g.Neighbors(cur)
-	if len(adj) == 0 {
-		return 0, false
-	}
-	if prev < 0 {
-		return adj[rng.Intn(len(adj))], true
-	}
-	p := s.cfg.ReturnParam
-	if p <= 0 {
-		p = 1
-	}
-	q := s.cfg.InOutParam
-	if q <= 0 {
-		q = 1
-	}
-	maxW := 1.0
-	if 1/p > maxW {
-		maxW = 1 / p
-	}
-	if 1/q > maxW {
-		maxW = 1 / q
-	}
-	for {
-		x := adj[rng.Intn(len(adj))]
-		var w float64
-		switch {
-		case x == prev:
-			w = 1 / p
-		case g.HasEdge(prev, x):
-			w = 1
-		default:
-			w = 1 / q
-		}
-		if rng.Float64()*maxW < w {
-			return x, true
-		}
-	}
 }

@@ -212,46 +212,6 @@ func TestTemporalWindowConstraint(t *testing.T) {
 	}
 }
 
-func TestNode2VecWalkValid(t *testing.T) {
-	g := graph.ErdosRenyiGNM(40, 150, 21)
-	c := generate(t, g, Config{
-		WalksPerVertex: 3, Length: 15, Strategy: Node2Vec,
-		ReturnParam: 0.5, InOutParam: 2, Seed: 23,
-	})
-	for i := 0; i < c.NumWalks(); i++ {
-		w := c.Walk(i)
-		for j := 1; j < len(w); j++ {
-			if !g.HasEdge(int(w[j-1]), int(w[j])) {
-				t.Fatalf("node2vec walk steps off an edge at %d", j)
-			}
-		}
-	}
-}
-
-func TestNode2VecReturnBias(t *testing.T) {
-	// Path graph 0-1-2: from 1 with prev=0, p tiny makes returning to
-	// 0 much more likely than moving to 2.
-	g := graph.Path(3)
-	c := generate(t, g, Config{
-		WalksPerVertex: 4000, Length: 3, Strategy: Node2Vec,
-		ReturnParam: 0.05, InOutParam: 1, Seed: 29,
-	})
-	returns, advances := 0, 0
-	for i := 0; i < c.NumWalks(); i++ {
-		w := c.Walk(i)
-		if len(w) == 3 && w[0] == 0 && w[1] == 1 {
-			if w[2] == 0 {
-				returns++
-			} else {
-				advances++
-			}
-		}
-	}
-	if returns <= advances {
-		t.Fatalf("tiny p should favour returning: returns=%d advances=%d", returns, advances)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	g := graph.Ring(5)
 	cases := []Config{

@@ -41,22 +41,6 @@ func BenchmarkTrainCBOWNegSampling(b *testing.B) {
 	benchTrain(b, cfg)
 }
 
-// BenchmarkTrainCBOWHierSoftmax swaps the output layer.
-func BenchmarkTrainCBOWHierSoftmax(b *testing.B) {
-	cfg := DefaultConfig(50)
-	cfg.Sampler = HierarchicalSoftmax
-	cfg.Seed = 3
-	benchTrain(b, cfg)
-}
-
-// BenchmarkTrainSkipGramNegSampling is the DeepWalk configuration.
-func BenchmarkTrainSkipGramNegSampling(b *testing.B) {
-	cfg := DefaultConfig(50)
-	cfg.Objective = SkipGram
-	cfg.Seed = 3
-	benchTrain(b, cfg)
-}
-
 // BenchmarkTrainDim compares costs across dimensionalities.
 func BenchmarkTrainDim(b *testing.B) {
 	for _, dim := range []int{10, 100, 600} {
@@ -159,19 +143,6 @@ func BenchmarkTrainPipelineShape(b *testing.B) {
 	cfg.Epochs = 3
 	cfg.Seed = 1
 	benchScaling(b, s.Materialize(), g.NumVertices(), cfg)
-}
-
-// BenchmarkHuffmanBuild measures tree construction over a Zipfian
-// vocabulary.
-func BenchmarkHuffmanBuild(b *testing.B) {
-	counts := make([]int, 10000)
-	for i := range counts {
-		counts[i] = 1 + 100000/(i+1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buildHuffman(counts)
-	}
 }
 
 // BenchmarkSigmoidLUT measures the lookup-table sigmoid.

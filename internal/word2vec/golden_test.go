@@ -40,36 +40,20 @@ func TestTrainGoldenDigests(t *testing.T) {
 	}
 	corpus := stream.Materialize()
 
-	config := func(obj Objective, smp Sampler) Config {
-		cfg := DefaultConfig(20)
-		cfg.Objective, cfg.Sampler = obj, smp
-		cfg.Epochs = 2
-		cfg.Workers = 1
-		cfg.Seed = 17
-		cfg.Subsample = 1e-2
-		return cfg
-	}
-	materialized := func(cfg Config) (*Model, error) {
-		m, _, err := Train(corpus, g.NumVertices(), cfg)
-		return m, err
-	}
-	streaming := func(cfg Config) (*Model, error) {
-		m, _, err := Train(stream, g.NumVertices(), cfg)
-		return m, err
-	}
+	cfg := DefaultConfig(20)
+	cfg.Epochs = 2
+	cfg.Workers = 1
+	cfg.Seed = 17
+	cfg.Subsample = 1e-2
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		train func(Config) (*Model, error)
-		want  uint64
+		name   string
+		corpus Corpus
+		want   uint64
 	}{
-		{"cbow-ns", config(CBOW, NegativeSampling), materialized, 0xbee8a1255168cadf},
-		{"sg-ns", config(SkipGram, NegativeSampling), materialized, 0xc0ee1dacecc8ce47},
-		{"cbow-hs", config(CBOW, HierarchicalSoftmax), materialized, 0x9ea9250fd694317d},
-		{"sg-hs", config(SkipGram, HierarchicalSoftmax), materialized, 0xc49ff20ee963a899},
-		{"streaming-cbow-ns", config(CBOW, NegativeSampling), streaming, 0xbee8a1255168cadf},
+		{"cbow-ns", corpus, 0xbee8a1255168cadf},
+		{"streaming-cbow-ns", stream, 0xbee8a1255168cadf},
 	} {
-		m, err := tc.train(tc.cfg)
+		m, _, err := Train(tc.corpus, g.NumVertices(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

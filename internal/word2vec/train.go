@@ -27,10 +27,10 @@ type Stats struct {
 }
 
 // Train learns embeddings for a vocabulary of vocab vertices from the
-// given corpus. See Config for the hyper-parameters; the paper's V2V
-// uses CBOW with window 5. Each worker reads its shard of walks
-// through corpus.WalkSeq, so a streamed corpus is never held in
-// memory.
+// given corpus with CBOW and negative sampling. See Config for the
+// hyper-parameters; the paper's V2V uses window 5. Each worker reads
+// its shard of walks through corpus.WalkSeq, so a streamed corpus is
+// never held in memory.
 func Train(corpus Corpus, vocab int, cfg Config) (*Model, *Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -58,10 +58,9 @@ type trainer struct {
 	totalTokens int64
 
 	syn0 []float32 // input vectors (the embeddings), vocab x dim
-	syn1 []float32 // output vectors: NS: vocab x dim; HS: (vocab-1) x dim
+	syn1 []float32 // output vectors, vocab x dim
 
 	unigram *aliasSampler // negative sampling distribution (counts^0.75)
-	tree    *huffman      // hierarchical softmax coding
 
 	processed atomic.Int64 // tokens consumed so far (drives LR decay)
 	budget    int64        // tokens expected over all (cap) epochs
@@ -86,18 +85,8 @@ func newTrainer(corpus Corpus, vocab int, cfg Config) (*trainer, error) {
 	for i := range tr.syn0 {
 		tr.syn0[i] = (rng.Float32() - 0.5) / float32(dim)
 	}
-	switch cfg.Sampler {
-	case NegativeSampling:
-		tr.syn1 = vecstore.AlignedSlice(vocab * dim)
-		tr.unigram = newAliasSampler(tr.counts, 0.75)
-	case HierarchicalSoftmax:
-		inner := vocab - 1
-		if inner < 1 {
-			inner = 1
-		}
-		tr.syn1 = vecstore.AlignedSlice(inner * dim)
-		tr.tree = buildHuffman(tr.counts)
-	}
+	tr.syn1 = vecstore.AlignedSlice(vocab * dim)
+	tr.unigram = newAliasSampler(tr.counts, 0.75)
 	return tr, nil
 }
 
@@ -183,8 +172,7 @@ type worker struct {
 	dim        int
 	syn0, syn1 []float32
 	negatives  int           // negatives drawn from unigram per centre
-	unigram    *aliasSampler // nil under hierarchical softmax
-	tree       *huffman      // nil under negative sampling
+	unigram    *aliasSampler // the negatives' distribution
 	shared     bool          // other workers are updating syn1 this epoch
 	rng        xrand.RNG
 	alpha      float32
@@ -214,7 +202,7 @@ func private[T any](n int) []T {
 // arithmetic over rows goes through the f32 kernels.
 func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples int64) {
 	cfg := tr.cfg
-	window, cbow := cfg.Window, cfg.Objective == CBOW
+	window := cfg.Window
 	w := &private[worker](1)[0]
 	*w = worker{
 		dim:       cfg.Dim,
@@ -222,7 +210,6 @@ func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples
 		syn1:      tr.syn1,
 		negatives: cfg.NegativeSamples,
 		unigram:   tr.unigram,
-		tree:      tr.tree,
 		shared:    shards > 1,
 		alpha:     tr.currentAlpha(),
 		neu1:      private[float32](cfg.Dim),
@@ -250,11 +237,7 @@ func (tr *trainer) work(epoch, shard, shards, lo, hi int) (loss float64, samples
 			b := w.rng.Intn(window)
 			first := max(pos-window+b, 0)
 			last := min(pos+window-b, len(sen)-1)
-			if cbow {
-				loss += w.cbow(sen, pos, first, last)
-			} else {
-				loss += w.skipGram(sen, pos, first, last)
-			}
+			loss += w.cbow(sen, pos, first, last)
 			samples++
 			sinceAlpha++
 			if sinceAlpha >= 10000 {
@@ -331,51 +314,20 @@ func (w *worker) cbow(sen []int32, pos, first, last int) float64 {
 	return loss
 }
 
-// skipGram performs one SkipGram step: each context vertex predicts
-// the centre sen[pos].
-func (w *worker) skipGram(sen []int32, pos, first, last int) float64 {
-	dim, centre := w.dim, int(sen[pos])
-	var loss float64
-	for p := first; p <= last; p++ {
-		if p == pos {
-			continue
-		}
-		c := int(sen[p])
-		h := w.syn0[c*dim : c*dim+dim]
-		clear(w.neu1e)
-		loss += w.output(centre, h)
-		f32.Add(h, w.neu1e)
-	}
-	return loss
-}
-
-// output applies the output-layer update (negative sampling or
-// hierarchical softmax) for centre vertex centre with hidden
-// activation h, accumulating the input gradient into neu1e, and
-// returns the loss.
+// output applies the negative-sampling update for centre vertex
+// centre with hidden activation h, accumulating the input gradient
+// into neu1e, and returns the loss.
 //
 // Every row of syn1 it is going to update is known before the first
-// update: the Huffman path of centre, or centre and the negatives,
-// which are drawn here ahead of the steps (the same draws in the same
-// order as drawing each beside its step, so a one-worker model keeps
-// its bits). Each row is hinted as soon as it is known. Under Hogwild
-// another core wrote a row last about as often as not, and the hint
-// lets that line's transfer, and the ownership the update needs, overlap
-// the draws and the steps on earlier rows instead of stalling the Dot
-// and then the Grad's first store.
+// update: centre and the negatives, which are drawn here ahead of the
+// steps (the same draws in the same order as drawing each beside its
+// step, so a one-worker model keeps its bits). Each row is hinted as
+// soon as it is known. Under Hogwild another core wrote a row last
+// about as often as not, and the hint lets that line's transfer, and
+// the ownership the update needs, overlap the draws and the steps on
+// earlier rows instead of stalling the Dot and then the Grad's first
+// store.
 func (w *worker) output(centre int, h []float32) float64 {
-	var loss float64
-	if w.tree != nil {
-		points := w.tree.points[centre]
-		for _, p := range points {
-			w.hint(p)
-		}
-		// P(code=0) = sigma(f): the label of an inner node is 1 - code.
-		for d, code := range w.tree.codes[centre] {
-			loss += float64(w.target(points[d], 1-float32(code), h))
-		}
-		return loss
-	}
 	w.hint(centre)
 	negs := w.negs[:0]
 	for d := 0; d < w.negatives; d++ {
@@ -384,7 +336,7 @@ func (w *worker) output(centre int, h []float32) float64 {
 			negs = append(negs, neg)
 		}
 	}
-	loss = float64(w.target(centre, 1, h))
+	loss := float64(w.target(centre, 1, h))
 	for _, neg := range negs {
 		loss += float64(w.target(neg, 0, h))
 	}

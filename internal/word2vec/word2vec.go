@@ -1,15 +1,14 @@
-// Package word2vec implements the CBOW and SkipGram embedding models
-// of Mikolov et al. from scratch, specialised to the V2V setting where
-// the vocabulary is the vertex set of a graph and sentences are random
-// walks.
-//
-// Both the negative-sampling and hierarchical-softmax training
-// objectives are provided. Training follows the reference C
-// implementation: shared parameter matrices updated Hogwild-style by a
-// pool of goroutines without locking (lock-free asynchronous SGD, the
-// parallelisation the paper relies on for speed), a linearly decaying
-// learning rate, reduced-window context sampling, optional frequent-
-// token subsampling, and a sigmoid lookup table. The float32 work of
+// Package word2vec implements the CBOW embedding model of Mikolov et
+// al. with negative sampling from scratch, specialised to the V2V
+// setting where the vocabulary is the vertex set of a graph and
+// sentences are random walks. CBOW with negative sampling is what the
+// paper trains, and the only model here. Training follows the
+// reference C implementation: shared parameter matrices updated
+// Hogwild-style by a pool of goroutines without locking (lock-free
+// asynchronous SGD, the parallelisation the paper relies on for
+// speed), a linearly decaying learning rate, reduced-window context
+// sampling, optional frequent-token subsampling, and a sigmoid lookup
+// table. The float32 work of
 // the inner loop is three level-1 kernels (Dot, Add, Grad) of package
 // f32, with an SSE2 assembly and a portable implementation that return
 // the same bits, plus one cache hint (f32.HintWrite) that computes
@@ -39,62 +38,13 @@ import (
 	"math"
 )
 
-// Objective selects the prediction task.
-type Objective int
-
-const (
-	// CBOW predicts the centre vertex from the average of its context
-	// vectors. This is the objective used by the paper.
-	CBOW Objective = iota
-	// SkipGram predicts each context vertex from the centre vertex
-	// (the DeepWalk/node2vec objective), included for comparison.
-	SkipGram
-)
-
-// String implements fmt.Stringer.
-func (o Objective) String() string {
-	switch o {
-	case CBOW:
-		return "cbow"
-	case SkipGram:
-		return "skipgram"
-	default:
-		return fmt.Sprintf("Objective(%d)", int(o))
-	}
-}
-
-// Sampler selects the output-layer approximation.
-type Sampler int
-
-const (
-	// NegativeSampling trains against NegativeSamples random
-	// "negative" vertices drawn from the unigram^0.75 distribution.
-	NegativeSampling Sampler = iota
-	// HierarchicalSoftmax trains a Huffman-coded binary tree over the
-	// vocabulary.
-	HierarchicalSoftmax
-)
-
-// String implements fmt.Stringer.
-func (s Sampler) String() string {
-	switch s {
-	case NegativeSampling:
-		return "negative-sampling"
-	case HierarchicalSoftmax:
-		return "hierarchical-softmax"
-	default:
-		return fmt.Sprintf("Sampler(%d)", int(s))
-	}
-}
-
 // Corpus is the training input: a set of vertex sequences, read one
 // walk at a time. It is satisfied by *walk.Stream, which re-derives
 // its walks on every read, and by *walk.Corpus, which stores them.
 //
 // NumTokens must be the exact total token count (it drives the
 // learning-rate decay budget), Counts must be the exact per-token
-// occurrence counts (they build the negative-sampling and hierarchical
-// softmax structures) and WalkSeq(lo, hi) must yield walks lo..hi-1 in
+// occurrence counts (they build the negative-sampling distribution) and WalkSeq(lo, hi) must yield walks lo..hi-1 in
 // order, producing identical token sequences every time it is
 // re-opened — the trainer opens one shard per worker per epoch.
 // Yielded slices are only read between iteration steps, so
@@ -108,13 +58,11 @@ type Corpus interface {
 
 // Config holds the training hyper-parameters.
 type Config struct {
-	Dim       int       // embedding dimensionality (paper: 10–1000)
-	Window    int       // context radius n (paper default: 5)
-	Objective Objective //
-	Sampler   Sampler   //
+	Dim    int // embedding dimensionality (paper: 10–1000)
+	Window int // context radius n (paper default: 5)
 
 	NegativeSamples int     // k for negative sampling (default 5)
-	LearningRate    float64 // initial alpha (default 0.05 CBOW, 0.025 SkipGram)
+	LearningRate    float64 // initial alpha (default 0.05)
 	MinLearningRate float64 // floor for the linear decay (default alpha*1e-4)
 	Epochs          int     // passes over the corpus (default 1)
 
@@ -139,8 +87,6 @@ func DefaultConfig(dim int) Config {
 	return Config{
 		Dim:             dim,
 		Window:          5,
-		Objective:       CBOW,
-		Sampler:         NegativeSampling,
 		NegativeSamples: 5,
 		LearningRate:    0.05,
 		Epochs:          1,
@@ -155,26 +101,11 @@ func (c *Config) validate() error {
 	if c.Window <= 0 {
 		return fmt.Errorf("word2vec: Window must be positive, got %d", c.Window)
 	}
-	switch c.Objective {
-	case CBOW, SkipGram:
-	default:
-		return fmt.Errorf("word2vec: unknown objective %v", c.Objective)
-	}
-	switch c.Sampler {
-	case NegativeSampling:
-		if c.NegativeSamples <= 0 {
-			c.NegativeSamples = 5
-		}
-	case HierarchicalSoftmax:
-	default:
-		return fmt.Errorf("word2vec: unknown sampler %v", c.Sampler)
+	if c.NegativeSamples <= 0 {
+		c.NegativeSamples = 5
 	}
 	if c.LearningRate <= 0 {
-		if c.Objective == CBOW {
-			c.LearningRate = 0.05
-		} else {
-			c.LearningRate = 0.025
-		}
+		c.LearningRate = 0.05
 	}
 	if c.MinLearningRate <= 0 {
 		c.MinLearningRate = c.LearningRate * 1e-4

@@ -82,46 +82,32 @@ func TestTrainShapes(t *testing.T) {
 	}
 }
 
-// separatesCommunities trains each objective/sampler pairing with the
-// given worker count (0: the default, GOMAXPROCS) and requires
+// separatesCommunities trains CBOW with negative sampling at the given
+// worker count (0: the default, GOMAXPROCS) and requires
 // same-community vertices to end up more similar than
 // different-community ones by a clear margin.
 func separatesCommunities(t *testing.T, workers int) {
 	corpus, g, truth := benchCorpus(t, 0.7, 3, 15)
-	cases := []struct {
-		name string
-		obj  Objective
-		smp  Sampler
-	}{
-		{"cbow-ns", CBOW, NegativeSampling},
-		{"cbow-hs", CBOW, HierarchicalSoftmax},
-		{"sg-ns", SkipGram, NegativeSampling},
-		{"sg-hs", SkipGram, HierarchicalSoftmax},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(24)
-			cfg.Objective = tc.obj
-			cfg.Sampler = tc.smp
-			cfg.Epochs = 5
-			cfg.Seed = 42
-			cfg.Workers = workers
-			m, _, err := Train(corpus, g.NumVertices(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			intra, inter := avgSimilarities(m, truth)
-			t.Logf("%s: intra=%.3f inter=%.3f", tc.name, intra, inter)
-			if intra <= inter+0.1 {
-				t.Fatalf("communities not separated: intra %.3f vs inter %.3f", intra, inter)
-			}
-		})
-	}
+	t.Run("cbow-ns", func(t *testing.T) {
+		cfg := DefaultConfig(24)
+		cfg.Epochs = 5
+		cfg.Seed = 42
+		cfg.Workers = workers
+		m, _, err := Train(corpus, g.NumVertices(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		intra, inter := avgSimilarities(m, truth)
+		t.Logf("intra=%.3f inter=%.3f", intra, inter)
+		if intra <= inter+0.1 {
+			t.Fatalf("communities not separated: intra %.3f vs inter %.3f", intra, inter)
+		}
+	})
 }
 
 // The central semantic test: after training on a community graph,
 // intra-community cosine similarity must exceed inter-community
-// similarity by a clear margin, for every objective/sampler pairing.
+// similarity by a clear margin.
 func TestEmbeddingSeparatesCommunities(t *testing.T) { separatesCommunities(t, 0) }
 
 // TestHogwildSeparatesCommunities holds the lock-free path, workers
@@ -243,33 +229,27 @@ func TestDeterministicSingleWorker(t *testing.T) {
 // buffers every epoch.
 func TestTrainStreamMatchesCorpus(t *testing.T) {
 	corpus, g, _ := benchCorpus(t, 0.6, 3, 12)
-	for _, sampler := range []Sampler{NegativeSampling, HierarchicalSoftmax} {
-		for _, obj := range []Objective{CBOW, SkipGram} {
-			cfg := DefaultConfig(12)
-			cfg.Sampler = sampler
-			cfg.Objective = obj
-			cfg.Epochs = 2
-			cfg.Workers = 1
-			cfg.Seed = 21
-			cfg.Subsample = 1e-2
+	cfg := DefaultConfig(12)
+	cfg.Epochs = 2
+	cfg.Workers = 1
+	cfg.Seed = 21
+	cfg.Subsample = 1e-2
 
-			want, wantStats, err := Train(corpus, g.NumVertices(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotStats, err := Train(benchStream(t, g), g.NumVertices(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Vectors {
-				if got.Vectors[i] != want.Vectors[i] {
-					t.Fatalf("%v/%v: vector[%d] = %g, want %g", sampler, obj, i, got.Vectors[i], want.Vectors[i])
-				}
-			}
-			if gotStats.TokensTrained != wantStats.TokensTrained {
-				t.Fatalf("%v/%v: TokensTrained = %d, want %d", sampler, obj, gotStats.TokensTrained, wantStats.TokensTrained)
-			}
+	want, wantStats, err := Train(corpus, g.NumVertices(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := Train(benchStream(t, g), g.NumVertices(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Vectors {
+		if got.Vectors[i] != want.Vectors[i] {
+			t.Fatalf("vector[%d] = %g, want %g", i, got.Vectors[i], want.Vectors[i])
 		}
+	}
+	if gotStats.TokensTrained != wantStats.TokensTrained {
+		t.Fatalf("TokensTrained = %d, want %d", gotStats.TokensTrained, wantStats.TokensTrained)
 	}
 }
 
@@ -298,84 +278,6 @@ func TestLogSigmoid(t *testing.T) {
 			t.Errorf("logSigmoid(%v) = %v, want %v", x, got, want)
 		}
 	}
-}
-
-func TestHuffmanCodes(t *testing.T) {
-	counts := []int{100, 50, 20, 10, 5}
-	h := buildHuffman(counts)
-	// Prefix-free: no code is a prefix of another.
-	for i := range counts {
-		for j := range counts {
-			if i == j {
-				continue
-			}
-			if isPrefix(h.codes[i], h.codes[j]) {
-				t.Fatalf("code %d (%v) is a prefix of code %d (%v)", i, h.codes[i], j, h.codes[j])
-			}
-		}
-	}
-	// Optimality shape: the most frequent symbol has the (weakly)
-	// shortest code.
-	for i := 1; i < len(counts); i++ {
-		if len(h.codes[0]) > len(h.codes[i]) {
-			t.Fatalf("most frequent symbol has longer code than %d", i)
-		}
-	}
-	// Points are valid inner-node indices and parallel to codes.
-	for w := range counts {
-		if len(h.points[w]) != len(h.codes[w]) {
-			t.Fatalf("points/codes length mismatch for %d", w)
-		}
-		for _, p := range h.points[w] {
-			if p < 0 || p >= len(counts)-1 {
-				t.Fatalf("inner node %d out of range", p)
-			}
-		}
-	}
-}
-
-func TestHuffmanKraft(t *testing.T) {
-	counts := []int{7, 3, 3, 2, 1, 1, 1}
-	h := buildHuffman(counts)
-	var kraft float64
-	for _, code := range h.codes {
-		kraft += math.Pow(2, -float64(len(code)))
-	}
-	if math.Abs(kraft-1) > 1e-9 {
-		t.Fatalf("Kraft sum = %v, want 1 for a complete binary code", kraft)
-	}
-}
-
-func TestHuffmanSingleAndEmpty(t *testing.T) {
-	h := buildHuffman([]int{5})
-	if len(h.codes[0]) != 0 {
-		t.Fatal("single-symbol vocabulary should have empty code")
-	}
-	h0 := buildHuffman(nil)
-	if len(h0.codes) != 0 {
-		t.Fatal("empty vocabulary should produce no codes")
-	}
-}
-
-func TestHuffmanZeroCountsSmoothed(t *testing.T) {
-	h := buildHuffman([]int{0, 0, 10})
-	for i := 0; i < 2; i++ {
-		if len(h.codes[i]) == 0 {
-			t.Fatalf("zero-count symbol %d has no code", i)
-		}
-	}
-}
-
-func isPrefix(a, b []byte) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestAliasSamplerPower(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"v2v/internal/graph"
 )
 
 func streamingTestOptions() Options {
@@ -64,7 +66,7 @@ func TestStreamingEmbeddingParity(t *testing.T) {
 // shards, drained concurrently, produce exactly the walk multiset of
 // the materialized corpus.
 func TestStreamingWalkMultisetParity(t *testing.T) {
-	g := BarabasiAlbert(150, 3, 5)
+	g := graph.BarabasiAlbert(150, 3, 5)
 	opts := streamingTestOptions()
 	opts.Workers = 4
 
@@ -120,7 +122,7 @@ func TestStreamingWalkMultisetParity(t *testing.T) {
 // identical results whether EmbedWalks is handed the shared walks as a
 // materialized corpus or as a stream re-derived per model.
 func TestStreamingSharedWalkParity(t *testing.T) {
-	g := ErdosRenyiGNM(70, 250, 11)
+	g := graph.ErdosRenyiGNM(70, 250, 11)
 	walkOpts := streamingTestOptions()
 
 	corpus, err := GenerateWalks(g, walkOpts)

@@ -83,16 +83,6 @@ func CommunityBenchmark(cfg BenchmarkConfig) (*Graph, []int) {
 	return graph.CommunityBenchmark(cfg)
 }
 
-// ErdosRenyiGNM generates a uniform random graph with n vertices and
-// m edges.
-func ErdosRenyiGNM(n, m int, seed uint64) *Graph { return graph.ErdosRenyiGNM(n, m, seed) }
-
-// ErdosRenyiGNP generates G(n, p).
-func ErdosRenyiGNP(n int, p float64, seed uint64) *Graph { return graph.ErdosRenyiGNP(n, p, seed) }
-
-// BarabasiAlbert generates a preferential-attachment graph.
-func BarabasiAlbert(n, m int, seed uint64) *Graph { return graph.BarabasiAlbert(n, m, seed) }
-
 // ---- Embedding ----------------------------------------------------
 
 // WalkStrategy selects the random-walk transition rule.
@@ -104,25 +94,6 @@ const (
 	EdgeWeightedWalk   = walk.EdgeWeighted
 	VertexWeightedWalk = walk.VertexWeighted
 	TemporalWalk       = walk.Temporal
-	Node2VecWalk       = walk.Node2Vec
-)
-
-// Objective selects the word2vec prediction task.
-type Objective = word2vec.Objective
-
-// Objectives; the paper uses CBOW.
-const (
-	CBOW     = word2vec.CBOW
-	SkipGram = word2vec.SkipGram
-)
-
-// SamplerKind selects the word2vec output-layer approximation.
-type SamplerKind = word2vec.Sampler
-
-// Output-layer samplers.
-const (
-	NegativeSampling    = word2vec.NegativeSampling
-	HierarchicalSoftmax = word2vec.HierarchicalSoftmax
 )
 
 // Options are the end-to-end V2V hyper-parameters.
@@ -131,15 +102,11 @@ type Options struct {
 	WalksPerVertex int
 	WalkLength     int
 	Strategy       WalkStrategy
-	TemporalWindow int64   // Temporal strategy: max gap between edges
-	ReturnParam    float64 // Node2Vec p
-	InOutParam     float64 // Node2Vec q
+	TemporalWindow int64 // Temporal strategy: max gap between edges
 
-	// Model (paper defaults: CBOW, window 5).
+	// Model: CBOW with negative sampling (paper default window 5).
 	Dim             int
 	Window          int
-	Objective       Objective
-	Sampler         SamplerKind
 	NegativeSamples int
 	LearningRate    float64
 	Epochs          int
@@ -167,8 +134,6 @@ func DefaultOptions(dim int) Options {
 		Strategy:        UniformWalk,
 		Dim:             dim,
 		Window:          5,
-		Objective:       CBOW,
-		Sampler:         NegativeSampling,
 		NegativeSamples: 5,
 		Epochs:          3,
 	}
@@ -181,16 +146,12 @@ func (o Options) coreConfig() core.Config {
 			Length:         o.WalkLength,
 			Strategy:       o.Strategy,
 			TemporalWindow: o.TemporalWindow,
-			ReturnParam:    o.ReturnParam,
-			InOutParam:     o.InOutParam,
 			Seed:           o.Seed,
 			Workers:        o.Workers,
 		},
 		Model: word2vec.Config{
 			Dim:             o.Dim,
 			Window:          o.Window,
-			Objective:       o.Objective,
-			Sampler:         o.Sampler,
 			NegativeSamples: o.NegativeSamples,
 			LearningRate:    o.LearningRate,
 			Epochs:          o.Epochs,
@@ -215,10 +176,10 @@ type Model = word2vec.Model
 // EmbeddingNeighbor is a similarity search result.
 type EmbeddingNeighbor = word2vec.Neighbor
 
-// Embed runs the V2V pipeline (random walks, then CBOW/SkipGram
-// training) on g. The walks are streamed: re-derived from their
-// per-walk RNG streams in every epoch, never stored, so memory does not
-// grow with the walk budget (docs/STREAMING.md).
+// Embed runs the V2V pipeline (random walks, then CBOW training) on
+// g. The walks are streamed: re-derived from their per-walk RNG
+// streams in every epoch, never stored, so memory does not grow with
+// the walk budget (docs/STREAMING.md).
 func Embed(g *Graph, opts Options) (*Embedding, error) {
 	return core.Embed(g, opts.coreConfig())
 }
@@ -529,14 +490,6 @@ func EvaluateCommunities(truth, pred []int) (precision, recall float64, err erro
 // PairwiseF1 is the harmonic mean of pairwise precision and recall.
 func PairwiseF1(truth, pred []int) (float64, error) { return metrics.PairwiseF1(truth, pred) }
 
-// NMI is the normalised mutual information of two partitions.
-func NMI(truth, pred []int) (float64, error) { return metrics.NMI(truth, pred) }
-
-// AdjustedRandIndex of two partitions.
-func AdjustedRandIndex(truth, pred []int) (float64, error) {
-	return metrics.AdjustedRandIndex(truth, pred)
-}
-
 // PCA is a fitted principal component analysis.
 type PCA = linalg.PCA
 
@@ -554,23 +507,6 @@ type KMeansResult = cluster.Result
 // KMeans clusters arbitrary points (multi-restart Lloyd/k-means++).
 func KMeans(points [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 	return cluster.KMeans(points, cfg)
-}
-
-// Silhouette returns the mean silhouette coefficient of a clustering,
-// in [-1, 1].
-func Silhouette(points [][]float64, assign []int) (float64, error) {
-	return cluster.Silhouette(points, assign)
-}
-
-// KSelection reports the silhouette scores of candidate cluster
-// counts.
-type KSelection = cluster.KSelection
-
-// ChooseK selects the number of clusters by maximum silhouette over
-// [kMin, kMax] — a principled answer to the parameter-selection
-// question the paper leaves open.
-func ChooseK(points [][]float64, kMin, kMax int, cfg KMeansConfig) (*KSelection, error) {
-	return cluster.ChooseK(points, kMin, kMax, cfg)
 }
 
 // KNNDistance selects the k-NN metric.
@@ -706,9 +642,6 @@ type ChartSeries = viz.Series
 
 // GraphPlot renders a laid-out graph as SVG.
 type GraphPlot = viz.GraphPlot
-
-// BarChart renders labelled bars as SVG (degree histograms etc.).
-type BarChart = viz.BarChart
 
 // LayoutConfig controls the ForceAtlas2-style force-directed layout.
 type LayoutConfig = viz.LayoutConfig

@@ -2,7 +2,6 @@ package v2v
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -44,10 +43,13 @@ func TestPublicPipelineCommunities(t *testing.T) {
 }
 
 // TestTableOneShape is the miniature Table I: on the same graph, V2V
-// and both graph baselines must all recover the communities well, and
-// the graph algorithms should be at least as accurate as V2V (the
-// paper's headline qualitative finding), while V2V's *clustering*
-// phase is far faster than either graph algorithm.
+// and both graph baselines must each reach 0.8 pairwise precision and
+// recall, and CNM must not be much less accurate than V2V (the paper's
+// headline qualitative finding is that the graph algorithms are at
+// least as accurate). It checks no timing. The paper also finds V2V's
+// clustering phase faster than the graph algorithms; this repository
+// measures CNM 3-10x faster than V2V's k-means at every alpha, a
+// deviation ROADMAP item 18 is to pin.
 func TestTableOneShape(t *testing.T) {
 	g, truth := miniBenchmark(0.5, 3)
 	emb, err := Embed(g, miniOptions(16))
@@ -178,29 +180,11 @@ func TestEdgeListThroughFacade(t *testing.T) {
 	}
 }
 
-func TestGeneratorsExposed(t *testing.T) {
-	if g := ErdosRenyiGNM(20, 30, 1); g.NumEdges() != 30 {
-		t.Fatal("GNM broken")
-	}
-	if g := ErdosRenyiGNP(20, 0.5, 1); g.NumVertices() != 20 {
-		t.Fatal("GNP broken")
-	}
-	if g := BarabasiAlbert(30, 2, 1); g.NumVertices() != 30 {
-		t.Fatal("BA broken")
-	}
-}
-
 func TestMetricsExposed(t *testing.T) {
 	truth := []int{0, 0, 1, 1}
 	pred := []int{1, 1, 0, 0}
 	if f1, err := PairwiseF1(truth, pred); err != nil || f1 != 1 {
 		t.Fatalf("F1 = %v, %v", f1, err)
-	}
-	if nmi, err := NMI(truth, pred); err != nil || math.Abs(nmi-1) > 1e-12 {
-		t.Fatalf("NMI = %v, %v", nmi, err)
-	}
-	if ari, err := AdjustedRandIndex(truth, pred); err != nil || math.Abs(ari-1) > 1e-12 {
-		t.Fatalf("ARI = %v, %v", ari, err)
 	}
 }
 
@@ -253,24 +237,5 @@ func TestForceLayoutExposed(t *testing.T) {
 	}
 	if err := plot.WriteSVG(&buf); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNode2VecStrategyThroughFacade(t *testing.T) {
-	g, truth := miniBenchmark(0.7, 21)
-	o := miniOptions(16)
-	o.Strategy = Node2VecWalk
-	o.ReturnParam = 1
-	o.InOutParam = 0.5
-	emb, err := Embed(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := emb.DetectCommunities(CommunityConfig{K: 5, Restarts: 10, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, r, _ := EvaluateCommunities(truth, res.Partition); p < 0.8 || r < 0.8 {
-		t.Fatalf("node2vec variant: %.2f/%.2f", p, r)
 	}
 }
