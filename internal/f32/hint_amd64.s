@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// The write hint lives apart from kernels_amd64.s: it computes
-// nothing, and its two encodings differ in what they ask of the
-// cache, not in any result.
+// The hints live apart from kernels_amd64.s: they compute nothing,
+// and HintWrite's two encodings differ in what they ask of the cache,
+// not in any result.
 
 // func HintWrite(row []float32)
 //
@@ -40,4 +40,41 @@ hintt0:
 	PREFETCHT0 (DI)
 
 hintdone:
+	RET
+
+// func hintRows(data unsafe.Pointer, stride int, ids []int32)
+//
+// HintWrite's PREFETCHT0 loop over each row of stride bytes that ids
+// names, in ID order: at the row's first byte, every 64 bytes after it
+// inside the row, and its last byte. HintRows has checked every ID
+// against the matrix's row count, so no address outside a row is
+// formed.
+TEXT ·hintRows(SB), NOSPLIT, $0-40
+	MOVQ  data+0(FP), SI
+	MOVQ  stride+8(FP), DX
+	MOVQ  ids_base+16(FP), BX
+	MOVQ  ids_len+24(FP), CX
+	TESTQ DX, DX
+	JLE   rowsdone
+	TESTQ CX, CX
+	JZ    rowsdone
+	LEAQ  (BX)(CX*4), R8     // the end of ids
+
+rowsnext:
+	MOVLQZX (BX), AX
+	IMULQ   DX, AX
+	LEAQ    (SI)(AX*1), DI   // the row's first byte
+	LEAQ    -1(DI)(DX*1), R9 // its last byte
+
+rowsline:
+	PREFETCHT0 (DI)
+	ADDQ       $64, DI
+	CMPQ       DI, R9
+	JBE        rowsline
+	PREFETCHT0 (R9)
+	ADDQ       $4, BX
+	CMPQ       BX, R8
+	JB         rowsnext
+
+rowsdone:
 	RET

@@ -2,6 +2,8 @@
 
 package f32
 
+import "unsafe"
+
 // The kernels of kernels_amd64.s. The assembly trusts len(first
 // slice) for every argument (DotRowsI8: len(q) and len(out)), so the
 // wrappers reslice the others to it: a short slice panics here
@@ -173,3 +175,6 @@ func cpuidExtECX() uint32 {
 //
 //go:noescape
 func HintWrite(row []float32)
+
+//go:noescape
+func hintRows(data unsafe.Pointer, stride int, ids []int32)

@@ -6,9 +6,10 @@
 // SqDistF64, their four-row forms, and DotF64Gather and
 // SqDistF64Gather over rows picked by ID, kernels_f64.go); DotGather,
 // the float32 dot over rows picked by ID, HNSW's first pass over a
-// friend list; and HintWrite, the trainer's prefetch-for-write over a
-// row it is about to update. It imports nothing, so every package can
-// use it.
+// friend list; HintWrite, the trainer's prefetch-for-write over a row
+// it is about to update; and HintRows, the searches' prefetch over rows
+// picked by ID. It imports nothing but unsafe, so every package can use
+// it.
 //
 // On amd64 the kernels are assembly (kernels_amd64.s): Dot, Add and
 // Grad in SSE2, the GOAMD64=v1 baseline, and DotRowsI8, DotGather and
@@ -29,10 +30,13 @@
 // an HNSW graph and every score, whichever encoding a machine picked.
 //
 // HintWrite (hint_amd64.s) picks PREFETCHW or PREFETCHT0 from a CPUID
-// bit read at init. A prefetch has no architectural effect, so that
-// choice cannot change a result either. It has no portable twin to
-// match; elsewhere it is an empty function.
+// bit read at init; HintRows issues PREFETCHT0. A prefetch has no
+// architectural effect, so neither the choice nor the hint can change
+// a result. They have no portable twin to match; elsewhere they are
+// empty functions (HintRows keeps its ID check).
 package f32
+
+import "unsafe"
 
 // Every product is written float32(x * y): the explicit conversion is
 // a rounding point the compiler may not fuse into a multiply-add
@@ -74,6 +78,27 @@ func dotGatherRows(q, data []float32, ids []int32, out []float32) {
 	for j, id := range ids {
 		out[j] = Dot(q, data[int(id)*dim:int(id)*dim+dim])
 	}
+}
+
+// HintRows tells the processor that the rows ids names of data, a
+// row-major matrix of dim-element rows, are about to be read, so that
+// their cache lines are on the way while the caller does something
+// else: one PREFETCHT0 per line of each row (hint_amd64.s). The rows
+// are vectors (float32) or ID lists (int32). It reads and writes
+// nothing the program can observe and never faults; outside amd64, and
+// under -tags purego, it does nothing past its check. Every ID must
+// name a whole row, as DotGather's must: a bad one panics.
+func HintRows[T float32 | int32](data []T, dim int, ids []int32) {
+	if dim <= 0 {
+		return
+	}
+	rows := uint(len(data) / dim)
+	for _, id := range ids {
+		if uint(id) >= rows {
+			panic("f32: hinted row ID out of range")
+		}
+	}
+	hintRows(unsafe.Pointer(unsafe.SliceData(data)), 4*dim, ids)
 }
 
 // addGeneric computes dst += src[:len(dst)].

@@ -2,6 +2,8 @@
 
 package f32
 
+import "unsafe"
+
 // Without the assembly the exported kernels are the portable ones of
 // kernels_generic.go, which compute the same bits.
 
@@ -44,3 +46,6 @@ func SqDistF64Gather(q []float32, q64 []float64, data []float32, ids []int32, ou
 // HintWrite is a cache hint on amd64 (see kernels_amd64.go) and
 // nothing here: it has no result to reproduce.
 func HintWrite(row []float32) {}
+
+// hintRows is HintRows' prefetch loop on amd64, and nothing here.
+func hintRows(data unsafe.Pointer, stride int, ids []int32) {}

@@ -329,8 +329,10 @@ func TestGradAdjacentRows(t *testing.T) {
 }
 
 // hintLeavesMemoryAlone runs HintWrite over rows of every kernel
-// length plus a dim-600 one, at each alignment, and fails if a bit of
-// the row or a guard word either side of it changed. The last rows end
+// length plus a dim-600 one, and HintRows over the first, the last,
+// both and neither row of a three-row matrix of each such row length
+// (and of an int32 one), at each alignment, and fails if a bit of the
+// operand or a guard word either side of it changed. The last rows end
 // on the last element of their allocation (64 KiB is a span of its own
 // to the Go allocator), the position of the last row of a matrix.
 func hintLeavesMemoryAlone(t *testing.T) {
@@ -344,6 +346,26 @@ func hintLeavesMemoryAlone(t *testing.T) {
 			HintWrite(row)
 			sameBits(t, name, row, want)
 			checkGuards(t, name, buf, n, off)
+
+			name = fmt.Sprintf("hint rows dim=%d/off=%d", n, off)
+			m, buf := operand(rng, 3*n, off)
+			want = append(want[:0], m...)
+			for _, ids := range [][]int32{{0}, {2}, {2, 0}, {}, nil} {
+				HintRows(m, n, ids)
+			}
+			sameBits(t, name, m, want)
+			checkGuards(t, name, buf, 3*n, off)
+
+			lists := make([]int32, 3*n+2)
+			for i := range lists {
+				lists[i] = int32(i) - 7
+			}
+			HintRows(lists[1:3*n+1], n, []int32{2, 0})
+			for i, x := range lists {
+				if x != int32(i)-7 {
+					t.Fatalf("hint lists dim=%d: element %d changed", n, i)
+				}
+			}
 		}
 	}
 	span := make([]float32, 64<<10/4)
@@ -352,10 +374,13 @@ func hintLeavesMemoryAlone(t *testing.T) {
 	}
 	for _, n := range []int{1, 15, 16, 17, 50, 600} {
 		HintWrite(span[len(span)-n:])
+		HintRows(span[len(span)-3*n:], n, []int32{2})
 	}
 	HintWrite(span)
 	HintWrite(span[len(span):])
 	HintWrite(nil)
+	HintRows(span, 1, []int32{int32(len(span) - 1)})
+	HintRows[float32](nil, 4, nil)
 	for i, x := range span {
 		if math.Float32bits(x) != math.Float32bits(guard) {
 			t.Fatalf("hint at the end of an allocation: element %d changed", i)
@@ -363,9 +388,10 @@ func hintLeavesMemoryAlone(t *testing.T) {
 	}
 }
 
-// TestHintWriteLeavesMemoryAlone: HintWrite has no effect a program
-// can see, whichever instruction this machine's CPUID picked for it;
-// under -tags purego, and off amd64, this is its no-op twin.
+// TestHintWriteLeavesMemoryAlone: HintWrite and HintRows have no
+// effect a program can see, whichever instruction this machine's CPUID
+// picked for HintWrite; under -tags purego, and off amd64, these are
+// their no-op twins.
 func TestHintWriteLeavesMemoryAlone(t *testing.T) { hintLeavesMemoryAlone(t) }
 
 // TestKernelsRejectShortOperands: a second operand shorter than the
@@ -385,6 +411,8 @@ func TestKernelsRejectShortOperands(t *testing.T) {
 		"gather out":      func() { DotGather(long[:4], long, []int32{0, 1}, make([]float32, 1)) },
 		"gather f64 id":   func() { DotF64Gather(long[:4], make([]float64, 4), long, []int32{4}, make([]float64, 1)) },
 		"gather f64 out":  func() { SqDistF64Gather(long[:4], make([]float64, 4), long, []int32{0, 1}, make([]float64, 1)) },
+		"hint rows id":    func() { HintRows(long[:15], 4, []int32{0, 3}) },
+		"hint negative":   func() { HintRows(long, 4, []int32{-1}) },
 	} {
 		func() {
 			defer func() {

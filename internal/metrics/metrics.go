@@ -1,8 +1,7 @@
 // Package metrics implements the clustering and classification
 // quality measures used in the paper's evaluation: pairwise precision
 // and recall of a clustering against ground-truth communities
-// (Section III-B), plus their F1 and the accuracy, confusion-matrix
-// and purity measures.
+// (Section III-B), and their F1.
 package metrics
 
 import "fmt"
@@ -79,75 +78,4 @@ func PairwiseF1(truth, pred []int) (float64, error) {
 		return 0, nil
 	}
 	return 2 * p * r / (p + r), nil
-}
-
-// Accuracy returns the fraction of positions where pred equals truth.
-func Accuracy(truth, pred []int) (float64, error) {
-	if len(truth) != len(pred) {
-		return 0, fmt.Errorf("metrics: truth has %d items, pred has %d", len(truth), len(pred))
-	}
-	if len(truth) == 0 {
-		return 1, nil
-	}
-	correct := 0
-	for i := range truth {
-		if truth[i] == pred[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(truth)), nil
-}
-
-// ConfusionMatrix returns counts[t][p] of items with true label t
-// predicted as p, over labels 0..numLabels-1. Labels outside the
-// range cause an error.
-func ConfusionMatrix(truth, pred []int, numLabels int) ([][]int, error) {
-	if len(truth) != len(pred) {
-		return nil, fmt.Errorf("metrics: truth has %d items, pred has %d", len(truth), len(pred))
-	}
-	m := make([][]int, numLabels)
-	for i := range m {
-		m[i] = make([]int, numLabels)
-	}
-	for i := range truth {
-		t, p := truth[i], pred[i]
-		if t < 0 || t >= numLabels || p < 0 || p >= numLabels {
-			return nil, fmt.Errorf("metrics: label out of range at %d: truth=%d pred=%d", i, t, p)
-		}
-		m[t][p]++
-	}
-	return m, nil
-}
-
-// Purity returns the clustering purity: each cluster votes its
-// majority true label; purity is the fraction of items matching their
-// cluster's majority.
-func Purity(truth, pred []int) (float64, error) {
-	n := len(truth)
-	if n != len(pred) {
-		return 0, fmt.Errorf("metrics: truth has %d items, pred has %d", n, len(pred))
-	}
-	if n == 0 {
-		return 1, nil
-	}
-	counts := make(map[int]map[int]int)
-	for i := 0; i < n; i++ {
-		c := counts[pred[i]]
-		if c == nil {
-			c = make(map[int]int)
-			counts[pred[i]] = c
-		}
-		c[truth[i]]++
-	}
-	total := 0
-	for _, c := range counts {
-		best := 0
-		for _, cnt := range c {
-			if cnt > best {
-				best = cnt
-			}
-		}
-		total += best
-	}
-	return float64(total) / float64(n), nil
 }

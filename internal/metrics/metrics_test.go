@@ -81,12 +81,6 @@ func TestLengthMismatchErrors(t *testing.T) {
 	if _, _, err := PairwisePrecisionRecall([]int{1}, []int{1, 2}); err == nil {
 		t.Error("PairwisePrecisionRecall accepted mismatch")
 	}
-	if _, err := Accuracy([]int{1}, []int{1, 2}); err == nil {
-		t.Error("Accuracy accepted mismatch")
-	}
-	if _, err := Purity([]int{1}, []int{1, 2}); err == nil {
-		t.Error("Purity accepted mismatch")
-	}
 }
 
 func TestPairwiseF1(t *testing.T) {
@@ -100,45 +94,6 @@ func TestPairwiseF1(t *testing.T) {
 	want := 2 * p * r / (p + r)
 	if math.Abs(f1-want) > 1e-12 {
 		t.Fatalf("F1 = %v, want %v", f1, want)
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	acc, err := Accuracy([]int{1, 2, 3, 4}, []int{1, 2, 0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 0.75 {
-		t.Fatalf("accuracy %v", acc)
-	}
-	if acc, _ := Accuracy(nil, nil); acc != 1 {
-		t.Fatal("empty accuracy should be 1")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	m, err := ConfusionMatrix([]int{0, 0, 1, 1}, []int{0, 1, 1, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0][0] != 1 || m[0][1] != 1 || m[1][1] != 2 || m[1][0] != 0 {
-		t.Fatalf("confusion %v", m)
-	}
-	if _, err := ConfusionMatrix([]int{5}, []int{0}, 2); err == nil {
-		t.Error("out-of-range label accepted")
-	}
-}
-
-func TestPurity(t *testing.T) {
-	// Cluster 0 = {0,0,1}, cluster 1 = {1}: purity (2+1)/4.
-	truth := []int{0, 0, 1, 1}
-	pred := []int{0, 0, 0, 1}
-	p, err := Purity(truth, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 0.75 {
-		t.Fatalf("purity %v", p)
 	}
 }
 

@@ -23,7 +23,8 @@
 //
 // At the default scale this yields roughly 10k airports and 65-70k
 // directed route edges, matching the real dataset's order of
-// magnitude. See DESIGN.md for the substitution rationale.
+// magnitude. See docs/EXPERIMENTS.md#figure-8--openflights-route-network
+// for the substitution rationale.
 package openflights
 
 import (

@@ -413,3 +413,69 @@ func BenchmarkHNSWInsert(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSearchExactCycle is one exact cosine top-10 SearchRow per op
+// on one goroutine, the query rows taken in a seeded permutation of
+// every row of scanFixture's shape (-short: 4 000 x 64 around 40
+// anchors), as served traffic takes them: a row the scan touches is
+// rarely still in cache from the query before, which the 64 queries
+// of BenchmarkSearchExactSerial never show. visited/query,
+// survivors/query and rescored/query are the scan's counts over the
+// whole permutation.
+func BenchmarkSearchExactCycle(b *testing.B) {
+	n, clusters := 20_000, 200
+	if testing.Short() {
+		n, clusters = 4_000, 40
+	}
+	s := clusteredStore(n, 64, clusters, 101)
+	idx := NewExact(s, Cosine, 0)
+	perm := xrand.New(109).Perm(n)
+	var c scanCounts
+	for _, row := range perm {
+		var heap TopK
+		heap.Reset(10)
+		got := scan(s, Cosine, s.Row(row), row, &heap)
+		c.visited, c.survivors, c.rescored = c.visited+got.visited, c.survivors+got.survivors, c.rescored+got.rescored
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.SearchRow(perm[i%n], 10)
+	}
+	b.ReportMetric(float64(c.visited)/float64(n), "visited/query")
+	b.ReportMetric(float64(c.survivors)/float64(n), "survivors/query")
+	b.ReportMetric(float64(c.rescored)/float64(n), "rescored/query")
+}
+
+// BenchmarkSearchHNSWCycle is one default-parameter cosine top-10
+// SearchRow per op on one goroutine, over a seeded permutation of every
+// row, on clustered stores of 10 000 x 64 (BenchmarkHNSWBuild's) and
+// 5 000 x 64 (one shard of the repository benchmark's two-shard
+// bundle); -short: 2 000 x 64. evals/op and rejected/op are the beam's
+// counts over the whole permutation.
+func BenchmarkSearchHNSWCycle(b *testing.B) {
+	sizes := []int{10_000, 5_000}
+	if testing.Short() {
+		sizes = []int{2_000}
+	}
+	for _, n := range sizes {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			h, err := NewHNSW(clusteredStore(n, 64, n/100, 101), Cosine, HNSWConfig{Seed: 7})
+			if err != nil {
+				b.Fatal(err)
+			}
+			perm := xrand.New(109).Perm(n)
+			sc := h.newScratch()
+			for _, row := range perm {
+				h.search(h.s.Row(row), 10, row, nil, sc)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.SearchRow(perm[i%n], 10)
+			}
+			b.ReportMetric(float64(sc.evals)/float64(n), "evals/op")
+			b.ReportMetric(float64(sc.rejected)/float64(n), "rejected/op")
+		})
+	}
+}

@@ -89,15 +89,18 @@ func waveSize(linked int) int {
 // (f32.DotGather), the drop test per friend at the threshold the list
 // started with, then one gathered float64 call over the survivors
 // (f32.DotF64Gather, four rows per pass), each score the single
-// kernel's bits. Neighbour selection, which is most of an insert,
-// needs no score at all, only "is this candidate closer to a kept
-// neighbour than to the new node": the float32 dot answers through
-// the prefilter's two tests (provably not closer, provably closer)
-// and the float64 kernel decides the comparisons neither can. The
-// float32 pass only ever answers a comparison the float64 score would
-// answer the same way, so graphs and results are bit for bit those of
-// scoring every candidate (TestHNSWFilterParity, whose reference sets
-// gamma to +Inf; TestHNSWGoldenGraphs).
+// kernel's bits. The unvisited friends' rows are hinted into cache
+// (f32.HintRows) before the first of those calls, and the likely next
+// candidate's level-0 list when a candidate is popped: a hint moves no
+// result, only when a row arrives. Neighbour selection, which is most
+// of an insert, needs no score at all, only "is this candidate closer
+// to a kept neighbour than to the new node": the float32 dot answers
+// through the prefilter's two tests (provably not closer, provably
+// closer) and the float64 kernel decides the comparisons neither can.
+// The float32 pass only ever answers a comparison the float64 score
+// would answer the same way, so graphs and results are bit for bit
+// those of scoring every candidate (TestHNSWFilterParity, whose
+// reference sets gamma to +Inf; TestHNSWGoldenGraphs).
 //
 // HNSW implements MutableIndex: Insert reuses the build-time level
 // sampling (continuing the build's deterministic RNG stream) and
@@ -695,6 +698,12 @@ func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32
 		if len(sc.res.h) == ef && c.dist > sc.res.h[0].dist {
 			break
 		}
+		if level == 0 && len(sc.cand.h) > 0 {
+			// The likely next expansion's list, on its way while this
+			// one is scored: the beam's other dependent miss.
+			next := [1]int32{sc.cand.h[0].id}
+			f32.HintRows(h.l0, h.mmax0, next[:])
+		}
 		friends := h.links(c.id, level)
 		// The float32 pass runs over the whole list before anything is
 		// scored, so that the float64 kernel takes what it leaves four
@@ -702,13 +711,21 @@ func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32
 		// started with, at worst looser than the one a friend-by-friend
 		// pass would have reached: it leaves a superset, and the extra
 		// rows fail the d < worst test below as they failed the filter.
-		surv := sc.surv[:0]
+		// Each friend is marked visited and kept unless it already was,
+		// without a branch on a bit that is as good as random; the
+		// rows kept are hinted into cache before the float32 pass.
+		surv := slices.Grow(sc.surv[:0], len(friends))[:len(friends)]
+		kept := 0
 		for _, e := range friends {
-			if !sc.seen(e) {
-				surv = append(surv, e)
-			}
+			w := &sc.visited[e>>6]
+			was := *w
+			*w = was | 1<<(e&63)
+			surv[kept] = e
+			kept += int(^was>>(e&63)) & 1
 		}
+		surv = surv[:kept]
 		sc.surv = surv
+		f32.HintRows(h.s.data, h.s.dim, surv)
 		surv = h.survivors(f, q, surv, sc)
 		for j, d := range h.dists(q, q64, f.qn, surv, sc) {
 			full := len(sc.res.h) == ef

@@ -25,8 +25,15 @@ import (
 //     shadow, and int8Mask turns each into an upper bound hi >= q·r
 //     and marks every row that drops rejects on hi at the threshold
 //     armed when the block starts.
-//  2. Each unmarked row gets its float32 dot a = f32.Dot(q, r), and
-//     drops tests a at the threshold of that moment.
+//  2. A float32 pass over each 64-row word of the block: the rows
+//     stage 1 left in it are collected by row ID, hinted into cache
+//     together (f32.HintRows) and dotted in one f32.DotGather call,
+//     each a = f32.Dot(q, r) bit for bit; then, row by row, drops
+//     tests a at the threshold of that moment. A row read from the
+//     store is a random read (a cut shadow is in cell order, the store
+//     in row order), so the word's loads are issued before its math.
+//     In a block that starts unarmed drops rejects nothing, so no dot
+//     is taken there.
 //  3. The rows left are scored by scoreRow in float64 and pushed.
 //
 // Until the heap is full nothing is armed and stage 1 is skipped; the
@@ -489,7 +496,9 @@ type scanner struct {
 	f       prefilter
 	b       int8Query
 	dots    [scanBlock]int32
-	qbuf    [256]int8 // the codes of a query of up to 256 dimensions
+	ids     [64]int32   // stage 2: the rows of one word stage 1 left
+	a       [64]float32 // and their float32 dots
+	qbuf    [256]int8   // the codes of a query of up to 256 dimensions
 	order   []cellBound
 	scanCounts
 }
@@ -643,19 +652,28 @@ func (c *scanner) scanRange(t *TopK, lo, hi int) {
 		}
 	block:
 		for w := 0; w*64 < n; w++ {
-			// The rows of word w stage 1 left for stage 2 to judge.
+			// The rows of word w stage 1 left for stage 2 to judge, by
+			// row ID, dotted together (see the header).
 			maybe := ^dropped[w]
 			if rows := n - w*64; rows < 64 {
 				maybe &= 1<<rows - 1
 			}
-			for ; maybe != 0; maybe &= maybe - 1 {
-				p := lo + w*64 + bits.TrailingZeros64(maybe)
-				i := p
+			base, ids := lo+w*64, c.ids[:0]
+			for m := maybe; m != 0; m &= m - 1 {
+				i := base + bits.TrailingZeros64(m)
 				if sh.ids != nil {
-					i = int(sh.ids[p])
+					i = int(sh.ids[i])
 				}
+				ids = append(ids, int32(i))
+			}
+			if armed {
+				f32.HintRows(s.data, s.dim, ids)
+				f32.DotGather(c.q, s.data, ids, c.a[:len(ids)])
+			}
+			for j := 0; maybe != 0; j, maybe = j+1, maybe&(maybe-1) {
+				p, i := base+bits.TrailingZeros64(maybe), int(ids[j])
 				c.survivors++
-				if i == c.exclude || (del != nil && del[i]) || f.drops(float64(f32.Dot(c.q, s.Row(i))), sh.norm[p]) {
+				if i == c.exclude || (del != nil && del[i]) || (armed && f.drops(float64(c.a[j]), sh.norm[p])) {
 					continue
 				}
 				t.Push(i, scoreRow(s, c.metric, c.q, f.qn, i))

@@ -966,3 +966,47 @@ func BenchmarkScanRange(b *testing.B) {
 	b.ReportMetric(float64(survivors.Load())/float64(b.N), "int8-survivors/query")
 	b.ReportMetric(float64(rescored.Load())/float64(b.N), "rescored/query")
 }
+
+// TestScanCounts pins, per metric, what the exact scan does with eight
+// fixed queries (four stored rows searched without themselves, four
+// points off the store) on a seeded clustered store that NewExact cuts:
+// the cells and rows it visits, the rows stage 1 leaves (survivors)
+// and those the float64 kernel scores (rescored). TestHNSWBeamCounts'
+// twin: a change to how stages 1 and 2 are batched moves these counts
+// even where it leaves every answer alone.
+func TestScanCounts(t *testing.T) {
+	want := map[Metric][8]scanCounts{
+		Cosine:    {{2, 98, 98, 35}, {1, 95, 95, 31}, {2, 78, 78, 28}, {1, 98, 98, 26}, {22, 1732, 155, 52}, {20, 1473, 101, 28}, {14, 1105, 93, 33}, {7, 491, 95, 31}},
+		Dot:       {{1, 98, 98, 30}, {1, 96, 96, 37}, {2, 78, 72, 26}, {1, 98, 98, 28}, {11, 860, 98, 35}, {14, 1192, 132, 28}, {11, 773, 132, 37}, {3, 308, 96, 33}},
+		Euclidean: {{1, 98, 98, 35}, {1, 96, 96, 29}, {2, 78, 78, 25}, {1, 98, 98, 27}, {10, 802, 77, 33}, {9, 687, 116, 33}, {8, 517, 94, 25}, {9, 694, 92, 37}},
+	}
+	const n, dim = 4000, 64
+	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
+		s := clusteredStore(n, dim, 40, 227)
+		NewExact(s, metric, 2)
+		if len(s.int8Rows().cells) == 0 {
+			t.Fatalf("%v: NewExact left the store in row order", metric)
+		}
+		rng := xrand.New(229)
+		var got [8]scanCounts
+		for i := range got {
+			q, exclude := make([]float32, dim), -1
+			if i < 4 {
+				exclude = rng.Intn(n)
+				copy(q, s.Row(exclude))
+			} else {
+				for j := range q {
+					q[j] = float32(rng.NormFloat64() * 5)
+				}
+			}
+			var heap TopK
+			heap.Reset(10)
+			got[i] = scan(s, metric, q, exclude, &heap)
+		}
+		for i, w := range want[metric] {
+			if got[i] != w {
+				t.Errorf("%v query %d: %+v, want %+v", metric, i, got[i], w)
+			}
+		}
+	}
+}

@@ -614,7 +614,8 @@ func PreferentialAttachmentScorer(g *Graph) LinkScorer {
 // ---- Datasets and visualization ------------------------------------
 
 // OpenFlightsConfig controls the synthetic OpenFlights-style route
-// network generator (see DESIGN.md for the substitution rationale).
+// network generator (see docs/EXPERIMENTS.md#figure-8--openflights-route-network
+// for the substitution rationale).
 type OpenFlightsConfig = openflights.Config
 
 // OpenFlightsDataset is the generated route network with labels.
