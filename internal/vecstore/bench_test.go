@@ -173,16 +173,14 @@ func BenchmarkExactBuild(b *testing.B) {
 // the floor and the trial queries say). The floor belongs where cut
 // starts to win.
 func BenchmarkCellFloor(b *testing.B) {
-	defer func(floor, trials int) { cellFloor, cutTrials = floor, trials }(cellFloor, cutTrials)
-	cutTrials = 0
 	for _, n := range []int{128, 256, 512, 1024, 2048, 4096, 8192, 16384} {
 		for _, cut := range []bool{false, true} {
-			cellFloor = math.MaxInt
+			rule := cellRule{floor: math.MaxInt}
 			if cut {
-				cellFloor = 0
+				rule.floor = 1
 			}
 			s := clusteredStore(n, 64, 64, 101)
-			idx := NewExact(s, Cosine, 1)
+			idx := newExact(s, Cosine, 1, rule)
 			name := fmt.Sprintf("rows=%d/uncut", n)
 			if cut {
 				name = fmt.Sprintf("rows=%d/cut", n)

@@ -17,12 +17,16 @@ import (
 // and one over every row, all scored by f32.DotRowsI8 against each
 // centre quantised as a query.
 
-// cellFloor is the row count from which NewExact cuts the shadow; a
-// smaller store, or one with a non-finite row, is scanned in row order
-// as one range. BenchmarkCellFloor measures both sides of it
-// (docs/VECTORS.md has the figures). Tests lower it to cut small
-// stores.
-var cellFloor = 1024
+// cellRule is which stores the exact index cuts: one of at least floor
+// rows, none of them non-finite, whose cut skips at least half the
+// rows of trials trial queries (pays; 0 trials keeps every cut). Any
+// other store is scanned in row order as one range. The zero rule
+// stands for the default one, cellFloor and cutTrials
+// (BenchmarkCellFloor measures both sides of the floor; docs/VECTORS.md
+// has the figures); tests set Config.cells to cut small stores.
+type cellRule struct{ floor, trials int }
+
+const cellFloor, cutTrials = 1024, 16
 
 // cellSample caps the sample the seeds and the sample passes run on,
 // in rows per cell, and sampleRounds is the number of sample passes
@@ -57,13 +61,17 @@ func cellCount(n int) int { return max(1, int(math.Sqrt(float64(n)))) }
 // scan.go).
 func cellSlack(dim int) float64 { return float64(dim+32) * 0x1p-50 }
 
-// cut returns s's shadow cut into cells, or r when s has fewer than
-// cellFloor rows or a non-finite one. r must be s's shadow in row
-// order. Cosine stores are cut by angle, the others by distance. The
-// result depends on the rows and the metric only, not on workers.
-func (r *int8Rows) cut(s *Store, metric Metric, workers int) *int8Rows {
+// cut returns s's shadow cut into cells, or r when rule does not cut s
+// (fewer than rule.floor rows, a non-finite one, or a cut that does
+// not pay). r must be s's shadow in row order. Cosine stores are cut
+// by angle, the others by distance. The result depends on the rows,
+// the metric and the rule only, not on workers.
+func (r *int8Rows) cut(s *Store, metric Metric, rule cellRule, workers int) *int8Rows {
 	n, dim := s.n, s.dim
-	if n < cellFloor || n > math.MaxInt32 {
+	if rule == (cellRule{}) {
+		rule = cellRule{cellFloor, cutTrials}
+	}
+	if n < rule.floor || n > math.MaxInt32 {
 		return r
 	}
 	for _, sc := range r.scale {
@@ -122,29 +130,26 @@ func (r *int8Rows) cut(s *Store, metric Metric, workers int) *int8Rows {
 		assign[i] = cellOf[a]
 	}
 	out.fit(s, assign, workers)
-	if !out.pays(s, metric) {
+	if !out.pays(s, metric, rule.trials) {
 		r.tried = true
 		return r
 	}
 	return out
 }
 
-// cutTrials is the number of the store's rows pays queries with. Tests
-// set it to 0, which keeps every cut.
-var cutTrials = 16
-
 // pays reports whether the cut r of s skips at least half the rows
-// of a top-10 query for metric, on average over cutTrials of s's rows
-// as queries. Every cell a query visits costs a bound, a heap step and
-// a short block on top of its rows, so on a store with no clusters to
-// skip (gaussian rows, say) the cut is slower than row order.
-func (r *int8Rows) pays(s *Store, metric Metric) bool {
+// of a top-10 query for metric, on average over trials of s's rows as
+// queries; with no trials it holds. Every cell a query visits costs a
+// bound, a heap step and a short block on top of its rows, so on a
+// store with no clusters to skip (gaussian rows, say) the cut is
+// slower than row order.
+func (r *int8Rows) pays(s *Store, metric Metric, trials int) bool {
 	var t TopK
 	visited := 0
-	for j := range cutTrials {
-		i := j * s.n / cutTrials
+	for j := range trials {
+		i := j * s.n / trials
 		t.Reset(clampK(10, s.Live()-1))
-		if visited += scanShadow(s, r, metric, s.Row(i), s.SqNorms()[i], i, &t).visited; visited > cutTrials*s.n/2 {
+		if visited += scanShadow(s, r, metric, s.Row(i), s.SqNorms()[i], i, &t).visited; visited > trials*s.n/2 {
 			return false
 		}
 	}

@@ -9,13 +9,10 @@ import (
 	"v2v/internal/xrand"
 )
 
-// withCells makes NewExact cut every finite store of 16 rows or more
-// and keep the cut whatever its trial queries say, for one test.
-func withCells(t testing.TB) {
-	floor, trials := cellFloor, cutTrials
-	cellFloor, cutTrials = 16, 0
-	t.Cleanup(func() { cellFloor, cutTrials = floor, trials })
-}
+// smallCells is the rule under which an exact index cuts every finite
+// store of 16 rows or more and keeps the cut whatever its trial
+// queries say.
+var smallCells = cellRule{floor: 16}
 
 // specialQueries are a NaN, an infinite and a zero query of dim
 // elements.
@@ -42,7 +39,6 @@ func cellStores(n, dim int, seed uint64) map[string]adversarialStore {
 // queries; then through 300 mixed writes after the cut. The clustered store
 // must skip cells, or the test proves nothing.
 func TestCellScanParity(t *testing.T) {
-	withCells(t)
 	skipped := 0
 	for _, n := range []int{40, 515, 1500} {
 		for _, dim := range []int{1, 3, 8, 9, 33, 64} {
@@ -53,7 +49,7 @@ func TestCellScanParity(t *testing.T) {
 				for _, metric := range []Metric{Cosine, Dot, Euclidean} {
 					for _, tombstones := range []bool{false, true} {
 						s := e.s.Gather(e.s.LiveIDs()) // a fresh shadow, cut for metric
-						NewExact(s, metric, 1)
+						newExact(s, metric, 1, smallCells)
 						if sh := s.int8Rows(); (sh.cells != nil) != finite(s.Data()) {
 							t.Fatalf("n %d dim %d %s %v: cut=%v", n, dim, kind, metric, sh.cells != nil)
 						}
@@ -113,7 +109,7 @@ func TestCellScanParity(t *testing.T) {
 	}
 	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
 		s := clusteredStore(n, dim, 12, 79)
-		e := NewExact(s, metric, 1)
+		e := newExact(s, metric, 1, smallCells)
 		if s.int8Rows().cells == nil {
 			t.Fatalf("%v: the store was not cut", metric)
 		}
@@ -158,13 +154,12 @@ func TestCellScanParity(t *testing.T) {
 // metric, not on how many goroutines build it — the same positions,
 // cells, centres and radii, bit for bit, at 1, 2, 3 and 8 workers.
 func TestCellCutDeterministic(t *testing.T) {
-	withCells(t)
 	src := clusteredStore(3000, 20, 30, 5)
 	for _, metric := range []Metric{Cosine, Euclidean} {
 		var want *int8Rows
 		for _, workers := range []int{1, 2, 3, 8} {
 			s := src.Gather(src.LiveIDs())
-			NewExact(s, metric, workers)
+			newExact(s, metric, workers, smallCells)
 			got := s.int8Rows()
 			if want == nil {
 				want = got
@@ -218,7 +213,6 @@ func checkCellBounds(t testing.TB, what string, s *Store, metric Metric, q []flo
 // scaled rows, and the stores' own; and again after SetRow has moved
 // rows across the space and grown their cells.
 func TestCellBoundSound(t *testing.T) {
-	withCells(t)
 	const n = 200
 	for _, dim := range []int{1, 2, 8, 9, 33, 64} {
 		stores := int8BoundStores(n, dim, uint64(dim))
@@ -230,7 +224,7 @@ func TestCellBoundSound(t *testing.T) {
 			}
 			for _, metric := range []Metric{Cosine, Dot, Euclidean} {
 				s := e.s.Gather(e.s.LiveIDs())
-				NewExact(s, metric, 1)
+				newExact(s, metric, 1, smallCells)
 				if s.int8Rows().cells == nil {
 					t.Fatalf("dim %d %s %v: the store was not cut", dim, kind, metric)
 				}
@@ -290,10 +284,9 @@ func FuzzCellScanParity(f *testing.F) {
 		if s == nil {
 			return
 		}
-		withCells(t)
 		n, dim := s.Len(), s.Dim()
 		metric := Metric(metricByte % 3)
-		NewExact(s, metric, 1)
+		newExact(s, metric, 1, smallCells)
 		if moved != 0 {
 			s.SetRow(int(moved)%n, q)
 		}

@@ -34,8 +34,13 @@ type Exact struct {
 // to pay (cells.go), on up to workers goroutines. workers <= 0 means
 // GOMAXPROCS.
 func NewExact(s *Store, metric Metric, workers int) *Exact {
+	return newExact(s, metric, workers, cellRule{})
+}
+
+// newExact is NewExact cutting the store as rule says.
+func newExact(s *Store, metric Metric, workers int, rule cellRule) *Exact {
 	// Build the caches now, so concurrent queries never race them.
-	s.cutInt8Rows(metric, normWorkers(workers))
+	s.cutInt8Rows(metric, rule, normWorkers(workers))
 	return &Exact{s: s, metric: metric, workers: normWorkers(workers)}
 }
 

@@ -71,10 +71,12 @@ func waveSize(linked int) int {
 // Yashunin, 2016): a stack of proximity graphs where upper layers are
 // exponentially sparser samples used for coarse routing and layer 0
 // holds every row. A query greedily descends to layer 0, then runs a
-// bounded best-first beam (efSearch) there. Search cost grows roughly
-// logarithmically with the store size — sublinear where Exact stays
-// linear in rows — at the price of approximate results and an
-// O(n log n) build.
+// bounded best-first beam (efSearch) there, whose candidates and
+// results are one sorted list (beam) where the paper keeps two heaps:
+// the same expansions and the same results, with no heap to keep in
+// order. Search cost grows roughly logarithmically with the store size
+// — sublinear where Exact stays linear in rows — at the price of
+// approximate results and an O(n log n) build.
 //
 // Build runs on Workers goroutines and is deterministic for a fixed
 // seed whatever their number (see link); queries are safe for
@@ -91,7 +93,7 @@ func waveSize(linked int) int {
 // (f32.DotF64Gather, four rows per pass), each score the single
 // kernel's bits. The unvisited friends' rows are hinted into cache
 // (f32.HintRows) before the first of those calls, and the likely next
-// candidate's level-0 list when a candidate is popped: a hint moves no
+// candidate's level-0 list when a candidate is expanded: a hint moves no
 // result, only when a row arrives. Neighbour selection, which is most
 // of an insert, needs no score at all, only "is this candidate closer
 // to a kept neighbour than to the new node": the float32 dot answers
@@ -485,15 +487,15 @@ func (h *HNSW) searchNeighbors(i int32, lo int, sc *hnswScratch) {
 	}
 
 	for l := level; l >= 0; l-- {
-		cands := sc.res.h[:0]
 		if len(eps) > 0 && l <= h.maxLevel {
-			h.searchLayer(q, q64, &f, eps, l, h.efc, nil, sc)
-			cands = sc.extractAsc()
+			cands := h.searchLayer(q, q64, &f, eps, l, h.efc, nil, sc)
 			// Next level down starts from everything this beam found.
 			eps = eps[:0]
 			for _, c := range cands {
 				eps = append(eps, c.id)
 			}
+		} else {
+			sc.beam.reset(h.efc)
 		}
 		peers := sc.peers[:0]
 		for p := lo; p < int(i); p++ {
@@ -501,22 +503,14 @@ func (h *HNSW) searchNeighbors(i int32, lo int, sc *hnswScratch) {
 				peers = append(peers, int32(p))
 			}
 		}
-		if len(peers) > 0 {
-			// The peers join as if the beam had found them: its efc
-			// nearest of the union are the candidates. Offered every peer,
-			// selection would keep far ones for their novel directions.
-			full := len(cands) == h.efc
-			for j, d := range h.dists(q, q64, f.qn, peers, sc) {
-				if c := (hcand{peers[j], d}); !full || closer(c, cands[h.efc-1]) {
-					cands = append(cands, c)
-				}
-			}
-			sortCands(cands)
-			sc.res.h = cands
-			cands = cands[:min(len(cands), h.efc)]
+		// The peers join the beam's list as if the beam had found them:
+		// its efc nearest of the union are the candidates. Offered every
+		// peer, selection would keep far ones for their novel directions.
+		for j, d := range h.dists(q, q64, f.qn, peers, sc) {
+			sc.beam.add(hcand{id: peers[j], dist: d})
 		}
 		sc.peers = peers
-		h.setLinks(i, l, h.selectNeighbors(cands, h.m, sc))
+		h.setLinks(i, l, h.selectNeighbors(sc.beam.results(), h.m, sc))
 	}
 	sc.eps = eps
 }
@@ -568,35 +562,46 @@ func (h *HNSW) greedyStep(q []float32, f *prefilter, ep int32, epDist float64, l
 }
 
 // hcand is a graph-search candidate: a row and its distance to the
-// query.
+// query, and in the beam's list whether the row was expanded and
+// whether it is a tombstone.
 type hcand struct {
 	id   int32
+	done bool // beam: expanded
+	dead bool // beam: tombstoned, so it routes and takes no result slot
 	dist float64
 }
 
-// closer orders candidates nearest-first, ties toward the smaller ID
-// so searches are deterministic.
+// closer orders candidates nearest-first, ties toward the smaller ID so
+// that searches are deterministic. A NaN distance goes after every
+// other one, NaNs among themselves by ID: closer is a total order on
+// any distances, so where the beam places a candidate does not depend
+// on which entries its search happens to compare it with.
 func closer(a, b hcand) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
+	switch {
+	case a.dist < b.dist:
+		return true
+	case tied(a.dist, b.dist):
+		return a.id < b.id
 	}
-	return a.id < b.id
+	return b.dist != b.dist
 }
+
+// tied reports whether two distances hold one place in closer's order
+// but for the IDs: equal, or both NaN.
+func tied(a, b float64) bool { return a == b || a != a && b != b }
 
 // hnswScratch is the reusable per-search state: a visited bitset
 // (one bit per row, so that a search's marks stay in L1; cleared per
-// layer search), the candidate min-heap, the bounded result max-heap,
-// and small reusable slices, so that a search allocates its result and
-// an insert little beyond its upper-level lists.
+// layer search), the beam's candidate list and small reusable slices,
+// so that a search allocates its result and an insert little beyond
+// its upper-level lists.
 type hnswScratch struct {
 	visited []uint64
-	cand    candHeap
-	res     resultHeap
+	beam    beam
 	eps     []int32
 	q64     []float64 // the query of the search or insert, widened
 	sel     []int32   // selectNeighbors' selection
 	spilled []int32   // selectNeighbors' discarded candidates
-	near    []hcand   // shrink's sorted list
 	surv    []int32   // searchLayer: the friends the float32 pass left
 	dots    []float32 // survivors' float32 dots
 	dist    []float64 // dists' result
@@ -640,13 +645,6 @@ func (sc *hnswScratch) widen(q []float32) []float64 {
 	return sc.q64
 }
 
-// begin clears the visited set and both heaps for a layer search.
-func (sc *hnswScratch) begin() {
-	clear(sc.visited)
-	sc.cand.h = sc.cand.h[:0]
-	sc.res.h = sc.res.h[:0]
-}
-
 // seen marks id visited, reporting whether it already was.
 func (sc *hnswScratch) seen(id int32) bool {
 	w, bit := &sc.visited[id>>6], uint64(1)<<(id&63)
@@ -657,54 +655,162 @@ func (sc *hnswScratch) seen(id int32) bool {
 	return false
 }
 
-// extractAsc returns the retained results closest first: the result
-// heap's array, sorted in place (closer is a total order wherever no
-// distance is NaN, so this is the sequence popping the heap empty would
-// give, reversed). The heap is spent; the slice is good until the next
-// search begins.
-func (sc *hnswScratch) extractAsc() []hcand {
-	sortCands(sc.res.h)
-	return sc.res.h
+// beam is searchLayer's one list of candidates, in closer order: the
+// sorted candidate pool of NSG (Fu et al., VLDB 2019) in place of the
+// paper's candidate min-heap and bounded result max-heap. It holds
+// every candidate the search took while fewer than ef of them are
+// live, and from then on every one whose distance is at most the
+// worst result's, the ef-th live entry's. Past the worst result it
+// holds only that entry's ties, which the heaps' beam still expands
+// (it stops at a candidate strictly farther than its worst result) and
+// never returns. So the first ef live entries are the result heap's,
+// the unexpanded entries are the candidates the heap would still
+// expand, and the nearest of them is the one it pops next.
+type beam struct {
+	c    []hcand
+	ef   int
+	live int // live entries, counted up to ef
+	w    int // the worst result's index, once live == ef
+	next int // every entry before it is expanded
+}
+
+func (b *beam) reset(ef int) {
+	b.c, b.ef, b.live, b.w, b.next = b.c[:0], ef, 0, 0, 0
+}
+
+// full reports whether the list holds ef live entries.
+func (b *beam) full() bool { return b.live == b.ef }
+
+// worst is the worst result's distance; the list must be full.
+func (b *beam) worst() float64 { return b.c[b.w].dist }
+
+// results is the list up to its worst result: the ef nearest live rows
+// found, closest first, among the tombstones that came before them.
+func (b *beam) results() []hcand {
+	if b.full() {
+		return b.c[:b.w+1]
+	}
+	return b.c
+}
+
+// first returns the index of the nearest unexpanded entry, len(b.c)
+// when every entry is expanded.
+func (b *beam) first() int {
+	for b.next < len(b.c) && b.c[b.next].done {
+		b.next++
+	}
+	return b.next
+}
+
+// at returns the number of entries closer than x, the place x takes.
+// For a distance that is not NaN that is the entries at a smaller
+// distance, a prefix since NaNs sort last, found by a binary search
+// whose step is a conditional move rather than a branch the processor
+// would mispredict half the time, and then the ties with a smaller ID.
+func (b *beam) at(x hcand) int {
+	c := b.c
+	if x.dist != x.dist || len(c) == 0 {
+		p := len(c)
+		for p > 0 && closer(x, c[p-1]) {
+			p--
+		}
+		return p
+	}
+	base, n := 0, len(c)
+	for n > 1 {
+		half := n >> 1
+		base += half & -b2i(c[base+half].dist < x.dist)
+		n -= half
+	}
+	base += b2i(c[base].dist < x.dist)
+	for base < len(c) && c[base].dist == x.dist && c[base].id < x.id {
+		base++
+	}
+	return base
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// add takes x into the list, unless it is farther than the worst
+// result of a full list, and restores the invariant. A live x placed
+// ahead of the worst result makes the live entry before it the worst
+// one, and what lies past that entry but its ties drops out; a
+// tombstone placed there moves the worst result one place on.
+func (b *beam) add(x hcand) {
+	p := b.at(x)
+	behind := b.full() && p > b.w
+	if behind && !tied(x.dist, b.worst()) {
+		return
+	}
+	b.c = append(b.c, hcand{})
+	copy(b.c[p+1:], b.c[p:])
+	b.c[p] = x
+	b.next = min(b.next, p)
+	switch {
+	case behind:
+		return
+	case x.dead:
+		if b.full() {
+			b.w++
+		}
+		return
+	case !b.full():
+		if b.live++; b.live < b.ef {
+			return
+		}
+		b.w = len(b.c) - 1
+	}
+	for b.c[b.w].dead {
+		b.w--
+	}
+	end := b.w + 1
+	for end < len(b.c) && tied(b.c[end].dist, b.worst()) {
+		end++
+	}
+	b.c = b.c[:end]
+	b.next = min(b.next, end)
 }
 
 // searchLayer runs the bounded best-first beam search of the paper's
-// Algorithm 2: expand the closest unexpanded candidate until the beam
-// cannot improve the ef retained results. Results are left in sc.res.
-// f carries the query's squared norm; once ef results are retained its
-// threshold follows the worst of them. A row del marks (the store's
-// tombstones; nil in the build) is scored and expanded but never
-// retained: it routes the beam and takes no result slot.
-func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32, level, ef int, del []bool, sc *hnswScratch) {
-	sc.begin()
+// Algorithm 2 over the beam's list: expand the nearest unexpanded
+// candidate until none is left, that is until no candidate as close as
+// the worst of the ef retained results is unexpanded. It returns the
+// list up to the worst result (beam.results), good until the next
+// search begins. f carries the query's squared norm; once ef results
+// are retained its threshold follows the worst of them, which only
+// ever comes closer: a candidate is taken in a full list only when it
+// is strictly closer than the worst result. A row del marks (the
+// store's tombstones; nil in the build) is scored and expanded but
+// never counted as a result: it routes the beam and takes no result
+// slot.
+func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32, level, ef int, del []bool, sc *hnswScratch) []hcand {
+	clear(sc.visited)
+	b := &sc.beam
+	b.reset(ef)
 	for _, ep := range eps {
-		if sc.seen(ep) {
-			continue
+		if !sc.seen(ep) {
+			b.add(hcand{id: ep, dead: del != nil && del[ep], dist: h.dist(q, f.qn, ep)})
 		}
-		d := h.dist(q, f.qn, ep)
-		sc.cand.push(hcand{ep, d})
-		if del == nil || !del[ep] {
-			sc.res.push(hcand{ep, d})
-		}
-	}
-	for len(sc.res.h) > ef {
-		sc.res.pop()
 	}
 	f.armed = false // the descent's or the previous layer's threshold is not this beam's
-	if len(sc.res.h) == ef {
-		f.arm(-sc.res.h[0].dist)
+	if b.full() {
+		f.arm(-b.worst())
 	}
-	for len(sc.cand.h) > 0 {
-		c := sc.cand.pop()
-		if len(sc.res.h) == ef && c.dist > sc.res.h[0].dist {
-			break
-		}
-		if level == 0 && len(sc.cand.h) > 0 {
+	for i := b.first(); i < len(b.c); i = b.first() {
+		b.c[i].done = true
+		friends := h.links(b.c[i].id, level)
+		if j := b.first(); level == 0 && j < len(b.c) {
 			// The likely next expansion's list, on its way while this
 			// one is scored: the beam's other dependent miss.
-			next := [1]int32{sc.cand.h[0].id}
+			next := [1]int32{b.c[j].id}
 			f32.HintRows(h.l0, h.mmax0, next[:])
 		}
-		friends := h.links(c.id, level)
 		// The float32 pass runs over the whole list before anything is
 		// scored, so that the float64 kernel takes what it leaves four
 		// rows at a time. The threshold it sees is the one this list
@@ -728,25 +834,17 @@ func (h *HNSW) searchLayer(q []float32, q64 []float64, f *prefilter, eps []int32
 		f32.HintRows(h.s.data, h.s.dim, surv)
 		surv = h.survivors(f, q, surv, sc)
 		for j, d := range h.dists(q, q64, f.qn, surv, sc) {
-			full := len(sc.res.h) == ef
-			if full && !(d < sc.res.h[0].dist) {
+			if b.full() && !(d < b.worst()) {
 				continue
 			}
-			e := surv[j]
-			sc.cand.push(hcand{e, d})
-			if del != nil && del[e] {
-				continue
-			}
-			if full {
-				sc.res.replaceTop(hcand{e, d})
-			} else {
-				sc.res.push(hcand{e, d})
-			}
-			if len(sc.res.h) == ef {
-				f.arm(-sc.res.h[0].dist)
+			dead := del != nil && del[surv[j]]
+			b.add(hcand{id: surv[j], dead: dead, dist: d})
+			if !dead && b.full() {
+				f.arm(-b.worst())
 			}
 		}
 	}
+	return b.results()
 }
 
 // nearer reports whether stored row kept is closer to candidate c (its
@@ -808,32 +906,15 @@ func (h *HNSW) selectNeighbors(cands []hcand, m int, sc *hnswScratch) []int32 {
 
 // shrink re-selects a node's neighbor list after it exceeded its
 // degree cap, using the same diversity heuristic as insertion, and
-// writes the selection back over the list.
+// writes the selection back over the list. The beam's list, as wide as
+// the list, sorts it.
 func (h *HNSW) shrink(node int32, friends []int32, limit int, sc *hnswScratch) []int32 {
-	near := sc.near[:0]
 	q := h.s.Row(int(node))
+	sc.beam.reset(len(friends))
 	for i, d := range h.dists(q, sc.widen(q), h.s.SqNorms()[node], friends, sc) {
-		near = append(near, hcand{friends[i], d})
+		sc.beam.add(hcand{id: friends[i], dist: d})
 	}
-	sortCands(near)
-	sc.near = near
-	return append(friends[:0], h.selectNeighbors(near, limit, sc)...)
-}
-
-// sortCands orders closest first: a Shell sort (Ciura's gaps), which
-// on the few dozen to few hundred candidates of a list or a beam
-// beats a generic sort that calls its comparison through a pointer.
-func sortCands(cs []hcand) {
-	for _, gap := range [...]int{132, 57, 23, 10, 4, 1} {
-		for i := gap; i < len(cs); i++ {
-			x := cs[i]
-			j := i
-			for ; j >= gap && closer(x, cs[j-gap]); j -= gap {
-				cs[j] = cs[j-gap]
-			}
-			cs[j] = x
-		}
-	}
+	return append(friends[:0], h.selectNeighbors(sc.beam.results(), limit, sc)...)
 }
 
 // Store implements Index.
@@ -896,17 +977,15 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 		ef = n
 	}
 	sc.eps = append(sc.eps[:0], ep)
-	h.searchLayer(q, q64, &f, sc.eps, 0, ef, h.s.deleted, sc)
-	// Pull the k nearest results, all live, out of the beam: heapify
-	// its ef nearest-first, in O(ef), and pop until k are kept. closer
-	// is a total order wherever no distance is NaN, so these are the
-	// first k of the sorted beam.
-	near := candHeap{sc.res.h}
-	near.init()
+	// The k nearest results, all live, are the first live entries of
+	// the beam's list, in closer order, which for the scores is
+	// sortResults' order.
 	start := len(dst)
-	for len(near.h) > 0 && len(dst)-start < k {
-		c := near.pop()
-		if int(c.id) == exclude {
+	for _, c := range h.searchLayer(q, q64, &f, sc.eps, 0, ef, h.s.deleted, sc) {
+		if len(dst)-start == k {
+			break
+		}
+		if c.dead || int(c.id) == exclude {
 			continue
 		}
 		score := -c.dist
@@ -918,7 +997,6 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 		}
 		dst = append(dst, Result{ID: int(c.id), Score: score})
 	}
-	sortResults(dst[start:])
 	return dst
 }
 
@@ -1068,112 +1146,4 @@ func HNSWFromGraph(s *Store, g *HNSWGraph, efSearch, workers int) (*HNSW, error)
 	}
 	s.SqNorms()
 	return h, nil
-}
-
-// ---- Heaps ----------------------------------------------------------
-
-// candHeap is a min-heap by distance: pop returns the closest
-// candidate (the beam's next expansion).
-type candHeap struct{ h []hcand }
-
-func (q *candHeap) push(c hcand) {
-	q.h = append(q.h, c)
-	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !closer(q.h[i], q.h[p]) {
-			break
-		}
-		q.h[i], q.h[p] = q.h[p], q.h[i]
-		i = p
-	}
-}
-
-func (q *candHeap) pop() hcand {
-	top := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h = q.h[:last]
-	q.siftDown(0)
-	return top
-}
-
-// init orders an arbitrary array into a heap, in O(len).
-func (q *candHeap) init() {
-	for i := len(q.h)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-}
-
-// siftDown restores the heap below h[i] after h[i] was overwritten.
-func (q *candHeap) siftDown(i int) {
-	n := len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && closer(q.h[l], q.h[best]) {
-			best = l
-		}
-		if r < n && closer(q.h[r], q.h[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		q.h[i], q.h[best] = q.h[best], q.h[i]
-		i = best
-	}
-}
-
-// resultHeap is a max-heap by distance: h[0] is the farthest retained
-// result, so a bounded beam evicts in O(log ef).
-type resultHeap struct{ h []hcand }
-
-func (q *resultHeap) push(c hcand) {
-	q.h = append(q.h, c)
-	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !closer(q.h[p], q.h[i]) {
-			break
-		}
-		q.h[i], q.h[p] = q.h[p], q.h[i]
-		i = p
-	}
-}
-
-func (q *resultHeap) pop() hcand {
-	top := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h = q.h[:last]
-	q.siftDown()
-	return top
-}
-
-// replaceTop evicts the farthest result for c in one sift: the heap a
-// push and a pop would leave, for a c closer than the top.
-func (q *resultHeap) replaceTop(c hcand) {
-	q.h[0] = c
-	q.siftDown()
-}
-
-// siftDown restores the heap after h[0] was overwritten.
-func (q *resultHeap) siftDown() {
-	i, n := 0, len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && closer(q.h[worst], q.h[l]) {
-			worst = l
-		}
-		if r < n && closer(q.h[worst], q.h[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		q.h[i], q.h[worst] = q.h[worst], q.h[i]
-		i = worst
-	}
 }

@@ -96,6 +96,10 @@ type Config struct {
 	// only the owning shard. 0 or 1 builds a single unsharded index.
 	// See Sharded and docs/INDEXES.md.
 	Shards int
+
+	// cells is which stores an exact index cuts into cells (cells.go);
+	// the zero rule is the default one.
+	cells cellRule
 }
 
 // Validate reports, with a descriptive error, why the configuration
@@ -201,7 +205,7 @@ func Open(s *Store, cfg Config) (Index, error) {
 			Workers:        cfg.Workers,
 		})
 	default:
-		return NewExact(s, cfg.Metric, cfg.Workers), nil
+		return newExact(s, cfg.Metric, cfg.Workers, cfg.cells), nil
 	}
 }
 

@@ -554,10 +554,7 @@ func checkShadowFresh(t *testing.T, what string, s *Store) {
 // the shadow back in row order.
 func TestInt8ShadowFollowsWrites(t *testing.T) {
 	t.Run("rows", func(t *testing.T) { shadowFollowsWrites(t, false) })
-	t.Run("cells", func(t *testing.T) {
-		withCells(t)
-		shadowFollowsWrites(t, true)
-	})
+	t.Run("cells", func(t *testing.T) { shadowFollowsWrites(t, true) })
 }
 
 func shadowFollowsWrites(t *testing.T, cut bool) {
@@ -586,6 +583,10 @@ func shadowFollowsWrites(t *testing.T, cut bool) {
 			}
 		}
 	}
+	var rule cellRule
+	if cut {
+		rule = smallCells
+	}
 	store := func(seed uint64) *Store {
 		if cut {
 			return clusteredStore(n, dim, 24, seed)
@@ -594,7 +595,7 @@ func shadowFollowsWrites(t *testing.T, cut bool) {
 	}
 
 	s := store(61)
-	e := NewExact(s, Cosine, 1)
+	e := newExact(s, Cosine, 1, rule)
 	v := fresh()
 	id, err := e.Insert(v)
 	if err != nil {
@@ -614,7 +615,7 @@ func shadowFollowsWrites(t *testing.T, cut bool) {
 	y := fresh()
 	copy(s.Row(2*scanBlock+1), y)
 	s.InvalidateNorms()
-	e = NewExact(s, Cosine, 1)
+	e = newExact(s, Cosine, 1, rule)
 	check("Row write, InvalidateNorms", e.Search(y, k), s, y, -1, 2*scanBlock+1)
 
 	var ids []int
@@ -625,11 +626,11 @@ func shadowFollowsWrites(t *testing.T, cut bool) {
 	if g.i8.Load().cells != nil {
 		t.Fatal("Gather kept the cells")
 	}
-	check("Gather", NewExact(g, Cosine, 1).Search(y, k), g, y, -1, scanBlock)
+	check("Gather", newExact(g, Cosine, 1, rule).Search(y, k), g, y, -1, scanBlock)
 
 	// In-process sharded exact: each shard's compaction gathers its
 	// live rows into a new store and opens an index over it.
-	sh, err := OpenSharded(store(63), Config{Shards: 2})
+	sh, err := OpenSharded(store(63), Config{Shards: 2, cells: rule})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +687,7 @@ func shadowFollowsWrites(t *testing.T, cut bool) {
 	}
 	checkScanParity(t, "non-finite SetRow", s, Cosine, s.Row(4), k, 4)
 	a := store(65)
-	NewExact(a, Cosine, 1)
+	newExact(a, Cosine, 1, rule)
 	bad[5] = float32(math.Inf(-1))
 	a.Append(append(fresh(), bad...))
 	checkShadowFresh(t, "non-finite Append", a)

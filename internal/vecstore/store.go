@@ -372,9 +372,9 @@ func (s *Store) int8Rows() *int8Rows {
 
 // cutInt8Rows builds the exact scan's int8 shadow if there is none
 // and, unless it is cut already or a cut of it was tried and not kept,
-// cuts it into cells for metric (cells.go), on up to workers
-// goroutines.
-func (s *Store) cutInt8Rows(metric Metric, workers int) {
+// cuts it into cells for metric as rule says (cells.go), on up to
+// workers goroutines.
+func (s *Store) cutInt8Rows(metric Metric, rule cellRule, workers int) {
 	s.normMu.Lock()
 	defer s.normMu.Unlock()
 	r := s.i8.Load()
@@ -391,7 +391,7 @@ func (s *Store) cutInt8Rows(metric Metric, workers int) {
 		s.sqnorms.Store(&norms)
 	}
 	if r.cells == nil && !r.tried {
-		r = r.cut(s, metric, workers)
+		r = r.cut(s, metric, rule, workers)
 	}
 	s.i8.Store(r)
 }

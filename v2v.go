@@ -346,10 +346,10 @@ type Index = vecstore.Index
 // MutableIndex is the online-write extension of Index: Insert appends
 // and indexes a new vector (incrementally, even for HNSW) and
 // Delete tombstones a row, both safe to call concurrently with
-// queries. Every index built by NewIndex, NewVectorIndex and
-// LoadIndexedSnapshot implements it — use AsMutableIndex to surface
-// the extension. See docs/INDEXES.md for the mutability semantics
-// (tombstone filtering, compaction, staleness detection).
+// queries. Every index built by NewIndex and LoadIndexedSnapshot
+// implements it — use AsMutableIndex to surface the extension. See
+// docs/INDEXES.md for the mutability semantics (tombstone filtering,
+// compaction, staleness detection).
 type MutableIndex = vecstore.MutableIndex
 
 // AsMutableIndex surfaces idx's online-write extension. The second
@@ -404,15 +404,6 @@ const (
 func NewIndex(m *Model, cfg IndexConfig) (Index, error) {
 	return vecstore.Open(m.Store(), cfg)
 }
-
-// NewVectorIndex builds a similarity index over an arbitrary store.
-func NewVectorIndex(s *VectorStore, cfg IndexConfig) (Index, error) {
-	return vecstore.Open(s, cfg)
-}
-
-// VectorStoreOf copies [][]float64 rows into an aligned store (the
-// bridge from the historical interchange format).
-func VectorStoreOf(rows [][]float64) *VectorStore { return vecstore.FromRows64(rows) }
 
 // ---- Serving -------------------------------------------------------
 
