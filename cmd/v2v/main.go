@@ -1,7 +1,8 @@
 // Command v2v trains vertex embeddings for a graph given as an edge
 // list, writes them in the word2vec text format or the fast binary
 // snapshot format, serves top-k similarity queries over saved
-// embeddings, and runs a long-lived HTTP query server.
+// embeddings, runs a long-lived HTTP query server, and runs the
+// paper's three applications of the embedding.
 //
 // Training usage:
 //
@@ -97,6 +98,30 @@
 // generation. See docs/SERVING.md for the API reference and
 // benchmark/ for the load-generating client.
 //
+// Application usage (the paper's Sections III-V):
+//
+//	v2v communities -in graph.txt -k 10 [-truth labels.txt]
+//	    [-methods v2v,cnm,gn] [training flags; -dim 10]
+//	v2v predict -in graph.txt -labels labels.txt [-k 3] [-folds 10]
+//	    [-predict-missing] [-directed] [-model-out model.snap]
+//	    [training flags; -dim 50] [-index exact|hnsw] [-m 0] [-efc 0]
+//	    [-efs 0] [-shards 0]
+//	v2v visualize (-graph graph.txt | -vectors vecs.snap) -out f.svg
+//	    [-labels labels.txt] [-iters 200] [-title T] [-seed 1]
+//
+// communities compares the paper's three community detectors (Table
+// I): V2V + k-means, which needs -k, CNM and Girvan-Newman; it prints
+// each one's community count, modularity, pairwise precision and
+// recall against -truth, and time. predict cross-validates k-NN
+// label prediction over the exact index, or with -predict-missing
+// fills in the '?' labels through the -index kind and prints the
+// completed list; its one -seed seeds training and the HNSW build.
+// visualize draws a ForceAtlas2 layout of a graph or a PCA scatter of
+// an embedding as SVG. Label files hold one label per line in vertex
+// order; any string is a label, and "?" is a missing one (predict
+// fills it in, visualize draws it grey, communities rejects it). The
+// training flags are the training usage's, from -walks to -seed.
+//
 // The input format is one edge per line: "u v [weight [time]]"; lines
 // starting with '#' are comments. With -named, u and v are arbitrary
 // vertex names rather than integer indices.
@@ -105,6 +130,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -131,6 +157,16 @@ func main() {
 			indexMain(os.Args[2:])
 			return
 		}
+		if run, ok := apps[os.Args[1]]; ok {
+			switch err := run(os.Args[2:], os.Stdout, os.Stderr); {
+			case err == nil, errors.Is(err, flag.ErrHelp):
+			case errors.Is(err, errUsage):
+				os.Exit(2)
+			default:
+				fatal(err)
+			}
+			return
+		}
 	}
 	trainMain()
 }
@@ -138,7 +174,8 @@ func main() {
 // indexSelection registers the shared index-selection flags on fs and
 // returns a closure assembling the IndexConfig after parsing. Invalid
 // kind/parameter combinations surface as descriptive errors from
-// IndexConfig validation.
+// IndexConfig validation. A flag set that trains too registers
+// trainOptions first; its -seed then seeds the build as well.
 func indexSelection(fs *flag.FlagSet, defaultKind string) func() (v2v.IndexConfig, error) {
 	var (
 		kind   = fs.String("index", defaultKind, "index kind: exact or hnsw")
@@ -146,11 +183,14 @@ func indexSelection(fs *flag.FlagSet, defaultKind string) func() (v2v.IndexConfi
 		efc    = fs.Int("efc", 0, "hnsw: construction beam width (0 = 200)")
 		efs    = fs.Int("efs", 0, "hnsw: query beam width (0 = 128)")
 		shards = fs.Int("shards", 0, "partition rows across N index shards: parallel builds and scatter-gather queries (0/1 = unsharded)")
-		seed   = fs.Uint64("seed", 1, "index build seed")
 	)
+	if fs.Lookup("seed") == nil {
+		fs.Uint64("seed", 1, "index build seed")
+	}
+	seed := fs.Lookup("seed").Value.(flag.Getter)
 	return func() (v2v.IndexConfig, error) {
 		cfg := v2v.IndexConfig{
-			Seed:           *seed,
+			Seed:           seed.Get().(uint64),
 			M:              *m,
 			EfConstruction: *efc,
 			EfSearch:       *efs,
@@ -168,12 +208,13 @@ func indexSelection(fs *flag.FlagSet, defaultKind string) func() (v2v.IndexConfi
 	}
 }
 
-// trainOptions registers the walk and model flags on fs and returns a
-// closure assembling the Options after parsing. An unknown -strategy
-// is an error naming the four walks that remain.
-func trainOptions(fs *flag.FlagSet) func() (v2v.Options, error) {
+// trainOptions registers the walk and model flags on fs, -dim
+// defaulting to defaultDim, and returns a closure assembling the
+// Options after parsing. An unknown -strategy is an error naming the
+// four walks that remain.
+func trainOptions(fs *flag.FlagSet, defaultDim int) func() (v2v.Options, error) {
 	var (
-		dim      = fs.Int("dim", 50, "embedding dimensions")
+		dim      = fs.Int("dim", defaultDim, "embedding dimensions")
 		walks    = fs.Int("walks", 10, "random walks per vertex (paper default 1000)")
 		length   = fs.Int("length", 80, "walk length (paper default 1000)")
 		window   = fs.Int("window", 5, "context window n")
@@ -214,7 +255,7 @@ func trainMain() {
 		named    = flag.Bool("named", false, "vertex names instead of integer indices")
 		format   = flag.String("format", "text", "output format: text (word2vec) or bin (binary snapshot, ~10x faster to load)")
 		verbose  = flag.Bool("v", false, "log one line per stage (graph load, walks, each epoch, save) to stderr")
-		options  = trainOptions(flag.CommandLine)
+		options  = trainOptions(flag.CommandLine, 50)
 	)
 	flag.Parse()
 	if *in == "" {
@@ -229,19 +270,8 @@ func trainMain() {
 		fatal(err)
 	}
 
-	var input *os.File
-	if *in == "-" {
-		input = os.Stdin
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		input = f
-	}
 	start := time.Now()
-	g, err := v2v.ReadEdgeList(input, v2v.EdgeListOptions{Directed: *directed, Named: *named})
+	g, err := readGraph(*in, v2v.EdgeListOptions{Directed: *directed, Named: *named})
 	if err != nil {
 		fatal(err)
 	}

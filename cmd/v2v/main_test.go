@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,13 +42,29 @@ func TestIndexSelection(t *testing.T) {
 	}
 }
 
+// TestSharedSeed: on a flag set that trains and builds an index, as
+// predict's does, the one -seed seeds both.
+func TestSharedSeed(t *testing.T) {
+	fs := flag.NewFlagSet("v2v", flag.ContinueOnError)
+	options := trainOptions(fs, 50)
+	index := indexSelection(fs, "hnsw")
+	if err := fs.Parse([]string{"-seed", "7"}); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := options()
+	cfg, err2 := index()
+	if err != nil || err2 != nil || opts.Seed != 7 || cfg.Seed != 7 {
+		t.Fatalf("training seed %d (%v), index seed %d (%v); want 7 and 7", opts.Seed, err, cfg.Seed, err2)
+	}
+}
+
 // parseTrain parses args on a fresh FlagSet carrying the training
 // flags and returns the flag error, or else the assembled options and
 // their error.
 func parseTrain(args ...string) (v2v.Options, error) {
 	fs := flag.NewFlagSet("v2v", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	build := trainOptions(fs)
+	build := trainOptions(fs, 50)
 	if err := fs.Parse(args); err != nil {
 		return v2v.Options{}, err
 	}
@@ -56,7 +74,9 @@ func parseTrain(args ...string) (v2v.Options, error) {
 // TestTrainFlags holds the training flags to what remains: the four
 // walk strategies parse, node2vec fails naming uniform, and the
 // SkipGram, hierarchical-softmax and node2vec knobs are no longer
-// flags.
+// flags. Each application subcommand's flag set parses every flag it
+// defines (the run then stops on a missing required flag) and rejects
+// those knobs and the ivf one.
 func TestTrainFlags(t *testing.T) {
 	for arg, want := range map[string]v2v.WalkStrategy{
 		"uniform":         v2v.UniformWalk,
@@ -81,5 +101,31 @@ func TestTrainFlags(t *testing.T) {
 		if _, err := parseTrain(args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s: err %v, want an undefined-flag error", strings.Join(args, " "), err)
 		}
+	}
+
+	train := []string{"-dim", "8", "-walks", "2", "-length", "5", "-window", "2", "-epochs", "1",
+		"-strategy", "uniform", "-temporal-window", "0", "-seed", "3"}
+	for name, tc := range map[string]struct {
+		args    []string
+		missing string
+	}{
+		"communities": {append([]string{"-truth", "t", "-k", "4", "-methods", "cnm"}, train...), "-in is required"},
+		"predict": {append([]string{"-labels", "l", "-k", "3", "-folds", "2", "-predict-missing", "-directed",
+			"-model-out", "m", "-index", "hnsw", "-m", "8", "-efc", "20", "-efs", "10", "-shards", "2"}, train...),
+			"-in and -labels are required"},
+		"visualize": {[]string{"-graph", "g", "-labels", "l", "-iters", "5", "-title", "t", "-seed", "2"}, "need -out"},
+	} {
+		if _, err := runApp(name, tc.args...); !errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.missing) {
+			t.Errorf("%s: err %v, want a usage error naming %q", name, err, tc.missing)
+		}
+		for _, removed := range [][]string{{"-objective", "skipgram"}, {"-sampler", "hs"}, {"-p", "0.5"}, {"-nprobe", "4"}} {
+			_, err := runApp(name, slices.Concat(tc.args, removed)...)
+			if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Errorf("%s %s: err %v, want an undefined-flag error", name, strings.Join(removed, " "), err)
+			}
+		}
+	}
+	if _, err := runApp("visualize", "-h"); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: err %v, want flag.ErrHelp", err)
 	}
 }

@@ -8,41 +8,6 @@ import (
 // These tests exercise the thinner public wrappers so the facade has
 // the same behavioural coverage as the internal packages.
 
-func TestLinkPredictionThroughFacade(t *testing.T) {
-	g, _ := CommunityBenchmark(BenchmarkConfig{
-		NumCommunities: 6, CommunitySize: 30, Alpha: 0.5, InterEdges: 30, Seed: 31,
-	})
-	split, err := HoldOutEdges(g, 0.15, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := miniOptions(32)
-	emb, err := Embed(split.Train, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scorers := []LinkScorer{
-		EmbeddingLinkScorer(emb.Model, false),
-		EmbeddingLinkScorer(emb.Model, true),
-		CommonNeighborsScorer(split.Train),
-		JaccardScorer(split.Train),
-		AdamicAdarScorer(split.Train),
-		PreferentialAttachmentScorer(split.Train),
-	}
-	for _, s := range scorers {
-		res := EvaluateLinkScorer(s, split)
-		if res.AUC < 0 || res.AUC > 1 {
-			t.Fatalf("%s AUC out of range: %v", res.Scorer, res.AUC)
-		}
-	}
-	// The embedding scorer must clearly beat chance on a community
-	// graph.
-	embRes := EvaluateLinkScorer(scorers[0], split)
-	if embRes.AUC < 0.75 {
-		t.Fatalf("embedding link AUC %.3f", embRes.AUC)
-	}
-}
-
 func TestCorpusReuseMatchesPaperProtocol(t *testing.T) {
 	g, truth := miniBenchmark(0.7, 33)
 	opts := miniOptions(16)

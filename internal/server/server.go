@@ -1,7 +1,7 @@
 // Package server is the online face of the repository: a long-lived
 // HTTP/JSON query service over a trained embedding, turning the
 // paper's offline applications — nearest neighbors, similarity,
-// analogy, link prediction — into servable endpoints backed by the
+// analogy, a pair score — into servable endpoints backed by the
 // vecstore indexes.
 //
 // Design notes:

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"v2v/internal/linkpred"
 	"v2v/internal/snapshot"
 	"v2v/internal/vecstore"
 	"v2v/internal/word2vec"
@@ -93,16 +92,14 @@ func TestShardedServingParity(t *testing.T) {
 		for _, n := range word2vec.AnalogyStore(store, 1, 2, 3, 4) {
 			analogy = append(analogy, vecstore.Result{ID: n.Word, Score: n.Similarity})
 		}
-		cos := &linkpred.EmbeddingScorer{Store: store}
-		dot := &linkpred.EmbeddingScorer{Store: store, Hadamard: true}
 		// k = 200 is past EfSearch, where HNSW sizes its beam from k.
 		want := []any{
 			neighbors("v7", 5, h.SearchRow(7, 5)),
 			neighbors("v7", 200, h.SearchRow(7, 200)),
 			SimilarityResponse{A: "v3", B: "v11", Similarity: store.Cosine(3, 11)},
 			neighbors("", 4, analogy),
-			PredictResponse{U: "v5", V: "v6", Score: cos.Score(5, 6), Scorer: cos.Name()},
-			PredictResponse{U: "v5", V: "v6", Score: dot.Score(5, 6), Scorer: dot.Name()},
+			PredictResponse{U: "v5", V: "v6", Score: store.Cosine(5, 6), Scorer: "embedding-cosine"},
+			PredictResponse{U: "v5", V: "v6", Score: store.Dot(5, 6), Scorer: "embedding-dot"},
 		}
 		for i, p := range append([]string{paths[0], "/v1/neighbors?vertex=v7&k=200"}, paths[1:]...) {
 			resp, err := http.Get(hs.URL + p)

@@ -2,6 +2,7 @@ package vecstore
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -181,6 +182,86 @@ func TestDotAndCosineMatchSeedFormula(t *testing.T) {
 	z.SetRow(1, []float32{1, 2, 3})
 	if z.Cosine(0, 1) != 0 {
 		t.Fatal("zero-vector cosine should be 0")
+	}
+}
+
+// TestFromRows64MatchesSeedBitForBit: a store built from float64 rows
+// reproduces the historical float64 pair scores exactly on
+// float32-representable vectors (the embedding case): the plain dot
+// product, and the one-pass cosine with 0 for a zero vector.
+func TestFromRows64MatchesSeedBitForBit(t *testing.T) {
+	rng := xrand.New(111)
+	n, dim := 60, 15
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
+		for j := range rows[i] {
+			rows[i][j] = float64(float32(rng.NormFloat64()))
+		}
+	}
+	for j := range rows[7] {
+		rows[7][j] = 0
+	}
+	s := FromRows64(rows)
+	for u := 0; u < n; u += 3 {
+		for v := 0; v < n; v += 7 {
+			var dot, na, nb float64
+			for i := range rows[u] {
+				dot += rows[u][i] * rows[v][i]
+				na += rows[u][i] * rows[u][i]
+				nb += rows[v][i] * rows[v][i]
+			}
+			if got := s.Dot(u, v); got != dot {
+				t.Fatalf("Dot(%d,%d) = %v, want %v (bit-for-bit)", u, v, got, dot)
+			}
+			want := 0.0
+			if na != 0 && nb != 0 {
+				want = dot / math.Sqrt(na*nb)
+			}
+			if got := s.Cosine(u, v); got != want {
+				t.Fatalf("Cosine(%d,%d) = %v, want %v (bit-for-bit)", u, v, got, want)
+			}
+		}
+	}
+}
+
+// TestCosineColdStoreParallel: concurrent first Cosine calls on a
+// fresh store race to build the lazy SqNorms cache, and every caller
+// must still read the warmed store's bits. Run under -race in CI.
+func TestCosineColdStoreParallel(t *testing.T) {
+	const n, dim, callers = 64, 6, 16
+	tmpl := randStore(n, dim, 119)
+	want := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			want[i*n+j] = tmpl.Cosine(i, j)
+		}
+	}
+	for run := 0; run < 8; run++ {
+		s := New(n, dim)
+		copy(s.data, tmpl.data)
+		got := make([]float64, n*n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				<-start
+				// Each caller starts on a different row so the first
+				// calls overlap; the stripes together cover every pair.
+				for p := c; p < n*n; p += callers {
+					got[p] = s.Cosine(p/n, p%n)
+				}
+			}(c)
+		}
+		close(start)
+		wg.Wait()
+		for p := range got {
+			if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+				t.Fatalf("run %d: cold Cosine(%d,%d) = %v, warm %v", run, p/n, p%n, got[p], want[p])
+			}
+		}
 	}
 }
 

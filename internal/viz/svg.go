@@ -19,10 +19,11 @@ var Palette = []string{
 	"#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 }
 
-// Color returns palette colour i (cycled).
+// Color returns palette colour i (cycled), or grey for a negative i:
+// a point without a label.
 func Color(i int) string {
 	if i < 0 {
-		i = -i
+		return "#999999"
 	}
 	return Palette[i%len(Palette)]
 }
@@ -31,7 +32,7 @@ func Color(i int) string {
 type ScatterPlot struct {
 	Title    string
 	X, Y     []float64
-	Category []int    // colour index per point; nil = all one colour
+	Category []int    // colour index per point (negative: no label, grey); nil = all one colour
 	Labels   []string // legend text per category index; optional
 	Width    int      // pixels; default 720
 	Height   int      // pixels; default 560
@@ -103,7 +104,10 @@ func (p *ScatterPlot) writeLegend(w io.Writer, width int) {
 	y := 40.0
 	for _, c := range keys {
 		label := fmt.Sprintf("%d", c)
-		if c >= 0 && c < len(p.Labels) {
+		switch {
+		case c < 0:
+			label = "?"
+		case c < len(p.Labels):
 			label = p.Labels[c]
 		}
 		fmt.Fprintf(w, `<circle cx="%d" cy="%.1f" r="5" fill="%s"/>`+"\n", width-130, y, Color(c))
@@ -224,6 +228,9 @@ type GraphPlot struct {
 func (p *GraphPlot) WriteSVG(w io.Writer) error {
 	if len(p.X) != len(p.Y) {
 		return fmt.Errorf("viz: graph plot has %d x values but %d y values", len(p.X), len(p.Y))
+	}
+	if p.Category != nil && len(p.Category) != len(p.X) {
+		return fmt.Errorf("viz: graph plot has %d categories for %d points", len(p.Category), len(p.X))
 	}
 	width, height := p.Width, p.Height
 	if width <= 0 {

@@ -3,6 +3,7 @@ package viz
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,6 +115,16 @@ func TestGraphPlotSVG(t *testing.T) {
 	if strings.Count(s, "<circle") != 3 {
 		t.Fatal("vertices missing")
 	}
+	// Fewer categories than vertices is an error before any output,
+	// as ScatterPlot's, not an index panic mid-drawing.
+	p.Category = []int{0, 1}
+	buf.Reset()
+	if err := p.WriteSVG(&buf); err == nil || !strings.Contains(err.Error(), "2 categories for 3 points") {
+		t.Fatalf("category mismatch: err %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("category mismatch wrote %d bytes", buf.Len())
+	}
 }
 
 func TestColorCycles(t *testing.T) {
@@ -123,8 +134,8 @@ func TestColorCycles(t *testing.T) {
 	if Color(len(Palette)) != Palette[0] {
 		t.Fatal("Color does not cycle")
 	}
-	if Color(-3) == "" {
-		t.Fatal("negative index should still return a colour")
+	if c := Color(-3); c == "" || slices.Contains(Palette, c) {
+		t.Fatalf("negative index (no label): colour %q, want one outside the palette", c)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"v2v/internal/graph"
 	"v2v/internal/knn"
 	"v2v/internal/linalg"
-	"v2v/internal/linkpred"
 	"v2v/internal/metrics"
 	"v2v/internal/openflights"
 	"v2v/internal/server"
@@ -549,58 +548,6 @@ type GNResult = community.GNResult
 // GirvanNewman runs the edge-betweenness community detection
 // algorithm, the paper's second direct graph-based baseline.
 func GirvanNewman(g *Graph, cfg GNConfig) (*GNResult, error) { return community.GirvanNewman(g, cfg) }
-
-// ---- Link prediction (extension; paper conclusion) ------------------
-
-// LinkScorer assigns a likelihood score to candidate edges.
-type LinkScorer = linkpred.Scorer
-
-// LinkSplit is a train/test edge partition for link prediction.
-type LinkSplit = linkpred.Split
-
-// LinkResult is a link prediction evaluation (AUC, precision@k).
-type LinkResult = linkpred.Result
-
-// HoldOutEdges removes a fraction of edges as test positives and
-// samples matching non-edge negatives.
-func HoldOutEdges(g *Graph, fraction float64, seed uint64) (*LinkSplit, error) {
-	return linkpred.HoldOut(g, fraction, seed)
-}
-
-// EvaluateLinkScorer ranks the split's pairs and reports AUC and
-// precision@k.
-func EvaluateLinkScorer(s LinkScorer, split *LinkSplit) LinkResult {
-	return linkpred.Evaluate(s, split)
-}
-
-// EmbeddingLinkScorer scores pairs by embedding similarity (cosine,
-// or dot product with hadamard = true), reading the trained vectors
-// in place through the model's store.
-func EmbeddingLinkScorer(m *Model, hadamard bool) LinkScorer {
-	return &linkpred.EmbeddingScorer{Store: m.Store(), Hadamard: hadamard}
-}
-
-// EvaluateLinkScorerParallel is EvaluateLinkScorer with pair scoring
-// fanned out over workers goroutines (0 = GOMAXPROCS). The scorer's
-// Score method must tolerate concurrent calls — every scorer built by
-// this package does. Results are identical for every worker count.
-func EvaluateLinkScorerParallel(s LinkScorer, split *LinkSplit, workers int) LinkResult {
-	return linkpred.EvaluateParallel(s, split, workers)
-}
-
-// CommonNeighborsScorer counts shared neighbours in g.
-func CommonNeighborsScorer(g *Graph) LinkScorer { return &linkpred.CommonNeighbors{G: g} }
-
-// JaccardScorer normalises shared neighbours by union size.
-func JaccardScorer(g *Graph) LinkScorer { return &linkpred.Jaccard{G: g} }
-
-// AdamicAdarScorer weights shared neighbours by 1/log(degree).
-func AdamicAdarScorer(g *Graph) LinkScorer { return &linkpred.AdamicAdar{G: g} }
-
-// PreferentialAttachmentScorer scores by degree product.
-func PreferentialAttachmentScorer(g *Graph) LinkScorer {
-	return &linkpred.PreferentialAttachment{G: g}
-}
 
 // ---- Datasets and visualization ------------------------------------
 
