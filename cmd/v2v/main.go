@@ -86,16 +86,16 @@
 // and checkpoints fold the log back into a snapshot. See
 // docs/SERVING.md ("Durability").
 //
-// The server exposes /v1/neighbors, /v1/similarity, /v1/analogy,
-// /v1/predict, /v1/vocab, /v1/reload (atomic hot model swap),
-// /v1/upsert and /v1/delete (online writes, visible to queries
-// immediately with no reload; disable with -readonly), /batch variants
-// of all but analogy, vocab and reload — a single request is its batch
-// at n = 1, so an item answers what the single request would — and
+// The server exposes /v1/neighbors, /v1/similarity, /v1/vocab,
+// /v1/reload (atomic hot model swap), /v1/upsert and /v1/delete
+// (online writes, visible to queries immediately with no reload;
+// disable with -readonly), /batch variants of all but vocab and
+// reload — a single request is its batch at n = 1, so an item answers
+// what the single request would — and
 // /healthz and /stats, and shuts down
 // gracefully on SIGTERM/SIGINT. Deletes tombstone rows; past the
-// -compact-frac tombstone fraction the server compacts into a fresh
-// generation. See docs/SERVING.md for the API reference and
+// -compact-frac tombstone fraction the server rebuilds the shard over
+// its live rows in the background, in the same generation. See docs/SERVING.md for the API reference and
 // benchmark/ for the load-generating client.
 //
 // Application usage (the paper's Sections III-V):

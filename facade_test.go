@@ -72,26 +72,6 @@ func TestPCAOf(t *testing.T) {
 	}
 }
 
-func TestAnalogyThroughFacade(t *testing.T) {
-	// On the airports-style graph, hub-of-country-A is to spoke-of-A
-	// as hub-of-B is to spoke-of-B; too noisy to assert exactly, so
-	// just exercise the API and check exclusions.
-	g, _ := miniBenchmark(0.8, 40)
-	emb, err := Embed(g, miniOptions(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := emb.Model.Analogy(0, 1, 2, 5)
-	if len(res) != 5 {
-		t.Fatalf("analogy returned %d", len(res))
-	}
-	for _, r := range res {
-		if r.Word == 0 || r.Word == 1 || r.Word == 2 {
-			t.Fatal("query vertex leaked into analogy result")
-		}
-	}
-}
-
 func TestTemporalWindowOptionThroughFacade(t *testing.T) {
 	b := NewGraphBuilder(0)
 	b.SetDirected(true)

@@ -11,8 +11,8 @@
 //
 // Classes, not endpoints, are the admission unit:
 //
-//   - read:  the query endpoints (neighbors, similarity, analogy,
-//     predict, vocab, and their batch variants)
+//   - read:  the query endpoints (neighbors, similarity, vocab, and
+//     their batch variants)
 //   - write: upsert/delete (+ batch) — a separate budget, so a read
 //     storm can never starve writes of slots (and vice versa)
 //   - admin: reload — heavy, rare, and serialised anyway (swapMu),

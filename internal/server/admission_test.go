@@ -362,8 +362,7 @@ func TestEndpointClassMapping(t *testing.T) {
 	want := map[string]string{
 		"neighbors": classRead, "neighbors_batch": classRead,
 		"similarity": classRead, "similarity_batch": classRead,
-		"analogy": classRead, "predict": classRead,
-		"predict_batch": classRead, "vocab": classRead,
+		"vocab":  classRead,
 		"upsert": classWrite, "upsert_batch": classWrite,
 		"delete": classWrite, "delete_batch": classWrite,
 		"reload":  classAdmin,

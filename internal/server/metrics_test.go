@@ -203,8 +203,8 @@ func TestSlowQueryLog(t *testing.T) {
 	if code := getJSON(t, hs.URL+"/v1/similarity?a=v1&b=v2", nil); code != 200 {
 		t.Fatalf("similarity status %d", code)
 	}
-	if code := postJSON(t, hs.URL+"/v1/predict/batch", PredictBatchRequest{Pairs: [][2]string{{"v1", "v2"}, {"v3", "v4"}}}, nil); code != 200 {
-		t.Fatalf("predict batch status %d", code)
+	if code := postJSON(t, hs.URL+"/v1/similarity/batch", SimilarityBatchRequest{Pairs: [][2]string{{"v1", "v2"}, {"v3", "v4"}}}, nil); code != 200 {
+		t.Fatalf("similarity batch status %d", code)
 	}
 	if code := postJSON(t, hs.URL+"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: []string{"v5", "v6"}, K: 100}, nil); code != 200 {
 		t.Fatalf("neighbors batch status %d", code)
@@ -226,11 +226,11 @@ func TestSlowQueryLog(t *testing.T) {
 		return lines
 	}
 	for endpoint, stages := range map[string][]string{
-		"upsert_batch":    {"parse=", "gen_acquire=", "apply=", "write="},
-		"delete":          {"parse=", "gen_acquire=", "apply=", "write="},
-		"similarity":      {"parse=", "gen_acquire=", "index_search=", "encode=", "write="},
-		"predict_batch":   {"parse=", "gen_acquire=", "index_search=", "encode=", "write="},
-		"neighbors_batch": {"parse=", "gen_acquire=", "cache_lookup=", "index_search=", "shard_wait/0=", "merge/topk=", "encode=", "write="},
+		"upsert_batch":     {"parse=", "gen_acquire=", "apply=", "write="},
+		"delete":           {"parse=", "gen_acquire=", "apply=", "write="},
+		"similarity":       {"parse=", "gen_acquire=", "index_search=", "encode=", "write="},
+		"similarity_batch": {"parse=", "gen_acquire=", "index_search=", "encode=", "write="},
+		"neighbors_batch":  {"parse=", "gen_acquire=", "cache_lookup=", "index_search=", "shard_wait/0=", "merge/topk=", "encode=", "write="},
 	} {
 		ln := slowLines(endpoint, 1)[0]
 		for _, stage := range stages {

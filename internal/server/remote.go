@@ -5,7 +5,7 @@ package server
 // shards hold the bundle's rows and tombstones but no index — every
 // write flows through the router — and each shard's search seam is the
 // frame queue to the shard process that holds its index
-// (shardSearcher). Similarity, predict and analogy make no shard call.
+// (shardSearcher). Similarity makes no shard call.
 // This file holds what only a router has: the transport (post, call),
 // the probe and its membership, the search queues, the owner shard's
 // write RPC (write), and newRouter.
@@ -21,14 +21,13 @@ package server
 // without it only with AllowPartial and only when it owns none of the
 // query rows (partial=true, shards_answered=N), and otherwise the read
 // is a 503 — never a hang, never a silently truncated answer. The same
-// owner rule holds for similarity, predict and analogy (ownersUp),
-// which make no call.
+// owner rule holds for similarity (ownersUp), which makes no call.
 //
 // Parity with the in-process coordinator is by construction: the
 // shards run the same per-shard kernels over bit-identical slices
 // (snapshot.SliceShard), vectors cross the wire as their bits (shard.go,
-// "Fan-out wire types"), and the merge, pair scores and analogy are
-// the coordinator's own code.
+// "Fan-out wire types"), and the merge and the pair score are the
+// coordinator's own code.
 //
 // A neighbours query — one vertex or a batch — costs at most one call
 // per shard: every shard gets every query row in one binary frame, and
@@ -558,16 +557,16 @@ func (rb *remoteBackend) send(sh *remoteShard, frame []*searchQuery) {
 	}
 }
 
-// ownersUp is the 503 when a shard owning one of ids is out of
+// ownersUp is the 503 when a shard owning a row of pair is out of
 // membership: no endpoint answers a read while the shard that holds
 // one of its own rows is down, AllowPartial or not, although the
-// router scores similarity, predict and analogy from its own rows. A
-// nil fleet — a server that is not a router — has every owner up.
-func (rb *remoteBackend) ownersUp(ids ...int) error {
+// router scores similarity from its own rows. A nil fleet — a server
+// that is not a router — has every owner up.
+func (rb *remoteBackend) ownersUp(pair [2]int) error {
 	if rb == nil {
 		return nil
 	}
-	for _, id := range ids {
+	for _, id := range pair {
 		if sh := rb.shards[vecstore.ShardOf(id, len(rb.shards))]; !sh.healthy.Load() {
 			return errShardUnavailable(sh.sid, sh.addr, errors.New("query row owner must answer"))
 		}

@@ -153,10 +153,6 @@ func TestRouterParity(t *testing.T) {
 		"/v1/neighbors?vertex=v89&k=1",
 		"/v1/similarity?a=v3&b=v11",
 		"/v1/similarity?a=v42&b=v42",
-		"/v1/analogy?a=v1&b=v2&c=v3&k=4",
-		"/v1/analogy?a=v80&b=v8&c=v15&k=7",
-		"/v1/predict?u=v5&v=v6",
-		"/v1/predict?u=v5&v=v6&hadamard=true",
 		"/v1/vocab?limit=1000",
 	}
 	for _, p := range gets {
@@ -172,8 +168,6 @@ func TestRouterParity(t *testing.T) {
 	}{
 		{"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: []string{"v1", "v7", "v88", "v7"}, K: 6}},
 		{"/v1/similarity/batch", SimilarityBatchRequest{Pairs: [][2]string{{"v1", "v2"}, {"v30", "v61"}}}},
-		{"/v1/predict/batch", PredictBatchRequest{Pairs: [][2]string{{"v9", "v10"}, {"v44", "v3"}}}},
-		{"/v1/predict/batch", PredictBatchRequest{Pairs: [][2]string{{"v9", "v10"}}, Hadamard: true}},
 	}
 	for _, tc := range posts {
 		wantCode, want := postRaw(t, refHS.URL+tc.path, tc.body)
@@ -275,8 +269,8 @@ func TestRouterWrites(t *testing.T) {
 	for _, p := range []string{
 		"/v1/neighbors?vertex=new&k=5",
 		"/v1/similarity?a=new&b=new2",
-		"/v1/neighbors?vertex=v5&k=3", // deleted: 404 from both
-		"/v1/analogy?a=new&b=v2&c=v3&k=4",
+		"/v1/neighbors?vertex=v5&k=3",  // deleted: 404 from both
+		"/v1/neighbors?vertex=v2&k=50", // every live row, the new ones too
 		"/v1/vocab?limit=1000",
 	} {
 		wantCode, want := getRaw(t, refHS.URL+p)
@@ -420,7 +414,6 @@ func TestRouterShardCompaction(t *testing.T) {
 		"/v1/neighbors?vertex=v390&k=50",
 		"/v1/neighbors?vertex=v7&k=5", // deleted: 404 from both
 		"/v1/similarity?a=v20&b=v30",
-		"/v1/analogy?a=v0&b=v10&c=v20&k=6",
 		"/v1/vocab?limit=1000",
 	} {
 		wantCode, want := getRaw(t, refHS.URL+p)
@@ -429,10 +422,23 @@ func TestRouterShardCompaction(t *testing.T) {
 			t.Errorf("%s diverges after compaction:\nin-process (%d): %s\nrouter     (%d): %s", p, wantCode, want, gotCode, got)
 		}
 	}
-	body := NeighborsBatchRequest{Vertices: []string{"v0", "v100", "v200", "v300"}, K: 8}
-	wantCode, want := postRaw(t, refHS.URL+"/v1/neighbors/batch", body)
-	if gotCode, got := postRaw(t, router.URL+"/v1/neighbors/batch", body); gotCode != wantCode || got != want {
-		t.Errorf("batch diverges after compaction:\nin-process (%d): %s\nrouter     (%d): %s", wantCode, want, gotCode, got)
+	// Every live row of the router's compacted copy, read by the pair
+	// score.
+	var pairs [][2]string
+	for i := 0; i < vocab; i += 10 {
+		pairs = append(pairs, [2]string{fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", vocab-10-i)})
+	}
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/neighbors/batch", NeighborsBatchRequest{Vertices: []string{"v0", "v100", "v200", "v300"}, K: 8}},
+		{"/v1/similarity/batch", SimilarityBatchRequest{Pairs: pairs}},
+	} {
+		wantCode, want := postRaw(t, refHS.URL+tc.path, tc.body)
+		if gotCode, got := postRaw(t, router.URL+tc.path, tc.body); gotCode != wantCode || got != want {
+			t.Errorf("%s diverges after compaction:\nin-process (%d): %s\nrouter     (%d): %s", tc.path, wantCode, want, gotCode, got)
+		}
 	}
 }
 
@@ -517,56 +523,6 @@ func TestRouterShardDown(t *testing.T) {
 	_, metrics := getRaw(t, strict.URL+"/metrics")
 	if !strings.Contains(metrics, "v2v_backend_up") || !strings.Contains(metrics, "v2v_backend_probe_failures") {
 		t.Fatal("router /metrics missing backend membership families")
-	}
-}
-
-// TestRouterAnalogyOwners: a fleet analogy is scored from the router's
-// rows, so like similarity it needs only its query rows' owners. With
-// a shard down, a strict router answers an analogy whose a, b and c
-// live elsewhere byte-for-byte as the healthy fleet did, and one with
-// any of them on the down shard is a 503 naming it.
-func TestRouterAnalogyOwners(t *testing.T) {
-	const vocab, dim, shards = 40, 6, 3
-	path, addrs, fleet := startShardFleet(t, vocab, dim, shards)
-	_, healthy := startRouter(t, path, addrs, nil)
-	// A second router, asked nothing before the outage, so no answer of
-	// it comes from its cache.
-	degradedS, degraded := startRouter(t, path, addrs, nil)
-
-	const deadSid = 1
-	var live, dead []string
-	for id := 0; id < vocab; id++ {
-		if vecstore.ShardOf(id, shards) == deadSid {
-			dead = append(dead, fmt.Sprintf("v%d", id))
-		} else {
-			live = append(live, fmt.Sprintf("v%d", id))
-		}
-	}
-	analogy := func(a, b, c string) string {
-		return fmt.Sprintf("/v1/analogy?a=%s&b=%s&c=%s&k=7", a, b, c)
-	}
-	p := analogy(live[0], live[1], live[2])
-	code, want := getRaw(t, healthy.URL+p)
-	if code != http.StatusOK {
-		t.Fatalf("%s on the healthy fleet: status %d body %s", p, code, want)
-	}
-
-	fleet[deadSid].CloseClientConnections()
-	fleet[deadSid].Close()
-	waitUnhealthy(t, degradedS, deadSid)
-
-	if code, got := getRaw(t, degraded.URL+p); code != http.StatusOK || got != want {
-		t.Fatalf("%s with non-owner shard %d down: status %d body %s, want the healthy fleet's %s", p, deadSid, code, got, want)
-	}
-	name := fmt.Sprintf("shard %d (%s) unavailable", deadSid, addrs[deadSid])
-	for _, p := range []string{
-		analogy(dead[0], live[1], live[2]),
-		analogy(live[0], dead[0], live[2]),
-		analogy(live[0], live[1], dead[0]),
-	} {
-		if code, body := getRaw(t, degraded.URL+p); code != http.StatusServiceUnavailable || !strings.Contains(body, name) {
-			t.Errorf("%s with its owner down: status %d body %s, want a 503 naming %q", p, code, body, name)
-		}
 	}
 }
 

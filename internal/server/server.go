@@ -1,8 +1,7 @@
 // Package server is the online face of the repository: a long-lived
 // HTTP/JSON query service over a trained embedding, turning the
-// paper's offline applications — nearest neighbors, similarity,
-// analogy, a pair score — into servable endpoints backed by the
-// vecstore indexes.
+// paper's vertex similarity — nearest neighbors and the cosine of a
+// pair — into servable endpoints backed by the vecstore indexes.
 //
 // Design notes:
 //
@@ -28,7 +27,7 @@
 //   - Repeated top-k queries are served from a bounded sharded LRU of
 //     serialized responses, keyed by (generation, write epoch) so
 //     neither a reload nor a write can ever serve stale hits.
-//   - A single request is a batch of one: each of the five
+//   - A single request is a batch of one: each of the four
 //     single/batch endpoint pairs parses its own request and shapes
 //     its own body around one shared core (serveNeighbors, servePairs,
 //     serveWrite), which crosses the shard boundary once per request.
@@ -75,8 +74,8 @@ type Config struct {
 
 	// Index selects the top-k index built over each loaded model
 	// (vecstore.Config zero value = exact cosine). The metric applies
-	// to /v1/neighbors; /v1/similarity, /v1/analogy and /v1/predict
-	// always score by cosine (the paper's similarity).
+	// to /v1/neighbors; /v1/similarity always scores by cosine (the
+	// paper's similarity).
 	Index vecstore.Config
 
 	// CacheSize bounds the response cache (entries across all shards);
@@ -222,8 +221,8 @@ type modelState struct {
 // them in).
 var endpointNames = []string{
 	"neighbors", "neighbors_batch", "similarity", "similarity_batch",
-	"analogy", "predict", "predict_batch", "vocab", "reload", "healthz", "stats",
-	"metrics", "upsert", "upsert_batch", "delete", "delete_batch",
+	"vocab", "reload", "healthz", "stats", "metrics",
+	"upsert", "upsert_batch", "delete", "delete_batch",
 	// The /shard/v1/* fan-out API a shard process serves to its router
 	// (registered only in shard mode; the counters always exist so the
 	// stats key set stays fixed).
@@ -560,6 +559,11 @@ func (s *Server) swapModel(m *word2vec.Model, tokens []string, source string, pr
 		s.reloads.Add(1)
 	}
 	s.swapMu.Unlock()
+	if old != nil {
+		// In-flight reads may still use the retired generation; only
+		// its compactions stop, joined here.
+		old.sharded.Close()
+	}
 	if ckptModel != nil {
 		// tokens is the copy published above; post-publish writes only
 		// append past its length, never mutate the prefix this slice
@@ -714,9 +718,6 @@ func (s *Server) initMux() {
 	s.mux.HandleFunc("/v1/neighbors/batch", s.instrument("neighbors_batch", s.handleNeighborsBatch))
 	s.mux.HandleFunc("/v1/similarity", s.instrument("similarity", s.handleSimilarity))
 	s.mux.HandleFunc("/v1/similarity/batch", s.instrument("similarity_batch", s.handleSimilarityBatch))
-	s.mux.HandleFunc("/v1/analogy", s.instrument("analogy", s.handleAnalogy))
-	s.mux.HandleFunc("/v1/predict", s.instrument("predict", s.handlePredict))
-	s.mux.HandleFunc("/v1/predict/batch", s.instrument("predict_batch", s.handlePredictBatch))
 	s.mux.HandleFunc("/v1/vocab", s.instrument("vocab", s.handleVocab))
 	s.mux.HandleFunc("/v1/reload", s.instrument("reload", s.handleReload))
 	s.mux.HandleFunc("/v1/upsert", s.instrument("upsert", s.writable(s.handleUpsert)))
@@ -913,7 +914,7 @@ type NeighborJSON struct {
 	Score  float64 `json:"score"`
 }
 
-// NeighborsResponse answers /v1/neighbors and /v1/analogy.
+// NeighborsResponse answers /v1/neighbors.
 type NeighborsResponse struct {
 	Vertex    string         `json:"vertex,omitempty"`
 	K         int            `json:"k"`
@@ -932,14 +933,6 @@ type SimilarityResponse struct {
 	A          string  `json:"a"`
 	B          string  `json:"b"`
 	Similarity float64 `json:"similarity"`
-}
-
-// PredictResponse answers /v1/predict.
-type PredictResponse struct {
-	U      string  `json:"u"`
-	V      string  `json:"v"`
-	Score  float64 `json:"score"`
-	Scorer string  `json:"scorer"`
 }
 
 func toNeighborJSON(st *modelState, res []vecstore.Result) []NeighborJSON {
@@ -1200,7 +1193,7 @@ func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, t time.T
 		if err != nil {
 			return err
 		}
-		keys[i] = cacheKey(st.gen, epoch, 'n', k, tok)
+		keys[i] = cacheKey(st.gen, epoch, k, tok)
 		if buf, ok := s.cache.get(keys[i]); ok {
 			parts[i] = buf
 			continue
@@ -1272,7 +1265,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) error 
 		return errBadRequest("missing parameter 'a' or 'b'")
 	}
 	t = spanSince(tr, "parse", t)
-	return s.servePairs(w, r, t, [][2]string{{aTok, bTok}}, false, func(scores []float64) any {
+	return s.servePairs(w, r, t, [][2]string{{aTok, bTok}}, func(scores []float64) any {
 		return SimilarityResponse{A: aTok, B: bTok, Similarity: scores[0]}
 	})
 }
@@ -1298,7 +1291,7 @@ func (s *Server) handleSimilarityBatch(w http.ResponseWriter, r *http.Request) e
 		return err
 	}
 	t = spanSince(tr, "parse", t)
-	return s.servePairs(w, r, t, req.Pairs, false, func(scores []float64) any {
+	return s.servePairs(w, r, t, req.Pairs, func(scores []float64) any {
 		out := SimilarityBatchResponse{Results: make([]SimilarityResponse, len(scores))}
 		for i, p := range req.Pairs {
 			out.Results[i] = SimilarityResponse{A: p[0], B: p[1], Similarity: scores[i]}
@@ -1307,12 +1300,13 @@ func (s *Server) handleSimilarityBatch(w http.ResponseWriter, r *http.Request) e
 	})
 }
 
-// servePairs scores every pair — /v1/similarity and /v1/predict are
-// batches of one — from the generation acquired after parsing (t), and
-// writes the body render builds from the scores. Pairs resolve in
-// order, so the first unknown vertex is the 404; on a router, a pair
-// whose row's owner shard is down is the 503 next (ownersUp).
-func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time, pairs [][2]string, hadamard bool, render func(scores []float64) any) error {
+// servePairs scores every pair by cosine (0 when either row is the
+// zero vector) — /v1/similarity is a batch of one — from the
+// generation acquired after parsing (t), and writes the body render
+// builds from the scores. Pairs resolve in order, so the first unknown
+// vertex is the 404; on a router, a pair whose row's owner shard is
+// down is the 503 next (ownersUp).
+func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time, pairs [][2]string, render func(scores []float64) any) error {
 	tr := telemetry.FromContext(r.Context())
 	st, unlock := s.readState()
 	defer unlock()
@@ -1328,11 +1322,14 @@ func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time,
 		}
 	}
 	for _, p := range ids {
-		if err := s.fleet.ownersUp(p[0], p[1]); err != nil {
+		if err := s.fleet.ownersUp(p); err != nil {
 			return err
 		}
 	}
-	scores := pairScores(st.sharded, ids, hadamard)
+	scores := make([]float64, len(ids))
+	for i, p := range ids {
+		scores[i] = st.sharded.Cosine(p[0], p[1])
+	}
 	t = spanSince(tr, "index_search", t)
 	buf, err := json.Marshal(render(scores))
 	unlock()
@@ -1343,165 +1340,6 @@ func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, t time.Time,
 	writeJSONBytes(w, http.StatusOK, buf)
 	spanSince(tr, "write", t)
 	return nil
-}
-
-// pairScores scores every (u, v) pair with the link-prediction
-// embedding score: dot when hadamard, else cosine (0 when either row
-// is the zero vector) — /v1/similarity is the cosine.
-func pairScores(sh *vecstore.Sharded, pairs [][2]int, hadamard bool) []float64 {
-	score := sh.Cosine
-	if hadamard {
-		score = sh.Dot
-	}
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = score(p[0], p[1])
-	}
-	return out
-}
-
-func (s *Server) handleAnalogy(w http.ResponseWriter, r *http.Request) error {
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
-	body, err := bodyParams(r)
-	if err != nil {
-		return err
-	}
-	aTok, okA := param(r, body, "a")
-	bTok, okB := param(r, body, "b")
-	cTok, okC := param(r, body, "c")
-	if !okA || !okB || !okC {
-		return errBadRequest("missing parameter 'a', 'b' or 'c'")
-	}
-	k, err := s.parseK(r, body)
-	if err != nil {
-		return err
-	}
-	t = spanSince(tr, "parse", t)
-	st, unlock := s.readState()
-	defer unlock()
-	t = spanSince(tr, "gen_acquire", t)
-	a, err := st.resolve(aTok)
-	if err != nil {
-		return err
-	}
-	b, err := st.resolve(bTok)
-	if err != nil {
-		return err
-	}
-	c, err := st.resolve(cTok)
-	if err != nil {
-		return err
-	}
-	// Length-prefix the key components: upserted vertex names are
-	// arbitrary strings, so a plain separator join would let distinct
-	// (a, b, c) triples collide on one key and serve a wrong cached
-	// answer.
-	key := cacheKey(st.gen, st.epoch.Load(), 'a', k, fmt.Sprintf("%d:%s%d:%s%d:%s",
-		len(aTok), aTok, len(bTok), bTok, len(cTok), cTok))
-	buf, hit := s.cache.get(key)
-	t = spanSince(tr, "cache_lookup", t)
-	if hit {
-		unlock()
-		writeJSONBytes(w, http.StatusOK, buf)
-		spanSince(tr, "write", t)
-		return nil
-	}
-	if err := ctxExpired(r.Context()); err != nil {
-		return err
-	}
-	// Analogy targets are synthetic vectors (b - a + c); they are
-	// scored by the exact analogy scan over the live rows regardless
-	// of the configured neighbors index — a router scans its own rows,
-	// but the query rows' owner shards must be up all the same.
-	if err := s.fleet.ownersUp(a, b, c); err != nil {
-		return err
-	}
-	res := word2vec.AnalogySharded(st.sharded, a, b, c, k)
-	t = spanSince(tr, "index_search", t)
-	if err := ctxExpired(r.Context()); err != nil {
-		return err
-	}
-	nbrs := make([]NeighborJSON, len(res))
-	for i, n := range res {
-		nbrs[i] = NeighborJSON{Vertex: st.tokens[n.Word], Score: n.Similarity}
-	}
-	buf, err = json.Marshal(NeighborsResponse{K: k, Neighbors: nbrs})
-	if err != nil {
-		return err
-	}
-	s.cache.put(key, buf)
-	t = spanSince(tr, "encode", t)
-	unlock()
-	writeJSONBytes(w, http.StatusOK, buf)
-	spanSince(tr, "write", t)
-	return nil
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
-	body, err := bodyParams(r)
-	if err != nil {
-		return err
-	}
-	uTok, okU := param(r, body, "u")
-	vTok, okV := param(r, body, "v")
-	if !okU || !okV {
-		return errBadRequest("missing parameter 'u' or 'v'")
-	}
-	hadamard := false
-	if raw, ok := param(r, body, "hadamard"); ok {
-		hadamard, err = strconv.ParseBool(raw)
-		if err != nil {
-			return errBadRequest("invalid hadamard %q", raw)
-		}
-	}
-	t = spanSince(tr, "parse", t)
-	return s.servePairs(w, r, t, [][2]string{{uTok, vTok}}, hadamard, func(scores []float64) any {
-		return PredictResponse{U: uTok, V: vTok, Score: scores[0], Scorer: scorerName(hadamard)}
-	})
-}
-
-// scorerName names the pair score a /v1/predict response reports.
-func scorerName(hadamard bool) string {
-	if hadamard {
-		return "embedding-dot"
-	}
-	return "embedding-cosine"
-}
-
-// PredictBatchRequest is the /v1/predict/batch body.
-type PredictBatchRequest struct {
-	Pairs    [][2]string `json:"pairs"`
-	Hadamard bool        `json:"hadamard"`
-}
-
-// PredictBatchResponse answers /v1/predict/batch.
-type PredictBatchResponse struct {
-	Scorer  string            `json:"scorer"`
-	Results []PredictResponse `json:"results"`
-}
-
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) error {
-	tr := telemetry.FromContext(r.Context())
-	t := time.Now()
-	var req PredictBatchRequest
-	if err := decodePost(r, &req); err != nil {
-		return err
-	}
-	if err := s.checkBatch(len(req.Pairs), "pairs"); err != nil {
-		return err
-	}
-	t = spanSince(tr, "parse", t)
-	return s.servePairs(w, r, t, req.Pairs, req.Hadamard, func(scores []float64) any {
-		name := scorerName(req.Hadamard)
-		out := PredictBatchResponse{Scorer: name, Results: make([]PredictResponse, len(scores))}
-		for i, p := range req.Pairs {
-			out.Results[i] = PredictResponse{U: p[0], V: p[1], Score: scores[i], Scorer: name}
-		}
-		return out
-	})
 }
 
 // VocabResponse answers /v1/vocab.
@@ -1924,12 +1762,11 @@ func serveWrite[R any](s *Server, w http.ResponseWriter, r *http.Request, recs [
 	return nil
 }
 
-// cacheKey builds a (generation, write-epoch)-scoped cache key: a hot
-// reload changes gen, an upsert/delete bumps epoch, and either makes
-// every older key unreachable — cached answers can never outlive the
-// data they were computed from. kind distinguishes endpoint families
-// ('n' neighbors, 'a' analogy).
-func cacheKey(gen, epoch uint64, kind byte, k int, payload string) string {
+// cacheKey builds the (generation, write-epoch)-scoped cache key of a
+// neighbours answer: a hot reload changes gen, an upsert/delete bumps
+// epoch, and either makes every older key unreachable — cached answers
+// can never outlive the data they were computed from.
+func cacheKey(gen, epoch uint64, k int, vertex string) string {
 	return strconv.FormatUint(gen, 36) + "." + strconv.FormatUint(epoch, 36) +
-		string(rune(kind)) + strconv.Itoa(k) + "\x00" + payload
+		"." + strconv.Itoa(k) + "\x00" + vertex
 }

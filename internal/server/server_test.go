@@ -193,6 +193,9 @@ func BenchmarkNeighborsBatch(b *testing.B) {
 	}
 }
 
+// TestSimilarityAndPredict: /v1/similarity and its batch score pairs
+// by the store's cosine; the pair score /v1/predict and /v1/analogy
+// are not served.
 func TestSimilarityAndPredict(t *testing.T) {
 	_, hs := newTestServer(t, Config{}, 80, 6)
 	m, _ := testModel(80, 6, 42)
@@ -205,20 +208,6 @@ func TestSimilarityAndPredict(t *testing.T) {
 		t.Fatalf("similarity %v, want %v", sim.Similarity, want)
 	}
 
-	var pred PredictResponse
-	if code := getJSON(t, hs.URL+"/v1/predict?u=v3&v=v9", &pred); code != 200 {
-		t.Fatalf("predict status %d", code)
-	}
-	if pred.Score != sim.Similarity || pred.Scorer != "embedding-cosine" {
-		t.Fatalf("predict cosine: %+v", pred)
-	}
-	if code := getJSON(t, hs.URL+"/v1/predict?u=v3&v=v9&hadamard=true", &pred); code != 200 {
-		t.Fatalf("predict hadamard status %d", code)
-	}
-	if want := m.Store().Dot(3, 9); pred.Score != want || pred.Scorer != "embedding-dot" {
-		t.Fatalf("predict dot: got %+v, want score %v", pred, want)
-	}
-
 	var simBatch SimilarityBatchResponse
 	if code := postJSON(t, hs.URL+"/v1/similarity/batch",
 		SimilarityBatchRequest{Pairs: [][2]string{{"v3", "v9"}, {"v0", "v0"}}}, &simBatch); code != 200 {
@@ -228,31 +217,13 @@ func TestSimilarityAndPredict(t *testing.T) {
 		t.Fatalf("similarity batch: %+v", simBatch.Results)
 	}
 
-	var predBatch PredictBatchResponse
-	if code := postJSON(t, hs.URL+"/v1/predict/batch",
-		PredictBatchRequest{Pairs: [][2]string{{"v3", "v9"}}}, &predBatch); code != 200 {
-		t.Fatalf("predict batch status %d", code)
-	}
-	if predBatch.Results[0].Score != sim.Similarity {
-		t.Fatalf("predict batch: %+v", predBatch.Results)
-	}
-}
-
-func TestAnalogyMatchesModel(t *testing.T) {
-	_, hs := newTestServer(t, Config{}, 90, 9)
-	var out NeighborsResponse
-	if code := getJSON(t, hs.URL+"/v1/analogy?a=v1&b=v2&c=v3&k=4", &out); code != 200 {
-		t.Fatalf("analogy status %d", code)
-	}
-	m, _ := testModel(90, 9, 42)
-	want := m.Analogy(1, 2, 3, 4)
-	if len(out.Neighbors) != len(want) {
-		t.Fatalf("got %d results, want %d", len(out.Neighbors), len(want))
-	}
-	for i, n := range out.Neighbors {
-		if n.Vertex != fmt.Sprintf("v%d", want[i].Word) || n.Score != want[i].Similarity {
-			t.Fatalf("analogy %d: got %+v want %+v", i, n, want[i])
+	for _, path := range []string{"/v1/analogy?a=v1&b=v2&c=v3", "/v1/predict?u=v3&v=v9"} {
+		if code := getJSON(t, hs.URL+path, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, code)
 		}
+	}
+	if code := postJSON(t, hs.URL+"/v1/predict/batch", SimilarityBatchRequest{Pairs: [][2]string{{"v3", "v9"}}}, nil); code != http.StatusNotFound {
+		t.Errorf("POST /v1/predict/batch: status %d, want 404", code)
 	}
 }
 
@@ -289,12 +260,10 @@ func TestSpecialCharacterTokens(t *testing.T) {
 	}
 	esc := func(i int) string { return url.QueryEscape(reserved[i%len(reserved)]) }
 	for i := range reserved {
-		a, b, c := esc(i), esc(i+1), esc(i+2)
+		a, b := esc(i), esc(i+1)
 		for _, path := range []string{
 			"/v1/neighbors?k=3&vertex=" + a,
 			"/v1/similarity?a=" + a + "&b=" + b,
-			"/v1/analogy?k=3&a=" + a + "&b=" + b + "&c=" + c,
-			"/v1/predict?u=" + a + "&v=" + b,
 		} {
 			if code := getJSON(t, rs.URL+path, nil); code != 200 {
 				t.Errorf("GET %s: status %d", path, code)
@@ -498,14 +467,9 @@ func TestHotReloadUnderLoad(t *testing.T) {
 				default:
 				}
 				v := int(rng.Uint64() % 100)
-				var url string
-				switch v % 3 {
-				case 0:
-					url = fmt.Sprintf("%s/v1/neighbors?vertex=v%d&k=5", hs.URL, v)
-				case 1:
+				url := fmt.Sprintf("%s/v1/neighbors?vertex=v%d&k=5", hs.URL, v)
+				if v%2 == 1 {
 					url = fmt.Sprintf("%s/v1/similarity?a=v%d&b=v%d", hs.URL, v, (v+1)%100)
-				default:
-					url = fmt.Sprintf("%s/v1/predict?u=v%d&v=v%d", hs.URL, v, (v+7)%100)
 				}
 				resp, err := client.Get(url)
 				if err != nil {

@@ -11,8 +11,8 @@ package server
 //	POST /shard/v1/insert  — append a router-assigned global row
 //	POST /shard/v1/delete  — tombstone a global row
 //
-// The router scores every other read (similarity, predict, analogy)
-// from its own copy of the rows, so those need no route here.
+// The router scores the other read, similarity, from its own copy of
+// the rows, so it needs no route here.
 //
 // A shard process is the same Server as any other: its slice is
 // published as a one-shard coordinator, and these handlers — which sit

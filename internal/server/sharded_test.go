@@ -10,13 +10,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"v2v/internal/snapshot"
 	"v2v/internal/vecstore"
-	"v2v/internal/word2vec"
 )
 
 // TestShardedServingParity serves the same model unsharded and with a
@@ -42,9 +42,6 @@ func TestShardedServingParity(t *testing.T) {
 	paths := []string{
 		"/v1/neighbors?vertex=v7&k=5",
 		"/v1/similarity?a=v3&b=v11",
-		"/v1/analogy?a=v1&b=v2&c=v3&k=4",
-		"/v1/predict?u=v5&v=v6",
-		"/v1/predict?u=v5&v=v6&hadamard=true",
 	}
 	for _, p := range paths {
 		var a, b map[string]any
@@ -88,18 +85,11 @@ func TestShardedServingParity(t *testing.T) {
 			}
 			return out
 		}
-		var analogy []vecstore.Result
-		for _, n := range word2vec.AnalogyStore(store, 1, 2, 3, 4) {
-			analogy = append(analogy, vecstore.Result{ID: n.Word, Score: n.Similarity})
-		}
 		// k = 200 is past EfSearch, where HNSW sizes its beam from k.
 		want := []any{
 			neighbors("v7", 5, h.SearchRow(7, 5)),
 			neighbors("v7", 200, h.SearchRow(7, 200)),
 			SimilarityResponse{A: "v3", B: "v11", Similarity: store.Cosine(3, 11)},
-			neighbors("", 4, analogy),
-			PredictResponse{U: "v5", V: "v6", Score: store.Cosine(5, 6), Scorer: "embedding-cosine"},
-			PredictResponse{U: "v5", V: "v6", Score: store.Dot(5, 6), Scorer: "embedding-dot"},
 		}
 		for i, p := range append([]string{paths[0], "/v1/neighbors?vertex=v7&k=200"}, paths[1:]...) {
 			resp, err := http.Get(hs.URL + p)
@@ -180,6 +170,93 @@ func TestShardedWrites(t *testing.T) {
 			t.Fatal("vocab still lists deleted vertex v5")
 		}
 	}
+}
+
+// TestCloseJoinsCompactions: a delete storm on a 4-shard server starts
+// a compaction on every shard; a swap joins the retired generation's,
+// and Close the current one's, so the goroutine count is back at its
+// baseline the moment either returns.
+func TestCloseJoinsCompactions(t *testing.T) {
+	const vocab, dim, shards = 4000, 16, 4
+	cfg := Config{Index: vecstore.Config{Kind: vecstore.KindHNSW, Shards: shards, M: 16, EfConstruction: 100}}
+	before := quiesce(t)
+	m, tokens := testModel(vocab, dim, 42)
+	s, err := NewFromModel(cfg, m, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	// storm deletes rows in batches until every shard is compacting: a
+	// delete landing mid-rebuild makes it stale, so the compactions
+	// keep retrying while it lasts.
+	storm := func() {
+		t.Helper()
+		next := 0
+		for compactions() < shards {
+			if next == vocab {
+				t.Fatalf("%d deletes left fewer than %d compactions running", vocab, shards)
+			}
+			var batch []string
+			for ; len(batch) < 40; next++ {
+				batch = append(batch, fmt.Sprintf("v%d", next))
+			}
+			body, _ := json.Marshal(DeleteBatchRequest{Vertices: batch})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/delete/batch", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("delete batch: %d %s", rec.Code, rec.Body)
+			}
+		}
+	}
+	settled := func(what string, want int) {
+		t.Helper()
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(20 * time.Millisecond); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n != want || compactions() != 0 {
+			t.Fatalf("after %s: %d goroutines (%d compacting), want %d", what, n, compactions(), want)
+		}
+	}
+
+	started := quiesce(t) // the build's workers are gone
+	storm()
+	m2, _ := testModel(vocab, dim, 43)
+	if _, err := s.SwapModel(m2, tokens, "second"); err != nil {
+		t.Fatal(err)
+	}
+	settled("a swap", started)
+
+	storm()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settled("Close", before)
+}
+
+// quiesce waits out what earlier tests left running — compactions of
+// servers they never closed, idle client connections — and returns the
+// goroutine count once it holds still.
+func quiesce(t *testing.T) int {
+	t.Helper()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); ; n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+		if runtime.NumGoroutine() == n && compactions() == 0 {
+			return n
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count still moving (%d) after 10s", n)
+		}
+	}
+}
+
+// compactions counts the goroutines running a shard compaction.
+func compactions() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("vecstore.(*Sharded).compactShard.func1"))
 }
 
 // TestShardedWALReplay restarts a sharded WAL-backed server and

@@ -162,9 +162,9 @@ func countingFleet(t *testing.T, addrs []string) (proxies []string, calls func()
 
 // TestRouterShardCalls counts what reaches the shards: a cold
 // /v1/neighbors or /v1/neighbors/batch costs exactly one search call
-// per shard and nothing else, a cached one nothing; similarity and
-// predict, a batch of pairs too, and analogy are answered from the
-// router's rows with no call at all.
+// per shard and nothing else, a cached one nothing; similarity, a
+// batch of pairs too, is answered from the router's rows with no call
+// at all.
 func TestRouterShardCalls(t *testing.T) {
 	for _, shards := range []int{3, 1} {
 		const vocab, dim = 40, 6
@@ -192,7 +192,7 @@ func TestRouterShardCalls(t *testing.T) {
 		}
 		only("cold batch", "/shard/v1/search", shards)
 
-		for _, p := range []string{"/v1/similarity?a=v3&b=v3", "/v1/predict?u=v5&v=v6"} {
+		for _, p := range []string{"/v1/similarity?a=v3&b=v3", "/v1/similarity?a=v5&b=v6"} {
 			if code, body := getRaw(t, router.URL+p); code != 200 {
 				t.Fatalf("%d shards, %s: status %d body %s", shards, p, code, body)
 			}
@@ -206,10 +206,6 @@ func TestRouterShardCalls(t *testing.T) {
 			t.Fatalf("%d shards, similarity batch: status %d body %s", shards, code, body)
 		}
 		only(fmt.Sprintf("%d pairs", len(pairs)), "/shard/v1/search", 0)
-		if code, body := getRaw(t, router.URL+"/v1/analogy?a=v1&b=v2&c=v3&k=4"); code != 200 {
-			t.Fatalf("%d shards, analogy: status %d body %s", shards, code, body)
-		}
-		only("analogy", "/shard/v1/search", 0)
 	}
 }
 
@@ -243,9 +239,8 @@ func (l *logBuffer) takeSlow(t *testing.T) string {
 }
 
 // TestRouterFetchSpan: no request fetches rows, so none records a
-// shard_wait/rows span; similarity, predict and analogy record no
-// shard span at all, as in-process, and a neighbours query exactly one
-// per shard.
+// shard_wait/rows span; similarity records no shard span at all, as
+// in-process, and a neighbours query exactly one per shard.
 func TestRouterFetchSpan(t *testing.T) {
 	const vocab, dim, shards = 40, 6, 2
 	path, addrs, _ := startShardFleet(t, vocab, dim, shards)
@@ -255,10 +250,8 @@ func TestRouterFetchSpan(t *testing.T) {
 		c.Log = log.New(&slowlog, "", 0)
 	})
 	for p, spans := range map[string]int{
-		"/v1/similarity?a=v3&b=v11":      0,
-		"/v1/predict?u=v5&v=v6":          0,
-		"/v1/analogy?a=v1&b=v2&c=v3&k=4": 0,
-		"/v1/neighbors?vertex=v7&k=5":    shards,
+		"/v1/similarity?a=v3&b=v11":   0,
+		"/v1/neighbors?vertex=v7&k=5": shards,
 	} {
 		if code, body := getRaw(t, router.URL+p); code != 200 {
 			t.Fatalf("%s: status %d body %s", p, code, body)

@@ -367,12 +367,16 @@ func (s *Server) walStats() WALStats {
 }
 
 // Close releases the server's durable resources (the write-ahead
-// log) and, in router mode, its fleet (health-probe goroutines, search
-// senders, idle remote connections). Serve calls it on shutdown;
-// embedders that never call Serve (tests, in-process harnesses) should
-// close explicitly. Idempotent.
+// log), stops and joins the current generation's background
+// compactions and, in router mode, closes its fleet (health-probe
+// goroutines, search senders, idle remote connections). Serve calls it
+// on shutdown; embedders that never call Serve (tests, in-process
+// harnesses) should close explicitly. Idempotent.
 func (s *Server) Close() error {
 	s.fleet.Close()
+	if st := s.state.Load(); st != nil {
+		st.sharded.Close()
+	}
 	if s.wal == nil {
 		return nil
 	}

@@ -84,6 +84,13 @@ type Sharded struct {
 	mu     sync.RWMutex
 	locs   []shardLoc
 	shards []*vshard
+
+	// bgMu orders compaction starts against Close: compactShard counts
+	// a compaction into bg under it only while closed is open, and
+	// Close closes closed under it before it waits on bg.
+	bgMu   sync.Mutex
+	bg     sync.WaitGroup
+	closed chan struct{}
 }
 
 // shardLoc locates a global row: which shard holds it and at which
@@ -215,6 +222,7 @@ func openSharded(s *Store, cfg Config, index func(sid int, st *Store, per Config
 		open:     OpenMutable,
 		locs:     make([]shardLoc, n),
 		shards:   make([]*vshard, ns),
+		closed:   make(chan struct{}),
 	}
 	ids := make([][]int, ns)
 	for i := 0; i < n; i++ {
@@ -423,14 +431,6 @@ func (sh *Sharded) Cosine(a, b int) float64 {
 	return cosineFromDot(f32.DotF64(va, vb), na, nb)
 }
 
-// Dot returns the float64-accumulated inner product of global rows a
-// and b, mirroring Store.Dot.
-func (sh *Sharded) Dot(a, b int) float64 {
-	va, _ := sh.RowNorm(a)
-	vb, _ := sh.RowNorm(b)
-	return f32.DotF64(va, vb)
-}
-
 // RowNorm returns Row(id) and its cached squared L2 norm — what a
 // cosine against the row needs — in one lookup.
 func (sh *Sharded) RowNorm(id int) ([]float32, float64) {
@@ -566,16 +566,59 @@ func (sh *Sharded) overThreshold(vs *vshard) bool {
 // repeat.
 const compactBackoff = 4
 
-// compactShard starts, unless one is already running, the background
-// rebuild of one shard. Other shards serve reads and writes
-// throughout.
+// Close stops the coordinator's background work and waits for it: no
+// compaction starts after Close, and a running one stops before its
+// next attempt — its back-off pause wakes at once — though a rebuild
+// already building finishes and may still be swapped in. Reads and
+// writes keep working; a delete past the threshold just no longer
+// compacts. Idempotent.
+func (sh *Sharded) Close() {
+	sh.bgMu.Lock()
+	if !sh.isClosed() {
+		close(sh.closed)
+	}
+	sh.bgMu.Unlock()
+	sh.bg.Wait()
+}
+
+// isClosed reports whether Close has been called.
+func (sh *Sharded) isClosed() bool {
+	select {
+	case <-sh.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// pause is compactLoop's back-off outside tests: d, or until Close.
+func (sh *Sharded) pause(d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-sh.closed:
+	}
+}
+
+// compactShard starts, unless one is already running or the
+// coordinator is closed, the background rebuild of one shard. Other
+// shards serve reads and writes throughout.
 func (sh *Sharded) compactShard(sid int) {
 	vs := sh.shards[sid]
 	if !vs.compacting.CompareAndSwap(false, true) {
 		return
 	}
+	sh.bgMu.Lock()
+	defer sh.bgMu.Unlock()
+	if sh.isClosed() {
+		vs.compacting.Store(false)
+		return
+	}
+	sh.bg.Add(1)
 	go func() {
-		err := sh.compactLoop(sid, sh.open, time.Sleep)
+		defer sh.bg.Done()
+		err := sh.compactLoop(sid, sh.open, sh.pause)
 		vs.compacting.Store(false)
 		if err != nil {
 			// The rebuild failed and the shard keeps its old index;
@@ -601,11 +644,12 @@ func (sh *Sharded) compactShard(sid int) {
 // the build makes it stale: it is thrown away rather than lose the
 // write, and the loop pauses for compactBackoff times what the attempt
 // cost before it gathers again — so compaction completes once writes
-// quiesce, without needing another write to trigger it. open and pause
-// are sh.open and time.Sleep outside tests.
+// quiesce, without needing another write to trigger it. A closed
+// coordinator stops before the next attempt. open and pause are
+// sh.open and sh.pause outside tests.
 func (sh *Sharded) compactLoop(sid int, open func(*Store, Config) (MutableIndex, error), pause func(time.Duration)) error {
 	vs := sh.shards[sid]
-	for {
+	for !sh.isClosed() {
 		start := time.Now()
 		vs.mu.RLock()
 		if !sh.overThreshold(vs) {
@@ -656,6 +700,7 @@ func (sh *Sharded) compactLoop(sid int, open func(*Store, Config) (MutableIndex,
 		sh.mu.Unlock()
 		return nil
 	}
+	return nil
 }
 
 // SpanRecorder receives named stage durations from a scatter-gather
@@ -921,38 +966,6 @@ func (sh *Sharded) SearchBatch(qs [][]float32, k int) [][]Result {
 		out[j] = mergeTopK(lists, k)
 	}
 	return out
-}
-
-// ScanExact scores every live row with the caller's kernel and
-// returns the global top-k, excluding the given global IDs — the
-// scatter-gather form of a hand-written exact scan (a server's
-// analogy, word2vec.AnalogySharded), over the rows, so a router's too.
-// score must be a pure per-row function; rows are visited
-// shard-parallel, per shard in ascending global order, so results
-// match a single global scan of the same kernel exactly.
-func (sh *Sharded) ScanExact(score func(v []float32) float64, exclude []int, k int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	ex := make(map[int32]bool, len(exclude))
-	for _, id := range exclude {
-		ex[int32(id)] = true
-	}
-	perShard := make([][]Result, len(sh.shards))
-	sh.eachShard(func(sid int, vs *vshard) {
-		vs.mu.RLock()
-		defer vs.mu.RUnlock()
-		var top TopK
-		top.Reset(k)
-		for local, g := range vs.globals {
-			if ex[g] || vs.store.Deleted(local) {
-				continue
-			}
-			top.Push(int(g), score(vs.store.Row(local)))
-		}
-		perShard[sid] = top.Append(nil)
-	})
-	return mergeTopK(perShard, k)
 }
 
 // ShardStat is one shard's /stats block.

@@ -129,7 +129,6 @@ func TestOneShardParity(t *testing.T) {
 			for j := range q {
 				q[j] = float32(rng.NormFloat64())
 			}
-			score := func(v []float32) float64 { return dotF64(q, v) }
 			check := func(stage string) {
 				t.Helper()
 				live := s.LiveIDs()
@@ -150,14 +149,6 @@ func TestOneShardParity(t *testing.T) {
 					for qi := range qs {
 						sameResults(t, fmt.Sprintf("%s SearchBatch q%d k=%d", stage, qi, k), got[qi], want[qi])
 					}
-					var top TopK
-					top.Reset(k)
-					for _, i := range live {
-						if i != ids[1] {
-							top.Push(i, score(s.Row(i)))
-						}
-					}
-					sameResults(t, fmt.Sprintf("%s ScanExact k=%d", stage, k), sh.ScanExact(score, ids[1:2], k), top.Append(nil))
 				}
 				if got, want := sh.Cosine(ids[0], ids[5]), s.Cosine(ids[0], ids[5]); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s Cosine = %v, bare store %v", stage, got, want)
@@ -196,48 +187,6 @@ func TestOneShardParity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedScanExactParity: the scatter-gather exact scan (the
-// serving analogy kernel) matches a single global scan of the same
-// per-row function, exclusions included.
-func TestShardedScanExactParity(t *testing.T) {
-	const n, dim, k = 400, 16, 9
-	s := randStore(n, dim, 9)
-	sh, err := OpenSharded(randStore(n, dim, 9), Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := make([]float32, dim)
-	rng := xrand.New(3)
-	for j := range q {
-		q[j] = float32(rng.NormFloat64())
-	}
-	score := func(v []float32) float64 { return dotF64(q, v) }
-	exclude := []int{5, 77, 203}
-
-	for _, stage := range []string{"clean", "tombstoned"} {
-		if stage == "tombstoned" {
-			for id := 1; id < n; id += 4 {
-				if err := s.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-				if err := sh.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		var top TopK
-		top.Reset(k)
-		ex := map[int]bool{5: true, 77: true, 203: true}
-		for i := 0; i < n; i++ {
-			if ex[i] || s.Deleted(i) {
-				continue
-			}
-			top.Push(i, score(s.Row(i)))
-		}
-		sameResults(t, stage+" ScanExact", sh.ScanExact(score, exclude, k), top.Append(nil))
 	}
 }
 
@@ -280,9 +229,6 @@ func TestShardedInsertDelete(t *testing.T) {
 	}
 	if got, want := sh.Cosine(3, 57), s.Cosine(3, 57); got != want {
 		t.Fatalf("Cosine = %v, want %v", got, want)
-	}
-	if got, want := sh.Dot(12, 80), s.Dot(12, 80); got != want {
-		t.Fatalf("Dot = %v, want %v", got, want)
 	}
 	if err := sh.Delete(57); err != nil {
 		t.Fatal(err)

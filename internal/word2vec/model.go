@@ -143,101 +143,6 @@ func toNeighbors(res []vecstore.Result) []Neighbor {
 	return out
 }
 
-// Analogy answers "a is to b as c is to ?" by ranking vertices by
-// cosine similarity to vector(b) - vector(a) + vector(c), excluding
-// the three query vertices. It returns the top k candidates, selected
-// with a bounded heap instead of a full sort.
-func (m *Model) Analogy(a, b, c, k int) []Neighbor {
-	return AnalogyStore(m.Store(), a, b, c, k)
-}
-
-// AnalogyStore is Analogy over an arbitrary, possibly grown or
-// tombstoned vector store, such as a router's copy of its fleet's
-// rows. The three query rows and every tombstoned row are excluded;
-// each row is scored by AnalogyKernel in row order, so results are
-// bit-for-bit the historical Model.Analogy's on an unmutated store.
-func AnalogyStore(s *vecstore.Store, a, b, c, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	score := AnalogyKernel(analogyTarget(s.Row(a), s.Row(b), s.Row(c)))
-	var top vecstore.TopK
-	top.Reset(k)
-	for u := 0; u < s.Len(); u++ {
-		if u == a || u == b || u == c || s.Deleted(u) {
-			continue
-		}
-		top.Push(u, score(s.Row(u)))
-	}
-	return toNeighbors(top.Append(nil))
-}
-
-// AnalogySharded is AnalogyStore over a sharded store: the same
-// target and kernel, pushed through the coordinator's exact
-// scatter-gather scan. ScanExact visits each shard's rows in
-// ascending global order and merges with the same tie-breaks TopK
-// uses, so results are bit-for-bit AnalogyStore's over the
-// equivalent single store.
-func AnalogySharded(sh *vecstore.Sharded, a, b, c, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	target := analogyTarget(sh.Row(a), sh.Row(b), sh.Row(c))
-	return toNeighbors(sh.ScanExact(AnalogyKernel(target), []int{a, b, c}, k))
-}
-
-// analogyTarget returns vb - va + vc in float64, the target every
-// analogy scan scores against.
-func analogyTarget(va, vb, vc []float32) []float64 {
-	target := make([]float64, len(va))
-	for i := range target {
-		target[i] = float64(vb[i]) - float64(va[i]) + float64(vc[i])
-	}
-	return target
-}
-
-// AnalogyKernel returns the per-row score of an analogy scan against
-// target: the float64 dot over the row norm, accumulated in row order,
-// and 0 when either vector is zero. AnalogyStore scores each row with
-// it, and AnalogySharded passes it to vecstore.Sharded.ScanExact, so
-// every topology ranks with the same bits.
-func AnalogyKernel(target []float64) func(vu []float32) float64 {
-	var tNorm float64
-	for _, x := range target {
-		tNorm += x * x
-	}
-	tNorm = math.Sqrt(tNorm)
-	return func(vu []float32) float64 {
-		var dot, un float64
-		for i := range vu {
-			dot += float64(vu[i]) * target[i]
-			un += float64(vu[i]) * float64(vu[i])
-		}
-		if un > 0 && tNorm > 0 {
-			return dot / (math.Sqrt(un) * tNorm)
-		}
-		return 0
-	}
-}
-
-// Centroid returns the mean vector of the given vertices.
-func (m *Model) Centroid(vertices []int) []float64 {
-	out := make([]float64, m.Dim)
-	if len(vertices) == 0 {
-		return out
-	}
-	for _, v := range vertices {
-		for i, x := range m.Vector(v) {
-			out[i] += float64(x)
-		}
-	}
-	inv := 1 / float64(len(vertices))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
 // Normalize L2-normalises every vector in place and invalidates the
 // cached index. Zero vectors are left untouched.
 func (m *Model) Normalize() {

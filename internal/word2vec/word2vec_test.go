@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"v2v/internal/graph"
-	"v2v/internal/vecstore"
 	"v2v/internal/walk"
 	"v2v/internal/xrand"
 )
@@ -359,111 +358,6 @@ func TestCosineAndMostSimilar(t *testing.T) {
 	copy(z.Vector(1), []float32{1, 1})
 	if s := z.Cosine(0, 1); s != 0 {
 		t.Fatalf("zero-vector cosine = %v", s)
-	}
-}
-
-func TestAnalogy(t *testing.T) {
-	// Construct vectors where 1 - 0 + 2 points at 3:
-	// v0=(1,0), v1=(1,1), v2=(3,0), v3=(3,1).
-	m := NewModel(5, 2)
-	copy(m.Vector(0), []float32{1, 0})
-	copy(m.Vector(1), []float32{1, 1})
-	copy(m.Vector(2), []float32{3, 0})
-	copy(m.Vector(3), []float32{3, 1})
-	copy(m.Vector(4), []float32{-5, -5})
-	res := m.Analogy(0, 1, 2, 1)
-	if len(res) != 1 || res[0].Word != 3 {
-		t.Fatalf("analogy result %+v, want vertex 3", res)
-	}
-	// Query vertices excluded.
-	all := m.Analogy(0, 1, 2, 10)
-	for _, r := range all {
-		if r.Word == 0 || r.Word == 1 || r.Word == 2 {
-			t.Fatal("query vertex in analogy results")
-		}
-	}
-	if m.Analogy(0, 1, 2, 0) != nil {
-		t.Fatal("k=0 should return nil")
-	}
-}
-
-// TestAnalogyShardedMatchesStore: the serving analogy (AnalogySharded,
-// the kernel pushed through the coordinator's exact scan) returns
-// AnalogyStore's vertices and similarity bits over the same rows — for
-// one shard, which is what an unsharded server holds, and for several
-// — across an interleaved insert/delete sequence and at every k.
-func TestAnalogyShardedMatchesStore(t *testing.T) {
-	const n, dim = 300, 12
-	for _, shards := range []int{1, 3} {
-		rng := xrand.New(11)
-		vec := func() []float32 {
-			v := make([]float32, dim)
-			for i := range v {
-				v[i] = float32(rng.NormFloat64())
-			}
-			return v
-		}
-		ref, base := vecstore.New(0, dim), vecstore.New(0, dim)
-		for i := 0; i < n; i++ {
-			v := vec()
-			ref.AppendRow(v)
-			base.AppendRow(v)
-		}
-		sh, err := vecstore.OpenSharded(base, vecstore.Config{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check := func(stage string) {
-			t.Helper()
-			live := ref.LiveIDs()
-			a, b, c := live[0], live[len(live)/2], live[len(live)-1]
-			for _, k := range []int{1, 10, 200, ref.Len()} {
-				got, want := AnalogySharded(sh, a, b, c, k), AnalogyStore(ref, a, b, c, k)
-				if len(got) != len(want) {
-					t.Fatalf("shards=%d %s k=%d: %d results, want %d", shards, stage, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Word != want[i].Word || math.Float64bits(got[i].Similarity) != math.Float64bits(want[i].Similarity) {
-						t.Fatalf("shards=%d %s k=%d rank %d: %+v, want %+v", shards, stage, k, i, got[i], want[i])
-					}
-				}
-			}
-		}
-		check("clean")
-		for step := 0; step < 90; step++ {
-			if step%3 == 2 {
-				live := ref.LiveIDs()
-				id := live[rng.Intn(len(live))]
-				if err := ref.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-				if err := sh.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				v := vec()
-				if id, err := sh.Insert(v); err != nil || id != ref.AppendRow(v) {
-					t.Fatalf("shards=%d step %d: Insert = %d, %v", shards, step, id, err)
-				}
-			}
-			if step%30 == 29 {
-				check("mutated")
-			}
-		}
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	m := NewModel(3, 2)
-	copy(m.Vector(0), []float32{1, 0})
-	copy(m.Vector(1), []float32{3, 2})
-	c := m.Centroid([]int{0, 1})
-	if c[0] != 2 || c[1] != 1 {
-		t.Fatalf("centroid %v", c)
-	}
-	z := m.Centroid(nil)
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatal("empty centroid should be zero")
 	}
 }
 

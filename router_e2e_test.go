@@ -106,14 +106,10 @@ func TestRouterSmokeE2E(t *testing.T) {
 	compare("GET", "/v1/neighbors?vertex=59&k=12", "")
 	compare("GET", "/v1/similarity?a=1&b=2", "")
 	compare("GET", "/v1/similarity?a=40&b=40", "")
-	compare("GET", "/v1/analogy?a=1&b=2&c=3&k=4", "")
-	compare("GET", "/v1/predict?u=4&v=5", "")
-	compare("GET", "/v1/predict?u=4&v=5&hadamard=true", "")
 	compare("GET", "/v1/vocab?limit=100", "")
 	compare("GET", "/v1/neighbors?vertex=nope&k=3", "") // 404 parity
 	compare("POST", "/v1/neighbors/batch", `{"vertices":["1","17","58"],"k":6}`)
 	compare("POST", "/v1/similarity/batch", `{"pairs":[["1","2"],["30","45"]]}`)
-	compare("POST", "/v1/predict/batch", `{"pairs":[["4","5"],["20","31"]]}`)
 
 	// Writes route by hash and the served world stays identical.
 	compare("POST", "/v1/upsert", `{"vertex":"smoke-w","vector":[1,0,0,0,0,0,0,0]}`)

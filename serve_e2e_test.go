@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,11 +83,12 @@ func TestServeSmokeE2E(t *testing.T) {
 	post("/v1/neighbors/batch", `{"vertices":["1","2"],"k":3}`)
 	get("/v1/similarity?a=1&b=2")
 	post("/v1/similarity/batch", `{"pairs":[["1","2"]]}`)
-	get("/v1/analogy?a=1&b=2&c=3&k=3")
-	get("/v1/predict?u=4&v=5")
-	post("/v1/predict/batch", `{"pairs":[["4","5"]]}`)
 	get("/v1/vocab?limit=3")
 	post("/v1/reload", fmt.Sprintf(`{"path":%q}`, model))
+	// Analogy and the pair score are not served.
+	getCode("/v1/analogy?a=1&b=2&c=3&k=3", 404)
+	getCode("/v1/predict?u=4&v=5", 404)
+	postCode("/v1/predict/batch", `{"pairs":[["4","5"]]}`, 404)
 
 	// Online writes through the real binary: an upsert is queryable
 	// with no reload, a delete stops resolving, and the batch variants
@@ -123,14 +126,34 @@ func TestServeSmokeE2E(t *testing.T) {
 	if err := expo.Validate(); err != nil {
 		t.Fatalf("validating /metrics: %v\n%s", err, page)
 	}
-	for _, ep := range []string{
+	served := []string{
 		"healthz", "stats", "neighbors", "neighbors_batch", "similarity",
-		"similarity_batch", "analogy", "predict", "predict_batch", "vocab",
-		"reload", "upsert", "upsert_batch", "delete", "delete_batch",
-	} {
+		"similarity_batch", "vocab", "reload", "upsert", "upsert_batch",
+		"delete", "delete_batch",
+	}
+	for _, ep := range served {
 		if v, ok := expo.Value("v2v_requests_total", fmt.Sprintf("endpoint=%q", ep)); !ok || v < 1 {
 			t.Errorf("endpoint %q counted %v requests (present=%v), want >= 1", ep, v, ok)
 		}
+	}
+	// /stats reports exactly those endpoints, /metrics and the shard
+	// fan-out API's, whose counters exist in every mode.
+	var stats struct {
+		Endpoints map[string]json.RawMessage `json:"endpoints"`
+	}
+	if resp, err := http.Get(base + "/stats"); err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decoding /stats: %v", err)
+		}
+	}
+	want := slices.Concat(served, []string{"metrics", "shard_search", "shard_insert", "shard_delete"})
+	slices.Sort(want)
+	if got := slices.Sorted(maps.Keys(stats.Endpoints)); !slices.Equal(got, want) {
+		t.Errorf("/stats endpoints %v, want %v", got, want)
 	}
 	if f := expo.Family("v2v_build_info"); f == nil || len(f.Series[""]) != 1 {
 		t.Errorf("v2v_build_info missing or malformed: %+v", f)

@@ -99,8 +99,6 @@ func TestQueryServerFacade(t *testing.T) {
 		"/stats",
 		"/v1/neighbors?vertex=0&k=5",
 		"/v1/similarity?a=0&b=1",
-		"/v1/analogy?a=0&b=1&c=2&k=3",
-		"/v1/predict?u=0&v=1",
 		"/v1/vocab?limit=5",
 	} {
 		resp, err := hs.Client().Get(hs.URL + path)

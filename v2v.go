@@ -431,10 +431,10 @@ type ServeAdmissionConfig = server.AdmissionConfig
 type ServeClassLimit = server.ClassLimit
 
 // QueryServer is a long-lived HTTP/JSON query service over a trained
-// embedding: /v1/neighbors, /v1/similarity, /v1/analogy, /v1/predict
-// (plus batched variants), /healthz and /stats, with atomic hot model
-// reload via /v1/reload and online writes via /v1/upsert and
-// /v1/delete (plus batched variants) — upserts and deletes are
+// embedding: /v1/neighbors and /v1/similarity (plus batched
+// variants), /healthz and /stats, with atomic hot model reload via
+// /v1/reload and online writes via /v1/upsert and /v1/delete (plus
+// batched variants) — upserts and deletes are
 // visible to the very next query, no reload required, and past a
 // tombstone threshold the shard they landed on is rebuilt over its
 // live rows in the background, in the same generation (see
